@@ -1,9 +1,11 @@
 """EXP-VAL — cost and resilience of the ``MPI_Comm_validate_all`` consensus.
 
-Characterizes the FloodSet agreement behind the collective validate:
+Characterizes the agreement behind the collective validate
+(:mod:`repro.ft.agreement`):
 
-* message cost vs communicator size, full vs early-deciding mode (the
-  ablation DESIGN.md calls out);
+* message cost vs communicator size, the default coordinator algorithm
+  vs the FloodSet oracle (the ablation DESIGN.md calls out), gated on
+  the exact counts 2(n-1) and n²(n-1);
 * resilience: agreement and termination with up to n-1 ranks dying
   *during* the protocol;
 * monotone count: successive validates report the accumulated total,
@@ -26,6 +28,7 @@ from repro.simmpi import ErrorHandler, Simulation, TraceKind
 from conftest import emit, sweep_runner, timed
 
 SIZES = [2, 4, 8, 16]
+MODES = ("coordinator", "full")
 
 
 def _validate_run(n: int, mode: str, kills=()):
@@ -76,7 +79,7 @@ def bench_validate_message_cost(benchmark):
     rows = []
     runner = sweep_runner()
     jobs = [MessageCostJob(n, mode)
-            for n in SIZES for mode in ("full", "early")]
+            for n in SIZES for mode in MODES]
 
     def run_all():
         rows.clear()
@@ -92,16 +95,17 @@ def bench_validate_message_cost(benchmark):
     for n, mode, msgs, _t in rows:
         by.setdefault(n, {})[mode] = msgs
     for n, d in by.items():
-        if n >= 4:
-            # Early stopping decides after ~2 stable rounds instead of n.
-            assert d["early"] < d["full"]
+        # One contribution and one DECIDE per non-coordinator member,
+        # against n rounds of all-to-all flooding.
+        assert d["coordinator"] == 2 * (n - 1)
+        assert d["full"] == n * n * (n - 1)
 
 
 def bench_validate_resilience(benchmark):
     rows = []
     runner = sweep_runner()
     jobs = [ResilienceJob(6, nfail, mode)
-            for nfail in (1, 2, 3, 5) for mode in ("full", "early")]
+            for nfail in (1, 2, 3, 5) for mode in MODES]
 
     def run_all():
         rows.clear()

@@ -30,6 +30,6 @@ Quickstart::
     print(result.value(0)["root_completions"])
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = ["__version__"]

@@ -34,6 +34,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any
 
+from ..ft.agreement import DEFAULT_MODE
 from ..simmpi.errors import ErrorHandler
 from ..simmpi.process import SimProcess
 from .messages import TAG_NORMAL, RingMsg
@@ -85,8 +86,9 @@ class RingConfig:
     max_iter: int = 10
     variant: RingVariant = RingVariant.FT_MARKER
     termination: Termination = Termination.ROOT_BCAST
-    #: Consensus mode for VALIDATE_ALL termination ("full" or "early").
-    validate_mode: str = "full"
+    #: Agreement algorithm for VALIDATE_ALL termination ("coordinator",
+    #: or "full" for the FloodSet oracle).
+    validate_mode: str = DEFAULT_MODE
     #: Per-iteration local compute time (spreads iterations over virtual
     #: time so failure windows at specific times are easy to hit).
     work_per_iter: float = 0.0

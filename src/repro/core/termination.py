@@ -20,6 +20,7 @@ Two schemes, as in the paper:
 
 from __future__ import annotations
 
+from ..ft.agreement import DEFAULT_MODE
 from ..ft.validate_all import icomm_validate_all
 from ..simmpi.errors import RankFailStopError
 from ..simmpi.nbcoll import ibarrier
@@ -68,7 +69,7 @@ def ft_termination_root_bcast(st: RingState) -> None:
         st.watchdog = None
 
 
-def ft_termination_validate_all(st: RingState, mode: str = "full") -> int:
+def ft_termination_validate_all(st: RingState, mode: str = DEFAULT_MODE) -> int:
     """Consensus-based termination (paper Fig. 13).
 
     Runs ``MPI_Icomm_validate_all`` concurrently with the resend watchdog.
@@ -99,7 +100,7 @@ def ft_termination_validate_all(st: RingState, mode: str = "full") -> int:
 
 
 def ft_termination_ibarrier(
-    st: RingState, max_retries: int = 3, mode: str = "full"
+    st: RingState, max_retries: int = 3, mode: str = DEFAULT_MODE
 ) -> str:
     """The §III-C alternative the paper *rejects*: ``MPI_Ibarrier`` retry.
 

@@ -14,37 +14,31 @@ Paper interface                Here
 ``MPI_Icomm_validate_all``     :func:`icomm_validate_all`
 =============================  ==========================================
 
-The collective validate runs a real fault-tolerant consensus
-(:mod:`repro.ft.consensus`) over the simulated network.
+The collective validate runs a real fault-tolerant agreement over the
+simulated network: :mod:`repro.ft.agreement`, one engine whose default
+algorithm is a term-numbered, lowest-alive-rank coordinator protocol
+(2(n-1) messages per fault-free instance), with full FloodSet kept on the
+same plumbing as the tests' oracle (``mode="full"``).
 
 Beyond RTS, :mod:`repro.ft.ulfm` adds the ULFM-style primitives
 (``comm_agree`` / ``comm_shrink``, paired with the kernel's
 ``Comm.revoke``) that the shrink/repair and partial-restart protocol
-families in :mod:`repro.protocols` are built on.
+families in :mod:`repro.protocols` are built on; they are instances of
+the same engine on an AM context that revocation spares.
 """
 
-from .consensus import ConsensusEngine, engine_for
+from .agreement import UnionAgreement, engine_for
 from .rank_info import RankInfo, RankState
 from .recovery import RecoveryBlockError, run_recovery_block
-from .ulfm import (
-    AgreementEngine,
-    comm_agree,
-    comm_shrink,
-    icomm_agree,
-    next_agree_instance,
-    set_agree_instance,
-)
+from .ulfm import comm_agree, comm_shrink, icomm_agree
 from .validate import comm_validate, comm_validate_clear, comm_validate_rank, rank_state
 from .validate_all import comm_validate_all, icomm_validate_all
 
 __all__ = [
-    "AgreementEngine",
-    "ConsensusEngine",
+    "UnionAgreement",
     "comm_agree",
     "comm_shrink",
     "icomm_agree",
-    "next_agree_instance",
-    "set_agree_instance",
     "RankInfo",
     "RankState",
     "comm_validate",

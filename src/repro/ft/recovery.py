@@ -17,7 +17,8 @@ repository found the bug in its own ABFT app via the mid-collective
 failure sweep; see ``tests/test_collective_recovery.py``.)
 
 The correct pattern makes the *retry decision itself agreed*, using the
-consensus the library already provides:
+agreement the library already provides (:mod:`repro.ft.agreement`, two
+messages per member per round when nobody dies):
 
 1. attempt the block (success or failure, locally);
 2. run ``comm_validate_all`` — every rank, every round;
@@ -37,6 +38,7 @@ from typing import Callable, TypeVar
 
 from ..simmpi.communicator import Comm
 from ..simmpi.errors import RankFailStopError
+from .agreement import DEFAULT_MODE
 from .validate_all import comm_validate_all
 
 T = TypeVar("T")
@@ -56,14 +58,16 @@ def run_recovery_block(
     comm: Comm,
     block: Callable[[], T],
     *,
-    mode: str = "full",
+    mode: str = DEFAULT_MODE,
     max_attempts: int = 16,
 ) -> T:
     """Run *block* (one or more collectives) with agreed retry on failure.
 
     Returns the block's value once a round completes with no membership
     change.  All ranks of *comm* must call this the same number of times
-    with equivalent blocks (the usual collective-ordering contract).
+    with equivalent blocks (the usual collective-ordering contract), and
+    with the same *mode* (the agreement algorithm, as for
+    :func:`~repro.ft.validate_all.comm_validate_all`).
     """
     last_error: Exception | None = None
     for _attempt in range(max_attempts):

@@ -12,13 +12,14 @@ implements the two collective halves on top of the active-message layer:
 
 ``comm_agree(comm, value, op)``
     ULFM ``MPI_Comm_agree``: a fault-tolerant agreement on the reduction
-    of every live member's contribution.  Implemented as a FloodSet run
-    (same algorithm as :mod:`repro.ft.consensus`, same perfect-detector
-    round termination) flooding ``(rank, value)`` contribution pairs
-    instead of bare failed ranks: every survivor decides the identical
-    contribution map, then folds it locally with ``op`` — so the fold is
-    deterministic and identical everywhere.  Crucially it runs on its
-    own AM context (:data:`CTX_AGREE`), which the revocation sweep
+    of every live member's contribution.  It is one instance of the
+    engine in :mod:`repro.ft.agreement` — the one ``comm_validate_all``
+    runs on, default coordinator algorithm — agreeing on ``(rank,
+    value)`` contribution pairs instead of bare failed ranks: every
+    survivor decides the identical contribution map, then folds it
+    locally with ``op`` — so the fold is deterministic and identical
+    everywhere.  Crucially it runs on its own AM context
+    (:data:`~repro.ft.agreement.CTX_AGREE`), which the revocation sweep
     spares: agreement still works on a revoked communicator, which is
     the whole point.
 
@@ -36,24 +37,13 @@ a per-handle counter, like the validate collective).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from ..simmpi.communicator import Comm
 from ..simmpi.p2p import wait
-from ..simmpi.request import Request, RequestKind, Status
-from ..simmpi.trace import TraceKind
+from ..simmpi.request import Request, RequestKind
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simmpi.matching import Message
-    from ..simmpi.runtime import Runtime
-
-#: Context offset for the agreement protocol's active messages (offsets
-#: 0-2 are p2p / collectives / validate-consensus; 3-7 were free).
-CTX_AGREE = 3
-
-_ENGINE_ATTR = "_ft_agree_engine"
+from .agreement import AGREE, engine_for
 
 #: Reduction ops for folding the agreed contribution map.
 AGREE_OPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -74,212 +64,22 @@ def _resolve_op(op: str | Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any
         raise ValueError(f"unknown agree op {op!r} (known: {sorted(AGREE_OPS)})")
 
 
-@dataclass(slots=True)
-class _AgreeMsg:
-    """Wire format: one flooded round of contribution pairs."""
-
-    cid: int
-    instance: int
-    round: int
-    sender: int  # world rank
-    #: Accumulated ``(comm_rank, value)`` contribution pairs.
-    w: frozenset[tuple[int, Any]]
-
-
-@dataclass(slots=True)
-class _AgreeInstance:
-    """Per-(rank, comm, instance) agreement state."""
-
-    owner: int
-    cid: int
-    instance: int
-    members: tuple[int, ...] = ()
-    comm: Comm | None = None
-    request: Request | None = None
-    started: bool = False
-    decided: bool = False
-    round: int = 0
-    w: set[tuple[int, Any]] = field(default_factory=set)
-    heard: dict[int, set[int]] = field(default_factory=dict)
-    payloads: dict[int, list[frozenset[tuple[int, Any]]]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def total_rounds(self) -> int:
-        return len(self.members)
-
-
-class AgreementEngine:
-    """FloodSet over contribution pairs — the ``MPI_Comm_agree`` engine.
-
-    Structured exactly like :class:`repro.ft.consensus.ConsensusEngine`
-    (strict in-order rounds, perfect-detector wait sets, per-rank state
-    partitioning); it floods ``(rank, value)`` pairs and leaves failure
-    recognition alone — agreement must not recognize anything, because
-    the shrink that follows discards the communicator entirely.
-    """
-
-    def __init__(self, runtime: "Runtime") -> None:
-        self.runtime = runtime
-        self._instances: dict[tuple[int, int, int], _AgreeInstance] = {}
-        self._listening: set[int] = set()
-        self._handling: set[tuple[int, int]] = set()
-
-    # -- plumbing ----------------------------------------------------------
-
-    def ensure_comm(self, comm: Comm) -> None:
-        ctx = comm.context(CTX_AGREE)
-        for wr in comm.group:
-            if (wr, ctx) not in self._handling:
-                self._handling.add((wr, ctx))
-                self.runtime.register_am_handler(
-                    wr, ctx, lambda msg, t, r=wr: self._on_message(r, msg, t)
-                )
-            if wr not in self._listening:
-                self._listening.add(wr)
-                self.runtime.add_failure_listener(
-                    wr, lambda obs, failed, t: self._on_failure(obs, failed, t)
-                )
-
-    def _inst(self, owner: int, cid: int, instance: int) -> _AgreeInstance:
-        key = (owner, cid, instance)
-        inst = self._instances.get(key)
-        if inst is None:
-            inst = _AgreeInstance(owner=owner, cid=cid, instance=instance)
-            self._instances[key] = inst
-        return inst
-
-    # -- local call --------------------------------------------------------
-
-    def start(self, comm: Comm, instance: int, value: Any, request: Request) -> None:
-        self.ensure_comm(comm)
-        proc = comm.proc
-        inst = self._inst(proc.rank, comm.cid, instance)
-        assert not inst.started, "agree instance started twice"
-        inst.comm = comm
-        inst.request = request
-        inst.members = comm.group
-        inst.started = True
-        inst.w.add((comm.rank, value))
-        proc.runtime.trace.record(
-            proc.now, TraceKind.VALIDATE, proc.rank,
-            op="agree_start", comm=comm.name, instance=instance,
-        )
-        self._enter_round(inst, 1, proc.now)
-        if not inst.decided:
-            self._check_round(inst, proc.now)
-
-    # -- protocol engine ---------------------------------------------------
-
-    def _expected(self, inst: _AgreeInstance) -> set[int]:
-        dead = self.runtime.known_by[inst.owner]
-        return {m for m in inst.members if m != inst.owner and m not in dead}
-
-    def _enter_round(self, inst: _AgreeInstance, r: int, time: float) -> None:
-        inst.round = r
-        assert inst.comm is not None
-        payload = _AgreeMsg(
-            cid=inst.cid, instance=inst.instance, round=r,
-            sender=inst.owner, w=frozenset(inst.w),
-        )
-        ctx = inst.comm.context(CTX_AGREE)
-        for m in self._expected(inst):
-            self.runtime.send_am(inst.owner, m, ctx, payload)
-
-    def _check_round(self, inst: _AgreeInstance, time: float) -> None:
-        while inst.started and not inst.decided:
-            r = inst.round
-            heard = inst.heard.setdefault(r, set())
-            if not self._expected(inst) <= heard:
-                return
-            for w in inst.payloads.pop(r, []):
-                inst.w |= w
-            if r >= inst.total_rounds:
-                self._decide(inst, time)
-                return
-            self._enter_round(inst, r + 1, time)
-
-    def _decide(self, inst: _AgreeInstance, time: float) -> None:
-        inst.decided = True
-        decision = frozenset(inst.w)
-        assert inst.request is not None and inst.comm is not None
-        self.runtime.trace.record(
-            time, TraceKind.VALIDATE, inst.owner,
-            op="agree_decide", comm=inst.comm.name, instance=inst.instance,
-            contributors=sorted(r for r, _v in decision), round=inst.round,
-        )
-        inst.request.complete(
-            time, data=decision, status=Status(count=len(decision))
-        )
-
-    # -- event-context inputs ----------------------------------------------
-
-    def _on_message(self, owner: int, msg: "Message", time: float) -> None:
-        am: _AgreeMsg = msg.payload
-        inst = self._inst(owner, am.cid, am.instance)
-        if inst.decided:
-            return
-        inst.heard.setdefault(am.round, set()).add(am.sender)
-        inst.payloads.setdefault(am.round, []).append(am.w)
-        if inst.started:
-            self._check_round(inst, time)
-
-    def _on_failure(self, observer: int, failed: int, time: float) -> None:
-        for inst in list(self._instances.values()):
-            if inst.owner != observer or not inst.started or inst.decided:
-                continue
-            self._check_round(inst, time)
-
-
-def agree_engine_for(runtime: "Runtime") -> AgreementEngine:
-    """Get (or lazily create) the simulation's agreement engine."""
-    engine = getattr(runtime, _ENGINE_ATTR, None)
-    if engine is None:
-        engine = AgreementEngine(runtime)
-        setattr(runtime, _ENGINE_ATTR, engine)
-    return engine
-
-
-def _agree_seq(comm: Comm) -> "itertools.count[int]":
-    seq = getattr(comm, "_agree_seq", None)
-    if seq is None:
-        seq = itertools.count()
-        comm._agree_seq = seq  # type: ignore[attr-defined]
-    return seq
-
-
-def set_agree_instance(comm: Comm, instance: int) -> None:
-    """Fast-forward the per-handle agree counter (partial-restart recruit:
-    a freshly joined member must align with the survivors' instance
-    numbering, which it learns from its recruit message)."""
-    comm._agree_seq = itertools.count(instance)  # type: ignore[attr-defined]
-
-
-def next_agree_instance(comm: Comm) -> int:
-    """Peek-free accessor used to ship the counter to a recruit."""
-    instance = next(_agree_seq(comm))
-    set_agree_instance(comm, instance)  # un-consume
-    return instance
-
-
 def icomm_agree(comm: Comm, value: Any) -> Request:
     """Non-blocking ``MPI_Comm_agree``: request completes with the agreed
     frozen set of ``(comm_rank, value)`` contribution pairs."""
     proc = comm.proc
     proc._mpi_call("icomm_agree")
-    instance = next(_agree_seq(comm))
+    instance = next(comm._agree_seq)
     req = Request(RequestKind.GENERIC, proc, comm=None, label="comm_agree")
-    engine = agree_engine_for(proc.runtime)
-    engine.start(comm, instance, value, req)
+    engine_for(proc.runtime).start(comm, instance, {(comm.rank, value)}, req, AGREE)
     return req
 
 
 def comm_agree(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "min") -> Any:
     """ULFM ``MPI_Comm_agree``: agreed fold of every member's *value*.
 
-    Tolerates members failing at any point (FloodSet with a perfect
-    failure detector); works on a revoked communicator.  All survivors
+    Tolerates members failing at any point (perfect failure detector,
+    coordinator takeover); works on a revoked communicator.  All survivors
     return the identical result: the ``op``-fold over the agreed
     contribution map, in rank order.  Contributions from members that
     died mid-protocol may or may not be included — but identically so at

@@ -2,16 +2,18 @@
 
 * :func:`icomm_validate_all` — non-blocking: returns a
   :class:`~repro.simmpi.request.Request` that completes (in the progress
-  engine, off the application thread) once the fault-tolerant consensus
-  decides.  This is the request the paper's Fig. 13 termination-detection
-  code passes to ``MPI_Waitany`` alongside the resend watchdog.
+  engine, off the application thread) once the fault-tolerant agreement
+  of :mod:`repro.ft.agreement` decides.  This is the request the paper's
+  Fig. 13 termination-detection code passes to ``MPI_Waitany`` alongside
+  the resend watchdog.
 * :func:`comm_validate_all` — the blocking form: start + wait.
 
-On completion, the agreed set of failed comm ranks has been recognized
-both for point-to-point (``MPI_PROC_NULL`` semantics) and for collectives
-(which are hereby re-enabled), and the request's ``data`` holds the
-decision; its status ``count`` is the agreed total number of failures —
-the function's ``outcount``.
+Every member proposes the failed comm ranks it knows when it calls; the
+agreed set is the union of the survivors' proposals.  On completion that
+set has been recognized both for point-to-point (``MPI_PROC_NULL``
+semantics) and for collectives (which are hereby re-enabled), and the
+request's ``data`` holds the decision; its status ``count`` is the agreed
+total number of failures — the function's ``outcount``.
 """
 
 from __future__ import annotations
@@ -20,29 +22,30 @@ from ..simmpi.communicator import Comm
 from ..simmpi.p2p import wait
 from ..simmpi.request import Request, RequestKind
 
-from .consensus import engine_for
+from .agreement import DEFAULT_MODE, VALIDATE, engine_for
 
 
-def icomm_validate_all(comm: Comm, mode: str = "full") -> Request:
+def icomm_validate_all(comm: Comm, mode: str = DEFAULT_MODE) -> Request:
     """``MPI_Icomm_validate_all``: start the collective validate.
 
-    ``mode`` selects the consensus variant: ``"full"`` runs the worst-case
-    ``len(comm.group)`` flooding rounds (simplest correctness argument);
-    ``"early"`` decides as soon as two consecutive rounds are stable
-    (fewer messages in the common case).  All members of one collective
-    call must pass the same mode.
+    ``mode`` selects the agreement algorithm: ``"coordinator"`` (the
+    default: 2(n-1) messages, two hops when nobody dies) or ``"full"``
+    (FloodSet's worst-case ``len(comm.group)`` flooding rounds — the
+    oracle the tests compare against).  All members of one collective
+    call must pass the same mode, and a member may start its next
+    validate on a communicator only once its previous one completed.
     """
     proc = comm.proc
     proc._mpi_call("icomm_validate_all")
     instance = next(comm._validate_seq)
     req = Request(RequestKind.VALIDATE, proc, comm, label=f"validate_all#{instance}")
-    engine = engine_for(proc.runtime)
-    engine.start(comm, instance, req, mode=mode)
-    engine.on_start_check_buffered(comm, instance, proc.now)
+    engine_for(proc.runtime).start(
+        comm, instance, comm.known_failed_comm_ranks(), req, VALIDATE, mode
+    )
     return req
 
 
-def comm_validate_all(comm: Comm, mode: str = "full") -> int:
+def comm_validate_all(comm: Comm, mode: str = DEFAULT_MODE) -> int:
     """``MPI_Comm_validate_all``: blocking collective validate.
 
     Returns the agreed total number of failed ranks in the communicator

@@ -78,8 +78,9 @@ class Comm:
         self._coll_seq = itertools.count()
         #: Per-process counter aligning comm-creation operations.
         self._create_seq = itertools.count()
-        #: Per-process counter aligning validate_all rounds.
+        #: Per-process counters aligning validate_all / agree instances.
         self._validate_seq = itertools.count()
+        self._agree_seq = itertools.count()
         try:
             self._my_rank = group.index(proc.rank)
         except ValueError as exc:  # pragma: no cover - construction bug

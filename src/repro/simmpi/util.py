@@ -21,9 +21,9 @@ _FIXED_SCALAR: dict[type, int] = {
 #: Shape key -> total wire size.  A *shape* captures exactly the parts of
 #: a payload that determine its estimated size (see :func:`_shape_token`):
 #: the ring re-measures the same ``RingMsg(value=int, marker=int)`` token
-#: on every send, and the consensus protocol re-sends the same couple of
-#: ``_RoundMsg`` shapes thousands of times per run, so after the first
-#: structural walk each repeat is one dict hit.  Sizes are always computed
+#: on every send, and the agreement protocol re-sends the same couple of
+#: message shapes on every instance, so after the first structural walk
+#: each repeat is one dict hit.  Sizes are always computed
 #: by :func:`_body_nbytes` on a miss, so a cache hit is byte-identical to
 #: the walk by construction.
 _SHAPE_CACHE: dict[Any, int] = {}

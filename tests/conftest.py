@@ -42,6 +42,16 @@ def pytest_collection_modifyitems(config, items) -> None:
             item.add_marker(pytest.mark.tier1)
 
 
+#: Both agreement algorithms, for ``parametrize("mode", AGREEMENT_MODES)``.
+#: The ids predate the coordinator protocol and are kept so test names are
+#: stable: "full" is the FloodSet oracle, "early" the early-deciding
+#: default (the coordinator protocol; the ``mode="early"`` FloodSet variant
+#: it replaced no longer exists).
+AGREEMENT_MODES = [
+    pytest.param("full", id="full"),
+    pytest.param("coordinator", id="early"),
+]
+
 # ---------------------------------------------------------------------------
 # Simulation drivers
 # ---------------------------------------------------------------------------

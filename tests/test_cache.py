@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro
 from repro import mutation, perf
 from repro.cache import CachedRunner, RunCache, job_key
 from repro.cli import main
@@ -159,6 +160,25 @@ class TestKeys:
         assert job_key(FuzzJob(config=cfg, index=0)) == job_key(
             FuzzJob(config=cfg, index=42)
         )
+
+    def test_store_written_under_the_old_version_is_all_misses(
+        self, cache_dir, monkeypatch
+    ):
+        # The package version salts every key.  1.0.0 -> 1.1.0 shipped the
+        # coordinator agreement: the same job now sends other messages, so
+        # a persisted 1.0.0 store (CI restores one by prefix) must never
+        # serve a hit.
+        from repro.cache import keys
+
+        assert keys.__version__ == repro.__version__ != "1.0.0"
+        monkeypatch.setattr(keys, "__version__", "1.0.0")
+        old = explore(RING_SCENARIO, invariants=RING_INVARIANTS, cache=cache_dir)
+        monkeypatch.undo()
+        before = perf.CACHE.snapshot()
+        new = explore(RING_SCENARIO, invariants=RING_INVARIANTS, cache=cache_dir)
+        d = _delta(before)
+        assert d["hits"] == 0 and d["misses"] == d["stores"] == len(new.outcomes)
+        assert len(old.outcomes) == len(new.outcomes)
 
     def test_keep_results_vetoes_caching(self, cache_dir):
         assert job_key(_window_job(keep_results=True)) is None

@@ -18,7 +18,7 @@ import pytest
 
 from repro.ft import comm_validate_all, run_recovery_block
 from repro.simmpi import ErrorHandler, RankFailStopError, Simulation
-from tests.conftest import run_sim
+from tests.conftest import AGREEMENT_MODES, run_sim
 
 N = 5
 VICTIM = 2
@@ -150,7 +150,7 @@ class TestAgreedRecoveryBlocks:
         assert not r.hung
         assert all(r.value(i)[-1] == len(SURVIVORS) for i in SURVIVORS)
 
-    @pytest.mark.parametrize("mode", ["full", "early"])
+    @pytest.mark.parametrize("mode", AGREEMENT_MODES)
     def test_both_consensus_modes(self, mode):
         def main(mpi):
             comm = mpi.comm_world

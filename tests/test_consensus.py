@@ -12,9 +12,7 @@ import pytest
 
 from repro.ft import comm_validate_all, icomm_validate_all
 from repro.simmpi import ErrorHandler, RankFailStopError, Simulation, wait
-from tests.conftest import run_sim
-
-MODES = ["full", "early"]
+from tests.conftest import AGREEMENT_MODES as MODES, run_sim
 
 
 def returning(mpi):
@@ -49,8 +47,9 @@ class TestFailureFree:
 
     def test_invalid_mode_rejected(self):
         def main(mpi):
-            with pytest.raises(ValueError):
-                comm_validate_all(returning(mpi), mode="psychic")
+            for mode in ("psychic", "early"):  # "early" is gone, not aliased
+                with pytest.raises(ValueError):
+                    comm_validate_all(returning(mpi), mode=mode)
             return "ok"
 
         assert run_sim(main, 1).value(0) == "ok"

@@ -146,3 +146,30 @@ def test_consensus_timings_recorded():
     for _rank, start, dur, rounds, how in rep.consensus:
         assert dur >= 0.0 and rounds >= 0 and start >= 0.0
         assert isinstance(how, str)
+    # Rounds are protocol phases (contribute, decide) and ``how`` names
+    # the algorithm and the deciding coordinator's term.
+    assert {(rounds, how) for *_x, rounds, how in rep.consensus} == {
+        (2, "coordinator:0")
+    }
+
+
+def test_comm_agree_is_observable_like_validate():
+    from repro.ft import comm_agree, comm_shrink
+
+    def main(mpi):
+        comm = mpi.comm_world
+        comm_agree(comm, comm.rank)
+        comm_shrink(comm)
+
+    sim = Simulation(nprocs=4, metrics=True)
+    sim.kill(0, at_time=3e-6)  # the coordinator, after its first DECIDEs landed
+    rep = run_report(sim.run(main, on_deadlock="return"))
+    by_rank: dict[int, list[tuple[int, str]]] = {}
+    for rank, _start, dur, rounds, how in rep.consensus:
+        assert dur > 0.0
+        by_rank.setdefault(rank, []).append((rounds, how))
+    # Two agreements per survivor: the first under rank 0, the second —
+    # started towards rank 0, which is dead by then — after a takeover.
+    assert by_rank[0] == [(2, "coordinator:0")]
+    for rank in (1, 2, 3):
+        assert by_rank[rank] == [(2, "coordinator:0"), (4, "coordinator:1")]

@@ -24,6 +24,7 @@ from repro.protocols import (
     ABORT_SPARES_EXHAUSTED,
 )
 from repro.simmpi import ErrorHandler, Simulation
+from repro.simmpi.trace import TraceKind
 
 COMMON = dict(
     max_examples=40,
@@ -47,31 +48,56 @@ def kills_strategy(nprocs: int, horizon: float, max_kills: int,
 
 class TestConsensusAgreement:
     @given(
-        kills=kills_strategy(6, horizon=3e-5, max_kills=4),
-        mode=st.sampled_from(["full", "early"]),
+        kills=kills_strategy(6, horizon=3e-5, max_kills=4, include_root=True),
+        delay=st.sampled_from([0.0, 1e-5, 4e-5]),
         lat=st.sampled_from([0.0, 3e-7, 2e-6]),
         seed=st.integers(0, 3),
     )
     @settings(**COMMON)
-    def test_survivors_agree(self, kills, mode, lat, seed):
-        def main(mpi):
+    def test_survivors_agree(self, kills, delay, lat, seed):
+        """One schedule, both algorithms: each keeps agreement and validity,
+        and the coordinator protocol decides exactly what the FloodSet
+        oracle does whenever nobody dies while either instance runs."""
+
+        def main(mpi, mode):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            return comm_validate_all(comm, mode=mode)
+            mpi.compute(delay)
+            proposal = comm.known_failed_comm_ranks()
+            t0 = mpi.now
+            comm_validate_all(comm, mode=mode)
+            return proposal, frozenset(comm.validated), t0, mpi.now
 
-        sim = Simulation(nprocs=6, seed=seed, policy="random",
-                         detection_latency=lat)
-        for rank, t in kills:
-            sim.kill(rank, at_time=t)
-        r = sim.run(main, on_deadlock="return")
-        assert not r.hung, r.deadlock
-        counts = {v for v in r.values().values()}
-        assert len(counts) <= 1  # uniform agreement among survivors
-        if counts:
-            (count,) = counts
-            # Validity: the agreed count never exceeds true failures and
-            # only counts genuinely dead ranks.
-            assert count <= len(r.failed_ranks)
+        decided = {}
+        quiet = True
+        for mode in ("coordinator", "full"):
+            sim = Simulation(nprocs=6, seed=seed, policy="random",
+                             detection_latency=lat)
+            for rank, t in kills:
+                sim.kill(rank, at_time=t)
+            r = sim.run(lambda mpi: main(mpi, mode), on_deadlock="return")
+            assert not r.hung, (mode, r.deadlock)
+            done = list(r.values().values())
+            decisions = {decision for _p, decision, _t0, _t1 in done}
+            assert len(decisions) <= 1, mode  # agreement among survivors
+            if not done:
+                continue
+            (decision,) = decisions
+            first_start = min(t0 for _p, _d, t0, _t1 in done)
+            last_decide = max(t1 for _p, _d, _t0, t1 in done)
+            died = {ev.rank: ev.time
+                    for ev in r.trace.filter(kind=TraceKind.FAILURE)}
+            # Validity: every survivor's proposal is in, and nothing that
+            # had not failed by the time the decision was taken.
+            for proposal, _d, _t0, _t1 in done:
+                assert proposal <= decision, mode
+            assert all(died.get(f, 1.0) <= last_decide for f in decision), mode
+            quiet &= not any(
+                first_start <= t <= last_decide for t in died.values()
+            )
+            decided[mode] = decision
+        if quiet and len(decided) == 2:
+            assert decided["coordinator"] == decided["full"]
 
 
 class TestRingUnderRandomFaults:
