@@ -15,16 +15,10 @@ marker variant):
   equals the cold one and, when the cold series ran in the same
   session, that warm is at least **5x** faster.
 
-PR 7's backend split adds the campaign-scale series: a synthetic store
-of 10^4 entries, warm-looked-up via one ``get_many`` per round, once
-per backend.  ``bench_cache_lookup_sqlite`` asserts the WAL database
-answers the batch at least **5x** faster than the sharded-JSON layout —
-the number that makes million-run campaigns practical (JSON pays one
-``open``/``read``/``parse`` per key; SQLite pays ~20 indexed queries).
-The gate measures the two backends interleaved, back-to-back, so
-machine-load drift between the independently-timed series cannot fail
-it, and with the cyclic collector quiesced so gen-2 sweeps of a full
-test session's heap don't land inside the short sqlite window.
+The campaign-scale series: a synthetic store of 10^4 entries,
+warm-looked-up via one ``get_many`` per round
+(``bench_cache_lookup_sqlite``; ~20 indexed queries per batch).  Its
+only assertion is exact: every key comes back a ``hit``.
 
 All series land in ``BENCH_simperf.json`` with their ``cache_*``
 counter deltas (see ``conftest.timed``), so the trajectory file records
@@ -33,13 +27,9 @@ the hit/miss traffic alongside the wall times.
 
 from __future__ import annotations
 
-import gc
 import shutil
 import tempfile
-import time
 from pathlib import Path
-
-import pytest
 
 from repro.analysis import ascii_table
 from repro.cache import RunCache
@@ -127,102 +117,39 @@ def bench_explore_cache_warm(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Backend lookup series: sharded JSON vs SQLite WAL at campaign scale
+# Lookup series: one batched get_many at campaign scale
 # ---------------------------------------------------------------------------
 
 LOOKUP_ENTRIES = 10_000
-LOOKUP_SPEEDUP_FLOOR = 5.0
 
 
-def _synthetic_store(backend: str, root: Path) -> tuple[RunCache, list[str]]:
-    """10^4 entries with campaign-shaped payloads, stored untimed."""
-    cache = RunCache(root, backend=backend)
-    keys = [f"{i:064x}" for i in range(LOOKUP_ENTRIES)]
-    cache.put_many(
-        (
-            key,
-            {"hung": False, "violations": [], "digest": key[:16], "seed": i},
-            ("bench-entry", i),
+def bench_cache_lookup_sqlite(benchmark):
+    d = tempfile.mkdtemp(prefix="repro-bench-lookup-")
+    try:
+        # 10^4 entries with campaign-shaped payloads, stored untimed.
+        cache = RunCache(Path(d))
+        keys = [f"{i:064x}" for i in range(LOOKUP_ENTRIES)]
+        cache.put_many(
+            (
+                key,
+                {"hung": False, "violations": [], "digest": key[:16], "seed": i},
+                ("bench-entry", i),
+            )
+            for i, key in enumerate(keys)
         )
-        for i, key in enumerate(keys)
-    )
-    return cache, keys
 
+        def lookup():
+            got = cache.get_many(keys)
+            assert all(status == "hit" for status, _ in got)
+            return got
 
-@pytest.fixture(scope="module")
-def lookup_stores():
-    """One pre-populated store per backend, shared by the lookup benches
-    so the speedup gate can re-measure both back-to-back."""
-    dirs: list[str] = []
-    stores: dict[str, tuple[RunCache, list[str]]] = {}
-    for backend in ("json", "sqlite"):
-        d = tempfile.mkdtemp(prefix=f"repro-bench-{backend}-")
-        dirs.append(d)
-        stores[backend] = _synthetic_store(backend, Path(d))
-    yield stores
-    for d in dirs:
+        timed(benchmark, lookup)
+    finally:
         shutil.rmtree(d, ignore_errors=True)
-
-
-def _bench_lookup(benchmark, stores, backend: str):
-    cache, keys = stores[backend]
-
-    def lookup():
-        got = cache.get_many(keys)
-        assert all(status == "hit" for status, _ in got)
-        return got
-
-    timed(benchmark, lookup)
-
-
-def bench_cache_lookup_json(benchmark, lookup_stores):
-    _bench_lookup(benchmark, lookup_stores, "json")
-
-
-def bench_cache_lookup_sqlite(benchmark, lookup_stores):
-    _bench_lookup(benchmark, lookup_stores, "sqlite")
-    sqlite_s = min(_PERF["bench_cache_lookup_sqlite"])
-    rows = [["sqlite", f"{sqlite_s:.4f}", "-"]]
-    json_series = _PERF.get("bench_cache_lookup_json")
-    if json_series:
-        # The two series above were timed minutes apart in a full bench
-        # session, and machine-load drift between them dwarfs the
-        # backend gap's error bars.  Gate on a warmth-matched ratio
-        # instead: alternate json/sqlite batches back-to-back and
-        # compare the best of each.  The collector is quiesced for the
-        # comparison: one get_many materializes ~3 objects per key, so
-        # in a full-suite run a gen-2 sweep of the accumulated heap
-        # lands inside the ~40ms sqlite window often enough to double
-        # it (json's ~200ms window absorbs the same pause in the
-        # noise).
-        best = {"json": float("inf"), "sqlite": float("inf")}
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(3):
-                for backend in ("json", "sqlite"):
-                    cache, keys = lookup_stores[backend]
-                    t0 = time.perf_counter()
-                    cache.get_many(keys)
-                    best[backend] = min(
-                        best[backend], time.perf_counter() - t0
-                    )
-        finally:
-            gc.enable()
-        speedup = (
-            best["json"] / best["sqlite"]
-            if best["sqlite"] > 0 else float("inf")
-        )
-        rows.insert(0, ["json", f"{min(json_series):.4f}", "-"])
-        rows[-1][-1] = f"{speedup:.1f}x"
-        assert speedup >= LOOKUP_SPEEDUP_FLOOR, (
-            f"sqlite warm lookup only {speedup:.1f}x faster than json "
-            f"at {LOOKUP_ENTRIES} entries (floor: {LOOKUP_SPEEDUP_FLOOR}x, "
-            f"interleaved best-of-3: json {best['json'] * 1e3:.1f}ms / "
-            f"sqlite {best['sqlite'] * 1e3:.1f}ms)"
-        )
     emit(
-        f"cache backend warm lookup ({LOOKUP_ENTRIES} entries, one "
-        f"get_many per round; speedup from interleaved best-of-3)",
-        ascii_table(["backend", "min wall s", "speedup"], rows),
+        f"cache warm lookup ({LOOKUP_ENTRIES} entries, one get_many per round)",
+        ascii_table(
+            ["store", "min wall s"],
+            [["sqlite", f"{min(_PERF['bench_cache_lookup_sqlite']):.4f}"]],
+        ),
     )

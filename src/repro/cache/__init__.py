@@ -9,14 +9,11 @@ any later sweep that asks the same question.  Three layers:
   full determinism surface (scenario, policy + seed, cost/jitter
   parameters, fault schedule, trace flag), salted with the package
   version and the active mutation set;
-* :mod:`repro.cache.store` — the on-disk store behind a pluggable
-  :class:`~repro.cache.store.CacheStore` interface with two backends
-  (sharded JSON files with flock-guarded atomic writes; a SQLite-WAL
-  database with batched transactional reads/writes — see
-  :mod:`repro.cache.sqlite_store`), selected via ``RunCache(backend=)``
-  / ``$REPRO_CACHE_BACKEND`` / directory auto-detection, plus
-  ``stats``/``gc``/``verify``/``migrate`` maintenance, where ``verify``
-  re-executes a sample of entries and diffs payloads field by field;
+* :mod:`repro.cache.store` — :class:`RunCache`: entry format, lookup
+  classification and ``stats``/``gc``/``verify`` maintenance (``verify``
+  re-executes a sample of entries and diffs payloads field by field),
+  over the one on-disk store, a SQLite-WAL database with batched
+  transactional reads/writes (:mod:`repro.cache.sqlite_store`);
 * :mod:`repro.cache.runner` — :class:`CachedRunner`, a drop-in
   :class:`~repro.parallel.runner.SweepRunner` wrapper serving hits
   parent-side and delegating misses to any inner runner.
@@ -28,23 +25,10 @@ uncached one — the cache changes wall-clock time and nothing else.
 
 from .keys import KEY_FORMAT, Uncacheable, canonical_token, job_key
 from .runner import CachedRunner, attach_cache
-from .store import (
-    BACKENDS,
-    CacheStore,
-    JsonStore,
-    RunCache,
-    VerifyResult,
-    default_cache_dir,
-    detect_backend,
-    diff_payload,
-    make_store,
-)
+from .store import RunCache, VerifyResult, default_cache_dir, diff_payload
 
 __all__ = [
-    "BACKENDS",
-    "CacheStore",
     "CachedRunner",
-    "JsonStore",
     "KEY_FORMAT",
     "RunCache",
     "Uncacheable",
@@ -52,8 +36,6 @@ __all__ = [
     "attach_cache",
     "canonical_token",
     "default_cache_dir",
-    "detect_backend",
     "diff_payload",
     "job_key",
-    "make_store",
 ]

@@ -9,9 +9,9 @@ and performs the stores as results come back.  Three things fall out:
 * the hit/miss/stale/store counters in :data:`repro.perf.CACHE` are
   exact even for pooled sweeps (worker-side counters would be lost at
   the pool boundary);
-* the store sees one writer per sweep parent, so the backend's own
-  coordination (flock on the JSON store, WAL on the SQLite store) is
-  enough for concurrent campaigns sharing a cache directory;
+* the store sees one writer per sweep parent, so SQLite's own
+  coordination (WAL plus ``busy_timeout``) is enough for concurrent
+  campaigns sharing a cache directory;
 * lookups and stores are *batched* — one ``get_many`` per ``run()``
   call (one per window when streaming via ``run_stream``) and one
   ``put_many`` for all the misses, instead of a store round-trip per
@@ -98,8 +98,8 @@ class CachedRunner(SweepRunner):
         jobs = list(jobs)
         results: list[Any] = [_PENDING] * len(jobs)
         keys = [job_key(job) for job in jobs]
-        # One batched store round-trip for the whole job list (a single
-        # SQL query on the sqlite backend) instead of one read per job.
+        # One batched store round-trip for the whole job list instead of
+        # one read per job.
         cacheable = [i for i, key in enumerate(keys) if key is not None]
         fetched = dict(
             zip(cacheable, self.cache.get_many([keys[i] for i in cacheable]))
@@ -147,7 +147,7 @@ class CachedRunner(SweepRunner):
                 results[i] = outcome
                 stores.append((key, payload, wrapped.job))
             if stores:
-                # One transaction / one lock acquisition for the batch.
+                # One transaction for the batch.
                 self.cache.put_many(stores)
                 perf.CACHE.stores += len(stores)
         return results

@@ -1,39 +1,49 @@
-"""SQLite-WAL backend for the run cache.
+"""The run cache's storage: one SQLite database in WAL mode.
 
-One database file (``root/cache.sqlite``), one table keyed by job key,
-each row holding the same JSON entry the sharded-JSON backend would
-have written to its own file.  What this buys over one-file-per-entry:
+One file (``root/cache.sqlite``), one table keyed by job key.  Each row
+holds the entry dict from :meth:`RunCache._make_entry` as JSON in
+``data``, with ``format``, ``stored_at`` and ``payload`` copied into
+their own columns so the hot paths never parse the full entry:
 
 * **Batched lookups** — ``read_many`` is chunked ``SELECT … WHERE key
-  IN (…)`` statements instead of one ``open``/``read``/``parse`` per
-  job, which is the difference between 10^4 and 10^6 warm lookups per
-  campaign (measured in ``benchmarks/bench_cache.py``).
+  IN (…)`` statements over the ``format``/``payload`` columns, which is
+  what makes 10^4–10^6 warm lookups per campaign practical (measured in
+  ``benchmarks/bench_cache.py``).
 * **Batched stores** — ``write_many`` is a single transaction around
   ``executemany``, amortizing the fsync.
 * **Concurrent writers** — WAL mode lets the serial runner, pool
-  parents, and ``repro cache gc`` interleave without the flock dance;
-  ``busy_timeout`` turns short lock contention into a wait instead of
-  an error.
+  parents, remote workers and ``repro cache gc`` interleave;
+  ``busy_timeout`` turns lock contention into a wait instead of an
+  error, including on first open (see :meth:`SqliteStore._enable_wal`).
 
-The payload format is byte-for-byte the entry dict from
-:meth:`RunCache._make_entry`, so ``verify``/``gc``/``migrate`` work on
-rows exactly as they do on files.
+This class is the only code that knows the SQL; :class:`RunCache` moves
+entries in and out of it without caring where they live.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 import threading
+import time
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from .store import CORRUPT, CacheStore
+__all__ = ["CORRUPT", "DB_FILENAME", "SqliteStore"]
 
-__all__ = ["DB_FILENAME", "SqliteStore"]
+#: Sentinel returned by :meth:`SqliteStore.read` for an entry that exists
+#: but cannot be parsed — distinct from ``None`` (no entry at all) so
+#: ``fetch`` can report ``"stale"`` (re-execute and overwrite) rather
+#: than ``"miss"``.
+CORRUPT: Any = object()
 
-#: Database filename under the cache root (also the auto-detection marker).
+#: Database filename under the cache root.
 DB_FILENAME = "cache.sqlite"
+
+#: How long a connection waits on another's lock before giving up
+#: (``connect(timeout=)``, ``busy_timeout`` and the first-open retry).
+_BUSY_TIMEOUT_S = 30.0
 
 #: Max keys per ``IN (…)`` clause — comfortably under SQLite's default
 #: 32766 bound-parameter limit while keeping statements cacheable.
@@ -55,13 +65,17 @@ _INSERT = (
 )
 
 
-class SqliteStore(CacheStore):
-    """Run-cache entries in a single WAL-mode SQLite database."""
+class SqliteStore:
+    """Run-cache entries in a single WAL-mode SQLite database.
 
-    name = "sqlite"
+    An *entry* is the JSON-able dict built by :meth:`RunCache.put`
+    (``format``/``key``/``stored_at``/``job_type``/``job_pickle``/
+    ``payload``); the store moves entries in and out without
+    interpreting them.
+    """
 
     def __init__(self, root: Path) -> None:
-        super().__init__(root)
+        self.root = Path(root)
         self.path = self.root / DB_FILENAME
         # sqlite3 connections are not shareable across threads/forked
         # children; keep one per thread and re-open lazily after fork.
@@ -70,26 +84,49 @@ class SqliteStore(CacheStore):
     # -- connection handling -------------------------------------------
 
     def _conn(self) -> sqlite3.Connection:
-        import os
-
         conn = getattr(self._local, "conn", None)
         pid = getattr(self._local, "pid", None)
         if conn is not None and pid == os.getpid():
             return conn
         self.root.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
+        conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S)
+        self._enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
+        conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
         with conn:
             conn.execute(_SCHEMA)
         self._local.conn = conn
         self._local.pid = os.getpid()
         return conn
 
-    # -- single-entry primitives ----------------------------------------
+    @staticmethod
+    def _enable_wal(conn: sqlite3.Connection) -> None:
+        """Switch the database to WAL, waiting out a concurrent opener.
+
+        On a file that is already WAL this is an instant no-op.  On a
+        fresh (rollback-journal) file the switch needs the write lock
+        and *ignores the busy handler*: if another connection holds the
+        lock — N processes opening one fresh directory at once — SQLite
+        raises ``database is locked`` immediately instead of waiting, so
+        the wait every other statement gets from ``busy_timeout`` is
+        spelled out here, inside the same budget.
+        """
+        deadline = time.monotonic() + _BUSY_TIMEOUT_S
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                busy = exc.sqlite_errorcode & 0xFF == sqlite3.SQLITE_BUSY
+                if not busy or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.005)
+
+    # -- single entries --------------------------------------------------
 
     def read(self, key: str) -> dict[str, Any] | None:
+        """The parsed entry, ``None`` when absent, :data:`CORRUPT` when
+        present but unparseable."""
         row = self._conn().execute(
             "SELECT data FROM entries WHERE key = ?", (key,)
         ).fetchone()
@@ -110,12 +147,8 @@ class SqliteStore(CacheStore):
         with conn:
             conn.execute(_INSERT, self._row(key, entry))
 
-    def delete(self, key: str) -> None:
-        conn = self._conn()
-        with conn:
-            conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-
     def keys(self) -> Iterator[str]:
+        """Every stored key, in sorted order."""
         if not self.path.exists():
             return iter(())
         rows = self._conn().execute(
@@ -123,7 +156,17 @@ class SqliteStore(CacheStore):
         ).fetchall()
         return iter([r[0] for r in rows])
 
+    def summary(self) -> tuple[int, float | None, float | None]:
+        """``(entries, oldest stored_at, newest stored_at)`` straight
+        from the columns — no entry is parsed."""
+        if not self.path.exists():
+            return 0, None, None
+        return self._conn().execute(
+            "SELECT COUNT(*), MIN(stored_at), MAX(stored_at) FROM entries"
+        ).fetchone()
+
     def size_bytes(self) -> int:
+        """On-disk footprint of the store's files."""
         total = 0
         # WAL mode spreads live data over cache.sqlite{,-wal,-shm}.
         for suffix in ("", "-wal", "-shm"):
@@ -132,14 +175,6 @@ class SqliteStore(CacheStore):
             except OSError:
                 continue
         return total
-
-    def clear(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
-        for suffix in ("", "-wal", "-shm"):
-            Path(str(self.path) + suffix).unlink(missing_ok=True)
 
     # -- batched operations ---------------------------------------------
 
@@ -151,8 +186,7 @@ class SqliteStore(CacheStore):
         ``format`` and ``payload`` *columns* instead of parsing the full
         entry JSON (whose base64 job pickle dominates parse time but is
         only needed by ``verify``; use :meth:`read` for complete
-        entries).  This is where the warm-lookup speedup over the JSON
-        backend comes from at campaign scale.
+        entries).  One result per key, in order.
         """
         if not keys:
             return []

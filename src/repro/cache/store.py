@@ -1,35 +1,22 @@
 """On-disk content-addressed store for classified sweep outcomes.
 
-Two interchangeable backends implement one :class:`CacheStore`
-interface (raw entry in, raw entry out):
+:class:`RunCache` is the cache the sweep engine talks to: it builds
+entries, classifies lookups (``hit`` / ``miss`` / ``stale``) and owns
+the maintenance surface (``stats`` / ``gc`` / ``verify``).  Where the
+entries live is one decision behind one class,
+:class:`~repro.cache.sqlite_store.SqliteStore` — a single SQLite
+database at ``root/cache.sqlite`` in WAL mode whose batched
+``read_many``/``write_many`` run as one statement / one transaction.
+``RunCache.store`` is that object, and it is the seam a test (or a
+fault-injecting wrapper) substitutes.
 
-* :class:`JsonStore` — one JSON file per entry at
-  ``root/<key[:2]>/<key>.json`` (the two-hex-digit fan-out keeps
-  directories small), writers guarded by an ``fcntl`` flock on
-  ``root/.lock``, writes atomic via tmp file + ``os.replace``.  Zero
-  dependencies, human-greppable, and fine up to ~10^4 entries — past
-  that the one-file-per-entry layout pays a syscall per lookup.
-* :class:`~repro.cache.sqlite_store.SqliteStore` — a single SQLite
-  database at ``root/cache.sqlite`` in WAL mode, one table keyed by job
-  key.  Batched ``read_many``/``write_many`` run as one statement /
-  one transaction, which is what makes 10^5–10^6-entry campaigns
-  practical (see ``benchmarks/bench_cache.py`` for the measured
-  warm-lookup gap).
-
-Both store the *same entry format*: the classified outcome payload
-produced by the job's ``cache_payload()`` — violations, hang/abort
-flags, digests, perf counters minus ``wall_s``, final virtual time —
-never a raw ``SimulationResult`` (traces are large, and pickled kernel
-state would rot across versions), plus a base64-pickled copy of the job
-itself, which is what lets ``repro cache verify`` re-execute a sample of
-entries and diff the stored payload against a fresh run field by field.
-Because the entry format is shared, :meth:`RunCache.migrate` can move a
-store between backends without touching a single payload.
-
-Backend selection (:class:`RunCache`): explicit ``backend=`` argument,
-else ``$REPRO_CACHE_BACKEND``, else auto-detection from the directory
-(an existing ``cache.sqlite`` → sqlite, existing shards/.lock → json),
-else the JSON default — mirroring the fiber-backend precedence rules.
+An entry is the classified outcome payload produced by the job's
+``cache_payload()`` — violations, hang/abort flags, digests, perf
+counters minus ``wall_s``, final virtual time — never a raw
+``SimulationResult`` (traces are large, and pickled kernel state would
+rot across versions), plus a base64-pickled copy of the job itself,
+which is what lets ``repro cache verify`` re-execute a sample of entries
+and diff the stored payload against a fresh run field by field.
 """
 
 from __future__ import annotations
@@ -39,9 +26,8 @@ import json
 import os
 import pickle
 import random
-import tempfile
+import shutil
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -49,33 +35,15 @@ from typing import Any, Iterable, Iterator, Sequence
 from ..obs import registry as _metrics
 from ..obs.spans import active as _spans_active
 from .keys import KEY_FORMAT, job_key
-
-try:  # pragma: no cover - exercised only where fcntl exists (POSIX)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from .sqlite_store import CORRUPT, SqliteStore
 
 __all__ = [
-    "BACKENDS",
     "CORRUPT",
-    "CacheStore",
-    "JsonStore",
     "RunCache",
     "VerifyResult",
     "default_cache_dir",
-    "detect_backend",
     "diff_payload",
-    "make_store",
 ]
-
-#: Known store backend names (see module docstring for the trade-off).
-BACKENDS = ("json", "sqlite")
-
-#: Sentinel returned by :meth:`CacheStore.read` for an entry that exists
-#: but cannot be parsed — distinct from ``None`` (no entry at all) so
-#: ``fetch`` can report ``"stale"`` (re-execute and overwrite) rather
-#: than ``"miss"``.
-CORRUPT: Any = object()
 
 
 def default_cache_dir() -> Path:
@@ -129,243 +97,28 @@ class VerifyResult:
         return "\n".join([head] + [f"      {d}" for d in self.diffs])
 
 
-# ----------------------------------------------------------------------
-# The backend interface
-# ----------------------------------------------------------------------
-
-
-class CacheStore:
-    """Raw entry storage under one root directory.
-
-    An *entry* is the JSON-able dict built by :meth:`RunCache.put`
-    (``format``/``key``/``stored_at``/``job_type``/``job_pickle``/
-    ``payload``); backends move entries in and out without interpreting
-    them.  The batched methods have loop fallbacks so a backend only
-    overrides what it can genuinely accelerate.
-    """
-
-    #: Backend name as reported by ``repro cache stats``.
-    name = "?"
-
-    def __init__(self, root: Path) -> None:
-        self.root = Path(root)
-
-    # -- single-entry primitives (must be overridden) ------------------
-
-    def read(self, key: str) -> dict[str, Any] | None:
-        """The parsed entry, ``None`` when absent, :data:`CORRUPT` when
-        present but unparseable."""
-        raise NotImplementedError
-
-    def write(self, key: str, entry: dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def delete(self, key: str) -> None:
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        """Every stored key, in sorted order (both backends guarantee
-        the same order, so sampling/iteration is backend-independent)."""
-        raise NotImplementedError
-
-    def size_bytes(self) -> int:
-        """On-disk footprint of the store's files."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Remove the backend's storage entirely (used by migration)."""
-        raise NotImplementedError
-
-    # -- batched operations (loop fallbacks) ----------------------------
-
-    def read_many(self, keys: Sequence[str]) -> list[dict[str, Any] | None]:
-        """Batched read, one result per key in order.
-
-        This feeds :meth:`RunCache.get_many` (the fetch path), so a
-        backend may return entries *trimmed* to the classification
-        fields — ``format``, ``key``, ``payload`` — when that is cheaper
-        than materializing the full entry; callers needing the job
-        pickle or ``stored_at`` must use :meth:`read`.
-        """
-        return [self.read(k) for k in keys]
-
-    def write_many(self, items: Iterable[tuple[str, dict[str, Any]]]) -> None:
-        with self.maintenance_lock():
-            for key, entry in items:
-                self._write_locked(key, entry)
-
-    def delete_many(self, keys: Sequence[str]) -> None:
-        with self.maintenance_lock():
-            for k in keys:
-                self.delete(k)
-
-    def _write_locked(self, key: str, entry: dict[str, Any]) -> None:
-        """Write assuming :meth:`maintenance_lock` is already held
-        (the default just writes; JSON overrides to skip re-locking)."""
-        self.write(key, entry)
-
-    # -- coordination ---------------------------------------------------
-
-    @contextmanager
-    def maintenance_lock(self):
-        """Exclusive writer lock for multi-step maintenance (gc,
-        migration).  A no-op by default — backends with transactional
-        writes (SQLite WAL) do not need it for correctness."""
-        yield self
-
-
-class JsonStore(CacheStore):
-    """One JSON file per entry at ``root/<key[:2]>/<key>.json``.
-
-    Writes are atomic (tmp file + ``os.replace``) under an ``fcntl``
-    flock so the serial runner and every parent of a process pool can
-    share one store; readers take no lock (``os.replace`` guarantees
-    they see either the old or the new complete file, never torn).
-    """
-
-    name = "json"
-
-    def read(self, key: str) -> dict[str, Any] | None:
-        try:
-            raw = self._path(key).read_text()
-        except OSError:
-            return None
-        try:
-            entry = json.loads(raw)
-        except ValueError:
-            return CORRUPT
-        return entry if isinstance(entry, dict) else CORRUPT
-
-    def write(self, key: str, entry: dict[str, Any]) -> None:
-        with self.maintenance_lock():
-            self._write_locked(key, entry)
-
-    def _write_locked(self, key: str, entry: dict[str, Any]) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(entry, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def delete(self, key: str) -> None:
-        self._path(key).unlink(missing_ok=True)
-
-    def keys(self) -> Iterator[str]:
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if not (shard.is_dir() and len(shard.name) == 2):
-                continue
-            for f in sorted(shard.glob("*.json")):
-                yield f.stem
-
-    def size_bytes(self) -> int:
-        total = 0
-        for key in self.keys():
-            try:
-                total += self._path(key).stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def clear(self) -> None:
-        import shutil
-
-        for shard in list(self.root.iterdir()) if self.root.is_dir() else []:
-            if shard.is_dir() and len(shard.name) == 2:
-                shutil.rmtree(shard, ignore_errors=True)
-        (self.root / ".lock").unlink(missing_ok=True)
-
-    @contextmanager
-    def maintenance_lock(self):
-        with _FileLock(self.root / ".lock"):
-            yield self
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-
-def detect_backend(root: Path | str) -> str | None:
-    """Which backend already owns *root*, or ``None`` for a fresh dir."""
-    root = Path(root)
-    if (root / "cache.sqlite").exists():
-        return "sqlite"
-    if not root.is_dir():
-        return None
-    if (root / ".lock").exists():
-        return "json"
-    for child in root.iterdir():
-        if child.is_dir() and len(child.name) == 2:
-            return "json"
-    return None
-
-
-def make_store(backend: str, root: Path | str) -> CacheStore:
-    """Instantiate a backend by name (``"json"`` or ``"sqlite"``)."""
-    if backend == "json":
-        return JsonStore(Path(root))
-    if backend == "sqlite":
-        from .sqlite_store import SqliteStore  # lazy: keep import cheap
-
-        return SqliteStore(Path(root))
-    raise ValueError(
-        f"unknown cache backend {backend!r} (known: {', '.join(BACKENDS)})"
-    )
-
-
-def _resolve_backend(backend: str | None, root: Path | str) -> str:
-    """Selection precedence: explicit > ``$REPRO_CACHE_BACKEND`` >
-    auto-detect from the directory > the JSON default."""
-    if backend is not None:
-        return backend
-    env = os.environ.get("REPRO_CACHE_BACKEND")
-    if env:
-        return env
-    return detect_backend(root) or "json"
-
-
-# ----------------------------------------------------------------------
-# The cache itself
-# ----------------------------------------------------------------------
-
-
 class RunCache:
     """A content-addressed store of classified sweep outcomes."""
 
     def __init__(self, root: Path, *, backend: str | None = None) -> None:
+        # Not a choice: perfbench/adapter.py (frozen benchmark code) and
+        # the remote hello's cache spec both spell the one store by name.
+        if backend not in (None, "sqlite"):
+            raise ValueError(
+                f"unknown cache backend {backend!r} (the store is sqlite)"
+            )
         self.root = Path(root)
-        self.store = make_store(_resolve_backend(backend, root), self.root)
-
-    @property
-    def backend(self) -> str:
-        """The active backend's name (``"json"`` / ``"sqlite"``)."""
-        return self.store.name
+        self.store = SqliteStore(self.root)
 
     @classmethod
-    def at(
-        cls,
-        where: "RunCache | Path | str | bool | None",
-        *,
-        backend: str | None = None,
-    ) -> "RunCache":
+    def at(cls, where: "RunCache | Path | str | bool | None") -> "RunCache":
         """Coerce a path-ish argument to a cache (``None``/``True`` →
         the default directory; see :func:`default_cache_dir`)."""
         if isinstance(where, RunCache):
             return where
         if where is None or where is True:
-            return cls(default_cache_dir(), backend=backend)
-        return cls(Path(where), backend=backend)
+            return cls(default_cache_dir())
+        return cls(Path(where))
 
     # -- read side ----------------------------------------------------
 
@@ -382,10 +135,9 @@ class RunCache:
         self, keys: Sequence[str]
     ) -> list[tuple[str, dict[str, Any] | None]]:
         """Batched :meth:`fetch`: one ``(status, payload)`` per key, in
-        order.  One backend round-trip per call (a single SQL query on
-        the SQLite backend; a per-key loop on JSON), which is what the
-        streaming sweep pipeline issues per chunk instead of one read
-        per job.
+        order.  One store round-trip per call (chunked ``SELECT … IN``
+        queries), which is what the streaming sweep pipeline issues per
+        chunk instead of one read per job.
         """
         recorder = _spans_active()
         if recorder is None:
@@ -423,7 +175,7 @@ class RunCache:
         return "hit", payload
 
     def keys(self) -> Iterator[str]:
-        """Every key currently stored (sorted, backend-independent)."""
+        """Every key currently stored, sorted."""
         return self.store.keys()
 
     def entry(self, key: str) -> dict[str, Any] | None:
@@ -435,7 +187,7 @@ class RunCache:
 
     @staticmethod
     def _make_entry(key: str, payload: dict[str, Any], job: Any) -> dict[str, Any]:
-        """The shared entry format, identical across backends.
+        """The entry format.
 
         The job is pickled alongside (base64) so ``verify`` can later
         re-execute the entry without reconstructing its spec by hand.
@@ -452,14 +204,14 @@ class RunCache:
         }
 
     def put(self, key: str, payload: dict[str, Any], job: Any) -> None:
-        """Store *payload* under *key*, atomically and under the lock."""
+        """Store *payload* under *key* (one transaction)."""
         self.store.write(key, self._make_entry(key, payload, job))
 
     def put_many(
         self, items: Iterable[tuple[str, dict[str, Any], Any]]
     ) -> None:
-        """Batched :meth:`put`: one lock acquisition / one transaction
-        for the whole batch (``items`` are ``(key, payload, job)``)."""
+        """Batched :meth:`put`: one transaction for the whole batch
+        (``items`` are ``(key, payload, job)``)."""
         count = 0
 
         def _entries() -> Iterator[tuple[str, dict[str, Any]]]:
@@ -481,21 +233,10 @@ class RunCache:
     # -- maintenance --------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Backend, entry count, and disk footprint (``repro cache stats``)."""
-        entries = 0
-        oldest: float | None = None
-        newest: float | None = None
-        for key in self.keys():
-            entry = self.entry(key)
-            entries += 1
-            stored = entry.get("stored_at") if entry else None
-            if not isinstance(stored, (int, float)):
-                continue
-            oldest = stored if oldest is None else min(oldest, stored)
-            newest = stored if newest is None else max(newest, stored)
+        """Entry count, age range and disk footprint (``repro cache stats``)."""
+        entries, oldest, newest = self.store.summary()
         return {
             "root": str(self.root),
-            "backend": self.backend,
             "format": KEY_FORMAT,
             "entries": entries,
             "total_bytes": self.store.size_bytes(),
@@ -510,66 +251,42 @@ class RunCache:
         removed_old = 0
         now = time.time()
         doomed: list[str] = []
-        with self.store.maintenance_lock():
-            for key in list(self.keys()):
-                entry = self.store.read(key)
-                if (
-                    entry is None
-                    or entry is CORRUPT
-                    or entry.get("format") != KEY_FORMAT
+        for key in self.keys():
+            # The full entry, not the columns: a row whose ``data`` no
+            # longer parses must keep being found and dropped.
+            entry = self.store.read(key)
+            if (
+                entry is None
+                or entry is CORRUPT
+                or entry.get("format") != KEY_FORMAT
+            ):
+                doomed.append(key)
+                removed_stale += 1
+                continue
+            if max_age_s is not None:
+                stored = entry.get("stored_at")
+                if not isinstance(stored, (int, float)) or (
+                    now - stored > max_age_s
                 ):
                     doomed.append(key)
-                    removed_stale += 1
-                    continue
-                if max_age_s is not None:
-                    stored = entry.get("stored_at")
-                    if not isinstance(stored, (int, float)) or (
-                        now - stored > max_age_s
-                    ):
-                        doomed.append(key)
-                        removed_old += 1
-            for key in doomed:
-                self.store.delete(key)
+                    removed_old += 1
+        self.store.delete_many(doomed)
         return {"removed_stale": removed_stale, "removed_old": removed_old}
 
-    def migrate(self, to: str, *, dest: Path | str | None = None) -> dict[str, Any]:
-        """Copy every entry to the *to* backend; returns counts.
-
-        With ``dest=None`` the conversion is in-place: entries land in
-        the other backend's storage under the same root and the source
-        backend's files are removed afterwards, so auto-detection picks
-        the new backend from then on.  Entries are copied raw (pickled
-        job, payload, ``stored_at`` — everything), so ``verify`` results
-        are unchanged by a migration.
-        """
-        if to not in BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {to!r} (known: {', '.join(BACKENDS)})"
-            )
-        in_place = dest is None
-        if in_place and to == self.backend:
-            return {"migrated": 0, "skipped": 0, "backend": self.backend}
-        target = make_store(to, self.root if in_place else Path(dest))
-        if target.root == self.store.root and to == self.backend:
-            raise ValueError("source and destination stores are the same")
-        migrated = 0
-        skipped = 0
-
-        def entries() -> Iterator[tuple[str, dict[str, Any]]]:
-            nonlocal migrated, skipped
-            for key in list(self.keys()):
-                entry = self.store.read(key)
-                if entry is None or entry is CORRUPT:
-                    skipped += 1  # corrupt entries do not survive migration
-                    continue
-                migrated += 1
-                yield key, entry
-
-        target.write_many(entries())
-        if in_place:
-            self.store.clear()
-            self.store = target
-        return {"migrated": migrated, "skipped": skipped, "backend": to}
+    def drop_legacy_files(self) -> int:
+        """Delete the sharded-JSON layout older versions wrote here
+        (``<2 hex digits>/<key>.json`` plus ``.lock``; nothing reads
+        them any more); returns the number of files removed."""
+        removed = 0
+        for shard in self.root.glob("[0-9a-f][0-9a-f]"):
+            if shard.is_dir():
+                removed += sum(1 for _ in shard.glob("*.json"))
+                shutil.rmtree(shard, ignore_errors=True)
+        lock = self.root / ".lock"
+        if lock.exists():
+            lock.unlink()
+            removed += 1
+        return removed
 
     def verify(
         self, *, sample: int | None = None, seed: int = 0
@@ -622,38 +339,3 @@ class RunCache:
             return VerifyResult(key, label, False, error=f"re-execution failed: {exc}")
         diffs = diff_payload(entry.get("payload", {}), fresh)
         return VerifyResult(key, label, not diffs, diffs=diffs)
-
-    # -- plumbing -----------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        """Entry file path — JSON backend only (tests corrupt entries
-        through it; the SQLite backend has no per-entry file)."""
-        if not isinstance(self.store, JsonStore):
-            raise AttributeError(
-                f"_path is meaningless on the {self.backend!r} backend"
-            )
-        return self.store._path(key)
-
-
-class _FileLock:
-    """``with``-scoped exclusive flock on a sentinel file (POSIX); a
-    no-op where ``fcntl`` is unavailable (writes are still atomic via
-    ``os.replace``, so the worst case is duplicated work, not a torn
-    entry)."""
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._fh = None
-
-    def __enter__(self) -> "_FileLock":
-        if fcntl is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a+")
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._fh is not None:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-            self._fh.close()
-            self._fh = None

@@ -63,14 +63,11 @@ Subcommands
 
 ``cache``
     Inspect and maintain the content-addressed run cache
-    (``stats`` / ``gc`` / ``verify`` / ``migrate``).  The sweep
-    subcommands (``explore``, ``campaign``, ``fuzz``) take ``--cache``
-    to reuse classified outcomes across invocations; reports stay
-    byte-identical (a ``[cache] hits=…`` accounting line goes to
-    stderr).  Two store backends: sharded JSON files (default) and a
-    single SQLite WAL database (``--cache-backend sqlite`` /
-    ``$REPRO_CACHE_BACKEND``); ``cache migrate --to`` converts between
-    them.
+    (``stats`` / ``gc`` / ``verify``).  The sweep subcommands
+    (``explore``, ``campaign``, ``fuzz``) take ``--cache`` to reuse
+    classified outcomes across invocations; reports stay byte-identical
+    (a ``[cache] hits=…`` accounting line goes to stderr).  Entries live
+    in one SQLite WAL database, ``cache.sqlite`` under ``--cache-dir``.
 
 The sweep subcommands also take ``--stream``: jobs flow through the
 bounded-window streaming pipeline and are folded into running counts,
@@ -366,25 +363,11 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
         help="cache directory (default: $REPRO_CACHE_DIR, else "
              "~/.cache/repro/runs)",
     )
-    p.add_argument(
-        "--cache-backend", default=None, choices=["json", "sqlite"],
-        help="cache store backend: 'sqlite' (one WAL database, batched "
-             "lookups) or 'json' (one file per entry); default: "
-             "$REPRO_CACHE_BACKEND, else whatever the directory already "
-             "holds, else json",
-    )
 
 
 def _cache_arg(args: argparse.Namespace):
     """What the sweep entry points expect: ``None`` (off), a directory,
-    or ``True`` (the default directory).
-
-    ``--cache-backend`` is published as ``$REPRO_CACHE_BACKEND`` (the
-    same pattern as ``--fibers``): every ``RunCache`` constructed in
-    this process — including inside sweep entry points that only take a
-    directory — resolves the backend from the environment."""
-    if getattr(args, "cache_backend", None):
-        os.environ["REPRO_CACHE_BACKEND"] = args.cache_backend
+    or ``True`` (the default directory)."""
     if not args.cache:
         return None
     return args.cache_dir if args.cache_dir is not None else True
@@ -807,28 +790,21 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect and maintain the content-addressed run cache."""
     from .cache import RunCache
 
-    cache = RunCache.at(args.cache_dir, backend=args.backend)
+    cache = RunCache.at(args.cache_dir)
     if args.cache_cmd == "stats":
         s = cache.stats()
         print(f"root:     {s['root']}")
-        print(f"backend:  {s['backend']}")
         print(f"format:   {s['format']}")
         print(f"entries:  {s['entries']}")
         print(f"size:     {s['total_bytes']} bytes")
         return 0
-    if args.cache_cmd == "migrate":
-        counts = cache.migrate(args.to, dest=args.dest)
-        where = args.dest or cache.root
-        print(f"migrated {counts['migrated']} entr(ies) to "
-              f"{counts['backend']} at {where}"
-              + (f" ({counts['skipped']} corrupt skipped)"
-                 if counts["skipped"] else ""))
-        return 0
     if args.cache_cmd == "gc":
         max_age = args.max_age_days * 86400.0 if args.max_age_days else None
         counts = cache.gc(max_age_s=max_age)
+        legacy = cache.drop_legacy_files()
         print(f"removed {counts['removed_stale']} stale-format and "
-              f"{counts['removed_old']} expired entr(ies)")
+              f"{counts['removed_old']} expired entr(ies), "
+              f"{legacy} legacy file(s)")
         return 0
     # verify: re-execute (a sample of) entries and diff field by field.
     results = cache.verify(sample=args.sample, seed=args.seed)
@@ -1272,22 +1248,9 @@ def build_parser() -> argparse.ArgumentParser:
     ca.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="cache directory (default: $REPRO_CACHE_DIR, "
                          "else ~/.cache/repro/runs)")
-    ca.add_argument("--backend", default=None, choices=["json", "sqlite"],
-                    help="store backend (default: $REPRO_CACHE_BACKEND, "
-                         "else auto-detected from the directory)")
     casub = ca.add_subparsers(dest="cache_cmd", required=True)
     cast = casub.add_parser("stats", help="entry count and disk footprint")
     cast.set_defaults(fn=cmd_cache)
-    cami = casub.add_parser(
-        "migrate",
-        help="copy every entry to another backend (in place by default)",
-    )
-    cami.add_argument("--to", required=True, choices=["json", "sqlite"],
-                      help="target backend")
-    cami.add_argument("--dest", default=None, metavar="DIR",
-                      help="write into DIR instead of converting the cache "
-                           "directory in place")
-    cami.set_defaults(fn=cmd_cache)
     cagc = casub.add_parser(
         "gc", help="drop stale-format (and optionally old) entries"
     )

@@ -99,7 +99,7 @@ REMOTE_FORMAT = "repro.remote/1"
 #: Determinism-relevant environment propagated parent → worker on hello.
 #: Applied (set *and* unset) before any job key is computed or any job
 #: runs, so a worker keys and executes exactly like its parent.
-ENV_KEYS = ("REPRO_FIBERS", "REPRO_MUTATIONS", "REPRO_CACHE_BACKEND")
+ENV_KEYS = ("REPRO_FIBERS", "REPRO_MUTATIONS")
 
 _LEN = struct.Struct(">Q")
 #: Refuse absurd frames instead of allocating unbounded buffers.
@@ -329,9 +329,16 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                     if spec is not None:
                         from ..cache.store import RunCache
 
-                        cache = RunCache(
-                            spec["root"], backend=spec.get("backend")
-                        )
+                        try:
+                            cache = RunCache(
+                                spec["root"], backend=spec.get("backend")
+                            )
+                        except ValueError as exc:
+                            # A parent from a version with another store:
+                            # refuse, rather than write a second store
+                            # under the root it is using.
+                            self._send(sock, ("reject", f"cache spec: {exc}"))
+                            return
                     self._send(
                         sock, ("hello", {"format": REMOTE_FORMAT, "pid": os.getpid()})
                     )
@@ -518,7 +525,9 @@ class RemoteTransport(Transport):
         env = {k: os.environ[k] for k in ENV_KEYS if k in os.environ}
         spec = None
         if self.cache is not None:
-            spec = {"root": str(self.cache.root), "backend": self.cache.backend}
+            # "backend" is constant: workers from the two-store versions
+            # read it, and would otherwise fall back to their JSON store.
+            spec = {"root": str(self.cache.root), "backend": "sqlite"}
         return {"format": REMOTE_FORMAT, "env": env, "cache": spec}
 
     def open_round(self) -> "RemoteRound":

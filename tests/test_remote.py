@@ -31,7 +31,15 @@ from repro.parallel import (
     WorkerServer,
     parse_worker_addrs,
 )
-from repro.parallel.remote import _execute_chunk, _FrameBuffer, _pack, ping
+from repro.parallel.remote import (
+    REMOTE_FORMAT,
+    RemoteTransport,
+    _execute_chunk,
+    _FrameBuffer,
+    _pack,
+    _recv_frame,
+    ping,
+)
 from repro.parallel.scenarios import RingScenario
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
@@ -304,6 +312,32 @@ class TestWorkerSideCache:
         (stats,) = warm_runner.worker_stats()
         assert stats["cache_hits"] == 6
         assert stats["cache_misses"] == 0
+
+    @pytest.mark.parametrize("named, accepted", [
+        ({"backend": "json"}, False),  # a parent from the two-store versions
+        ({"backend": "sqlite"}, True),
+        ({}, True),
+    ])
+    def test_hello_cache_spec_may_only_name_the_one_store(
+        self, worker_addr, tmp_path, named, accepted
+    ):
+        spec = {"root": str(tmp_path / "cache"), **named}
+        info = {"format": REMOTE_FORMAT, "env": {}, "cache": spec}
+        with socket.create_connection(worker_addr, timeout=5) as sock:
+            sock.sendall(_pack(("hello", info))[0])
+            reply = _recv_frame(sock)[0]
+        if accepted:
+            assert reply[0] == "hello"
+        else:
+            assert reply[0] == "reject" and "'json'" in reply[1]
+            assert not (tmp_path / "cache").exists()
+
+    def test_parent_hello_still_names_the_store(self, tmp_path):
+        # Workers from the two-store versions read this key; without it
+        # they would open their JSON default under the same root.
+        cache = RunCache(tmp_path / "cache")
+        hello = RemoteTransport([("127.0.0.1", 1)], cache=cache)._hello_info()
+        assert hello["cache"] == {"root": str(cache.root), "backend": "sqlite"}
 
     def test_hit_items_carry_no_payload(self, tmp_path):
         # The wire-format guarantee behind the warm-run byte savings:

@@ -171,7 +171,7 @@ class TestStreamedSweeps:
         assert list(canonical_lines(str(a))) == list(canonical_lines(str(b)))
 
     def test_streamed_cache_hits_batched(self, tmp_path):
-        cache = RunCache(tmp_path / "c", backend="sqlite")
+        cache = RunCache(tmp_path / "c")
         cold = _campaign(stream=True, cache=cache)
         before = perf.CACHE.snapshot()
         warm = _campaign(stream=True, cache=cache)
