@@ -104,15 +104,6 @@ from .analysis import (
     render_spacetime,
     ring_summary,
 )
-from .apps import (
-    AbftConfig,
-    FarmConfig,
-    HeatConfig,
-    expected_results,
-    make_abft_main,
-    make_farm_mains,
-    make_heat_main,
-)
 from .core import (
     RingConfig,
     RingVariant,
@@ -577,6 +568,10 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
 
 
 def cmd_heat(args: argparse.Namespace) -> int:
+    # repro.apps needs numpy: imported by the commands that run an app,
+    # so every other command starts without it.
+    from .apps import HeatConfig, make_heat_main
+
     cfg = HeatConfig(cells_per_rank=args.cells, steps=args.steps)
     sim = _common_sim(args, args.nprocs)
     result = sim.run(make_heat_main(cfg), on_deadlock="return")
@@ -591,6 +586,8 @@ def cmd_heat(args: argparse.Namespace) -> int:
 
 
 def cmd_farm(args: argparse.Namespace) -> int:
+    from .apps import FarmConfig, expected_results, make_farm_mains
+
     cfg = FarmConfig(num_tasks=args.tasks, work_per_task=1e-6)
     sim = _common_sim(args, args.nprocs)
     result = sim.run(make_farm_mains(cfg, args.nprocs), on_deadlock="return")
@@ -625,10 +622,16 @@ def cmd_perf(args: argparse.Namespace) -> int:
         )
         main = make_rootft_main(cfg) if args.rootft else make_ring_main(cfg)
     elif args.scenario == "heat":
+        from .apps import HeatConfig, make_heat_main
+
         main = make_heat_main(HeatConfig())
     elif args.scenario == "farm":
+        from .apps import FarmConfig, make_farm_mains
+
         main = make_farm_mains(FarmConfig(), args.nprocs)
     else:  # abft
+        from .apps import AbftConfig, make_abft_main
+
         main = make_abft_main(AbftConfig())
     result = sim.run(main, on_deadlock="return")
     outcome = ("HANG" if result.hung
@@ -994,6 +997,8 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_abft(args: argparse.Namespace) -> int:
+    from .apps import AbftConfig, make_abft_main
+
     cfg = AbftConfig(iterations=args.iters)
     sim = _common_sim(args, args.nprocs)
     result = sim.run(make_abft_main(cfg), on_deadlock="return")

@@ -25,6 +25,11 @@ IDX_NORMAL: Final[int] = 0
 IDX_WATCHDOG: Final[int] = 1
 
 
+_IMMUTABLE_SCALARS: Final = frozenset(
+    {int, float, bool, complex, str, bytes, type(None)}
+)
+
+
 @dataclass
 class RingMsg:
     """One circulating ring buffer: ``{value; int marker}``.
@@ -39,5 +44,13 @@ class RingMsg:
     marker: int
 
     def copy(self) -> "RingMsg":
-        """A deep defensive copy; resends must not alias the live buffer."""
-        return RingMsg(_copy.deepcopy(self.value), self.marker)
+        """A deep defensive copy; resends must not alias the live buffer.
+
+        ``deepcopy`` hands back the very same object for an immutable
+        scalar, so for those (the paper's ``int`` value) the call is
+        skipped — twice per hop in ``ft_send_right``.
+        """
+        value = self.value
+        if type(value) not in _IMMUTABLE_SCALARS:
+            value = _copy.deepcopy(value)
+        return RingMsg(value, self.marker)

@@ -66,7 +66,7 @@ class PerfCounters:
     __slots__ = _NUMERIC + ("fibers",)
 
     def __init__(self) -> None:
-        #: Scheduler → fiber baton handoffs (≈ simulated MPI calls).
+        #: Fibers picked to run: baton handoffs (≈ simulated MPI calls).
         self.handoffs = 0
         #: Events popped and executed by the main loop.
         self.events_executed = 0

@@ -81,9 +81,12 @@ class Comm:
         #: Per-process counters aligning validate_all / agree instances.
         self._validate_seq = itertools.count()
         self._agree_seq = itertools.count()
+        #: World rank -> comm rank; one dict per group, owned by the
+        #: runtime and shared by every handle of that group.
+        self._ranks = proc.runtime.group_ranks(group)
         try:
-            self._my_rank = group.index(proc.rank)
-        except ValueError as exc:  # pragma: no cover - construction bug
+            self._my_rank = self._ranks[proc.rank]
+        except KeyError as exc:  # pragma: no cover - construction bug
             raise InvalidArgumentError(
                 f"process {proc.rank} not in group {group}"
             ) from exc
@@ -119,10 +122,7 @@ class Comm:
 
     def comm_rank_of_world(self, world_rank: int) -> int | None:
         """Translate a world rank to a comm rank (``None`` if not a member)."""
-        try:
-            return self.group.index(world_rank)
-        except ValueError:
-            return None
+        return self._ranks.get(world_rank)
 
     def context(self, offset: int = CTX_P2P) -> int:
         """The message context id for one of this comm's channels."""
@@ -510,9 +510,10 @@ class Comm:
         group = list(self.group)
         group[comm_rank] = world_rank
         self.group = tuple(group)
+        self._ranks = self._proc.runtime.group_ranks(self.group)
         self.recognized.discard(comm_rank)
         self.validated.discard(comm_rank)
-        self._my_rank = self.group.index(self._proc.rank)
+        self._my_rank = self._ranks[self._proc.rank]
 
     def split(self, color: int, key: int = 0, name: str = "") -> "Comm | None":
         """Collectively split by color (``UNDEFINED`` => no new comm).

@@ -6,25 +6,57 @@ resume exactly where it left off when the scheduler hands back control.
 Two backends implement that contract behind one API:
 
 * :class:`ThreadFiber` (``"thread"``) — the pure-stdlib fallback.  Each
-  fiber runs on a pooled OS thread and the handoff is a 2-lock baton;
-  exactly one thread executes at any instant, so the simulation stays
-  deterministic, but every handoff pays two kernel-level context
-  switches (~10µs).
+  fiber runs on a pooled OS thread and parks on a private lock; exactly
+  one thread holds the *baton* at any instant, so the simulation stays
+  deterministic.  Inside a runtime loop the baton is passed **directly**:
+  the thread that gives up control runs the scheduling decision itself
+  and wakes the chosen fiber — one OS switch per handoff, none when the
+  pick is the yielder.
 * :class:`GreenletFiber` (``"greenlet"``) — the fast backend.  Each fiber
   is a `greenlet <https://greenlet.readthedocs.io>`_: a real C-level
   stack switch on **one** thread, no locks and no kernel involvement in
-  the handoff path (~0.1–0.5µs per switch).  Optional dependency —
-  ``pip install repro[fast]``.
+  the handoff path.  Optional dependency — ``pip install repro[fast]``.
 
-Both backends expose the same five-method lifecycle (:meth:`~BaseFiber.start`,
+Both backends expose the same lifecycle (:meth:`~BaseFiber.start`,
 :meth:`~BaseFiber.resume_and_wait`, :meth:`~BaseFiber.yield_to_scheduler`,
 :meth:`~BaseFiber.join`, :meth:`~BaseFiber.release`) plus the
 kill/shutdown-pending unwinding flags, and both must produce
 **byte-identical traces** for any simulation: the backend decides *how* a
-stack suspends, never *which* fiber runs next (that is the scheduling
-policy's job, see :mod:`repro.simmpi.scheduler`).  The golden determinism
-matrix in ``tests/test_determinism_golden.py`` pins that equivalence for
-every backend × policy combination.
+stack suspends and *which thread* executes the loop body
+(:meth:`~BaseFiber.run_loop`), never *which* fiber runs next — that is
+one function, ``Runtime._next_fiber``, asking the scheduling policy (see
+:mod:`repro.simmpi.scheduler`).  The golden determinism matrix in
+``tests/test_determinism_golden.py`` pins that equivalence for every
+backend × policy combination.
+
+Where the loop runs, on the thread backend (``tests/test_handoff.py``):
+
+* A slice ends in one of three ways.  The fiber **blocks**
+  (:meth:`~BaseFiber.yield_to_scheduler`): its thread runs the decision,
+  wakes the pick and parks.  It **finishes**: same, from the exit of its
+  bootstrap, after which the thread returns to the worker pool.  It is
+  **unwound** (``kill_pending`` / ``shutdown_pending`` set by whoever
+  resumed it): the pending exception is raised in it, and it finishes.
+  The main thread only starts the first fiber, sleeps until a fiber
+  thread reports the loop over, and re-raises what the decision raised.
+* So everything the loop calls — event callbacks, active-message
+  handlers, failure listeners, injector hooks, custom policies,
+  ``detection_latency`` callables — executes on *fiber threads*, a
+  different one from call to call.  Nothing reachable from the loop
+  reads a thread-local today (``src/`` has two: ``obs.spans._STATE``
+  and ``SqliteStore._local``, both on the sweep side); it must stay so.
+* **Kill of the driver.**  A kill event unwinds a blocked victim on the
+  spot with a nested :meth:`~BaseFiber.resume_and_wait` — unless the
+  victim is the fiber whose own thread is executing that event, which
+  cannot resume itself: the decision returns it its own baton as soon as
+  the event returns, before any other event or pick, and it unwinds then.
+* **Interrupts.**  An exception in the main thread's wait (Ctrl-C) sets
+  a stop flag the decision checks on every iteration; the main thread
+  then waits, uninterruptibly, for the baton before the exception
+  travels on into ``Runtime.shutdown`` — never two threads inside
+  kernel state.
+
+The lock protocol itself is on :class:`ThreadFiber`.
 
 Backend selection (:func:`resolve_backend`), most specific wins:
 
@@ -97,8 +129,9 @@ class BaseFiber:
         #: Dense index (the MPI world rank) used by scheduling policies.
         self.index = index
         self.state = FiberState.NEW
-        #: Human-readable reason the fiber is blocked (deadlock reports).
-        self.block_reason = ""
+        #: Why the fiber is blocked: a string, or an object whose str()
+        #: is the reason (rendered only for deadlock reports).
+        self.block_reason: object = ""
         #: Set when the fiber must unwind with ProcessKilled on next resume.
         self.kill_pending = False
         #: Set when the fiber must unwind with SimShutdown on next resume.
@@ -162,6 +195,24 @@ class BaseFiber:
         """Hand control to this fiber and return when it yields or exits."""
         raise NotImplementedError
 
+    @staticmethod
+    def run_loop(
+        next_fiber: Callable[[BaseFiber | None], BaseFiber | None],
+        interrupt: Callable[[], None],
+    ) -> None:
+        """Drive a runtime loop to its end (called by ``Runtime.loop``).
+
+        *next_fiber(driver)* is the runtime's scheduling decision: it
+        runs events until the policy picks a fiber and returns it, or
+        returns ``None`` when the loop is over.  The default drive stays
+        on the calling thread and resumes each pick with
+        :meth:`resume_and_wait` — right for a backend whose handoff is
+        not an OS switch (greenlet).  *interrupt* is for backends that
+        run the decision on other threads (see :meth:`ThreadFiber.run_loop`).
+        """
+        while (fiber := next_fiber(None)) is not None:
+            fiber.resume_and_wait()
+
     def finished(self) -> bool:
         return self.state in (FiberState.DONE, FiberState.FAILED)
 
@@ -202,7 +253,7 @@ class _FiberWorker:
     pre-acquired lock between assignments: :meth:`submit` hands them the
     next fiber, and after the fiber's bootstrap returns they re-enter
     the pool.  A worker only ever runs one fiber at a time and a fiber
-    is only submitted once, so the baton protocol is unchanged.
+    is only submitted once, so pooling never shows in the baton protocol.
     """
 
     __slots__ = ("_task", "_task_ready", "thread")
@@ -264,34 +315,67 @@ class _WorkerPool:
 _POOL = _WorkerPool()
 
 
+class _Drive:
+    """One runtime loop under direct baton passing (thread backend).
+
+    Shared by every fiber the loop resumes; see :meth:`ThreadFiber.run_loop`.
+    """
+
+    __slots__ = ("next_fiber", "ended", "error")
+
+    def __init__(
+        self, next_fiber: Callable[[BaseFiber | None], BaseFiber | None]
+    ) -> None:
+        self.next_fiber = next_fiber
+        #: The main thread's baton: set by the thread that saw the loop end.
+        self.ended = threading.Event()
+        #: What the decision function raised on a fiber thread, if anything.
+        self.error: BaseException | None = None
+
+
 class ThreadFiber(BaseFiber):
     """The stdlib fallback: one pooled OS thread per fiber, baton handoff.
 
-    The baton is a ladder of two raw pre-acquired :class:`threading.Lock`
-    objects — ``_resume`` (scheduler → fiber) and ``_yielded`` (fiber →
-    scheduler).  Both start locked; a handoff is one ``release`` on the
-    peer's lock plus one blocking ``acquire`` on your own, so a full
-    round-trip costs four uncontended C-level lock operations **plus two
-    OS context switches** — the cost the greenlet backend removes.
-    Correctness relies on the strict alternation the scheduler already
-    guarantees: exactly one thread runs at any instant, so each lock is
-    released exactly once per handoff and re-locked by the blocking
-    acquire that consumes the release.
+    Exactly one thread holds the baton at any instant.  Each fiber parks
+    on its own pre-acquired ``_resume`` lock; whoever holds the baton
+    wakes a fiber by releasing that lock.  There are two ways to be woken,
+    and the fiber gives the baton back the way it got it:
+
+    * **Direct passing** — inside a runtime loop (:meth:`run_loop`).  The
+      thread that gives up control (a fiber blocking in
+      :meth:`yield_to_scheduler`, or finishing its bootstrap) runs the
+      runtime's scheduling decision *itself*, releases the chosen
+      fiber's ``_resume`` and parks on its own: **one OS switch per
+      handoff**, and none when the pick is the yielder (``compute`` and
+      poll wake-ups).  When the decision says the loop is over, the
+      thread wakes the main thread instead.
+    * **Caller-driven** — :meth:`resume_and_wait` from any thread that
+      holds the baton (kill and shutdown unwinding, which nest inside an
+      event or run after the loop; the raw-fiber tests and benches).
+      The caller parks on the fiber's ``_yielded`` lock until the slice
+      ends, so a round-trip costs two OS switches.
+
+    Correctness relies on the strict alternation both modes keep: each
+    lock is released exactly once per handoff and re-locked by the
+    blocking acquire that consumes the release.
     """
 
     backend = "thread"
 
-    __slots__ = ("_resume", "_yielded", "_worker")
+    __slots__ = ("_resume", "_yielded", "_worker", "_drive")
 
     def __init__(self, name: str, index: int, target: Callable[[], None]) -> None:
         super().__init__(name, index, target)
-        # Both rungs start locked; see the class docstring for the protocol.
+        # Both locks start locked; see the class docstring for the protocol.
         self._resume = threading.Lock()
         self._resume.acquire()
         self._yielded = threading.Lock()
         self._yielded.acquire()
         # Assigned on start(): a pooled worker thread (see _FiberWorker).
         self._worker: _FiberWorker | None = None
+        #: The loop that passed this fiber the baton for its current
+        #: slice; ``None`` when the slice is caller-driven.
+        self._drive: _Drive | None = None
 
     # -- thread side ------------------------------------------------------
 
@@ -301,15 +385,44 @@ class ThreadFiber(BaseFiber):
             # or shutdown can arrive before the fiber's first slice.
             self._run_target(wait=self._wait_for_baton)
         finally:
-            self._yielded.release()
+            self._pass_baton(blocked=False)
 
     def _wait_for_baton(self) -> None:
         self._resume.acquire()
         self._check_pending()
 
+    def _pass_baton(self, blocked: bool) -> bool:
+        """End this fiber's slice, from its own thread.
+
+        Returns True when the baton came straight back (the loop's pick
+        is this very fiber), so the caller must not park.
+        """
+        drive = self._drive
+        if drive is None:
+            self._yielded.release()
+            return False
+        try:
+            # A finished fiber is no kill target, so it drives anonymously.
+            nxt = drive.next_fiber(self if blocked else None)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run_loop
+            drive.error = exc
+            nxt = None
+        if nxt is self:
+            self.state = FiberState.RUNNING
+            return True
+        if nxt is None:
+            drive.ended.set()
+        else:
+            assert isinstance(nxt, ThreadFiber)
+            nxt._drive = drive
+            nxt.state = FiberState.RUNNING
+            nxt._resume.release()
+        return False
+
     def yield_to_scheduler(self) -> None:
-        self._yielded.release()
-        self._wait_for_baton()
+        if not self._pass_baton(blocked=True):
+            self._resume.acquire()
+        self._check_pending()
 
     # -- scheduler side ---------------------------------------------------
 
@@ -322,13 +435,52 @@ class ThreadFiber(BaseFiber):
 
     def resume_and_wait(self) -> None:
         self.state = FiberState.RUNNING
+        self._drive = None  # this slice ends back here, not in a loop
         self._resume.release()
         self._yielded.acquire()
+
+    @staticmethod
+    def run_loop(
+        next_fiber: Callable[[BaseFiber | None], BaseFiber | None],
+        interrupt: Callable[[], None],
+    ) -> None:
+        """Start the first pick, then sleep until a fiber thread reports
+        the loop over; re-raise what the decision raised over there.
+
+        An exception in this thread's wait (Ctrl-C) must not travel on —
+        into ``Runtime.shutdown`` — while fiber threads still run the
+        simulation: *interrupt* makes the decision function end the loop
+        at its next iteration, and the wait is redone, ignoring further
+        interrupts, until the baton is back.
+        """
+        first = next_fiber(None)
+        if first is None:
+            return
+        assert isinstance(first, ThreadFiber)
+        drive = first._drive = _Drive(next_fiber)
+        first.state = FiberState.RUNNING
+        try:
+            # Inside the try: CPython runs signal handlers only after a
+            # call returns, so an interrupt cannot land between the
+            # release and the protected wait.
+            first._resume.release()
+            drive.ended.wait()
+        except BaseException:
+            interrupt()
+            while not drive.ended.is_set():
+                try:
+                    drive.ended.wait()
+                except BaseException:  # noqa: BLE001 - the first one is re-raised
+                    pass
+            raise
+        if drive.error is not None:
+            raise drive.error
 
     def release(self) -> None:
         super().release()
         if self.finished():
             self._worker = None
+            self._drive = None
 
 
 # ----------------------------------------------------------------------
@@ -465,6 +617,16 @@ def make_fiber(
 ) -> BaseFiber:
     """Instantiate one fiber on a resolved backend name."""
     return _IMPORTABLE[backend](name, index, target)
+
+
+def run_loop(
+    backend: str,
+    next_fiber: Callable[[BaseFiber | None], BaseFiber | None],
+    interrupt: Callable[[], None],
+) -> None:
+    """Drive a runtime loop the way *backend* hands off (see
+    :meth:`BaseFiber.run_loop`)."""
+    _IMPORTABLE[backend].run_loop(next_fiber, interrupt)
 
 
 #: Back-compat alias: the stdlib fiber implementation (existing callers

@@ -70,7 +70,7 @@ def wait(request: Request) -> Status:
     proc._mpi_call("wait")
     while not request.done:
         request.add_waiter(proc)
-        proc.block(_describe([request]))
+        proc.block(_WaitOn((request,)))
     request.remove_waiter(proc)
     if request.completion_time is not None:
         proc.now = max(proc.now, request.completion_time)
@@ -102,7 +102,7 @@ def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
                 return i, req.status
         for req in requests:
             req.add_waiter(proc)
-        proc.block(_describe(requests))
+        proc.block(_WaitOn(requests))
 
 
 def waitall(requests: Sequence[Request]) -> list[Status]:
@@ -117,7 +117,7 @@ def waitall(requests: Sequence[Request]) -> list[Status]:
         for req in requests:
             if not req.done:
                 req.add_waiter(proc)
-        proc.block(_describe(requests))
+        proc.block(_WaitOn(requests))
     for req in requests:
         req.remove_waiter(proc)
         if req.completion_time is not None:
@@ -139,7 +139,7 @@ def waitsome(requests: Sequence[Request]) -> list[tuple[int, Status]]:
     while not any(r.done for r in requests):
         for req in requests:
             req.add_waiter(proc)
-        proc.block(_describe(requests))
+        proc.block(_WaitOn(requests))
     for req in requests:
         req.remove_waiter(proc)
     done = [(i, r) for i, r in enumerate(requests) if r.done]
@@ -188,8 +188,17 @@ def testany(requests: Sequence[Request]) -> tuple[int, Status] | None:
     return None
 
 
-def _describe(requests: Sequence[Request]) -> str:
-    parts = []
-    for r in requests:
-        parts.append(f"{r.kind.value}(peer={r.peer}, tag={r.tag}, id={r.id})")
-    return "wait on [" + ", ".join(parts) + "]"
+class _WaitOn:
+    """Block reason of a ``wait*``: rendered only if a deadlock report
+    asks (:meth:`SimProcess.wait_description`), not once per block."""
+
+    __slots__ = ("requests",)
+
+    def __init__(self, requests: Sequence[Request]) -> None:
+        self.requests = requests
+
+    def __str__(self) -> str:
+        parts = []
+        for r in self.requests:
+            parts.append(f"{r.kind.value}(peer={r.peer}, tag={r.tag}, id={r.id})")
+        return "wait on [" + ", ".join(parts) + "]"

@@ -100,7 +100,8 @@ class SimProcess:
         if trace.enabled:
             trace.record(self.now, TraceKind.PROBE, self.rank, name=name,
                          hit=hit)
-        self.runtime.check_injection(self, probe=name)
+        if self.runtime.injectors:
+            self.runtime.check_injection(self, probe=name)
 
     def log(self, message: str, **detail: Any) -> None:
         """Record an application message in the simulation trace."""
@@ -131,8 +132,12 @@ class SimProcess:
         """Ground truth: has this process *not* suffered fail-stop?"""
         return self.failed_at is None
 
-    def block(self, reason: str) -> None:
-        """Yield to the scheduler until woken (called from the fiber thread)."""
+    def block(self, reason: object) -> None:
+        """Yield to the scheduler until woken (called from the fiber thread).
+
+        *reason* is a string or anything whose ``str()`` is the reason:
+        it is only rendered by :meth:`wait_description`.
+        """
         assert self.fiber is not None
         obs = self.runtime.obs
         if obs is not None:
@@ -142,7 +147,7 @@ class SimProcess:
         self.fiber.yield_to_scheduler()
 
     def wake(self, time: float, why: str) -> None:
-        """Make this process runnable at virtual *time* (scheduler thread)."""
+        """Make this process runnable at virtual *time* (event context)."""
         assert self.fiber is not None
         self.now = max(self.now, time)
         if self.fiber.state is FiberState.BLOCKED:
@@ -161,12 +166,13 @@ class SimProcess:
 
             raise ProcessKilled()
         self.call_count += 1
-        self.runtime.check_injection(self, op=opname)
+        if self.runtime.injectors:
+            self.runtime.check_injection(self, op=opname)
 
     def wait_description(self) -> str:
         """What this process is blocked on (deadlock reports)."""
         assert self.fiber is not None
-        return self.fiber.block_reason or "<running>"
+        return str(self.fiber.block_reason) or "<running>"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         st = self.fiber.state.value if self.fiber else "detached"

@@ -143,7 +143,7 @@ class Request:
         self.completion_time = time
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
-            proc.wake(time, f"request {self.id} complete")
+            proc.wake(time, "request complete")
         callbacks, self._on_complete = self._on_complete, []
         for cb in callbacks:
             cb(self)

@@ -34,8 +34,9 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
+# numpy is imported where a window is first used, not here: it is a third
+# of what a fresh interpreter spends in ``import repro.cli``, and this is
+# the only kernel module that needs it.
 from .collectives import OPS
 from .communicator import Comm
 from .constants import PROC_NULL
@@ -47,6 +48,8 @@ from .errors import (
 from .request import Request, RequestKind, Status
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from .matching import Message
     from .runtime import Runtime
 
@@ -79,6 +82,8 @@ class RMAEngine:
     # -- target side (event context) -----------------------------------------
 
     def _on_message(self, owner: int, msg: "Message", time: float) -> None:
+        import numpy as np
+
         kind = msg.payload[0]
         if kind == "put":
             _, cid, win_id, offset, data, req_id, origin, ctx = msg.payload
@@ -135,6 +140,8 @@ class Win:
     """A one-sided window handle for one process."""
 
     def __init__(self, comm: Comm, win_id: int, size: int, init: float) -> None:
+        import numpy as np
+
         self.comm = comm
         self.win_id = win_id
         self.size = size
@@ -198,6 +205,8 @@ class Win:
         self.comm.proc._mpi_call("rma_put")
         if self._check_target(target) == "null":
             return _null_request(self.comm)
+        import numpy as np
+
         arr = np.asarray(data, dtype=float)
         return self._issue(target, ("put", offset, arr.tolist()))
 
@@ -208,6 +217,8 @@ class Win:
         """
         self.comm.proc._mpi_call("rma_get")
         if self._check_target(target) == "null":
+            import numpy as np
+
             req = _null_request(self.comm, data=np.zeros(count))
             return req
         req = self._issue(target, ("get", offset, count))
@@ -226,6 +237,8 @@ class Win:
             )
         if self._check_target(target) == "null":
             return _null_request(self.comm)
+        import numpy as np
+
         arr = np.asarray(data, dtype=float)
         return self._issue(target, ("acc", offset, arr.tolist(), op))
 

@@ -41,7 +41,7 @@ from .errors import (
     SimulationDeadlock,
     SimulationError,
 )
-from .fibers import FiberState, make_fiber, resolve_backend
+from .fibers import BaseFiber, FiberState, make_fiber, resolve_backend, run_loop
 from .matching import Message
 from .process import SimProcess
 from .request import Request, Status
@@ -130,9 +130,19 @@ class Runtime:
         self.abort_info: JobAborted | None = None
         self.deadlock: SimulationDeadlock | None = None
         self.injectors: list[Any] = []
+        #: The blocked fiber whose thread is executing :meth:`_next_fiber`
+        #: (``None`` on the main thread or a finished fiber's thread).
+        self._driver: BaseFiber | None = None
+        #: Set from the main thread when its wait was interrupted
+        #: (Ctrl-C): the loop ends at the next scheduling decision.
+        self._interrupted = False
         self._poll_dt = max(cost.overhead, 1e-9)
         self._msg_seq = 0
         self._req_seq = 0
+        #: One ``world rank -> comm rank`` map per distinct group tuple,
+        #: shared by every :class:`Comm` handle holding that group.
+        self._group_ranks: dict[tuple[int, ...], dict[int, int]] = {}
+        self._last_group: tuple[tuple[int, ...], dict[int, int]] | None = None
         world = tuple(range(nprocs))
         for p in self.procs:
             p.comm_world = Comm(p, 0, world, name="world")
@@ -231,7 +241,11 @@ class Runtime:
         if fiber.state is FiberState.BLOCKED:
             # Unwind the thread now so it never runs application code again.
             fiber.kill_pending = True
-            fiber.resume_and_wait()
+            if fiber is not self._driver:
+                fiber.resume_and_wait()
+            # else the victim's own thread is executing this event and
+            # cannot resume itself: _next_fiber hands it its baton back
+            # the moment the event returns.
         elif fiber.state in (FiberState.READY, FiberState.NEW):
             fiber.kill_pending = True  # unwinds when next scheduled
         # RUNNING is impossible: events execute only between fiber slices.
@@ -464,7 +478,7 @@ class Runtime:
                 proc.now, TraceKind.SEND_POST, proc.rank,
                 dst=dst_world, tag=tag, ctx=context, bytes=size, msg=msg.msg_id,
             )
-        self.events.schedule(deliver, lambda: self._deliver(msg), f"deliver:{msg.msg_id}")
+        self.events.schedule(deliver, lambda: self._deliver(msg), "deliver")
 
     def _deliver(self, msg: Message) -> None:
         dst = self.procs[msg.dst]
@@ -604,11 +618,33 @@ class Runtime:
                 dst=dst_world, tag=0, ctx=context, bytes=size, msg=msg.msg_id,
                 am=True,
             )
-        self.events.schedule(deliver, lambda: self._deliver(msg), f"am:{msg.msg_id}")
+        self.events.schedule(deliver, lambda: self._deliver(msg), "am")
 
     # ------------------------------------------------------------------
-    # Communicator ids
+    # Communicator ids and groups
     # ------------------------------------------------------------------
+
+    def group_ranks(self, group: tuple[int, ...]) -> dict[int, int]:
+        """The shared ``world rank -> comm rank`` map of *group*.
+
+        One dict per distinct tuple value, however many handles hold it
+        (a dict per handle would be O(n^2) memory for the world alone).
+        Hashing a tuple is O(n), so the most recent group is also
+        remembered by identity: the n world handles and every ``dup``
+        pass the very same tuple object.
+        """
+        last = self._last_group
+        if last is not None and last[0] is group:
+            return last[1]
+        ranks = self._group_ranks.get(group)
+        if ranks is None:
+            # Reversed, so the first slot wins if a world rank repeats —
+            # what tuple.index answers.
+            n = len(group)
+            ranks = dict(zip(reversed(group), range(n - 1, -1, -1)))
+            self._group_ranks[group] = ranks
+        self._last_group = (group, ranks)
+        return ranks
 
     def cid_for(self, parent_cid: int, op_index: int, color: Any = None) -> int:
         """Deterministically allocate/lookup a context id for a comm-creation
@@ -657,67 +693,89 @@ class Runtime:
 
     def loop(self) -> None:
         """Run until every process finished, the job aborted, a deadlock is
-        proven, or a budget is exhausted."""
+        proven, or a budget is exhausted.
+
+        The loop body is :meth:`_next_fiber`; the fiber backend decides
+        which thread executes it (:func:`repro.simmpi.fibers.run_loop`).
+        """
         for inj in self.injectors:
             inj.arm(self)
+        t0 = _time.perf_counter()
+        try:
+            run_loop(self.fiber_backend, self._next_fiber, self._interrupt)
+        finally:
+            self.perf.wall_s += _time.perf_counter() - t0
+            self.perf.events_cancelled = self.events.cancelled_total
+
+    def _interrupt(self) -> None:
+        self._interrupted = True
+
+    def _next_fiber(self, driver: BaseFiber | None) -> BaseFiber | None:
+        """The scheduling decision: run events until the policy picks a
+        fiber and return it; ``None`` when the loop is over.
+
+        Called by whichever thread is giving up control — on the thread
+        backend that is the fiber that just blocked (*driver*) or
+        finished, so everything reachable from here (event callbacks, AM
+        handlers, failure listeners, policies) runs on fiber threads and
+        must not depend on thread-local state.  Returning *driver*
+        itself means "carry on": either the policy picked it, or an
+        event killed it and it must unwind before anything else happens.
+        """
+        self._driver = driver
         perf = self.perf
         policy = self.policy
         ready = self._ready
         events = self.events
         obs = self.obs
-        t0 = _time.perf_counter()
-        try:
-            while True:
-                if self.abort_info is not None:
-                    break
-                # Ask the policy, not the raw queue: a policy may hold
-                # runnable fibers in its own ordered structure between picks.
-                if policy.has_ready(ready):  # type: ignore[arg-type]
-                    proc = policy.pick(ready)  # type: ignore[arg-type]
-                    fiber = proc.fiber
-                    assert fiber is not None
-                    if fiber.finished():
-                        continue
-                    perf.handoffs += 1
-                    fiber.resume_and_wait()
+        while True:
+            if self.abort_info is not None or self._interrupted:
+                return None
+            # Ask the policy, not the raw queue: a policy may hold
+            # runnable fibers in its own ordered structure between picks.
+            if policy.has_ready(ready):  # type: ignore[arg-type]
+                proc = policy.pick(ready)  # type: ignore[arg-type]
+                fiber = proc.fiber
+                assert fiber is not None
+                if fiber.finished():
                     continue
-                if events:
-                    ev = events.pop()
-                    perf.events_executed += 1
-                    if obs is not None:
-                        obs.event_executed(ev.time, len(events))
-                    if perf.events_executed > self.max_events:
-                        raise SimulationLimitExceeded(
-                            f"exceeded max_events={self.max_events}"
-                        )
-                    if ev.time > self.max_time:
-                        raise SimulationLimitExceeded(
-                            f"virtual time {ev.time} exceeded max_time={self.max_time}"
-                        )
-                    self.clock.advance_to(ev.time)
-                    ev.fn()
-                    continue
-                blocked = [
-                    p for p in self.procs
-                    if p.alive() and p.fiber is not None
-                    and p.fiber.state is FiberState.BLOCKED
-                ]
-                if blocked:
-                    desc = "; ".join(
-                        f"rank {p.rank}: {p.wait_description()}" for p in blocked
+                perf.handoffs += 1
+                return fiber
+            if events:
+                ev = events.pop()
+                perf.events_executed += 1
+                if obs is not None:
+                    obs.event_executed(ev.time, len(events))
+                if perf.events_executed > self.max_events:
+                    raise SimulationLimitExceeded(
+                        f"exceeded max_events={self.max_events}"
                     )
-                    self.deadlock = SimulationDeadlock(
-                        f"deadlock at t={self.clock.now:.9f}: {desc}",
-                        [(p.rank, p.wait_description()) for p in blocked],
+                if ev.time > self.max_time:
+                    raise SimulationLimitExceeded(
+                        f"virtual time {ev.time} exceeded max_time={self.max_time}"
                     )
-                    for p in blocked:
-                        self.trace.record(self.clock.now, TraceKind.DEADLOCK,
-                                          p.rank, waiting=p.wait_description())
-                    break
-                break  # all processes done/failed and no events remain
-        finally:
-            perf.wall_s += _time.perf_counter() - t0
-            perf.events_cancelled = events.cancelled_total
+                self.clock.advance_to(ev.time)
+                ev.fn()
+                if driver is not None and driver.kill_pending:
+                    return driver  # killed by that event: see _kill_event
+                continue
+            blocked = [
+                p for p in self.procs
+                if p.alive() and p.fiber is not None
+                and p.fiber.state is FiberState.BLOCKED
+            ]
+            if blocked:
+                desc = "; ".join(
+                    f"rank {p.rank}: {p.wait_description()}" for p in blocked
+                )
+                self.deadlock = SimulationDeadlock(
+                    f"deadlock at t={self.clock.now:.9f}: {desc}",
+                    [(p.rank, p.wait_description()) for p in blocked],
+                )
+                for p in blocked:
+                    self.trace.record(self.clock.now, TraceKind.DEADLOCK,
+                                      p.rank, waiting=p.wait_description())
+            return None  # deadlock, or all processes done/failed, no events
 
     def shutdown(self) -> None:
         """Unwind every still-parked fiber and release it.

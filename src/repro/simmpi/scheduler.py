@@ -2,16 +2,24 @@
 
 Each simulated MPI rank runs ordinary Python code as a *fiber*: it
 executes until it blocks inside a simulated MPI call (or finishes), at
-which point control returns to the scheduler, which picks the next
-runnable fiber with a deterministic policy.  **Exactly one fiber executes
-at any instant**, so the entire simulation is reproducible bit-for-bit
-from its seed.
+which point the scheduling decision runs — events until a fiber is
+runnable, then a deterministic policy picks which.  **Exactly one fiber
+executes at any instant**, so the entire simulation is reproducible
+bit-for-bit from its seed.
+
+There is no scheduler thread.  The decision is one function,
+``Runtime._next_fiber``, and the fiber backend chooses the thread that
+executes it: on the thread backend the fiber that just gave up control
+runs it and wakes the pick directly; on the greenlet backend the caller
+of ``Simulation.run`` does.  A policy is therefore called from a
+different thread each time and must not keep thread-local state.
 
 The scheduling layer is split in two:
 
-* :mod:`repro.simmpi.fibers` — *how* a fiber's call stack suspends.  Two
-  pluggable backends implement one API: the pure-stdlib thread-baton
-  fallback (:class:`~repro.simmpi.fibers.ThreadFiber`) and the optional
+* :mod:`repro.simmpi.fibers` — *how* a fiber's call stack suspends and
+  where the loop runs.  Two pluggable backends implement one API: the
+  pure-stdlib thread backend (:class:`~repro.simmpi.fibers.ThreadFiber`,
+  direct baton passing, one OS switch per handoff) and the optional
   single-threaded greenlet backend
   (:class:`~repro.simmpi.fibers.GreenletFiber`, zero-lock handoffs,
   ``pip install repro[fast]``).  Kill/fail-stop and shutdown unwinding

@@ -2,9 +2,31 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    """numpy is a third of the start-up of every command and only the
+    RMA windows and ``repro.apps`` use it: both import it on first use."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, repro.cli, repro.simmpi.rma\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported at start-up'\n"
+        "repro.cli.main(['perf', 'heat', '--nprocs', '3'])\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        stdout=subprocess.DEVNULL, timeout=120,
+    )
 
 
 class TestRingCommand:

@@ -11,6 +11,7 @@ from repro.simmpi import (
     UNDEFINED,
 )
 from repro.ft import comm_validate_clear
+from repro.simmpi.communicator import Comm
 from tests.conftest import run_sim
 
 
@@ -47,6 +48,65 @@ class TestIntrospection:
         r = run_sim(main, 2)
         a, b = r.value(0)
         assert a != b
+
+
+class _ScanForbidden(tuple):
+    """A group whose linear scan is an error: translation must not use it."""
+
+    def index(self, *args):
+        raise AssertionError("tuple.index scan over a communicator group")
+
+
+class TestRankIndex:
+    """World rank -> comm rank goes through one dict per group, owned by
+    the runtime and shared by every handle holding that group."""
+
+    def test_construction_and_translation_never_scan_the_group(self):
+        sim = Simulation(nprocs=5)
+        comm = Comm(sim.runtime.procs[2], 7, _ScanForbidden((3, 2, 0)))
+        assert comm.rank == 1
+        assert [comm.comm_rank_of_world(w) for w in range(-1, 6)] == [
+            None, 2, None, 1, 0, None, None,
+        ]
+        # The same group as a plain tuple resolves to the same map.
+        plain = Comm(sim.runtime.procs[0], 7, (3, 2, 0))
+        assert plain.rank == 2 and plain._ranks is comm._ranks
+
+    def test_every_handle_of_a_group_shares_one_map(self):
+        def main(mpi):
+            comm = mpi.comm_world
+            dup = comm.dup()
+            half = comm.split(color=comm.rank % 2)
+            return comm._ranks, dup._ranks, half.group, half._ranks
+
+        r = run_sim(main, 6)
+        world, dup, _, _ = r.value(0)
+        assert world == {w: w for w in range(6)}
+        for i in range(6):
+            assert r.value(i)[0] is world and r.value(i)[1] is dup is world
+        # Each member of a split builds its own (equal) group tuple.
+        for parity in (0, 1):
+            members = [r.value(i) for i in range(parity, 6, 2)]
+            assert {m[2] for m in members} == {tuple(range(parity, 6, 2))}
+            assert all(m[3] is members[0][3] for m in members)
+        assert r.value(0)[3] is not r.value(1)[3]
+
+    def test_replace_rank_re_resolves_the_map_and_spares_other_handles(self):
+        def main(mpi):
+            comm = mpi.comm_world
+            repaired = comm.dup()
+            if comm.rank != 1:
+                repaired.replace_rank(1, 3)  # slot 1 now names world rank 3
+            return comm._ranks, repaired.group, repaired._ranks, repaired.rank
+
+        r = run_sim(main, 3)
+        world = r.value(0)[0]
+        assert world == {0: 0, 1: 1, 2: 2}  # the shared map is not patched
+        for i in (0, 2):
+            _, group, ranks, rank = r.value(i)
+            assert group == (0, 3, 2) and ranks == {0: 0, 3: 1, 2: 2}
+            assert rank == i and ranks is r.value(0)[2] is not world
+        assert r.value(1)[2] is world
 
 
 class TestDup:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.simmpi import UNDEFINED
+from repro.ft import comm_shrink
+from repro.simmpi import UNDEFINED, ErrorHandler, Simulation
 from repro.simmpi.group import Group
 
 ranks_lists = st.lists(st.integers(0, 15), unique=True, max_size=10)
@@ -73,3 +74,55 @@ class TestGroupAlgebraLaws:
                 assert gb.world_rank(tr) == wr
             else:
                 assert tr == UNDEFINED
+
+
+class TestCommRankTranslation:
+    """``Comm.comm_rank_of_world`` answers from a per-group dict; the
+    tuple scan it replaced is the oracle."""
+
+    @given(
+        n=st.integers(2, 6),
+        colors=st.lists(st.integers(0, 1), min_size=6, max_size=6),
+        keys=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+        victim=st.integers(1, 5),
+        patch=st.tuples(st.integers(0, 5), st.integers(0, 8)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tuple_index_across_dup_split_shrink_replace(
+        self, n, colors, keys, victim, patch
+    ):
+        victim %= n
+        probes = range(-1, 10)
+
+        def main(mpi):
+            world = mpi.comm_world
+            world.set_errhandler(ErrorHandler.ERRORS_RETURN)
+            comms = [world, world.dup()]
+            comms.append(world.split(color=colors[world.rank], key=keys[world.rank]))
+            if victim:
+                mpi.compute(1e-3)  # the victim dies in here, after the split
+                world.revoke()
+                comms.append(comm_shrink(world))
+            patched = comms[-1].dup()
+            slot, new_world = patch
+            slot %= patched.size
+            if slot != patched.rank:
+                patched.replace_rank(slot, new_world)
+                comms.append(patched)
+            return [
+                (c.group, [c.comm_rank_of_world(w) for w in probes])
+                for c in comms
+            ]
+
+        sim = Simulation(nprocs=n)
+        if victim:
+            sim.kill(victim, at_time=5e-4)
+        result = sim.run(main)
+        assert sorted(result.completed_ranks) == [
+            r for r in range(n) if not victim or r != victim
+        ]
+        for views in result.values().values():
+            for group, answers in views:
+                assert answers == [
+                    group.index(w) if w in group else None for w in probes
+                ]

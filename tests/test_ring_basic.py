@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
     RingConfig,
+    RingMsg,
     RingVariant,
     Termination,
     get_current_root,
@@ -22,6 +24,42 @@ ALL_FT_VARIANTS = [
     RingVariant.FT_MARKER,
     RingVariant.FT_TAGGED,
 ]
+
+
+class TestRingMsgCopy:
+    """``copy`` must not alias a mutable value; for an immutable scalar
+    ``deepcopy`` would return the same object, so it is skipped."""
+
+    @pytest.mark.parametrize(
+        "value", [7, 2.5, True, 1 + 2j, "token", b"token", None]
+    )
+    def test_scalar_value_gives_an_equal_message(self, value):
+        msg = RingMsg(value, marker=3)
+        dup = msg.copy()
+        assert dup == msg and dup is not msg
+        assert dup.value is value and type(dup.value) is type(value)
+
+    def test_list_value_is_still_copied_deeply(self):
+        msg = RingMsg([1, [2, 3]], marker=1)
+        dup = msg.copy()
+        msg.value.append(4)
+        msg.value[1].append(5)
+        assert dup == RingMsg([1, [2, 3]], marker=1)
+
+    def test_numpy_value_is_still_copied(self):
+        msg = RingMsg(np.arange(4.0), marker=2)
+        dup = msg.copy()
+        msg.value[:] = -1.0
+        assert dup.marker == 2 and dup.value.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_scalar_subclass_is_not_mistaken_for_a_scalar(self):
+        class Tagged(int):
+            pass
+
+        value = Tagged(5)
+        value.note = ["mutable"]
+        dup = RingMsg(value, marker=0).copy()
+        assert dup.value == 5 and dup.value.note is not value.note
 
 
 class TestNeighborSelection:

@@ -15,6 +15,7 @@ from repro.simmpi import (
     waitany,
     waitsome,
 )
+from repro.simmpi.trace import TraceKind
 from tests.conftest import run_sim
 
 
@@ -188,3 +189,34 @@ class TestWaitTiming:
                 return mpi.now
 
         assert run_sim(main, 2).value(1) >= 1.0
+
+
+class TestBlockReason:
+    """The reason a ``wait*`` blocks is rendered only when a deadlock
+    report asks for it — and then as plain text, byte for byte."""
+
+    def test_deadlock_report_renders_the_waits_as_strings(self):
+        def main(mpi):
+            comm = mpi.comm_world
+            peer = 1 - comm.rank
+            reqs = [comm.irecv(source=peer, tag=1), comm.irecv(source=peer, tag=2)]
+            if comm.rank == 0:
+                waitany(reqs)
+            else:
+                wait(reqs[1])
+
+        result = run_sim(main, 2, on_deadlock="return")
+        expected = [
+            (0, "wait on [recv(peer=1, tag=1, id=1), recv(peer=1, tag=2, id=2)]"),
+            (1, "wait on [recv(peer=0, tag=2, id=4)]"),
+        ]
+        assert result.deadlock.blocked == expected
+        assert all(type(text) is str for _, text in result.deadlock.blocked)
+        assert str(result.deadlock) == (
+            "deadlock at t=0.000000000: "
+            + "; ".join(f"rank {rank}: {text}" for rank, text in expected)
+        )
+        waiting = [ev.detail["waiting"]
+                   for ev in result.trace.filter(kind=TraceKind.DEADLOCK)]
+        assert waiting == [text for _, text in expected]
+        assert all(type(text) is str for text in waiting)
