@@ -10,11 +10,16 @@ only compressed job/outcome pickles.  Two series pin that on loopback:
   submission-order merge, one process executing);
 * ``bench_campaign_remote_loopback`` — the same campaign through a
   ``repro worker serve`` subprocess on 127.0.0.1; the bench asserts the
-  reports are byte-identical and that loopback dispatch costs at most
-  ``OVERHEAD_CEILING`` of the pool (it is usually *cheaper*: the worker
-  is already warm, while the pool forks fresh processes per sweep).
+  reports are byte-identical and tabulates loopback dispatch against
+  the pool (it is usually *cheaper*: the worker is already warm, while
+  the pool forks fresh processes per sweep).
 
-Both series land in ``BENCH_simperf.json``.
+Both series land in ``BENCH_simperf.json``.  The two wall-clock ratio
+ceilings over this code (``OVERHEAD_CEILING``,
+``SPANS_DISABLED_CEILING``) are asserted by the ``*_ceiling`` functions
+at the bottom, marked ``perf``: tier-1 deselects them (a ratio of two
+wall times is not something a shared machine can promise),
+``pytest -m perf`` runs them.
 """
 
 from __future__ import annotations
@@ -126,10 +131,6 @@ def bench_campaign_remote_loopback(benchmark, worker_addr):
         ratio = remote_s / pool_s if pool_s > 0 else float("inf")
         rows.insert(0, ["pool (1 worker)", f"{pool_s:.4f}", "-"])
         rows[-1][-1] = f"{ratio:.2f}x"
-        assert ratio <= OVERHEAD_CEILING, (
-            f"loopback dispatch cost {ratio:.2f}x the in-process pool "
-            f"(ceiling: {OVERHEAD_CEILING}x)"
-        )
     emit(
         "campaign, remote loopback (same runs over the socket transport)",
         ascii_table(["mode", "min wall s", "overhead"], rows),
@@ -148,24 +149,12 @@ def bench_campaign_remote_loopback(benchmark, worker_addr):
     )
 
 
-def bench_campaign_remote_spans(benchmark, worker_addr):
-    """The same loopback campaign with span recording off vs on.
-
-    Each round interleaves three passes — a plain reference campaign,
-    the spans-*off* path (hooks compiled in, no recorder installed),
-    and the spans-*on* path (a :class:`SpanRecorder` active, worker
-    spans shipped back in every done frame).  Interleaving keeps the
-    comparison warmth-matched: cross-bench mins drift far more than the
-    hooks cost.  The spans-off and spans-on wall times land as their
-    own ``BENCH_simperf.json`` series (so the *trajectory* of the
-    disabled path is pinned across commits), and the bench asserts
-    in-bench that the disabled path stays within
-    ``SPANS_DISABLED_CEILING`` of the reference pass: tracing must be
-    opt-in and free when off.
-    """
-    walls: dict[str, list[float]] = {"plain": [], "off": [], "on": []}
-
-    def one_pass(label):
+def _spans_round(worker_addr, walls: dict[str, list[float]]) -> None:
+    """One interleaved round of the span-overhead comparison: a plain
+    reference campaign, the spans-*off* path (hooks compiled in, no
+    recorder installed) and the spans-*on* path, each appending its
+    wall time to *walls*."""
+    for label in ("plain", "off", "on"):
         runner = RemoteRunner(addresses=[worker_addr])
         t0 = time.perf_counter()
         if label == "on":
@@ -183,11 +172,24 @@ def bench_campaign_remote_spans(benchmark, worker_addr):
         walls[label].append(wall)
         assert report.summary()["runs"] == RUNS
 
-    def once():
-        for label in ("plain", "off", "on"):
-            one_pass(label)
 
-    timed(benchmark, once)
+def bench_campaign_remote_spans(benchmark, worker_addr):
+    """The same loopback campaign with span recording off vs on.
+
+    Each round interleaves three passes — a plain reference campaign,
+    the spans-*off* path (hooks compiled in, no recorder installed),
+    and the spans-*on* path (a :class:`SpanRecorder` active, worker
+    spans shipped back in every done frame).  Interleaving keeps the
+    comparison warmth-matched: cross-bench mins drift far more than the
+    hooks cost.  The spans-off and spans-on wall times land as their
+    own ``BENCH_simperf.json`` series (so the *trajectory* of the
+    disabled path is pinned across commits); that the disabled path
+    stays within ``SPANS_DISABLED_CEILING`` of the reference pass —
+    tracing must be opt-in and free when off — is asserted by
+    ``bench_campaign_remote_spans_ceiling``.
+    """
+    walls: dict[str, list[float]] = {"plain": [], "off": [], "on": []}
+    timed(benchmark, lambda: _spans_round(worker_addr, walls))
     plain_s = min(walls["plain"])
     off_s, on_s = min(walls["off"]), min(walls["on"])
     _PERF.setdefault("bench_campaign_remote_spans_off", []).extend(
@@ -209,6 +211,34 @@ def bench_campaign_remote_spans(benchmark, worker_addr):
             ],
         ),
     )
+
+
+@pytest.mark.perf
+def bench_campaign_remote_loopback_ceiling(worker_addr):
+    # Interleaved best-of-3, pool and loopback passes back to back.
+    best = {"pool": float("inf"), "remote": float("inf")}
+    for _ in range(3):
+        for label in best:
+            runner = (
+                ProcessPoolRunner(workers=1) if label == "pool"
+                else RemoteRunner(addresses=[worker_addr])
+            )
+            t0 = time.perf_counter()
+            _campaign(runner)
+            best[label] = min(best[label], time.perf_counter() - t0)
+    ratio = best["remote"] / best["pool"]
+    assert ratio <= OVERHEAD_CEILING, (
+        f"loopback dispatch cost {ratio:.2f}x the in-process pool "
+        f"(ceiling: {OVERHEAD_CEILING}x)"
+    )
+
+
+@pytest.mark.perf
+def bench_campaign_remote_spans_ceiling(worker_addr):
+    walls: dict[str, list[float]] = {"plain": [], "off": [], "on": []}
+    for _ in range(4):
+        _spans_round(worker_addr, walls)
+    disabled = min(walls["off"]) / min(walls["plain"])
     assert disabled <= SPANS_DISABLED_CEILING, (
         f"spans-off campaign cost {disabled:.2f}x the interleaved "
         f"reference pass (ceiling: {SPANS_DISABLED_CEILING}x) — the "

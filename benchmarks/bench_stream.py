@@ -8,17 +8,22 @@ may only add windowing overhead.  Two series pin that:
 
 * ``bench_campaign_materialized`` — the classic list-in/list-out path;
 * ``bench_campaign_streamed`` — the bounded-window generator path; the
-  bench asserts the reports are byte-identical and that streaming costs
-  at most a modest constant factor over materializing (it is usually
-  within noise of 1.0x — the simulations dominate).
+  bench asserts the reports are byte-identical and tabulates what
+  streaming costs over materializing (it is usually within noise of
+  1.0x — the simulations dominate).
 
 Both land in ``BENCH_simperf.json``; ``REPRO_BENCH_WORKERS`` fans the
-runs across a pool in either mode.
+runs across a pool in either mode.  The wall-clock ceiling on that
+ratio is ``bench_campaign_streamed_ceiling``, marked ``perf``: tier-1
+deselects it (a ratio of two wall times is not something a shared
+machine can promise), ``pytest -m perf`` runs it.
 """
 
 from __future__ import annotations
 
 import time
+
+import pytest
 
 from repro.analysis import ascii_table
 from repro.faults import run_campaign
@@ -45,6 +50,20 @@ def _campaign(stream: bool):
     )
 
 
+def _interleaved_overhead() -> float:
+    """Streamed over materialized wall time, warmth-matched: alternate
+    the two passes back-to-back and compare the best of each.  (The two
+    timed series are minutes apart in a full bench session; machine-load
+    drift between them exceeds the windowing overhead in question.)"""
+    best = {False: float("inf"), True: float("inf")}
+    for _ in range(3):
+        for stream in (False, True):
+            t0 = time.perf_counter()
+            _campaign(stream=stream)
+            best[stream] = min(best[stream], time.perf_counter() - t0)
+    return best[True] / best[False] if best[False] > 0 else float("inf")
+
+
 def bench_campaign_materialized(benchmark):
     reports = []
     timed(benchmark, lambda: reports.append(_campaign(stream=False)))
@@ -69,26 +88,19 @@ def bench_campaign_streamed(benchmark):
     rows = [["streamed", f"{streamed_s:.4f}", "-"]]
     mat_series = _PERF.get("bench_campaign_materialized")
     if mat_series:
-        # The two series above were timed minutes apart in a full bench
-        # session; machine-load drift between them exceeds the windowing
-        # overhead being gated.  Assert on a warmth-matched ratio
-        # instead: alternate materialized/streamed passes back-to-back
-        # and compare the best of each.
-        best = {False: float("inf"), True: float("inf")}
-        for _ in range(3):
-            for stream in (False, True):
-                t0 = time.perf_counter()
-                _campaign(stream=stream)
-                best[stream] = min(best[stream], time.perf_counter() - t0)
-        ratio = best[True] / best[False] if best[False] > 0 else float("inf")
         rows.insert(0, ["materialized", f"{min(mat_series):.4f}", "-"])
-        rows[-1][-1] = f"{ratio:.2f}x"
-        assert ratio <= OVERHEAD_CEILING, (
-            f"streaming cost {ratio:.2f}x the materialized sweep "
-            f"(ceiling: {OVERHEAD_CEILING}x, interleaved best-of-3)"
-        )
+        rows[-1][-1] = f"{_interleaved_overhead():.2f}x"
     emit(
         "campaign, streamed (same runs through bounded windows; overhead "
         "from interleaved best-of-3)",
         ascii_table(["mode", "min wall s", "overhead"], rows),
+    )
+
+
+@pytest.mark.perf
+def bench_campaign_streamed_ceiling():
+    ratio = _interleaved_overhead()
+    assert ratio <= OVERHEAD_CEILING, (
+        f"streaming cost {ratio:.2f}x the materialized sweep "
+        f"(ceiling: {OVERHEAD_CEILING}x, interleaved best-of-3)"
     )

@@ -3,7 +3,7 @@
 Every sweep job (fault-window exploration, kill campaigns, schedule
 fuzzing) is a pure function of a picklable spec, so its classified
 outcome can be stored under a key derived from that spec and reused by
-any later sweep that asks the same question.  Three layers:
+any later sweep that asks the same question.  Two layers:
 
 * :mod:`repro.cache.keys` — the canonical blake2b key over the job's
   full determinism surface (scenario, policy + seed, cost/jitter
@@ -13,27 +13,25 @@ any later sweep that asks the same question.  Three layers:
   classification and ``stats``/``gc``/``verify`` maintenance (``verify``
   re-executes a sample of entries and diffs payloads field by field),
   over the one on-disk store, a SQLite-WAL database with batched
-  transactional reads/writes (:mod:`repro.cache.sqlite_store`);
-* :mod:`repro.cache.runner` — :class:`CachedRunner`, a drop-in
-  :class:`~repro.parallel.runner.SweepRunner` wrapper serving hits
-  parent-side and delegating misses to any inner runner.
+  transactional reads/writes (:mod:`repro.cache.sqlite_store`).
 
+Sweeps use it through :meth:`repro.parallel.runner.SweepRunner.run`,
+whose first stage — on every runner, in the submitting process — is
+one batched lookup; ``make_runner(cache=…)`` / ``with_cache(runner,
+cache)`` (or an entry point's ``cache=`` argument) switch it on.
 Hit/miss/stale/store accounting lives in :data:`repro.perf.CACHE`.
 Correctness contract: a cached sweep's report is byte-identical to the
 uncached one — the cache changes wall-clock time and nothing else.
 """
 
 from .keys import KEY_FORMAT, Uncacheable, canonical_token, job_key
-from .runner import CachedRunner, attach_cache
 from .store import RunCache, VerifyResult, default_cache_dir, diff_payload
 
 __all__ = [
-    "CachedRunner",
     "KEY_FORMAT",
     "RunCache",
     "Uncacheable",
     "VerifyResult",
-    "attach_cache",
     "canonical_token",
     "default_cache_dir",
     "diff_payload",

@@ -59,7 +59,7 @@ Subcommands
     exposes Prometheus-style ``/metrics`` + ``/healthz`` over stdlib
     HTTP; ``top --telemetry FILE --follow`` is the live campaign
     console (progress, throughput, outcome histogram, per-worker
-    rtt/bytes/cache columns).
+    chunks/rtt/bytes columns).
 
 ``cache``
     Inspect and maintain the content-addressed run cache
@@ -294,16 +294,13 @@ def _report_remote(runner) -> None:
     report and must stay byte-identical to a serial run)."""
     if runner is None:
         return
-    from .obs.telemetry import runner_worker_stats
-
-    for s in runner_worker_stats(runner):
+    for s in runner.worker_stats():
         wire = s["bytes_out"] + s["bytes_in"]
         ratio = s.get("compression")
         print(
             f"[remote] {s['worker']} pid={s['pid']} chunks={s['chunks']} "
             f"jobs={s['jobs']} rtt={s['rtt_s'] * 1e3:.1f}ms wire={wire}B"
             + (f" ratio={ratio}x" if ratio else "")
-            + f" cache_hits={s['cache_hits']} cache_misses={s['cache_misses']}"
             + f" disconnects={s['disconnects']}",
             file=sys.stderr,
         )

@@ -26,7 +26,7 @@ from ..parallel.jobs import (
     ScenarioFactory,
     check_invariants,
 )
-from ..parallel.runner import SweepRunner, make_runner
+from ..parallel.runner import SweepRunner, sweep
 from ..simmpi.runtime import SimulationResult
 from .injector import CompositeInjector, KillAtTime
 
@@ -274,41 +274,20 @@ def run_campaign(
             keep_results=keep_results,
         )
 
-    if runner is None:
-        runner = make_runner(workers)
-    if cache is not None and cache is not False:
-        from ..cache import attach_cache
-
-        runner = attach_cache(runner, cache)
-    if stream:
-        jobs_iter = (make_job(seed) for seed in seeds)
-        summary = CampaignSummary()
-        if telemetry:
-            from ..obs.telemetry import TelemetryWriter, run_recorded_stream
-
-            writer = TelemetryWriter(
-                telemetry, kind="campaign", total=len(seeds), workers=workers
-            )
-            try:
-                for run in run_recorded_stream(
-                    runner, jobs_iter, writer, window=stream_window
-                ):
-                    summary.add(run)
-            finally:
-                writer.close()
-        else:
-            for run in runner.run_stream(jobs_iter, window=stream_window):
-                summary.add(run)
-        return summary
-    jobs = [make_job(seed) for seed in seeds]
-    if telemetry:
-        from ..obs.telemetry import TelemetryWriter, run_recorded
-
-        writer = TelemetryWriter(
-            telemetry, kind="campaign", total=len(jobs), workers=workers
-        )
-        try:
-            return CampaignReport(runs=run_recorded(runner, jobs, writer))
-        finally:
-            writer.close()
-    return CampaignReport(runs=runner.run(jobs))
+    runs = sweep(
+        (make_job(seed) for seed in seeds),
+        total=len(seeds),
+        kind="campaign",
+        runner=runner,
+        workers=workers,
+        cache=cache,
+        telemetry=telemetry,
+        stream=stream,
+        window=stream_window if stream else None,
+    )
+    if not stream:
+        return CampaignReport(runs=list(runs))
+    summary = CampaignSummary()
+    for run in runs:
+        summary.add(run)
+    return summary

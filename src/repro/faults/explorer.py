@@ -36,7 +36,7 @@ from ..parallel.jobs import (
     ScenarioFactory,
     check_invariants,
 )
-from ..parallel.runner import SweepRunner, make_runner
+from ..parallel.runner import SweepRunner, sweep
 from ..simmpi.runtime import SimulationResult
 from ..simmpi.trace import TraceKind
 from .injector import CompositeInjector, FaultInjector, KillAtProbe
@@ -378,89 +378,34 @@ def explore(
         total += n * (n - 1) // 2 - sum(
             c * (c - 1) // 2 for c in per_rank.values()
         )
-    if runner is None:
-        runner = make_runner(workers)
-    if cache is not None and cache is not False:
-        from ..cache import attach_cache
-
-        runner = attach_cache(runner, cache)
-    writer = None
-    if telemetry:
-        from ..obs.telemetry import TelemetryWriter
-
-        writer = TelemetryWriter(
-            telemetry, kind="explore", total=total, workers=workers
-        )
-    if stream:
-        summary = ExplorationSummary(reference_windows=windows)
-        try:
-            if writer is not None:
-                from ..obs.telemetry import run_recorded_stream
-
-                values = run_recorded_stream(
-                    runner, iter_jobs(), writer, window=stream_window
-                )
-            else:
-                values = runner.run_stream(iter_jobs(), window=stream_window)
-            if progress is not None:
-                progress(0, total)
-            step = max(1, math.ceil(total / 16))
-            for done, outcome in enumerate(values, start=1):
-                summary.add(outcome)
-                if progress is not None and (
-                    done % step == 0 or done == total
-                ):
-                    progress(done, total)
-        finally:
-            if writer is not None:
-                writer.close()
-        return summary
-    jobs = list(iter_jobs())
-    try:
-        outcomes = _run_with_progress(runner, jobs, progress, writer)
-    finally:
-        if writer is not None:
-            writer.close()
-    return ExplorationReport(
-        reference_windows=windows,
-        outcomes=outcomes,
-    )
-
-
-def _run_with_progress(
-    runner: SweepRunner,
-    jobs: list[WindowJob],
-    progress: Callable[[int, int], None] | None,
-    writer: Any = None,
-) -> list[ScenarioOutcome]:
-    """Run *jobs*, optionally splitting into at most ~16 batches so the
-    *progress* callback fires while work is still in flight.  Results
-    keep submission order either way, so batching never changes the
-    report — only its liveness.  ``writer`` (a
-    :class:`repro.obs.telemetry.TelemetryWriter`) records per-job
-    telemetry with sweep-global indices, batched or not."""
-    if progress is None and writer is None:
-        return runner.run(jobs)
-    total = len(jobs)
+    # Progress is reported ~16 times: every `step` results when
+    # streaming; a materialized sweep runs in windows of `step` jobs
+    # instead of one, so the callback fires while work is in flight.
+    step = max(1, math.ceil(total / 16))
+    window = stream_window if stream else None
     if progress is not None:
         progress(0, total)
-    step = total if progress is None else max(1, math.ceil(total / 16))
-    outcomes: list[ScenarioOutcome] = []
-    for i in range(0, max(total, 1), max(step, 1)):
-        batch = jobs[i : i + step]
-        if not batch:
-            break
-        if writer is not None:
-            wrapped = runner.run(writer.wrap(batch, start=i))
-            outcomes.extend(writer.record(
-                wrapped, retries=getattr(runner, "job_retries", None)
-            ))
-        else:
-            outcomes.extend(runner.run(batch))
-        if progress is not None:
-            progress(len(outcomes), total)
-    if writer is not None:
-        from ..obs.telemetry import runner_worker_stats
-
-        writer.record_workers(runner_worker_stats(runner))
-    return outcomes
+        if not stream:
+            window = step
+    outcomes = sweep(
+        iter_jobs(),
+        total=total,
+        kind="explore",
+        runner=runner,
+        workers=workers,
+        cache=cache,
+        telemetry=telemetry,
+        stream=stream,
+        window=window,
+    )
+    if stream:
+        report = ExplorationSummary(reference_windows=windows)
+        sink = report.add
+    else:
+        report = ExplorationReport(reference_windows=windows, outcomes=[])
+        sink = report.outcomes.append
+    for done, outcome in enumerate(outcomes, start=1):
+        sink(outcome)
+        if progress is not None and (done % step == 0 or done == total):
+            progress(done, total)
+    return report

@@ -27,7 +27,7 @@ from typing import Any, Iterator, Sequence
 from ..analysis.digest import perf_dict, result_digest
 from ..faults.schedule import KillSpec
 from ..parallel.jobs import check_invariants
-from ..parallel.runner import SerialRunner, SweepRunner
+from ..parallel.runner import SweepRunner, sweep
 from ..simmpi.runtime import SimulationResult
 from .config import (
     FORMAT,
@@ -459,59 +459,29 @@ def fuzz(
     regardless of ``runs``, and ``summary()``/``format()`` are
     byte-identical to the materialized report's.
     """
-    runner = runner or SerialRunner()
-    if cache is not None and cache is not False:
-        from ..cache import attach_cache
-
-        runner = attach_cache(runner, cache)
-    if stream:
-        jobs_iter = (
+    outcomes = sweep(
+        (
             FuzzJob(config=c, index=i, invariants=invariants)
             for i, c in enumerate(
                 iter_sample_configs(scenario, runs, seed, **sample_options)
             )
-        )
-        summary = FuzzSummary(scenario=scenario, seed=seed)
-        if telemetry:
-            from ..obs.telemetry import TelemetryWriter, run_recorded_stream
-
-            writer = TelemetryWriter(
-                telemetry, kind="fuzz", total=runs, workers=None
-            )
-            try:
-                for outcome in run_recorded_stream(
-                    runner, jobs_iter, writer, window=stream_window
-                ):
-                    summary.add(outcome)
-            finally:
-                writer.close()
-        else:
-            for outcome in runner.run_stream(jobs_iter, window=stream_window):
-                summary.add(outcome)
-        if shrink_failures:
-            summary.shrunk = [
-                shrink(o.config, invariants, max_attempts=max_shrink_attempts)
-                for o in summary.failures
-            ]
-        return summary
-    configs = sample_configs(scenario, runs, seed, **sample_options)
-    jobs = [
-        FuzzJob(config=c, index=i, invariants=invariants)
-        for i, c in enumerate(configs)
-    ]
-    if telemetry:
-        from ..obs.telemetry import TelemetryWriter, run_recorded
-
-        writer = TelemetryWriter(
-            telemetry, kind="fuzz", total=len(jobs), workers=None
-        )
-        try:
-            outcomes = run_recorded(runner, jobs, writer)
-        finally:
-            writer.close()
+        ),
+        total=runs,
+        kind="fuzz",
+        runner=runner,
+        cache=cache,
+        telemetry=telemetry,
+        stream=stream,
+        window=stream_window if stream else None,
+    )
+    if stream:
+        report = FuzzSummary(scenario=scenario, seed=seed)
+        for outcome in outcomes:
+            report.add(outcome)
     else:
-        outcomes = runner.run(jobs)
-    report = FuzzReport(scenario=scenario, seed=seed, outcomes=outcomes)
+        report = FuzzReport(
+            scenario=scenario, seed=seed, outcomes=list(outcomes)
+        )
     if shrink_failures:
         report.shrunk = [
             shrink(o.config, invariants, max_attempts=max_shrink_attempts)

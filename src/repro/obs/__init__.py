@@ -77,9 +77,6 @@ from .telemetry import (
     canonical_lines,
     outcome_class,
     read_telemetry,
-    run_recorded,
-    run_recorded_stream,
-    runner_worker_stats,
     summarize,
     summary_dict,
     telemetry_errors,
@@ -127,10 +124,7 @@ __all__ = [
     "recording",
     "registry_from_telemetry",
     "render_top",
-    "run_recorded",
-    "run_recorded_stream",
     "run_report",
-    "runner_worker_stats",
     "span_errors",
     "spans_to_perfetto",
     "spans_to_records",

@@ -4,7 +4,7 @@ an in-terminal dashboard.
 ``repro top --telemetry FILE`` reads the telemetry file a campaign is
 writing (``--telemetry`` on campaign/explore/fuzz) and renders
 progress, throughput, an outcome histogram, wall-time percentiles, and
-— for remote sweeps — the per-worker rtt/bytes/cache-hit table.  With
+— for remote sweeps — the per-worker chunks/rtt/bytes table.  With
 ``--follow`` it re-reads on an interval until the declared run count
 has landed, tolerating a mid-write trailing line (the writer appends
 one JSON line per job, so the only torn state possible is a partial
@@ -128,25 +128,16 @@ def render_top(records: list[dict[str, Any]], *, top: int = 3) -> str:
         lines.append("workers (remote transport)")
         lines.append(
             f"  {'worker':<22} {'chunks':>6} {'jobs':>6} {'rtt ms':>8}"
-            f" {'wire B':>9} {'hit%':>5} {'disc':>4}"
+            f" {'wire B':>9} {'disc':>4}"
         )
         for row in summary.remote:
             chunks = int(row.get("chunks", 0))
             rtt_ms = float(row.get("rtt_s", 0.0)) * 1e3
             wire = int(row.get("bytes_out", 0)) + int(row.get("bytes_in", 0))
-            cache_hits = int(row.get("cache_hits", 0))
-            classified = (
-                cache_hits
-                + int(row.get("cache_misses", 0))
-                + int(row.get("cache_stale", 0))
-            )
-            hit_pct = (
-                f"{100.0 * cache_hits / classified:.0f}" if classified else "-"
-            )
             lines.append(
                 f"  {str(row.get('worker', '?')):<22} {chunks:>6}"
                 f" {int(row.get('jobs', 0)):>6} {rtt_ms:>8.1f}"
-                f" {wire:>9} {hit_pct:>5} {int(row.get('disconnects', 0)):>4}"
+                f" {wire:>9} {int(row.get('disconnects', 0)):>4}"
             )
     elif summary.workers:
         lines.append("workers (local pids)")

@@ -312,12 +312,12 @@ CACHE_STORES = REGISTRY.counter(
 )
 REMOTE_FRAMES = REGISTRY.counter(
     "repro_remote_frames_total",
-    "repro.remote/1 frames by direction (parent side)",
+    "repro.remote/2 frames by direction (parent side)",
     labels=("direction",),
 )
 REMOTE_BYTES = REGISTRY.counter(
     "repro_remote_bytes_total",
-    "repro.remote/1 wire bytes by direction (parent side)",
+    "repro.remote/2 wire bytes by direction (parent side)",
     labels=("direction",),
 )
 REMOTE_HEARTBEATS = REGISTRY.counter(
@@ -420,11 +420,6 @@ def registry_from_telemetry(source: Any) -> MetricsRegistry:
             "Cumulative chunk round-trip time per remote worker",
             labels=("worker",),
         )
-        hits = registry.counter(
-            "repro_remote_cache_hits_total",
-            "Worker-side cache hits per remote worker",
-            labels=("worker",),
-        )
         disconnects = registry.counter(
             "repro_remote_disconnects_total",
             "Disconnects per remote worker",
@@ -441,7 +436,6 @@ def registry_from_telemetry(source: Any) -> MetricsRegistry:
                 float(row.get("bytes_in", 0)), worker=worker, direction="in"
             )
             rtt.set(float(row.get("rtt_s", 0.0)), worker=worker)
-            hits.inc(float(row.get("cache_hits", 0)), worker=worker)
             disconnects.inc(float(row.get("disconnects", 0)), worker=worker)
     return registry
 

@@ -2,13 +2,16 @@
 
 PR 5 made the *kernel* observable (Perfetto traces, per-rank metrics);
 this module gives the *pipeline around it* — scheduler rounds, chunk
-dispatch, ``repro.remote/1`` wire frames, worker-side execution, batched
+dispatch, ``repro.remote/2`` wire frames, worker-side execution, batched
 cache lookups — the same treatment.  A :class:`SpanRecorder` collects
 lightweight :class:`Span` records (monotonic start + duration, parent
 id, category, free-form attrs) from instrumentation sites in
 ``repro.parallel`` and ``repro.cache``; workers record their own spans
 and ship them back inside the ``done`` frame, where the parent absorbs
-them under the dispatching chunk span (one track per worker).
+them under the dispatching chunk span (one track per worker).  Every
+``job`` span is opened by one function,
+:func:`repro.parallel.transport.run_jobs_traced`, whichever runner
+executes the job.
 
 Recording is strictly opt-in and zero-cost when off: every
 instrumentation site does one thread-local read (:func:`active`) and a
@@ -26,7 +29,8 @@ Two stable export forms:
   tracks) and keeps only the placement-independent ``job`` spans, so a
   serial, pooled, and remote sweep of the same jobs canonicalize to
   byte-identical text — the transport-level analogue of telemetry's
-  ``canonical_lines``.
+  ``canonical_lines``.  Under a cache, hits execute nothing and get no
+  job span; executed jobs are indistinguishable from an uncached run's.
 * Perfetto (:func:`spans_to_perfetto`): the pipeline as a process track
   (``pid=1``, beside the kernel's ``pid=0``) with one thread track per
   execution site (scheduler, each worker) and flow arrows
@@ -68,13 +72,13 @@ SPANS_FORMAT = "repro.spans/1"
 
 #: The span taxonomy (documented in docs/observability.md §5).
 SPAN_CATEGORIES = (
-    "sweep",      # one materialized run() batch through a runner
+    "sweep",      # the execution step of one run() (misses only, if cached)
     "round",      # one TransportRunner scheduling round
     "chunk",      # chunk dispatch: submit -> done/lost, parent side
     "exec",       # chunk execution, worker side (absorbed)
     "job",        # one job inside a chunk/serial loop (canonical)
     "merge",      # submission-order merge of a completed chunk
-    "net",        # repro.remote/1 frame send/recv events
+    "net",        # repro.remote/2 frame send/recv events
     "heartbeat",  # liveness probe of a silent worker
     "cache",      # one RunCache get_many/put_many batch
 )
@@ -87,7 +91,8 @@ SPAN_VOLATILE_KEYS = frozenset({"t", "dur", "id", "parent", "track"})
 #: Categories that survive canonicalization.  Only ``job`` spans are
 #: placement-independent: serial sweeps have no rounds or frames, and
 #: chunk boundaries move with chunk_size/worker count — but every job
-#: runs exactly once with the same index and outcome everywhere.
+#: that executes does so exactly once, with the same index and outcome
+#: everywhere.
 CANONICAL_CATEGORIES = frozenset({"job"})
 
 _OUTCOME_CLASSES = frozenset({"ok", "hang", "violation", "abort"})
@@ -140,10 +145,6 @@ class SpanRecorder:
         self._clock = clock
         self._t0 = clock()
         self.spans: list[Span] = []
-        #: Global index of the first job in the batch currently being
-        #: run — ``SweepRunner.run_stream`` advances it per window so
-        #: job spans carry campaign-global indices in streamed mode.
-        self.index_offset = 0
         self._last_id = 0
         self._last_flow = 0
         self._open_chunks: dict[int, Span] = {}
@@ -208,21 +209,25 @@ class SpanRecorder:
 
     # -- chunk lifecycle (parent side) ---------------------------------
 
-    def chunk_begin(self, start: int, njobs: int) -> Span:
+    def chunk_begin(
+        self, start: int, njobs: int, *, index: int | None = None
+    ) -> Span:
         """Open the dispatch span for the chunk at batch offset *start*.
 
         Keyed by *start*: chunk starts are unique within a round, and
         rounds are sequential, so at most one dispatch per start is
         open at a time.  Each dispatch gets a fresh flow id — a retried
         chunk is a *new* dispatch, keeping every flow id's s/f arrows
-        unique in the Perfetto export.
+        unique in the Perfetto export.  The ``start`` attr is *index*,
+        the sweep-global position of the chunk's first job, when the
+        batch is a stream window or the misses of a cached sweep.
         """
         self._last_flow += 1
         span = self.begin(
             "chunk.dispatch",
             "chunk",
             attrs={
-                "start": start + self.index_offset,
+                "start": start if index is None else index,
                 "jobs": njobs,
                 "flow": self._last_flow,
             },
@@ -483,8 +488,9 @@ def span_errors(source: Any) -> list[str]:
 def canonical_spans(source: Any) -> list[str]:
     """The transport-independent view: only :data:`CANONICAL_CATEGORIES`
     spans, volatile fields dropped, compact-JSON lines sorted.  A
-    serial, pooled, and remote sweep of the same (uncached) jobs
-    canonicalize byte-identically."""
+    serial, pooled, and remote sweep of the same jobs canonicalize
+    byte-identically — cached too: the view holds exactly the jobs the
+    store could not answer."""
     lines = []
     for sp in _records(source)[1:]:
         if not isinstance(sp, dict) or sp.get("cat") not in CANONICAL_CATEGORIES:

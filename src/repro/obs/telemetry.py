@@ -46,9 +46,6 @@ __all__ = [
     "canonical_lines",
     "outcome_class",
     "read_telemetry",
-    "run_recorded",
-    "run_recorded_stream",
-    "runner_worker_stats",
     "summarize",
     "summary_dict",
     "telemetry_errors",
@@ -150,19 +147,11 @@ class TelemetryJob:
 
 
 class TelemetryWriter:
-    """Streams one sweep's telemetry to a JSONL file.
-
-    Usage::
-
-        writer = TelemetryWriter(path, kind="campaign", total=len(jobs))
-        try:
-            values = run_recorded(runner, jobs, writer)
-        finally:
-            writer.close()
-
-    Batched drivers call :meth:`wrap` with the batch's global start
-    index, run the wrapped jobs, then :meth:`record` each batch; lines
-    append in completion order (canonicalization sorts them anyway).
+    """Streams one sweep's telemetry to a JSONL file: a header, one
+    line per job as its result arrives (:meth:`record`), the per-worker
+    transport rows at the end (:meth:`record_workers`).  Driven by
+    :func:`repro.parallel.runner.sweep`; lines append in completion
+    order (canonicalization sorts them anyway).
     """
 
     def __init__(
@@ -191,42 +180,31 @@ class TelemetryWriter:
             json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         )
 
-    def wrap(self, jobs: Sequence[Any], start: int = 0) -> list[TelemetryJob]:
-        return [TelemetryJob(job=j, index=start + i) for i, j in enumerate(jobs)]
-
-    def record(
-        self,
-        results: Sequence[TelemetryResult],
-        retries: Sequence[int] | None = None,
-    ) -> list[Any]:
-        """Write one line per wrapped result; return the unwrapped values
-        in the order given (submission order)."""
-        values: list[Any] = []
-        for i, res in enumerate(results):
-            self._write({
-                "kind": "job",
-                "index": res.index,
-                "outcome": outcome_class(res.value),
-                "cache": res.cached,
-                "t_start": res.t_start,
-                "t_end": res.t_end,
-                "wall_s": res.wall_s,
-                "worker": res.worker,
-                "retries": (retries[i] if retries is not None
-                            and i < len(retries) else 0),
-            })
-            values.append(res.value)
-        return values
+    def record(self, res: TelemetryResult, retries: int) -> None:
+        """Write the line of one wrapped result; *retries* is how often
+        the chunk that carried the job was re-submitted."""
+        self._write({
+            "kind": "job",
+            "index": res.index,
+            "outcome": outcome_class(res.value),
+            "cache": res.cached,
+            "t_start": res.t_start,
+            "t_end": res.t_end,
+            "wall_s": res.wall_s,
+            "worker": res.worker,
+            "retries": retries,
+        })
 
     def record_workers(self, stats: Sequence[dict[str, Any]]) -> None:
         """Write one ``kind: "worker"`` line per remote worker.
 
-        Emitted by distributed sweeps (``RemoteRunner.worker_stats()``):
-        transport-level telemetry — chunks, rtt, bytes shipped raw vs
-        on the wire, worker-side cache hits — that per-job lines cannot
-        carry.  Entirely placement/wall-time dependent, so the whole
-        line is volatile and :func:`canonical_lines` drops it (a serial
-        run of the same sweep has no worker lines to match).
+        Emitted by distributed sweeps (``RemoteRunner.worker_stats()``;
+        every other runner has no rows): transport-level telemetry —
+        chunks, rtt, bytes shipped raw vs on the wire, disconnects —
+        that per-job lines cannot carry.  Entirely placement/wall-time
+        dependent, so the whole line is volatile and
+        :func:`canonical_lines` drops it (a serial run of the same
+        sweep has no worker lines to match).
         """
         for s in stats:
             rec = {"kind": "worker"}
@@ -235,62 +213,6 @@ class TelemetryWriter:
 
     def close(self) -> None:
         self._fh.close()
-
-
-def runner_worker_stats(runner: Any) -> list[dict[str, Any]]:
-    """Per-worker transport stats from *runner*, if it (or the runner it
-    wraps, e.g. under ``CachedRunner``) exposes ``worker_stats()`` —
-    empty for serial/pool runners, one row per address for remote."""
-    for r in (runner, getattr(runner, "inner", None)):
-        fn = getattr(r, "worker_stats", None)
-        if callable(fn):
-            return list(fn())
-    return []
-
-
-def run_recorded(
-    runner: Any, jobs: Sequence[Any], writer: TelemetryWriter
-) -> list[Any]:
-    """Run *jobs* through *runner* with telemetry; return unwrapped values."""
-    wrapped = writer.wrap(jobs)
-    results = runner.run(wrapped)
-    values = writer.record(
-        results, retries=getattr(runner, "job_retries", None)
-    )
-    writer.record_workers(runner_worker_stats(runner))
-    return values
-
-
-def run_recorded_stream(
-    runner: Any, jobs: Any, writer: TelemetryWriter, *,
-    window: int | None = None,
-) -> Any:
-    """Streaming :func:`run_recorded`: yield unwrapped values one at a
-    time, writing each job's telemetry line as its result arrives.
-
-    *jobs* may be any iterable (a lazy generator included) — it is
-    wrapped and consumed incrementally through ``runner.run_stream``
-    (*window* jobs in flight at most; ``None`` for the runner's
-    default), so neither the job list nor the result list is ever
-    materialized.  The runner's cumulative ``job_retries`` (indexed by
-    global submission order, exactly like each result's ``index``)
-    supplies the per-line retry counts, so the canonical stream matches
-    a materialized :func:`run_recorded` byte for byte.
-    """
-    def _wrapped():
-        for i, job in enumerate(jobs):
-            yield TelemetryJob(job=job, index=i)
-
-    for res in runner.run_stream(_wrapped(), window=window):
-        retries = getattr(runner, "job_retries", None)
-        count = (
-            retries[res.index]
-            if retries is not None and res.index < len(retries)
-            else 0
-        )
-        writer.record([res], retries=[count])
-        yield res.value
-    writer.record_workers(runner_worker_stats(runner))
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +383,6 @@ class TelemetrySummary:
                     f"{int(s.get('bytes_out', 0)) + int(s.get('bytes_in', 0))}B "
                     f"on the wire"
                     + (f" ({ratio}x compressed)" if ratio else "")
-                    + f", cache_hits={int(s.get('cache_hits', 0))}"
                 )
         return "\n".join(lines)
 

@@ -9,17 +9,23 @@ never by completion order).
 
 Layers:
 
-* :mod:`~repro.parallel.runner` — :class:`SweepRunner` interface,
-  :class:`SerialRunner`, :class:`ProcessPoolRunner` (chunked scheduling,
-  per-job timeout, bounded retries for wedged workers),
-  :func:`make_runner`.
+* :mod:`~repro.parallel.runner` — :class:`SweepRunner` (whose
+  ``run()`` puts the run cache, when one is set, in front of every
+  runner, in the submitting process), :class:`SerialRunner`,
+  :class:`ProcessPoolRunner` (chunked scheduling, per-job timeout,
+  bounded retries for wedged workers), :func:`make_runner` /
+  :func:`with_cache`, and :func:`sweep`, the one driver behind
+  ``explore``, ``run_campaign``, ``fuzz`` and ``run_compare_protocols``
+  (streamed or materialized, with or without telemetry).
 * :mod:`~repro.parallel.transport` — the transport seam: the generic
   scheduling loop delegates chunk execution to a pluggable
-  :class:`Transport` (local process pool, socket fleet).
+  :class:`Transport` (local process pool, socket fleet), and
+  ``run_chunk`` / ``run_jobs_traced``, the one place a job executes
+  under a span.
 * :mod:`~repro.parallel.remote` — the distributed backend:
   :class:`WorkerServer` (``repro worker serve``) and
-  :class:`RemoteRunner` over length-prefixed compressed-pickle frames,
-  with worker-side cache lookups and heartbeat liveness.
+  :class:`RemoteRunner` over length-prefixed compressed-pickle frames
+  (``repro.remote/2``) with heartbeat liveness.
 * :mod:`~repro.parallel.jobs` — the picklable job model
   (:class:`SimJob`, invariant specs) that lets scenario descriptions
   cross a process boundary.
@@ -51,6 +57,8 @@ from .runner import (
     SweepRunner,
     TransportRunner,
     make_runner,
+    sweep,
+    with_cache,
 )
 from .transport import LocalPoolTransport, Transport
 from .scenarios import (
@@ -83,4 +91,6 @@ __all__ = [
     "make_runner",
     "parse_worker_addrs",
     "resolve_invariants",
+    "sweep",
+    "with_cache",
 ]

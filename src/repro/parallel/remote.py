@@ -11,7 +11,7 @@ bounded chunk retries behave *identically* to the in-process pool, and
 a distributed sweep's report is byte-identical to a serial one (pinned
 in ``tests/test_remote.py`` and the ``distributed-smoke`` CI job).
 
-Wire protocol (``repro.remote/1``)
+Wire protocol (``repro.remote/2``)
 ----------------------------------
 
 Every message is one *frame*: an 8-byte big-endian length prefix
@@ -19,22 +19,32 @@ followed by that many bytes of zlib-compressed pickle.  Messages are
 tuples:
 
 * ``("hello", info)`` → ``("hello", {"format", "pid"})`` — sent once
-  per connection; ``info`` carries the protocol format, the parent's
-  determinism env (``REPRO_FIBERS``, ``REPRO_MUTATIONS``, …) which the
-  worker applies before keying or executing anything, and the shared
-  cache location (or ``None``).
-* ``("run", start, jobs)`` → ``("done", start, items)`` — one chunk.
-  Each element of ``items`` describes one job, in order:
-  ``("raw", value)`` for uncacheable jobs, ``("hit", outcome)`` for
-  worker-side cache hits (**no payload crosses the wire**), and
-  ``("miss"|"stale", outcome, key, payload)`` for executed jobs, whose
-  payloads the parent stores (one ``put_many`` per chunk, keeping the
-  one-writer-per-sweep property of ``CachedRunner``).
+  per connection; ``info`` carries the protocol format and the parent's
+  determinism env (``REPRO_FIBERS``, ``REPRO_MUTATIONS``, …), which the
+  worker applies before executing anything.  A peer speaking another
+  format gets ``("reject", "format mismatch: …")`` naming both, which
+  the parent raises as a :class:`SweepError`.
+* ``("run", start, jobs[, indices])`` → ``("done", start, values[,
+  spans])`` — one chunk, executed by
+  :func:`~repro.parallel.transport.run_chunk`; ``values`` are the jobs'
+  results in order.  ``indices`` (the jobs' sweep-global positions) is
+  present exactly when the parent records spans, and asks for the
+  worker's spans back; a spans-off exchange is two 3-tuples.
   A job that raises yields ``("error", start, exception)`` instead —
   an application error, re-raised verbatim at the parent.
 * ``("ping",)`` → ``("pong", {"pid", "busy"})`` — liveness, answered
   even while a chunk is executing (used by the parent's heartbeat and
   by ``repro worker ping``).
+
+A worker knows nothing about the run cache.  Lookups and stores happen
+in the submitting process (:meth:`SweepRunner.run
+<repro.parallel.runner.SweepRunner.run>`): the store is a WAL-mode
+SQLite file, which only works when every process that opens it is on
+one host, and a hit costs less to rebuild next to the open store than
+to pickle, ship and look up elsewhere.  A cached sweep sends only its
+misses (as :class:`~repro.parallel.transport.MissJob`, whose reply is
+the ``(outcome, payload)`` envelope), and a fully warm one opens no
+connection at all.
 
 Failure semantics
 -----------------
@@ -66,22 +76,17 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from ..obs import registry as metrics
-from ..obs.spans import (
-    SpanRecorder,
-    active as spans_active,
-    outcome_label,
-    recording,
-)
+from ..obs.spans import active as spans_active
 from .runner import (
     DEFAULT_STREAM_WINDOW,
     SweepError,
     TransportRunner,
 )
-from .transport import Chunk, ChunkEvent, Transport, TransportRound
+from .transport import Chunk, ChunkEvent, Transport, TransportRound, run_chunk
 
 __all__ = [
     "REMOTE_FORMAT",
@@ -94,11 +99,11 @@ __all__ = [
 ]
 
 #: Wire protocol identifier, sent in every hello and checked by both ends.
-REMOTE_FORMAT = "repro.remote/1"
+REMOTE_FORMAT = "repro.remote/2"
 
 #: Determinism-relevant environment propagated parent → worker on hello.
-#: Applied (set *and* unset) before any job key is computed or any job
-#: runs, so a worker keys and executes exactly like its parent.
+#: Applied (set *and* unset) before any job runs, so a worker executes
+#: exactly like its parent.
 ENV_KEYS = ("REPRO_FIBERS", "REPRO_MUTATIONS")
 
 _LEN = struct.Struct(">Q")
@@ -218,95 +223,10 @@ def _apply_env(env: dict[str, str]) -> None:
             os.environ.pop(key, None)
 
 
-def _traced_job(trace: tuple | None, index: int, run: Any) -> Any:
-    """Execute ``run()`` inside a ``job`` span when *trace* is set.
-
-    *trace* is ``(recorder, root_span, base_index)``; cache hits never
-    come through here (a hit executes nothing, so it gets no job span —
-    documented canonicalization caveat for cached sweeps).
-    """
-    if trace is None:
-        return run()
-    recorder, root, base = trace
-    with recorder.span(
-        "job", "job", parent=root.id, attrs={"index": base + index}
-    ) as span:
-        value = run()
-        span.attrs["outcome"] = outcome_label(value)
-    return value
-
-
-def _execute_chunk(
-    jobs: Sequence[Any], cache: Any, trace: tuple | None = None
-) -> list[tuple]:
-    """Run one chunk worker-side, consulting the shared cache first.
-
-    Mirrors ``CachedRunner``'s per-job logic (keys via ``job_key``, one
-    batched ``get_many``, corrupt hit demoted to stale) so a remote
-    cached sweep classifies jobs exactly like a local one.  Hits return
-    outcome only — the stored payload never crosses the wire.
-    """
-    if cache is None:
-        return [
-            ("raw", _traced_job(trace, i, job))
-            for i, job in enumerate(jobs)
-        ]
-    from ..cache.keys import job_key
-
-    keys = [job_key(job) for job in jobs]
-    cacheable = [i for i, key in enumerate(keys) if key is not None]
-    fetched = dict(
-        zip(cacheable, cache.get_many([keys[i] for i in cacheable]))
-    )
-    items: list[tuple] = []
-    for i, job in enumerate(jobs):
-        key = keys[i]
-        if key is None:
-            items.append(("raw", _traced_job(trace, i, job)))
-            continue
-        status, payload = fetched[i]
-        if status == "hit":
-            try:
-                outcome = job.from_cached(payload)
-            except Exception:  # noqa: BLE001 - treat as stale entry
-                status = "stale"
-        if status == "hit":
-            items.append(("hit", outcome))
-            continue
-        if trace is None:
-            outcome, payload = job.cache_payload()
-        else:
-            recorder, root, base = trace
-            with recorder.span(
-                "job", "job", parent=root.id, attrs={"index": base + i}
-            ) as span:
-                outcome, payload = job.cache_payload()
-                span.attrs["outcome"] = outcome_label(outcome)
-        items.append((status, outcome, key, payload))
-    return items
-
-
-def _execute_chunk_traced(
-    jobs: Sequence[Any], cache: Any, base: int
-) -> tuple[list[tuple], list[dict]]:
-    """Span-recording :func:`_execute_chunk`: one ``job`` span per
-    *executed* job under a ``chunk.exec`` root, with the recorder
-    installed thread-locally so worker-side cache batches land in it
-    too.  Returns ``(items, exported_spans)``."""
-    recorder = SpanRecorder(kind="chunk")
-    with recording(recorder):
-        with recorder.span(
-            "chunk.exec", "exec", attrs={"jobs": len(jobs)}
-        ) as root:
-            items = _execute_chunk(jobs, cache, trace=(recorder, root, base))
-    return items, recorder.export_raw()
-
-
 class _WorkerHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # noqa: C901 - one loop, small states
         sock: socket.socket = self.request
         server: WorkerServer = self.server  # type: ignore[assignment]
-        cache = None
         try:
             while True:
                 try:
@@ -325,20 +245,6 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                         return
                     with server.env_lock:
                         _apply_env(info.get("env") or {})
-                    spec = info.get("cache")
-                    if spec is not None:
-                        from ..cache.store import RunCache
-
-                        try:
-                            cache = RunCache(
-                                spec["root"], backend=spec.get("backend")
-                            )
-                        except ValueError as exc:
-                            # A parent from a version with another store:
-                            # refuse, rather than write a second store
-                            # under the root it is using.
-                            self._send(sock, ("reject", f"cache spec: {exc}"))
-                            return
                     self._send(
                         sock, ("hello", {"format": REMOTE_FORMAT, "pid": os.getpid()})
                     )
@@ -350,24 +256,21 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                     )
                 elif kind == "run":
                     start, jobs = msg[1], msg[2]
-                    # Spans-off frames are 3-tuples, byte-identical to
-                    # the pre-span wire format; a 4th element carries
-                    # the span context and asks for spans back.
-                    ctx = msg[3] if len(msg) > 3 else None
+                    # Spans-off frames are 3-tuples; a 4th element (the
+                    # jobs' sweep-global indices) asks for spans back.
+                    indices = msg[3] if len(msg) > 3 else None
                     try:
                         # One chunk at a time per worker process: sims
                         # assume they own the process-wide fiber pool,
                         # and the pool's workers are serialized the
                         # same way (one chunk per pool process).
                         with server.exec_lock:
-                            if ctx is None:
-                                reply = ("done", start,
-                                         _execute_chunk(jobs, cache))
-                            else:
-                                items, raw_spans = _execute_chunk_traced(
-                                    jobs, cache, int(ctx.get("base", start))
-                                )
-                                reply = ("done", start, items, raw_spans)
+                            done = run_chunk(jobs, indices)
+                        if indices is None:
+                            reply = ("done", start, done)
+                        else:
+                            values, raw_spans, _pid = done
+                            reply = ("done", start, values, raw_spans)
                     except BaseException as exc:  # noqa: BLE001
                         # Application error: ship it back verbatim; the
                         # parent raises it and never retries the chunk.
@@ -389,7 +292,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
 
 
 class WorkerServer(socketserver.ThreadingTCPServer):
-    """A sweep worker serving ``repro.remote/1`` on a TCP socket.
+    """A sweep worker serving ``repro.remote/2`` on a TCP socket.
 
     One connection handler per client thread, but chunk execution is
     serialized by :attr:`exec_lock` — a worker process runs one
@@ -483,9 +386,6 @@ def _new_stats(addr: tuple[str, int]) -> dict[str, Any]:
         "bytes_in": 0,
         "raw_out": 0,
         "raw_in": 0,
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "cache_stale": 0,
         "disconnects": 0,
     }
 
@@ -494,8 +394,8 @@ class RemoteTransport(Transport):
     """Drive a fleet of :class:`WorkerServer` addresses.
 
     Persistent across scheduling rounds: per-worker statistics (chunks,
-    rtt, bytes shipped, compression, worker-side cache hits) accumulate
-    here and feed the telemetry stream.  Each round opens fresh
+    rtt, bytes shipped, compression, disconnects) accumulate here and
+    feed the telemetry stream.  Each round opens fresh
     connections — a worker that died simply fails to join the retry
     round, and one that recovered rejoins automatically.
     """
@@ -504,14 +404,12 @@ class RemoteTransport(Transport):
         self,
         addresses: Sequence[tuple[str, int]],
         *,
-        cache: Any = None,
         connect_timeout: float = 5.0,
         heartbeat: float = 2.0,
     ) -> None:
         if not addresses:
             raise ValueError("at least one worker address is required")
         self.addresses = tuple(addresses)
-        self.cache = cache
         self.connect_timeout = connect_timeout
         self.heartbeat = heartbeat
         self.stats: dict[str, dict[str, Any]] = {
@@ -520,15 +418,6 @@ class RemoteTransport(Transport):
 
     def parallelism(self) -> int:
         return len(self.addresses)
-
-    def _hello_info(self) -> dict[str, Any]:
-        env = {k: os.environ[k] for k in ENV_KEYS if k in os.environ}
-        spec = None
-        if self.cache is not None:
-            # "backend" is constant: workers from the two-store versions
-            # read it, and would otherwise fall back to their JSON store.
-            spec = {"root": str(self.cache.root), "backend": "sqlite"}
-        return {"format": REMOTE_FORMAT, "env": env, "cache": spec}
 
     def open_round(self) -> "RemoteRound":
         return RemoteRound(self)
@@ -550,8 +439,10 @@ class RemoteRound(TransportRound):
         self.transport = transport
         self.broken = False
         self.conns: list[_WorkerConn] = []
-        self.queue: list[Chunk] = []
-        hello = transport._hello_info()
+        #: Chunks not yet shipped: ``(start, jobs, indices-or-None)``.
+        self.queue: list[tuple[int, list, Sequence[int] | None]] = []
+        env = {k: os.environ[k] for k in ENV_KEYS if k in os.environ}
+        hello = {"format": REMOTE_FORMAT, "env": env}
         for addr in transport.addresses:
             stats = transport.stats[_addr_str(addr)]
             try:
@@ -568,7 +459,8 @@ class RemoteRound(TransportRound):
             if reply[0] != "hello":
                 sock.close()
                 raise SweepError(
-                    f"worker {_addr_str(addr)} rejected the handshake: {reply!r}"
+                    f"worker {_addr_str(addr)} rejected the handshake: "
+                    f"{reply[1] if reply[0] == 'reject' else reply!r}"
                 )
             sock.settimeout(None)
             stats["pid"] = reply[1].get("pid")
@@ -585,8 +477,10 @@ class RemoteRound(TransportRound):
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, start: int, jobs: list) -> None:
-        self.queue.append((start, jobs))
+    def submit(
+        self, start: int, jobs: list, indices: Sequence[int] | None = None
+    ) -> None:
+        self.queue.append((start, jobs, indices))
         self._pump()
 
     def _pump(self) -> None:
@@ -596,16 +490,12 @@ class RemoteRound(TransportRound):
                 return
             if conn.busy is not None:
                 continue
-            start, part = self.queue[0]
+            start, part, indices = self.queue[0]
             stats = self.transport.stats[_addr_str(conn.addr)]
             recorder = spans_active()
-            if recorder is None:
-                frame_msg: tuple = ("run", start, part)
-            else:
-                frame_msg = (
-                    "run", start, part,
-                    {"base": start + recorder.index_offset},
-                )
+            frame_msg: tuple = ("run", start, part)
+            if indices is not None:
+                frame_msg += (indices,)
             try:
                 sent, raw = conn.send(frame_msg)
             except OSError:
@@ -626,7 +516,7 @@ class RemoteRound(TransportRound):
                 )
 
     def pending(self) -> list[Chunk]:
-        return list(self.queue) + [
+        return [(start, part) for start, part, _indices in self.queue] + [
             c.busy for c in self.conns if c.busy is not None
         ]
 
@@ -698,7 +588,7 @@ class RemoteRound(TransportRound):
                 attrs={"kind": str(kind), "worker": _addr_str(conn.addr)},
             )
         if kind == "done":
-            start, items = msg[1], msg[2]
+            start, values = msg[1], msg[2]
             if conn.busy is None or conn.busy[0] != start:
                 return []  # stray reply (e.g. after a requeue); ignore
             start, part = conn.busy
@@ -710,7 +600,6 @@ class RemoteRound(TransportRound):
                 recorder.chunk_absorb(
                     start, msg[3], track=f"worker:{_addr_str(conn.addr)}"
                 )
-            values = self._merge_items(part, items, stats)
             return [(start, part, values)]
         if kind == "error":
             _kind, start, exc = msg
@@ -723,40 +612,6 @@ class RemoteRound(TransportRound):
                 f"worker {_addr_str(conn.addr)} rejected the session: {msg[1]}"
             )
         return []
-
-    def _merge_items(
-        self, part: list, items: list[tuple], stats: dict[str, Any]
-    ) -> list[Any]:
-        """Unpack one chunk's item list into in-order values; store the
-        cache-miss payloads (one batched ``put_many`` per chunk) and
-        keep the parent-side ``perf.CACHE`` counters exact."""
-        from .. import perf
-
-        cache = self.transport.cache
-        values: list[Any] = []
-        stores: list[tuple[str, dict[str, Any], Any]] = []
-        for i, item in enumerate(items):
-            tag = item[0]
-            if tag == "raw":
-                values.append(item[1])
-            elif tag == "hit":
-                perf.CACHE.hits += 1
-                stats["cache_hits"] += 1
-                values.append(item[1])
-            else:  # "miss" | "stale": executed worker-side
-                _tag, outcome, key, payload = item
-                if tag == "stale":
-                    perf.CACHE.stale += 1
-                    stats["cache_stale"] += 1
-                else:
-                    perf.CACHE.misses += 1
-                    stats["cache_misses"] += 1
-                values.append(outcome)
-                stores.append((key, payload, part[i]))
-        if stores and cache is not None:
-            cache.put_many(stores)
-            perf.CACHE.stores += len(stores)
-        return values
 
     # -- liveness ----------------------------------------------------------
 
@@ -847,7 +702,6 @@ class RemoteRunner(TransportRunner):
     retries: int = 1
     connect_timeout: float = 5.0
     heartbeat: float = 2.0
-    cache: Any = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.addresses, str):
@@ -862,7 +716,6 @@ class RemoteRunner(TransportRunner):
         self.job_retries = []
         self._remote = RemoteTransport(
             self.addresses,
-            cache=self.cache,
             connect_timeout=self.connect_timeout,
             heartbeat=self.heartbeat,
         )
@@ -876,16 +729,6 @@ class RemoteRunner(TransportRunner):
         # a huge materialized run.
         cap = max(1, math.ceil(DEFAULT_STREAM_WINDOW / (width * 4)))
         return max(1, min(math.ceil(n_jobs / (width * 4)), cap))
-
-    def attach_cache(self, cache: Any) -> None:
-        """Enable worker-side cache lookups against *cache* (a
-        :class:`~repro.cache.RunCache` or anything ``RunCache.at``
-        accepts).  Unlike wrapping in ``CachedRunner``, lookups happen
-        *in the workers*: warm entries never cross the wire."""
-        from ..cache.store import RunCache
-
-        self.cache = RunCache.at(cache)
-        self._remote.cache = self.cache
 
     def worker_stats(self) -> list[dict[str, Any]]:
         """Per-worker transport telemetry accumulated across rounds."""

@@ -24,6 +24,16 @@ The pooled and remote runners share :class:`TransportRunner`, which
 owns the scheduling loop and delegates chunk execution to a pluggable
 :class:`repro.parallel.transport.Transport`.
 
+The run cache (:mod:`repro.cache`) is a stage of :meth:`SweepRunner.run`
+itself, performed in the submitting process on every runner: keys, one
+batched lookup, hits rebuilt from the store, only the misses handed to
+the runner's own execution step, one batched store.  A runner has a
+cache when its :attr:`~SweepRunner.cache` is set — by
+:func:`make_runner` or :func:`with_cache`, nothing else — and
+:func:`sweep` is the one driver the entry points (``explore``,
+``run_campaign``, ``fuzz``, ``run_compare_protocols``) pull results
+through, streamed or materialized.
+
 Timeout/retry semantics (documented contract, tested in
 ``tests/test_parallel.py``):
 
@@ -43,15 +53,17 @@ Timeout/retry semantics (documented contract, tested in
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from .. import perf
 from ..obs import registry as metrics
-from ..obs.spans import SpanRecorder, active as spans_active, outcome_label
-from .transport import LocalPoolTransport, Transport, run_chunk
+from ..obs.spans import SpanRecorder, active as spans_active
+from .transport import LocalPoolTransport, MissJob, Transport, run_jobs_traced
 
 #: A sweep job: picklable, zero-argument, returns a picklable result.
 SweepJob = Callable[[], Any]
@@ -83,20 +95,112 @@ DEFAULT_STREAM_WINDOW = 1024
 class SweepRunner:
     """Executes a batch of independent jobs, results in submission order.
 
+    Subclasses implement :meth:`_execute`; :meth:`run` puts the run
+    cache in front of it when :attr:`cache` is set.
+
     After :meth:`run` returns, :attr:`job_retries` holds one int per job
     (submission order): how many times the chunk carrying that job was
-    re-submitted.  Always zero for serial runs; the telemetry layer
-    (:mod:`repro.obs.telemetry`) reads it to attribute infrastructure
-    retries to jobs.  It is a per-*instance* list — two runners never
-    alias each other's retry accounting (regression-tested).
+    re-submitted.  Always zero for serial runs and for cache hits; the
+    telemetry layer (:mod:`repro.obs.telemetry`) reads it to attribute
+    infrastructure retries to jobs.  It is a per-*instance* list — two
+    runners never alias each other's retry accounting
+    (regression-tested).
     """
+
+    #: The :class:`repro.cache.RunCache` consulted by :meth:`run`, or
+    #: ``None``.  Set through :func:`make_runner` / :func:`with_cache`.
+    cache: Any = None
 
     def __init__(self) -> None:
         #: Per-job retry counts of the most recent :meth:`run` (see above).
         self.job_retries: list[int] = []
 
-    def run(self, jobs: Sequence[SweepJob]) -> list[Any]:  # pragma: no cover
+    def _execute(
+        self, jobs: list[SweepJob], indices: Sequence[int]
+    ) -> list[Any]:  # pragma: no cover
+        """Run *jobs*, return their values in order and set
+        :attr:`job_retries` to match.  ``indices[k]`` is the
+        sweep-global position of ``jobs[k]`` — what its ``job`` span is
+        labelled with when a recorder is active."""
         raise NotImplementedError
+
+    def worker_stats(self) -> list[dict[str, Any]]:
+        """Per-worker transport rows (remote fleets only; see
+        ``RemoteTransport.worker_stats``)."""
+        return []
+
+    def run(self, jobs: Sequence[SweepJob], *, first: int = 0) -> list[Any]:
+        """Execute *jobs*; results in submission order.
+
+        *first* is the sweep-global index of ``jobs[0]`` —
+        :meth:`run_stream` passes each window's offset so job spans
+        carry campaign-global indices.
+
+        With a :attr:`cache`, all cache traffic happens here, in the
+        submitting process, whatever the transport: one ``get_many``
+        for the batch, hits rebuilt by ``from_cached`` (they execute
+        nothing — no job span, no transport round when every job hit),
+        the misses executed as :class:`~repro.parallel.transport.MissJob`
+        (so ``cache_payload()`` runs where the trace lives), one
+        ``put_many``.  That keeps the counters in
+        :data:`repro.perf.CACHE` exact for pooled and remote sweeps and
+        the store at one writer per sweep; jobs outside the cache
+        contract pass through untouched and count nothing.
+        """
+        jobs = list(jobs)
+        if self.cache is None:
+            return self._execute(jobs, range(first, first + len(jobs)))
+        from ..cache.keys import job_key
+
+        keys = [job_key(job) for job in jobs]
+        # One batched store round-trip for every job that has a key.
+        fetched = iter(
+            self.cache.get_many([key for key in keys if key is not None])
+        )
+        results: list[Any] = [_UNSET] * len(jobs)
+        #: (position in *jobs*, key or None, job to execute) per job
+        #: the store could not answer.
+        todo: list[tuple[int, str | None, SweepJob]] = []
+        for i, (job, key) in enumerate(zip(jobs, keys)):
+            if key is None:
+                todo.append((i, None, job))
+                continue
+            status, payload = next(fetched)
+            if status == "hit":
+                try:
+                    results[i] = job.from_cached(payload)
+                except Exception:  # noqa: BLE001 - treat as stale entry
+                    status = "stale"
+            if status == "hit":
+                perf.CACHE.hits += 1
+                continue
+            if status == "stale":
+                perf.CACHE.stale += 1
+            else:
+                perf.CACHE.misses += 1
+            todo.append((i, key, MissJob(job)))
+        retries = [0] * len(jobs)
+        if todo:
+            executed = self._execute(
+                [job for _i, _key, job in todo],
+                [first + i for i, _key, _job in todo],
+            )
+            stores: list[tuple[str, dict[str, Any], Any]] = []
+            for (i, key, job), value, count in zip(
+                todo, executed, self.job_retries
+            ):
+                retries[i] = count
+                if key is None:
+                    results[i] = value
+                else:
+                    results[i] = value.outcome
+                    stores.append((key, value.payload, job.job))
+            if stores:
+                # One transaction for the batch.
+                self.cache.put_many(stores)
+                perf.CACHE.stores += len(stores)
+        self.job_retries = retries
+        return results
 
     def run_stream(
         self, jobs: Iterable[SweepJob], *, window: int | None = None
@@ -105,10 +209,11 @@ class SweepRunner:
         while consuming *jobs* lazily, at most *window* jobs in flight.
 
         Same semantics as :meth:`run` — submission-order results,
-        chunking/timeout/retries per window, application errors raised
-        at the offending result's position — but neither the job list
-        nor the result list is ever materialized beyond one window, so
-        a 10^6-config campaign runs in O(window) memory.
+        chunking/timeout/retries and one batched cache lookup per
+        window, application errors raised at the offending result's
+        position — but neither the job list nor the result list is ever
+        materialized beyond one window, so a 10^6-config campaign runs
+        in O(window) memory.
 
         :attr:`job_retries` grows as results are yielded (one entry per
         job yielded so far) and is complete when the iterator is
@@ -125,12 +230,7 @@ class SweepRunner:
             batch = list(islice(it, window))
             if not batch:
                 return
-            recorder = spans_active()
-            if recorder is not None:
-                # Job spans must carry campaign-global indices, but
-                # run() only sees this window; the offset bridges them.
-                recorder.index_offset = len(retries)
-            results = self.run(batch)
+            results = self.run(batch, first=len(retries))
             # run() replaced job_retries with this batch's counts; fold
             # them into the cumulative stream-wide list.
             retries.extend(self.job_retries)
@@ -161,35 +261,26 @@ class _BoundJob:
 class SerialRunner(SweepRunner):
     """Run every job in-process, in submission order (reference runner)."""
 
-    def run(self, jobs: Sequence[SweepJob]) -> list[Any]:
+    def _execute(
+        self, jobs: list[SweepJob], indices: Sequence[int]
+    ) -> list[Any]:
         self.job_retries = [0] * len(jobs)
         recorder = spans_active()
         if recorder is None:
             return [job() for job in jobs]
-        return self._run_traced(recorder, jobs)
-
-    @staticmethod
-    def _run_traced(
-        recorder: SpanRecorder, jobs: Sequence[SweepJob]
-    ) -> list[Any]:
-        base = recorder.index_offset
-        values = []
         with recorder.span(
             "sweep.run", "sweep", attrs={"jobs": len(jobs)}
         ) as root:
-            for offset, job in enumerate(jobs):
-                with recorder.span(
-                    "job", "job", parent=root.id,
-                    attrs={"index": base + offset},
-                ) as span:
-                    value = job()
-                    span.attrs["outcome"] = outcome_label(value)
-                values.append(value)
-        return values
+            return run_jobs_traced(recorder, jobs, indices, root.id)
 
     def run_stream(
         self, jobs: Iterable[SweepJob], *, window: int | None = None
     ) -> Iterator[Any]:
+        if self.cache is not None or window is not None:
+            # Cache lookups are batched per window, and a caller that
+            # names a window gets exactly that many jobs per run().
+            yield from super().run_stream(jobs, window=window)
+            return
         # Fully lazy: one job in memory at a time, no window needed.
         retries: list[int] = []
         self.job_retries = retries
@@ -198,18 +289,9 @@ class SerialRunner(SweepRunner):
             if recorder is None:
                 result = job()
             else:
-                with recorder.span(
-                    "job", "job", attrs={"index": len(retries)}
-                ) as span:
-                    result = job()
-                    span.attrs["outcome"] = outcome_label(result)
+                (result,) = run_jobs_traced(recorder, [job], [len(retries)])
             retries.append(0)
             yield result
-
-
-# Back-compat alias: the worker-side chunk entry point moved to the
-# transport seam (it is shared by the pool and the socket workers).
-_run_chunk = run_chunk
 
 
 class TransportRunner(SweepRunner):
@@ -238,19 +320,26 @@ class TransportRunner(SweepRunner):
 
     # -- scheduling --------------------------------------------------------
 
-    def run(self, jobs: Sequence[SweepJob]) -> list[Any]:
-        jobs = list(jobs)
+    def _execute(
+        self, jobs: list[SweepJob], indices: Sequence[int]
+    ) -> list[Any]:
         if not jobs:
+            self.job_retries = []
             return []
         recorder = spans_active()
         if recorder is None:
-            return self._run(jobs, None)
+            return self._run(jobs, None, None)
         with recorder.span("sweep.run", "sweep", attrs={"jobs": len(jobs)}):
-            return self._run(jobs, recorder)
+            return self._run(jobs, recorder, indices)
 
     def _run(
-        self, jobs: list[SweepJob], recorder: SpanRecorder | None
+        self,
+        jobs: list[SweepJob],
+        recorder: SpanRecorder | None,
+        indices: Sequence[int] | None,
     ) -> list[Any]:
+        """*indices* (the jobs' sweep-global positions) travels with the
+        chunks exactly when *recorder* is set: it labels the spans."""
         transport = self._transport()
         width = max(1, transport.parallelism())
         chunk = self.chunk_size or self._auto_chunk(len(jobs), width)
@@ -268,7 +357,9 @@ class TransportRunner(SweepRunner):
             # not depend on that order for attribution to be
             # deterministic.
             pending = sorted(
-                self._run_round(transport, width, pending, results, recorder)
+                self._run_round(
+                    transport, width, pending, results, recorder, indices
+                )
             )
             if pending:
                 metrics.SWEEP_RETRIES.inc(len(pending))
@@ -300,6 +391,7 @@ class TransportRunner(SweepRunner):
         chunks: list[tuple[int, list[SweepJob]]],
         results: list[Any],
         recorder: SpanRecorder | None = None,
+        indices: Sequence[int] | None = None,
     ) -> list[tuple[int, list[SweepJob]]]:
         """Submit *chunks* on a fresh round; fill *results*; return the
         chunks that must be retried (timed out or lost in transit)."""
@@ -314,9 +406,12 @@ class TransportRunner(SweepRunner):
         round_ = transport.open_round()
         try:
             for start, part in chunks:
-                if recorder is not None:
-                    recorder.chunk_begin(start, len(part))
-                round_.submit(start, part)
+                if recorder is None:
+                    round_.submit(start, part)
+                else:
+                    where = indices[start : start + len(part)]
+                    recorder.chunk_begin(start, len(part), index=where[0])
+                    round_.submit(start, part, where)
             deadline_at = None
             if self.timeout is not None:
                 total = sum(len(part) for _s, part in chunks)
@@ -456,15 +551,13 @@ def make_runner(
     ``workers`` is ignored; parallelism is the fleet size.
 
     ``cache`` (``True`` for the default directory, a path, or a
-    ``repro.cache.RunCache``) wraps either runner in a
-    ``repro.cache.CachedRunner``: jobs implementing the cache contract
-    (see :mod:`repro.parallel.jobs`) are answered from the
-    content-addressed store, everything else executes as usual.  Serial
-    and pooled runners share the same store and the same
-    submission-order merge, so a cached sweep's report is byte-identical
-    to an uncached one.  The remote runner instead performs lookups
-    *worker-side* (see ``RemoteRunner.attach_cache``) — same store,
-    same counters, but warm entries never cross the wire.
+    ``repro.cache.RunCache``) sets the runner's :attr:`~SweepRunner.cache`
+    (see :func:`with_cache`): jobs implementing the cache contract (see
+    :mod:`repro.parallel.jobs`) are answered from the content-addressed
+    store by :meth:`SweepRunner.run` in this process, everything else
+    executes as usual.  Every runner shares the same store, the same
+    lookup stage and the same submission-order merge, so a cached
+    sweep's report is byte-identical to an uncached one.
     """
     runner: SweepRunner
     if addresses:
@@ -476,10 +569,7 @@ def make_runner(
             timeout=timeout,
             retries=retries,
         )
-        if cache is not None and cache is not False:
-            runner.attach_cache(cache)
-        return runner
-    if workers is None or workers <= 1:
+    elif workers is None or workers <= 1:
         runner = SerialRunner()
     else:
         runner = ProcessPoolRunner(
@@ -489,9 +579,83 @@ def make_runner(
             retries=retries,
             mp_context=mp_context,
         )
-    if cache is not None and cache is not False:
-        # Imported lazily: repro.cache.runner imports this module.
-        from ..cache import CachedRunner, RunCache
+    return with_cache(runner, cache)
 
-        runner = CachedRunner(cache=RunCache.at(cache), inner=runner)
-    return runner
+
+def with_cache(runner: SweepRunner, cache: Any) -> SweepRunner:
+    """*runner* with *cache* in front of it — the one way a runner gets
+    a cache.
+
+    ``cache`` is anything ``RunCache.at`` accepts (``True`` for the
+    default directory, a path, a ``RunCache``); ``None``/``False``
+    returns *runner* itself.  Otherwise the result is a shallow copy
+    with :attr:`~SweepRunner.cache` set: the caller's runner is never
+    changed (a later uncached sweep through it stays uncached), while a
+    remote runner's copy shares its transport, so ``worker_stats()``
+    reads the same on both.
+    """
+    if cache is None or cache is False:
+        return runner
+    # Imported lazily: most commands never open a store.
+    from ..cache import RunCache
+
+    cached = copy.copy(runner)
+    cached.cache = RunCache.at(cache)
+    cached.job_retries = []
+    return cached
+
+
+def sweep(
+    jobs: Iterable[SweepJob],
+    *,
+    total: int,
+    kind: str,
+    runner: SweepRunner | None = None,
+    workers: int | None = None,
+    cache: Any = None,
+    telemetry: str | None = None,
+    stream: bool = False,
+    window: int | None = None,
+) -> Iterator[Any]:
+    """The one sweep driver: yield the results of *jobs* in submission
+    order, streamed or materialized, cached or not, with or without a
+    telemetry file.
+
+    ``runner`` defaults to ``make_runner(workers)``; ``cache`` goes in
+    front of it via :func:`with_cache`.  Results are pulled through
+    :meth:`SweepRunner.run_stream`, *window* jobs per ``run()``: with
+    ``stream`` the default is the runner's own stream window, without
+    it one window of all *total* jobs — a materialized sweep is still
+    one ``run()`` and one pool, and the caller wraps the generator in
+    ``list()``.
+
+    ``telemetry`` names a JSONL file (:mod:`repro.obs.telemetry`,
+    header ``kind`` / *total* / ``workers``): every job is wrapped in a
+    ``TelemetryJob`` carrying its submission index, its line is written
+    as its result arrives — with the retry count the runner's
+    cumulative ``job_retries`` holds for that index — and the per-worker
+    transport rows follow at the end.
+    """
+    if runner is None:
+        runner = make_runner(workers)
+    runner = with_cache(runner, cache)
+    if window is None and not stream:
+        window = max(total, 1)
+    if not telemetry:
+        yield from runner.run_stream(jobs, window=window)
+        return
+    from ..obs.telemetry import TelemetryJob, TelemetryWriter
+
+    writer = TelemetryWriter(
+        telemetry, kind=kind, total=total, workers=workers
+    )
+    try:
+        wrapped = (
+            TelemetryJob(job=job, index=i) for i, job in enumerate(jobs)
+        )
+        for res in runner.run_stream(wrapped, window=window):
+            writer.record(res, retries=runner.job_retries[res.index])
+            yield res.value
+        writer.record_workers(runner.worker_stats())
+    finally:
+        writer.close()

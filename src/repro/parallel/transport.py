@@ -12,7 +12,13 @@ attribution — and delegates everything that makes it *go* to a
   the serial runner by ``tests/test_parallel.py``).
 * :class:`repro.parallel.remote.RemoteTransport` — a socket worker
   fleet speaking length-prefixed compressed-pickle frames, with
-  worker-side cache lookups and heartbeat liveness.
+  heartbeat liveness.
+
+Both execute chunks through :func:`run_chunk`.  Neither knows about the
+run cache: lookups and stores are a stage of
+:meth:`~repro.parallel.runner.SweepRunner.run` in the submitting
+process, and a transport only ever sees the misses (wrapped in
+:class:`MissJob`).
 
 The retry unit is the *chunk*: a transport reports a chunk either as
 completed (with its in-order results), as *lost* (an infrastructure
@@ -34,7 +40,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple, Sequence
 
 from ..obs.spans import SpanRecorder, active as spans_active, outcome_label, recording
 
@@ -51,42 +58,78 @@ Chunk = tuple[int, list]
 ChunkEvent = tuple[int, list, "list | None"]
 
 
-def run_chunk(jobs: Sequence[SweepJob]) -> list[Any]:
+class Executed(NamedTuple):
+    """What a cache miss ships back: the job's normal result plus the
+    JSON-able payload the submitting process stores.  A ``NamedTuple``
+    because it crosses the pool and the wire by pickle."""
+
+    outcome: Any
+    payload: dict[str, Any]
+
+
+@dataclass(frozen=True)
+class MissJob:
+    """A cache miss on its way to execution: runs the job through its
+    cache contract, so the payload (trace digest included) is built
+    where the trace lives, and returns :class:`Executed`."""
+
+    job: Any
+
+    def __call__(self) -> Executed:
+        return Executed(*self.job.cache_payload())
+
+
+def run_jobs_traced(
+    recorder: SpanRecorder,
+    jobs: Sequence[SweepJob],
+    indices: Sequence[int],
+    parent: int | None = None,
+) -> list[Any]:
+    """Execute *jobs* in order, each under a ``job`` span of *recorder*.
+
+    The one place a job runs under a span — the serial loop, the pool
+    task and the socket worker all come through here — so every
+    transport labels a job identically: ``index`` is the job's
+    sweep-global position (given explicitly: under a cache only the
+    misses execute, and a miss keeps its own position), ``outcome`` the
+    class of what the job returned, looking through a miss's
+    :class:`Executed` envelope.
+    """
+    values = []
+    for index, job in zip(indices, jobs):
+        with recorder.span(
+            "job", "job", parent=parent, attrs={"index": index}
+        ) as span:
+            value = job()
+            span.attrs["outcome"] = outcome_label(
+                value.outcome if isinstance(value, Executed) else value
+            )
+        values.append(value)
+    return values
+
+
+def run_chunk(
+    jobs: Sequence[SweepJob], indices: Sequence[int] | None = None
+) -> Any:
     """Worker-side entry point: execute one chunk of jobs in order.
 
     Shared by every transport — the pool submits it as the task
-    callable, the socket worker calls it on received chunks.
+    callable, the socket worker calls it on received chunks.  Without
+    *indices* (the parent records no spans) it returns the plain value
+    list.  With them it runs under a fresh worker-local recorder (never
+    one a fork may have inherited) and returns
+    ``(values, exported_spans, worker_pid)``: one ``job`` span per job
+    under a ``chunk.exec`` root the parent re-anchors onto this
+    worker's track.
     """
-    return [job() for job in jobs]
-
-
-def run_chunk_traced(
-    jobs: Sequence[SweepJob], base: int = 0
-) -> tuple[list[Any], list[dict], int]:
-    """Span-recording variant of :func:`run_chunk`, submitted instead of
-    it when the parent has an active recorder.
-
-    Runs with a fresh worker-local recorder (never the recorder a fork
-    may have inherited) and returns
-    ``(values, exported_spans, worker_pid)``: one ``job`` span per job,
-    carrying the campaign-global index (``base`` + offset) and the
-    outcome class, under a ``chunk.exec`` root the parent re-anchors
-    onto this worker's track.
-    """
+    if indices is None:
+        return [job() for job in jobs]
     recorder = SpanRecorder(kind="chunk")
     with recording(recorder):
         with recorder.span(
             "chunk.exec", "exec", attrs={"jobs": len(jobs)}
         ) as root:
-            values = []
-            for offset, job in enumerate(jobs):
-                with recorder.span(
-                    "job", "job", parent=root.id,
-                    attrs={"index": base + offset},
-                ) as span:
-                    value = job()
-                    span.attrs["outcome"] = outcome_label(value)
-                values.append(value)
+            values = run_jobs_traced(recorder, jobs, indices, root.id)
     return values, recorder.export_raw(), os.getpid()
 
 
@@ -103,7 +146,12 @@ class TransportRound:
     #: pending chunk as lost and abandon the round.
     broken: bool = False
 
-    def submit(self, start: int, jobs: list) -> None:  # pragma: no cover
+    def submit(
+        self, start: int, jobs: list, indices: Sequence[int] | None = None
+    ) -> None:  # pragma: no cover
+        """Queue the chunk at batch offset *start*.  *indices* — the
+        jobs' sweep-global positions — is given exactly when the parent
+        records spans, and asks for the worker's spans back."""
         raise NotImplementedError
 
     def pending(self) -> list[Chunk]:  # pragma: no cover
@@ -201,14 +249,13 @@ class LocalPoolRound(TransportRound):
         self._not_done: set[Future] = set()
         self._traced: set[Future] = set()
 
-    def submit(self, start: int, jobs: list) -> None:
-        recorder = spans_active()
-        if recorder is None:
+    def submit(
+        self, start: int, jobs: list, indices: Sequence[int] | None = None
+    ) -> None:
+        if indices is None:
             fut = self.executor.submit(run_chunk, jobs)
         else:
-            fut = self.executor.submit(
-                run_chunk_traced, jobs, start + recorder.index_offset
-            )
+            fut = self.executor.submit(run_chunk, jobs, indices)
             self._traced.add(fut)
         self._futures[fut] = (start, jobs)
         self._not_done.add(fut)

@@ -159,10 +159,10 @@ class CacheCounters:
     Cache traffic is a property of the sweep harness, not of any one
     simulation, and must never leak into a deterministic report.
 
-    Unlike the kernel counters, these are accurate for pooled sweeps
-    too: :class:`repro.cache.CachedRunner` performs every lookup and
-    store in the submitting process, so nothing is lost at the pool
-    boundary.
+    Unlike the kernel counters, these are accurate for pooled and
+    remote sweeps too: :meth:`repro.parallel.runner.SweepRunner.run`
+    performs every lookup and store in the submitting process, so
+    nothing is lost at the pool or socket boundary.
     """
 
     __slots__ = ("hits", "misses", "stale", "stores")

@@ -38,7 +38,7 @@ from typing import Any, Sequence
 
 from ..faults.injector import CompositeInjector, KillAtTime
 from ..parallel.jobs import check_invariants
-from ..parallel.runner import SweepRunner, make_runner
+from ..parallel.runner import SweepRunner, sweep
 from ..parallel.scenarios import RingScenario, StandardRingInvariants
 from ..simmpi.runtime import SimulationResult
 from .base import PROTOCOLS
@@ -314,13 +314,14 @@ def run_compare_protocols(
                     work_per_iter=work_per_iter,
                 )
             )
-    if runner is None:
-        runner = make_runner(workers)
-    if cache is not None and cache is not False:
-        from ..cache import attach_cache
-
-        runner = attach_cache(runner, cache)
-    records = runner.run(jobs)
+    records = sweep(
+        jobs,
+        total=len(jobs),
+        kind="compare-protocols",
+        runner=runner,
+        workers=workers,
+        cache=cache,
+    )
     return CompareProtocolsReport(
         records=list(records),
         protocols=tuple(protocols),

@@ -1,13 +1,16 @@
 """Shared pytest fixtures, helpers, and the test-taxonomy hook.
 
-Two tiers of tests exist (``docs/testing.md``):
+Two tiers of tests exist (``docs/testing.md``), plus the perf gates:
 
 * **tier1** — the fast default set, run on every commit (``pytest``);
   every test not explicitly marked otherwise lands here automatically
   via :func:`pytest_collection_modifyitems`.
 * **slow** — long fuzz/property campaigns, deselected by default
-  (``addopts`` carries ``-m 'not slow'``); CI's fuzz-smoke job and
-  nightly-style runs select them with ``pytest -m slow``.
+  (``addopts`` carries ``-m 'not slow and not perf'``); CI's fuzz-smoke
+  job and nightly-style runs select them with ``pytest -m slow``.
+* **perf** — assertions on a ratio of two wall-clock times (three in
+  ``benchmarks/`` so far), deselected by default; CI's soft
+  ``perf-gates`` job selects them with ``pytest -m perf``.
 
 The module-level helpers below are the single home of the small
 scenario/invariant specs that several suites used to each define for
@@ -32,13 +35,13 @@ from repro.parallel import RingScenario, StandardRingInvariants
 from repro.simmpi import CostModel, Simulation, SimulationResult
 
 # ---------------------------------------------------------------------------
-# Taxonomy: everything not marked slow is tier1
+# Taxonomy: everything not marked slow or perf is tier1
 # ---------------------------------------------------------------------------
 
 
 def pytest_collection_modifyitems(config, items) -> None:
     for item in items:
-        if not any(item.iter_markers(name="slow")):
+        if not any(item.get_closest_marker(m) for m in ("slow", "perf")):
             item.add_marker(pytest.mark.tier1)
 
 

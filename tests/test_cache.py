@@ -26,7 +26,7 @@ import pytest
 
 import repro
 from repro import mutation, perf
-from repro.cache import CachedRunner, RunCache, job_key
+from repro.cache import RunCache, job_key
 from repro.cache.store import CORRUPT, KEY_FORMAT
 from repro.cli import main
 from repro.faults import explore, run_campaign
@@ -34,7 +34,7 @@ from repro.faults.explorer import Window, WindowJob
 from repro.fuzz import fuzz
 from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.driver import FuzzJob
-from repro.parallel import ProcessPoolRunner
+from repro.parallel import ProcessPoolRunner, SerialRunner, make_runner, with_cache
 from tests.conftest import (
     RING_INVARIANTS,
     RING_SCENARIO,
@@ -347,7 +347,7 @@ class TestSweepContract:
         serial = _campaign(cache=cache)
         pooled = _campaign(
             cache=cache,
-            runner=CachedRunner(cache=cache, inner=ProcessPoolRunner(workers=2)),
+            runner=with_cache(ProcessPoolRunner(workers=2), cache),
         )
         assert serial.format() == pooled.format()
 
@@ -601,13 +601,13 @@ class TestFirstOpen:
 
 
 # ---------------------------------------------------------------------------
-# CachedRunner pass-through semantics
+# The cache stage's pass-through semantics
 # ---------------------------------------------------------------------------
 
 
-class TestCachedRunner:
+class TestCachedRunner:  # a cached runner, i.e. with_cache / make_runner
     def test_uncacheable_jobs_pass_through_untouched(self, cache_dir):
-        runner = CachedRunner(cache=RunCache.at(cache_dir))
+        runner = with_cache(SerialRunner(), cache_dir)
         jobs = [
             _window_job(factory=factory_for()),  # closure: uncacheable
             _window_job(),  # cacheable
@@ -621,7 +621,7 @@ class TestCachedRunner:
         assert outcome_fields_like(first) == outcome_fields_like(second)
 
     def test_mixed_order_preserved(self, cache_dir):
-        runner = CachedRunner(cache=RunCache.at(cache_dir))
+        runner = make_runner(cache=cache_dir)
         windows = [Window(rank=r, probe="post_recv", hit=1) for r in (1, 2, 3)]
         jobs = [_window_job(windows=(w,)) for w in windows]
         runner.run([jobs[1]])  # warm exactly one key
@@ -765,9 +765,7 @@ class TestProtocolKeying:
         ) != job_key(self._job("partial_restart", spares=3))
 
     def test_cached_rts_outcome_not_served_for_other_protocol(self, cache):
-        from repro.parallel import make_runner
-
-        runner = CachedRunner(cache=cache, inner=make_runner(None))
+        runner = make_runner(None, cache=cache)
         (rts_rec,) = runner.run([self._job("rts")])
         before = perf.CACHE.snapshot()
         (sr_rec,) = runner.run([self._job("shrink_repair")])

@@ -1,16 +1,18 @@
 """The distributed sweep transport: socket worker fleet, wire protocol,
-worker-side cache lookups, and dead-worker recovery.
+the run cache in front of it, and dead-worker recovery.
 
 The contract under test extends ``docs/parallel.md`` across machines: a
 campaign fanned out to ``repro worker serve`` processes produces a
 report **byte-identical** to serial and in-process-pool execution —
-same run order, kills, violations, formatted text — while warm cache
-entries are served worker-side and never cross the wire.
+same run order, kills, violations, formatted text — while cache
+lookups stay in the submitting process, so a warm replay never touches
+the fleet.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import socket
 import subprocess
 import sys
@@ -29,18 +31,19 @@ from repro.parallel import (
     SerialRunner,
     SweepError,
     WorkerServer,
+    make_runner,
     parse_worker_addrs,
+    with_cache,
 )
 from repro.parallel.remote import (
     REMOTE_FORMAT,
-    RemoteTransport,
-    _execute_chunk,
     _FrameBuffer,
     _pack,
     _recv_frame,
     ping,
 )
 from repro.parallel.scenarios import RingScenario
+from repro.parallel.transport import Executed, MissJob
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
@@ -279,83 +282,178 @@ class TestRemoteRunner:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side cache lookups
+# Handshake: the format is checked by name, in both directions
 # ---------------------------------------------------------------------------
 
 
-class TestWorkerSideCache:
-    def test_warm_hits_happen_in_the_worker(self, worker_addr, tmp_path):
+class TestHandshake:
+    def test_old_format_hello_is_rejected_naming_both(self, worker_addr):
+        assert REMOTE_FORMAT == "repro.remote/2"
+        info = {"format": "repro.remote/1", "env": {}, "cache": None}
+        with socket.create_connection(worker_addr, timeout=5) as sock:
+            sock.sendall(_pack(("hello", info))[0])
+            reply = _recv_frame(sock)[0]
+        assert reply[0] == "reject"
+        assert reply[1].startswith("format mismatch: ")
+        assert "repro.remote/1" in reply[1] and REMOTE_FORMAT in reply[1]
+
+    def test_parent_raises_the_workers_reject_text(self):
+        # A worker of another version: answers every hello with reject.
+        text = "format mismatch: 'repro.remote/2' != 'repro.remote/1'"
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+
+            def refuse():
+                conn, _ = listener.accept()
+                with conn:
+                    _recv_frame(conn)
+                    conn.sendall(_pack(("reject", text))[0])
+
+            thread = threading.Thread(target=refuse, daemon=True)
+            thread.start()
+            runner = RemoteRunner(addresses=[listener.getsockname()])
+            with pytest.raises(SweepError) as exc_info:
+                runner.run([SquareJob(1)])
+            thread.join(timeout=5)
+        assert text in str(exc_info.value)
+        assert "rejected the handshake" in str(exc_info.value)
+
+
+# ---------------------------------------------------------------------------
+# The run cache in front of a remote fleet (lookups stay in the parent)
+# ---------------------------------------------------------------------------
+
+
+class _NoRoundTransport:
+    """Spy: a transport no scheduling round may be opened on."""
+
+    def parallelism(self):
+        return 1
+
+    def open_round(self):
+        raise AssertionError("a fully warm replay opened a transport round")
+
+
+class TestRemoteCache:
+    def test_cold_stores_and_warm_replay_never_touches_the_fleet(
+        self, worker_addr, tmp_path
+    ):
         cache = RunCache(tmp_path / "cache")
-
-        def remote_runner():
-            runner = RemoteRunner(addresses=[worker_addr])
-            runner.attach_cache(cache)
-            return runner
-
         serial = _campaign()
-        before = perf.CACHE.snapshot()
-        cold = _campaign(runner=remote_runner())
-        cold_delta = perf.CACHE.delta(before)
-        assert cold_delta["misses"] == 6
-        assert cold_delta["stores"] == 6
 
         before = perf.CACHE.snapshot()
-        warm_runner = remote_runner()
-        warm = _campaign(runner=warm_runner)
+        cold = _campaign(runner=make_runner(addresses=[worker_addr], cache=cache))
+        cold_delta = perf.CACHE.delta(before)
+        assert cold_delta["misses"] == cold_delta["stores"] == 6
+        assert cold_delta["hits"] == 0
+
+        before = perf.CACHE.snapshot()
+        warm_runner = RemoteRunner(addresses=[worker_addr])
+        warm = _campaign(runner=warm_runner, cache=cache)
         warm_delta = perf.CACHE.delta(before)
         assert warm_delta["hits"] == 6
-        assert warm_delta["misses"] == 0
+        assert warm_delta["misses"] == warm_delta["stores"] == 0
 
         assert serial.format() == cold.format() == warm.format()
         assert _campaign_fields(serial) == _campaign_fields(warm)
 
+        # No connection was opened: nothing shipped, no worker pid learnt.
         (stats,) = warm_runner.worker_stats()
-        assert stats["cache_hits"] == 6
-        assert stats["cache_misses"] == 0
+        assert stats["chunks"] == stats["jobs"] == 0
+        assert stats["bytes_out"] + stats["bytes_in"] == 0
+        assert stats["pid"] is None
 
-    @pytest.mark.parametrize("named, accepted", [
-        ({"backend": "json"}, False),  # a parent from the two-store versions
-        ({"backend": "sqlite"}, True),
-        ({}, True),
-    ])
-    def test_hello_cache_spec_may_only_name_the_one_store(
-        self, worker_addr, tmp_path, named, accepted
-    ):
-        spec = {"root": str(tmp_path / "cache"), **named}
-        info = {"format": REMOTE_FORMAT, "env": {}, "cache": spec}
-        with socket.create_connection(worker_addr, timeout=5) as sock:
-            sock.sendall(_pack(("hello", info))[0])
-            reply = _recv_frame(sock)[0]
-        if accepted:
-            assert reply[0] == "hello"
-        else:
-            assert reply[0] == "reject" and "'json'" in reply[1]
-            assert not (tmp_path / "cache").exists()
-
-    def test_parent_hello_still_names_the_store(self, tmp_path):
-        # Workers from the two-store versions read this key; without it
-        # they would open their JSON default under the same root.
+    def test_fully_warm_replay_opens_no_round(self, worker_addr, tmp_path):
         cache = RunCache(tmp_path / "cache")
-        hello = RemoteTransport([("127.0.0.1", 1)], cache=cache)._hello_info()
-        assert hello["cache"] == {"root": str(cache.root), "backend": "sqlite"}
+        cold = _campaign(runner=RemoteRunner(addresses=[worker_addr]), cache=cache)
+        runner = RemoteRunner(addresses=[worker_addr])
+        runner._remote = _NoRoundTransport()
+        warm = _campaign(runner=runner, cache=cache)
+        assert warm.format() == cold.format()
 
-    def test_hit_items_carry_no_payload(self, tmp_path):
-        # The wire-format guarantee behind the warm-run byte savings:
-        # a worker-side hit ships ("hit", outcome) — two fields, no
-        # stored payload — while misses ship the payload for the
-        # parent to store.
-        cache = RunCache(tmp_path / "cache")
+    def test_uncacheable_jobs_pass_through_uncounted(self, worker_addr, tmp_path):
+        runner = make_runner(addresses=[worker_addr], cache=tmp_path / "cache")
+        before = perf.CACHE.snapshot()
+        assert runner.run([SquareJob(4), SquareJob(5)]) == [16, 25]
+        assert perf.CACHE.delta(before) == {
+            "hits": 0, "misses": 0, "stale": 0, "stores": 0
+        }
+        (stats,) = runner.worker_stats()
+        assert stats["jobs"] == 2
+
+    def test_miss_reply_is_a_picklable_envelope(self, worker_addr):
+        # What a miss ships back over the wire (and the pool): the
+        # outcome plus the payload the parent stores, as one value that
+        # survives pickle with its type.
         job = next(iter(_campaign_jobs()))
-        cold = _execute_chunk([job], cache)
-        assert cold[0][0] == "miss" and len(cold[0]) == 4
-        cache.put_many([(cold[0][2], cold[0][3], job)])
-        warm = _execute_chunk([job], cache)
-        assert warm[0] == ("hit", cold[0][1])
+        direct = MissJob(job)()
+        assert isinstance(direct, Executed)
+        assert direct == Executed(*job.cache_payload())
+        (shipped,) = RemoteRunner(addresses=[worker_addr]).run([MissJob(job)])
+        assert isinstance(shipped, Executed)
+        assert shipped == direct == pickle.loads(pickle.dumps(direct))
 
-    def test_uncacheable_jobs_ship_raw(self, tmp_path):
+
+class TestWithCache:
+    def test_callers_runner_is_never_changed(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
-        items = _execute_chunk([SquareJob(4)], cache)
-        assert items == [("raw", 16)]
+        runner = ProcessPoolRunner(workers=2)
+        cached = _campaign(runner=runner, cache=cache)
+        assert runner.cache is None
+        before = perf.CACHE.snapshot()
+        plain = _campaign(runner=runner)
+        assert perf.CACHE.delta(before) == {
+            "hits": 0, "misses": 0, "stale": 0, "stores": 0
+        }
+        assert cached.format() == plain.format()
+        assert with_cache(runner, None) is runner
+        assert with_cache(runner, False) is runner
+
+    def test_remote_copy_shares_worker_stats(self, worker_addr, tmp_path):
+        runner = RemoteRunner(addresses=[worker_addr])
+        cached = with_cache(runner, tmp_path / "cache")
+        assert cached is not runner and runner.cache is None
+        _campaign(runner=cached)
+        assert runner.worker_stats() == cached.worker_stats()
+        assert runner.worker_stats()[0]["jobs"] == 6
+
+    def test_job_retries_map_back_to_the_full_job_list(
+        self, tmp_path, monkeypatch
+    ):
+        # Half-warm pooled run (even positions pre-filled), one worker,
+        # one job per chunk; the miss at position 3 kills the worker
+        # once.  The miss at 1 had completed, 3 was in flight and 5
+        # queued behind it on the broken pool: those two chunks are
+        # re-submitted, and the counts land at the misses' positions in
+        # the *full* list, not in the three-job miss list.
+        # (PoisonFactory arms itself where REPRO_WORKER_SERVE is set;
+        # forked pool workers inherit it, and this process never builds
+        # the poisoned job's scenario.)
+        monkeypatch.setenv("REPRO_WORKER_SERVE", "pool")
+        cache = RunCache(tmp_path / "cache")
+        jobs = list(_retry_jobs(str(tmp_path / "crashed")))
+        warm = [job for i, job in enumerate(jobs) if i % 2 == 0]
+        with_cache(SerialRunner(), cache).run(warm)
+        runner = with_cache(
+            ProcessPoolRunner(workers=1, chunk_size=1, retries=2), cache
+        )
+        results = runner.run(jobs)
+        assert [r.seed for r in results] == list(range(6))
+        assert (tmp_path / "crashed").exists()
+        assert runner.job_retries == [0, 0, 0, 1, 0, 1]
+
+
+def _retry_jobs(sentinel):
+    from repro.faults.campaign import CampaignJob
+
+    for seed in range(6):
+        factory = SCENARIO
+        if seed == 3:
+            factory = PoisonFactory(scenario=SCENARIO, sentinel=sentinel)
+        yield CampaignJob(
+            factory=factory, seed=seed, horizon=8e-6, invariants=INVARIANTS
+        )
 
 
 def _campaign_jobs():

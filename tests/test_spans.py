@@ -29,7 +29,12 @@ from repro.obs.spans import (
     spans_to_records,
     write_spans,
 )
-from repro.parallel import ProcessPoolRunner, RemoteRunner, WorkerServer
+from repro.parallel import (
+    ProcessPoolRunner,
+    RemoteRunner,
+    RingScenario,
+    WorkerServer,
+)
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
@@ -255,6 +260,58 @@ class TestTransportIdentity:
         assert worker_tracks == {
             f"worker:{worker_addr[0]}:{worker_addr[1]}"
         }
+
+
+# ---------------------------------------------------------------------------
+# Span truth under a cache: executed jobs look exactly like an uncached
+# run's, hits leave no job span — on every runner
+# ---------------------------------------------------------------------------
+
+#: The paper's naive ring: 5 of these 12 seeds hang, so a mislabelled
+#: outcome or a miss-list index shows in the canonical view.
+NAIVE = RingScenario(4, 3, variant="naive")
+
+
+def _naive_canon(runner=None, seeds=range(12), **kw):
+    recorder = SpanRecorder(kind="campaign")
+    with recording(recorder):
+        run_campaign(NAIVE, seeds=seeds, horizon=2e-5, runner=runner, **kw)
+    assert span_errors(recorder) == []
+    return canonical_spans(recorder)
+
+
+class TestCachedSpans:
+    @pytest.mark.parametrize("streaming", [
+        {}, {"stream": True, "stream_window": 5},
+    ], ids=["materialized", "window5"])
+    @pytest.mark.parametrize("kind", ["serial", "pool", "remote"])
+    def test_cold_halfwarm_and_warm_tell_the_uncached_story(
+        self, kind, streaming, worker_addr, tmp_path
+    ):
+        def runner():
+            if kind == "pool":
+                return ProcessPoolRunner(workers=2)
+            if kind == "remote":
+                return RemoteRunner(addresses=[worker_addr])
+            return None
+
+        uncached = _naive_canon()
+        outcomes = [json.loads(line)["attrs"]["outcome"] for line in uncached]
+        assert len(uncached) == 12 and outcomes.count("hang") == 5
+
+        cold = _naive_canon(runner(), cache=tmp_path / "cold", **streaming)
+        assert cold == uncached
+
+        half = tmp_path / "half"
+        run_campaign(NAIVE, seeds=range(0, 12, 2), horizon=2e-5, cache=half)
+        missed = [
+            line for line in uncached
+            if json.loads(line)["attrs"]["index"] % 2 == 1
+        ]
+        assert _naive_canon(runner(), cache=half, **streaming) == missed
+
+        # Fully warm now: nothing executes, so no job span at all.
+        assert _naive_canon(runner(), cache=half, **streaming) == []
 
 
 # ---------------------------------------------------------------------------

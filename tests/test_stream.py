@@ -26,7 +26,7 @@ from repro.faults import (
 )
 from repro.fuzz import FuzzSummary, fuzz
 from repro.obs import canonical_lines
-from repro.parallel import ProcessPoolRunner, SerialRunner
+from repro.parallel import ProcessPoolRunner, SerialRunner, with_cache
 from repro.parallel.runner import DEFAULT_STREAM_WINDOW
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
@@ -77,12 +77,16 @@ class TestRunStream:
         next(stream)
         assert factory.built == 1
 
-    def test_windowed_stream_is_bounded(self):
-        factory = Factory(1000)
-        runner = ProcessPoolRunner(workers=2)
-        stream = runner.run_stream(iter(factory), window=8)
-        next(stream)
-        assert factory.built == 8  # one window, not the whole sweep
+    def test_windowed_stream_is_bounded(self, tmp_path):
+        for runner in (
+            ProcessPoolRunner(workers=2),
+            # A cached serial runner batches its lookups per window too.
+            with_cache(SerialRunner(), tmp_path / "c"),
+        ):
+            factory = Factory(1000)
+            stream = runner.run_stream(iter(factory), window=8)
+            next(stream)
+            assert factory.built == 8  # one window, not the whole sweep
 
     def test_default_pool_window_floor(self):
         assert ProcessPoolRunner(workers=2)._stream_window() >= (
