@@ -24,7 +24,7 @@ Correctness contract: a cached sweep's report is byte-identical to the
 uncached one — the cache changes wall-clock time and nothing else.
 """
 
-from .keys import KEY_FORMAT, Uncacheable, canonical_token, job_key
+from .keys import KEY_FORMAT, Uncacheable, canonical_token, job_key, job_keys
 from .store import RunCache, VerifyResult, default_cache_dir, diff_payload
 
 __all__ = [
@@ -36,4 +36,5 @@ __all__ = [
     "default_cache_dir",
     "diff_payload",
     "job_key",
+    "job_keys",
 ]

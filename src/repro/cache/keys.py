@@ -19,21 +19,39 @@ cannot pin — a lambda, a closure, an unrecognized object — raises
 :class:`Uncacheable`, and :func:`job_key` maps that to ``None`` (the job
 simply runs uncached).  A wrong key silently serves a wrong result; *no*
 key merely costs a re-run.
+
+One encoder, :func:`_text`, writes the token — compact JSON with sorted
+object keys, the grammar tabulated in ``docs/caching.md`` — straight to
+text.  Keys are the largest term of a warm replay, and the jobs of one
+sweep hold the same scenario, invariant and window objects, so
+:func:`job_keys` encodes each distinct non-scalar object once per batch
+(a memo that lives for that one call), a dataclass type's field list is
+planned once per process (:func:`_plan`), and the salts are hashed once
+per batch.  :func:`job_key` and :func:`canonical_token` are the
+one-object forms.  None of this may move a byte of any token:
+``tests/test_cache_keys.py`` holds literal keys and the previous
+tree-then-``json.dumps`` canonicalizer as the oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from typing import Any
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Iterable
 
 from .. import __version__
 from ..mutation import active_set
 
-__all__ = ["KEY_FORMAT", "Uncacheable", "canonical_token", "job_key"]
+__all__ = [
+    "KEY_FORMAT",
+    "Uncacheable",
+    "canonical_token",
+    "job_key",
+    "job_keys",
+]
 
 #: Entry/key layout version; bump when the payload shape or the key
 #: composition changes (old entries then read as stale, never as hits).
@@ -44,47 +62,107 @@ class Uncacheable(TypeError):
     """The object cannot be canonically serialized into a cache key."""
 
 
-def _sorted_tokens(tokens: list[Any]) -> list[Any]:
-    """Order-independent listing (sets, dict items) by canonical form."""
-    return sorted(tokens, key=lambda t: json.dumps(t, sort_keys=True))
+#: One encoding pass's memo: ``id(obj) -> (obj, text)`` for every
+#: non-scalar already encoded.  Holding *obj* keeps its id from being
+#: reused while the memo lives.
+_Memo = dict[int, tuple[Any, str]]
+
+_int_text = int.__repr__
+_float_repr = float.__repr__
+#: ``float.__repr__`` of the non-finite values -> what JSON text says.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _tokenize(obj: Any) -> Any:
-    """Reduce *obj* to a JSON-able tree that pins its identity exactly."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        # json renders floats with repr (shortest round-trip), so float
-        # identity survives the dump byte-for-byte.
-        return obj
+def _float_text(obj: float) -> str:
+    text = _float_repr(obj)  # shortest round-trip: identity survives
+    return _NON_FINITE.get(text, text)
+
+
+def _qualname(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """The field plan of dataclass *cls*: the text that opens its token,
+    and ``(name, text up to the value)`` per keyed field in sorted name
+    order.  A class attribute ``_cache_key_exclude`` and a leading
+    underscore keep a field out of the key."""
+    exclude = set(getattr(cls, "_cache_key_exclude", ()))
+    names = sorted(
+        f.name
+        for f in fields(cls)
+        if f.name not in exclude and not f.name.startswith("_")
+    )
+    return (
+        '{"__dc__":' + _quote(_qualname(cls)) + ',"fields":{',
+        tuple(
+            (name, ("," if i else "") + _quote(name) + ":")
+            for i, name in enumerate(names)
+        ),
+    )
+
+
+def _text(obj: Any, memo: _Memo) -> str:
+    """The canonical JSON text that pins *obj*'s identity exactly."""
+    cls = type(obj)
+    # Exact scalar types print what ``json.dumps`` prints; their
+    # subclasses (IntEnum, str-mixin enums) go the long way round.
+    if cls is str:
+        return _quote(obj)
+    if cls is int:
+        return _int_text(obj)
+    if cls is float:
+        return _float_text(obj)
+    if obj is None:
+        return "null"
+    if cls is bool:
+        return "true" if obj else "false"
+    known = memo.get(id(obj))
+    if known is not None:
+        return known[1]
+    text = _compound_text(obj, memo)
+    memo[id(obj)] = (obj, text)
+    return text
+
+
+def _compound_text(obj: Any, memo: _Memo) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return _int_text(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
     if isinstance(obj, (list, tuple)):
-        return [_tokenize(x) for x in obj]
+        return "[" + ",".join([_text(x, memo) for x in obj]) + "]"
     if isinstance(obj, (set, frozenset)):
-        return {"__set__": _sorted_tokens([_tokenize(x) for x in obj])}
+        # Order-independent listing: members sorted by canonical text.
+        members = sorted([_text(x, memo) for x in obj])
+        return '{"__set__":[' + ",".join(members) + "]}"
     if isinstance(obj, dict):
-        return {
-            "__map__": _sorted_tokens(
-                [[_tokenize(k), _tokenize(v)] for k, v in obj.items()]
-            )
-        }
+        items = sorted(
+            ["[" + _text(k, memo) + "," + _text(v, memo) + "]"
+             for k, v in obj.items()]
+        )
+        return '{"__map__":[' + ",".join(items) + "]}"
     if isinstance(obj, Enum):
-        return {"__enum__": _qualname(type(obj)), "value": _tokenize(obj.value)}
+        return (
+            '{"__enum__":' + _quote(_qualname(type(obj)))
+            + ',"value":' + _text(obj.value, memo) + "}"
+        )
     if is_dataclass(obj) and not isinstance(obj, type):
-        exclude = set(getattr(type(obj), "_cache_key_exclude", ()))
-        return {
-            "__dc__": _qualname(type(obj)),
-            "fields": {
-                f.name: _tokenize(getattr(obj, f.name))
-                for f in fields(obj)
-                if f.name not in exclude and not f.name.startswith("_")
-            },
-        }
+        head, plan = _plan(type(obj))
+        parts = [head]
+        for name, prefix in plan:
+            parts.append(prefix)
+            parts.append(_text(getattr(obj, name), memo))
+        parts.append("}}")
+        return "".join(parts)
     if isinstance(obj, functools.partial):
-        return {
-            "__partial__": [
-                _tokenize(obj.func),
-                _tokenize(obj.args),
-                _tokenize(obj.keywords),
-            ]
-        }
+        return (
+            '{"__partial__":[' + _text(obj.func, memo) + ","
+            + _text(obj.args, memo) + "," + _text(obj.keywords, memo) + "]}"
+        )
     if callable(obj):
         name = _qualname(obj if isinstance(obj, type) else type(obj))
         if isinstance(obj, type):
@@ -96,44 +174,60 @@ def _tokenize(obj: Any) -> Any:
                 f"callable {qual or obj!r} is not addressable by name "
                 "(lambdas/closures cannot be cache-keyed)"
             )
-        return {"__fn__": f"{mod}.{qual}"}
+        return '{"__fn__":' + _quote(f"{mod}.{qual}") + "}"
     raise Uncacheable(
         f"cannot canonicalize {type(obj).__name__} for a cache key"
     )
 
 
-def _qualname(cls: type) -> str:
-    return f"{cls.__module__}.{cls.__qualname__}"
-
-
 def canonical_token(obj: Any) -> str:
     """The canonical JSON string for *obj* (raises :class:`Uncacheable`)."""
-    return json.dumps(_tokenize(obj), sort_keys=True, separators=(",", ":"))
+    return _text(obj, {})
 
 
-def job_key(job: Any) -> str | None:
-    """The job's content-addressed key, or ``None`` when uncacheable.
+def job_keys(jobs: Iterable[Any]) -> list[str | None]:
+    """One content-addressed key per job, ``None`` where uncacheable.
 
     A job participates in caching only when it implements the cache
     contract (``cache_payload``/``from_cached``, see
     ``repro/parallel/jobs.py``), does not veto via a false ``cacheable``
     property (e.g. ``keep_results=True`` jobs, whose result cannot be
     reduced to a JSON payload), and canonicalizes cleanly.
+
+    The jobs of one sweep share most of what they hold (one scenario,
+    one invariant spec, the same windows), so each distinct sub-object
+    is encoded once per call: the memo lives exactly as long as this
+    call, and a spec changed between two sweeps is read again.
     """
-    if not (hasattr(job, "cache_payload") and hasattr(job, "from_cached")):
-        return None
-    if not getattr(job, "cacheable", True):
-        return None
-    # A wrapper job (e.g. repro.obs.telemetry.TelemetryJob) may nominate
-    # the job it wraps as its key identity: the wrapper adds bookkeeping,
-    # not behaviour, so wrapped and bare runs share cache entries.
-    target = getattr(job, "cache_key_delegate", job)
-    try:
-        token = canonical_token(target)
-    except Uncacheable:
-        return None
-    h = hashlib.blake2b(digest_size=20)
-    for part in (KEY_FORMAT, __version__, ",".join(active_set()), token):
-        h.update(part.encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+    memo: _Memo = {}
+    salt = hashlib.blake2b(digest_size=20)
+    for part in (KEY_FORMAT, __version__, ",".join(active_set())):
+        salt.update(part.encode() + b"\x00")
+    keys: list[str | None] = []
+    for job in jobs:
+        key = None
+        if (
+            hasattr(job, "cache_payload")
+            and hasattr(job, "from_cached")
+            and getattr(job, "cacheable", True)
+        ):
+            # A wrapper job (e.g. repro.obs.telemetry.TelemetryJob) may
+            # nominate the job it wraps as its key identity: the wrapper
+            # adds bookkeeping, not behaviour, so wrapped and bare runs
+            # share cache entries.
+            target = getattr(job, "cache_key_delegate", job)
+            try:
+                token = _text(target, memo)
+            except Uncacheable:
+                pass
+            else:
+                h = salt.copy()
+                h.update(token.encode() + b"\x00")
+                key = h.hexdigest()
+        keys.append(key)
+    return keys
+
+
+def job_key(job: Any) -> str | None:
+    """:func:`job_keys` for one job."""
+    return job_keys((job,))[0]

@@ -1,10 +1,11 @@
 """Fault injectors (paper §III-E).
 
 An injector decides *when a process dies*.  Injectors are consulted by the
-runtime at every MPI call and at every application probe point, and may
-additionally arm virtual-time kill events.  All injectors are
-deterministic given their parameters (and seed, where applicable), so a
-failing scenario replays exactly.
+runtime at every MPI call and at every application probe point
+(:meth:`FaultInjector.should_kill` — only those that override it are
+asked), and may additionally arm virtual-time kill events.  All injectors
+are deterministic given their parameters (and seed, where applicable), so
+a failing scenario replays exactly.
 
 Triggers provided:
 
@@ -45,6 +46,12 @@ class FaultInjector:
     ) -> bool:
         """Return True to fail-stop *proc* at this window."""
         return False
+
+    def polled(self) -> bool:
+        """Whether :meth:`should_kill` can ever answer True.  The runtime
+        asks once, after arming: an injector that only acts through the
+        events :meth:`arm` scheduled is never consulted at a window."""
+        return type(self).should_kill is not FaultInjector.should_kill
 
 
 @dataclass
@@ -145,6 +152,9 @@ class CompositeInjector(FaultInjector):
 
     def __init__(self, injectors: Iterable[FaultInjector]) -> None:
         self.injectors = list(injectors)
+        #: The children :meth:`should_kill` consults, in their original
+        #: order (stateful ones advance exactly as if all were asked).
+        self._polled = [i for i in self.injectors if i.polled()]
 
     def arm(self, runtime: "Runtime") -> None:
         for inj in self.injectors:
@@ -156,4 +166,7 @@ class CompositeInjector(FaultInjector):
         op: str | None = None,
         probe: str | None = None,
     ) -> bool:
-        return any(i.should_kill(proc, op=op, probe=probe) for i in self.injectors)
+        return any(i.should_kill(proc, op=op, probe=probe) for i in self._polled)
+
+    def polled(self) -> bool:
+        return bool(self._polled)

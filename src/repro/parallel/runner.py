@@ -77,12 +77,19 @@ class SweepError(RuntimeError):
     Attributes
     ----------
     indices:
-        Submission-order indices of the jobs that never produced a result.
+        Submission-order indices of the jobs that never produced a result
+        (positions in the ``jobs`` given to :meth:`SweepRunner.run`);
+        printed after the message, so the text always names the jobs the
+        attribute names.
     """
 
     def __init__(self, message: str, indices: Sequence[int] = ()) -> None:
         super().__init__(message)
         self.indices = list(indices)
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return f"{text} (indices {self.indices})" if self.indices else text
 
 
 #: Default jobs-per-window for :meth:`SweepRunner.run_stream` — big
@@ -150,9 +157,17 @@ class SweepRunner:
         jobs = list(jobs)
         if self.cache is None:
             return self._execute(jobs, range(first, first + len(jobs)))
-        from ..cache.keys import job_key
+        from ..cache.keys import job_keys
 
-        keys = [job_key(job) for job in jobs]
+        recorder = spans_active()
+        if recorder is None:
+            keys = job_keys(jobs)
+        else:
+            with recorder.span(
+                "cache.keys", "cache", attrs={"jobs": len(jobs)}
+            ) as span:
+                keys = job_keys(jobs)
+                span.attrs["keyed"] = sum(key is not None for key in keys)
         # One batched store round-trip for every job that has a key.
         fetched = iter(
             self.cache.get_many([key for key in keys if key is not None])
@@ -181,10 +196,16 @@ class SweepRunner:
             todo.append((i, key, MissJob(job)))
         retries = [0] * len(jobs)
         if todo:
-            executed = self._execute(
-                [job for _i, _key, job in todo],
-                [first + i for i, _key, _job in todo],
-            )
+            try:
+                executed = self._execute(
+                    [job for _i, _key, job in todo],
+                    [first + i for i, _key, _job in todo],
+                )
+            except SweepError as exc:
+                # _execute saw only the misses: name the jobs by their
+                # positions in *jobs*, as an uncached sweep does.
+                exc.indices = [todo[k][0] for k in exc.indices]
+                raise
             stores: list[tuple[str, dict[str, Any], Any]] = []
             for (i, key, job), value, count in zip(
                 todo, executed, self.job_retries
@@ -373,9 +394,9 @@ class TransportRunner(SweepRunner):
                     ]
                     raise SweepError(
                         f"{len(indices)} job(s) did not complete after "
-                        f"{self.retries} retr{'y' if self.retries == 1 else 'ies'} "
-                        f"(indices {indices}); a deterministic job that "
-                        f"exceeds its timeout will do so on every attempt",
+                        f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}; "
+                        f"a deterministic job that exceeds its timeout "
+                        f"will do so on every attempt",
                         indices=indices,
                     )
         self.job_retries = [0] * len(jobs)

@@ -100,7 +100,7 @@ class SimProcess:
         if trace.enabled:
             trace.record(self.now, TraceKind.PROBE, self.rank, name=name,
                          hit=hit)
-        if self.runtime.injectors:
+        if self.runtime.polled_injectors:
             self.runtime.check_injection(self, probe=name)
 
     def log(self, message: str, **detail: Any) -> None:
@@ -166,7 +166,7 @@ class SimProcess:
 
             raise ProcessKilled()
         self.call_count += 1
-        if self.runtime.injectors:
+        if self.runtime.polled_injectors:
             self.runtime.check_injection(self, op=opname)
 
     def wait_description(self) -> str:

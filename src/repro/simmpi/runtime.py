@@ -130,6 +130,11 @@ class Runtime:
         self.abort_info: JobAborted | None = None
         self.deadlock: SimulationDeadlock | None = None
         self.injectors: list[Any] = []
+        #: The injectors consulted at MPI-call and probe windows: those
+        #: of :attr:`injectors` that can answer there, chosen once when
+        #: :meth:`loop` arms them (an event-only injector such as
+        #: ``KillAtTime`` is armed and never polled).
+        self.polled_injectors: list[Any] = []
         #: The blocked fiber whose thread is executing :meth:`_next_fiber`
         #: (``None`` on the main thread or a finished fiber's thread).
         self._driver: BaseFiber | None = None
@@ -426,10 +431,10 @@ class Runtime:
     def check_injection(
         self, proc: SimProcess, op: str | None = None, probe: str | None = None
     ) -> None:
-        """Consult every armed injector at an MPI-call or probe window."""
-        if not self.injectors or not proc.alive():
+        """Consult every polled injector at an MPI-call or probe window."""
+        if not self.polled_injectors or not proc.alive():
             return
-        for inj in self.injectors:
+        for inj in self.polled_injectors:
             if inj.should_kill(proc, op=op, probe=probe):
                 self.kill_now(proc)
 
@@ -700,6 +705,9 @@ class Runtime:
         """
         for inj in self.injectors:
             inj.arm(self)
+        self.polled_injectors = [
+            inj for inj in self.injectors if inj.polled()
+        ]
         t0 = _time.perf_counter()
         try:
             run_loop(self.fiber_backend, self._next_fiber, self._interrupt)

@@ -17,10 +17,11 @@ from __future__ import annotations
 import base64
 import json
 import multiprocessing
+import os
 import pickle
 import sqlite3
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -34,7 +35,13 @@ from repro.faults.explorer import Window, WindowJob
 from repro.fuzz import fuzz
 from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.driver import FuzzJob
-from repro.parallel import ProcessPoolRunner, SerialRunner, make_runner, with_cache
+from repro.parallel import (
+    ProcessPoolRunner,
+    SerialRunner,
+    SweepError,
+    make_runner,
+    with_cache,
+)
 from tests.conftest import (
     RING_INVARIANTS,
     RING_SCENARIO,
@@ -627,6 +634,39 @@ class TestCachedRunner:  # a cached runner, i.e. with_cache / make_runner
         runner.run([jobs[1]])  # warm exactly one key
         outs = runner.run(jobs)
         assert [o.windows[0].rank for o in outs] == [1, 2, 3]
+
+
+    def test_sweep_error_names_positions_in_the_submitted_jobs(self, cache):
+        # Only the misses reach the pool; the error must still name the
+        # lost job by its place in the sweep, as the uncached twin in
+        # tests/test_parallel.py does — not by its place among the misses.
+        runner = with_cache(
+            ProcessPoolRunner(workers=1, chunk_size=1, retries=0), cache
+        )
+        assert runner.run([_CachedSquare(x) for x in (1, 2, 3)]) == [1, 4, 9]
+        with pytest.raises(SweepError) as exc_info:
+            runner.run([_CachedSquare(x) for x in (1, 2, -1, 3)])
+        assert exc_info.value.indices == [2]
+        assert "(indices [2])" in str(exc_info.value)
+
+
+@dataclass(frozen=True)
+class _CachedSquare:
+    """A job inside the cache contract; a negative ``x`` kills the
+    worker process that executes it."""
+
+    x: int
+
+    def __call__(self):
+        return self.cache_payload()[0]
+
+    def cache_payload(self):
+        if self.x < 0:
+            os._exit(13)
+        return self.x * self.x, {"square": self.x * self.x}
+
+    def from_cached(self, payload):
+        return payload["square"]
 
 
 def outcome_fields_like(outcomes):

@@ -17,9 +17,12 @@ from repro.faults import (
     run_campaign,
     run_window,
 )
+from repro.faults.campaign import CampaignJob
+from repro.faults.injector import FaultInjector
+from repro.parallel import RingScenario
 from repro.simmpi import Simulation
 from repro.analysis import no_hang, standard_ring_invariants
-from tests.conftest import run_sim
+from tests.conftest import RING_INVARIANTS, RING_SCENARIO, run_sim
 
 
 def counting_main(mpi):
@@ -94,6 +97,71 @@ class TestInjectors:
         ])
         r = run_sim(counting_main, 3, injectors=[inj], on_deadlock="return")
         assert r.failed_ranks == {1, 2}
+
+
+class _PollsEveryChild(CompositeInjector):
+    """The composite as it was before event-only injectors stopped
+    being polled: the reference for the call sequence."""
+
+    def polled(self):
+        return True
+
+    def should_kill(self, proc, op=None, probe=None):
+        return any(
+            i.should_kill(proc, op=op, probe=probe) for i in self.injectors
+        )
+
+
+class TestPolling:
+    """An injector that acts only through the events ``arm()`` scheduled
+    (``KillAtTime``) is never consulted at an MPI call or probe point;
+    the ones that answer there are asked exactly as before."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every ``should_kill`` call: (class, rank, op, probe, answer)."""
+        seen = []
+
+        def spy_on(cls):
+            inner = cls.__dict__["should_kill"]
+
+            def should_kill(self, proc, op=None, probe=None):
+                answer = inner(self, proc, op=op, probe=probe)
+                seen.append((type(self).__name__, proc.rank, op, probe, answer))
+                return answer
+
+            monkeypatch.setattr(cls, "should_kill", should_kill)
+
+        for cls in (FaultInjector, KillAtCall, KillAtProbe):
+            spy_on(cls)
+        return seen
+
+    def test_kill_at_time_only_campaign_job_polls_nothing(self, calls):
+        run = CampaignJob(
+            factory=RING_SCENARIO, seed=3, horizon=2e-5, kills_per_run=2,
+            invariants=RING_INVARIANTS,
+        )()
+        assert len(run.kills) == 2 and run.ok
+        assert calls == []  # 150 of them at the commit before
+
+    def test_mixed_composite_polls_the_same_sequence(self, calls):
+        def run(composite):
+            del calls[:]
+            sim, main = RingScenario(nprocs=6, iters=4)()
+            sim.add_injector(composite([
+                KillAtTime(rank=3, time=1.2e-5),
+                KillAtProbe(rank=1, probe="post_recv", hit=2),
+                KillAtCall(rank=4, call_no=9),
+            ]))
+            result = sim.run(main, on_deadlock="return")
+            assert result.failed_ranks == {1, 3, 4}
+            return list(calls), result.trace.keys()
+
+        reference, reference_trace = run(_PollsEveryChild)
+        sequence, trace = run(CompositeInjector)
+        assert len(reference) == 341 and len(sequence) == 227
+        assert sequence == [c for c in reference if c[0] != "KillAtTime"]
+        assert trace == reference_trace
 
 
 def ring_factory():

@@ -374,6 +374,8 @@ class TestNonPerturbation:
         cache_spans = [s for s in rec.spans if s.cat == "cache"]
         gets = [s for s in cache_spans if s.name == "cache.get_many"]
         assert gets and sum(s.attrs["hits"] for s in gets) == 6
+        keyed = [s for s in cache_spans if s.name == "cache.keys"]
+        assert [(s.attrs["jobs"], s.attrs["keyed"]) for s in keyed] == [(6, 6)]
         assert not [s for s in cache_spans if s.name == "cache.put_many"]
         assert warm.format() == _campaign().format()
 
