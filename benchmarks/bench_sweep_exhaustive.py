@@ -55,7 +55,6 @@ def bench_sweep_single_failures(benchmark):
                 ),
                 ranks=ranks,
                 runner=runner,
-                trace=False,  # the battery never reads result.trace
             )
             s = rep.summary()
             rows.append([name, s["windows"], s["ok"], s["hangs"],
@@ -93,7 +92,6 @@ def bench_sweep_double_failures(benchmark):
                 ranks=None if rootft else [1, 2, 3],
                 pairs=True,
                 runner=runner,
-                trace=False,  # the battery never reads result.trace
             )
             s = rep.summary()
             rows.append([name, s["runs"], s["ok"], s["hangs"],

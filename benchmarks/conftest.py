@@ -133,7 +133,7 @@ def timed(
 
 
 def emit(title: str, body: str) -> None:
-    """Print a table block (captured into bench_output.txt by the runner)."""
+    """Print a table block (shown by ``pytest -s``)."""
     print(f"\n=== {title} ===\n{body}")
 
 

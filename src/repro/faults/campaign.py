@@ -25,6 +25,7 @@ from ..parallel.jobs import (
     InvariantSpec,
     ScenarioFactory,
     check_invariants,
+    trace_needed,
 )
 from ..parallel.runner import SweepRunner, sweep
 from ..simmpi.runtime import SimulationResult
@@ -149,7 +150,9 @@ class CampaignJob:
     def __call__(self) -> CampaignRun:
         return self._execute()[0]
 
-    def _execute(self) -> tuple[CampaignRun, SimulationResult]:
+    def _execute(
+        self, digest: bool = False
+    ) -> tuple[CampaignRun, SimulationResult]:
         rng = random.Random(self.seed)
         sim, main = self.factory()
         ranks = (
@@ -166,6 +169,10 @@ class CampaignJob:
         sim.add_injector(
             CompositeInjector(KillAtTime(rank=v, time=t) for v, t in kills)
         )
+        if not trace_needed(
+            self.invariants, keep_results=self.keep_results, digest=digest
+        ):
+            sim.runtime.trace.enabled = False
         result = sim.run(main, on_deadlock="return")
         violations = check_invariants(self.invariants, result)
         run = CampaignRun(
@@ -189,7 +196,7 @@ class CampaignJob:
     def cache_payload(self) -> tuple[CampaignRun, dict[str, Any]]:
         from ..analysis.digest import perf_dict, result_digest
 
-        run, result = self._execute()
+        run, result = self._execute(digest=True)
         return run, {
             # JSON turns the (rank, time) pairs into 2-lists; floats
             # round-trip exactly (repr is shortest-round-trip).

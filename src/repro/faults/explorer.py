@@ -35,6 +35,7 @@ from ..parallel.jobs import (
     InvariantSpec,
     ScenarioFactory,
     check_invariants,
+    trace_needed,
 )
 from ..parallel.runner import SweepRunner, sweep
 from ..simmpi.runtime import SimulationResult
@@ -180,9 +181,12 @@ def enumerate_windows(
     """Run the failure-free reference and list every reachable window.
 
     ``probes``/``ranks`` filter the enumeration (e.g. only ``post_recv``
-    windows, or only non-root ranks for the Fig. 11 contract).
+    windows, or only non-root ranks for the Fig. 11 contract).  The
+    windows are read off the reference run's ``PROBE`` records, so that
+    run traces whatever the factory's own setting.
     """
     sim, main = factory()
+    sim.runtime.trace.enabled = True
     result = sim.run(main, on_deadlock="return")
     windows: list[Window] = []
     for ev in result.trace.filter(kind=TraceKind.PROBE):
@@ -197,30 +201,26 @@ def enumerate_windows(
 
 @dataclass
 class WindowJob:
-    """Picklable unit of exploration work: one fault-injected re-run.
-
-    ``trace=False`` disables trace recording for the re-run — a large
-    win for big sweeps (the kernel's disabled-trace path records
-    nothing), but only safe when the invariants do not inspect
-    ``result.trace`` (the standard ring battery does not) and
-    ``keep_results`` is off or the caller does not need traces.
-    """
+    """Picklable unit of exploration work: one fault-injected re-run."""
 
     factory: ScenarioFactory
     windows: tuple[Window, ...]
     invariants: InvariantSpec = ()
     keep_results: bool = False
-    trace: bool = True
 
     def __call__(self) -> ScenarioOutcome:
         return self._execute()[0]
 
-    def _execute(self) -> tuple[ScenarioOutcome, SimulationResult]:
+    def _execute(
+        self, digest: bool = False
+    ) -> tuple[ScenarioOutcome, SimulationResult]:
         sim, main = self.factory()
         sim.add_injector(
             CompositeInjector(w.injector() for w in self.windows)
         )
-        if not self.trace:
+        if not trace_needed(
+            self.invariants, keep_results=self.keep_results, digest=digest
+        ):
             sim.runtime.trace.enabled = False
         result = sim.run(main, on_deadlock="return")
         violations = check_invariants(self.invariants, result)
@@ -244,7 +244,7 @@ class WindowJob:
     def cache_payload(self) -> tuple[ScenarioOutcome, dict[str, Any]]:
         from ..analysis.digest import perf_dict, result_digest
 
-        outcome, result = self._execute()
+        outcome, result = self._execute(digest=True)
         return outcome, {
             "violations": list(outcome.violations),
             "hung": outcome.hung,
@@ -269,7 +269,6 @@ def run_window(
     windows: Window | Iterable[Window],
     invariants: InvariantSpec = (),
     keep_results: bool = False,
-    trace: bool = True,
 ) -> ScenarioOutcome:
     """Re-run the scenario with fail-stop injected at the given window(s)."""
     if isinstance(windows, Window):
@@ -279,7 +278,6 @@ def run_window(
         windows=tuple(windows),
         invariants=invariants,
         keep_results=keep_results,
-        trace=trace,
     )()
 
 
@@ -293,7 +291,6 @@ def explore(
     keep_results: bool = False,
     workers: int | None = None,
     runner: SweepRunner | None = None,
-    trace: bool = True,
     cache: Any = None,
     progress: Callable[[int, int], None] | None = None,
     telemetry: str | None = None,
@@ -322,12 +319,6 @@ def explore(
     class, worker id, retries, cache disposition.  The canonical form of
     the stream is identical between serial and pooled runs.
 
-    ``trace=False`` turns off trace recording in the per-window re-runs
-    (the reference run always traces — that is where the windows come
-    from).  Classification is unchanged as long as the invariants do not
-    read ``result.trace``; for trace-free invariant batteries this makes
-    large sweeps substantially faster.
-
     The reference run executes in-process; the per-window re-runs go
     through a :class:`~repro.parallel.SweepRunner` — serial by default,
     a process pool with ``workers`` > 1 (``factory``/``invariants`` must
@@ -353,7 +344,6 @@ def explore(
                 windows=(w,),
                 invariants=invariants,
                 keep_results=keep_results,
-                trace=trace,
             )
         if pairs:
             for a, b in itertools.combinations(windows, 2):
@@ -364,7 +354,6 @@ def explore(
                     windows=(a, b),
                     invariants=invariants,
                     keep_results=keep_results,
-                    trace=trace,
                 )
 
     total = len(windows)

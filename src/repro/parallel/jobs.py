@@ -22,6 +22,18 @@ here is:
   ``reduce`` function to :class:`SimJob`, or use the campaign/explorer
   jobs which return :class:`~repro.faults.campaign.CampaignRun` /
   :class:`~repro.faults.explorer.ScenarioOutcome` records).
+* whether a run **records a trace** is worked out from who will read it,
+  never set by hand: :func:`trace_needed` is the one rule, and the
+  campaign / explorer / compare-protocols jobs switch the simulation's
+  trace off before ``sim.run`` exactly when it says no.  A trace has
+  three possible readers — the caller (``keep_results=True`` hands the
+  whole result back), the run cache (``cache_payload()`` stores a digest
+  that fingerprints the trace), and the invariants.  An invariant spec
+  that never touches ``result.trace`` says so with a plain class
+  attribute ``reads_trace = False`` (the two bundled batteries in
+  :mod:`repro.parallel.scenarios` do; ``tests/test_trace_need.py`` runs
+  them against a trace that raises on any read); any other callable or
+  non-empty sequence is assumed to read it and gets the full trace.
 
 **Cache contract** (opt-in, consumed by :mod:`repro.cache`): a job whose
 classified outcome can be reused across sweeps additionally provides
@@ -76,6 +88,24 @@ def resolve_invariants(spec: Any) -> tuple[Invariant, ...]:
     if callable(spec):
         return tuple(spec())
     return tuple(spec)
+
+
+def trace_needed(
+    invariants: Any, *, keep_results: bool, digest: bool
+) -> bool:
+    """Does anybody read the trace of the run this job is about to do?
+
+    Yes iff the job returns the result (``keep_results``), or is
+    executing through ``cache_payload()`` (``digest`` — the stored
+    digest fingerprints the trace), or its invariant spec might look:
+    an empty spec reads nothing, a spec declaring ``reads_trace =
+    False`` has promised not to, anything else is assumed to.
+    """
+    if keep_results or digest:
+        return True
+    if not callable(invariants) and not invariants:
+        return False
+    return getattr(invariants, "reads_trace", True)
 
 
 def check_invariants(

@@ -200,6 +200,11 @@ class StandardRingInvariants:
     nprocs: int
     allow_root_loss: bool = False
 
+    #: The battery classifies from rank outcomes and result flags alone
+    #: (see :func:`repro.parallel.jobs.trace_needed`).  A class
+    #: attribute, not a field: it is no part of the spec's identity.
+    reads_trace = False
+
     def __call__(self) -> list[Invariant]:
         from ..analysis import standard_ring_invariants
 
@@ -216,6 +221,9 @@ class GenericInvariants:
     correctness contracts beyond liveness are app-specific (and live in
     their own test modules).
     """
+
+    #: See :func:`repro.parallel.jobs.trace_needed`.
+    reads_trace = False
 
     def __call__(self) -> list[Invariant]:
         from ..analysis import no_hang, survivors_done

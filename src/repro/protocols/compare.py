@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..faults.injector import CompositeInjector, KillAtTime
-from ..parallel.jobs import check_invariants
+from ..parallel.jobs import check_invariants, trace_needed
 from ..parallel.runner import SweepRunner, sweep
 from ..parallel.scenarios import RingScenario, StandardRingInvariants
 from ..simmpi.runtime import SimulationResult
@@ -106,7 +106,9 @@ class ProtocolCompareJob:
             sorted((v, rng.uniform(0.0, self.horizon)) for v in victims)
         )
 
-    def _execute(self) -> tuple[ProtocolRunRecord, SimulationResult]:
+    def _execute(
+        self, digest: bool = False
+    ) -> tuple[ProtocolRunRecord, SimulationResult]:
         from ..analysis.digest import perf_dict
 
         scenario = RingScenario(
@@ -124,10 +126,11 @@ class ProtocolCompareJob:
             sim.add_injector(
                 CompositeInjector(KillAtTime(rank=v, time=t) for v, t in kills)
             )
+        invariants = StandardRingInvariants(self.iters, self.nprocs)
+        if not trace_needed(invariants, keep_results=False, digest=digest):
+            sim.runtime.trace.enabled = False
         result = sim.run(main, on_deadlock="return")
-        violations = check_invariants(
-            StandardRingInvariants(self.iters, self.nprocs), result
-        )
+        violations = check_invariants(invariants, result)
         if result.hung:
             outcome = "hang"
         elif violations:
@@ -159,7 +162,7 @@ class ProtocolCompareJob:
     def cache_payload(self) -> tuple[ProtocolRunRecord, dict[str, Any]]:
         from ..analysis.digest import result_digest
 
-        record, result = self._execute()
+        record, result = self._execute(digest=True)
         return record, {
             "kills": [[rank, time] for rank, time in record.kills],
             "outcome": record.outcome,

@@ -63,6 +63,8 @@ from .errors import (
 from .fibers import (
     FIBER_BACKENDS,
     BaseFiber,
+    Fiber,
+    FiberState,
     GreenletFiber,
     ThreadFiber,
     available_backends,
@@ -86,8 +88,6 @@ from .runtime import (
     SimulationResult,
 )
 from .scheduler import (
-    Fiber,
-    FiberState,
     LowestRankFirstPolicy,
     RandomPolicy,
     RoundRobinPolicy,

@@ -124,15 +124,6 @@ class EventQueue:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
-    def note_cancelled(self) -> None:
-        """Backward-compatible no-op.
-
-        :meth:`Event.cancel` now does its own live accounting (exactly
-        once, even if cancel is called repeatedly or after the pop), so
-        the old call-this-once-per-cancel contract — easy to violate in
-        both directions — is gone.  Kept so existing callers still run.
-        """
-
 
 class VirtualClock:
     """The global simulation clock.

@@ -33,8 +33,6 @@ Policies see only fiber indices and arrival order — never the suspension
 mechanism — which is why traces are byte-identical across fiber backends
 (pinned by the backend × policy golden matrix in
 ``tests/test_determinism_golden.py``).
-
-The fiber classes are re-exported here for backward compatibility.
 """
 
 from __future__ import annotations
@@ -43,15 +41,7 @@ import heapq
 import random
 from collections import deque
 
-# Re-exported fiber API (implementations live in repro.simmpi.fibers).
-from .fibers import (  # noqa: F401 - backward-compatible re-exports
-    BaseFiber,
-    Fiber,
-    FiberState,
-    GreenletFiber,
-    ThreadFiber,
-    _released,
-)
+from .fibers import BaseFiber
 
 
 class SchedulingPolicy:

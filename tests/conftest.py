@@ -20,6 +20,7 @@ the fuzz tests); import them as ``from tests.conftest import ...``.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Sequence
 
 import pytest
@@ -31,7 +32,11 @@ from repro.core import (
     make_ring_main,
     make_rootft_main,
 )
-from repro.parallel import RingScenario, StandardRingInvariants
+from repro.parallel import (
+    RingScenario,
+    StandardRingInvariants,
+    WorkerServer,
+)
 from repro.simmpi import CostModel, Simulation, SimulationResult
 
 # ---------------------------------------------------------------------------
@@ -123,6 +128,21 @@ def outcome_fields(report):
         (o.windows, o.hung, o.aborted, o.violations, o.result)
         for o in report.outcomes
     ]
+
+
+@pytest.fixture
+def worker_addr():
+    """Address of a loopback sweep worker served from a thread of the
+    test process (so it sees the test's monkeypatches and mutations)."""
+    server = WorkerServer(("127.0.0.1", 0))
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    yield server.address
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 @pytest.fixture

@@ -201,7 +201,7 @@ class TestKeys:
         base = job_key(_window_job())
         other = _window_job(factory=replace(RING_SCENARIO, seed=7))
         assert job_key(other) != base
-        assert job_key(_window_job(trace=False)) != base
+        assert job_key(_window_job(invariants=())) != base
 
     def test_mutation_toggle_changes_key(self):
         base = job_key(_window_job())

@@ -85,15 +85,12 @@ def _compare_job(protocol):
 #: (job, key under repro 1.1.0 with no mutation active).
 KEY_VECTORS = {
     "campaign": (_CAMPAIGN_JOB, "32340b8bf58881ce14af3b78cf160082888708a6"),
-    "window_trace": (
+    # Re-pinned once when the hand-set ``trace`` field left the job (and
+    # with it the key text); every other vector is older than that.
+    "window": (
         WindowJob(factory=RING_SCENARIO, windows=_WINDOWS,
                   invariants=RING_INVARIANTS),
-        "02af5ac00a4c6d78a61889cdfc78cfd3a57f0a86",
-    ),
-    "window_notrace": (
-        WindowJob(factory=RING_SCENARIO, windows=_WINDOWS,
-                  invariants=RING_INVARIANTS, trace=False),
-        "a2acfcf2e0ac9434ca3a6276e49f1c969ab432d9",
+        "46be785f0ab04526233b203332298b83684ce365",
     ),
     "fuzz": (_fuzz_job(17), "5118b002feaebc905a6b7e2da2e1cef6966ac3aa"),
     # ``index`` is excluded from the key.
@@ -527,7 +524,7 @@ class TestMemo:
             WindowJob(factory=closure, **window),  # not addressable
             WindowJob(factory=RING_SCENARIO, keep_results=True, **window),
             SimJob(factory=RING_SCENARIO),  # no cache contract
-            WindowJob(factory=closure, trace=False, **window),
+            WindowJob(factory=closure, windows=_WINDOWS[:1]),
             _CAMPAIGN_JOB,
             TelemetryJob(job=_CAMPAIGN_JOB, index=5),
             TelemetryJob(job=WindowJob(factory=closure, **window), index=6),

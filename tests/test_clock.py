@@ -43,7 +43,6 @@ class TestEventQueue:
         ev = q.schedule(1.0, lambda: fired.append("x"))
         q.schedule(2.0, lambda: fired.append("y"))
         ev.cancel()
-        q.note_cancelled()
         first = q.pop()
         first.fn()
         assert fired == ["y"]
@@ -65,7 +64,6 @@ class TestEventQueue:
         ev = q.schedule(1.0, lambda: None)
         q.schedule(4.0, lambda: None)
         ev.cancel()
-        q.note_cancelled()
         assert q.peek_time() == 4.0
 
     def test_nan_time_rejected(self):

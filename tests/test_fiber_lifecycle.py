@@ -130,7 +130,7 @@ class TestThreadLifecycle:
         """After a run, retained Simulation objects no longer pin mains."""
         sim = Simulation(nprocs=2)
         sim.run(_clean_main)
-        from repro.simmpi.scheduler import _released
+        from repro.simmpi.fibers import _released
 
         for proc in sim.runtime.procs:
             assert proc.fiber is not None

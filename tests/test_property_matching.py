@@ -142,7 +142,6 @@ class TestEventQueueProperties:
         )
         for i in to_cancel:
             events[i].cancel()
-            q.note_cancelled()
         survivors = []
         while q:
             survivors.append(q.pop())

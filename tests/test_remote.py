@@ -30,7 +30,6 @@ from repro.parallel import (
     RemoteRunner,
     SerialRunner,
     SweepError,
-    WorkerServer,
     make_runner,
     parse_worker_addrs,
     with_cache,
@@ -55,23 +54,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
-# Workers: in-process (fast, shares the test process) and subprocess
-# (real `repro worker serve`, killable — the recovery tests need a
-# worker whose death closes its sockets).
+# Workers: in-process (``worker_addr`` in tests/conftest.py — fast,
+# shares the test process) and subprocess (real `repro worker serve`,
+# killable — the recovery tests need a worker whose death closes its
+# sockets).
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def worker_addr():
-    server = WorkerServer(("127.0.0.1", 0))
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    yield server.address
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
 
 
 def _spawn_worker() -> tuple[subprocess.Popen, tuple[str, int]]:

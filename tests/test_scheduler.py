@@ -7,8 +7,8 @@ from collections import deque
 import pytest
 
 from repro.simmpi import Simulation, available_backends, make_fiber
+from repro.simmpi.fibers import FiberState
 from repro.simmpi.scheduler import (
-    FiberState,
     LowestRankFirstPolicy,
     RandomPolicy,
     RoundRobinPolicy,

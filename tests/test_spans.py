@@ -33,25 +33,11 @@ from repro.parallel import (
     ProcessPoolRunner,
     RemoteRunner,
     RingScenario,
-    WorkerServer,
 )
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
 )
-
-
-@pytest.fixture
-def worker_addr():
-    server = WorkerServer(("127.0.0.1", 0))
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    yield server.address
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
 
 
 def _campaign(runner=None, **kw):
