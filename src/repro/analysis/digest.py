@@ -3,9 +3,10 @@
 One blake2b digest covers everything deterministic about a finished
 simulation: the final virtual time, the full semantic trace (event keys,
 in order), each rank's terminal state, and the perf counters minus the
-host-side slots (``wall_s`` and the ``fibers`` backend label — neither
-is a property of the simulation, and neither may enter a digest or a
-report compared across runs).
+host-side slots (the host seconds ``wall_s`` / ``setup_s`` /
+``teardown_s`` and the ``fibers`` backend label — none is a property of
+the simulation, and none may enter a digest or a report compared across
+runs).
 
 These helpers used to live in :mod:`repro.fuzz.driver`; they moved here
 so the fuzzer's replay verification and the content-addressed sweep
@@ -28,16 +29,17 @@ __all__ = ["perf_dict", "result_digest", "trace_digest"]
 
 
 def perf_dict(result: "SimulationResult") -> dict[str, Any]:
-    """The run's perf counters minus the host-side slots: ``wall_s``
-    (host time) and ``fibers`` (which fiber backend suspended the call
-    stacks).  Both describe the machine the run happened on, not the
-    simulation — traces are byte-identical across backends, so digests,
-    ``.repro.json`` expect blocks, and cache payloads must stay
-    backend-independent."""
+    """The run's perf counters minus the host-side slots: the host
+    seconds (``wall_s``, ``setup_s``, ``teardown_s``) and ``fibers``
+    (which fiber backend suspended the call stacks).  They describe the
+    machine the run happened on, not the simulation — traces are
+    byte-identical across backends, so digests, ``.repro.json`` expect
+    blocks, and cache payloads must stay backend-independent."""
     if result.perf is None:
         return {}
     d = result.perf.as_dict()
-    d.pop("wall_s", None)
+    for name in result.perf.HOST_SECONDS:
+        d.pop(name, None)
     d.pop("fibers", None)
     return d
 
@@ -61,10 +63,10 @@ def result_digest(result: "SimulationResult") -> str:
 
     Covers the final virtual time, the full semantic trace (event keys,
     in order), each rank's terminal state, and the perf counters (minus
-    ``wall_s``).  Two runs of the same config — serial, pooled, replayed
-    from disk, or reconstructed from the sweep cache — must produce the
-    same digest; that equality is what ``repro replay`` and ``repro
-    cache verify`` assert.
+    the host-side slots, see :func:`perf_dict`).  Two runs of the same
+    config — serial, pooled, replayed from disk, or reconstructed from
+    the sweep cache — must produce the same digest; that equality is what
+    ``repro replay`` and ``repro cache verify`` assert.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(struct.pack("<d", result.final_time))

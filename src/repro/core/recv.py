@@ -90,10 +90,8 @@ def ensure_watchdog(st: RingState) -> None:
         return
     if wd is not None and not wd.done:
         wd.cancel()
-    if comm._known_failed(st.right):
-        # Posting to a known-failed rank would complete in error instantly;
-        # let the caller's wait observe it that way (paper semantics).
-        pass
+    # Posted to a known-failed rank, the watchdog completes in error at
+    # once and the caller's wait observes it that way (paper semantics).
     st.watchdog = comm.irecv(source=st.right, tag=TAG_NORMAL)
 
 

@@ -4,7 +4,8 @@ Two related observability layers live here:
 
 * :class:`PerfCounters` — cheap per-simulation counters (fiber handoffs,
   events executed/cancelled, messages matched/unexpected/dropped,
-  deliveries, wall seconds) incremented inline by the kernel.  Every
+  deliveries, host seconds in the loop and around it) incremented inline
+  by the kernel.  Every
   :class:`~repro.simmpi.runtime.Simulation` run folds its counters into
   the process-wide :data:`SESSION` accumulator, which the benchmark
   harness snapshots around each series so ``BENCH_simperf.json`` carries
@@ -61,7 +62,14 @@ class PerfCounters:
         "messages_dropped",
         "deliveries",
         "wall_s",
+        "setup_s",
+        "teardown_s",
     )
+
+    #: Host seconds: what the machine spent, not what the simulation did.
+    #: :meth:`format` prints them as durations and
+    #: :func:`repro.analysis.digest.perf_dict` drops them.
+    HOST_SECONDS = ("wall_s", "setup_s", "teardown_s")
 
     __slots__ = _NUMERIC + ("fibers",)
 
@@ -85,6 +93,10 @@ class PerfCounters:
         self.deliveries = 0
         #: Host wall-clock seconds spent inside the simulation loop.
         self.wall_s = 0.0
+        #: Host seconds creating and starting the fibers, before the loop.
+        self.setup_s = 0.0
+        #: Host seconds unwinding and releasing the fibers, after it.
+        self.teardown_s = 0.0
         #: Fiber backend the counted simulations ran on (``""`` until a
         #: runtime stamps it; ``"mixed"`` after folding across backends).
         self.fibers = ""
@@ -106,11 +118,12 @@ class PerfCounters:
     def format(self) -> str:
         """Human-readable counter report."""
         d = self.as_dict()
-        wall = d.pop("wall_s")
+        seconds = {name: d.pop(name) for name in self.HOST_SECONDS}
         backend = d.pop("fibers")
         width = max(len(k) for k in d)
         lines = [f"{k:<{width}}  {v}" for k, v in d.items()]
-        lines.append(f"{'wall_s':<{width}}  {wall:.6f}")
+        lines += [f"{k:<{width}}  {v:.6f}" for k, v in seconds.items()]
+        wall = seconds["wall_s"]
         if backend:
             lines.append(f"{'fibers':<{width}}  {backend}")
         if wall > 0:

@@ -28,9 +28,16 @@ Point-to-point failure semantics (paper §II):
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
-from .constants import ANY_SOURCE, ANY_TAG, PROC_NULL, UNDEFINED, is_valid_tag
+from .constants import (
+    ANY_SOURCE,
+    ANY_TAG,
+    PROC_NULL,
+    TAG_UB,
+    UNDEFINED,
+    is_valid_tag,
+)
 from .errors import (
     CommRevokedError,
     ErrorClass,
@@ -81,6 +88,8 @@ class Comm:
         #: Per-process counters aligning validate_all / agree instances.
         self._validate_seq = itertools.count()
         self._agree_seq = itertools.count()
+        #: Set by :meth:`free`; every operation through the handle fails.
+        self._freed = False
         #: World rank -> comm rank; one dict per group, owned by the
         #: runtime and shared by every handle of that group.
         self._ranks = proc.runtime.group_ranks(group)
@@ -136,7 +145,7 @@ class Comm:
         """Install the communicator's error handler (paper Fig. 3 line 10)."""
         self.errhandler = handler
 
-    def _raise(self, exc: MPIError) -> None:
+    def _raise(self, exc: MPIError) -> NoReturn:
         """Dispatch an MPI error through the installed handler."""
         exc.rank = self._my_rank
         if self.errhandler is ErrorHandler.ERRORS_ARE_FATAL:
@@ -210,6 +219,23 @@ class Comm:
                 )
             )
 
+    def _check_recv_args(self, source: int, tag: int) -> None:
+        if source != PROC_NULL and source != ANY_SOURCE:
+            if not 0 <= source < self.size:
+                self._raise(
+                    InvalidArgumentError(
+                        f"invalid source rank {source}",
+                        error_class=ErrorClass.ERR_RANK,
+                        peer=source,
+                    )
+                )
+        if tag != ANY_TAG and not is_valid_tag(tag):
+            self._raise(
+                InvalidArgumentError(
+                    f"invalid tag {tag}", error_class=ErrorClass.ERR_TAG
+                )
+            )
+
     def send(
         self, payload: Any, dest: int, tag: int = 0, nbytes: int | None = None
     ) -> None:
@@ -240,33 +266,8 @@ class Comm:
         message is *matched* by a receive (or in error if the destination
         dies first)."""
         self._proc._mpi_call("issend")
-        self._check_not_freed()
-        self._check_revoked()
-        self._check_send_args(dest, tag)
-        req = Request(RequestKind.SEND, self._proc, self, peer=dest, tag=tag)
-        if dest == PROC_NULL or dest in self.recognized:
-            req.complete(self._proc.now, status=Status(source=dest, tag=tag))
-            return req
-        if self._known_failed(dest):
-            req.complete(
-                self._proc.now,
-                error=ErrorClass.ERR_RANK_FAIL_STOP,
-                status=Status(source=dest, tag=tag,
-                              error=ErrorClass.ERR_RANK_FAIL_STOP),
-            )
-            return req
-        # Like receives, pending synchronous sends carry the *world* rank in
-        # ``peer`` so the detector sweep can match it against failures.
-        req.peer = self.world_rank(dest)
-        self._proc.runtime.post_send(
-            self._proc,
-            dst_world=req.peer,
-            tag=tag,
-            context=self.context(CTX_P2P),
-            payload=payload,
-            nbytes=nbytes,
-            ssend_req=req,
-        )
+        req = self._send_common(payload, dest, tag, nbytes, "issend", sync=True)
+        assert req is not None
         return req
 
     def ssend(
@@ -280,30 +281,59 @@ class Comm:
         wait(req)
 
     def _send_common(
-        self, payload: Any, dest: int, tag: int, nbytes: int | None, op: str
-    ) -> None:
-        self._check_not_freed()
-        self._check_revoked()
-        self._check_send_args(dest, tag)
-        if dest == PROC_NULL:
-            return
-        if dest in self.recognized:
-            # Recognized failed rank: MPI_PROC_NULL semantics.
-            return
-        if self._known_failed(dest):
-            self._raise(
-                RankFailStopError(
-                    f"{op} to failed rank {dest} on {self.name}", peer=dest
+        self,
+        payload: Any,
+        dest: int,
+        tag: int,
+        nbytes: int | None,
+        op: str,
+        sync: bool = False,
+    ) -> Request | None:
+        """Post one send after the checks every send shares, in one order.
+
+        Every send of every hop runs this, so the checks are tested inline
+        and a ``_check_*`` / ``_raise`` helper is called only to build the
+        error of a failing one.  A synchronous send (*sync*) returns its
+        request, which then carries the outcome a plain send returns
+        early on (``PROC_NULL``) or raises (a known failure).
+        """
+        proc = self._proc
+        runtime = proc.runtime
+        if self._freed:
+            self._check_not_freed()
+        if (proc.rank, self.cid) in runtime._revoked:
+            self._check_revoked()
+        group = self.group
+        if (
+            dest != PROC_NULL and not 0 <= dest < len(group)
+        ) or not 0 <= tag <= TAG_UB:
+            self._check_send_args(dest, tag)
+        req = Request(RequestKind.SEND, proc, self, dest, tag) if sync else None
+        if dest == PROC_NULL or dest in self.recognized:
+            # A recognized failed rank has MPI_PROC_NULL semantics too.
+            if req is not None:
+                req.complete(proc.now, status=Status(dest, tag))
+            return req
+        dst_world = group[dest]
+        if dst_world in runtime.known_by[proc.rank]:
+            if req is None:
+                self._raise(
+                    RankFailStopError(
+                        f"{op} to failed rank {dest} on {self.name}", peer=dest
+                    )
                 )
-            )
-        self._proc.runtime.post_send(
-            self._proc,
-            dst_world=self.world_rank(dest),
-            tag=tag,
-            context=self.context(CTX_P2P),
-            payload=payload,
-            nbytes=nbytes,
+            fail = ErrorClass.ERR_RANK_FAIL_STOP
+            req.complete(proc.now, error=fail, status=Status(dest, tag, fail))
+            return req
+        if req is not None:
+            # Like receives, a pending synchronous send carries the *world*
+            # rank in ``peer``, for the detector sweep to match failures.
+            req.peer = dst_world
+        runtime.post_send(
+            proc, dst_world, tag, self.cid * CONTEXTS_PER_COMM + CTX_P2P,
+            payload, nbytes, req,
         )
+        return req
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive.
@@ -317,55 +347,35 @@ class Comm:
         return self._irecv_common(source, tag)
 
     def _irecv_common(self, source: int, tag: int) -> Request:
-        self._check_not_freed()
-        self._check_revoked()
-        if source != PROC_NULL and source != ANY_SOURCE:
-            if not 0 <= source < self.size:
-                self._raise(
-                    InvalidArgumentError(
-                        f"invalid source rank {source}",
-                        error_class=ErrorClass.ERR_RANK,
-                        peer=source,
-                    )
-                )
-        if tag != ANY_TAG and not is_valid_tag(tag):
-            self._raise(
-                InvalidArgumentError(
-                    f"invalid tag {tag}", error_class=ErrorClass.ERR_TAG
-                )
-            )
+        # Checks inline and helpers only on failure, as in _send_common.
+        proc = self._proc
+        runtime = proc.runtime
+        if self._freed:
+            self._check_not_freed()
+        if (proc.rank, self.cid) in runtime._revoked:
+            self._check_revoked()
+        group = self.group
+        if (
+            source != PROC_NULL and source != ANY_SOURCE
+            and not 0 <= source < len(group)
+        ) or (tag != ANY_TAG and not 0 <= tag <= TAG_UB):
+            self._check_recv_args(source, tag)
         # Requests carry *world* ranks in ``peer`` so the matching engine
         # and the failure sweep compare like with like; statuses are
         # translated back to comm ranks at completion.
-        if source in (PROC_NULL, ANY_SOURCE):
-            peer_world = source
-        else:
-            peer_world = self.world_rank(source)
-        req = Request(RequestKind.RECV, self._proc, self, peer=peer_world, tag=tag)
-        if source == PROC_NULL or (source != ANY_SOURCE and source in self.recognized):
+        wildcard = source == ANY_SOURCE
+        peer_world = source if wildcard or source == PROC_NULL else group[source]
+        req = Request(RequestKind.RECV, proc, self, peer_world, tag)
+        fail = ErrorClass.ERR_RANK_FAIL_STOP
+        if source == PROC_NULL or (not wildcard and source in self.recognized):
             # PROC_NULL semantics: immediate empty completion.
-            req.complete(
-                self._proc.now,
-                status=Status(source=PROC_NULL, tag=ANY_TAG, count=0),
-            )
-            return req
-        if source != ANY_SOURCE and self._known_failed(source):
-            req.complete(
-                self._proc.now,
-                error=ErrorClass.ERR_RANK_FAIL_STOP,
-                status=Status(source=source, tag=tag,
-                              error=ErrorClass.ERR_RANK_FAIL_STOP),
-            )
-            return req
-        if source == ANY_SOURCE and self._has_unrecognized_failure():
-            req.complete(
-                self._proc.now,
-                error=ErrorClass.ERR_RANK_FAIL_STOP,
-                status=Status(source=ANY_SOURCE, tag=tag,
-                              error=ErrorClass.ERR_RANK_FAIL_STOP),
-            )
-            return req
-        self._proc.runtime.post_recv(self, req)
+            req.complete(proc.now, status=Status(PROC_NULL, ANY_TAG))
+        elif not wildcard and peer_world in runtime.known_by[proc.rank]:
+            req.complete(proc.now, error=fail, status=Status(source, tag, fail))
+        elif wildcard and self._has_unrecognized_failure():
+            req.complete(proc.now, error=fail, status=Status(ANY_SOURCE, tag, fail))
+        else:
+            runtime.post_recv(self, req, self.cid * CONTEXTS_PER_COMM + CTX_P2P)
         return req
 
     def recv(
@@ -482,7 +492,7 @@ class Comm:
         self._freed = True
 
     def _check_not_freed(self) -> None:
-        if getattr(self, "_freed", False):
+        if self._freed:
             self._raise(
                 InvalidArgumentError(
                     f"{self.name} has been freed",

@@ -10,8 +10,10 @@ Two backends implement that contract behind one API:
   one thread holds the *baton* at any instant, so the simulation stays
   deterministic.  Inside a runtime loop the baton is passed **directly**:
   the thread that gives up control runs the scheduling decision itself
-  and wakes the chosen fiber — one OS switch per handoff, none when the
-  pick is the yielder.
+  and wakes the chosen fiber — one context switch per handoff where the
+  fiber threads run under ``SCHED_BATCH`` (Linux, see
+  :func:`_no_wakeup_preemption`), about 3.4 where a woken thread may
+  preempt its waker, none when the pick is the yielder.
 * :class:`GreenletFiber` (``"greenlet"``) — the fast backend.  Each fiber
   is a `greenlet <https://greenlet.readthedocs.io>`_: a real C-level
   stack switch on **one** thread, no locks and no kernel involvement in
@@ -244,6 +246,25 @@ def _released() -> None:  # pragma: no cover - never executed
 # ----------------------------------------------------------------------
 
 
+def _no_wakeup_preemption() -> None:
+    """Put the calling thread under ``SCHED_BATCH`` where Linux offers it.
+
+    A handoff releases the pick's lock and then parks: under the default
+    policy the woken thread preempts its waker at once, finds the GIL
+    still held, blocks on it, and the kernel switches back — 3.4 context
+    switches per handoff instead of 1.  Linux never lets a ``SCHED_BATCH``
+    thread preempt on wakeup (same weight, same time slice otherwise), so
+    the waker reaches its own park first and the pick finds the GIL free.
+    Threads and processes started from a fiber thread inherit the policy
+    (``SCHED_RESET_ON_FORK`` does not reset it); where the call is absent
+    or refused this is a no-op and only the switch count differs.
+    """
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
+
+
 class _FiberWorker:
     """One pooled OS thread that runs fiber bootstraps back to back.
 
@@ -268,6 +289,7 @@ class _FiberWorker:
         self.thread.start()
 
     def _run(self) -> None:
+        _no_wakeup_preemption()
         while True:
             self._task_ready.acquire()
             fiber = self._task
@@ -345,10 +367,11 @@ class ThreadFiber(BaseFiber):
       thread that gives up control (a fiber blocking in
       :meth:`yield_to_scheduler`, or finishing its bootstrap) runs the
       runtime's scheduling decision *itself*, releases the chosen
-      fiber's ``_resume`` and parks on its own: **one OS switch per
-      handoff**, and none when the pick is the yielder (``compute`` and
-      poll wake-ups).  When the decision says the loop is over, the
-      thread wakes the main thread instead.
+      fiber's ``_resume`` and parks on its own: **one context switch per
+      handoff** under ``SCHED_BATCH`` (the pick cannot preempt its waker,
+      so it wakes to a free GIL), and none when the pick is the yielder
+      (``compute`` and poll wake-ups).  When the decision says the loop
+      is over, the thread wakes the main thread instead.
     * **Caller-driven** — :meth:`resume_and_wait` from any thread that
       holds the baton (kill and shutdown unwinding, which nest inside an
       event or run after the loop; the raw-fiber tests and benches).

@@ -68,10 +68,14 @@ def wait(request: Request) -> Status:
     """Block until *request* completes; return its status or raise."""
     proc = request.owner
     proc._mpi_call("wait")
+    # Waiters are managed inline here and in waitany (the hot waits);
+    # completion empties the list, so a woken waiter is usually gone.
     while not request.done:
-        request.add_waiter(proc)
+        if proc not in request._waiters:
+            request._waiters.append(proc)
         proc.block(_WaitOn((request,)))
-    request.remove_waiter(proc)
+    if proc in request._waiters:
+        request._waiters.remove(proc)
     if request.completion_time is not None:
         proc.now = max(proc.now, request.completion_time)
     if request.error is not None:
@@ -93,7 +97,8 @@ def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
         for i, req in enumerate(requests):
             if req.done:
                 for r in requests:
-                    r.remove_waiter(proc)
+                    if proc in r._waiters:
+                        r._waiters.remove(proc)
                 if req.completion_time is not None:
                     proc.now = max(proc.now, req.completion_time)
                 if req.error is not None:
@@ -101,7 +106,8 @@ def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
                 assert req.status is not None
                 return i, req.status
         for req in requests:
-            req.add_waiter(proc)
+            if proc not in req._waiters:
+                req._waiters.append(proc)
         proc.block(_WaitOn(requests))
 
 

@@ -148,15 +148,16 @@ class SimProcess:
 
     def wake(self, time: float, why: str) -> None:
         """Make this process runnable at virtual *time* (event context)."""
-        assert self.fiber is not None
+        fiber = self.fiber
+        assert fiber is not None
         self.now = max(self.now, time)
-        if self.fiber.state is FiberState.BLOCKED:
-            obs = self.runtime.obs
-            if obs is not None:
-                obs.fiber_woken(self.rank, self.now)
-            self.fiber.state = FiberState.READY
-            self.fiber.block_reason = ""
-            self.runtime.enqueue_ready(self)
+        if fiber.state is FiberState.BLOCKED:
+            runtime = self.runtime
+            if runtime.obs is not None:
+                runtime.obs.fiber_woken(self.rank, self.now)
+            fiber.state = FiberState.READY
+            fiber.block_reason = ""
+            runtime._ready.append(self)
 
     def _mpi_call(self, opname: str) -> None:
         """Per-call hook: bump the call counter, consult fault injection."""

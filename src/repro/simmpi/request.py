@@ -96,7 +96,8 @@ class Request:
         label: str = "",
     ) -> None:
         # Per-simulation id so identical seeds yield identical traces.
-        self.id = owner.runtime.next_request_id()
+        runtime = owner.runtime
+        self.id = runtime._req_seq = runtime._req_seq + 1
         self.kind = kind
         self.owner = owner
         self.comm = comm

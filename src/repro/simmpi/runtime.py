@@ -26,6 +26,7 @@ from __future__ import annotations
 import time as _time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..perf import SESSION, PerfCounters
@@ -142,6 +143,8 @@ class Runtime:
         #: (Ctrl-C): the loop ends at the next scheduling decision.
         self._interrupted = False
         self._poll_dt = max(cost.overhead, 1e-9)
+        #: Last message / request id handed out: per-simulation, so equal
+        #: seeds give equal traces.  Bumped inline where ids are taken.
         self._msg_seq = 0
         self._req_seq = 0
         #: One ``world rank -> comm rank`` map per distinct group tuple,
@@ -155,20 +158,6 @@ class Runtime:
     # ------------------------------------------------------------------
     # Scheduling plumbing
     # ------------------------------------------------------------------
-
-    def next_request_id(self) -> int:
-        """Allocate a per-simulation request id (deterministic)."""
-        self._req_seq += 1
-        return self._req_seq
-
-    def next_message_id(self) -> int:
-        """Allocate a per-simulation message id (deterministic)."""
-        self._msg_seq += 1
-        return self._msg_seq
-
-    def enqueue_ready(self, proc: SimProcess) -> None:
-        """Add a newly-runnable process to the ready queue."""
-        self._ready.append(proc)
 
     def schedule(self, time: float, fn: Callable[[], None], label: str = "") -> None:
         """Schedule a raw event (runtime-internal)."""
@@ -445,7 +434,6 @@ class Runtime:
     def post_send(
         self,
         proc: SimProcess,
-        *,
         dst_world: int,
         tag: int,
         context: int,
@@ -455,35 +443,32 @@ class Runtime:
     ) -> None:
         """Inject one message into the network from *proc* (eager send)."""
         size = payload_nbytes(payload) if nbytes is None else nbytes
-        proc.now += self.cost.send_overhead(proc.rank, dst_world, size)
-        deliver = proc.now + self.cost.transit_time(proc.rank, dst_world, size)
-        key = (proc.rank, dst_world, context)
-        prev = self._channel_last.get(key, -1.0)
-        deliver = max(deliver, prev)  # per-channel in-order delivery
-        self._channel_last[key] = deliver
+        src = proc.rank
+        cost = self.cost
+        now = proc.now = proc.now + cost.send_overhead(src, dst_world, size)
+        deliver = now + cost.transit_time(src, dst_world, size)
+        key = (src, dst_world, context)
+        channel_last = self._channel_last
+        prev = channel_last.get(key, -1.0)
+        if prev > deliver:
+            deliver = prev  # per-channel in-order delivery
+        channel_last[key] = deliver
+        msg_id = self._msg_seq = self._msg_seq + 1
         msg = Message(
-            src=proc.rank,
-            dst=dst_world,
-            tag=tag,
-            context=context,
-            payload=payload,
-            nbytes=size,
-            msg_id=self.next_message_id(),
-            send_time=proc.now,
-            deliver_time=deliver,
+            src, dst_world, tag, context, payload, size, msg_id, now, deliver,
+            ssend_req,
         )
-        msg.ssend_req = ssend_req
         if ssend_req is not None:
-            self.track_peer_request(proc.rank, ssend_req)
+            self.track_peer_request(src, ssend_req)
         self.perf.messages_sent += 1
         if self.obs is not None:
-            self.obs.message_posted(proc.now)
+            self.obs.message_posted(now)
         if self.trace.enabled:
             self.trace.record(
-                proc.now, TraceKind.SEND_POST, proc.rank,
-                dst=dst_world, tag=tag, ctx=context, bytes=size, msg=msg.msg_id,
+                now, TraceKind.SEND_POST, src,
+                dst=dst_world, tag=tag, ctx=context, bytes=size, msg=msg_id,
             )
-        self.events.schedule(deliver, lambda: self._deliver(msg), "deliver")
+        self.events.schedule(deliver, partial(self._deliver, msg), "deliver")
 
     def _deliver(self, msg: Message) -> None:
         dst = self.procs[msg.dst]
@@ -491,7 +476,7 @@ class Runtime:
         obs = self.obs
         if obs is not None:
             obs.message_done(msg.deliver_time)
-        if not dst.alive():
+        if dst.failed_at is not None:
             perf.messages_dropped += 1
             if self.trace.enabled:
                 self.trace.record(
@@ -546,23 +531,26 @@ class Runtime:
             )
 
     def _complete_recv(self, req: Request, msg: Message, time: float) -> None:
-        t = time + self.cost.recv_overhead(msg.src, msg.dst, msg.nbytes)
-        source = msg.src
-        if req.comm is not None:
-            cr = req.comm.comm_rank_of_world(msg.src)
+        src, tag, nbytes = msg.src, msg.tag, msg.nbytes
+        t = time + self.cost.recv_overhead(src, msg.dst, nbytes)
+        source = src
+        comm = req.comm
+        if comm is not None:
+            cr = comm._ranks.get(src)
             if cr is not None:
                 source = cr
         if self.trace.enabled:
             self.trace.record(
                 t, TraceKind.RECV_COMPLETE, msg.dst,
-                src=msg.src, tag=msg.tag, req=req.id, msg=msg.msg_id,
+                src=src, tag=tag, req=req.id, msg=msg.msg_id,
             )
         req.complete(
             t,
             data=msg.payload,
-            status=Status(source=source, tag=msg.tag, count=msg.nbytes),
+            status=Status(source, tag, ErrorClass.SUCCESS, nbytes),
         )
-        self._complete_ssend(msg, t, dropped=False)
+        if msg.ssend_req is not None:
+            self._complete_ssend(msg, t, dropped=False)
 
     def _complete_ssend(self, msg: Message, time: float, dropped: bool) -> None:
         sreq: Request | None = msg.ssend_req
@@ -609,9 +597,10 @@ class Runtime:
         key = (src_rank, dst_world, context)
         deliver = max(deliver, self._channel_last.get(key, -1.0))
         self._channel_last[key] = deliver
+        self._msg_seq += 1
         msg = Message(
             src=src_rank, dst=dst_world, tag=0, context=context,
-            payload=payload, nbytes=size, msg_id=self.next_message_id(),
+            payload=payload, nbytes=size, msg_id=self._msg_seq,
             send_time=t0, deliver_time=deliver,
         )
         self.perf.messages_sent += 1
@@ -623,7 +612,7 @@ class Runtime:
                 dst=dst_world, tag=0, ctx=context, bytes=size, msg=msg.msg_id,
                 am=True,
             )
-        self.events.schedule(deliver, lambda: self._deliver(msg), "am")
+        self.events.schedule(deliver, partial(self._deliver, msg), "am")
 
     # ------------------------------------------------------------------
     # Communicator ids and groups
@@ -682,8 +671,10 @@ class Runtime:
 
         Fibers come from the active backend (:attr:`fiber_backend`): OS
         threads with a baton handoff, or greenlets with single-threaded
-        zero-lock switches — same lifecycle either way.
+        zero-lock switches — same lifecycle either way.  Its host seconds
+        are ``perf.setup_s``.
         """
+        t0 = _time.perf_counter()
         for proc, main in zip(self.procs, mains):
             fiber = make_fiber(
                 self.fiber_backend,
@@ -693,8 +684,8 @@ class Runtime:
             )
             proc.attach_fiber(fiber)
             fiber.start()
-        for proc in self.procs:
-            self._ready.append(proc)
+        self._ready.extend(self.procs)
+        self.perf.setup_s += _time.perf_counter() - t0
 
     def loop(self) -> None:
         """Run until every process finished, the job aborted, a deadlock is
@@ -794,8 +785,10 @@ class Runtime:
         accumulate fiber state (pooled threads or live greenlet stacks)
         across simulations.  After joining, each fiber's reference to the
         application main is dropped so a kept ``Simulation`` object
-        cannot pin per-run application state alive.
+        cannot pin per-run application state alive.  Its host seconds are
+        ``perf.teardown_s``.
         """
+        t0 = _time.perf_counter()
         for proc in self.procs:
             fiber = proc.fiber
             if fiber is None or fiber.finished():
@@ -806,6 +799,7 @@ class Runtime:
             if proc.fiber is not None:
                 proc.fiber.join()
                 proc.fiber.release()
+        self.perf.teardown_s += _time.perf_counter() - t0
 
 
 @dataclass

@@ -19,8 +19,8 @@ The scheduling layer is split in two:
 * :mod:`repro.simmpi.fibers` — *how* a fiber's call stack suspends and
   where the loop runs.  Two pluggable backends implement one API: the
   pure-stdlib thread backend (:class:`~repro.simmpi.fibers.ThreadFiber`,
-  direct baton passing, one OS switch per handoff) and the optional
-  single-threaded greenlet backend
+  direct baton passing, one context switch per handoff on Linux) and the
+  optional single-threaded greenlet backend
   (:class:`~repro.simmpi.fibers.GreenletFiber`, zero-lock handoffs,
   ``pip install repro[fast]``).  Kill/fail-stop and shutdown unwinding
   (:class:`~repro.simmpi.errors.ProcessKilled` /

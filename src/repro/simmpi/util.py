@@ -43,16 +43,19 @@ _SIMPLE_CONTAINERS = (tuple, list, set, frozenset)
 def _shape_token(v: Any) -> Any:
     """A hashable key fragment that fully determines ``_body_nbytes(v)``.
 
-    Returns ``None`` when no cheap size-determining key exists (nested
-    structures, subclasses, objects) — the caller then falls back to the
-    structural walk.  Tokens:
+    Returns ``None`` when no cheap size-determining key exists (dicts,
+    mixed or nested containers, subclasses, objects) — the caller then
+    falls back to the structural walk.  Tokens:
 
     * fixed-width scalar -> its exact type (constant size),
     * ``str`` -> the string itself (size is its UTF-8 length; interned
       protocol tags like ``"round"``/``"decide"`` repeat endlessly),
     * ``bytes``/``bytearray`` -> ``(type, len)``,
     * flat ``tuple``/``list``/``set``/``frozenset`` whose elements are all
-      the *same* fixed-width scalar type -> ``(type, elem_type, len)``.
+      the *same* fixed-width scalar type -> ``(type, elem_type, len)``,
+    * a dataclass whose fields all have tokens -> ``(type, field tokens)``
+      (see :func:`_dataclass_token`), so a wrapper such as the replication
+      envelope around a ring message resolves in one lookup too.
     """
     t = type(v)
     if t in _FIXED_SCALAR:
@@ -72,7 +75,38 @@ def _shape_token(v: Any) -> Any:
             elif xt is not et:
                 return None
         return (t, et, len(v))
+    fields = getattr(t, "__dataclass_fields__", None)
+    if fields is not None:
+        return _dataclass_token(v, t, fields)
     return None
+
+
+def _dataclass_token(v: Any, t: type, fields: Any) -> Any:
+    """``(type, field tokens)`` for a dataclass instance, or ``None``.
+
+    ``None`` too when :func:`_body_nbytes` would not reach its dataclass
+    branch: an ``int`` ``nbytes`` attribute wins the walk, and a subclass
+    of a container or scalar type takes that type's earlier branch.
+    """
+    if isinstance(getattr(v, "nbytes", None), int) or isinstance(
+        v, _NON_CACHEABLE_BASES
+    ):
+        return None
+    # Inline _shape_token for the common field kinds: this runs per send
+    # on the kernel's hot path, and fixed scalars and short strings
+    # resolve in one dict/type check.
+    toks = []
+    for f in fields:
+        x = getattr(v, f)
+        xt = type(x)
+        if xt in _FIXED_SCALAR:
+            toks.append(xt)
+            continue
+        tok = x if xt is str else _shape_token(x)
+        if tok is None:
+            return None
+        toks.append(tok)
+    return (t, tuple(toks))
 
 
 def payload_nbytes(payload: Any) -> int:
@@ -89,32 +123,10 @@ def payload_nbytes(payload: Any) -> int:
     size = _FIXED_SCALAR.get(t)
     if size is not None:
         return ENVELOPE_BYTES + size
-    key = None
     fields = getattr(t, "__dataclass_fields__", None)
-    if fields is not None:
-        if not isinstance(
-            getattr(payload, "nbytes", None), int  # an nbytes attr wins the walk
-        ) and not isinstance(payload, _NON_CACHEABLE_BASES):
-            # Inline _shape_token over the fields: this runs per send on
-            # the kernel's hot path, and the common field kinds (fixed
-            # scalars, short strings) resolve in one dict/type check.
-            toks: list | None = []
-            for f in fields:
-                v = getattr(payload, f)
-                vt = type(v)
-                if vt in _FIXED_SCALAR:
-                    toks.append(vt)
-                    continue
-                tok = v if vt is str else _shape_token(v)
-                if tok is None:
-                    toks = None
-                    break
-                toks.append(tok)
-            if toks is not None:
-                key = (t, tuple(toks))
+    if fields is not None:  # every send of the ring and the agreement
+        key = _dataclass_token(payload, t, fields)
     else:
-        # Non-dataclass payloads: flat strings/bytes/scalar containers
-        # also have cheap size-determining keys.
         key = _shape_token(payload)
     if key is not None:
         size = _SHAPE_CACHE.get(key)
