@@ -1,6 +1,6 @@
 """``repro.analysis`` — invariants, statistics, digests, and tables."""
 
-from .digest import perf_dict, result_digest, trace_digest
+from .digest import perf_dict, result_digest
 from .invariants import (
     Invariant,
     completions_in_order,
@@ -37,5 +37,4 @@ __all__ = [
     "ring_summary",
     "standard_ring_invariants",
     "survivors_done",
-    "trace_digest",
 ]
