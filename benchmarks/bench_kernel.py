@@ -10,8 +10,8 @@ so a regression can be attributed to the mechanism that caused it:
   context switch (~10µs/handoff) where the greenlet backend does a
   single-threaded C stack switch (zero locks) that must come in at
   least 10x faster — asserted whenever greenlet is importable;
-* ``event_queue`` — schedule/pop/cancel throughput of the tuple-keyed
-  binary heap;
+* ``event_queue`` — schedule/pop throughput of the binary heap of
+  ``(time, seq, fn)`` tuples;
 * ``matching`` — posted-receive lookup, indexed ``(source, tag)`` fast
   path vs the wildcard fallback scan;
 * ``trace_overhead`` — an identical simulation with tracing on vs off
@@ -108,7 +108,7 @@ def bench_kernel_handoff_greenlet(benchmark):
 
 
 def bench_kernel_event_queue(benchmark):
-    """Heap throughput: schedule+pop, plus a cancellation-heavy mix."""
+    """Heap throughput: schedule+pop."""
     N = 20_000
     stats = {}
 
@@ -122,23 +122,10 @@ def bench_kernel_event_queue(benchmark):
             q.pop()
         stats["sched_pop_us"] = (time.perf_counter() - t0) / N * 1e6
 
-        events = [q.schedule(i * 1e-9, fn) for i in range(N)]
-        t0 = time.perf_counter()
-        for ev in events[::2]:
-            ev.cancel()
-        popped = 0
-        while q:  # pop() skips cancelled entries internally
-            q.pop()
-            popped += 1
-        stats["cancel_mix_us"] = (time.perf_counter() - t0) / N * 1e6
-        assert popped == N // 2
-        assert q.cancelled_total == N // 2
-
     timed(benchmark, run)
     emit(
         "kernel: event queue",
-        (f"schedule+pop {stats['sched_pop_us']:.3f} us/event; "
-         f"50% cancelled mix {stats['cancel_mix_us']:.3f} us/event"),
+        f"schedule+pop {stats['sched_pop_us']:.3f} us/event",
     )
 
 

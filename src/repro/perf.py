@@ -3,7 +3,7 @@
 Two related observability layers live here:
 
 * :class:`PerfCounters` — cheap per-simulation counters (fiber handoffs,
-  events executed/cancelled, messages matched/unexpected/dropped,
+  events executed, messages matched/unexpected/dropped,
   deliveries, host seconds in the loop and around it) incremented inline
   by the kernel.  Every
   :class:`~repro.simmpi.runtime.Simulation` run folds its counters into
@@ -78,7 +78,8 @@ class PerfCounters:
         self.handoffs = 0
         #: Events popped and executed by the main loop.
         self.events_executed = 0
-        #: Events cancelled before execution.
+        #: Always 0: events cannot be cancelled.  The slot stays because
+        #: ``repro.analysis.digest.perf_dict`` feeds it to every digest.
         self.events_cancelled = 0
         #: Messages injected into the network (eager + active-message).
         self.messages_sent = 0

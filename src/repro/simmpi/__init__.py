@@ -30,7 +30,7 @@ Quick taste::
     assert result.value(1) == "hello"
 """
 
-from .clock import Event, EventQueue, VirtualClock
+from .clock import EventQueue, VirtualClock
 from .communicator import CTX_AM, CTX_COLL, CTX_P2P, Comm
 from .collectives import OPS, exscan, reduce_scatter
 from .constants import (
@@ -109,7 +109,6 @@ __all__ = [
     "BaseFiber",
     "ErrorClass",
     "ErrorHandler",
-    "Event",
     "EventQueue",
     "FIBER_BACKENDS",
     "Fiber",

@@ -184,13 +184,17 @@ class Comm:
     # ------------------------------------------------------------------
 
     def known_failed_comm_ranks(self) -> set[int]:
-        """Comm ranks this process currently *knows* to have failed."""
-        known_world = self._proc.runtime.known_failed_set(self._proc.rank)
-        out = set()
-        for cr, wr in enumerate(self.group):
-            if wr in known_world:
-                out.add(cr)
-        return out
+        """Comm ranks this process currently *knows* to have failed.
+
+        O(known failures), through the group's shared rank map — unless
+        the group repeats a world rank (the map then keeps only its first
+        slot), where every slot is scanned.
+        """
+        known = self._proc.runtime.known_by[self._proc.rank]
+        ranks = self._ranks
+        if len(ranks) == len(self.group):
+            return {ranks[wr] for wr in known if wr in ranks}
+        return {cr for cr, wr in enumerate(self.group) if wr in known}
 
     def _known_failed(self, comm_rank: int) -> bool:
         wr = self.group[comm_rank]

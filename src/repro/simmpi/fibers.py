@@ -445,7 +445,8 @@ class ThreadFiber(BaseFiber):
     def yield_to_scheduler(self) -> None:
         if not self._pass_baton(blocked=True):
             self._resume.acquire()
-        self._check_pending()
+        if self.kill_pending or self.shutdown_pending:
+            self._check_pending()
 
     # -- scheduler side ---------------------------------------------------
 
@@ -555,7 +556,8 @@ class GreenletFiber(BaseFiber):
         glet = self._glet
         assert glet is not None
         glet.parent.switch()
-        self._check_pending()
+        if self.kill_pending or self.shutdown_pending:
+            self._check_pending()
 
     # -- scheduler side ---------------------------------------------------
 

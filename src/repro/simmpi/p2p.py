@@ -68,14 +68,9 @@ def wait(request: Request) -> Status:
     """Block until *request* completes; return its status or raise."""
     proc = request.owner
     proc._mpi_call("wait")
-    # Waiters are managed inline here and in waitany (the hot waits);
-    # completion empties the list, so a woken waiter is usually gone.
     while not request.done:
-        if proc not in request._waiters:
-            request._waiters.append(proc)
+        request.waited = True  # completion clears it and wakes proc
         proc.block(_WaitOn((request,)))
-    if proc in request._waiters:
-        request._waiters.remove(proc)
     if request.completion_time is not None:
         proc.now = max(proc.now, request.completion_time)
     if request.error is not None:
@@ -91,14 +86,17 @@ def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
     ``index`` attribute identifies it (so the caller can repost just that
     request, as ``FT_Recv_left`` does).
     """
-    proc = _owner(requests)
+    # The ring's two-request wait checks its owner inline.
+    if len(requests) == 2 and requests[0].owner is requests[1].owner:
+        proc = requests[0].owner
+    else:
+        proc = _owner(requests)
     proc._mpi_call("waitany")
     while True:
         for i, req in enumerate(requests):
             if req.done:
                 for r in requests:
-                    if proc in r._waiters:
-                        r._waiters.remove(proc)
+                    r.waited = False
                 if req.completion_time is not None:
                     proc.now = max(proc.now, req.completion_time)
                 if req.error is not None:
@@ -106,8 +104,7 @@ def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
                 assert req.status is not None
                 return i, req.status
         for req in requests:
-            if proc not in req._waiters:
-                req._waiters.append(proc)
+            req.waited = True
         proc.block(_WaitOn(requests))
 
 
@@ -122,10 +119,10 @@ def waitall(requests: Sequence[Request]) -> list[Status]:
     while not all(r.done for r in requests):
         for req in requests:
             if not req.done:
-                req.add_waiter(proc)
+                req.waited = True
         proc.block(_WaitOn(requests))
     for req in requests:
-        req.remove_waiter(proc)
+        req.waited = False
         if req.completion_time is not None:
             proc.now = max(proc.now, req.completion_time)
     for i, req in enumerate(requests):
@@ -144,10 +141,10 @@ def waitsome(requests: Sequence[Request]) -> list[tuple[int, Status]]:
     proc._mpi_call("waitsome")
     while not any(r.done for r in requests):
         for req in requests:
-            req.add_waiter(proc)
+            req.waited = True
         proc.block(_WaitOn(requests))
     for req in requests:
-        req.remove_waiter(proc)
+        req.waited = False
     done = [(i, r) for i, r in enumerate(requests) if r.done]
     for _, r in done:
         if r.completion_time is not None:

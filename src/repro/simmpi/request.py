@@ -62,9 +62,11 @@ class Request:
     """Handle for a pending non-blocking operation.
 
     The runtime completes a request exactly once, either successfully (with
-    a payload for receives) or with an :class:`ErrorClass`.  Processes
-    blocked in ``wait*`` on the request are woken at the completion's
-    virtual time.
+    a payload for receives) or with an :class:`ErrorClass`.  Only the
+    request's owner ever waits on it (the ``wait*`` functions of
+    :mod:`repro.simmpi.p2p` check ownership), so a wait is one flag,
+    :attr:`waited`: set while the owner is blocked on the request, it
+    makes completion wake the owner at the completion's virtual time.
     """
 
     __slots__ = (
@@ -80,7 +82,7 @@ class Request:
         "data",
         "completion_time",
         "cancelled",
-        "_waiters",
+        "waited",
         "_on_complete",
         "user_label",
         "context",
@@ -111,8 +113,10 @@ class Request:
         self.data: Any = None
         self.completion_time: float | None = None
         self.cancelled = False
-        self._waiters: list[SimProcess] = []
-        self._on_complete: list[Callable[[Request], None]] = []
+        #: The owner is blocked in a ``wait*`` on this request.
+        self.waited = False
+        #: Completion callbacks, allocated by the first :meth:`on_complete`.
+        self._on_complete: list[Callable[[Request], None]] | None = None
         self.user_label = label
         #: Message context the request was posted under (set by the
         #: runtime at post time; the failure sweep uses it to identify
@@ -129,7 +133,7 @@ class Request:
         status: Status | None = None,
         data: Any = None,
     ) -> None:
-        """Mark the request complete and wake any waiters.
+        """Mark the request complete and wake the owner if it waits.
 
         Completing an already-complete request is a runtime bug and raises.
         """
@@ -142,27 +146,21 @@ class Request:
             self.status.error = self.error
         self.data = data
         self.completion_time = time
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            proc.wake(time, "request complete")
-        callbacks, self._on_complete = self._on_complete, []
-        for cb in callbacks:
-            cb(self)
-
-    def add_waiter(self, proc: "SimProcess") -> None:
-        """Register *proc* to be woken when this request completes."""
-        if proc not in self._waiters:
-            self._waiters.append(proc)
-
-    def remove_waiter(self, proc: "SimProcess") -> None:
-        """Unregister a waiter (after a wait returns or is abandoned)."""
-        if proc in self._waiters:
-            self._waiters.remove(proc)
+        if self.waited:
+            self.waited = False
+            self.owner.wake(time, "request complete")
+        callbacks = self._on_complete
+        if callbacks is not None:
+            self._on_complete = None
+            for cb in callbacks:
+                cb(self)
 
     def on_complete(self, cb: Callable[["Request"], None]) -> None:
         """Register a runtime callback fired at completion (AM layer glue)."""
         if self.done:
             cb(self)
+        elif self._on_complete is None:
+            self._on_complete = [cb]
         else:
             self._on_complete.append(cb)
 

@@ -27,6 +27,7 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop
 from typing import Any, Callable, Sequence
 
 from ..perf import SESSION, PerfCounters
@@ -49,6 +50,9 @@ from .request import Request, Status
 from .scheduler import SchedulingPolicy, make_policy
 from .trace import Trace, TraceKind
 from .util import payload_nbytes
+
+_DONE = FiberState.DONE
+_FAILED = FiberState.FAILED
 
 
 class SimulationLimitExceeded(Exception):
@@ -159,13 +163,9 @@ class Runtime:
     # Scheduling plumbing
     # ------------------------------------------------------------------
 
-    def schedule(self, time: float, fn: Callable[[], None], label: str = "") -> None:
-        """Schedule a raw event (runtime-internal)."""
-        self.events.schedule(time, fn, label)
-
     def schedule_wake(self, proc: SimProcess, time: float, label: str) -> None:
         """Schedule *proc* to wake at virtual *time*."""
-        self.events.schedule(time, lambda: proc.wake(time, label), f"wake:{label}")
+        self.events.schedule(time, partial(proc.wake, time, label))
 
     def poll_block(self, proc: SimProcess, label: str) -> None:
         """Block *proc* for one poll interval (non-blocking-call progress)."""
@@ -220,8 +220,7 @@ class Runtime:
 
     def kill_at(self, rank: int, time: float) -> None:
         """Schedule a fail-stop of *rank* at virtual *time* (event path)."""
-        self.events.schedule(time, lambda: self._kill_event(rank, time),
-                             f"kill:r{rank}")
+        self.events.schedule(time, lambda: self._kill_event(rank, time))
 
     def _kill_event(self, rank: int, time: float) -> None:
         proc = self.procs[rank]
@@ -248,15 +247,13 @@ class Runtime:
         proc.failed_at = time
         self.failed.add(proc.rank)
         self.trace.record(time, TraceKind.FAILURE, proc.rank)
+        failed = proc.rank
         for observer in range(self.nprocs):
-            if observer == proc.rank:
+            if observer == failed:
                 continue
-            delay = self.detection_delay(observer, proc.rank)
-            when = time + delay
+            when = time + self.detection_delay(observer, failed)
             self.events.schedule(
-                when,
-                lambda o=observer, f=proc.rank, w=when: self._detect_event(o, f, w),
-                f"detect:r{proc.rank}@r{observer}",
+                when, partial(self._detect_event, observer, failed, when)
             )
 
     def _detect_event(self, observer: int, failed: int, time: float) -> None:
@@ -359,9 +356,7 @@ class Runtime:
             deliver = proc.now + self.cost.transit_time(proc.rank, world_rank, 1)
             self.perf.messages_sent += 1
             self.events.schedule(
-                deliver,
-                lambda r=world_rank, c=comm.cid, t=deliver: self._revoke_event(r, c, t),
-                f"revoke:c{comm.cid}@r{world_rank}",
+                deliver, partial(self._revoke_event, world_rank, comm.cid, deliver)
             )
 
     def _revoke_event(self, rank: int, cid: int, time: float) -> None:
@@ -468,7 +463,7 @@ class Runtime:
                 now, TraceKind.SEND_POST, src,
                 dst=dst_world, tag=tag, ctx=context, bytes=size, msg=msg_id,
             )
-        self.events.schedule(deliver, partial(self._deliver, msg), "deliver")
+        self.events.schedule(deliver, partial(self._deliver, msg))
 
     def _deliver(self, msg: Message) -> None:
         dst = self.procs[msg.dst]
@@ -612,7 +607,7 @@ class Runtime:
                 dst=dst_world, tag=0, ctx=context, bytes=size, msg=msg.msg_id,
                 am=True,
             )
-        self.events.schedule(deliver, partial(self._deliver, msg), "am")
+        self.events.schedule(deliver, partial(self._deliver, msg))
 
     # ------------------------------------------------------------------
     # Communicator ids and groups
@@ -704,7 +699,6 @@ class Runtime:
             run_loop(self.fiber_backend, self._next_fiber, self._interrupt)
         finally:
             self.perf.wall_s += _time.perf_counter() - t0
-            self.perf.events_cancelled = self.events.cancelled_total
 
     def _interrupt(self) -> None:
         self._interrupted = True
@@ -723,38 +717,42 @@ class Runtime:
         """
         self._driver = driver
         perf = self.perf
-        policy = self.policy
+        # Ask the policy, not the raw queue: a policy may hold runnable
+        # fibers in its own ordered structure between picks.
+        take = self.policy.take
         ready = self._ready
-        events = self.events
+        heap = self.events._heap
+        clock = self.clock
         obs = self.obs
+        max_events = self.max_events
+        max_time = self.max_time
         while True:
             if self.abort_info is not None or self._interrupted:
                 return None
-            # Ask the policy, not the raw queue: a policy may hold
-            # runnable fibers in its own ordered structure between picks.
-            if policy.has_ready(ready):  # type: ignore[arg-type]
-                proc = policy.pick(ready)  # type: ignore[arg-type]
+            proc = take(ready)  # type: ignore[arg-type]
+            if proc is not None:
                 fiber = proc.fiber
-                assert fiber is not None
-                if fiber.finished():
+                state = fiber.state
+                if state is _DONE or state is _FAILED:
                     continue
                 perf.handoffs += 1
                 return fiber
-            if events:
-                ev = events.pop()
-                perf.events_executed += 1
+            if heap:
+                time, _, fn = heappop(heap)
+                executed = perf.events_executed = perf.events_executed + 1
                 if obs is not None:
-                    obs.event_executed(ev.time, len(events))
-                if perf.events_executed > self.max_events:
+                    obs.event_executed(time, len(heap))
+                if executed > max_events:
                     raise SimulationLimitExceeded(
-                        f"exceeded max_events={self.max_events}"
+                        f"exceeded max_events={max_events}"
                     )
-                if ev.time > self.max_time:
+                if time > max_time:
                     raise SimulationLimitExceeded(
-                        f"virtual time {ev.time} exceeded max_time={self.max_time}"
+                        f"virtual time {time} exceeded max_time={max_time}"
                     )
-                self.clock.advance_to(ev.time)
-                ev.fn()
+                if time > clock._now:
+                    clock._now = time
+                fn()
                 if driver is not None and driver.kill_pending:
                     return driver  # killed by that event: see _kill_event
                 continue

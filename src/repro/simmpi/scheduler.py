@@ -29,10 +29,13 @@ The scheduling layer is split in two:
   :class:`SchedulingPolicy` implementations (round-robin, lowest rank
   first, or seeded-random for interleaving exploration).
 
-Policies see only fiber indices and arrival order — never the suspension
-mechanism — which is why traces are byte-identical across fiber backends
-(pinned by the backend × policy golden matrix in
-``tests/test_determinism_golden.py``).
+The runtime asks a policy once per decision, through
+:meth:`SchedulingPolicy.take` ("the next fiber, or none").  A policy
+implements ``pick`` and, if it holds fibers of its own, ``has_ready``;
+the default ``take`` calls those two.  Policies see only fiber indices
+and arrival order — never the suspension mechanism — which is why traces
+are byte-identical across fiber backends (pinned by the backend × policy
+golden matrix in ``tests/test_determinism_golden.py``).
 """
 
 from __future__ import annotations
@@ -49,8 +52,11 @@ class SchedulingPolicy:
 
     A policy may keep runnable fibers in an internal structure between
     picks (see :class:`LowestRankFirstPolicy`); the runtime therefore
-    asks :meth:`has_ready` — not the raw queue — whether anything is
-    runnable.
+    asks the policy — not the raw queue — whether anything is runnable.
+    It does so with one call per scheduling decision, :meth:`take`,
+    whose default asks :meth:`has_ready` and then :meth:`pick`: a policy
+    that implements only those two is asked exactly those, in that
+    order.
     """
 
     def pick(self, ready: deque[BaseFiber]) -> BaseFiber:  # pragma: no cover - abstract
@@ -59,6 +65,10 @@ class SchedulingPolicy:
     def has_ready(self, ready: deque[BaseFiber]) -> bool:
         """Is any fiber runnable (in *ready* or held by the policy)?"""
         return bool(ready)
+
+    def take(self, ready: deque[BaseFiber]) -> BaseFiber | None:
+        """The next fiber to run, or ``None`` when nothing is runnable."""
+        return self.pick(ready) if self.has_ready(ready) else None
 
     def reset(self) -> None:
         """Forget any internal state (called once per simulation)."""
@@ -69,6 +79,10 @@ class RoundRobinPolicy(SchedulingPolicy):
 
     def pick(self, ready: deque[BaseFiber]) -> BaseFiber:
         return ready.popleft()
+
+    def take(self, ready: deque[BaseFiber]) -> BaseFiber | None:
+        # has_ready and pick in one call: the runtime's hottest decision.
+        return ready.popleft() if ready else None
 
 
 class LowestRankFirstPolicy(SchedulingPolicy):

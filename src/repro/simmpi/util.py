@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any
 
 #: Fixed per-message envelope size added to every payload estimate.
@@ -29,6 +30,13 @@ _FIXED_SCALAR: dict[type, int] = {
 _SHAPE_CACHE: dict[Any, int] = {}
 _SHAPE_CACHE_MAX = 1024
 
+#: Dataclass type -> ``attrgetter`` over its fields, for dataclasses of two
+#: or more fields.  The token of a *flat* instance, every field a
+#: fixed-width scalar, is ``(type, *field types)``, which
+#: :func:`payload_nbytes` builds from the getter in C calls alone.  Bounded
+#: like the shape cache (test suites define dataclasses by the hundred).
+_FIELD_GETTERS: dict[type, Any] = {}
+
 #: Container/scalar types that :func:`_body_nbytes` special-cases *before*
 #: its dataclass branch; a dataclass subclassing one of these must keep
 #: taking that earlier branch, so it is ineligible for the shape cache.
@@ -53,7 +61,10 @@ def _shape_token(v: Any) -> Any:
     * ``bytes``/``bytearray`` -> ``(type, len)``,
     * flat ``tuple``/``list``/``set``/``frozenset`` whose elements are all
       the *same* fixed-width scalar type -> ``(type, elem_type, len)``,
-    * a dataclass whose fields all have tokens -> ``(type, field tokens)``
+    * the same containers whose elements are all plain tuples of one
+      fixed-width scalar shape -> ``(type, (tuple, *elem types), len)``
+      (the agreement's ``frozenset`` of ``(int, int)`` pairs),
+    * a dataclass whose fields all have tokens -> ``(type, *field tokens)``
       (see :func:`_dataclass_token`), so a wrapper such as the replication
       envelope around a ring message resolves in one lookup too.
     """
@@ -68,11 +79,15 @@ def _shape_token(v: Any) -> Any:
         et = None
         for x in v:
             xt = type(x)
-            if xt not in _FIXED_SCALAR:
-                return None
+            if xt is tuple:
+                xt = (tuple, *map(type, x))
             if et is None:
+                if xt not in _FIXED_SCALAR and not (
+                    type(xt) is tuple and all(e in _FIXED_SCALAR for e in xt[1:])
+                ):
+                    return None
                 et = xt
-            elif xt is not et:
+            elif xt != et:
                 return None
         return (t, et, len(v))
     fields = getattr(t, "__dataclass_fields__", None)
@@ -82,7 +97,7 @@ def _shape_token(v: Any) -> Any:
 
 
 def _dataclass_token(v: Any, t: type, fields: Any) -> Any:
-    """``(type, field tokens)`` for a dataclass instance, or ``None``.
+    """``(type, *field tokens)`` for a dataclass instance, or ``None``.
 
     ``None`` too when :func:`_body_nbytes` would not reach its dataclass
     branch: an ``int`` ``nbytes`` attribute wins the walk, and a subclass
@@ -106,7 +121,7 @@ def _dataclass_token(v: Any, t: type, fields: Any) -> Any:
         if tok is None:
             return None
         toks.append(tok)
-    return (t, tuple(toks))
+    return (t, *toks)
 
 
 def payload_nbytes(payload: Any) -> int:
@@ -123,20 +138,38 @@ def payload_nbytes(payload: Any) -> int:
     size = _FIXED_SCALAR.get(t)
     if size is not None:
         return ENVELOPE_BYTES + size
+    get = _FIELD_GETTERS.get(t)
+    if get is not None:
+        # A flat instance's token, built without a Python frame.  Only
+        # tokens are stored, and a bare type in one is always a fixed-width
+        # scalar, so a hit means the instance is flat; the per-instance
+        # guard of _dataclass_token (an int ``nbytes``) still applies.
+        size = _SHAPE_CACHE.get((t, *map(type, get(payload))))
+        if size is not None and not isinstance(
+            getattr(payload, "nbytes", None), int
+        ):
+            return size
     fields = getattr(t, "__dataclass_fields__", None)
     if fields is not None:  # every send of the ring and the agreement
+        if get is None and len(fields) > 1:
+            _remember(_FIELD_GETTERS, t, attrgetter(*fields))
         key = _dataclass_token(payload, t, fields)
     else:
         key = _shape_token(payload)
-    if key is not None:
-        size = _SHAPE_CACHE.get(key)
-        if size is None:
-            size = ENVELOPE_BYTES + _body_nbytes(payload)
-            if len(_SHAPE_CACHE) >= _SHAPE_CACHE_MAX:
-                _SHAPE_CACHE.clear()
-            _SHAPE_CACHE[key] = size
-        return size
-    return ENVELOPE_BYTES + _body_nbytes(payload)
+    if key is None:
+        return ENVELOPE_BYTES + _body_nbytes(payload)
+    size = _SHAPE_CACHE.get(key)
+    if size is None:
+        size = ENVELOPE_BYTES + _body_nbytes(payload)
+        _remember(_SHAPE_CACHE, key, size)
+    return size
+
+
+def _remember(memo: dict[Any, Any], key: Any, value: Any) -> None:
+    """Store into a bounded memo: a full one starts over."""
+    if len(memo) >= _SHAPE_CACHE_MAX:
+        memo.clear()
+    memo[key] = value
 
 
 def _body_nbytes(obj: Any) -> int:

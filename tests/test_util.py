@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import RingMsg
+from repro.ft.agreement import _Msg
 from repro.protocols.replication import _RepMsg
 from repro.simmpi import util
 from repro.simmpi.util import ENVELOPE_BYTES, _body_nbytes, payload_nbytes
@@ -76,6 +77,59 @@ class TestPayloadNbytes:
         assert payload_nbytes(other) == 88
         assert len(util._SHAPE_CACHE) == 1
 
+    def test_flat_dataclass_hits_its_token_without_a_walk(self):
+        util._SHAPE_CACHE.clear()
+        assert payload_nbytes(_Flat(1, 2.0)) == ENVELOPE_BYTES + 8 + 16
+        assert _Flat in util._FIELD_GETTERS
+        assert util._SHAPE_CACHE == {(_Flat, int, float): ENVELOPE_BYTES + 24}
+        assert payload_nbytes(_Flat(True, None)) == ENVELOPE_BYTES + 8 + 1
+        assert len(util._SHAPE_CACHE) == 2
+
+    def test_instance_nbytes_beats_a_memoised_flat_shape(self):
+        util._SHAPE_CACHE.clear()
+        assert payload_nbytes(_Flat(1, 2.0)) == ENVELOPE_BYTES + 24
+        sized = _Flat(3, 4.0)
+        sized.nbytes = 1000  # set on the instance, not the class
+        assert (_Flat, int, float) in util._SHAPE_CACHE
+        assert payload_nbytes(sized) == ENVELOPE_BYTES + 1000
+        assert payload_nbytes(_Flat(5, 6.0)) == ENVELOPE_BYTES + 24
+
+
+class TestTupleElementTokens:
+    """Containers of same-shape scalar tuples — the agreement's
+    ``frozenset`` of ``(int, int)`` pairs — have a token."""
+
+    def test_pairs_share_a_token(self):
+        token = (frozenset, (tuple, int, int), 2)
+        assert util._shape_token(frozenset({(1, 2), (3, 4)})) == token
+        assert util._shape_token(frozenset({(5, 6), (7, 8)})) == token
+        assert util._shape_token([(True, 1.0)]) == (list, (tuple, bool, float), 1)
+        assert util._shape_token(((), ())) == (tuple, (tuple,), 2)
+
+    def test_refused(self):
+        for v in (
+            [(1, 2), (1, 2, 3)],  # mixed arities
+            [(1, 2), (True, 2)],  # bool/int mix
+            [(1, 2), (1, 2.0)],
+            [((1, 2), 3)],  # nested tuple
+            [(1, 2), ((1, 2), 3)],
+            [(1, "a")],  # a string element
+            [(1, 2), 3],  # tuples mixed with scalars
+            [3, (1, 2)],
+            [_Pt((1, 2))],  # a tuple subclass
+        ):
+            assert util._shape_token(v) is None, v
+
+    def test_agreement_message_is_one_lookup(self):
+        util._SHAPE_CACHE.clear()
+        msg = _Msg("decide", 3, 1, 0, frozenset({(1, 2), (4, 7)}), True)
+        walk = ENVELOPE_BYTES + _body_nbytes(msg)
+        assert util._shape_token(msg) is not None
+        assert payload_nbytes(msg) == walk
+        other = _Msg("decide", 9, 2, 5, frozenset({(0, 0), (3, 9)}), False)
+        assert payload_nbytes(other) == walk
+        assert len(util._SHAPE_CACHE) == 1
+
 
 @dataclass
 class _Pair:
@@ -89,6 +143,16 @@ class _Sized:
 
     nbytes: int
     extra: Any
+
+
+@dataclass
+class _Flat:
+    a: Any
+    b: Any
+
+
+class _Pt(tuple):
+    """A tuple subclass element: the walk sizes it, no token names it."""
 
 
 @dataclass(init=False)
@@ -106,11 +170,26 @@ _LEAVES = (
 )
 
 
+#: Tuple elements of containers: same-shape pairs get a token; mixed
+#: arities, bool/int mixes and nested tuples must not.
+_ELEMENTS = (
+    st.tuples(st.integers(), st.integers())
+    | st.tuples(st.booleans(), st.integers())
+    | st.tuples(st.integers())
+    | st.tuples(st.tuples(st.integers()), st.integers())
+    | st.integers()
+)
+
+
 def _extend(inner):
     return (
         st.lists(inner, max_size=3)
         | st.lists(inner, max_size=3).map(tuple)
         | st.lists(st.integers(), max_size=3).map(frozenset)
+        | st.lists(st.tuples(st.integers(), st.integers()), max_size=3).map(frozenset)
+        | st.lists(_ELEMENTS, max_size=3).map(frozenset)
+        | st.lists(_ELEMENTS, max_size=3).map(tuple)
+        | st.builds(_Flat, _LEAVES, _LEAVES)
         | st.dictionaries(st.text(max_size=3), inner, max_size=2)
         | st.builds(_Pair, inner, inner)
         | st.builds(_RepMsg, st.integers(), st.integers(), st.integers(), inner)
@@ -127,6 +206,8 @@ class TestShapeCacheProperty:
     @given(st.lists(_PAYLOADS, min_size=1, max_size=6))
     @example([_Sized(1, None), _Sized(2, None)])
     @example([_Pair(_TupleBox(()), 0), _Pair(_TupleBox((1, 2)), 0)])
+    @example([[(1, 2)], [(True, 2)], [(1, 2), (True, 2)], [((1,), 2)]])
+    @example([frozenset({(1, 2)}), frozenset({(True, 2)}), frozenset({(1,)})])
     def test_memoised_size_is_the_walk_on_miss_and_hit(self, payloads):
         # Payloads of one shape share a cache entry: the first measures
         # it (a miss), the rest — and every second call — hit it.
