@@ -7,8 +7,8 @@ their own columns so the hot paths never parse the full entry:
 
 * **Batched lookups** — ``read_many`` is chunked ``SELECT … WHERE key
   IN (…)`` statements over the ``format``/``payload`` columns, which is
-  what makes 10^4–10^6 warm lookups per campaign practical (measured in
-  ``benchmarks/bench_cache.py``).
+  what makes 10^4–10^6 warm lookups per campaign practical (measured by
+  perfbench's ``cache_warm`` workload).
 * **Batched stores** — ``write_many`` is a single transaction around
   ``executemany``, amortizing the fsync.
 * **Concurrent writers** — WAL mode lets the serial runner, pool

@@ -644,22 +644,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return 2 if result.hung else 0
 
 
-def cmd_bench_diff(args: argparse.Namespace) -> int:
-    """Compare two BENCH_simperf.json files and flag regressions."""
-    from .perf import BackendMismatch, diff_benchmarks, format_diff
-
-    try:
-        deltas = diff_benchmarks(
-            args.baseline, args.current, metric=args.metric
-        )
-    except BackendMismatch as exc:
-        print(f"bench-diff: {exc}", file=sys.stderr)
-        return 2
-    text, flagged = format_diff(deltas, threshold=args.threshold)
-    print(text)
-    return 1 if flagged else 0
-
-
 def _fuzz_scenario(args: argparse.Namespace):
     """Build the picklable scenario spec the fuzz subcommand targets."""
     if args.scenario == "ring":
@@ -1410,19 +1394,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--perf", action="store_true",
                     help="also print the replayed run's perf counters")
     rp.set_defaults(fn=cmd_replay)
-
-    bd = sub.add_parser(
-        "bench-diff",
-        help="compare two BENCH_simperf.json files, flag regressions",
-    )
-    bd.add_argument("baseline", help="baseline BENCH_simperf.json")
-    bd.add_argument("current", help="current BENCH_simperf.json")
-    bd.add_argument("--metric", default="min_wall_s",
-                    help="series metric to compare (default: min_wall_s)")
-    bd.add_argument("--threshold", type=float, default=0.20,
-                    help="relative regression that flags a series "
-                         "(default: 0.20)")
-    bd.set_defaults(fn=cmd_bench_diff)
 
     return parser
 

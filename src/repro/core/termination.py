@@ -124,7 +124,7 @@ def ft_termination_ibarrier(
        some ranks successfully out of the barrier while others fall back
        to the consensus — and the two groups then wait for each other
        forever.  The simulator proves that hang deterministically (see
-       ``bench_ablations.bench_ablation_ibarrier_termination``).  Making
+       ``tests/test_experiments.py::TestABL``).  Making
        the retry safe requires agreeing on the outcome of every barrier,
        i.e. a consensus — which is exactly ``MPI_Comm_validate_all``, the
        paper's Fig. 13 answer.

@@ -16,7 +16,7 @@ executes the job.
 Recording is strictly opt-in and zero-cost when off: every
 instrumentation site does one thread-local read (:func:`active`) and a
 ``None`` check, the exact pattern the kernel's zero-cost-disabled
-tracing uses (pinned by ``bench_remote.py``'s spans-overhead gate).
+tracing uses (``tests/test_spans.py::TestNonPerturbation``).
 The recorder is installed per *thread* (:func:`recording`) so an
 in-process worker server — which executes chunks on its own thread —
 never leaks spans into the parent's recorder.

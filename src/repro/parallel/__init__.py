@@ -1,7 +1,7 @@
 """``repro.parallel`` — the process-pool sweep engine.
 
 Fault-injection campaigns, the exhaustive window explorer, and the
-sweep-style benchmarks all execute many fully independent deterministic
+fuzzer all execute many fully independent deterministic
 simulations; this package runs such batches across a process pool while
 guaranteeing that the merged results are **bit-identical to serial
 order** (jobs are deterministic; results are placed by submission index,

@@ -1,39 +1,23 @@
-"""Kernel performance counters and benchmark-baseline comparison.
+"""Kernel performance counters and run-cache accounting.
 
-Two related observability layers live here:
-
-* :class:`PerfCounters` — cheap per-simulation counters (fiber handoffs,
-  events executed, messages matched/unexpected/dropped,
-  deliveries, host seconds in the loop and around it) incremented inline
-  by the kernel.  Every
-  :class:`~repro.simmpi.runtime.Simulation` run folds its counters into
-  the process-wide :data:`SESSION` accumulator, which the benchmark
-  harness snapshots around each series so ``BENCH_simperf.json`` carries
-  a counters block alongside the wall times.  Later PRs (adaptive
-  scheduling, perf-regression gating) key off these numbers.
-
-* :func:`diff_benchmarks` / :func:`format_diff` — compare two
-  ``BENCH_simperf.json`` files and flag regressions beyond a threshold
-  (the ``repro bench-diff`` subcommand and ``benchmarks/compare.py``
-  both wrap this; CI runs it as a soft, non-blocking step).
+:class:`PerfCounters` holds cheap per-simulation counters (fiber
+handoffs, events executed, messages matched/unexpected/dropped,
+deliveries, host seconds in the loop and around it) incremented inline
+by the kernel.  Every :class:`~repro.simmpi.runtime.Simulation` run
+folds its counters into the process-wide :data:`SESSION` accumulator;
+:class:`CacheCounters` / :data:`CACHE` do the same for run-cache
+traffic.  Harnesses bracket a region with ``snapshot()`` / ``delta()``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = [
-    "BackendMismatch",
     "CACHE",
     "CacheCounters",
     "PerfCounters",
     "SESSION",
-    "SeriesDelta",
-    "diff_benchmarks",
-    "format_diff",
 ]
 
 
@@ -135,16 +119,16 @@ class PerfCounters:
         return "\n".join(lines)
 
     def snapshot(self) -> "PerfCounters":
-        """An independent copy (delta bookkeeping in the bench harness)."""
+        """An independent copy (delta bookkeeping in harnesses)."""
         out = PerfCounters()
         out.add(self)
         return out
 
     def delta(self, since: "PerfCounters") -> dict[str, Any]:
-        """``self - since`` as a dict (bench harness per-series blocks).
+        """``self - since`` as a dict.
 
         Numeric slots only — the :attr:`fibers` provenance label is not
-        subtractable; the bench harness stamps it on each series itself.
+        subtractable.
         """
         return {
             name: getattr(self, name) - getattr(since, name)
@@ -158,8 +142,8 @@ class PerfCounters:
 
 #: Process-wide accumulator: every finished simulation adds its counters
 #: here.  Worker processes of a pooled sweep accumulate into their *own*
-#: session (counters do not cross the pool boundary); benchmark counter
-#: blocks therefore reflect serial runs, which is the default.
+#: session (counters do not cross the pool boundary), so a delta taken
+#: around a sweep counts only the simulations run in this process.
 SESSION = PerfCounters()
 
 
@@ -229,128 +213,3 @@ class CacheCounters:
 #: Process-wide cache accumulator (lookups/stores happen parent-side, so
 #: this is exact even for pooled sweeps).
 CACHE = CacheCounters()
-
-
-# ----------------------------------------------------------------------
-# Benchmark baseline comparison
-# ----------------------------------------------------------------------
-
-class BackendMismatch(ValueError):
-    """Two benchmark files were recorded under different fiber backends.
-
-    Wall times measured on the thread-baton backend and on the greenlet
-    backend are not comparable — the handoff mechanism *is* the dominant
-    cost in the kernel microbenchmarks — so :func:`diff_benchmarks`
-    refuses the comparison instead of reporting a bogus regression or
-    improvement.  Re-record one side, or compare the per-backend series
-    (``*_threaded`` vs ``*_greenlet``) within a single file.
-    """
-
-
-def _series_backend(series: dict[str, Any]) -> str:
-    """Fiber-backend label recorded with one series (``""`` if absent)."""
-    counters = series.get("counters")
-    if isinstance(counters, dict):
-        return str(counters.get("fibers", "") or "")
-    return ""
-
-
-def _check_backends(base: dict[str, Any], new: dict[str, Any]) -> None:
-    """Raise :class:`BackendMismatch` when shared series disagree on
-    the fiber backend they were recorded under (unlabeled legacy series
-    compare freely)."""
-    for name in sorted(set(base) & set(new)):
-        b = _series_backend(base[name])
-        n = _series_backend(new[name])
-        if b and n and b != n:
-            raise BackendMismatch(
-                f"series {name!r}: baseline recorded under fiber backend "
-                f"{b!r} but current under {n!r}; wall times across fiber "
-                "backends are not comparable (re-record one side with "
-                "REPRO_FIBERS set, or diff the per-backend series instead)"
-            )
-
-
-@dataclass
-class SeriesDelta:
-    """Relative change of one benchmark series between two files."""
-
-    name: str
-    base_min_s: float | None
-    new_min_s: float | None
-    #: (new - base) / base; ``None`` when either side is missing.
-    rel_change: float | None
-
-    @property
-    def status(self) -> str:
-        if self.rel_change is None:
-            return "added" if self.base_min_s is None else "removed"
-        return (
-            "regression" if self.rel_change > 0 else "improvement"
-            if self.rel_change < 0 else "unchanged"
-        )
-
-
-def diff_benchmarks(
-    baseline: dict[str, Any] | str | Path,
-    current: dict[str, Any] | str | Path,
-    *,
-    metric: str = "min_wall_s",
-) -> list[SeriesDelta]:
-    """Compare two ``BENCH_simperf.json`` payloads series by series.
-
-    Raises :class:`BackendMismatch` when any series common to both files
-    carries a different ``counters.fibers`` label on each side — numbers
-    from different fiber backends must never be diffed against each
-    other.
-    """
-    base = _load(baseline)
-    new = _load(current)
-    _check_backends(base, new)
-    out: list[SeriesDelta] = []
-    for name in sorted(set(base) | set(new)):
-        b = base.get(name, {}).get(metric)
-        n = new.get(name, {}).get(metric)
-        rel = ((n - b) / b) if (b and n is not None) else None
-        out.append(SeriesDelta(name, b, n, rel))
-    return out
-
-
-def format_diff(
-    deltas: Iterable[SeriesDelta], *, threshold: float = 0.20
-) -> tuple[str, int]:
-    """Render a comparison table; returns ``(text, n_flagged)``.
-
-    A series is *flagged* when it regressed by more than *threshold*
-    (relative).  Callers decide whether flags fail the build — CI runs
-    this as a soft annotation step.
-    """
-    lines = [
-        f"{'series':<45s} {'baseline':>10s} {'current':>10s} {'change':>8s}"
-    ]
-    flagged = 0
-    for d in deltas:
-        b = f"{d.base_min_s:.4f}" if d.base_min_s is not None else "-"
-        n = f"{d.new_min_s:.4f}" if d.new_min_s is not None else "-"
-        if d.rel_change is None:
-            chg, mark = d.status, ""
-        else:
-            chg = f"{d.rel_change:+.1%}"
-            mark = ""
-            if d.rel_change > threshold:
-                mark = "  << REGRESSION"
-                flagged += 1
-            elif d.rel_change < -threshold:
-                mark = "  (faster)"
-        lines.append(f"{d.name:<45s} {b:>10s} {n:>10s} {chg:>8s}{mark}")
-    lines.append(
-        f"{flagged} series regressed more than {threshold:.0%}"
-        if flagged else f"no series regressed more than {threshold:.0%}"
-    )
-    return "\n".join(lines), flagged
-
-
-def _load(src: dict[str, Any] | str | Path) -> dict[str, Any]:
-    if isinstance(src, dict):
-        return src
-    return json.loads(Path(src).read_text())

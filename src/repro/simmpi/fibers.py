@@ -68,11 +68,11 @@ Backend selection (:func:`resolve_backend`), most specific wins:
    variable switches a whole ``--workers N`` campaign;
 3. ``auto``: greenlet when importable, else the thread fallback.
 
-The active backend is recorded in ``result.perf.fibers`` and in every
-``BENCH_simperf.json`` counters block, but is — like ``wall_s`` — a host
-implementation detail: it is excluded from result digests, ``.repro.json``
-expect blocks, and run-cache payloads, which therefore remain valid across
-backends (see :func:`repro.analysis.digest.perf_dict`).
+The active backend is recorded in ``result.perf.fibers``, but is — like
+``wall_s`` — a host implementation detail: it is excluded from result
+digests, ``.repro.json`` expect blocks, and run-cache payloads, which
+therefore remain valid across backends (see
+:func:`repro.analysis.digest.perf_dict`).
 """
 
 from __future__ import annotations

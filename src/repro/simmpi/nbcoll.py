@@ -20,7 +20,7 @@ collectives:
 
 This is precisely why ibarrier-retry termination cannot work under the
 proposal (collectives stay disabled until ``MPI_Comm_validate_all``), and
-the ablation benchmark demonstrates it.
+the ibarrier ablation (EXP-ABL) demonstrates it.
 """
 
 from __future__ import annotations

@@ -992,7 +992,7 @@ class Simulation:
         finally:
             rt.shutdown()
             # Fold this run's counters into the process-wide session
-            # accumulator (the bench harness snapshots deltas around it).
+            # accumulator (harnesses snapshot deltas around it).
             SESSION.add(rt.perf)
         outcomes = []
         for proc in rt.procs:

@@ -1,16 +1,13 @@
 """Shared pytest fixtures, helpers, and the test-taxonomy hook.
 
-Two tiers of tests exist (``docs/testing.md``), plus the perf gates:
+Two tiers of tests exist (``docs/testing.md``):
 
 * **tier1** — the fast default set, run on every commit (``pytest``);
-  every test not explicitly marked otherwise lands here automatically
-  via :func:`pytest_collection_modifyitems`.
-* **slow** — long fuzz/property campaigns, deselected by default
-  (``addopts`` carries ``-m 'not slow and not perf'``); CI's fuzz-smoke
-  job and nightly-style runs select them with ``pytest -m slow``.
-* **perf** — assertions on a ratio of two wall-clock times (three in
-  ``benchmarks/`` so far), deselected by default; CI's soft
-  ``perf-gates`` job selects them with ``pytest -m perf``.
+  every test not marked ``slow`` lands here automatically via
+  :func:`pytest_collection_modifyitems`.
+* **slow** — long fuzz campaigns and the campaign-scale RSS check,
+  deselected by default (``addopts`` carries ``-m 'not slow'``); select
+  them with ``pytest -m slow``.
 
 The module-level helpers below are the single home of the small
 scenario/invariant specs that several suites used to each define for
@@ -40,13 +37,13 @@ from repro.parallel import (
 from repro.simmpi import CostModel, Simulation, SimulationResult
 
 # ---------------------------------------------------------------------------
-# Taxonomy: everything not marked slow or perf is tier1
+# Taxonomy: everything not marked slow is tier1
 # ---------------------------------------------------------------------------
 
 
 def pytest_collection_modifyitems(config, items) -> None:
     for item in items:
-        if not any(item.get_closest_marker(m) for m in ("slow", "perf")):
+        if not item.get_closest_marker("slow"):
             item.add_marker(pytest.mark.tier1)
 
 

@@ -37,7 +37,9 @@ from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.driver import FuzzJob
 from repro.parallel import (
     ProcessPoolRunner,
+    RingScenario,
     SerialRunner,
+    StandardRingInvariants,
     SweepError,
     make_runner,
     with_cache,
@@ -333,6 +335,37 @@ class TestStore:
 
 
 # ---------------------------------------------------------------------------
+# A cold sweep stores every window, a warm one answers them all
+# ---------------------------------------------------------------------------
+
+#: The Fig. 2 ring in its marker variant, every non-root window: 147 jobs.
+FIG2_SCENARIO = RingScenario(nprocs=8, iters=10)
+FIG2_INVARIANTS = StandardRingInvariants(10, 8)
+
+
+def _fig2_explore(cache_dir):
+    before = perf.CACHE.snapshot()
+    report = explore(FIG2_SCENARIO, invariants=FIG2_INVARIANTS,
+                     ranks=list(range(1, 8)), cache=cache_dir)
+    d = _delta(before)
+    return report, (d["hits"], d["misses"], d["stores"])
+
+
+class TestColdWarmSweep:
+    def test_cold_sweep_misses_and_stores_every_window(self, cache_dir):
+        cold, counts = _fig2_explore(cache_dir)
+        assert counts == (0, 147, 147)
+        assert cold.summary() == {"windows": 147, "runs": 147, "ok": 147,
+                                  "hangs": 0, "violations": 0}
+
+    def test_warm_sweep_hits_every_window_byte_identically(self, cache_dir):
+        cold, _ = _fig2_explore(cache_dir)
+        warm, counts = _fig2_explore(cache_dir)
+        assert counts == (147, 0, 0)
+        assert warm.format() == cold.format()
+
+
+# ---------------------------------------------------------------------------
 # The sweep-facing contract: warm results identical, serial and pooled
 # ---------------------------------------------------------------------------
 
@@ -383,6 +416,18 @@ class TestStorePrimitives:
         probe = [keys[3], "ff" * 32, keys[0]]
         statuses = [s for s, _ in cache.get_many(probe)]
         assert statuses == ["hit", "miss", "hit"]
+
+    def test_get_many_hits_every_key_at_campaign_scale(self, cache):
+        # 10^4 campaign-shaped entries, read back by one batched lookup.
+        keys = [f"{i:064x}" for i in range(10_000)]
+        cache.put_many(
+            (key, {"hung": False, "violations": [], "digest": key[:16],
+                   "seed": i}, ("entry", i))
+            for i, key in enumerate(keys)
+        )
+        got = cache.get_many(keys)
+        assert {status for status, _ in got} == {"hit"}
+        assert [payload["seed"] for _, payload in got] == list(range(10_000))
 
     def test_keys_sorted(self, cache):
         expected = _fill(cache)

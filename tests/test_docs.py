@@ -1,13 +1,14 @@
 """The docs describe the code that exists.
 
 Two checks over README / DESIGN / EXPERIMENTS / ``docs/``, both of
-them cheap and exact: every back-ticked repository path or dotted
-``repro.…`` name resolves, and every quoted ``repro …`` command is
-accepted by the CLI's own parser.
+them cheap and exact: every back-ticked repository path, test id
+(``tests/x.py::TestY``) or dotted ``repro.…`` name resolves, and every
+quoted ``repro …`` command is accepted by the CLI's own parser.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import functools
 import importlib
@@ -31,6 +32,7 @@ DOCS = [
 DOC_IDS = [str(doc.relative_to(ROOT)) for doc in DOCS]
 
 TICKED = re.compile(r"`([^`\n]+)`")
+TEST_ID = re.compile(r"([\w/.-]+\.py)((?:::\w+)+)")
 FENCED = re.compile(r"```([^\n]*)\n(.*?)```", re.S)
 FILE_SUFFIXES = (
     ".py", ".md", ".json", ".jsonl", ".toml", ".yml", ".yaml", ".txt",
@@ -71,6 +73,34 @@ def _path_tokens(text: str) -> list[str]:
     return tokens
 
 
+@functools.cache
+def _defined_names(path: Path) -> frozenset[str]:
+    """Every ``def`` and ``class`` name in *path*, at any nesting level
+    (read by AST walk: the file is never imported)."""
+    return frozenset(
+        node.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+    )
+
+
+def _unresolved_test_ids(text: str, bases=(ROOT,)) -> list[str]:
+    """Back-ticked ``path.py::Name[::name]`` ids whose file is missing
+    under every base or does not define every ``::`` component."""
+    unresolved = []
+    for token in dict.fromkeys(TICKED.findall(text)):
+        match = TEST_ID.fullmatch(token.strip())
+        if match is None:
+            continue
+        names = set(match[2].split("::")[1:])
+        paths = [base / match[1] for base in bases]
+        if not any(path.is_file() and names <= _defined_names(path)
+                   for path in paths):
+            unresolved.append(token)
+    return unresolved
+
+
 def _resolves(dotted: str) -> bool:
     parts = dotted.split(".")
     for cut in range(len(parts), 0, -1):
@@ -104,6 +134,7 @@ def test_every_backticked_path_and_module_exists(doc):
         )
         if re.fullmatch(r"repro(\.\w+)+", name) and not _resolves(name)
     ]
+    missing += _unresolved_test_ids(text, bases)
     assert not missing, f"{doc.name} cites what does not exist: {missing}"
 
 
@@ -153,3 +184,24 @@ def test_the_checks_see_something():
     text = "\n".join(doc.read_text() for doc in DOCS)
     assert len(_path_tokens(text)) > 100
     assert sum(1 for _ in _quoted_commands(text)) > 60
+    assert len(set(TEST_ID.findall(text))) > 15
+
+
+def test_test_ids_resolve_at_any_nesting_level():
+    cited = [
+        "tests/test_faults.py::TestPolling",
+        "tests/test_spans.py::TestCachedSpans",
+        # A method of a class, cited without the class.
+        "tests/test_coverage.py::test_guided_beats_uniform_at_equal_budget",
+        "tests/test_spans.py::TestNonPerturbation",
+        "tests/test_experiments.py::TestABL::test_ibarrier_termination",
+    ]
+    assert _unresolved_test_ids(" ".join(f"`{c}`" for c in cited)) == []
+    made_up = [
+        "tests/test_docs.py::test_that_does_not_exist",
+        "tests/test_experiments.py::TestABL::test_cache_speedup",
+        "tests/no_such_file.py::TestPolling",
+    ]
+    assert _unresolved_test_ids(
+        " ".join(f"`{m}`" for m in made_up)
+    ) == made_up

@@ -23,7 +23,7 @@ import pytest
 
 from repro.faults import run_campaign
 from repro.parallel import RingScenario, StandardRingInvariants
-from repro.perf import BackendMismatch, PerfCounters, diff_benchmarks
+from repro.perf import PerfCounters
 from repro.simmpi import (
     FIBER_BACKENDS,
     BaseFiber,
@@ -172,43 +172,6 @@ class TestPerfLabel:
         a = PerfCounters()
         a.fibers = "thread"
         assert "thread" in a.format()
-
-
-# ----------------------------------------------------------------------
-# bench-diff refusal across backends
-# ----------------------------------------------------------------------
-
-
-def _series(name, wall, backend):
-    return {
-        name: {"min_wall_s": wall, "counters": {"fibers": backend}}
-    }
-
-
-class TestBenchDiffRefusal:
-    def test_mismatched_backends_refused(self):
-        with pytest.raises(BackendMismatch, match="not comparable"):
-            diff_benchmarks(
-                _series("s", 1.0, "thread"), _series("s", 0.1, "greenlet")
-            )
-
-    def test_same_backend_compares(self):
-        deltas = diff_benchmarks(
-            _series("s", 1.0, "thread"), _series("s", 0.5, "thread")
-        )
-        assert deltas[0].rel_change == pytest.approx(-0.5)
-
-    def test_unlabeled_legacy_series_compare_freely(self):
-        deltas = diff_benchmarks(
-            {"s": {"min_wall_s": 1.0}}, _series("s", 0.5, "greenlet")
-        )
-        assert deltas[0].rel_change == pytest.approx(-0.5)
-
-    def test_disjoint_series_never_conflict(self):
-        deltas = diff_benchmarks(
-            _series("old", 1.0, "thread"), _series("new", 0.5, "greenlet")
-        )
-        assert {d.status for d in deltas} == {"removed", "added"}
 
 
 # ----------------------------------------------------------------------

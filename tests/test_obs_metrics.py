@@ -2,9 +2,9 @@
 
 The load-bearing invariant: ``metrics=True`` is strictly opt-in.  A
 default-constructed simulation allocates **no** obs state (``Runtime.obs``
-is ``None``, ``SimulationResult.metrics`` is ``None``) — the same
-zero-cost-when-disabled discipline the trace uses, bench-guarded in
-``benchmarks/bench_kernel.py``.
+is ``None``, ``SimulationResult.metrics`` is ``None``) whether the trace
+is on or off — the same zero-cost-when-disabled discipline the trace
+uses (:func:`test_no_obs_state_with_trace_on_or_off`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,23 @@ def test_metrics_default_off():
     assert sim.runtime.obs is None
     result = sim.run(make_ring_main(RingConfig(max_iter=1)))
     assert result.metrics is None
+
+
+def test_no_obs_state_with_trace_on_or_off():
+    def ping(mpi) -> None:  # 400 messages between two ranks
+        comm = mpi.comm_world
+        for i in range(400):
+            if comm.rank == i % 2:
+                comm.send(i, dest=1 - comm.rank)
+            else:
+                comm.recv(source=1 - comm.rank)
+
+    for trace in (True, False):
+        sim = Simulation(nprocs=2, trace_enabled=trace)
+        result = sim.run(ping)
+        assert (len(result.trace) > 0) == trace
+        assert sim.runtime.obs is None
+        assert result.metrics is None
 
 
 def test_metrics_opt_in_allocates():

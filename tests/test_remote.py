@@ -25,6 +25,7 @@ import pytest
 from repro import perf
 from repro.cache import RunCache
 from repro.faults import run_campaign
+from repro.obs.spans import SpanRecorder, recording
 from repro.parallel import (
     ProcessPoolRunner,
     RemoteRunner,
@@ -129,10 +130,10 @@ class PoisonFactory:
         return self.scenario()
 
 
-def _campaign(runner=None, workers=None, factory=SCENARIO, **kw):
+def _campaign(runner=None, workers=None, factory=SCENARIO, runs=6, **kw):
     return run_campaign(
         factory,
-        seeds=range(6),
+        seeds=range(runs),
         horizon=8e-6,
         invariants=INVARIANTS,
         runner=runner,
@@ -266,6 +267,27 @@ class TestRemoteRunner:
             stream_window=1,
         )
         assert streamed.format() == materialized.format()
+
+
+class TestLoopbackCampaign:  # 80 runs, one worker either way
+    def test_one_worker_pool_counts_every_run(self):
+        pooled = _campaign(runner=ProcessPoolRunner(workers=1), runs=80)
+        assert pooled.summary() == {
+            "runs": 80, "ok": 80, "hangs": 0, "violations": 0, "aborts": 0
+        }
+
+    def test_remote_matches_one_worker_pool(self, worker_addr):
+        runner = RemoteRunner(addresses=[worker_addr])
+        remote = _campaign(runner=runner, runs=80)
+        pooled = _campaign(runner=ProcessPoolRunner(workers=1), runs=80)
+        assert remote.format() == pooled.format()
+        assert runner.worker_stats()[0]["jobs"] == 80
+
+    def test_one_job_span_per_run(self, worker_addr):
+        recorder = SpanRecorder(kind="campaign")
+        with recording(recorder):
+            _campaign(runner=RemoteRunner(addresses=[worker_addr]), runs=80)
+        assert sum(s.cat == "job" for s in recorder.spans) == 80
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ class TestFig10MarkerDedup:
         total_discarded = sum(
             r.value(i)["duplicates_discarded"] for i in r.completed_ranks
         )
-        assert total_discarded >= 1
+        assert total_discarded == 1
 
     def test_tagged_variant_also_safe(self):
         r = run_ring(

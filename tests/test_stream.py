@@ -111,10 +111,10 @@ class TestRunStream:
 # ---------------------------------------------------------------------------
 
 
-def _campaign(**kw):
+def _campaign(runs=12, **kw):
     return run_campaign(
         SCENARIO,
-        seeds=range(12),
+        seeds=range(runs),
         horizon=2e-5,
         invariants=INVARIANTS,
         **kw,
@@ -182,6 +182,17 @@ class TestStreamedSweeps:
         d = perf.CACHE.delta(before)
         assert d["hits"] == 12 and d["misses"] == d["stores"] == 0
         assert warm.format() == cold.format() == _campaign().format()
+
+
+class TestLongCampaign:  # 300 runs
+    def test_materialized_counts_every_run(self):
+        assert _campaign(runs=300).summary() == {
+            "runs": 300, "ok": 300, "hangs": 0, "violations": 0, "aborts": 0
+        }
+
+    def test_streamed_report_is_byte_identical(self):
+        streamed = _campaign(runs=300, stream=True)
+        assert streamed.format() == _campaign(runs=300).format()
 
 
 # ---------------------------------------------------------------------------
