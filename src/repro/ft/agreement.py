@@ -75,9 +75,6 @@ CTX_AGREE = 3
 MODES = ("coordinator", "full")
 DEFAULT_MODE = "coordinator"
 
-#: Engine attribute name stashed on the runtime (one engine per simulation).
-_ENGINE_ATTR = "_ft_agreement_engine"
-
 
 @dataclass(frozen=True, slots=True)
 class Flavor:
@@ -381,8 +378,7 @@ class UnionAgreement:
 
 def engine_for(runtime: "Runtime") -> UnionAgreement:
     """Get (or lazily create) the simulation's agreement engine."""
-    engine = getattr(runtime, _ENGINE_ATTR, None)
+    engine = runtime.engines.get("agreement")
     if engine is None:
-        engine = UnionAgreement(runtime)
-        setattr(runtime, _ENGINE_ATTR, engine)
+        engine = runtime.engines["agreement"] = UnionAgreement(runtime)
     return engine

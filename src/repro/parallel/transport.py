@@ -248,26 +248,43 @@ class LocalPoolRound(TransportRound):
         self._futures: dict[Future, Chunk] = {}
         self._not_done: set[Future] = set()
         self._traced: set[Future] = set()
+        #: Chunks the pool refused because it broke while they were
+        #: being submitted; the next :meth:`wait` reports them lost.
+        self._unsent: list[Chunk] = []
 
     def submit(
         self, start: int, jobs: list, indices: Sequence[int] | None = None
     ) -> None:
-        if indices is None:
-            fut = self.executor.submit(run_chunk, jobs)
-        else:
-            fut = self.executor.submit(run_chunk, jobs, indices)
-            self._traced.add(fut)
-        self._futures[fut] = (start, jobs)
-        self._not_done.add(fut)
+        if not self.broken:
+            try:
+                if indices is None:
+                    fut = self.executor.submit(run_chunk, jobs)
+                else:
+                    fut = self.executor.submit(run_chunk, jobs, indices)
+            except BrokenProcessPool:
+                # A worker died while chunks were still being submitted.
+                self.broken = True
+            else:
+                if indices is not None:
+                    self._traced.add(fut)
+                self._futures[fut] = (start, jobs)
+                self._not_done.add(fut)
+                return
+        self._unsent.append((start, jobs))
 
     def pending(self) -> list[Chunk]:
-        return [self._futures[f] for f in self._not_done]
+        return [self._futures[f] for f in self._not_done] + self._unsent
 
     def wait(self, timeout: float | None) -> list[ChunkEvent]:
+        events: list[ChunkEvent] = [
+            (start, part, None) for start, part in self._unsent
+        ]
+        self._unsent = []
         done, self._not_done = wait(
-            self._not_done, timeout=timeout, return_when=FIRST_COMPLETED
+            self._not_done,
+            timeout=0 if events else timeout,
+            return_when=FIRST_COMPLETED,
         )
-        events: list[ChunkEvent] = []
         for fut in done:
             start, part = self._futures[fut]
             exc = fut.exception()

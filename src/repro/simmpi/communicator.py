@@ -150,7 +150,10 @@ class Comm:
         exc.rank = self._my_rank
         if self.errhandler is ErrorHandler.ERRORS_ARE_FATAL:
             self._proc.abort(int(exc.error_class))
-        raise exc
+        try:
+            raise exc
+        finally:
+            del exc  # this frame is on its traceback
 
     # ------------------------------------------------------------------
     # Revocation (ULFM)

@@ -80,6 +80,7 @@ from __future__ import annotations
 import enum
 import os
 import threading
+import traceback
 from typing import Callable
 
 from .errors import ProcessKilled, SimShutdown
@@ -229,16 +230,44 @@ class BaseFiber:
         """
 
     def release(self) -> None:
-        """Drop the reference to the application target once the fiber
-        has finished, so a retained fiber (e.g. via a kept Simulation)
-        cannot pin per-run application state alive across a long sweep.
-        Safe no-op while the fiber still runs."""
+        """Drop what ties a finished fiber to its run's object graph.
+
+        The application target goes, so a retained fiber (e.g. via a kept
+        Simulation) cannot pin per-run application state alive across a
+        long sweep.  So do the two references that would lead back to this
+        fiber and make the finished run cyclic garbage: the block reason
+        of a fiber unwound while blocked (a wait holds requests, whose
+        owner is the rank) and the locals of every frame on a stored
+        application error's tracebacks, which keep their file and line.
+        Safe no-op while the fiber still runs.
+        """
         if self.finished():
             self._target = _released
+            self.block_reason = ""
+            _clear_locals(self.error)
 
 
 def _released() -> None:  # pragma: no cover - never executed
     raise RuntimeError("fiber target was released after fiber exit")
+
+
+def _clear_locals(exc: BaseException | None) -> None:
+    """Clear the locals of every finished frame *exc* and the exceptions
+    it chains to reach: their traceback frames, and the callers above
+    each handler (the fiber bootstrap, whose ``self`` is the fiber).
+    Frames keep their code and line, so the tracebacks still print."""
+    while exc is not None:
+        tb = exc.__traceback__
+        if tb is not None:
+            frame = tb.tb_frame.f_back
+            traceback.clear_frames(tb)
+            while frame is not None:
+                try:
+                    frame.clear()
+                except RuntimeError:  # still executing: the worker loop
+                    break
+                frame = frame.f_back
+        exc = exc.__cause__ or exc.__context__
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +326,9 @@ class _FiberWorker:
             if fiber is None:  # pragma: no cover - retirement path
                 return
             fiber._bootstrap()
+            # An idle worker must not keep its last fiber (and the rank's
+            # return value on it) alive until the pool reuses it.
+            fiber = None
             if not _POOL.offer(self):
                 return  # pool full (or forked child): let the thread die
 
@@ -497,8 +529,14 @@ class ThreadFiber(BaseFiber):
                 except BaseException:  # noqa: BLE001 - the first one is re-raised
                     pass
             raise
-        if drive.error is not None:
-            raise drive.error
+        error, drive.error = drive.error, None
+        if error is not None:
+            try:
+                raise error
+            finally:
+                # This frame is on the traceback: a local holding the
+                # exception would make it cyclic garbage.
+                del error
 
     def release(self) -> None:
         super().release()

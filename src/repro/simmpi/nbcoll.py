@@ -42,8 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: consensus engine's CTX_AM).
 CTX_NBC = 3
 
-_ENGINE_ATTR = "_nbc_engine"
-
 
 @dataclass
 class _BarrierMsg:
@@ -203,10 +201,9 @@ class IBarrierEngine:
 
 def engine_for(runtime: "Runtime") -> IBarrierEngine:
     """Get (or lazily create) the simulation's ibarrier engine."""
-    engine = getattr(runtime, _ENGINE_ATTR, None)
+    engine = runtime.engines.get("ibarrier")
     if engine is None:
-        engine = IBarrierEngine(runtime)
-        setattr(runtime, _ENGINE_ATTR, engine)
+        engine = runtime.engines["ibarrier"] = IBarrierEngine(runtime)
     return engine
 
 

@@ -61,7 +61,10 @@ def _raise_for(req: Request, index: int) -> None:
     exc.status = req.status  # type: ignore[attr-defined]
     if req.comm is not None and req.comm.errhandler is ErrorHandler.ERRORS_ARE_FATAL:
         req.owner.abort(int(req.error))
-    raise exc
+    try:
+        raise exc
+    finally:
+        del exc  # this frame is on its traceback
 
 
 def wait(request: Request) -> Status:

@@ -31,7 +31,8 @@ class SimProcess:
     Application-facing surface: :attr:`rank`, :attr:`size`,
     :attr:`comm_world`, :attr:`now`, :meth:`compute`, :meth:`sleep`,
     :meth:`probe_point`, :meth:`log`, :meth:`abort`.  Everything else is
-    runtime plumbing.
+    runtime plumbing.  Once the run is torn down (:meth:`Runtime.shutdown`)
+    :attr:`runtime`, :attr:`comm_world` and :attr:`engine` are ``None``.
     """
 
     def __init__(self, runtime: "Runtime", rank: int) -> None:

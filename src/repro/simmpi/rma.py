@@ -56,8 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Context offset for RMA traffic (after p2p/coll/am/nbc).
 CTX_RMA = 4
 
-_ENGINE_ATTR = "_rma_engine"
-
 
 class RMAEngine:
     """Progress engine applying one-sided operations at their targets."""
@@ -129,10 +127,9 @@ class RMAEngine:
 
 def engine_for(runtime: "Runtime") -> RMAEngine:
     """Get (or lazily create) the simulation's RMA engine."""
-    engine = getattr(runtime, _ENGINE_ATTR, None)
+    engine = runtime.engines.get("rma")
     if engine is None:
-        engine = RMAEngine(runtime)
-        setattr(runtime, _ENGINE_ATTR, engine)
+        engine = runtime.engines["rma"] = RMAEngine(runtime)
     return engine
 
 

@@ -32,7 +32,7 @@ from typing import Any, Callable, Sequence
 
 from ..perf import SESSION, PerfCounters
 from .clock import EventQueue, VirtualClock
-from .communicator import Comm
+from .communicator import CONTEXTS_PER_COMM, CTX_AM, CTX_COLL, Comm
 from .constants import ANY_SOURCE
 from .costmodel import DEFAULT_COST, CostModel
 from .errors import (
@@ -121,6 +121,10 @@ class Runtime:
         self.known_by: dict[int, set[int]] = {r: set() for r in range(nprocs)}
         self._failure_listeners: dict[int, list[FailureListener]] = {}
         self._am_handlers: dict[tuple[int, int], AMHandler] = {}
+        #: Progress engines of the layers above (agreement, ibarrier,
+        #: RMA) by name, each created on first use by its module's
+        #: ``engine_for``.
+        self.engines: dict[str, Any] = {}
         self._channel_last: dict[tuple[int, int, int], float] = {}
         #: Pending synchronous-send requests, keyed by owner rank, so the
         #: detector sweep can fail them when their destination dies.
@@ -292,8 +296,6 @@ class Runtime:
                     status=Status(source=failed, tag=req.tag,
                                   error=ErrorClass.ERR_RANK_FAIL_STOP),
                 )
-        from .communicator import CONTEXTS_PER_COMM, CTX_COLL
-
         for req in list(obs.engine.pending_recvs()):
             hit = False
             if req.peer == failed:
@@ -368,8 +370,6 @@ class Runtime:
             return
         self._revoked.add((rank, cid))
         self.trace.record(time, TraceKind.REVOKE, rank, cid=cid)
-        from .communicator import CONTEXTS_PER_COMM, CTX_AM
-
         lo = cid * CONTEXTS_PER_COMM
         am_ctx = lo + CTX_AM
         for req in list(proc.engine.pending_recvs()):
@@ -675,7 +675,7 @@ class Runtime:
                 self.fiber_backend,
                 name=f"rank-{proc.rank}",
                 index=proc.rank,
-                target=(lambda m=main, p=proc: m(p)),
+                target=partial(main, proc),
             )
             proc.attach_fiber(fiber)
             fiber.start()
@@ -775,16 +775,28 @@ class Runtime:
             return None  # deadlock, or all processes done/failed, no events
 
     def shutdown(self) -> None:
-        """Unwind every still-parked fiber and release it.
+        """Unwind every still-parked fiber, release it, and take the
+        finished run apart.
 
         Runs on **every** exit path of :meth:`Simulation.run` (normal
         completion, deadlock/abort returns, budget overruns, application
         errors), so batch drivers — a 10k-run in-process sweep — never
-        accumulate fiber state (pooled threads or live greenlet stacks)
-        across simulations.  After joining, each fiber's reference to the
-        application main is dropped so a kept ``Simulation`` object
-        cannot pin per-run application state alive.  Its host seconds are
+        accumulate fiber state across simulations.  Its host seconds are
         ``perf.teardown_s``.
+
+        Teardown contract: afterwards no reference cycle runs through the
+        simulation, so reference counting alone frees it the moment the
+        caller drops the :class:`Simulation` and its result — peak RSS
+        does not grow with the number of runs between collections.  What
+        stays inspectable is the result and, per rank,
+        ``procs[i].fiber`` (state, result, error), ``now``,
+        ``failed_at``, ``call_count`` and ``probe_counts``; plus the
+        runtime's trace, counters and ground truth (``failed``,
+        ``known_by``, ``abort_info``, ``deadlock``).  Gone are what only
+        a running simulation uses: pending events, active-message
+        handlers, failure listeners, the layers' engines, pending
+        requests, and each rank's ``runtime``, ``comm_world`` and
+        matching queues (all ``None``).
         """
         t0 = _time.perf_counter()
         for proc in self.procs:
@@ -797,6 +809,17 @@ class Runtime:
             if proc.fiber is not None:
                 proc.fiber.join()
                 proc.fiber.release()
+        # Leftover events hold bound methods of this runtime; handlers,
+        # listeners and engines hold the engines, which hold it back.
+        self.events._heap.clear()
+        self._am_handlers.clear()
+        self._failure_listeners.clear()
+        self.engines.clear()
+        for pending in self._pending_ssends.values():
+            pending.clear()  # each request's completion callback holds it
+        for proc in self.procs:
+            # The back-pointers, and the queues whose requests point back.
+            proc.runtime = proc.comm_world = proc.engine = None
         self.perf.teardown_s += _time.perf_counter() - t0
 
 
@@ -970,6 +993,15 @@ class Simulation:
             Re-raise the first unexpected application exception as
             :class:`SimulationError`; pass ``False`` to inspect them on
             the result instead.
+
+        Whichever way it ends — result, deadlock, abort, budget overrun
+        or application error — the run is torn down first
+        (:meth:`Runtime.shutdown`): reference counting alone frees it once
+        the caller drops this object, the result and any exception
+        raised from here.  Every result field stays readable, and so do
+        ``self.runtime.procs[i].fiber``, ``.now`` and ``.failed_at``; the
+        ranks' ``runtime``, ``comm_world`` and ``engine`` are ``None``.
+        An application error keeps its traceback, without frame locals.
         """
         if self._ran:
             raise RuntimeError("a Simulation object can only run once")
@@ -1033,6 +1065,8 @@ class Simulation:
                 if out.state == "error":
                     assert out.error is not None
                     raise SimulationError(out.rank, out.error) from out.error
-        if result.deadlock is not None and on_deadlock == "raise":
-            raise result.deadlock
+        deadlock = result.deadlock
+        if deadlock is not None and on_deadlock == "raise":
+            # A copy: the stored one would reach this frame's traceback.
+            raise SimulationDeadlock(str(deadlock), deadlock.blocked)
         return result

@@ -105,8 +105,42 @@ def test_one_context_switch_per_handoff():
     per_handoff = switches / perf.handoffs
     assert per_handoff <= 1.5, (
         f"{switches} context switches over {perf.handoffs} handoffs "
-        f"= {per_handoff:.3f} per handoff"
+        f"= {per_handoff:.3f} per handoff; other threads that ran meanwhile "
+        f"(a GIL-contending one inflates the count):\n"
+        + _other_threads(before, after, tids)
     )
+
+
+_POLICIES = {
+    getattr(os, name): name
+    for name in ("SCHED_OTHER", "SCHED_BATCH", "SCHED_IDLE", "SCHED_FIFO", "SCHED_RR")
+    if hasattr(os, name)
+}
+
+
+def _other_threads(
+    before: dict[int, int], after: dict[int, int], measured: set[int]
+) -> str:
+    """One line per thread outside *measured* that switched between the
+    two snapshots: tid, name, ``/proc`` state, policy, switch delta."""
+    names = {t.native_id: t.name for t in threading.enumerate()}
+    lines = []
+    for tid in sorted(after):
+        delta = after[tid] - before.get(tid, 0)
+        if tid in measured or delta == 0:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/status") as status:
+                fields = dict(line.split(":", 1) for line in status if ":" in line)
+            policy = _POLICIES.get(os.sched_getscheduler(tid), "?")
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # exited meanwhile
+        name = names.get(tid, fields.get("Name", "?").strip())
+        state = fields.get("State", "?").strip()
+        lines.append(
+            f"  tid {tid} {name!r} state={state} policy={policy} switches=+{delta}"
+        )
+    return "\n".join(lines) or "  (none)"
 
 
 def test_frames_per_handoff():

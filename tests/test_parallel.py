@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import pytest
@@ -27,6 +29,7 @@ from repro.parallel import (
     make_runner,
     resolve_invariants,
 )
+from repro.parallel.transport import LocalPoolRound, LocalPoolTransport
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
@@ -73,6 +76,38 @@ class DieJob:
 
     def __call__(self) -> None:
         os._exit(13)
+
+
+class _BreakingPool:
+    """A pool stand-in that runs each chunk inline and raises
+    ``BrokenProcessPool`` from the *fail_at*-th ``submit`` of the sweep
+    (counted across rounds): a worker that died while chunks were still
+    being submitted, placed by operation count instead of by timing."""
+
+    def __init__(self, transport: "_BreakingTransport") -> None:
+        self.transport = transport
+        self._processes: dict = {}
+
+    def submit(self, fn, *args):
+        self.transport.submits += 1
+        if self.transport.submits == self.transport.fail_at:
+            raise BrokenProcessPool("a worker died")
+        fut: Future = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _BreakingTransport(LocalPoolTransport):
+    def __init__(self, fail_at: int) -> None:
+        super().__init__(workers=1)
+        self.fail_at = fail_at
+        self.submits = 0
+
+    def open_round(self) -> LocalPoolRound:
+        return LocalPoolRound(_BreakingPool(self))
 
 
 def _campaign(runner=None, workers=None, **kw):
@@ -165,6 +200,25 @@ class TestRunners:
         with pytest.raises(SweepError) as exc_info:
             runner.run([SquareJob(5), DieJob(), SquareJob(7)])
         assert exc_info.value.indices == [1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pool_breaking_at_the_kth_submit_is_a_lost_chunk(self, k):
+        # Chunks [0, 1], [2, 3], [4]: the k-th submit breaks the pool, so
+        # chunk k and every later one never reach it and are lost, while
+        # the chunks submitted before it complete.
+        jobs = [SquareJob(i) for i in range(5)]
+        chunks = [[0, 1], [2, 3], [4]]
+        runner = ProcessPoolRunner(workers=1, chunk_size=2, retries=1)
+        runner._transport = lambda: _BreakingTransport(fail_at=k)
+        assert runner.run(jobs) == [i * i for i in range(5)]
+        assert runner.job_retries == [
+            int(c >= k - 1) for c, part in enumerate(chunks) for _ in part
+        ]
+        runner = ProcessPoolRunner(workers=1, chunk_size=2, retries=0)
+        runner._transport = lambda: _BreakingTransport(fail_at=k)
+        with pytest.raises(SweepError) as exc_info:
+            runner.run(jobs)
+        assert exc_info.value.indices == chunks[k - 1]
 
     def test_job_retries_not_shared_between_instances(self):
         # Regression: job_retries used to be a mutable *class* attribute,
