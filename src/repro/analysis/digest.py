@@ -17,14 +17,18 @@ only with a replay-format version bump.
 
 The trace enters as the text ``repr(ev.key())`` of each record, each
 followed by a NUL; :meth:`~repro.simmpi.trace.TraceEvent.key` is the
-reference.  Building that tuple only to ``repr`` it was most of a cold
-sweep job's digest, so records are formatted directly: all records of
-one *shape* (kind plus detail names in insertion order) share a writer
-that formats time, rank and the name-sorted values into exactly that
-text.  A writer's source depends on the number of detail names alone —
-the kind and the names are bound in as arguments — so no trace text (a
-detail name read from a JSONL file, say) ever reaches the compiler.
-Loaded traces are outside input, so the shape memo is bounded.
+reference.  Records are formatted straight from the trace's rows,
+without building a view or a key: the writer of a shape id formats the
+time text, the rank and the name-sorted values into exactly that text.
+The writers of the kernel's shapes (:data:`~repro.simmpi.trace.SHAPES`)
+are built once, and those of the shapes a trace interned for itself —
+``proc.log`` names, a loaded JSONL file — per digest, so nothing outside
+the trace grows with outside input.  A writer's source depends on the
+number of detail names alone — the kind, the names and their positions
+are bound in as arguments — so no trace text ever reaches the compiler.
+Only 150 of a sweep run's ~340 times are distinct, so ``repr(time)`` is
+memoised per trace, for non-zero floats only: ``0.0`` and ``-0.0``, and
+``1``, ``1.0`` and ``True``, are equal dict keys with different reprs.
 """
 
 from __future__ import annotations
@@ -32,28 +36,22 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from ..simmpi.trace import TraceEvent
+from ..simmpi.trace import SHAPES, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simmpi.runtime import SimulationResult
-    from ..simmpi.trace import Trace
+    from ..simmpi.trace import Shape, Trace
 
 __all__ = ["perf_dict", "result_digest"]
 
-#: ``writer(time, rank, detail) -> repr(key)`` for one record shape.
-Writer = Callable[[Any, Any, dict], str]
+#: ``writer(time text, row) -> repr(key)`` for the rows of one shape.
+Writer = Callable[[str, tuple], str]
 
-#: Records with more detail names than this, or with a name that is not
-#: a ``str``, are written through ``TraceEvent.key`` itself (the kernel's
-#: records carry at most six names).
+#: Shapes with more detail names than this are written through
+#: ``TraceEvent.key`` itself (the kernel's carry at most six).
 _MAX_ARITY = 16
-#: The shape memo is emptied when it reaches this many entries.
-_PLAN_CAP = 1024
-
-#: ``(kind value, *detail names in insertion order) -> writer``.
-_plans: dict[tuple[Any, ...], Writer] = {}
 
 
 def perf_dict(result: "SimulationResult") -> dict[str, Any]:
@@ -74,51 +72,64 @@ def perf_dict(result: "SimulationResult") -> dict[str, Any]:
 
 @functools.lru_cache(maxsize=_MAX_ARITY + 1)
 def _writer_factory(n: int) -> Callable[..., Writer]:
-    """``factory(kind_repr, *name_reprs, *names)`` returning the writer
-    of records with *n* detail names, given in sorted order."""
+    """``factory(kind_repr, *name_reprs, *row_indices)`` returning the
+    writer of rows with *n* detail values, names given in sorted order."""
     reprs = [f"s{i}" for i in range(n)]
-    names = [f"k{i}" for i in range(n)]
+    indices = [f"i{i}" for i in range(n)]
     pairs = ", ".join(
-        "({%s}, {repr(d[%s])!r})" % pair for pair in zip(reprs, names)
+        "({%s}, {repr(w[%s])!r})" % pair for pair in zip(reprs, indices)
     )
-    params = ", ".join(["c", *reprs, *names])
+    params = ", ".join(["c", *reprs, *indices])
     return eval(  # noqa: S307 - the source is built from *n* alone
-        'lambda %s: lambda t, r, d: f"({t!r}, {c}, {r!r}, (%s%s))"'
+        'lambda %s: lambda t, w: f"({t}, {c}, {w[2]!r}, (%s%s))"'
         % (params, pairs, "," if n == 1 else "")
     )
 
 
-def _plan(ev: TraceEvent) -> Writer:
-    """Build and memoise the writer for *ev*'s shape."""
-    kind = ev.kind
-    names = tuple(ev.detail)
-    if len(names) > _MAX_ARITY or any(type(k) is not str for k in names):
-        def writer(t: Any, r: Any, d: dict) -> str:
-            return repr(TraceEvent(t, kind, r, d).key())
-    else:
-        order = sorted(names)
-        writer = _writer_factory(len(order))(
-            repr(kind.value), *map(repr, order), *order
-        )
-    if len(_plans) >= _PLAN_CAP:
-        _plans.clear()
-    _plans[(kind._value_, *names)] = writer
-    return writer
+def _writer(shape: "Shape") -> Writer:
+    kind, names = shape
+    if len(names) > _MAX_ARITY:
+        def writer(t: str, w: tuple) -> str:
+            detail = dict(zip(names, w[3:]))
+            return repr(TraceEvent(w[0], kind, w[2], detail).key())
+        return writer
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return _writer_factory(len(names))(
+        repr(kind.value),
+        *(repr(names[i]) for i in order),
+        *(3 + i for i in order),
+    )
 
 
-def _record_texts(events: Iterable[TraceEvent]) -> list[str]:
+@functools.cache
+def _kernel_writers() -> tuple[Writer, ...]:
+    """The writers of :data:`SHAPES`, by shape id."""
+    return tuple(map(_writer, SHAPES))
+
+
+def _writers(shapes: "Sequence[Shape]") -> tuple[Writer, ...]:
+    """The writer of each shape id of a trace's table."""
+    kernel = _kernel_writers()
+    if len(shapes) == len(kernel):
+        return kernel
+    return (*kernel, *map(_writer, shapes[len(kernel):]))
+
+
+def _record_texts(trace: "Trace") -> list[str]:
     """``repr(ev.key())`` of each record, without building the key."""
-    plans = _plans
+    writers = _writers(trace.shapes)
+    times: dict[float, str] = {}
     texts: list[str] = []
     append = texts.append
-    for ev in events:
-        d = ev.detail
-        # Keyed on the kind's value, not the member: ``Enum.__hash__``
-        # is Python-level.
-        writer = plans.get((ev.kind._value_, *d))
-        if writer is None:
-            writer = _plan(ev)
-        append(writer(ev.time, ev.rank, d))
+    for w in trace.rows:
+        t = w[0]
+        if type(t) is float and t:
+            text = times.get(t)
+            if text is None:
+                text = times[t] = repr(t)
+        else:
+            text = repr(t)
+        append(writers[w[1]](text, w))
     return texts
 
 

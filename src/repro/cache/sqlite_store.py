@@ -27,6 +27,7 @@ import os
 import sqlite3
 import threading
 import time
+import weakref
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -65,6 +66,14 @@ _INSERT = (
 )
 
 
+def _close(conn: sqlite3.Connection, pid: int, thread: int) -> None:
+    """Close *conn* when its store is dropped — but only in the process
+    and thread that opened it: a forked child must not close its
+    parent's connection, and sqlite3 refuses a foreign thread."""
+    if os.getpid() == pid and threading.get_ident() == thread:
+        conn.close()
+
+
 class SqliteStore:
     """Run-cache entries in a single WAL-mode SQLite database.
 
@@ -97,6 +106,12 @@ class SqliteStore:
             conn.execute(_SCHEMA)
         self._local.conn = conn
         self._local.pid = os.getpid()
+        # A connection is in a reference cycle with its own statement
+        # cache: unclosed, a dropped store's connection (and the file
+        # handles it holds) would wait for a full collection.
+        weakref.finalize(
+            self, _close, conn, os.getpid(), threading.get_ident()
+        )
         return conn
 
     @staticmethod

@@ -62,7 +62,10 @@ from typing import TYPE_CHECKING, Any
 
 from ..simmpi.communicator import CTX_AM, Comm
 from ..simmpi.request import Request, Status
-from ..simmpi.trace import TraceKind
+from ..simmpi.trace import (
+    VALIDATE_DECIDE, VALIDATE_DECIDE_CONTRIBUTORS, VALIDATE_START,
+    VALIDATE_START_PROPOSAL,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simmpi.matching import Message
@@ -233,12 +236,18 @@ class UnionAgreement:
         inst.members = frozenset(comm.group)
         inst.items = items
         self._live[proc.rank].append(inst)
-        proposal = {"proposal": sorted(inst.items)} if flavor.recognise else {}
-        self.runtime.trace.record(
-            proc.now, TraceKind.VALIDATE, proc.rank,
-            op=f"{flavor.op}_start", comm=comm.name, instance=instance,
-            **proposal,
-        )
+        trace = self.runtime.trace
+        if trace.enabled:
+            op = f"{flavor.op}_start"
+            if flavor.recognise:
+                trace.add((
+                    proc.now, VALIDATE_START_PROPOSAL, proc.rank,
+                    op, comm.name, instance, sorted(inst.items),
+                ))
+            else:
+                trace.add(
+                    (proc.now, VALIDATE_START, proc.rank, op, comm.name, instance)
+                )
         if mode == "full":
             self._enter_round(inst, 1, proc.now)
             self._check_round(inst, proc.now)
@@ -291,14 +300,17 @@ class UnionAgreement:
             # for both point-to-point and collectives, re-enabling the latter.
             comm.recognized |= decision
             comm.validated |= decision
-            outcome = {"decision": sorted(decision)}
-        else:
-            outcome = {"contributors": sorted(r for r, _v in decision)}
-        self.runtime.trace.record(
-            time, TraceKind.VALIDATE, inst.owner,
-            op=f"{inst.flavor.op}_decide", comm=comm.name,
-            instance=inst.instance, how=how, round=inst.round, **outcome,
-        )
+        trace = self.runtime.trace
+        if trace.enabled:
+            if inst.flavor.recognise:
+                shape, outcome = VALIDATE_DECIDE, sorted(decision)
+            else:
+                shape = VALIDATE_DECIDE_CONTRIBUTORS
+                outcome = sorted(r for r, _v in decision)
+            trace.add((
+                time, shape, inst.owner, f"{inst.flavor.op}_decide",
+                comm.name, inst.instance, how, inst.round, outcome,
+            ))
         obs = self.runtime.obs
         if obs is not None:
             obs.consensus_decided(

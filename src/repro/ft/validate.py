@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from ..simmpi.communicator import Comm
 from ..simmpi.errors import ErrorClass, InvalidArgumentError
-from ..simmpi.trace import TraceKind
+from ..simmpi.trace import VALIDATE_CLEAR
 from .rank_info import RankInfo, RankState
 
 
@@ -79,9 +79,10 @@ def comm_validate_clear(comm: Comm, ranks: Iterable[int] | Sequence[RankInfo]) -
         if comm._known_failed(rank):
             comm.recognized.add(rank)
             newly += 1
-    if newly:
-        proc.runtime.trace.record(
-            proc.now, TraceKind.VALIDATE, proc.rank,
-            op="clear", comm=comm.name, recognized=sorted(comm.recognized),
-        )
+    trace = proc.runtime.trace
+    if newly and trace.enabled:
+        trace.add((
+            proc.now, VALIDATE_CLEAR, proc.rank,
+            "clear", comm.name, sorted(comm.recognized),
+        ))
     return newly

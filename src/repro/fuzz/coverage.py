@@ -74,9 +74,10 @@ def shape_digest(result: SimulationResult) -> str:
     *order of what each rank did* moves, which is the thing coverage
     guidance needs to notice.
     """
+    kinds = [kind.value for kind, _names in result.trace.shapes]
     per_rank: dict[int, list[str]] = {}
-    for ev in result.trace:
-        per_rank.setdefault(ev.rank, []).append(ev.kind.value)
+    for row in result.trace.rows:
+        per_rank.setdefault(row[2], []).append(kinds[row[1]])
     h = hashlib.blake2b(digest_size=16)
     for rank in sorted(per_rank):
         h.update(f"r{rank}:".encode())

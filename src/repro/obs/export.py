@@ -441,16 +441,16 @@ def load_trace_jsonl(source: Any) -> tuple[Trace, dict[str, Any]]:
             f"(want {JSONL_FORMAT!r})"
         )
     trace = Trace(enabled=True, cap=header.get("cap"))
-    trace.dropped = int(header.get("dropped", 0))
     kinds = {k.value: k for k in TraceKind}
     for ln in lines[1:]:
         rec = json.loads(ln)
-        trace._events.append(TraceEvent(
+        trace.record(
             rec["t"],
             kinds[rec["kind"]],
             rec["rank"],
-            {k: _decode(v) for k, v in rec["detail"].items()},
-        ))
+            **{k: _decode(v) for k, v in rec["detail"].items()},
+        )
+    trace.dropped = int(header.get("dropped", 0))
     return trace, header
 
 

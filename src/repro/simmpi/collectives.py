@@ -31,7 +31,7 @@ from typing import Any, Callable, Sequence
 from .communicator import CTX_COLL, Comm
 from .errors import ErrorClass, InvalidArgumentError, RankFailStopError
 from .request import Request, RequestKind
-from .trace import TraceKind
+from .trace import COLL_DISABLED, COLL_DONE, COLL_DONE_ROOT
 
 #: Named reduction operators (callable ``f(a, b) -> c``; associative).
 OPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -80,10 +80,12 @@ class _CollCtx:
         self.tag = next(comm._coll_seq) * 8 if tag is None else tag
         known = comm.known_failed_comm_ranks()
         if not known <= comm.validated:
-            proc.runtime.trace.record(
-                proc.now, TraceKind.COLLECTIVE, proc.rank,
-                op=name, outcome="disabled", unrecognized=sorted(known - comm.validated),
-            )
+            trace = proc.runtime.trace
+            if trace.enabled:
+                trace.add((
+                    proc.now, COLL_DISABLED, proc.rank,
+                    name, "disabled", sorted(known - comm.validated),
+                ))
             comm._raise(
                 RankFailStopError(
                     f"{name} on {comm.name} with unrecognized failures "
@@ -148,12 +150,18 @@ class _CollCtx:
         wait(req)  # raises via errhandler if src fails mid-collective
         return req.data
 
-    def done(self, **detail: Any) -> None:
+    def done(self, root: str | None = None) -> None:
         proc = self.comm.proc
-        proc.runtime.trace.record(
-            proc.now, TraceKind.COLLECTIVE, proc.rank,
-            op=self.name, outcome="ok", tag=self.tag, **detail,
-        )
+        trace = proc.runtime.trace
+        if not trace.enabled:
+            return
+        if root is None:
+            trace.add((proc.now, COLL_DONE, proc.rank, self.name, "ok", self.tag))
+        else:
+            trace.add((
+                proc.now, COLL_DONE_ROOT, proc.rank,
+                self.name, "ok", self.tag, root,
+            ))
 
 
 def barrier(comm: Comm) -> None:

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from .communicator import Comm
 from .errors import ErrorClass
 from .request import Request, RequestKind, Status
-from .trace import TraceKind
+from .trace import IBARRIER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .matching import Message
@@ -161,24 +161,23 @@ class IBarrierEngine:
     def _complete(self, sm: _BarrierSM, time: float) -> None:
         sm.done = True
         assert sm.request is not None
-        self.runtime.trace.record(
-            time, TraceKind.COLLECTIVE, sm.owner,
-            op="ibarrier", outcome="ok", instance=sm.instance,
-        )
+        self._record(sm, time, "ok")
         sm.request.complete(time, status=Status())
 
     def _fail(self, sm: _BarrierSM, time: float) -> None:
         sm.done = True
         assert sm.request is not None
-        self.runtime.trace.record(
-            time, TraceKind.COLLECTIVE, sm.owner,
-            op="ibarrier", outcome="fail_stop", instance=sm.instance,
-        )
+        self._record(sm, time, "fail_stop")
         sm.request.complete(
             time,
             error=ErrorClass.ERR_RANK_FAIL_STOP,
             status=Status(error=ErrorClass.ERR_RANK_FAIL_STOP),
         )
+
+    def _record(self, sm: _BarrierSM, time: float, outcome: str) -> None:
+        trace = self.runtime.trace
+        if trace.enabled:
+            trace.add((time, IBARRIER, sm.owner, "ibarrier", outcome, sm.instance))
 
     # -- event-context inputs -------------------------------------------------
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, NoReturn
 from .errors import JobAborted
 from .fibers import BaseFiber, FiberState
 from .matching import MatchingEngine
-from .trace import TraceKind
+from .trace import ABORT, PROBE, TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .communicator import Comm
@@ -99,8 +99,7 @@ class SimProcess:
         self.probe_counts[name] = hit
         trace = self.runtime.trace
         if trace.enabled:
-            trace.record(self.now, TraceKind.PROBE, self.rank, name=name,
-                         hit=hit)
+            trace.add((self.now, PROBE, self.rank, name, hit))
         if self.runtime.polled_injectors:
             self.runtime.check_injection(self, probe=name)
 
@@ -114,7 +113,9 @@ class SimProcess:
 
     def abort(self, code: int = -1) -> NoReturn:
         """``MPI_Abort``: terminate the entire simulated job."""
-        self.runtime.trace.record(self.now, TraceKind.ABORT, self.rank, code=code)
+        trace = self.runtime.trace
+        if trace.enabled:
+            trace.add((self.now, ABORT, self.rank, code))
         self.runtime.trigger_abort(JobAborted(code, self.rank))
 
     # ------------------------------------------------------------------

@@ -48,7 +48,10 @@ from .matching import Message
 from .process import SimProcess
 from .request import Request, Status
 from .scheduler import SchedulingPolicy, make_policy
-from .trace import Trace, TraceKind
+from .trace import (
+    DEADLOCK, DELIVER, DETECT, FAILURE, RECV_COMPLETE, RECV_POST, REQ_ERROR_CID,
+    REQ_ERROR_PEER, REVOKE, SEND_DROP, SEND_POST, SEND_POST_AM, Trace,
+)
 from .util import payload_nbytes
 
 _DONE = FiberState.DONE
@@ -250,7 +253,8 @@ class Runtime:
     def _mark_failed(self, proc: SimProcess, time: float) -> None:
         proc.failed_at = time
         self.failed.add(proc.rank)
-        self.trace.record(time, TraceKind.FAILURE, proc.rank)
+        if self.trace.enabled:
+            self.trace.add((time, FAILURE, proc.rank))
         failed = proc.rank
         for observer in range(self.nprocs):
             if observer == failed:
@@ -267,7 +271,8 @@ class Runtime:
         if failed in self.known_by[observer]:
             return
         self.known_by[observer].add(failed)
-        self.trace.record(time, TraceKind.DETECT, observer, failed=failed)
+        if self.trace.enabled:
+            self.trace.add((time, DETECT, observer, failed))
         if obs.wants_arrival_wake:
             # A blocking probe must re-check its source against the new
             # failure knowledge (it may need to raise FAIL_STOP).
@@ -284,12 +289,13 @@ class Runtime:
         involving that peer will return an error in the class
         ``MPI_ERR_RANK_FAIL_STOP``" — the watchdog-Irecv mechanism.
         """
+        trace = self.trace
         for req in list(self._pending_ssends.get(obs.rank, [])):
             if req.peer == failed and not req.done:
-                self.trace.record(
-                    time, TraceKind.REQ_ERROR, obs.rank,
-                    req=req.id, peer=failed, reqkind="ssend",
-                )
+                if trace.enabled:
+                    trace.add(
+                        (time, REQ_ERROR_PEER, obs.rank, req.id, failed, "ssend")
+                    )
                 req.complete(
                     time,
                     error=ErrorClass.ERR_RANK_FAIL_STOP,
@@ -319,10 +325,11 @@ class Runtime:
             if hit:
                 obs.engine.remove_posted(req)
                 src = req.peer if req.peer != ANY_SOURCE else failed
-                self.trace.record(
-                    time, TraceKind.REQ_ERROR, obs.rank,
-                    req=req.id, peer=failed, reqkind=req.kind.value,
-                )
+                if trace.enabled:
+                    trace.add((
+                        time, REQ_ERROR_PEER, obs.rank,
+                        req.id, failed, req.kind.value,
+                    ))
                 req.complete(
                     time,
                     error=ErrorClass.ERR_RANK_FAIL_STOP,
@@ -369,7 +376,9 @@ class Runtime:
         if not proc.alive():
             return
         self._revoked.add((rank, cid))
-        self.trace.record(time, TraceKind.REVOKE, rank, cid=cid)
+        trace = self.trace
+        if trace.enabled:
+            trace.add((time, REVOKE, rank, cid))
         lo = cid * CONTEXTS_PER_COMM
         am_ctx = lo + CTX_AM
         for req in list(proc.engine.pending_recvs()):
@@ -381,10 +390,10 @@ class Runtime:
             if ctx == am_ctx:
                 continue
             proc.engine.remove_posted(req)
-            self.trace.record(
-                time, TraceKind.REQ_ERROR, rank,
-                req=req.id, cid=cid, reqkind=req.kind.value,
-            )
+            if trace.enabled:
+                trace.add(
+                    (time, REQ_ERROR_CID, rank, req.id, cid, req.kind.value)
+                )
             req.complete(
                 time,
                 error=ErrorClass.ERR_REVOKED,
@@ -458,11 +467,9 @@ class Runtime:
         self.perf.messages_sent += 1
         if self.obs is not None:
             self.obs.message_posted(now)
-        if self.trace.enabled:
-            self.trace.record(
-                now, TraceKind.SEND_POST, src,
-                dst=dst_world, tag=tag, ctx=context, bytes=size, msg=msg_id,
-            )
+        trace = self.trace
+        if trace.enabled:
+            trace.add((now, SEND_POST, src, dst_world, tag, context, size, msg_id))
         self.events.schedule(deliver, partial(self._deliver, msg))
 
     def _deliver(self, msg: Message) -> None:
@@ -471,21 +478,22 @@ class Runtime:
         obs = self.obs
         if obs is not None:
             obs.message_done(msg.deliver_time)
+        trace = self.trace
         if dst.failed_at is not None:
             perf.messages_dropped += 1
-            if self.trace.enabled:
-                self.trace.record(
-                    msg.deliver_time, TraceKind.SEND_DROP, msg.src,
-                    dst=msg.dst, tag=msg.tag, msg=msg.msg_id,
-                )
+            if trace.enabled:
+                trace.add((
+                    msg.deliver_time, SEND_DROP, msg.src,
+                    msg.dst, msg.tag, msg.msg_id,
+                ))
             self._complete_ssend(msg, msg.deliver_time, dropped=True)
             return
         perf.deliveries += 1
-        if self.trace.enabled:
-            self.trace.record(
-                msg.deliver_time, TraceKind.DELIVER, msg.dst,
-                src=msg.src, tag=msg.tag, ctx=msg.context, msg=msg.msg_id,
-            )
+        if trace.enabled:
+            trace.add((
+                msg.deliver_time, DELIVER, msg.dst,
+                msg.src, msg.tag, msg.context, msg.msg_id,
+            ))
         handler = self._am_handlers.get((msg.dst, msg.context))
         if handler is not None:
             handler(msg, msg.deliver_time)
@@ -510,11 +518,9 @@ class Runtime:
         ctx = comm.context() if context is None else context
         req.context = ctx
         proc = req.owner
-        if self.trace.enabled:
-            self.trace.record(
-                proc.now, TraceKind.RECV_POST, proc.rank,
-                src=req.peer, tag=req.tag, ctx=ctx, req=req.id,
-            )
+        trace = self.trace
+        if trace.enabled:
+            trace.add((proc.now, RECV_POST, proc.rank, req.peer, req.tag, ctx, req.id))
         msg = proc.engine.post_recv(req, ctx)
         if msg is not None:
             self.perf.messages_matched += 1
@@ -534,11 +540,9 @@ class Runtime:
             cr = comm._ranks.get(src)
             if cr is not None:
                 source = cr
-        if self.trace.enabled:
-            self.trace.record(
-                t, TraceKind.RECV_COMPLETE, msg.dst,
-                src=src, tag=tag, req=req.id, msg=msg.msg_id,
-            )
+        trace = self.trace
+        if trace.enabled:
+            trace.add((t, RECV_COMPLETE, msg.dst, src, tag, req.id, msg.msg_id))
         req.complete(
             t,
             data=msg.payload,
@@ -601,12 +605,12 @@ class Runtime:
         self.perf.messages_sent += 1
         if self.obs is not None:
             self.obs.message_posted(t0)
-        if self.trace.enabled:
-            self.trace.record(
-                t0, TraceKind.SEND_POST, src_rank,
-                dst=dst_world, tag=0, ctx=context, bytes=size, msg=msg.msg_id,
-                am=True,
-            )
+        trace = self.trace
+        if trace.enabled:
+            trace.add((
+                t0, SEND_POST_AM, src_rank,
+                dst_world, 0, context, size, msg.msg_id, True,
+            ))
         self.events.schedule(deliver, partial(self._deliver, msg))
 
     # ------------------------------------------------------------------
@@ -769,9 +773,12 @@ class Runtime:
                     f"deadlock at t={self.clock.now:.9f}: {desc}",
                     [(p.rank, p.wait_description()) for p in blocked],
                 )
-                for p in blocked:
-                    self.trace.record(self.clock.now, TraceKind.DEADLOCK,
-                                      p.rank, waiting=p.wait_description())
+                if self.trace.enabled:
+                    for p in blocked:
+                        self.trace.add((
+                            self.clock.now, DEADLOCK, p.rank,
+                            p.wait_description(),
+                        ))
             return None  # deadlock, or all processes done/failed, no events
 
     def shutdown(self) -> None:

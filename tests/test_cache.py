@@ -15,6 +15,7 @@ the CLI split (report on stdout, cache accounting on stderr).
 from __future__ import annotations
 
 import base64
+import gc
 import json
 import multiprocessing
 import os
@@ -650,6 +651,59 @@ class TestFirstOpen:
             cache = RunCache(root)
             assert list(cache.keys()) == keys
             assert [s for s, _ in cache.get_many(keys)] == ["hit"] * len(keys)
+
+
+# ---------------------------------------------------------------------------
+# A dropped store closes its connection (the connection is in a reference
+# cycle with its own statement cache; unclosed, only a full collection
+# would free it and the database file handles it holds)
+# ---------------------------------------------------------------------------
+
+
+class TestConnectionLifetime:
+    def test_dropped_cache_leaves_no_sqlite_garbage(self, cache_dir):
+        gc.collect()
+        gc.disable()
+        try:
+            cache = RunCache(cache_dir)
+            keys = _fill(cache)
+            assert [s for s, _ in cache.get_many(keys)] == ["hit"] * len(keys)
+            del cache
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = sorted(
+                type(o).__qualname__
+                for o in gc.garbage
+                if type(o).__module__ == "sqlite3"
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_leaves_the_parents_connection_open(self, cache_dir):
+        cache = RunCache(cache_dir)  # not the fixture: the child drops it
+        keys = _fill(cache)
+        conn = cache.store._conn()
+        pid = os.fork()
+        if pid == 0:  # the child drops its copy of the store
+            code = 1
+            try:
+                inherited = cache.store._local.conn
+                del cache
+                gc.collect()
+                inherited.total_changes  # raises if the child closed it
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert cache.store._conn() is conn
+        assert [s for s, _ in cache.get_many(keys)] == ["hit"] * len(keys)
+        cache.put_many(_batch(9))
+        assert len(list(cache.keys())) == len(keys) + 8
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.simmpi import TraceKind
 
 
 def test_importing_the_cli_does_not_import_numpy():
@@ -150,6 +151,20 @@ class TestTraceCommand:
         doc = json.loads(out_file.read_text())
         assert doc["otherData"]["producer"] == "repro.obs"
         assert doc["traceEvents"]
+
+    def test_jsonl_to_file(self, capsys, tmp_path):
+        out_file = tmp_path / "fig6.jsonl"
+        rc = main(["trace", "fig6", "--format", "jsonl",
+                   "-o", str(out_file), "--validate"])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert "export valid" in err
+        from repro.obs import jsonl_errors, load_trace_jsonl
+
+        assert jsonl_errors(out_file) == []
+        trace, header = load_trace_jsonl(out_file)
+        assert len(trace) == header["events"] > 0
+        assert trace.count(TraceKind.FAILURE) == 1
 
     def test_perfetto_stdout(self, capsys):
         rc = main(["trace", "fig2"])

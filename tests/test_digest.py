@@ -9,15 +9,18 @@ a replay-format version bump: one payload digest per cacheable job type
 (all four protocol families), plus single runs that exercise the
 unusual endings — a hang, an abort, an application, a capped trace.
 
-The per-record writer is checked against an oracle: the encoder it
+The per-shape row writer is checked against an oracle: the encoder it
 replaced (``repr`` of :meth:`TraceEvent.key`, NUL-terminated, one record
-at a time), frozen below, on adversarial detail names and values, on a
-JSONL round trip, and on capped and empty traces.
+at a time), frozen below.  Records reach it through ``Trace.record``,
+as every caller's do: adversarial detail names, values and times, more
+names than the writers compile for, capped and empty traces, and JSONL
+round trips — whose shapes must not grow any state outside the trace.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import pytest
@@ -31,10 +34,11 @@ from repro.faults.injector import KillAtProbe
 from repro.faults.schedule import KillSpec
 from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.driver import FuzzJob
-from repro.obs.export import load_trace_jsonl, trace_to_jsonl
+from repro.obs.export import JSONL_FORMAT, load_trace_jsonl, trace_to_jsonl
 from repro.parallel import AppScenario, RingScenario
 from repro.protocols import ProtocolCompareJob
 from repro.simmpi import Simulation, SimulationResult
+from repro.simmpi import trace as trace_mod
 from repro.simmpi.trace import Trace, TraceEvent, TraceKind
 from tests.conftest import RING_INVARIANTS, RING_SCENARIO
 
@@ -196,32 +200,55 @@ def _oracle_update_trace(h, events) -> None:
         h.update(b"\x00")
 
 
-def _trace_digests(events) -> tuple[str, str]:
-    """(writer, oracle) digests of *events* alone."""
+def _trace_digests(trace: Trace) -> tuple[str, str]:
+    """(writer, oracle) digests of *trace* alone."""
     new, old = hashlib.blake2b(digest_size=16), hashlib.blake2b(digest_size=16)
-    digest._update_trace(new, events)
-    _oracle_update_trace(old, events)
+    digest._update_trace(new, trace)
+    _oracle_update_trace(old, trace)
     return new.hexdigest(), old.hexdigest()
 
 
-def _assert_matches_oracle(events) -> None:
-    events = list(events)
+def _traced(records: list[tuple], cap: int | None = None) -> Trace:
+    """A trace fed *records*, each ``(time, kind, rank, detail)``."""
+    trace = Trace(cap=cap)
+    for time, kind, rank, detail in records:
+        trace.record(time, kind, rank, **detail)
+    return trace
+
+
+def _assert_matches_oracle(trace: Trace, records: list[tuple] | None = None):
+    """The writer's text of each record is the oracle's.  With *records*
+    (what was fed in, oldest first) the oracle reads those, so the views
+    are checked too; without, it reads the trace's views."""
+    events = list(trace)
+    if records is not None:
+        kept = records[len(records) - len(trace):]
+        assert [(ev.time, ev.kind, ev.rank, ev.detail) for ev in events] == kept
+        assert [list(ev.detail) for ev in events] == [list(r[3]) for r in kept]
+        events = [TraceEvent(*r) for r in kept]
     expected = [repr(_oracle_key(ev)) for ev in events]
-    assert [repr(ev.key()) for ev in events] == expected
-    assert digest._record_texts(events) == expected
-    new, old = _trace_digests(events)
+    assert [repr(ev.key()) for ev in trace] == expected
+    assert digest._record_texts(trace) == expected
+    new, old = _trace_digests(trace)
     assert new == old
-    assert len(digest._plans) <= digest._PLAN_CAP
+    # Nothing outside the trace grew with what it carried.
+    assert trace_mod.SHAPES == KERNEL_SHAPES
+    assert len(trace_mod._SHAPE_IDS) == len(KERNEL_SHAPES)
+    assert len(digest._kernel_writers()) == len(KERNEL_SHAPES)
     factories = digest._writer_factory.cache_info().currsize
     assert factories <= digest._MAX_ARITY + 1
 
 
-#: Names that would break, or run, if any of them reached generated source.
+KERNEL_SHAPES = trace_mod.SHAPES
+
+#: Names that would break, or run, if any of them reached generated
+#: source — and the names of ``Trace.record``'s own parameters.
 _HOSTILE_NAMES = [
     "'", '"', "'\"", '"""', "'''", "{", "}", "{}", "{{", "}}", "%", "%s",
     "%r", "\\", "\x00", "\n", "\r\n", "é", "日本", "\U0001f600", "\ud800",
-    "{__import__('os')}", "{t!r}", "{d}", "{c}", "{s0}", "k0", "s0", "c",
-    "t", "r", "d", "", " ", "a b", "peer", "tag",
+    "{__import__('os')}", "{t!r}", "{d}", "{c}", "{s0}", "k0", "s0", "i0",
+    "c", "t", "w", "r", "d", "", " ", "a b", "peer", "tag", "self", "time",
+    "kind", "rank", "detail",
 ]
 
 _names = st.one_of(st.sampled_from(_HOSTILE_NAMES), st.text(max_size=6))
@@ -252,9 +279,16 @@ def _nestings(children):
 
 _values = st.recursive(_scalars, _nestings, max_leaves=6)
 
-_events = st.builds(
-    TraceEvent,
-    st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers()),
+#: Times that are equal dict keys with different reprs sit beside
+#: arbitrary floats and ints.
+_times = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.sampled_from([0.0, -0.0, 1.0, 1, True, False, math.nan]),
+)
+
+_records = st.tuples(
+    _times,
     st.sampled_from(list(TraceKind)),
     st.integers(min_value=-(2**70), max_value=2**70),
     # Up to past the largest arity the writer compiles for.
@@ -262,43 +296,93 @@ _events = st.builds(
 )
 
 
+def _jsonl(time, name) -> str:
+    """A one-record JSONL trace, written by hand as an outside file."""
+    header = {"format": JSONL_FORMAT, "nprocs": 1, "cap": None,
+              "dropped": 0, "events": 1}
+    record = {"t": time, "kind": "user", "rank": 0,
+              "detail": {name: time, "x": None}}
+    return f"{json.dumps(header)}\n{json.dumps(record)}\n"
+
+
 class TestWriterOracle:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_events, max_size=6))
-    def test_adversarial_records(self, events):
-        _assert_matches_oracle(events)
+    @given(st.lists(_records, max_size=6),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
+    def test_adversarial_records(self, records, cap):
+        trace = _traced(records, cap)
+        assert trace.dropped == (
+            0 if cap is None else max(0, len(records) - cap)
+        )
+        _assert_matches_oracle(trace, records)
 
     def test_shared_shape_with_different_values(self):
-        # One plan serves every record of a shape, in any insertion order.
-        events = [
-            TraceEvent(1e-6, TraceKind.SEND_POST, 0, {"peer": 1, "tag": 2}),
-            TraceEvent(2e-6, TraceKind.SEND_POST, 3, {"peer": "x", "tag": ()}),
-            TraceEvent(3e-6, TraceKind.SEND_POST, 1,
-                       {"tag": (5,), "peer": -0.0}),
-            TraceEvent(4e-6, TraceKind.DELIVER, 1, {"tag": 2, "peer": 0}),
-            TraceEvent(5e-6, TraceKind.DELIVER, 1, {}),
+        # One writer serves every record of a shape; insertion order
+        # makes a different shape with the same text.
+        records = [
+            (1e-6, TraceKind.SEND_POST, 0, {"peer": 1, "tag": 2}),
+            (2e-6, TraceKind.SEND_POST, 3, {"peer": "x", "tag": ()}),
+            (3e-6, TraceKind.SEND_POST, 1, {"tag": (5,), "peer": -0.0}),
+            (4e-6, TraceKind.DELIVER, 1, {"tag": 2, "peer": 0}),
+            (5e-6, TraceKind.DELIVER, 1, {}),
         ]
-        _assert_matches_oracle(events)
+        trace = _traced(records)
+        assert [row[1] for row in trace.rows] == [
+            len(KERNEL_SHAPES), len(KERNEL_SHAPES), len(KERNEL_SHAPES) + 1,
+            len(KERNEL_SHAPES) + 2, len(KERNEL_SHAPES) + 3,
+        ]
+        _assert_matches_oracle(trace, records)
+
+    def test_kernel_shapes_are_not_interned_again(self):
+        records = [
+            (1e-6, TraceKind.DETECT, 0, {"failed": 1}),
+            (2e-6, TraceKind.PROBE, 1, {"name": "post_recv", "hit": 2}),
+            (3e-6, TraceKind.USER, 2, {"message": "m"}),
+        ]
+        trace = _traced(records)
+        assert tuple(trace.shapes) == KERNEL_SHAPES
+        assert [row[1] for row in trace.rows] == [
+            trace_mod.DETECT, trace_mod.PROBE, trace_mod.USER,
+        ]
+        _assert_matches_oracle(trace, records)
+
+    def test_equal_times_with_different_reprs(self):
+        # 0.0 / -0.0 and 1 / 1.0 / True are equal dict keys; the time memo
+        # must not hand one the other's text.  NaNs are never equal.
+        times = [0.0, -0.0, 1.0, 1, True, 1.0, -0.0, 0.0, False, 0,
+                 math.nan, float("nan"), 2.5e-06, 2.5e-06]
+        records = [(t, TraceKind.FAILURE, 0, {}) for t in times]
+        _assert_matches_oracle(_traced(records), records)
+
+    def test_arity_past_the_compiled_writers(self):
+        for n in (digest._MAX_ARITY, digest._MAX_ARITY + 1, 40):
+            detail = {name: i for i, name in enumerate(_HOSTILE_NAMES[:n])}
+            records = [(0.5, TraceKind.USER, 3, detail)] * 2
+            _assert_matches_oracle(_traced(records), records)
 
     def test_non_str_names(self):
-        # ``1``, ``True`` and ``1.0`` are one dict key but three reprs:
-        # records naming them share a memo slot, so none may take a plan
-        # that bakes a name's text in.
-        events = [
-            TraceEvent(0.0, TraceKind.USER, 0, {name: "v"})
-            for name in (1, True, 1.0, "1", (1,))
-        ]
-        _assert_matches_oracle(events)
+        # ``1``, ``True`` and ``1.0`` are one dict key but three reprs.
+        # Names reach a trace as keywords, which must be strings.
+        trace = Trace()
+        for name in (1, True, 1.0, (1,), None):
+            with pytest.raises(TypeError, match="keywords must be strings"):
+                trace.record(0.0, TraceKind.USER, 0, **{name: "v"})
+        assert len(trace) == 0
+        records = [(0.0, TraceKind.USER, 0, {"1": "v"})]
+        _assert_matches_oracle(_traced(records), records)
 
-    def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(digest, "_PLAN_CAP", 4)
-        monkeypatch.setattr(digest, "_plans", {})
-        events = [
-            TraceEvent(float(i), TraceKind.PROBE, i, {f"n{i}": i, "x": None})
-            for i in range(20)
-        ]
-        _assert_matches_oracle(events + events)
-        assert 0 < len(digest._plans) <= 4
+    def test_shape_state_is_bounded(self):
+        # Each file brings a shape of its own; it lives in the loaded
+        # trace's table, so nothing global grows, however many are read.
+        for i in range(10_000):
+            time = float(i) if i % 2 else i
+            loaded, _ = load_trace_jsonl(_jsonl(time, f"n{i}"))
+            assert len(loaded.shapes) == len(KERNEL_SHAPES) + 1
+            assert digest._record_texts(loaded) == [
+                repr((time, "user", 0,
+                      ((f"n{i}", repr(time)), ("x", "None"))))
+            ]
+        _assert_matches_oracle(loaded)
 
     def test_jsonl_round_trip(self):
         sim, main = RING_SCENARIO()
@@ -309,6 +393,7 @@ class TestWriterOracle:
             trace.record(1.0 + i, TraceKind.USER, 0, **{name: (name, i, -0.0)})
         loaded, _ = load_trace_jsonl(trace_to_jsonl(trace, nprocs=4))
         assert loaded.keys() == trace.keys()
+        _assert_matches_oracle(trace)
         _assert_matches_oracle(loaded)
         assert _trace_digests(loaded) == _trace_digests(trace)
 

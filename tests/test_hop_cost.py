@@ -20,11 +20,14 @@ over a fault-free 32-rank ring:
   arguments inline instead of through a chain of small helpers; it used
   to take about 81 frames, then 52.5 while events were objects, waits
   kept waiter lists and a flat message was sized field by field in
-  Python.  It measures 43.8 (bound: 46).
+  Python.  It measures 43.8 (bound: 46), with the trace on or off: a
+  traced call site appends one row of a declared shape, where it used
+  to build a kwargs dict and a record object (55.5 traced).
 * **C calls** per handoff — builtins, lock operations, heap pushes and
   pops — counted by a ``sys.setprofile`` hook per fiber thread, over
-  the same ring: 32.5 (bound: 36; 39.3 before the delivery half of the
-  hop went flat).
+  the same ring: 32.5 untraced (bound: 36; 39.3 before the delivery half
+  of the hop went flat), 38.3 traced (bound: 40), the difference being
+  one ``list.append`` per record.
 
 And the policy is an optimisation only: refused or absent, the run is
 the same run.
@@ -143,7 +146,7 @@ def _other_threads(
     return "\n".join(lines) or "  (none)"
 
 
-def test_frames_per_handoff():
+def _assert_frames_per_handoff(trace: bool) -> None:
     profiles: list[cProfile.Profile] = []
 
     def main(mpi):
@@ -155,7 +158,7 @@ def test_frames_per_handoff():
         finally:
             profile.disable()
 
-    perf = _ring(main).perf
+    perf = _ring(main, trace=trace).perf
     calls = sum(
         ncalls
         for profile in profiles
@@ -166,11 +169,19 @@ def test_frames_per_handoff():
     assert len(profiles) == NPROCS
     assert per_handoff <= 46, (
         f"{calls} repro frames over {perf.handoffs} handoffs "
-        f"= {per_handoff:.1f} per handoff"
+        f"= {per_handoff:.2f} per handoff"
     )
 
 
-def test_c_calls_per_handoff():
+def test_frames_per_handoff():
+    _assert_frames_per_handoff(trace=False)
+
+
+def test_frames_per_handoff_traced():
+    _assert_frames_per_handoff(trace=True)
+
+
+def _assert_c_calls_per_handoff(trace: bool, bound: float) -> None:
     calls = [0]
 
     def count(frame, event, arg):
@@ -184,12 +195,20 @@ def test_c_calls_per_handoff():
         finally:
             sys.setprofile(None)
 
-    perf = _ring(main).perf
+    perf = _ring(main, trace=trace).perf
     per_handoff = calls[0] / perf.handoffs
-    assert per_handoff <= 36, (
+    assert per_handoff <= bound, (
         f"{calls[0]} C calls over {perf.handoffs} handoffs "
-        f"= {per_handoff:.1f} per handoff"
+        f"= {per_handoff:.2f} per handoff"
     )
+
+
+def test_c_calls_per_handoff():
+    _assert_c_calls_per_handoff(trace=False, bound=36)
+
+
+def test_c_calls_per_handoff_traced():
+    _assert_c_calls_per_handoff(trace=True, bound=40)
 
 
 def _refused(*args):
