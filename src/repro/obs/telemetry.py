@@ -196,12 +196,13 @@ class TelemetryWriter:
         })
 
     def record_workers(self, stats: Sequence[dict[str, Any]]) -> None:
-        """Write one ``kind: "worker"`` line per remote worker.
+        """Write one ``kind: "worker"`` line per worker slot.
 
-        Emitted by distributed sweeps (``RemoteRunner.worker_stats()``;
-        every other runner has no rows): transport-level telemetry —
-        chunks, rtt, bytes shipped raw vs on the wire, disconnects —
-        that per-job lines cannot carry.  Entirely placement/wall-time
+        Emitted by pooled and distributed sweeps (``worker_stats()``:
+        ``local:<slot>`` or ``host:port`` rows; the serial runner has
+        none): transport-level telemetry — chunks, rtt, bytes shipped
+        raw vs on the wire, disconnects — that per-job lines cannot
+        carry.  Entirely placement/wall-time
         dependent, so the whole line is volatile and
         :func:`canonical_lines` drops it (a serial run of the same
         sweep has no worker lines to match).

@@ -1,8 +1,8 @@
-"""``repro.parallel`` — the process-pool sweep engine.
+"""``repro.parallel`` — the parallel sweep engine.
 
 Fault-injection campaigns, the exhaustive window explorer, and the
 fuzzer all execute many fully independent deterministic
-simulations; this package runs such batches across a process pool while
+simulations; this package runs such batches across worker processes while
 guaranteeing that the merged results are **bit-identical to serial
 order** (jobs are deterministic; results are placed by submission index,
 never by completion order).
@@ -12,20 +12,21 @@ Layers:
 * :mod:`~repro.parallel.runner` — :class:`SweepRunner` (whose
   ``run()`` puts the run cache, when one is set, in front of every
   runner, in the submitting process), :class:`SerialRunner`,
-  :class:`ProcessPoolRunner` (chunked scheduling, per-job timeout,
-  bounded retries for wedged workers), :func:`make_runner` /
+  :class:`ProcessPoolRunner` (forked local workers: chunked scheduling,
+  per-job timeout, bounded retries for wedged workers), :func:`make_runner` /
   :func:`with_cache`, and :func:`sweep`, the one driver behind
   ``explore``, ``run_campaign``, ``fuzz`` and ``run_compare_protocols``
   (streamed or materialized, with or without telemetry).
 * :mod:`~repro.parallel.transport` — the transport seam: the generic
-  scheduling loop delegates chunk execution to a pluggable
-  :class:`Transport` (local process pool, socket fleet), and
-  ``run_chunk`` / ``run_jobs_traced``, the one place a job executes
+  scheduling loop delegates chunk execution to a :class:`Transport`,
+  and ``run_chunk`` / ``run_jobs_traced``, the one place a job executes
   under a span.
-* :mod:`~repro.parallel.remote` — the distributed backend:
-  :class:`WorkerServer` (``repro worker serve``) and
-  :class:`RemoteRunner` over length-prefixed compressed-pickle frames
-  (``repro.remote/2``) with heartbeat liveness.
+* :mod:`~repro.parallel.remote` — the one worker substrate: a frame
+  loop over length-prefixed compressed-pickle frames
+  (``repro.remote/2``), run by forked local workers
+  (:class:`ForkTransport`) and by :class:`WorkerServer` (``repro worker
+  serve``) for :class:`RemoteRunner`, with heartbeat liveness for the
+  latter.
 * :mod:`~repro.parallel.jobs` — the picklable job model
   (:class:`SimJob`, invariant specs) that lets scenario descriptions
   cross a process boundary.
@@ -44,6 +45,7 @@ from .jobs import (
     resolve_invariants,
 )
 from .remote import (
+    ForkTransport,
     RemoteRunner,
     RemoteTransport,
     WorkerServer,
@@ -60,7 +62,7 @@ from .runner import (
     sweep,
     with_cache,
 )
-from .transport import LocalPoolTransport, Transport
+from .transport import Transport
 from .scenarios import (
     AppScenario,
     GenericInvariants,
@@ -70,9 +72,9 @@ from .scenarios import (
 
 __all__ = [
     "AppScenario",
+    "ForkTransport",
     "GenericInvariants",
     "Invariant",
-    "LocalPoolTransport",
     "ProcessPoolRunner",
     "RemoteRunner",
     "RemoteTransport",

@@ -1,15 +1,22 @@
-"""Socket worker fleet: the distributed backend of the transport seam.
+"""Socket workers: the one worker substrate behind the transport seam.
 
-``repro worker serve --bind HOST:PORT`` starts a :class:`WorkerServer`
-(stdlib :mod:`socketserver`, no new dependencies) that executes the
-same picklable :data:`~repro.parallel.runner.SweepJob` chunks the
-process pool runs.  :class:`RemoteRunner` drives a fleet of them
-through :class:`RemoteTransport`, reusing the generic
-:class:`~repro.parallel.runner.TransportRunner` scheduling loop — so
-chunking, submission-order merge, the cumulative timeout budget, and
-bounded chunk retries behave *identically* to the in-process pool, and
-a distributed sweep's report is byte-identical to a serial one (pinned
-in ``tests/test_remote.py`` and the ``distributed-smoke`` CI job).
+A worker is a frame loop (:func:`_serve`) on one socket.  Two
+transports feed it, through the same :class:`RemoteRound`:
+
+* :class:`ForkTransport` (``ProcessPoolRunner``, ``--workers N``)
+  forks N local workers per scheduling round, each on one end of a
+  ``socket.socketpair()``.  A local worker binds no address.
+* :class:`RemoteTransport` (:class:`RemoteRunner`, ``--transport
+  remote``) connects to ``repro worker serve --bind HOST:PORT``
+  processes — a :class:`WorkerServer` (stdlib :mod:`socketserver`) runs
+  the same loop per accepted connection.
+
+Both reuse the generic :class:`~repro.parallel.runner.TransportRunner`
+scheduling loop — chunking, submission-order merge, the cumulative
+timeout budget and bounded chunk retries — so a pooled or distributed
+sweep's report is byte-identical to a serial one (pinned in
+``tests/test_parallel.py``, ``tests/test_remote.py`` and the
+``distributed-smoke`` CI job).
 
 Wire protocol (``repro.remote/2``)
 ----------------------------------
@@ -34,7 +41,7 @@ tuples:
   an application error, re-raised verbatim at the parent.
 * ``("ping",)`` → ``("pong", {"pid", "busy"})`` — liveness, answered
   even while a chunk is executing (used by the parent's heartbeat and
-  by ``repro worker ping``).
+  by ``repro worker ping``; a served worker only).
 
 A worker knows nothing about the run cache.  Lookups and stores happen
 in the submitting process (:meth:`SweepRunner.run
@@ -49,24 +56,28 @@ connection at all.
 Failure semantics
 -----------------
 
-A connection error or EOF marks that worker dead for the round: its
-in-flight chunk is reported *lost* and flows into the runner's
-existing retry machinery (the retry round reconnects to every address,
-so a recovered worker rejoins automatically).  If no data arrives for
-``heartbeat`` seconds the parent probes each silent worker with an
-ephemeral ping connection; probe failure is a death.  When every
-worker is dead the round is *broken* and all pending chunks are
-retried — exactly the pool's ``BrokenProcessPool`` path.  The repo's
-own fault-tolerance story, applied to its harness.
+Fail-stop workers under a perfect detector: a connection error or EOF
+marks that worker dead for the round — a forked worker that crashed
+and a served one that died look the same.  Its in-flight chunk is
+reported *lost* and flows into the runner's retry machinery (the retry
+round forks fresh workers and reconnects to every address, so a
+recovered served worker rejoins automatically).  If no data arrives for
+``heartbeat`` seconds the parent probes each silent served worker with
+an ephemeral ping connection; probe failure is a death.  A local worker
+has no address to ping: the runner's timeout budget covers a wedged
+one.  When every worker is dead the round is *broken* and all pending
+chunks are retried.  The repo's own fault-tolerance story, applied to
+its harness.
 
 Security: frames are pickles — a worker executes what it is sent and a
-parent unpickles what it receives.  Bind workers to loopback or a
-trusted network only; there is no authentication layer.
+parent unpickles what it receives.  Bind served workers to loopback or
+a trusted network only; there is no authentication layer.  A forked
+worker binds nothing, so ``--workers N`` opens no port.
 """
 
 from __future__ import annotations
 
-import math
+import multiprocessing
 import os
 import pickle
 import select
@@ -81,15 +92,12 @@ from typing import Any, Iterator, Sequence
 
 from ..obs import registry as metrics
 from ..obs.spans import active as spans_active
-from .runner import (
-    DEFAULT_STREAM_WINDOW,
-    SweepError,
-    TransportRunner,
-)
+from .runner import SweepError, TransportRunner
 from .transport import Chunk, ChunkEvent, Transport, TransportRound, run_chunk
 
 __all__ = [
     "REMOTE_FORMAT",
+    "ForkTransport",
     "RemoteRunner",
     "RemoteTransport",
     "WorkerServer",
@@ -223,72 +231,84 @@ def _apply_env(env: dict[str, str]) -> None:
             os.environ.pop(key, None)
 
 
-class _WorkerHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # noqa: C901 - one loop, small states
-        sock: socket.socket = self.request
-        server: WorkerServer = self.server  # type: ignore[assignment]
-        try:
-            while True:
-                try:
-                    msg, _wire, _raw = _recv_frame(sock)
-                except ConnectionError:
-                    return
-                kind = msg[0]
-                if kind == "hello":
-                    info = msg[1]
-                    if info.get("format") != REMOTE_FORMAT:
-                        self._send(
-                            sock,
-                            ("reject", f"format mismatch: {info.get('format')!r} "
-                                       f"!= {REMOTE_FORMAT!r}"),
-                        )
-                        return
-                    with server.env_lock:
-                        _apply_env(info.get("env") or {})
-                    self._send(
-                        sock, ("hello", {"format": REMOTE_FORMAT, "pid": os.getpid()})
-                    )
-                elif kind == "ping":
-                    self._send(
-                        sock,
-                        ("pong", {"pid": os.getpid(),
-                                  "busy": server.exec_lock.locked()}),
-                    )
-                elif kind == "run":
-                    start, jobs = msg[1], msg[2]
-                    # Spans-off frames are 3-tuples; a 4th element (the
-                    # jobs' sweep-global indices) asks for spans back.
-                    indices = msg[3] if len(msg) > 3 else None
-                    try:
-                        # One chunk at a time per worker process: sims
-                        # assume they own the process-wide fiber pool,
-                        # and the pool's workers are serialized the
-                        # same way (one chunk per pool process).
-                        with server.exec_lock:
-                            done = run_chunk(jobs, indices)
-                        if indices is None:
-                            reply = ("done", start, done)
-                        else:
-                            values, raw_spans, _pid = done
-                            reply = ("done", start, values, raw_spans)
-                    except BaseException as exc:  # noqa: BLE001
-                        # Application error: ship it back verbatim; the
-                        # parent raises it and never retries the chunk.
-                        self._send(sock, ("error", start, exc))
-                        continue
-                    self._send(sock, reply)
-                else:
-                    self._send(sock, ("reject", f"unknown message {kind!r}"))
-                    return
-        except OSError:
-            # Parent hung up (possibly mid-send after abandoning the
-            # round): drop the connection, keep serving others.
-            return
+def _send(sock: socket.socket, obj: Any) -> None:
+    frame, _raw = _pack(obj)
+    sock.sendall(frame)
 
-    @staticmethod
-    def _send(sock: socket.socket, obj: Any) -> None:
-        frame, _raw = _pack(obj)
-        sock.sendall(frame)
+
+def _serve(
+    sock: socket.socket, exec_lock: threading.Lock, env_lock: threading.Lock
+) -> None:
+    """The worker's frame loop on one connection, until the parent hangs
+    up.  Run by every :class:`WorkerServer` connection thread and by a
+    forked local worker; *exec_lock* serializes chunk execution across
+    a server's connections, *env_lock* the hello's environment update."""
+    try:
+        while True:
+            try:
+                msg, _wire, _raw = _recv_frame(sock)
+            except ConnectionError:
+                return
+            kind = msg[0]
+            if kind == "hello":
+                info = msg[1]
+                if info.get("format") != REMOTE_FORMAT:
+                    _send(
+                        sock,
+                        ("reject", f"format mismatch: {info.get('format')!r} "
+                                   f"!= {REMOTE_FORMAT!r}"),
+                    )
+                    return
+                with env_lock:
+                    _apply_env(info.get("env") or {})
+                _send(sock, ("hello", {"format": REMOTE_FORMAT, "pid": os.getpid()}))
+            elif kind == "ping":
+                _send(
+                    sock,
+                    ("pong", {"pid": os.getpid(), "busy": exec_lock.locked()}),
+                )
+            elif kind == "run":
+                start, jobs = msg[1], msg[2]
+                # Spans-off frames are 3-tuples; a 4th element (the
+                # jobs' sweep-global indices) asks for spans back.
+                indices = msg[3] if len(msg) > 3 else None
+                try:
+                    # One chunk at a time per worker process: sims
+                    # assume they own the process-wide fiber pool.
+                    with exec_lock:
+                        done = run_chunk(jobs, indices)
+                    if indices is None:
+                        reply = ("done", start, done)
+                    else:
+                        reply = ("done", start) + done
+                except BaseException as exc:  # noqa: BLE001
+                    # Application error: ship it back verbatim; the
+                    # parent raises it and never retries the chunk.
+                    _send(sock, ("error", start, exc))
+                    continue
+                _send(sock, reply)
+            else:
+                _send(sock, ("reject", f"unknown message {kind!r}"))
+                return
+    except OSError:
+        # Parent hung up (possibly mid-send after abandoning the
+        # round): drop the connection, keep serving others.
+        return
+
+
+class _WorkerHandler(socketserver.BaseRequestHandler):
+    def handle(self) -> None:
+        server: WorkerServer = self.server  # type: ignore[assignment]
+        _serve(self.request, server.exec_lock, server.env_lock)
+
+
+def _serve_forked(sock: socket.socket, inherited: list[socket.socket]) -> None:
+    """A forked local worker's body: drop the parent's ends of this
+    round's socket pairs (its own included), or no worker would see EOF
+    when the parent hangs up, then serve the one connection."""
+    for other in inherited:
+        other.close()
+    _serve(sock, threading.Lock(), threading.Lock())
 
 
 class WorkerServer(socketserver.ThreadingTCPServer):
@@ -318,9 +338,11 @@ class WorkerServer(socketserver.ThreadingTCPServer):
 def serve(bind: tuple[str, int]) -> None:
     """Run a worker until interrupted (the ``repro worker serve`` body).
 
-    Prints one readiness line to stderr (``[worker] listening on
-    HOST:PORT pid=N``) so wrappers — tests, the ``distributed-smoke``
-    CI job — can scrape the bound port and wait for availability.
+    Prints one readiness line to stderr (``[worker] repro.remote/2
+    listening on HOST:PORT pid=N``) so wrappers — tests, the
+    ``distributed-smoke`` CI job — can scrape the bound port from the
+    first line and wait for availability; the security warning follows
+    on the next line.
     """
     import sys
 
@@ -331,6 +353,11 @@ def serve(bind: tuple[str, int]) -> None:
     os.environ["REPRO_WORKER_SERVE"] = f"{host}:{port}"
     print(
         f"[worker] {REMOTE_FORMAT} listening on {host}:{port} pid={os.getpid()}",
+        file=sys.stderr,
+        flush=True,
+    )
+    print(
+        "[worker] trusted network only: frames are pickles",
         file=sys.stderr,
         flush=True,
     )
@@ -358,12 +385,12 @@ def ping(addr: tuple[str, int], timeout: float = 2.0) -> dict[str, Any]:
 
 
 class _WorkerConn:
-    """One round's connection to one worker."""
+    """One round's connection to the worker in one slot."""
 
-    def __init__(self, addr: tuple[str, int], sock: socket.socket, pid: int) -> None:
-        self.addr = addr
+    def __init__(self, slot: int, name: str, sock: socket.socket) -> None:
+        self.slot = slot
+        self.name = name
         self.sock = sock
-        self.pid = pid
         self.buffer = _FrameBuffer()
         self.busy: Chunk | None = None
         self.sent_at = 0.0
@@ -375,9 +402,9 @@ class _WorkerConn:
         return len(frame), raw
 
 
-def _new_stats(addr: tuple[str, int]) -> dict[str, Any]:
+def _new_stats(name: str) -> dict[str, Any]:
     return {
-        "worker": _addr_str(addr),
+        "worker": name,
         "pid": None,
         "chunks": 0,
         "jobs": 0,
@@ -390,15 +417,91 @@ def _new_stats(addr: tuple[str, int]) -> dict[str, Any]:
     }
 
 
-class RemoteTransport(Transport):
-    """Drive a fleet of :class:`WorkerServer` addresses.
+class FrameTransport(Transport):
+    """Workers speaking ``repro.remote/2`` frames, one per named slot.
 
     Persistent across scheduling rounds: per-worker statistics (chunks,
-    rtt, bytes shipped, compression, disconnects) accumulate here and
-    feed the telemetry stream.  Each round opens fresh
-    connections — a worker that died simply fails to join the retry
-    round, and one that recovered rejoins automatically.
+    rtt, bytes shipped, compression, disconnects) accumulate here per
+    slot and feed the telemetry stream.  Each round opens a fresh
+    connection to every slot (:meth:`connect`) — a worker that died
+    simply fails to join the retry round.
     """
+
+    #: Socket budget for connecting and for the hello reply (``None``:
+    #: block).
+    connect_timeout: float | None = None
+    #: Seconds a busy worker may stay silent before the parent pings it
+    #: (``None``: never — the worker has no address to ping).
+    heartbeat: float | None = None
+
+    def __init__(self, names: Sequence[str]) -> None:
+        self.names = tuple(names)
+        self.stats: dict[str, dict[str, Any]] = {
+            name: _new_stats(name) for name in self.names
+        }
+
+    def parallelism(self) -> int:
+        return len(self.names)
+
+    def open_round(self) -> "RemoteRound":
+        return RemoteRound(self)
+
+    def connect(
+        self, slot: int, inherited: list[socket.socket]
+    ) -> tuple[socket.socket, Any]:  # pragma: no cover
+        """Open a connection to the worker of *slot*; returns the socket
+        and the worker process this round must reap, or ``None``.
+        *inherited* holds the parent's ends of the round's connections
+        opened so far."""
+        raise NotImplementedError
+
+    def worker_stats(self) -> list[dict[str, Any]]:
+        """Per-worker telemetry rows (with derived compression ratio)."""
+        rows = []
+        for name in self.names:
+            s = dict(self.stats[name])
+            wire = s["bytes_out"] + s["bytes_in"]
+            raw = s["raw_out"] + s["raw_in"]
+            s["compression"] = round(raw / wire, 3) if wire else None
+            rows.append(s)
+        return rows
+
+
+class ForkTransport(FrameTransport):
+    """*workers* local workers, forked afresh for every round.
+
+    Each worker is a child process serving one end of a
+    ``socket.socketpair()``; it binds no address.  The ``fork`` start
+    method starts a worker cheaply with the parent's imported modules,
+    environment and monkeypatches already in place.  Slots are named
+    ``local:<slot>``; a slot's ``pid`` is its latest worker's.
+    """
+
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        super().__init__([f"local:{slot}" for slot in range(workers)])
+
+    def connect(
+        self, slot: int, inherited: list[socket.socket]
+    ) -> tuple[socket.socket, Any]:
+        parent, child = socket.socketpair()
+        proc = multiprocessing.get_context("fork").Process(
+            target=_serve_forked, args=(child, inherited + [parent]), daemon=True
+        )
+        try:
+            proc.start()
+        except OSError:
+            parent.close()
+            raise
+        finally:
+            child.close()
+        return parent, proc
+
+
+class RemoteTransport(FrameTransport):
+    """Drive a fleet of :class:`WorkerServer` addresses (slots named
+    ``host:port``); a worker that recovered rejoins at the next round."""
 
     def __init__(
         self,
@@ -412,68 +515,83 @@ class RemoteTransport(Transport):
         self.addresses = tuple(addresses)
         self.connect_timeout = connect_timeout
         self.heartbeat = heartbeat
-        self.stats: dict[str, dict[str, Any]] = {
-            _addr_str(a): _new_stats(a) for a in self.addresses
-        }
+        super().__init__([_addr_str(a) for a in self.addresses])
 
-    def parallelism(self) -> int:
-        return len(self.addresses)
+    def connect(
+        self, slot: int, inherited: list[socket.socket]
+    ) -> tuple[socket.socket, Any]:
+        sock = socket.create_connection(
+            self.addresses[slot], timeout=self.connect_timeout
+        )
+        return sock, None
 
-    def open_round(self) -> "RemoteRound":
-        return RemoteRound(self)
-
-    def worker_stats(self) -> list[dict[str, Any]]:
-        """Per-worker telemetry rows (with derived compression ratio)."""
-        rows = []
-        for addr in self.addresses:
-            s = dict(self.stats[_addr_str(addr)])
-            wire = s["bytes_out"] + s["bytes_in"]
-            raw = s["raw_out"] + s["raw_in"]
-            s["compression"] = round(raw / wire, 3) if wire else None
-            rows.append(s)
-        return rows
+    def alive(self, slot: int) -> bool:
+        try:
+            ping(self.addresses[slot], timeout=min(self.heartbeat, 2.0))
+            return True
+        except OSError:
+            return False
 
 
 class RemoteRound(TransportRound):
-    def __init__(self, transport: RemoteTransport) -> None:
+    def __init__(self, transport: FrameTransport) -> None:
         self.transport = transport
         self.broken = False
         self.conns: list[_WorkerConn] = []
+        #: Every worker process this round started: reaped by
+        #: :meth:`close` / :meth:`abandon`, dead or alive.
+        self.procs: list[Any] = []
         #: Chunks not yet shipped: ``(start, jobs, indices-or-None)``.
         self.queue: list[tuple[int, list, Sequence[int] | None]] = []
         env = {k: os.environ[k] for k in ENV_KEYS if k in os.environ}
         hello = {"format": REMOTE_FORMAT, "env": env}
-        for addr in transport.addresses:
-            stats = transport.stats[_addr_str(addr)]
-            try:
-                sock = socket.create_connection(
-                    addr, timeout=transport.connect_timeout
-                )
-                sock.settimeout(transport.connect_timeout)
-                frame, raw = _pack(("hello", hello))
-                sock.sendall(frame)
-                reply, wire_in, raw_in = _recv_frame(sock)
-            except OSError:
-                stats["disconnects"] += 1
-                continue
-            if reply[0] != "hello":
-                sock.close()
+        try:
+            for slot, name in enumerate(transport.names):
+                self._join(slot, name, hello)
+            if not self.conns:
                 raise SweepError(
-                    f"worker {_addr_str(addr)} rejected the handshake: "
-                    f"{reply[1] if reply[0] == 'reject' else reply!r}"
+                    "no reachable workers among " + ", ".join(transport.names)
                 )
-            sock.settimeout(None)
-            stats["pid"] = reply[1].get("pid")
-            stats["bytes_out"] += len(frame)
-            stats["raw_out"] += raw
-            stats["bytes_in"] += wire_in
-            stats["raw_in"] += raw_in
-            self.conns.append(_WorkerConn(addr, sock, reply[1].get("pid")))
-        if not self.conns:
+        except BaseException:
+            # A rejected hello or an interrupt: close and reap what
+            # this round already opened before propagating.
+            self.abandon()
+            raise
+
+    def _join(self, slot: int, name: str, hello: dict[str, Any]) -> None:
+        """Connect to *slot* and exchange hellos; a worker that cannot
+        be reached is counted as a disconnect and left out."""
+        transport = self.transport
+        stats = transport.stats[name]
+        try:
+            sock, proc = transport.connect(slot, [c.sock for c in self.conns])
+        except OSError:
+            stats["disconnects"] += 1
+            return
+        if proc is not None:
+            self.procs.append(proc)
+        try:
+            sock.settimeout(transport.connect_timeout)
+            frame, raw = _pack(("hello", hello))
+            sock.sendall(frame)
+            reply, wire_in, raw_in = _recv_frame(sock)
+        except OSError:
+            sock.close()
+            stats["disconnects"] += 1
+            return
+        if reply[0] != "hello":
+            sock.close()
             raise SweepError(
-                "no reachable workers among "
-                + ", ".join(_addr_str(a) for a in transport.addresses)
+                f"worker {name} rejected the handshake: "
+                f"{reply[1] if reply[0] == 'reject' else reply!r}"
             )
+        sock.settimeout(None)
+        stats["pid"] = reply[1].get("pid")
+        stats["bytes_out"] += len(frame)
+        stats["raw_out"] += raw
+        stats["bytes_in"] += wire_in
+        stats["raw_in"] += raw_in
+        self.conns.append(_WorkerConn(slot, name, sock))
 
     # -- submission --------------------------------------------------------
 
@@ -491,7 +609,7 @@ class RemoteRound(TransportRound):
             if conn.busy is not None:
                 continue
             start, part, indices = self.queue[0]
-            stats = self.transport.stats[_addr_str(conn.addr)]
+            stats = self.transport.stats[conn.name]
             recorder = spans_active()
             frame_msg: tuple = ("run", start, part)
             if indices is not None:
@@ -511,8 +629,7 @@ class RemoteRound(TransportRound):
             if recorder is not None:
                 recorder.event(
                     "frame.send", "net",
-                    attrs={"kind": "run", "bytes": sent,
-                           "worker": _addr_str(conn.addr)},
+                    attrs={"kind": "run", "bytes": sent, "worker": conn.name},
                 )
 
     def pending(self) -> list[Chunk]:
@@ -524,15 +641,17 @@ class RemoteRound(TransportRound):
 
     def wait(self, timeout: float | None) -> list[ChunkEvent]:
         self._pump()
+        heartbeat = self.transport.heartbeat
         events: list[ChunkEvent] = []
         deadline = None if timeout is None else time.monotonic() + timeout
         while not events:
             busy = [c for c in self.conns if c.busy is not None]
             if not busy:
                 break
-            wait_s = self.transport.heartbeat
+            wait_s = heartbeat
             if deadline is not None:
-                wait_s = min(wait_s, max(0.0, deadline - time.monotonic()))
+                left = max(0.0, deadline - time.monotonic())
+                wait_s = left if wait_s is None else min(wait_s, left)
             readable, _w, _x = select.select([c.sock for c in busy], [], [], wait_s)
             if readable:
                 by_sock = {c.sock: c for c in busy}
@@ -543,7 +662,8 @@ class RemoteRound(TransportRound):
                 now = time.monotonic()
                 for conn in busy:
                     if (
-                        now - conn.last_seen > self.transport.heartbeat
+                        heartbeat is not None
+                        and now - conn.last_seen > heartbeat
                         and not self._probe(conn)
                     ):
                         event = self._drop(conn)
@@ -563,7 +683,7 @@ class RemoteRound(TransportRound):
             return [event] if event is not None else []
         conn.last_seen = time.monotonic()
         conn.buffer.feed(data)
-        stats = self.transport.stats[_addr_str(conn.addr)]
+        stats = self.transport.stats[conn.name]
         events: list[ChunkEvent] = []
         wire_before, raw_before = conn.buffer.wire_in, conn.buffer.raw_in
         try:
@@ -579,13 +699,13 @@ class RemoteRound(TransportRound):
 
     def _on_message(self, conn: _WorkerConn, msg: tuple) -> list[ChunkEvent]:
         kind = msg[0]
-        stats = self.transport.stats[_addr_str(conn.addr)]
+        stats = self.transport.stats[conn.name]
         recorder = spans_active()
         metrics.REMOTE_FRAMES.inc(direction="in")
         if recorder is not None:
             recorder.event(
                 "frame.recv", "net",
-                attrs={"kind": str(kind), "worker": _addr_str(conn.addr)},
+                attrs={"kind": str(kind), "worker": conn.name},
             )
         if kind == "done":
             start, values = msg[1], msg[2]
@@ -597,42 +717,30 @@ class RemoteRound(TransportRound):
             stats["jobs"] += len(part)
             stats["rtt_s"] += time.monotonic() - conn.sent_at
             if len(msg) > 3 and recorder is not None:
-                recorder.chunk_absorb(
-                    start, msg[3], track=f"worker:{_addr_str(conn.addr)}"
-                )
+                recorder.chunk_absorb(start, msg[3], track=f"worker:{conn.name}")
             return [(start, part, values)]
         if kind == "error":
             _kind, start, exc = msg
             conn.busy = None
-            # Application error: deterministic, never retried — exactly
-            # the pool's behaviour.  The runner abandons the round.
+            # Application error: deterministic, never retried.  The
+            # runner abandons the round.
             raise exc
         if kind == "reject":
-            raise SweepError(
-                f"worker {_addr_str(conn.addr)} rejected the session: {msg[1]}"
-            )
+            raise SweepError(f"worker {conn.name} rejected the session: {msg[1]}")
         return []
 
     # -- liveness ----------------------------------------------------------
-
-    def _alive(self, addr: tuple[str, int]) -> bool:
-        try:
-            ping(addr, timeout=min(self.transport.heartbeat, 2.0))
-            return True
-        except OSError:
-            return False
 
     def _probe(self, conn: _WorkerConn) -> bool:
         """Heartbeat a silent worker, with span + counter accounting."""
         recorder = spans_active()
         if recorder is None:
-            alive = self._alive(conn.addr)
+            alive = self.transport.alive(conn.slot)
         else:
             with recorder.span(
-                "heartbeat.probe", "heartbeat",
-                attrs={"worker": _addr_str(conn.addr)},
+                "heartbeat.probe", "heartbeat", attrs={"worker": conn.name}
             ) as span:
-                alive = self._alive(conn.addr)
+                alive = self.transport.alive(conn.slot)
                 span.attrs["alive"] = alive
         metrics.REMOTE_HEARTBEATS.inc(result="alive" if alive else "dead")
         return alive
@@ -640,7 +748,7 @@ class RemoteRound(TransportRound):
     def _drop(self, conn: _WorkerConn) -> ChunkEvent | None:
         """Declare *conn*'s worker dead; surface its in-flight chunk as
         lost (the runner's retry machinery re-dispatches it)."""
-        self.transport.stats[_addr_str(conn.addr)]["disconnects"] += 1
+        self.transport.stats[conn.name]["disconnects"] += 1
         metrics.REMOTE_DISCONNECTS.inc()
         try:
             conn.sock.close()
@@ -659,6 +767,14 @@ class RemoteRound(TransportRound):
     # -- teardown ----------------------------------------------------------
 
     def abandon(self) -> None:
+        """Kill this round's worker processes, then hang up and reap."""
+        for proc in self.procs:
+            proc.kill()
+        self.close()
+
+    def close(self) -> None:
+        """Hang up on every worker (a forked one exits on EOF) and reap
+        every process this round started."""
         for conn in self.conns:
             try:
                 conn.sock.close()
@@ -666,9 +782,9 @@ class RemoteRound(TransportRound):
                 pass
         self.conns = []
         self.queue = []
-
-    def close(self) -> None:
-        self.abandon()
+        for proc in self.procs:
+            proc.join()
+        self.procs = []
 
 
 @dataclass
@@ -682,10 +798,8 @@ class RemoteRunner(TransportRunner):
         sequence of ``(host, port)`` tuples.  One chunk executes per
         worker at a time (workers serialize execution internally).
     chunk_size:
-        Jobs per frame.  ``None`` auto-chunks to roughly four chunks
-        per worker, capped so one frame never carries more than a
-        stream window's share of jobs (frames stay bounded even for
-        huge materialized runs).
+        Jobs per frame (``None``: auto-chunk, see
+        :meth:`~repro.parallel.runner.TransportRunner._auto_chunk`).
     timeout / retries:
         Exactly the pool's contract (see
         :class:`~repro.parallel.runner.ProcessPoolRunner`): cumulative
@@ -722,20 +836,3 @@ class RemoteRunner(TransportRunner):
 
     def _transport(self) -> RemoteTransport:
         return self._remote
-
-    def _auto_chunk(self, n_jobs: int, width: int) -> int:
-        # Four chunks per worker like the pool, but capped at a stream
-        # window's share so one frame never ships an unbounded slice of
-        # a huge materialized run.
-        cap = max(1, math.ceil(DEFAULT_STREAM_WINDOW / (width * 4)))
-        return max(1, min(math.ceil(n_jobs / (width * 4)), cap))
-
-    def worker_stats(self) -> list[dict[str, Any]]:
-        """Per-worker transport telemetry accumulated across rounds."""
-        return self._remote.worker_stats()
-
-    def _stream_window(self) -> int:
-        workers = len(self.addresses)
-        if self.chunk_size is not None:
-            return max(DEFAULT_STREAM_WINDOW, self.chunk_size * workers * 4)
-        return max(DEFAULT_STREAM_WINDOW, workers * 128)

@@ -12,17 +12,19 @@ Three implementations share the interface:
 
 * :class:`SerialRunner` — runs the jobs in-process, in order.  Zero
   overhead, no picklability requirement; the reference semantics.
-* :class:`ProcessPoolRunner` — fans the jobs out over a
-  ``concurrent.futures.ProcessPoolExecutor`` with chunked scheduling,
-  a per-job wall-clock timeout, and bounded retries for wedged or
-  crashed workers.  Jobs (and their results) must be picklable:
-  module-level functions or dataclass instances, not bare closures.
-* :class:`repro.parallel.remote.RemoteRunner` — the same scheduling
-  loop over a fleet of socket workers (``repro worker serve``).
+* :class:`ProcessPoolRunner` — fans the jobs out over local worker
+  processes, forked per round, with chunked scheduling, a per-job
+  wall-clock timeout, and bounded retries for wedged or crashed
+  workers.  Jobs (and their results) must be picklable: module-level
+  functions or dataclass instances, not bare closures.
+* :class:`repro.parallel.remote.RemoteRunner` — the same over a fleet
+  of served socket workers (``repro worker serve``).
 
 The pooled and remote runners share :class:`TransportRunner`, which
-owns the scheduling loop and delegates chunk execution to a pluggable
-:class:`repro.parallel.transport.Transport`.
+owns the scheduling loop and delegates chunk execution to a
+:class:`repro.parallel.transport.Transport`; both transports are
+workers speaking the same socket frames
+(:mod:`repro.parallel.remote`), forked locally or reached by address.
 
 The run cache (:mod:`repro.cache`) is a stage of :meth:`SweepRunner.run`
 itself, performed in the submitting process on every runner: keys, one
@@ -39,13 +41,13 @@ Timeout/retry semantics (documented contract, tested in
 
 * ``timeout`` is a per-job budget in wall-clock seconds.  A scheduling
   round is abandoned when its jobs collectively exceed their cumulative
-  budget; the unfinished chunks are retried on a fresh pool (wedged
-  worker processes are terminated, not awaited).
+  budget; the unfinished chunks are retried on fresh workers (wedged
+  local worker processes are killed, not awaited).
 * each chunk is retried at most ``retries`` times; after that a
   :class:`SweepError` is raised naming the job indices that never
   completed.  A deterministic job that wedges will wedge on every
   attempt — retries exist for infrastructure failures (a worker killed
-  by the OS, a broken pool), not to paper over simulation hangs.
+  by the OS, a closed connection), not to paper over simulation hangs.
 * a job that *raises* is an application error, not an infrastructure
   failure: the exception propagates to the caller immediately and is
   never retried (deterministic jobs would fail identically again).
@@ -63,7 +65,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .. import perf
 from ..obs import registry as metrics
 from ..obs.spans import SpanRecorder, active as spans_active
-from .transport import LocalPoolTransport, MissJob, Transport, run_jobs_traced
+from .transport import MissJob, Transport, run_jobs_traced
 
 #: A sweep job: picklable, zero-argument, returns a picklable result.
 SweepJob = Callable[[], Any]
@@ -93,7 +95,7 @@ class SweepError(RuntimeError):
 
 
 #: Default jobs-per-window for :meth:`SweepRunner.run_stream` — big
-#: enough to amortize pool IPC and batched cache lookups, small enough
+#: enough to amortize worker IPC and batched cache lookups, small enough
 #: that a 10^6-job campaign never holds more than one window of jobs
 #: and results in memory.
 DEFAULT_STREAM_WINDOW = 1024
@@ -132,8 +134,9 @@ class SweepRunner:
         raise NotImplementedError
 
     def worker_stats(self) -> list[dict[str, Any]]:
-        """Per-worker transport rows (remote fleets only; see
-        ``RemoteTransport.worker_stats``)."""
+        """Per-worker transport rows: one per worker slot of a pooled or
+        remote runner (see ``FrameTransport.worker_stats``), none for
+        the serial runner."""
         return []
 
     def run(self, jobs: Sequence[SweepJob], *, first: int = 0) -> list[Any]:
@@ -319,12 +322,12 @@ class TransportRunner(SweepRunner):
     """The generic chunked scheduling loop over a pluggable transport.
 
     Subclasses provide ``chunk_size`` / ``timeout`` / ``retries``
-    attributes and a :meth:`_transport` factory; this class owns the
-    semantics documented in the module docstring — chunking, the
-    cumulative timeout budget, bounded chunk retries with deterministic
-    attribution, immediate propagation of application errors — so every
-    transport (in-process pool, socket fleet) behaves identically to
-    the pinned :class:`ProcessPoolRunner` contract.
+    attributes and a :meth:`_transport` accessor returning their
+    persistent transport; this class owns the semantics documented in
+    the module docstring — chunking, the cumulative timeout budget,
+    bounded chunk retries with deterministic attribution, immediate
+    propagation of application errors — so forked local workers and a
+    socket fleet behave identically.
     """
 
     chunk_size: int | None
@@ -334,10 +337,25 @@ class TransportRunner(SweepRunner):
     def _transport(self) -> Transport:  # pragma: no cover
         raise NotImplementedError
 
+    def worker_stats(self) -> list[dict[str, Any]]:
+        """Per-worker transport telemetry accumulated across rounds."""
+        return self._transport().worker_stats()
+
     def _auto_chunk(self, n_jobs: int, width: int) -> int:
         """Default chunk size: roughly four chunks per worker, balancing
-        dispatch overhead against load balance (transports may cap it)."""
-        return max(1, math.ceil(n_jobs / (width * 4)))
+        dispatch overhead against load balance, capped at a stream
+        window's share so one frame never ships an unbounded slice of a
+        huge materialized run."""
+        cap = max(1, math.ceil(DEFAULT_STREAM_WINDOW / (width * 4)))
+        return max(1, min(math.ceil(n_jobs / (width * 4)), cap))
+
+    def _stream_window(self) -> int:
+        # Keep every worker busy across a window: explicit chunk sizes
+        # scale the window, auto-chunking gets the shared default.
+        width = self._transport().parallelism()
+        if self.chunk_size is not None:
+            return max(DEFAULT_STREAM_WINDOW, self.chunk_size * width * 4)
+        return max(DEFAULT_STREAM_WINDOW, width * 128)
 
     # -- scheduling --------------------------------------------------------
 
@@ -499,34 +517,32 @@ class TransportRunner(SweepRunner):
 
 @dataclass
 class ProcessPoolRunner(TransportRunner):
-    """Fan jobs out across worker processes.
+    """Fan jobs out across local worker processes.
+
+    Every scheduling round forks *workers* fresh workers
+    (:class:`~repro.parallel.remote.ForkTransport`) that speak the same
+    socket frames as a remote fleet, over socket pairs: no port is
+    opened.
 
     Parameters
     ----------
     workers:
-        Number of worker processes.  ``workers=1`` still uses a pool (one
-        worker) — useful for verifying that jobs survive the process
+        Number of worker processes.  ``workers=1`` still forks one
+        worker — useful for verifying that jobs survive the process
         boundary; use :class:`SerialRunner` for a true in-process run.
     chunk_size:
-        Jobs per pool task.  ``None`` auto-chunks to roughly four tasks
-        per worker, balancing IPC overhead against load balance.
+        Jobs per frame.  ``None`` auto-chunks (:meth:`_auto_chunk`).
     timeout:
         Per-job wall-clock budget in seconds (``None``: no timeout).
     retries:
-        How many times a failed/timed-out chunk is re-submitted on a
-        fresh pool before :class:`SweepError` is raised.
-    mp_context:
-        ``multiprocessing`` start-method name (``"fork"``, ``"spawn"``,
-        ``"forkserver"``).  ``None`` picks ``"fork"`` where available
-        (cheap, inherits imported modules) and the platform default
-        elsewhere.
+        How many times a failed/timed-out chunk is re-submitted on
+        fresh workers before :class:`SweepError` is raised.
     """
 
     workers: int
     chunk_size: int | None = None
     timeout: float | None = None
     retries: int = 1
-    mp_context: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -537,18 +553,12 @@ class ProcessPoolRunner(TransportRunner):
             raise ValueError("retries must be >= 0")
         # The dataclass-generated __init__ bypasses SweepRunner.__init__.
         self.job_retries = []
+        from .remote import ForkTransport  # remote imports this module
 
-    def _stream_window(self) -> int:
-        # Keep every worker busy across a window: explicit chunk sizes
-        # scale the window, auto-chunking gets the shared default.
-        if self.chunk_size is not None:
-            return max(DEFAULT_STREAM_WINDOW, self.chunk_size * self.workers * 4)
-        return max(DEFAULT_STREAM_WINDOW, self.workers * 128)
-
-    # -- transport ---------------------------------------------------------
+        self._local = ForkTransport(self.workers)
 
     def _transport(self) -> Transport:
-        return LocalPoolTransport(workers=self.workers, mp_context=self.mp_context)
+        return self._local
 
 
 def make_runner(
@@ -557,7 +567,6 @@ def make_runner(
     chunk_size: int | None = None,
     timeout: float | None = None,
     retries: int = 1,
-    mp_context: str | None = None,
     cache: Any = None,
     addresses: Any = None,
 ) -> SweepRunner:
@@ -598,7 +607,6 @@ def make_runner(
             chunk_size=chunk_size,
             timeout=timeout,
             retries=retries,
-            mp_context=mp_context,
         )
     return with_cache(runner, cache)
 
@@ -612,8 +620,8 @@ def with_cache(runner: SweepRunner, cache: Any) -> SweepRunner:
     returns *runner* itself.  Otherwise the result is a shallow copy
     with :attr:`~SweepRunner.cache` set: the caller's runner is never
     changed (a later uncached sweep through it stays uncached), while a
-    remote runner's copy shares its transport, so ``worker_stats()``
-    reads the same on both.
+    pooled or remote runner's copy shares its transport, so
+    ``worker_stats()`` reads the same on both.
     """
     if cache is None or cache is False:
         return runner
@@ -647,7 +655,7 @@ def sweep(
     :meth:`SweepRunner.run_stream`, *window* jobs per ``run()``: with
     ``stream`` the default is the runner's own stream window, without
     it one window of all *total* jobs — a materialized sweep is still
-    one ``run()`` and one pool, and the caller wraps the generator in
+    one ``run()``, and the caller wraps the generator in
     ``list()``.
 
     ``telemetry`` names a JSONL file (:mod:`repro.obs.telemetry`,

@@ -4,16 +4,14 @@ serial-vs-parallel equivalence guarantee.
 The equivalence contract under test (docs/parallel.md): the same
 campaign or exploration sweep produces an **identical** report — same
 run order, kills, violations, summaries, formatted text — whether it
-executes serially in-process, through a one-worker pool, or through a
-multi-worker pool.
+executes serially in-process, on one forked worker, or on several.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import pytest
@@ -29,7 +27,7 @@ from repro.parallel import (
     make_runner,
     resolve_invariants,
 )
-from repro.parallel.transport import LocalPoolRound, LocalPoolTransport
+from repro.parallel.remote import _WorkerConn
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
@@ -72,42 +70,30 @@ class WedgeJob:
 
 @dataclass(frozen=True)
 class DieJob:
-    """Simulates a crashed worker process (breaks the pool)."""
+    """Simulates a crashed worker process (its connection closes)."""
 
     def __call__(self) -> None:
         os._exit(13)
 
 
-class _BreakingPool:
-    """A pool stand-in that runs each chunk inline and raises
-    ``BrokenProcessPool`` from the *fail_at*-th ``submit`` of the sweep
-    (counted across rounds): a worker that died while chunks were still
-    being submitted, placed by operation count instead of by timing."""
-
-    def __init__(self, transport: "_BreakingTransport") -> None:
-        self.transport = transport
-        self._processes: dict = {}
-
-    def submit(self, fn, *args):
-        self.transport.submits += 1
-        if self.transport.submits == self.transport.fail_at:
-            raise BrokenProcessPool("a worker died")
-        fut: Future = Future()
-        fut.set_result(fn(*args))
-        return fut
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
+_SEND = _WorkerConn.send
 
 
-class _BreakingTransport(LocalPoolTransport):
-    def __init__(self, fail_at: int) -> None:
-        super().__init__(workers=1)
-        self.fail_at = fail_at
-        self.submits = 0
+def _fail_kth_send(monkeypatch, k: int) -> None:
+    """Make the *k*-th ``run`` frame sent in the sweep (counted across
+    rounds) fail as a closed connection does: a worker lost while
+    chunks were still being dispatched, placed by operation count
+    instead of by timing."""
+    sends = 0
 
-    def open_round(self) -> LocalPoolRound:
-        return LocalPoolRound(_BreakingPool(self))
+    def send(conn, obj):
+        nonlocal sends
+        sends += 1
+        if sends == k:
+            raise BrokenPipeError("the worker's connection closed")
+        return _SEND(conn, obj)
+
+    monkeypatch.setattr(_WorkerConn, "send", send)
 
 
 def _campaign(runner=None, workers=None, **kw):
@@ -202,23 +188,47 @@ class TestRunners:
         assert exc_info.value.indices == [1]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_pool_breaking_at_the_kth_submit_is_a_lost_chunk(self, k):
-        # Chunks [0, 1], [2, 3], [4]: the k-th submit breaks the pool, so
-        # chunk k and every later one never reach it and are lost, while
-        # the chunks submitted before it complete.
+    def test_pool_breaking_at_the_kth_submit_is_a_lost_chunk(
+        self, k, monkeypatch
+    ):
+        # Chunks [0, 1], [2, 3], [4] on one worker: the k-th send loses
+        # the worker, so chunk k and every later one never reach it and
+        # are lost, while the chunks sent before it complete.
         jobs = [SquareJob(i) for i in range(5)]
         chunks = [[0, 1], [2, 3], [4]]
+        _fail_kth_send(monkeypatch, k)
         runner = ProcessPoolRunner(workers=1, chunk_size=2, retries=1)
-        runner._transport = lambda: _BreakingTransport(fail_at=k)
         assert runner.run(jobs) == [i * i for i in range(5)]
         assert runner.job_retries == [
             int(c >= k - 1) for c, part in enumerate(chunks) for _ in part
         ]
+        _fail_kth_send(monkeypatch, k)
         runner = ProcessPoolRunner(workers=1, chunk_size=2, retries=0)
-        runner._transport = lambda: _BreakingTransport(fail_at=k)
         with pytest.raises(SweepError) as exc_info:
             runner.run(jobs)
         assert exc_info.value.indices == chunks[k - 1]
+
+    @pytest.mark.parametrize("case", ["clean", "timed_out", "crashed"])
+    def test_no_worker_outlives_its_round(self, case):
+        # Every forked worker is reaped when its round ends, however it
+        # ends.  waitpid (never -1: fixtures own other children) runs
+        # before active_children(), which would reap a leftover itself.
+        if case == "clean":
+            runner = ProcessPoolRunner(workers=2, chunk_size=1)
+            assert runner.run([SquareJob(x) for x in range(4)]) == [0, 1, 4, 9]
+        else:
+            runner = ProcessPoolRunner(
+                workers=2, chunk_size=1, timeout=0.5, retries=0
+            )
+            job = WedgeJob() if case == "timed_out" else DieJob()
+            with pytest.raises(SweepError):
+                runner.run([SquareJob(2), job])
+        pids = [row["pid"] for row in runner.worker_stats()]
+        assert len(pids) == 2 and None not in pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert multiprocessing.active_children() == []
 
     def test_job_retries_not_shared_between_instances(self):
         # Regression: job_retries used to be a mutable *class* attribute,
@@ -351,14 +361,22 @@ class TestCampaignCli:
         assert rc == 0
         assert "campaign: 5 runs, 5 ok" in out
 
-    def test_campaign_command_workers_match_serial(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nprocs", "4", "--iters", "3", "--runs", "5",
+             "--horizon", "8e-6"],
+            ["--nprocs", "6", "--iters", "4", "--runs", "20",
+             "--horizon", "1e-5"],
+        ],
+        ids=["n4-runs5", "n6-runs20"],
+    )
+    def test_campaign_command_workers_match_serial(self, argv, capsys):
         from repro.cli import main
 
-        rc = main(["campaign", "--nprocs", "4", "--iters", "3",
-                   "--runs", "5", "--horizon", "8e-6"])
+        rc = main(["campaign", *argv])
         serial_out = capsys.readouterr().out
-        rc_w = main(["campaign", "--nprocs", "4", "--iters", "3",
-                     "--runs", "5", "--horizon", "8e-6", "--workers", "2"])
+        rc_w = main(["campaign", *argv, "--workers", "2"])
         pooled_out = capsys.readouterr().out
         assert rc == rc_w == 0
         assert serial_out == pooled_out
@@ -366,8 +384,11 @@ class TestCampaignCli:
     def test_explore_command_workers(self, capsys):
         from repro.cli import main
 
-        rc = main(["explore", "--nprocs", "4", "--iters", "3",
-                   "--workers", "2"])
+        rc = main(["explore", "--nprocs", "4", "--iters", "3"])
+        serial_out = capsys.readouterr().out
+        rc_w = main(["explore", "--nprocs", "4", "--iters", "3",
+                     "--workers", "2"])
         out = capsys.readouterr().out
-        assert rc == 0
+        assert rc == rc_w == 0
         assert "explored" in out
+        assert out == serial_out

@@ -37,6 +37,7 @@ from repro.parallel import (
 )
 from repro.parallel.remote import (
     REMOTE_FORMAT,
+    RemoteTransport,
     _FrameBuffer,
     _pack,
     _recv_frame,
@@ -176,6 +177,21 @@ class TestFraming:
             got.extend(buf.frames())
         assert got == objs
         assert buf.wire_in == len(wire)
+
+    @pytest.mark.parametrize("msg", [
+        ("run", 4, [SquareJob(x) for x in range(3)], [4, 5, 6]),
+        ("done", 4, [9, 16, 25]),
+    ], ids=["run", "done"])
+    def test_frame_cut_at_every_offset_yields_it_once(self, msg):
+        frame = _pack(msg)[0]
+        for cut in range(len(frame) + 1):
+            buf = _FrameBuffer()
+            buf.feed(frame[:cut])
+            got = list(buf.frames())
+            buf.feed(frame[cut:])
+            got.extend(buf.frames())
+            assert got == [msg], cut
+            assert list(buf.frames()) == []
 
     def test_oversized_frame_rejected(self):
         import struct
@@ -327,6 +343,92 @@ class TestHandshake:
             thread.join(timeout=5)
         assert text in str(exc_info.value)
         assert "rejected the handshake" in str(exc_info.value)
+
+    def test_reject_after_a_good_hello_closes_every_socket(
+        self, worker_addr, monkeypatch
+    ):
+        # The good worker's connection is open when the second peer
+        # rejects the hello: the round must close it before raising.
+        opened = []
+        connect = RemoteTransport.connect
+
+        def spy(self, slot, inherited):
+            sock, proc = connect(self, slot, inherited)
+            opened.append(sock)
+            return sock, proc
+
+        monkeypatch.setattr(RemoteTransport, "connect", spy)
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+
+            def refuse():
+                conn, _ = listener.accept()
+                with conn:
+                    _recv_frame(conn)
+                    conn.sendall(_pack(("reject", "not today"))[0])
+
+            thread = threading.Thread(target=refuse, daemon=True)
+            thread.start()
+            runner = RemoteRunner(
+                addresses=[worker_addr, listener.getsockname()]
+            )
+            with pytest.raises(SweepError, match="not today"):
+                runner.run([SquareJob(1)])
+            thread.join(timeout=5)
+        assert len(opened) == 2
+        assert [sock.fileno() for sock in opened] == [-1, -1]
+
+
+# ---------------------------------------------------------------------------
+# A worker connection cut mid-frame: the chunk is lost, the retry
+# completes (cuts placed by byte count)
+# ---------------------------------------------------------------------------
+
+
+def _cut_done_reply(monkeypatch, sentinel, cut):
+    """Make the first forked worker to reply ``done`` send only
+    ``cut(frame)`` bytes of the frame and hang up — exactly once across
+    the sweep (exclusive sentinel creation picks the one victim)."""
+    from repro.parallel import remote
+
+    send = remote._send
+
+    def cutting(sock, obj):
+        if obj[0] == "done":
+            try:
+                with open(sentinel, "x"):
+                    pass
+            except FileExistsError:
+                pass
+            else:
+                frame = _pack(obj)[0]
+                sock.sendall(frame[: cut(frame)])
+                sock.close()
+                raise ConnectionResetError("cut mid-frame")
+        send(sock, obj)
+
+    monkeypatch.setattr(remote, "_send", cutting)
+
+
+class TestCutFrames:
+    @pytest.mark.parametrize("cut", [
+        lambda frame: 3,  # inside the 8-byte length prefix
+        lambda frame: 8 + 1,  # inside the 2-byte zlib header
+        lambda frame: (8 + len(frame)) // 2,  # halfway through the body
+    ], ids=["mid-header", "mid-zlib", "mid-body"])
+    def test_cut_reply_is_a_lost_chunk_and_the_retry_completes(
+        self, cut, monkeypatch, tmp_path
+    ):
+        serial = _campaign()
+        _cut_done_reply(monkeypatch, tmp_path / "cut", cut)
+        runner = ProcessPoolRunner(workers=2, chunk_size=2, retries=1)
+        pooled = _campaign(runner=runner)
+        assert (tmp_path / "cut").exists(), "no reply was cut"
+        assert pooled.format() == serial.format()
+        assert _campaign_fields(pooled) == _campaign_fields(serial)
+        assert sorted(runner.job_retries) == [0, 0, 0, 0, 1, 1]
+        assert sum(s["disconnects"] for s in runner.worker_stats()) == 1
 
 
 # ---------------------------------------------------------------------------
