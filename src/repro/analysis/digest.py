@@ -4,9 +4,8 @@ One blake2b digest covers everything deterministic about a finished
 simulation: the final virtual time, the full semantic trace (event keys,
 in order), each rank's terminal state, and the perf counters minus the
 host-side slots (the host seconds ``wall_s`` / ``setup_s`` /
-``teardown_s`` and the ``fibers`` backend label — none is a property of
-the simulation, and none may enter a digest or a report compared across
-runs).
+``teardown_s`` — none is a property of the simulation, and none may
+enter a digest or a report compared across runs).
 
 These helpers used to live in :mod:`repro.fuzz.driver`; they moved here
 so the fuzzer's replay verification and the content-addressed sweep
@@ -55,18 +54,15 @@ _MAX_ARITY = 16
 
 
 def perf_dict(result: "SimulationResult") -> dict[str, Any]:
-    """The run's perf counters minus the host-side slots: the host
-    seconds (``wall_s``, ``setup_s``, ``teardown_s``) and ``fibers``
-    (which fiber backend suspended the call stacks).  They describe the
-    machine the run happened on, not the simulation — traces are
-    byte-identical across backends, so digests, ``.repro.json`` expect
-    blocks, and cache payloads must stay backend-independent."""
+    """The run's perf counters minus the host seconds (``wall_s``,
+    ``setup_s``, ``teardown_s``).  They describe the machine the run
+    happened on, not the simulation, so digests, ``.repro.json`` expect
+    blocks, and cache payloads must stay independent of them."""
     if result.perf is None:
         return {}
     d = result.perf.as_dict()
     for name in result.perf.HOST_SECONDS:
         d.pop(name, None)
-    d.pop("fibers", None)
     return d
 
 

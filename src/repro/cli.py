@@ -138,36 +138,6 @@ def _schedule_from(args: argparse.Namespace) -> FailureSchedule:
     return sched
 
 
-def _add_fibers_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--fibers", default=None, choices=["auto", "thread", "greenlet"],
-        help="fiber backend for the kernel: 'greenlet' (single-threaded, "
-             "zero-lock handoffs; pip install repro[fast]) or 'thread' "
-             "(pure-stdlib baton fallback); 'auto' picks greenlet when "
-             "importable (default: $REPRO_FIBERS, else auto)",
-    )
-
-
-def _apply_fibers(args: argparse.Namespace) -> None:
-    """Publish ``--fibers`` as ``$REPRO_FIBERS`` for this process.
-
-    Every :class:`~repro.simmpi.runtime.Runtime` reads the variable at
-    construction, and pooled sweep workers inherit the environment, so
-    one assignment covers serial runs and ``--workers`` fan-out alike.
-    Traces are byte-identical across backends, so this only changes wall
-    time, never a report.  An unavailable backend (greenlet without the
-    package) fails here, once and cleanly, instead of deep in a run.
-    """
-    if getattr(args, "fibers", None):
-        from .simmpi import resolve_backend
-
-        try:
-            resolve_backend(args.fibers)
-        except (RuntimeError, ValueError) as exc:
-            raise SystemExit(f"--fibers: {exc}")
-        os.environ["REPRO_FIBERS"] = args.fibers
-
-
 def _positive_int(value: str) -> int:
     """argparse type for counts that must be >= 1 (``--workers``,
     ``--stream-window``): a clear parse-time error instead of a
@@ -474,7 +444,6 @@ def _ring_scenario(args: argparse.Namespace) -> RingScenario:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    _apply_fibers(args)
     ranks = None if args.rootft else list(range(1, args.nprocs))
     progress = None
     if args.progress:
@@ -506,7 +475,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    _apply_fibers(args)
     eligible = None
     if args.rootft:
         eligible = list(range(args.nprocs))  # the root may die too
@@ -538,7 +506,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 def cmd_compare_protocols(args: argparse.Namespace) -> int:
     from .protocols import PROTOCOLS, run_compare_protocols
 
-    _apply_fibers(args)
     protocols = tuple(args.protocols) if args.protocols else PROTOCOLS
     before = _cache_counters_snapshot(args)
     runner = _sweep_runner(args)
@@ -607,7 +574,6 @@ def cmd_farm(args: argparse.Namespace) -> int:
 
 def cmd_perf(args: argparse.Namespace) -> int:
     """Run one scenario and print the kernel's performance counters."""
-    _apply_fibers(args)
     sim = _common_sim(args, args.nprocs)
     if not args.trace:
         sim.runtime.trace.enabled = False
@@ -635,8 +601,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
                else "aborted" if result.aborted is not None
                else "ran through")
     print(f"scenario: {args.scenario} (nprocs={args.nprocs}, "
-          f"seed={args.seed}, trace={'on' if args.trace else 'off'}, "
-          f"fibers={sim.runtime.fiber_backend})")
+          f"seed={args.seed}, trace={'on' if args.trace else 'off'})")
     print(f"outcome: {outcome}  virtual time: {result.final_time:.9f}")
     print()
     assert result.perf is not None
@@ -667,7 +632,6 @@ def _fuzz_scenario(args: argparse.Namespace):
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    _apply_fibers(args)
     from pathlib import Path
 
     from .fuzz import fuzz, write_repro
@@ -735,7 +699,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     from .parallel import remote
 
     if args.worker_cmd == "serve":
-        _apply_fibers(args)
         remote.serve(args.bind)
         return 0
     # ping
@@ -1044,7 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--progress", action="store_true",
                     help="report sweep liveness on stderr as batches "
                          "complete")
-    _add_fibers_arg(ex)
     ex.add_argument("--telemetry", default=None, metavar="FILE",
                     help="stream per-job telemetry (JSONL) to FILE; "
                          "aggregate later with `repro report FILE`")
@@ -1077,7 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fail-stops injected per run")
     _add_workers_arg(camp)
     _add_transport_args(camp)
-    _add_fibers_arg(camp)
     camp.add_argument("--telemetry", default=None, metavar="FILE",
                       help="stream per-job telemetry (JSONL) to FILE; "
                            "aggregate later with `repro report FILE`")
@@ -1120,7 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="spare ranks for partial_restart")
     _add_workers_arg(cp)
     _add_transport_args(cp)
-    _add_fibers_arg(cp)
     _add_cache_args(cp)
     cp.set_defaults(fn=cmd_compare_protocols)
 
@@ -1155,7 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--termination", default="validate_all",
                       choices=[t.value for t in Termination])
     perf.add_argument("--rootft", action="store_true")
-    _add_fibers_arg(perf)
     perf.add_argument("--trace", action=argparse.BooleanOptionalAction,
                       default=True,
                       help="--no-trace measures the zero-cost disabled-"
@@ -1206,7 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write a .repro.json per failure into DIR")
     fz.add_argument("--verbose", action="store_true",
                     help="list every outcome, not just failures")
-    _add_fibers_arg(fz)
     fz.add_argument("--telemetry", default=None, metavar="FILE",
                     help="stream per-job telemetry (JSONL) to FILE; "
                          "aggregate later with `repro report FILE`")
@@ -1372,7 +1330,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="listen address; port 0 picks a free port "
                               "(default: 127.0.0.1:0 — frames are pickles, "
                               "bind to loopback or a trusted network only)")
-    _add_fibers_arg(wkserve)
     wkserve.set_defaults(fn=cmd_worker)
     wkping = wksub.add_parser(
         "ping", help="liveness-check one worker (exit 0 if it answers)"

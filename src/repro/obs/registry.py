@@ -312,12 +312,12 @@ CACHE_STORES = REGISTRY.counter(
 )
 REMOTE_FRAMES = REGISTRY.counter(
     "repro_remote_frames_total",
-    "repro.remote/2 frames by direction (parent side)",
+    "repro.remote/3 frames by direction (parent side)",
     labels=("direction",),
 )
 REMOTE_BYTES = REGISTRY.counter(
     "repro_remote_bytes_total",
-    "repro.remote/2 wire bytes by direction (parent side)",
+    "repro.remote/3 wire bytes by direction (parent side)",
     labels=("direction",),
 )
 REMOTE_HEARTBEATS = REGISTRY.counter(

@@ -2,7 +2,7 @@
 
 PR 5 made the *kernel* observable (Perfetto traces, per-rank metrics);
 this module gives the *pipeline around it* — scheduler rounds, chunk
-dispatch, ``repro.remote/2`` wire frames, worker-side execution, batched
+dispatch, ``repro.remote/3`` wire frames, worker-side execution, batched
 cache lookups — the same treatment.  A :class:`SpanRecorder` collects
 lightweight :class:`Span` records (monotonic start + duration, parent
 id, category, free-form attrs) from instrumentation sites in
@@ -78,7 +78,7 @@ SPAN_CATEGORIES = (
     "exec",       # chunk execution, worker side (absorbed)
     "job",        # one job inside a chunk/serial loop (canonical)
     "merge",      # submission-order merge of a completed chunk
-    "net",        # repro.remote/2 frame send/recv events
+    "net",        # repro.remote/3 frame send/recv events
     "heartbeat",  # liveness probe of a silent worker
     "cache",      # one RunCache get_many/put_many batch
 )

@@ -332,8 +332,9 @@ class TelemetrySummary:
     workers: dict[int, dict[str, float]]  # pid -> {jobs, busy_s}
     cache: dict[str, int]  # hit/miss/uncached counts
     retries: int
-    #: Transport rows from distributed sweeps (one per worker address);
-    #: empty for serial/pooled streams.
+    #: Transport rows, one per worker slot: a ``--workers-addr`` address,
+    #: or ``local:<slot>`` for a ``--workers N`` sweep; empty for serial
+    #: streams.  (The JSON key keeps its historical name.)
     remote: list[dict[str, Any]] = dataclasses.field(default_factory=list)
 
     def format(self) -> str:
@@ -373,7 +374,7 @@ class TelemetrySummary:
             lines.append("cache: off")
         lines.append(f"chunk retries: {self.retries}")
         if self.remote:
-            lines.append(f"remote workers: {len(self.remote)}")
+            lines.append(f"worker slots: {len(self.remote)}")
             for s in self.remote:
                 ratio = s.get("compression")
                 lines.append(

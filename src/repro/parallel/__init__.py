@@ -23,7 +23,7 @@ Layers:
   under a span.
 * :mod:`~repro.parallel.remote` — the one worker substrate: a frame
   loop over length-prefixed compressed-pickle frames
-  (``repro.remote/2``), run by forked local workers
+  (``repro.remote/3``), run by forked local workers
   (:class:`ForkTransport`) and by :class:`WorkerServer` (``repro worker
   serve``) for :class:`RemoteRunner`, with heartbeat liveness for the
   latter.

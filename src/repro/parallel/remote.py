@@ -18,7 +18,7 @@ sweep's report is byte-identical to a serial one (pinned in
 ``tests/test_parallel.py``, ``tests/test_remote.py`` and the
 ``distributed-smoke`` CI job).
 
-Wire protocol (``repro.remote/2``)
+Wire protocol (``repro.remote/3``)
 ----------------------------------
 
 Every message is one *frame*: an 8-byte big-endian length prefix
@@ -27,10 +27,10 @@ tuples:
 
 * ``("hello", info)`` → ``("hello", {"format", "pid"})`` — sent once
   per connection; ``info`` carries the protocol format and the parent's
-  determinism env (``REPRO_FIBERS``, ``REPRO_MUTATIONS``, …), which the
-  worker applies before executing anything.  A peer speaking another
-  format gets ``("reject", "format mismatch: …")`` naming both, which
-  the parent raises as a :class:`SweepError`.
+  determinism env (``REPRO_MUTATIONS``), which the worker applies before
+  executing anything.  A peer speaking another format gets
+  ``("reject", "format mismatch: …")`` naming both, which the parent
+  raises as a :class:`SweepError`.
 * ``("run", start, jobs[, indices])`` → ``("done", start, values[,
   spans])`` — one chunk, executed by
   :func:`~repro.parallel.transport.run_chunk`; ``values`` are the jobs'
@@ -107,12 +107,12 @@ __all__ = [
 ]
 
 #: Wire protocol identifier, sent in every hello and checked by both ends.
-REMOTE_FORMAT = "repro.remote/2"
+REMOTE_FORMAT = "repro.remote/3"
 
 #: Determinism-relevant environment propagated parent → worker on hello.
 #: Applied (set *and* unset) before any job runs, so a worker executes
 #: exactly like its parent.
-ENV_KEYS = ("REPRO_FIBERS", "REPRO_MUTATIONS")
+ENV_KEYS = ("REPRO_MUTATIONS",)
 
 _LEN = struct.Struct(">Q")
 #: Refuse absurd frames instead of allocating unbounded buffers.
@@ -312,7 +312,7 @@ def _serve_forked(sock: socket.socket, inherited: list[socket.socket]) -> None:
 
 
 class WorkerServer(socketserver.ThreadingTCPServer):
-    """A sweep worker serving ``repro.remote/2`` on a TCP socket.
+    """A sweep worker serving ``repro.remote/3`` on a TCP socket.
 
     One connection handler per client thread, but chunk execution is
     serialized by :attr:`exec_lock` — a worker process runs one
@@ -338,7 +338,7 @@ class WorkerServer(socketserver.ThreadingTCPServer):
 def serve(bind: tuple[str, int]) -> None:
     """Run a worker until interrupted (the ``repro worker serve`` body).
 
-    Prints one readiness line to stderr (``[worker] repro.remote/2
+    Prints one readiness line to stderr (``[worker] repro.remote/3
     listening on HOST:PORT pid=N``) so wrappers — tests, the
     ``distributed-smoke`` CI job — can scrape the bound port from the
     first line and wait for availability; the security warning follows
@@ -418,7 +418,7 @@ def _new_stats(name: str) -> dict[str, Any]:
 
 
 class FrameTransport(Transport):
-    """Workers speaking ``repro.remote/2`` frames, one per named slot.
+    """Workers speaking ``repro.remote/3`` frames, one per named slot.
 
     Persistent across scheduling rounds: per-worker statistics (chunks,
     rtt, bytes shipped, compression, disconnects) accumulate here per

@@ -27,13 +27,6 @@ class PerfCounters:
     Increments happen on the kernel's hot path, so this is deliberately a
     bag of plain ints behind ``__slots__`` — no locks (the kernel is
     single-threaded-at-a-time by construction), no dicts, no properties.
-
-    One non-numeric slot rides along: :attr:`fibers`, the name of the
-    fiber backend the simulation ran on (``"thread"`` or ``"greenlet"``).
-    It is provenance, not a measurement — :meth:`add` merges it by
-    adoption (an empty label takes the other side's; two different labels
-    collapse to ``"mixed"``) and :meth:`delta` skips it entirely, so the
-    arithmetic paths stay pure-int over :data:`PerfCounters._NUMERIC`.
     """
 
     _NUMERIC = (
@@ -55,7 +48,12 @@ class PerfCounters:
     #: :func:`repro.analysis.digest.perf_dict` drops them.
     HOST_SECONDS = ("wall_s", "setup_s", "teardown_s")
 
-    __slots__ = _NUMERIC + ("fibers",)
+    #: The one fiber implementation every simulation runs on (a pooled
+    #: OS thread per rank, :class:`repro.simmpi.fibers.Fiber`): a
+    #: constant, not a counter, kept for host fingerprints that read it.
+    fibers = "thread"
+
+    __slots__ = _NUMERIC
 
     def __init__(self) -> None:
         #: Fibers picked to run: baton handoffs (≈ simulated MPI calls).
@@ -82,19 +80,11 @@ class PerfCounters:
         self.setup_s = 0.0
         #: Host seconds unwinding and releasing the fibers, after it.
         self.teardown_s = 0.0
-        #: Fiber backend the counted simulations ran on (``""`` until a
-        #: runtime stamps it; ``"mixed"`` after folding across backends).
-        self.fibers = ""
 
     def add(self, other: "PerfCounters") -> None:
         """Fold *other* into this accumulator."""
         for name in self._NUMERIC:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        if other.fibers:
-            if not self.fibers:
-                self.fibers = other.fibers
-            elif self.fibers != other.fibers:
-                self.fibers = "mixed"
 
     def as_dict(self) -> dict[str, Any]:
         """Plain-dict view (JSON reports, assertions)."""
@@ -104,13 +94,10 @@ class PerfCounters:
         """Human-readable counter report."""
         d = self.as_dict()
         seconds = {name: d.pop(name) for name in self.HOST_SECONDS}
-        backend = d.pop("fibers")
         width = max(len(k) for k in d)
         lines = [f"{k:<{width}}  {v}" for k, v in d.items()]
         lines += [f"{k:<{width}}  {v:.6f}" for k, v in seconds.items()]
         wall = seconds["wall_s"]
-        if backend:
-            lines.append(f"{'fibers':<{width}}  {backend}")
         if wall > 0:
             rate = self.events_executed / wall
             lines.append(f"{'events_per_s':<{width}}  {rate:,.0f}")
@@ -125,11 +112,7 @@ class PerfCounters:
         return out
 
     def delta(self, since: "PerfCounters") -> dict[str, Any]:
-        """``self - since`` as a dict.
-
-        Numeric slots only — the :attr:`fibers` provenance label is not
-        subtractable.
-        """
+        """``self - since`` as a dict."""
         return {
             name: getattr(self, name) - getattr(since, name)
             for name in self._NUMERIC

@@ -60,19 +60,7 @@ from .errors import (
     SimulationError,
     TruncationError,
 )
-from .fibers import (
-    FIBER_BACKENDS,
-    BaseFiber,
-    Fiber,
-    FiberState,
-    GreenletFiber,
-    ThreadFiber,
-    available_backends,
-    default_backend,
-    greenlet_available,
-    make_fiber,
-    resolve_backend,
-)
+from .fibers import Fiber, FiberState
 from .group import Group
 from .matching import Message
 from .nbcoll import ibarrier
@@ -106,20 +94,11 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST",
     "DEFAULT_ROOT",
-    "BaseFiber",
     "ErrorClass",
     "ErrorHandler",
     "EventQueue",
-    "FIBER_BACKENDS",
     "Fiber",
     "FiberState",
-    "GreenletFiber",
-    "ThreadFiber",
-    "available_backends",
-    "default_backend",
-    "greenlet_available",
-    "make_fiber",
-    "resolve_backend",
     "Group",
     "Win",
     "HierarchicalCostModel",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, NoReturn
 
 from .errors import JobAborted
-from .fibers import BaseFiber, FiberState
+from .fibers import Fiber, FiberState
 from .matching import MatchingEngine
 from .trace import ABORT, PROBE, TraceKind
 
@@ -41,7 +41,7 @@ class SimProcess:
         #: Local virtual clock; monotone, may lead the global clock.
         self.now = 0.0
         self.engine = MatchingEngine(rank)
-        self.fiber: BaseFiber | None = None  # attached by the runtime
+        self.fiber: Fiber | None = None  # attached by the runtime
         #: Number of MPI calls this process has issued (fault injection).
         self.call_count = 0
         #: Hit counts per probe-point name (fault injection windows).
@@ -122,7 +122,7 @@ class SimProcess:
     # Runtime plumbing
     # ------------------------------------------------------------------
 
-    def attach_fiber(self, fiber: BaseFiber) -> None:
+    def attach_fiber(self, fiber: Fiber) -> None:
         self.fiber = fiber
 
     @property

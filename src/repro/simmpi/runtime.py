@@ -43,7 +43,7 @@ from .errors import (
     SimulationDeadlock,
     SimulationError,
 )
-from .fibers import BaseFiber, FiberState, make_fiber, resolve_backend, run_loop
+from .fibers import Fiber, FiberState
 from .matching import Message
 from .process import SimProcess
 from .request import Request, Status
@@ -83,7 +83,6 @@ class Runtime:
         trace_enabled: bool = True,
         trace_cap: int | None = None,
         metrics: bool = False,
-        fibers: str | None = None,
         max_events: int = 20_000_000,
         max_time: float = float("inf"),
     ) -> None:
@@ -94,16 +93,10 @@ class Runtime:
         self.seed = seed
         self.policy = make_policy(policy, seed)
         self.policy.reset()
-        #: Resolved fiber backend name ("thread" / "greenlet"): explicit
-        #: ``fibers`` argument, else $REPRO_FIBERS, else auto (greenlet
-        #: when importable).  Traces are byte-identical across backends;
-        #: only handoff wall time changes.
-        self.fiber_backend = resolve_backend(fibers)
         self.clock = VirtualClock()
         self.events = EventQueue()
         self.trace = Trace(enabled=trace_enabled, cap=trace_cap)
         self.perf = PerfCounters()
-        self.perf.fibers = self.fiber_backend
         #: Kernel metrics accumulator (``repro.obs``), or ``None``.  Every
         #: hot-path hook is guarded with ``if obs is not None:`` so a run
         #: without ``metrics=True`` allocates no obs state and pays one
@@ -149,7 +142,7 @@ class Runtime:
         self.polled_injectors: list[Any] = []
         #: The blocked fiber whose thread is executing :meth:`_next_fiber`
         #: (``None`` on the main thread or a finished fiber's thread).
-        self._driver: BaseFiber | None = None
+        self._driver: Fiber | None = None
         #: Set from the main thread when its wait was interrupted
         #: (Ctrl-C): the loop ends at the next scheduling decision.
         self._interrupted = False
@@ -668,15 +661,13 @@ class Runtime:
     def attach_and_start(self, mains: Sequence[Callable[[SimProcess], Any]]) -> None:
         """Create and launch one fiber per rank around the given mains.
 
-        Fibers come from the active backend (:attr:`fiber_backend`): OS
-        threads with a baton handoff, or greenlets with single-threaded
-        zero-lock switches — same lifecycle either way.  Its host seconds
-        are ``perf.setup_s``.
+        Each fiber runs on a pooled OS thread with a baton handoff (see
+        :class:`~repro.simmpi.fibers.Fiber`).  Its host seconds are
+        ``perf.setup_s``.
         """
         t0 = _time.perf_counter()
         for proc, main in zip(self.procs, mains):
-            fiber = make_fiber(
-                self.fiber_backend,
+            fiber = Fiber(
                 name=f"rank-{proc.rank}",
                 index=proc.rank,
                 target=partial(main, proc),
@@ -690,8 +681,8 @@ class Runtime:
         """Run until every process finished, the job aborted, a deadlock is
         proven, or a budget is exhausted.
 
-        The loop body is :meth:`_next_fiber`; the fiber backend decides
-        which thread executes it (:func:`repro.simmpi.fibers.run_loop`).
+        The loop body is :meth:`_next_fiber`; the fibers decide which
+        thread executes it (:meth:`repro.simmpi.fibers.Fiber.run_loop`).
         """
         for inj in self.injectors:
             inj.arm(self)
@@ -700,20 +691,19 @@ class Runtime:
         ]
         t0 = _time.perf_counter()
         try:
-            run_loop(self.fiber_backend, self._next_fiber, self._interrupt)
+            Fiber.run_loop(self._next_fiber, self._interrupt)
         finally:
             self.perf.wall_s += _time.perf_counter() - t0
 
     def _interrupt(self) -> None:
         self._interrupted = True
 
-    def _next_fiber(self, driver: BaseFiber | None) -> BaseFiber | None:
+    def _next_fiber(self, driver: Fiber | None) -> Fiber | None:
         """The scheduling decision: run events until the policy picks a
         fiber and return it; ``None`` when the loop is over.
 
-        Called by whichever thread is giving up control — on the thread
-        backend that is the fiber that just blocked (*driver*) or
-        finished, so everything reachable from here (event callbacks, AM
+        Called by whichever thread is giving up control — the fiber that
+        just blocked (*driver*) or finished, so everything reachable from here (event callbacks, AM
         handlers, failure listeners, policies) runs on fiber threads and
         must not depend on thread-local state.  Returning *driver*
         itself means "carry on": either the policy picked it, or an
@@ -858,7 +848,7 @@ class SimulationResult:
     #: Ground-truth failed ranks at the end of the run.
     failed_ranks: frozenset[int] = frozenset()
     #: Kernel performance counters for this run (handoffs, events,
-    #: matches, wall seconds, active fiber backend); see
+    #: matches, wall seconds); see
     #: :class:`repro.perf.PerfCounters`.
     perf: PerfCounters | None = None
     #: Kernel metric timelines (:class:`repro.obs.metrics.KernelMetrics`)
@@ -900,11 +890,6 @@ class Simulation:
         result = sim.run(main)
 
     ``run`` may be given a single main (SPMD) or one main per rank.
-
-    ``fibers`` selects the fiber backend (``"thread"``, ``"greenlet"``,
-    ``"auto"``); ``None`` defers to ``$REPRO_FIBERS``, then auto.  The
-    backend changes only how fast handoffs are — traces, digests, and
-    reports are byte-identical across backends.
     """
 
     def __init__(
@@ -918,7 +903,6 @@ class Simulation:
         trace_enabled: bool = True,
         trace_cap: int | None = None,
         metrics: bool = False,
-        fibers: str | None = None,
         max_events: int = 20_000_000,
         max_time: float = float("inf"),
     ) -> None:
@@ -931,7 +915,6 @@ class Simulation:
             trace_enabled=trace_enabled,
             trace_cap=trace_cap,
             metrics=metrics,
-            fibers=fibers,
             max_events=max_events,
             max_time=max_time,
         )

@@ -8,23 +8,19 @@ executes at any instant**, so the entire simulation is reproducible
 bit-for-bit from its seed.
 
 There is no scheduler thread.  The decision is one function,
-``Runtime._next_fiber``, and the fiber backend chooses the thread that
-executes it: on the thread backend the fiber that just gave up control
-runs it and wakes the pick directly; on the greenlet backend the caller
-of ``Simulation.run`` does.  A policy is therefore called from a
-different thread each time and must not keep thread-local state.
+``Runtime._next_fiber``, and the fiber that just gave up control runs
+it on its own thread and wakes the pick directly.  A policy is
+therefore called from a different thread each time and must not keep
+thread-local state.
 
 The scheduling layer is split in two:
 
 * :mod:`repro.simmpi.fibers` — *how* a fiber's call stack suspends and
-  where the loop runs.  Two pluggable backends implement one API: the
-  pure-stdlib thread backend (:class:`~repro.simmpi.fibers.ThreadFiber`,
-  direct baton passing, one context switch per handoff on Linux) and the
-  optional single-threaded greenlet backend
-  (:class:`~repro.simmpi.fibers.GreenletFiber`, zero-lock handoffs,
-  ``pip install repro[fast]``).  Kill/fail-stop and shutdown unwinding
+  where the loop runs: :class:`~repro.simmpi.fibers.Fiber`, a pooled OS
+  thread with direct baton passing (one context switch per handoff on
+  Linux), plus kill/fail-stop and shutdown unwinding
   (:class:`~repro.simmpi.errors.ProcessKilled` /
-  :class:`~repro.simmpi.errors.SimShutdown`) behave identically on both.
+  :class:`~repro.simmpi.errors.SimShutdown`).
 * this module — *which* runnable fiber goes next: the
   :class:`SchedulingPolicy` implementations (round-robin, lowest rank
   first, or seeded-random for interleaving exploration).
@@ -33,9 +29,9 @@ The runtime asks a policy once per decision, through
 :meth:`SchedulingPolicy.take` ("the next fiber, or none").  A policy
 implements ``pick`` and, if it holds fibers of its own, ``has_ready``;
 the default ``take`` calls those two.  Policies see only fiber indices
-and arrival order — never the suspension mechanism — which is why traces
-are byte-identical across fiber backends (pinned by the backend × policy
-golden matrix in ``tests/test_determinism_golden.py``).
+and arrival order — never the suspension mechanism; the golden matrix
+in ``tests/test_determinism_golden.py`` pins the traces of every
+policy.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ import heapq
 import random
 from collections import deque
 
-from .fibers import BaseFiber
+from .fibers import Fiber
 
 
 class SchedulingPolicy:
@@ -59,14 +55,14 @@ class SchedulingPolicy:
     order.
     """
 
-    def pick(self, ready: deque[BaseFiber]) -> BaseFiber:  # pragma: no cover - abstract
+    def pick(self, ready: deque[Fiber]) -> Fiber:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def has_ready(self, ready: deque[BaseFiber]) -> bool:
+    def has_ready(self, ready: deque[Fiber]) -> bool:
         """Is any fiber runnable (in *ready* or held by the policy)?"""
         return bool(ready)
 
-    def take(self, ready: deque[BaseFiber]) -> BaseFiber | None:
+    def take(self, ready: deque[Fiber]) -> Fiber | None:
         """The next fiber to run, or ``None`` when nothing is runnable."""
         return self.pick(ready) if self.has_ready(ready) else None
 
@@ -77,10 +73,10 @@ class SchedulingPolicy:
 class RoundRobinPolicy(SchedulingPolicy):
     """FIFO over the ready queue: fair, deterministic, and cheap."""
 
-    def pick(self, ready: deque[BaseFiber]) -> BaseFiber:
+    def pick(self, ready: deque[Fiber]) -> Fiber:
         return ready.popleft()
 
-    def take(self, ready: deque[BaseFiber]) -> BaseFiber | None:
+    def take(self, ready: deque[Fiber]) -> Fiber | None:
         # has_ready and pick in one call: the runtime's hottest decision.
         return ready.popleft() if ready else None
 
@@ -99,21 +95,21 @@ class LowestRankFirstPolicy(SchedulingPolicy):
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, BaseFiber]] = []
+        self._heap: list[tuple[int, int, Fiber]] = []
         self._seq = 0
 
     def reset(self) -> None:
         self._heap.clear()
         self._seq = 0
 
-    def pick(self, ready: deque[BaseFiber]) -> BaseFiber:
+    def pick(self, ready: deque[Fiber]) -> Fiber:
         while ready:
             fiber = ready.popleft()
             heapq.heappush(self._heap, (fiber.index, self._seq, fiber))
             self._seq += 1
         return heapq.heappop(self._heap)[2]
 
-    def has_ready(self, ready: deque[BaseFiber]) -> bool:
+    def has_ready(self, ready: deque[Fiber]) -> bool:
         return bool(ready) or bool(self._heap)
 
 
@@ -132,7 +128,7 @@ class RandomPolicy(SchedulingPolicy):
     def reset(self) -> None:
         self._rng = random.Random(self._seed)
 
-    def pick(self, ready: deque[BaseFiber]) -> BaseFiber:
+    def pick(self, ready: deque[Fiber]) -> Fiber:
         pos = self._rng.randrange(len(ready))
         fiber = ready[pos]
         del ready[pos]

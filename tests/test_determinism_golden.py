@@ -2,13 +2,11 @@
 
 The kernel hot path (fiber handoff, event queue, matching engine, trace
 recording) is rewritten for speed from time to time.  These tests pin the
-*exact* observable behaviour across such rewrites: for every **fiber
-backend × scheduling policy** combination, a failure-heavy ring scenario
-must produce a ``trace.format()`` output that is byte-identical to the
-golden file checked in under ``tests/golden/`` — and identical between
-two runs in the same process.  One golden file per policy serves every
-backend: a fiber backend decides *how* a call stack suspends, never
-*which* fiber runs next, so switching backends must not move a byte.
+*exact* observable behaviour across such rewrites: for every
+**scheduling policy**, a failure-heavy ring scenario must produce a
+``trace.format()`` output that is byte-identical to the golden file
+checked in under ``tests/golden/`` — and identical between two runs in
+the same process.
 
 Regenerate the goldens (only when an *intentional* semantic change lands)
 with::
@@ -24,7 +22,7 @@ import pytest
 
 from repro.core import RingConfig, RingVariant, Termination, make_ring_main
 from repro.faults import KillAtProbe, KillAtTime
-from repro.simmpi import Simulation, available_backends
+from repro.simmpi import Simulation
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -47,18 +45,13 @@ PROTOCOL_CASES = [
     ("trace_partial_restart", "partial_restart"),
 ]
 
-#: Every importable fiber backend verifies against the *same* goldens.
-BACKENDS = available_backends()
-
-
-def _run_scenario(policy: str, seed: int, fibers: str | None = None) -> str:
+def _run_scenario(policy: str, seed: int) -> str:
     """A failure-heavy 5-rank ring: one probe-window kill plus one timed
     kill, with a non-zero detection latency so DETECT events land at
     distinct times.  Deadlocks are returned (recorded in the trace), not
     raised, so every policy yields a complete timeline."""
     sim = Simulation(
-        nprocs=5, seed=seed, policy=policy, detection_latency=2e-6,
-        fibers=fibers,
+        nprocs=5, seed=seed, policy=policy, detection_latency=2e-6
     )
     sim.add_injector(KillAtProbe(rank=2, probe="post_recv", hit=2))
     sim.add_injector(KillAtTime(rank=3, time=1.5e-5))
@@ -71,58 +64,42 @@ def _run_scenario(policy: str, seed: int, fibers: str | None = None) -> str:
     return result.trace.format() + "\n"
 
 
-def _run_protocol_scenario(protocol: str, fibers: str | None = None) -> str:
+def _run_protocol_scenario(protocol: str) -> str:
     """The ``repro trace`` preset shape for the recovery-protocol
     families: the fig7 ring (4 logical ranks, 4 iterations) with rank 2
     fail-stopped at a fixed virtual time and a non-zero detection
     latency.  Each family turns the same kill into a different timeline
     — revoke/shrink epochs, replica failover, respawn + state transfer —
-    and each timeline must be byte-stable across kernels and backends."""
+    and each timeline must be byte-stable across kernels."""
     from repro.protocols import ProtocolRingConfig, ring_mains
 
     nproc, main = ring_mains(protocol, ProtocolRingConfig(max_iter=4), 4)
-    sim = Simulation(
-        nprocs=nproc, seed=0, detection_latency=2e-6, fibers=fibers
-    )
+    sim = Simulation(nprocs=nproc, seed=0, detection_latency=2e-6)
     sim.add_injector(KillAtTime(rank=2, time=1.5e-5))
     result = sim.run(main, on_deadlock="return")
     return result.trace.format() + "\n"
 
 
-@pytest.mark.parametrize("fibers", BACKENDS)
 @pytest.mark.parametrize("stem,policy,seed", CASES)
-def test_trace_matches_golden(
-    stem: str, policy: str, seed: int, fibers: str
-) -> None:
+def test_trace_matches_golden(stem: str, policy: str, seed: int) -> None:
     golden = (GOLDEN_DIR / f"{stem}.txt").read_text()
-    assert _run_scenario(policy, seed, fibers) == golden
+    assert _run_scenario(policy, seed) == golden
 
 
-@pytest.mark.parametrize("fibers", BACKENDS)
 @pytest.mark.parametrize("stem,policy,seed", CASES)
-def test_trace_stable_across_runs(
-    stem: str, policy: str, seed: int, fibers: str
-) -> None:
-    assert (_run_scenario(policy, seed, fibers)
-            == _run_scenario(policy, seed, fibers))
+def test_trace_stable_across_runs(stem: str, policy: str, seed: int) -> None:
+    assert _run_scenario(policy, seed) == _run_scenario(policy, seed)
 
 
-@pytest.mark.parametrize("fibers", BACKENDS)
 @pytest.mark.parametrize("stem,protocol", PROTOCOL_CASES)
-def test_protocol_trace_matches_golden(
-    stem: str, protocol: str, fibers: str
-) -> None:
+def test_protocol_trace_matches_golden(stem: str, protocol: str) -> None:
     golden = (GOLDEN_DIR / f"{stem}.txt").read_text()
-    assert _run_protocol_scenario(protocol, fibers) == golden
+    assert _run_protocol_scenario(protocol) == golden
 
 
-@pytest.mark.parametrize("fibers", BACKENDS)
 @pytest.mark.parametrize("stem,protocol", PROTOCOL_CASES)
-def test_protocol_trace_stable_across_runs(
-    stem: str, protocol: str, fibers: str
-) -> None:
-    assert (_run_protocol_scenario(protocol, fibers)
-            == _run_protocol_scenario(protocol, fibers))
+def test_protocol_trace_stable_across_runs(stem: str, protocol: str) -> None:
+    assert _run_protocol_scenario(protocol) == _run_protocol_scenario(protocol)
 
 
 if __name__ == "__main__":

@@ -598,18 +598,18 @@ class TestAPPS:
         (2, True, 4, "0.2345"),
     ]
 
-    def heat_rows(self, **sim_kw):
+    def heat_rows(self):
         cfg = HeatConfig(cells_per_rank=8, steps=20)
 
         def fields(result):
             return {i: np.array(result.value(i)["field"])
                     for i in result.completed_ranks}
 
-        ref = fields(run_sim(make_heat_main(cfg), self.N, **sim_kw))
+        ref = fields(run_sim(make_heat_main(cfg), self.N))
         rows = []
         for kills in ([], [(2, 8.5e-6)], [(2, 8.5e-6), (4, 14.5e-6)]):
             r = run_sim(make_heat_main(cfg), self.N, kills=kills,
-                        on_deadlock="return", **sim_kw)
+                        on_deadlock="return")
             got = fields(r)
             err = np.sqrt(sum(np.sum((f - ref[i]) ** 2)
                               for i, f in got.items()))
@@ -618,11 +618,6 @@ class TestAPPS:
 
     def test_heat_degradation(self):
         assert self.heat_rows() == self.HEAT_ROWS
-
-    def test_heat_degradation_threaded(self):
-        # The table may not depend on the fiber backend; the default one
-        # can be greenlet (``REPRO_FIBERS``).
-        assert self.heat_rows(fibers="thread") == self.HEAT_ROWS
 
     def test_allreduce_contributors(self):
         rows = []

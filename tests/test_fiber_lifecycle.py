@@ -1,16 +1,12 @@
-"""Fiber lifecycle across batches of simulations, on every backend.
+"""Fiber lifecycle across batches of simulations.
 
 A long in-process sweep (10k-run campaigns) must not accumulate fiber
 resources.  The contract: ``Simulation.run`` retires every fiber on
 **every** exit path — normal completion, deadlock return, fail-stop
 kills, aborts, application errors, and budget overruns — and releases
-the fibers' references to the application mains afterwards.
-
-The whole module runs once per importable fiber backend (the autouse
-fixture pins ``$REPRO_FIBERS``).  The thread-count assertions are the
-sharp check for the thread-baton backend and hold trivially on the
-greenlet backend, which never creates a thread; the target-release
-assertions bite on both.
+the fibers' references to the application mains afterwards.  The
+thread-count assertions check that no OS thread is left running a rank;
+the target-release assertions check the references.
 """
 
 from __future__ import annotations
@@ -21,16 +17,9 @@ import pytest
 
 from repro.faults import KillAtProbe, run_campaign
 from repro.parallel import RingScenario, StandardRingInvariants
-from repro.simmpi import Simulation, available_backends
+from repro.simmpi import Simulation
 from repro.simmpi.errors import SimulationError
 from repro.simmpi.runtime import SimulationLimitExceeded
-
-
-@pytest.fixture(params=available_backends(), autouse=True)
-def _each_backend(request, monkeypatch):
-    """Run every test in this module once per importable backend."""
-    monkeypatch.setenv("REPRO_FIBERS", request.param)
-    return request.param
 
 
 def _fiber_threads() -> list[str]:

@@ -1,4 +1,4 @@
-"""The thread backend's direct baton passing, pinned exactly.
+"""Direct baton passing between fibers, pinned exactly.
 
 Inside a runtime loop the thread that gives up control — a fiber that
 blocks or finishes — runs the scheduling decision (``Runtime._next_fiber``)
@@ -31,7 +31,7 @@ from repro.core import RingConfig, Termination, make_ring_main
 from repro.faults import run_campaign
 from repro.parallel import RingScenario, StandardRingInvariants
 from repro.simmpi import ErrorHandler, RankFailStopError, Simulation
-from repro.simmpi.fibers import FiberState, ThreadFiber
+from repro.simmpi.fibers import Fiber, FiberState
 from repro.simmpi.runtime import Runtime, SimulationLimitExceeded
 
 from tests.test_agreement import run_schedule
@@ -54,7 +54,7 @@ def _fiber_threads_idle(before: int) -> None:
 @pytest.fixture
 def warm_pool():
     """Thread count with the worker pool warm enough for 8 ranks."""
-    Simulation(nprocs=8, fibers="thread").run(lambda mpi: mpi.comm_world.barrier())
+    Simulation(nprocs=8).run(lambda mpi: mpi.comm_world.barrier())
     return threading.active_count()
 
 
@@ -117,8 +117,6 @@ def test_kill_aimed_at_the_driver_unwinds_it_before_anything_else(
 ):
     factory, expected = DRIVER_KILLS[name]
     sim, main = factory()
-    if sim.runtime.fiber_backend != "thread":
-        pytest.skip("only the thread backend runs the loop on fiber threads")
     kills: list[tuple[int, bool]] = []
     kill_event = Runtime._kill_event
 
@@ -161,7 +159,7 @@ def _barriers(mpi):
 
 
 def test_max_events_overrun_on_a_fiber_thread_reaches_the_caller(warm_pool):
-    sim = Simulation(nprocs=4, max_events=50, fibers="thread")
+    sim = Simulation(nprocs=4, max_events=50)
     with pytest.raises(SimulationLimitExceeded, match="max_events=50") as info:
         sim.run(_barriers)
     assert _raised_while_a_fiber_drove(info.value)
@@ -170,7 +168,7 @@ def test_max_events_overrun_on_a_fiber_thread_reaches_the_caller(warm_pool):
 
 
 def test_max_time_overrun_on_a_fiber_thread_reaches_the_caller(warm_pool):
-    sim = Simulation(nprocs=2, max_time=1e-6, fibers="thread")
+    sim = Simulation(nprocs=2, max_time=1e-6)
     with pytest.raises(SimulationLimitExceeded, match="max_time=1e-06") as info:
         sim.run(lambda mpi: mpi.compute(1e-3))
     assert _raised_while_a_fiber_drove(info.value)
@@ -188,7 +186,7 @@ def test_failure_listener_exception_on_a_fiber_thread_reaches_the_caller(
         raised.append((exc, threading.current_thread().name))
         raise exc
 
-    sim = Simulation(nprocs=3, fibers="thread")
+    sim = Simulation(nprocs=3)
     sim.runtime.add_failure_listener(2, listener)
     sim.kill(1, at_time=2e-6)
     with pytest.raises(RuntimeError, match="listener bug at rank 2") as info:
@@ -233,8 +231,8 @@ def gauges(monkeypatch):
     fiber slices (a slice: from getting the baton to giving it up)."""
     deciding, running = _Gauge(), _Gauge()
     next_fiber = Runtime._next_fiber
-    run_target = ThreadFiber._run_target
-    yield_to_scheduler = ThreadFiber.yield_to_scheduler
+    run_target = Fiber._run_target
+    yield_to_scheduler = Fiber.yield_to_scheduler
 
     def counted_next_fiber(self, driver):
         deciding.enter()
@@ -243,19 +241,20 @@ def gauges(monkeypatch):
         finally:
             deciding.leave()
 
-    def counted_run_target(self, wait=None):
-        entered = []
+    def counted_run_target(self):
+        # The target runs only once the first baton arrived and no kill
+        # or shutdown was pending before the fiber's first slice.
+        target = self._target
 
-        def first_baton():
-            wait()  # raises if killed or shut down before its first slice
+        def counted_target():
             running.enter()
-            entered.append(True)
-
-        try:
-            run_target(self, first_baton)
-        finally:
-            if entered:
+            try:
+                return target()
+            finally:
                 running.leave()
+
+        self._target = counted_target
+        run_target(self)
 
     def counted_yield(self):
         running.leave()
@@ -265,9 +264,8 @@ def gauges(monkeypatch):
             running.enter()
 
     monkeypatch.setattr(Runtime, "_next_fiber", counted_next_fiber)
-    monkeypatch.setattr(ThreadFiber, "_run_target", counted_run_target)
-    monkeypatch.setattr(ThreadFiber, "yield_to_scheduler", counted_yield)
-    monkeypatch.setenv("REPRO_FIBERS", "thread")
+    monkeypatch.setattr(Fiber, "_run_target", counted_run_target)
+    monkeypatch.setattr(Fiber, "yield_to_scheduler", counted_yield)
     return deciding, running
 
 
@@ -335,8 +333,6 @@ def test_simulation_inside_a_rank_of_another_simulation():
 )
 def test_interrupt_in_the_main_thread_stops_the_loop_before_shutdown(warm_pool):
     sim, main = RingScenario(nprocs=8, iters=6)()
-    if sim.runtime.fiber_backend != "thread":
-        pytest.skip("only the thread backend runs the loop on fiber threads")
     rt = sim.runtime
     blocks_after_signal: list[int] = []
 

@@ -1,7 +1,7 @@
 """What one simulated hop costs the host, as exact counters.
 
 Wall time is a poor gate — it moves with the host and its load — so the
-cost of a handoff on the thread backend is pinned by two counts taken
+cost of a handoff is pinned by three counts taken
 over a fault-free 32-rank ring:
 
 * **context switches** per handoff (Linux only), voluntary plus
@@ -55,7 +55,7 @@ PACKAGE = str(Path(repro.__file__).resolve().parent)
 
 
 def _ring(main=RING, trace: bool = False):
-    sim = Simulation(nprocs=NPROCS, fibers="thread", trace_enabled=trace)
+    sim = Simulation(nprocs=NPROCS, trace_enabled=trace)
     return sim.run(main)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import re
 import socket
 import subprocess
 import sys
@@ -312,15 +313,16 @@ class TestLoopbackCampaign:  # 80 runs, one worker either way
 
 
 class TestHandshake:
-    def test_old_format_hello_is_rejected_naming_both(self, worker_addr):
-        assert REMOTE_FORMAT == "repro.remote/2"
-        info = {"format": "repro.remote/1", "env": {}, "cache": None}
+    @pytest.mark.parametrize("old", ["repro.remote/1", "repro.remote/2"])
+    def test_old_format_hello_is_rejected_naming_both(self, worker_addr, old):
+        assert REMOTE_FORMAT == "repro.remote/3"
+        info = {"format": old, "env": {}, "cache": None}
         with socket.create_connection(worker_addr, timeout=5) as sock:
             sock.sendall(_pack(("hello", info))[0])
             reply = _recv_frame(sock)[0]
         assert reply[0] == "reject"
         assert reply[1].startswith("format mismatch: ")
-        assert "repro.remote/1" in reply[1] and REMOTE_FORMAT in reply[1]
+        assert old in reply[1] and REMOTE_FORMAT in reply[1]
 
     def test_parent_raises_the_workers_reject_text(self):
         # A worker of another version: answers every hello with reject.
@@ -721,8 +723,22 @@ class TestRemoteTelemetry:
         )
         assert main(["report", str(log)]) == 0
         out = capsys.readouterr().out
-        assert "remote workers: 1" in out
+        assert "worker slots: 1" in out
         assert f"{worker_addr[0]}:{worker_addr[1]}" in out
+
+    def test_report_command_titles_pooled_workers_as_slots(
+        self, tmp_path, capsys
+    ):
+        # A --workers N sweep writes one transport row per local slot.
+        from repro.cli import main
+
+        log = tmp_path / "pool.jsonl"
+        _campaign(runner=ProcessPoolRunner(workers=2), telemetry=str(log))
+        assert main(["report", str(log)]) == 0
+        out = capsys.readouterr().out
+        assert "worker slots: 2" in out
+        assert "remote workers" not in out
+        assert "  local:0: " in out and "  local:1: " in out
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +746,21 @@ class TestRemoteTelemetry:
 # ---------------------------------------------------------------------------
 
 
+#: ``repro campaign`` arguments of the remote-vs-serial checks: a small
+#: one, and the shape the CLI smoke used to diff on loopback.
+SMALL_CAMPAIGN = ["--nprocs", "4", "--iters", "3", "--runs", "5",
+                  "--horizon", "8e-6"]
+CI_CAMPAIGN = ["--nprocs", "6", "--iters", "4", "--runs", "20",
+               "--horizon", "1e-5"]
+
+
 class TestRemoteCli:
-    def test_remote_campaign_matches_serial(self, worker_addr, capsys):
+    @pytest.mark.parametrize("args", [SMALL_CAMPAIGN, CI_CAMPAIGN],
+                             ids=["small", "n6-runs20"])
+    def test_remote_campaign_matches_serial(self, worker_addr, capsys, args):
         from repro.cli import main
 
-        base = ["campaign", "--nprocs", "4", "--iters", "3",
-                "--runs", "5", "--horizon", "8e-6"]
+        base = ["campaign", *args]
         assert main(base) == 0
         serial_out = capsys.readouterr().out
         assert main(base + [
@@ -745,6 +770,32 @@ class TestRemoteCli:
         captured = capsys.readouterr()
         assert captured.out == serial_out
         assert "[remote]" in captured.err
+
+    def test_warm_remote_replay_never_touches_the_fleet(
+        self, worker_addr, tmp_path, capsys
+    ):
+        # Lookups happen in the submitting process, so the warm pass
+        # classifies every run from the cache and sends the fleet
+        # nothing at all: no chunk, no job, not one byte.
+        from repro.cli import main
+
+        base = ["campaign", *CI_CAMPAIGN]
+        assert main(base) == 0
+        serial_out = capsys.readouterr().out
+        remote = base + [
+            "--transport", "remote",
+            "--workers-addr", f"{worker_addr[0]}:{worker_addr[1]}",
+            "--cache", "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(remote) == 0
+        cold = capsys.readouterr()
+        assert main(remote) == 0
+        warm = capsys.readouterr()
+        assert cold.out == serial_out
+        assert warm.out == serial_out
+        assert re.search(r"^\[cache\] hits=20 misses=0 ", warm.err, re.M)
+        assert re.search(r"^\[remote\] .* chunks=0 jobs=0 .* wire=0B ",
+                         warm.err, re.M)
 
     def test_stream_window_flag(self, worker_addr, capsys):
         from repro.cli import main

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from repro.simmpi import Simulation, available_backends, make_fiber
+from repro.simmpi import Fiber, Simulation
 from repro.simmpi.fibers import FiberState
 from repro.simmpi.scheduler import (
     LowestRankFirstPolicy,
@@ -60,37 +60,35 @@ class TestPolicies:
             make_policy("bogus")
 
 
-@pytest.mark.parametrize("backend", available_backends())
 class TestFiberHandoff:
-    def test_fiber_runs_to_completion(self, backend):
+    def test_fiber_runs_to_completion(self):
         out = []
-        f = make_fiber(backend, name="t", index=0,
-                       target=lambda: out.append("ran"))
+        f = Fiber(name="t", index=0, target=lambda: out.append("ran"))
         f.start()
         f.resume_and_wait()
         assert out == ["ran"]
         assert f.state is FiberState.DONE
         f.join()
 
-    def test_fiber_result_captured(self, backend):
-        f = make_fiber(backend, name="t", index=0, target=lambda: 42)
+    def test_fiber_result_captured(self):
+        f = Fiber(name="t", index=0, target=lambda: 42)
         f.start()
         f.resume_and_wait()
         assert f.result == 42
         f.join()
 
-    def test_fiber_error_captured(self, backend):
+    def test_fiber_error_captured(self):
         def boom():
             raise ValueError("nope")
 
-        f = make_fiber(backend, name="t", index=0, target=boom)
+        f = Fiber(name="t", index=0, target=boom)
         f.start()
         f.resume_and_wait()
         assert isinstance(f.error, ValueError)
         assert f.state is FiberState.DONE
         f.join()
 
-    def test_shutdown_unwinds_blocked_fiber(self, backend):
+    def test_shutdown_unwinds_blocked_fiber(self):
         # Exercised through the Simulation facade: a rank that blocks
         # forever is unwound at shutdown after a deadlock is reported.
         def main(mpi):
@@ -99,9 +97,7 @@ class TestFiberHandoff:
                 comm.recv(source=1)  # never sent
             return "done"
 
-        r = Simulation(nprocs=2, fibers=backend).run(
-            main, on_deadlock="return"
-        )
+        r = Simulation(nprocs=2).run(main, on_deadlock="return")
         assert r.hung
         assert r.outcomes[1].value == "done"
 
