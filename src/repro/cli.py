@@ -69,11 +69,13 @@ Subcommands
     (a ``[cache] hits=…`` accounting line goes to stderr).  Entries live
     in one SQLite WAL database, ``cache.sqlite`` under ``--cache-dir``.
 
-The sweep subcommands also take ``--stream``: jobs flow through the
-bounded-window streaming pipeline and are folded into running counts,
-so a million-run campaign needs O(failures) memory while printing the
-identical report.  ``fuzz --coverage`` switches to coverage-guided
-fuzzing (novel-cell corpus + mutation; see ``docs/testing.md``).
+Every sweep streams: jobs flow through the bounded-window pipeline and
+each result is folded into the report's running counts.  ``campaign``
+and ``explore`` print only the report, so they never keep the ok runs
+and a million-run campaign needs O(failures) memory; ``fuzz`` keeps its
+outcomes only for ``--verbose``, which lists them.  ``fuzz --coverage``
+switches to coverage-guided fuzzing (novel-cell corpus + mutation; see
+``docs/testing.md``).
 
 Examples::
 
@@ -139,9 +141,9 @@ def _schedule_from(args: argparse.Namespace) -> FailureSchedule:
 
 
 def _positive_int(value: str) -> int:
-    """argparse type for counts that must be >= 1 (``--workers``,
-    ``--stream-window``): a clear parse-time error instead of a
-    traceback from the runner constructor."""
+    """argparse type for counts that must be >= 1 (``--workers``): a
+    clear parse-time error instead of a traceback from the runner
+    constructor."""
     try:
         n = int(value)
     except ValueError:
@@ -229,12 +231,11 @@ def _add_transport_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_stream_window_arg(p: argparse.ArgumentParser) -> None:
+def _add_telemetry_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--stream-window", type=_positive_int, default=None, metavar="N",
-        help="max jobs in flight for --stream (default: the runner's "
-             "window, 1024 serial; any window yields submission-order "
-             "results)",
+        "--telemetry", default=None, metavar="FILE",
+        help="stream per-job telemetry (JSONL) to FILE; "
+             "aggregate later with `repro report FILE`",
     )
 
 
@@ -355,6 +356,27 @@ def _report_cache(args: argparse.Namespace, before) -> None:
     )
 
 
+def _run_sweep(args: argparse.Namespace, entry, render=None, **kwargs):
+    """Run one sweep entry point with the plumbing every sweep
+    subcommand shares, print its report, and return it.
+
+    The runner comes from ``--transport`` (``None`` lets the entry point
+    build its local one), the cache from ``--cache``, the span recorder
+    from ``--spans``; *entry* is called with ``runner=`` and ``cache=``
+    plus *kwargs*.  ``render(report)`` (default ``report.format()``)
+    goes to stdout, then the ``[cache]`` and ``[remote]`` accounting
+    lines to stderr.
+    """
+    before = _cache_counters_snapshot(args)
+    runner = _sweep_runner(args)
+    with _spans_scope(args):
+        report = entry(runner=runner, cache=_cache_arg(args), **kwargs)
+    print(report.format() if render is None else render(report))
+    _report_cache(args, before)
+    _report_remote(runner)
+    return report
+
+
 def _common_sim(args: argparse.Namespace, nprocs: int) -> Simulation:
     sim = Simulation(
         nprocs=nprocs,
@@ -449,28 +471,21 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if args.progress:
         def progress(done: int, total: int) -> None:
             print(f"[explore] {done}/{total} scenarios", file=sys.stderr)
-    before = _cache_counters_snapshot(args)
-    runner = _sweep_runner(args)
-    with _spans_scope(args):
-        rep = explore(
-            _ring_scenario(args),
-            invariants=StandardRingInvariants(
-                args.iters, args.nprocs, allow_root_loss=args.rootft
-            ),
-            ranks=ranks,
-            pairs=args.pairs,
-            max_windows=args.limit,
-            workers=args.workers,
-            runner=runner,
-            cache=_cache_arg(args),
-            progress=progress,
-            telemetry=args.telemetry,
-            stream=args.stream,
-            stream_window=args.stream_window,
-        )
-    print(rep.format())
-    _report_cache(args, before)
-    _report_remote(runner)
+    rep = _run_sweep(
+        args,
+        explore,
+        factory=_ring_scenario(args),
+        invariants=StandardRingInvariants(
+            args.iters, args.nprocs, allow_root_loss=args.rootft
+        ),
+        ranks=ranks,
+        pairs=args.pairs,
+        max_windows=args.limit,
+        workers=args.workers,
+        progress=progress,
+        telemetry=args.telemetry,
+        stream=True,
+    )
     return 1 if rep.failures else 0
 
 
@@ -478,28 +493,21 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     eligible = None
     if args.rootft:
         eligible = list(range(args.nprocs))  # the root may die too
-    before = _cache_counters_snapshot(args)
-    runner = _sweep_runner(args)
-    with _spans_scope(args):
-        rep = run_campaign(
-            _ring_scenario(args),
-            seeds=range(args.first_seed, args.first_seed + args.runs),
-            horizon=args.horizon,
-            kills_per_run=args.kills,
-            eligible_ranks=eligible,
-            invariants=StandardRingInvariants(
-                args.iters, args.nprocs, allow_root_loss=args.rootft
-            ),
-            workers=args.workers,
-            runner=runner,
-            cache=_cache_arg(args),
-            telemetry=args.telemetry,
-            stream=args.stream,
-            stream_window=args.stream_window,
-        )
-    print(rep.format())
-    _report_cache(args, before)
-    _report_remote(runner)
+    rep = _run_sweep(
+        args,
+        run_campaign,
+        factory=_ring_scenario(args),
+        seeds=range(args.first_seed, args.first_seed + args.runs),
+        horizon=args.horizon,
+        kills_per_run=args.kills,
+        eligible_ranks=eligible,
+        invariants=StandardRingInvariants(
+            args.iters, args.nprocs, allow_root_loss=args.rootft
+        ),
+        workers=args.workers,
+        telemetry=args.telemetry,
+        stream=True,
+    )
     return 1 if rep.failures else 0
 
 
@@ -507,9 +515,9 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
     from .protocols import PROTOCOLS, run_compare_protocols
 
     protocols = tuple(args.protocols) if args.protocols else PROTOCOLS
-    before = _cache_counters_snapshot(args)
-    runner = _sweep_runner(args)
-    rep = run_compare_protocols(
+    rep = _run_sweep(
+        args,
+        run_compare_protocols,
         nprocs=args.nprocs,
         iters=args.iters,
         seeds=range(args.first_seed, args.first_seed + args.runs),
@@ -520,12 +528,7 @@ def cmd_compare_protocols(args: argparse.Namespace) -> int:
         sim_seed=args.seed,
         detection_latency=args.detection_latency,
         workers=args.workers,
-        runner=runner,
-        cache=_cache_arg(args),
     )
-    print(rep.format())
-    _report_cache(args, before)
-    _report_remote(runner)
     s = rep.summary()
     bad = sum(s[p]["hangs"] + s[p]["violations"] for p in protocols)
     return 1 if bad else 0
@@ -656,28 +659,24 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"wrote {rep.write(args.coverage_out)}", file=sys.stderr)
         return 1 if rep.failures else 0
 
-    before = _cache_counters_snapshot(args)
-    runner = _sweep_runner(args)
-    with _spans_scope(args):
-        report = fuzz(
-            _fuzz_scenario(args),
-            runs=args.runs,
-            seed=args.fuzz_seed,
-            runner=runner or make_runner(args.workers),
-            cache=_cache_arg(args),
-            shrink_failures=not args.no_shrink,
-            max_jitter=args.max_jitter,
-            min_kills=args.min_kills,
-            max_kills=args.max_kills,
-            horizon=args.horizon,
-            telemetry=args.telemetry,
-            stream=args.stream,
-            stream_window=args.stream_window,
-        )
-    print(report.format(verbose=args.verbose)
-          if not args.stream else report.format())
-    _report_cache(args, before)
-    _report_remote(runner)
+    def run_fuzz(runner, **kwargs):
+        return fuzz(runner=runner or make_runner(args.workers), **kwargs)
+
+    report = _run_sweep(
+        args,
+        run_fuzz,
+        render=lambda rep: rep.format(verbose=args.verbose),
+        scenario=_fuzz_scenario(args),
+        runs=args.runs,
+        seed=args.fuzz_seed,
+        shrink_failures=not args.no_shrink,
+        max_jitter=args.max_jitter,
+        min_kills=args.min_kills,
+        max_kills=args.max_kills,
+        horizon=args.horizon,
+        telemetry=args.telemetry,
+        stream=not args.verbose,
+    )
     if args.out_dir and report.failures:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -1007,13 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--progress", action="store_true",
                     help="report sweep liveness on stderr as batches "
                          "complete")
-    ex.add_argument("--telemetry", default=None, metavar="FILE",
-                    help="stream per-job telemetry (JSONL) to FILE; "
-                         "aggregate later with `repro report FILE`")
-    ex.add_argument("--stream", action="store_true",
-                    help="pipe windows through the streaming pipeline "
-                         "(O(failures) memory; same report text)")
-    _add_stream_window_arg(ex)
+    _add_telemetry_arg(ex)
     _add_spans_arg(ex)
     _add_cache_args(ex)
     ex.set_defaults(fn=cmd_explore)
@@ -1039,14 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fail-stops injected per run")
     _add_workers_arg(camp)
     _add_transport_args(camp)
-    camp.add_argument("--telemetry", default=None, metavar="FILE",
-                      help="stream per-job telemetry (JSONL) to FILE; "
-                           "aggregate later with `repro report FILE`")
-    camp.add_argument("--stream", action="store_true",
-                      help="pipe runs through the streaming pipeline — "
-                           "memory stays O(failures) however large --runs "
-                           "gets; the report text is identical")
-    _add_stream_window_arg(camp)
+    _add_telemetry_arg(camp)
     _add_spans_arg(camp)
     _add_cache_args(camp)
     camp.set_defaults(fn=cmd_campaign)
@@ -1165,13 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write a .repro.json per failure into DIR")
     fz.add_argument("--verbose", action="store_true",
                     help="list every outcome, not just failures")
-    fz.add_argument("--telemetry", default=None, metavar="FILE",
-                    help="stream per-job telemetry (JSONL) to FILE; "
-                         "aggregate later with `repro report FILE`")
-    fz.add_argument("--stream", action="store_true",
-                    help="pipe configs through the streaming pipeline "
-                         "(O(failures) memory; --verbose unavailable)")
-    _add_stream_window_arg(fz)
+    _add_telemetry_arg(fz)
     _add_spans_arg(fz)
     fz.add_argument("--coverage", action="store_true",
                     help="coverage-guided mode: keep configs that hit "

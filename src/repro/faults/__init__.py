@@ -11,10 +11,9 @@ Three layers, in increasing thoroughness (paper §III-E):
   the "have I covered *all* scenarios?" tool the paper calls for.
 """
 
-from .campaign import CampaignReport, CampaignRun, CampaignSummary, run_campaign
+from .campaign import CampaignReport, CampaignRun, run_campaign
 from .explorer import (
     ExplorationReport,
-    ExplorationSummary,
     ScenarioOutcome,
     Window,
     enumerate_windows,
@@ -34,10 +33,8 @@ from .injector import (
 __all__ = [
     "CampaignReport",
     "CampaignRun",
-    "CampaignSummary",
     "CompositeInjector",
     "ExplorationReport",
-    "ExplorationSummary",
     "FailureSchedule",
     "FaultInjector",
     "KillAtCall",

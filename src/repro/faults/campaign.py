@@ -48,77 +48,41 @@ class CampaignRun:
         return not self.hung and not self.violations
 
 
-def _format_campaign(s: dict[str, int], failures: Sequence[CampaignRun]) -> str:
-    """One report body shared by :class:`CampaignReport` and
-    :class:`CampaignSummary`, so streamed and materialized campaigns
-    render byte-identical reports."""
-    lines = [
-        f"campaign: {s['runs']} runs, {s['ok']} ok, {s['hangs']} hangs, "
-        f"{s['violations']} violating, {s['aborts']} aborts"
-    ]
-    for r in failures:
-        tag = "HANG" if r.hung else "VIOLATION"
-        kills = ", ".join(f"r{k}@{t:.3g}" for k, t in r.kills)
-        lines.append(
-            f"  [{tag}] seed={r.seed} kills=[{kills}]: "
-            f"{'; '.join(r.violations) or 'deadlock'}"
-        )
-    return "\n".join(lines)
-
-
 @dataclass
 class CampaignReport:
-    """Aggregate over all sampled runs."""
+    """Aggregate over the sampled runs, folded one run at a time by
+    :meth:`add` in seed order.
 
-    runs: list[CampaignRun]
-
-    @property
-    def failures(self) -> list[CampaignRun]:
-        return [r for r in self.runs if not r.ok]
-
-    def summary(self) -> dict[str, int]:
-        return {
-            "runs": len(self.runs),
-            "ok": sum(r.ok for r in self.runs),
-            "hangs": sum(r.hung for r in self.runs),
-            "violations": sum(bool(r.violations) for r in self.runs),
-            "aborts": sum(r.aborted for r in self.runs),
-        }
-
-    def format(self) -> str:
-        return _format_campaign(self.summary(), self.failures)
-
-
-@dataclass
-class CampaignSummary:
-    """Streaming counterpart of :class:`CampaignReport`: running counts
-    plus the (rare) failing runs, never the full run list.
-
-    Produced by ``run_campaign(..., stream=True)`` — a 10^6-seed
-    campaign holds O(failures) memory instead of O(runs).
-    ``summary()`` and ``format()`` are byte-identical to the
-    materialized report's.
+    ``runs`` holds every run unless the report was built with
+    ``stream=True``; then it stays empty and a 10^6-seed campaign holds
+    O(failures) memory.  ``summary()`` and ``format()`` read only the
+    running counts and ``failures``, so a streamed and a kept report of
+    the same campaign render byte-identical text.
     """
 
-    runs: int = 0
+    runs: list[CampaignRun] = field(default_factory=list)
+    failures: list[CampaignRun] = field(default_factory=list)
+    stream: bool = False
+    total: int = 0
     ok: int = 0
     hangs: int = 0
     violations: int = 0
     aborts: int = 0
-    failures: list[CampaignRun] = field(default_factory=list)
 
     def add(self, run: CampaignRun) -> None:
-        self.runs += 1
+        self.total += 1
         self.ok += run.ok
         self.hangs += run.hung
         self.violations += bool(run.violations)
         self.aborts += run.aborted
         if not run.ok:
             self.failures.append(run)
+        if not self.stream:
+            self.runs.append(run)
 
     def summary(self) -> dict[str, int]:
         return {
-            "runs": self.runs,
+            "runs": self.total,
             "ok": self.ok,
             "hangs": self.hangs,
             "violations": self.violations,
@@ -126,7 +90,18 @@ class CampaignSummary:
         }
 
     def format(self) -> str:
-        return _format_campaign(self.summary(), self.failures)
+        lines = [
+            f"campaign: {self.total} runs, {self.ok} ok, {self.hangs} hangs, "
+            f"{self.violations} violating, {self.aborts} aborts"
+        ]
+        for r in self.failures:
+            tag = "HANG" if r.hung else "VIOLATION"
+            kills = ", ".join(f"r{k}@{t:.3g}" for k, t in r.kills)
+            lines.append(
+                f"  [{tag}] seed={r.seed} kills=[{kills}]: "
+                f"{'; '.join(r.violations) or 'deadlock'}"
+            )
+        return "\n".join(lines)
 
 
 @dataclass
@@ -234,8 +209,7 @@ def run_campaign(
     cache: Any = None,
     telemetry: str | None = None,
     stream: bool = False,
-    stream_window: int | None = None,
-) -> "CampaignReport | CampaignSummary":
+) -> CampaignReport:
     """Sample ``len(seeds)`` runs, each killing ``kills_per_run`` distinct
     ranks at uniform-random virtual times in ``[0, horizon)``.
 
@@ -259,14 +233,12 @@ def run_campaign(
     (see :mod:`repro.obs.telemetry`); its canonical form is identical
     between serial and pooled campaigns.
 
-    ``stream=True`` pipes the jobs through the runner's ``run_stream``
-    (bounded in-flight windows, lazily built jobs) and folds runs into
-    a :class:`CampaignSummary` as they complete — memory stays
-    O(failures) regardless of ``len(seeds)``, and ``summary()`` /
-    ``format()`` are byte-identical to the materialized report's.
-    ``stream_window`` overrides the runner's in-flight window size
-    (``--stream-window`` on the CLI); any window, including 1, yields
-    the same submission-order results.
+    Jobs are built lazily and pulled through the runner's
+    ``run_stream`` in bounded windows; each run is folded into the
+    report as it arrives.  ``stream=True`` keeps only the counts and
+    the failing runs (``report.runs`` stays empty), so memory stays
+    O(failures) regardless of ``len(seeds)``; ``summary()`` and
+    ``format()`` are byte-identical either way.
     """
     eligible = tuple(eligible_ranks) if eligible_ranks is not None else None
 
@@ -289,12 +261,8 @@ def run_campaign(
         workers=workers,
         cache=cache,
         telemetry=telemetry,
-        stream=stream,
-        window=stream_window if stream else None,
     )
-    if not stream:
-        return CampaignReport(runs=list(runs))
-    summary = CampaignSummary()
+    report = CampaignReport(stream=stream)
     for run in runs:
-        summary.add(run)
-    return summary
+        report.add(run)
+    return report

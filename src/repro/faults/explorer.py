@@ -44,7 +44,6 @@ from .injector import CompositeInjector, FaultInjector, KillAtProbe
 
 __all__ = [
     "ExplorationReport",
-    "ExplorationSummary",
     "Invariant",
     "ScenarioFactory",
     "ScenarioOutcome",
@@ -88,89 +87,60 @@ class ScenarioOutcome:
         return not self.hung and not self.violations
 
 
-def _format_exploration(
-    s: dict[str, int], failures: Sequence[ScenarioOutcome]
-) -> str:
-    """One report body shared by :class:`ExplorationReport` and
-    :class:`ExplorationSummary`, so streamed and materialized sweeps
-    render byte-identical reports."""
-    lines = [
-        f"explored {s['runs']} scenario(s) over {s['windows']} window(s): "
-        f"{s['ok']} ok, {s['hangs']} hang(s), {s['violations']} violating"
-    ]
-    for o in failures:
-        tag = "HANG" if o.hung else "VIOLATION"
-        wins = "+".join(str(w) for w in o.windows)
-        lines.append(f"  [{tag}] {wins}: {'; '.join(o.violations) or 'deadlock'}")
-    return "\n".join(lines)
-
-
 @dataclass
 class ExplorationReport:
-    """Aggregate of a full exploration sweep."""
+    """Aggregate of a full exploration sweep, folded one outcome at a
+    time by :meth:`add` in enumeration order.
 
-    reference_windows: list[Window]
-    outcomes: list[ScenarioOutcome]
-
-    @property
-    def failures(self) -> list[ScenarioOutcome]:
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
-    def hangs(self) -> list[ScenarioOutcome]:
-        return [o for o in self.outcomes if o.hung]
-
-    def summary(self) -> dict[str, int]:
-        return {
-            "windows": len(self.reference_windows),
-            "runs": len(self.outcomes),
-            "ok": sum(o.ok for o in self.outcomes),
-            "hangs": len(self.hangs),
-            "violations": sum(bool(o.violations) for o in self.outcomes),
-        }
-
-    def format(self) -> str:
-        return _format_exploration(self.summary(), self.failures)
-
-
-@dataclass
-class ExplorationSummary:
-    """Streaming counterpart of :class:`ExplorationReport`: running
-    counts plus the (rare) failing outcomes, never the full outcome
-    list.
-
-    Produced by ``explore(..., stream=True)`` — a ``pairs=True`` sweep
-    whose job count grows quadratically in the window count holds
-    O(failures) memory instead of O(runs).  ``summary()`` and
-    ``format()`` are byte-identical to the materialized report's.
+    ``outcomes`` holds every outcome unless the report was built with
+    ``stream=True``; then it stays empty and a ``pairs=True`` sweep,
+    whose job count grows quadratically in the window count, holds
+    O(windows + failures) memory.  ``summary()`` and ``format()`` read
+    only the running counts and ``failures``, so a streamed and a kept
+    report of the same sweep render byte-identical text.
     """
 
-    reference_windows: list[Window] = field(default_factory=list)
-    runs: int = 0
+    reference_windows: list[Window]
+    outcomes: list[ScenarioOutcome] = field(default_factory=list)
+    failures: list[ScenarioOutcome] = field(default_factory=list)
+    stream: bool = False
+    total: int = 0
     ok: int = 0
     hangs: int = 0
     violations: int = 0
-    failures: list[ScenarioOutcome] = field(default_factory=list)
 
     def add(self, outcome: ScenarioOutcome) -> None:
-        self.runs += 1
+        self.total += 1
         self.ok += outcome.ok
         self.hangs += outcome.hung
         self.violations += bool(outcome.violations)
         if not outcome.ok:
             self.failures.append(outcome)
+        if not self.stream:
+            self.outcomes.append(outcome)
 
     def summary(self) -> dict[str, int]:
         return {
             "windows": len(self.reference_windows),
-            "runs": self.runs,
+            "runs": self.total,
             "ok": self.ok,
             "hangs": self.hangs,
             "violations": self.violations,
         }
 
     def format(self) -> str:
-        return _format_exploration(self.summary(), self.failures)
+        lines = [
+            f"explored {self.total} scenario(s) over "
+            f"{len(self.reference_windows)} window(s): {self.ok} ok, "
+            f"{self.hangs} hang(s), {self.violations} violating"
+        ]
+        for o in self.failures:
+            tag = "HANG" if o.hung else "VIOLATION"
+            wins = "+".join(str(w) for w in o.windows)
+            lines.append(
+                f"  [{tag}] {wins}: {'; '.join(o.violations) or 'deadlock'}"
+            )
+        return "\n".join(lines)
 
 
 def enumerate_windows(
@@ -295,8 +265,7 @@ def explore(
     progress: Callable[[int, int], None] | None = None,
     telemetry: str | None = None,
     stream: bool = False,
-    stream_window: int | None = None,
-) -> "ExplorationReport | ExplorationSummary":
+) -> ExplorationReport:
     """Exhaustively inject a failure at every reachable window.
 
     With ``pairs=True`` additionally injects every ordered pair of windows
@@ -325,13 +294,13 @@ def explore(
     then be picklable).  Outcomes keep enumeration order either way, so
     the report does not depend on the worker count.
 
-    ``stream=True`` builds the jobs lazily (the quadratic ``pairs``
-    enumeration included), pipes them through the runner's
-    ``run_stream``, and folds outcomes into an
-    :class:`ExplorationSummary` as they complete — memory stays
-    O(windows + failures) regardless of the job count, and
-    ``summary()``/``format()`` are byte-identical to the materialized
-    report's.
+    The jobs (the quadratic ``pairs`` enumeration included) are built
+    lazily and pulled through the runner's ``run_stream`` in bounded
+    windows; each outcome is folded into the report as it arrives.
+    ``stream=True`` keeps only the counts and the failing outcomes
+    (``report.outcomes`` stays empty), so memory stays
+    O(windows + failures) regardless of the job count;
+    ``summary()``/``format()`` are byte-identical either way.
     """
     windows = enumerate_windows(factory, probes=probes, ranks=ranks)
     if max_windows is not None:
@@ -367,15 +336,11 @@ def explore(
         total += n * (n - 1) // 2 - sum(
             c * (c - 1) // 2 for c in per_rank.values()
         )
-    # Progress is reported ~16 times: every `step` results when
-    # streaming; a materialized sweep runs in windows of `step` jobs
-    # instead of one, so the callback fires while work is in flight.
+    # Progress is reported ~16 times: the sweep runs in windows of
+    # `step` jobs, so the callback fires while work is in flight.
     step = max(1, math.ceil(total / 16))
-    window = stream_window if stream else None
     if progress is not None:
         progress(0, total)
-        if not stream:
-            window = step
     outcomes = sweep(
         iter_jobs(),
         total=total,
@@ -384,17 +349,11 @@ def explore(
         workers=workers,
         cache=cache,
         telemetry=telemetry,
-        stream=stream,
-        window=window,
+        window=step if progress is not None else None,
     )
-    if stream:
-        report = ExplorationSummary(reference_windows=windows)
-        sink = report.add
-    else:
-        report = ExplorationReport(reference_windows=windows, outcomes=[])
-        sink = report.outcomes.append
+    report = ExplorationReport(reference_windows=windows, stream=stream)
     for done, outcome in enumerate(outcomes, start=1):
-        sink(outcome)
+        report.add(outcome)
         if progress is not None and (done % step == 0 or done == total):
             progress(done, total)
     return report

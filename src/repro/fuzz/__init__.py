@@ -46,7 +46,6 @@ from .driver import (
     FuzzJob,
     FuzzOutcome,
     FuzzReport,
-    FuzzSummary,
     ReplayResult,
     classify,
     fuzz,
@@ -69,7 +68,6 @@ __all__ = [
     "FuzzJob",
     "FuzzOutcome",
     "FuzzReport",
-    "FuzzSummary",
     "JitterSpec",
     "ReplayResult",
     "ShrinkResult",

@@ -45,7 +45,6 @@ __all__ = [
     "FuzzJob",
     "FuzzOutcome",
     "FuzzReport",
-    "FuzzSummary",
     "ReplayResult",
     "classify",
     "fuzz",
@@ -321,101 +320,70 @@ def sample_configs(
 # ----------------------------------------------------------------------
 
 
-def _format_fuzz(
-    s: dict[str, Any],
-    shown: Sequence[FuzzOutcome],
-    failures: Sequence[FuzzOutcome],
-    shrunk: Sequence[ShrinkResult],
-) -> str:
-    """One report body shared by :class:`FuzzReport` and
-    :class:`FuzzSummary`, so streamed and materialized campaigns render
-    byte-identical reports."""
-    lines = [
-        f"fuzz seed={s['seed']}: {s['runs']} run(s), "
-        f"{s['failures']} failure(s), {s['hangs']} hang(s), "
-        f"{s['aborts']} abort(s)"
-    ]
-    lines.extend(o.describe() for o in shown)
-    for outcome, sr in zip(failures, shrunk):
-        lines.append(
-            f"  shrunk [{outcome.index:4d}] -> {sr.describe()}"
-        )
-    return "\n".join(lines)
-
-
 @dataclass
 class FuzzReport:
-    """Everything a fuzz campaign produced, in submission order.
+    """Everything a fuzz campaign produced, folded one outcome at a
+    time by :meth:`add` in submission order.
 
-    ``format()`` and ``summary()`` are deliberately free of wall-clock
-    data: two runs of the same campaign render identical reports, which
-    the determinism tests (and the CI smoke job) diff byte-for-byte.
+    ``outcomes`` holds every outcome unless the report was built with
+    ``stream=True``; then it stays empty and a 10^6-run campaign holds
+    O(failures) memory.  ``summary()`` and ``format()`` read only the
+    running counts, ``failures`` and ``shrunk``, so a streamed and a
+    kept report render byte-identical text; both are deliberately free
+    of wall-clock data, so two runs of the same campaign render
+    identical reports (the determinism tests diff them byte-for-byte).
     """
 
     scenario: Any
     seed: int
-    outcomes: list[FuzzOutcome]
+    outcomes: list[FuzzOutcome] = field(default_factory=list)
+    failures: list[FuzzOutcome] = field(default_factory=list)
     #: One shrink result per failing outcome, aligned with :attr:`failures`.
     shrunk: list[ShrinkResult] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[FuzzOutcome]:
-        return [o for o in self.outcomes if o.failed]
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "runs": len(self.outcomes),
-            "failures": len(self.failures),
-            "hangs": sum(o.hung for o in self.outcomes),
-            "aborts": sum(o.aborted for o in self.outcomes),
-        }
-
-    def format(self, *, verbose: bool = False) -> str:
-        shown = self.outcomes if verbose else self.failures
-        return _format_fuzz(self.summary(), shown, self.failures, self.shrunk)
-
-
-@dataclass
-class FuzzSummary:
-    """Streaming counterpart of :class:`FuzzReport`: counts plus the
-    (rare) failing outcomes, never the full outcome list.
-
-    Produced by ``fuzz(..., stream=True)`` — a 10^6-run campaign holds
-    O(failures) memory instead of O(runs).  ``summary()`` and
-    ``format()`` are byte-identical to the materialized report's
-    (``format(verbose=True)`` is unavailable: the ok outcomes are gone
-    by design).
-    """
-
-    scenario: Any
-    seed: int
-    runs: int = 0
+    stream: bool = False
+    total: int = 0
     hangs: int = 0
     aborts: int = 0
-    failures: list[FuzzOutcome] = field(default_factory=list)
-    shrunk: list[ShrinkResult] = field(default_factory=list)
 
     def add(self, outcome: FuzzOutcome) -> None:
-        self.runs += 1
+        self.total += 1
         self.hangs += outcome.hung
         self.aborts += outcome.aborted
         if outcome.failed:
             self.failures.append(outcome)
+        if not self.stream:
+            self.outcomes.append(outcome)
 
     def summary(self) -> dict[str, Any]:
         return {
             "seed": self.seed,
-            "runs": self.runs,
+            "runs": self.total,
             "failures": len(self.failures),
             "hangs": self.hangs,
             "aborts": self.aborts,
         }
 
-    def format(self) -> str:
-        return _format_fuzz(
-            self.summary(), self.failures, self.failures, self.shrunk
-        )
+    def format(self, *, verbose: bool = False) -> str:
+        """The report text; ``verbose`` lists every outcome, not just
+        the failures — a streamed report never kept the ok ones, so it
+        raises :class:`ValueError` instead of listing a subset."""
+        if verbose and self.stream:
+            raise ValueError(
+                "format(verbose=True) needs every outcome; this report "
+                "was built with stream=True and kept only the failures"
+            )
+        lines = [
+            f"fuzz seed={self.seed}: {self.total} run(s), "
+            f"{len(self.failures)} failure(s), {self.hangs} hang(s), "
+            f"{self.aborts} abort(s)"
+        ]
+        shown = self.outcomes if verbose else self.failures
+        lines.extend(o.describe() for o in shown)
+        for outcome, sr in zip(self.failures, self.shrunk):
+            lines.append(
+                f"  shrunk [{outcome.index:4d}] -> {sr.describe()}"
+            )
+        return "\n".join(lines)
 
 
 def fuzz(
@@ -430,9 +398,8 @@ def fuzz(
     max_shrink_attempts: int = 300,
     telemetry: str | None = None,
     stream: bool = False,
-    stream_window: int | None = None,
     **sample_options: Any,
-) -> "FuzzReport | FuzzSummary":
+) -> FuzzReport:
     """Run one seeded fuzz campaign end to end.
 
     Samples the corpus, fans it out through *runner* (default: in-process
@@ -453,11 +420,13 @@ def fuzz(
     disposition — see :mod:`repro.obs.telemetry`).  Shrink re-runs are
     not part of the stream: they explore configs outside the corpus.
 
-    ``stream=True`` pipes a *lazily sampled* corpus through the
-    runner's ``run_stream`` and folds outcomes into a
-    :class:`FuzzSummary` as they arrive — memory stays O(failures)
-    regardless of ``runs``, and ``summary()``/``format()`` are
-    byte-identical to the materialized report's.
+    The corpus is sampled lazily and pulled through the runner's
+    ``run_stream`` in bounded windows; each outcome is folded into the
+    report as it arrives.  ``stream=True`` keeps only the counts and
+    the failing outcomes (``report.outcomes`` stays empty), so memory
+    stays O(failures) regardless of ``runs``; ``summary()`` and
+    ``format()`` are byte-identical either way (``format(verbose=True)``
+    then raises: the ok outcomes were never kept).
     """
     outcomes = sweep(
         (
@@ -471,17 +440,10 @@ def fuzz(
         runner=runner,
         cache=cache,
         telemetry=telemetry,
-        stream=stream,
-        window=stream_window if stream else None,
     )
-    if stream:
-        report = FuzzSummary(scenario=scenario, seed=seed)
-        for outcome in outcomes:
-            report.add(outcome)
-    else:
-        report = FuzzReport(
-            scenario=scenario, seed=seed, outcomes=list(outcomes)
-        )
+    report = FuzzReport(scenario=scenario, seed=seed, stream=stream)
+    for outcome in outcomes:
+        report.add(outcome)
     if shrink_failures:
         report.shrunk = [
             shrink(o.config, invariants, max_attempts=max_shrink_attempts)

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 from typing import Any, TextIO
 
-from .telemetry import TELEMETRY_FORMAT, summarize
+from .telemetry import OUTCOMES, TELEMETRY_FORMAT, summarize
 
 __all__ = ["read_telemetry_tail", "render_top", "top"]
 
@@ -99,7 +99,7 @@ def render_top(records: list[dict[str, Any]], *, top: int = 3) -> str:
     )
 
     lines.append("outcomes")
-    for outcome in ("ok", "hang", "violation", "abort"):
+    for outcome in OUTCOMES:
         count = summary.outcomes.get(outcome, 0)
         if count or outcome == "ok":
             lines.append(

@@ -342,7 +342,7 @@ def registry_from_telemetry(source: Any) -> MetricsRegistry:
     retry counters, and per-worker transport series from the
     ``kind:"worker"`` rows.  This is how a campaign that already ran
     (or is still running) gets scraped."""
-    from .telemetry import read_telemetry, summarize
+    from .telemetry import OUTCOMES, read_telemetry, summarize
 
     if isinstance(source, (str, Path)):
         records = read_telemetry(source)
@@ -357,7 +357,7 @@ def registry_from_telemetry(source: Any) -> MetricsRegistry:
         "Jobs recorded by the telemetry stream, by outcome class",
         labels=("outcome",),
     )
-    for outcome in ("ok", "hang", "violation", "abort"):
+    for outcome in OUTCOMES:
         jobs.inc(summary.outcomes.get(outcome, 0), outcome=outcome)
     declared = header.get("runs")
     registry.gauge(

@@ -48,6 +48,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .telemetry import OUTCOMES, TelemetryResult, outcome_class
+
 __all__ = [
     "CANONICAL_CATEGORIES",
     "SPANS_FORMAT",
@@ -95,8 +97,6 @@ SPAN_VOLATILE_KEYS = frozenset({"t", "dur", "id", "parent", "track"})
 #: everywhere.
 CANONICAL_CATEGORIES = frozenset({"job"})
 
-_OUTCOME_CLASSES = frozenset({"ok", "hang", "violation", "abort"})
-
 _REQUIRED_KEYS = frozenset(
     {"id", "parent", "name", "cat", "t", "dur", "track", "attrs"}
 )
@@ -106,8 +106,6 @@ def outcome_label(value: Any) -> str:
     """The telemetry outcome class of a job's return value, unwrapping
     the :class:`~repro.obs.telemetry.TelemetryResult` envelope so spans
     and telemetry classify a run identically."""
-    from .telemetry import TelemetryResult, outcome_class
-
     if isinstance(value, TelemetryResult):
         value = value.value
     return outcome_class(value)
@@ -474,10 +472,10 @@ def span_errors(source: Any) -> list[str]:
             index = attrs.get("index")
             if not isinstance(index, int) or isinstance(index, bool) or index < 0:
                 errors.append(f"{where}: job span needs int attrs.index >= 0")
-            if attrs.get("outcome") not in _OUTCOME_CLASSES:
+            if attrs.get("outcome") not in OUTCOMES:
                 errors.append(
                     f"{where}: job span outcome {attrs.get('outcome')!r} "
-                    f"not in {sorted(_OUTCOME_CLASSES)}"
+                    f"not in {list(OUTCOMES)}"
                 )
     for where, parent in parents:
         if parent not in ids:

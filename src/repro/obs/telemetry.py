@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 __all__ = [
+    "OUTCOMES",
     "TELEMETRY_FORMAT",
     "TelemetryJob",
     "TelemetryResult",
@@ -45,6 +46,7 @@ __all__ = [
     "VOLATILE_KEYS",
     "canonical_lines",
     "outcome_class",
+    "outcome_of",
     "read_telemetry",
     "summarize",
     "summary_dict",
@@ -61,16 +63,36 @@ VOLATILE_KEYS = frozenset(
 )
 
 
-def outcome_class(value: Any) -> str:
-    """Classify a sweep result by the outcome fields every job shape
-    shares (``ScenarioOutcome``, ``CampaignRun``, ``FuzzOutcome``)."""
-    if getattr(value, "hung", False):
+#: The outcome classes of a sweep job, in report-column order: the one
+#: vocabulary of telemetry lines, job spans, the console and metrics.
+OUTCOMES = ("ok", "hang", "violation", "abort")
+
+
+def outcome_of(hung: bool, violations: Any, aborted: bool) -> str:
+    """The one classification rule: a hang outranks an invariant
+    violation, which outranks an abort."""
+    if hung:
         return "hang"
-    if getattr(value, "violations", ()):
+    if violations:
         return "violation"
-    if getattr(value, "aborted", False):
+    if aborted:
         return "abort"
     return "ok"
+
+
+def outcome_class(value: Any) -> str:
+    """Classify a sweep result: its ``outcome`` string when it carries
+    one (``ProtocolRunRecord``), else :func:`outcome_of` over the fields
+    the other job shapes share (``ScenarioOutcome``, ``CampaignRun``,
+    ``FuzzOutcome``)."""
+    outcome = getattr(value, "outcome", None)
+    if isinstance(outcome, str):
+        return outcome
+    return outcome_of(
+        getattr(value, "hung", False),
+        getattr(value, "violations", ()),
+        getattr(value, "aborted", False),
+    )
 
 
 @dataclass(frozen=True)
@@ -278,7 +300,7 @@ def telemetry_errors(path: str | Path) -> list[str]:
             errors.append(f"{where}: duplicate index {idx}")
         else:
             seen.add(idx)
-        if rec.get("outcome") not in ("ok", "hang", "violation", "abort"):
+        if rec.get("outcome") not in OUTCOMES:
             errors.append(f"{where}: bad outcome {rec.get('outcome')!r}")
         if rec.get("cache") not in (None, "hit", "miss"):
             errors.append(f"{where}: bad cache {rec.get('cache')!r}")

@@ -16,7 +16,7 @@ Layers:
   per-job timeout, bounded retries for wedged workers), :func:`make_runner` /
   :func:`with_cache`, and :func:`sweep`, the one driver behind
   ``explore``, ``run_campaign``, ``fuzz`` and ``run_compare_protocols``
-  (streamed or materialized, with or without telemetry).
+  (one bounded window at a time, with or without telemetry).
 * :mod:`~repro.parallel.transport` — the transport seam: the generic
   scheduling loop delegates chunk execution to a :class:`Transport`,
   and ``run_chunk`` / ``run_jobs_traced``, the one place a job executes

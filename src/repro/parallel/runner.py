@@ -34,7 +34,7 @@ cache when its :attr:`~SweepRunner.cache` is set — by
 :func:`make_runner` or :func:`with_cache`, nothing else — and
 :func:`sweep` is the one driver the entry points (``explore``,
 ``run_campaign``, ``fuzz``, ``run_compare_protocols``) pull results
-through, streamed or materialized.
+through, one bounded window at a time.
 
 Timeout/retry semantics (documented contract, tested in
 ``tests/test_parallel.py``):
@@ -297,26 +297,6 @@ class SerialRunner(SweepRunner):
         ) as root:
             return run_jobs_traced(recorder, jobs, indices, root.id)
 
-    def run_stream(
-        self, jobs: Iterable[SweepJob], *, window: int | None = None
-    ) -> Iterator[Any]:
-        if self.cache is not None or window is not None:
-            # Cache lookups are batched per window, and a caller that
-            # names a window gets exactly that many jobs per run().
-            yield from super().run_stream(jobs, window=window)
-            return
-        # Fully lazy: one job in memory at a time, no window needed.
-        retries: list[int] = []
-        self.job_retries = retries
-        for job in jobs:
-            recorder = spans_active()
-            if recorder is None:
-                result = job()
-            else:
-                (result,) = run_jobs_traced(recorder, [job], [len(retries)])
-            retries.append(0)
-            yield result
-
 
 class TransportRunner(SweepRunner):
     """The generic chunked scheduling loop over a pluggable transport.
@@ -345,7 +325,7 @@ class TransportRunner(SweepRunner):
         """Default chunk size: roughly four chunks per worker, balancing
         dispatch overhead against load balance, capped at a stream
         window's share so one frame never ships an unbounded slice of a
-        huge materialized run."""
+        huge :meth:`run` call."""
         cap = max(1, math.ceil(DEFAULT_STREAM_WINDOW / (width * 4)))
         return max(1, min(math.ceil(n_jobs / (width * 4)), cap))
 
@@ -643,20 +623,18 @@ def sweep(
     workers: int | None = None,
     cache: Any = None,
     telemetry: str | None = None,
-    stream: bool = False,
     window: int | None = None,
 ) -> Iterator[Any]:
     """The one sweep driver: yield the results of *jobs* in submission
-    order, streamed or materialized, cached or not, with or without a
-    telemetry file.
+    order, cached or not, with or without a telemetry file.
 
     ``runner`` defaults to ``make_runner(workers)``; ``cache`` goes in
-    front of it via :func:`with_cache`.  Results are pulled through
-    :meth:`SweepRunner.run_stream`, *window* jobs per ``run()``: with
-    ``stream`` the default is the runner's own stream window, without
-    it one window of all *total* jobs — a materialized sweep is still
-    one ``run()``, and the caller wraps the generator in
-    ``list()``.
+    front of it via :func:`with_cache`.  *jobs* is consumed lazily and
+    results are pulled through :meth:`SweepRunner.run_stream`, *window*
+    jobs per ``run()`` (default: the runner's own stream window, at
+    least :data:`DEFAULT_STREAM_WINDOW`), so a sweep never holds more
+    than one window of jobs and results — whether the caller keeps
+    them is its own choice.
 
     ``telemetry`` names a JSONL file (:mod:`repro.obs.telemetry`,
     header ``kind`` / *total* / ``workers``): every job is wrapped in a
@@ -668,8 +646,6 @@ def sweep(
     if runner is None:
         runner = make_runner(workers)
     runner = with_cache(runner, cache)
-    if window is None and not stream:
-        window = max(total, 1)
     if not telemetry:
         yield from runner.run_stream(jobs, window=window)
         return

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..faults.injector import CompositeInjector, KillAtTime
+from ..obs.telemetry import outcome_of
 from ..parallel.jobs import check_invariants, trace_needed
 from ..parallel.runner import SweepRunner, sweep
 from ..parallel.scenarios import RingScenario, StandardRingInvariants
@@ -61,7 +62,7 @@ class ProtocolRunRecord:
     seed: int
     baseline: bool
     kills: tuple[tuple[int, float], ...]
-    outcome: str  # "ok" | "hang" | "violation" | "abort"
+    outcome: str  # one of repro.obs.telemetry.OUTCOMES
     abort_code: int | None
     violations: tuple[str, ...]
     final_time: float
@@ -131,14 +132,9 @@ class ProtocolCompareJob:
             sim.runtime.trace.enabled = False
         result = sim.run(main, on_deadlock="return")
         violations = check_invariants(invariants, result)
-        if result.hung:
-            outcome = "hang"
-        elif violations:
-            outcome = "violation"
-        elif result.aborted is not None:
-            outcome = "abort"
-        else:
-            outcome = "ok"
+        outcome = outcome_of(
+            result.hung, violations, result.aborted is not None
+        )
         record = ProtocolRunRecord(
             protocol=self.protocol,
             seed=self.seed,

@@ -127,6 +127,38 @@ def outcome_fields(report):
     ]
 
 
+def windowed_campaign(
+    factory, seeds, horizon, window, invariants=(), **sweep_kw
+):
+    """A campaign driven through ``sweep(..., window=window)`` and folded
+    with :meth:`~repro.faults.CampaignReport.add`: the entry point's
+    pipeline with an explicit in-flight window (``run_campaign`` always
+    takes the runner's default).  ``sweep_kw`` goes to ``sweep``
+    (``runner=``, ``cache=``, ``telemetry=``)."""
+    from repro.faults import CampaignReport
+    from repro.faults.campaign import CampaignJob
+    from repro.parallel.runner import sweep
+
+    report = CampaignReport()
+    for run in sweep(
+        (
+            CampaignJob(
+                factory=factory,
+                seed=seed,
+                horizon=horizon,
+                invariants=invariants,
+            )
+            for seed in seeds
+        ),
+        total=len(seeds),
+        kind="campaign",
+        window=window,
+        **sweep_kw,
+    ):
+        report.add(run)
+    return report
+
+
 @pytest.fixture
 def worker_addr():
     """Address of a loopback sweep worker served from a thread of the

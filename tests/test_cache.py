@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import sqlite3
 import threading
 from dataclasses import dataclass, replace
@@ -792,6 +793,19 @@ class TestCli:
         assert plain.out == cold.out == warm.out
         assert "misses=" in cold.err and "hits=0" in cold.err
         assert "misses=0" in warm.err and "hits=0" not in warm.err
+
+    def test_campaign_replays_warm_through_sqlite(self, cache_dir, capsys):
+        # A 200-run campaign, cold then warm: the warm replay answers
+        # every run from the store and prints the identical report.
+        argv = ["campaign", "--nprocs", "4", "--iters", "3", "--runs", "200",
+                "--cache", "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert cold.out == warm.out
+        assert re.search(r"^\[cache\] hits=200 misses=0 ", warm.err, re.M)
+        assert (cache_dir / "cache.sqlite").is_file()
 
     def test_progress_goes_to_stderr(self, cache_dir, capsys):
         main(self.ARGS + ["--progress"])

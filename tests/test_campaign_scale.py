@@ -1,17 +1,20 @@
-"""Streamed campaign memory does not grow with campaign size.
+"""Campaign memory does not grow with campaign size.
 
-``run_campaign(..., stream=True)`` holds a bounded window of jobs and
-results however many seeds the campaign samples (``docs/performance.md``).
-Peak RSS is monotone within a process, so the only honest check runs
-two streamed campaigns 10x apart in size, *each in a fresh child
-process*, and compares their peak RSS.  A materialized campaign fails
-this immediately: its job and run lists grow linearly.
+``repro campaign`` prints only its report, so it folds every run into
+a ``stream=True`` report: a bounded window of jobs and results in
+flight, O(failures) kept, however many seeds the campaign samples
+(``docs/performance.md``).  Peak RSS is monotone within a process, so
+the only honest check runs two campaigns 10x apart in size, *each in a
+fresh child process*, and compares their peak RSS.  A campaign that
+kept its runs would fail this immediately: its run list grows linearly.
 
 Slow (minutes): ``pytest -m slow tests/test_campaign_scale.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -28,19 +31,17 @@ RSS_RATIO_CEILING = 1.15
 
 
 def child(runs: int) -> None:
-    """Run one streamed campaign; print its summary and peak RSS as JSON."""
-    from repro.faults import run_campaign
-    from repro.parallel import RingScenario, StandardRingInvariants
+    """Run one CLI campaign; print its report and peak RSS as JSON."""
+    from repro.cli import main
 
-    summary = run_campaign(
-        RingScenario(nprocs=4, iters=3),
-        seeds=range(runs),
-        horizon=2e-5,
-        invariants=StandardRingInvariants(3, 4),
-        stream=True,
-    ).summary()
-    summary["peak_rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(json.dumps(summary))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["campaign", "--nprocs", "4", "--iters", "3",
+              "--runs", str(runs), "--horizon", "2e-5"])
+    print(json.dumps({
+        "report": out.getvalue(),
+        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    }))
 
 
 def run_child(runs: int) -> dict:
@@ -59,6 +60,7 @@ def run_child(runs: int) -> dict:
 @pytest.mark.slow
 def test_streamed_peak_rss_is_flat_across_a_10x_size_step():
     small, large = run_child(SMALL), run_child(LARGE)
-    assert (small["runs"], large["runs"]) == (SMALL, LARGE)
+    for runs, got in ((SMALL, small), (LARGE, large)):
+        assert got["report"].startswith(f"campaign: {runs} runs,"), got
     ratio = large["peak_rss_kb"] / small["peak_rss_kb"]
     assert ratio <= RSS_RATIO_CEILING, (small, large)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -136,6 +137,57 @@ class TestParser:
     def test_variant_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ring", "--variant", "bogus"])
+
+    #: Every option string of each sweep subcommand, in declaration
+    #: order: the shared helpers (runner, transport, telemetry, spans,
+    #: cache) must neither add nor drop one.
+    SWEEP_OPTIONS = {
+        "explore": [
+            "--nprocs", "--seed", "--detection-latency", "--kill-time",
+            "--kill-probe", "--iters", "--variant", "--termination",
+            "--rootft", "--pairs", "--limit", "--workers", "--transport",
+            "--workers-addr", "--heartbeat-interval", "--connect-timeout",
+            "--progress", "--telemetry", "--spans", "--cache", "--no-cache",
+            "--cache-dir",
+        ],
+        "campaign": [
+            "--nprocs", "--seed", "--detection-latency", "--kill-time",
+            "--kill-probe", "--iters", "--variant", "--termination",
+            "--rootft", "--runs", "--first-seed", "--horizon", "--kills",
+            "--workers", "--transport", "--workers-addr",
+            "--heartbeat-interval", "--connect-timeout", "--telemetry",
+            "--spans", "--cache", "--no-cache", "--cache-dir",
+        ],
+        "fuzz": [
+            "--nprocs", "--seed", "--detection-latency", "--scenario",
+            "--iters", "--variant", "--termination", "--rootft", "--size",
+            "--steps", "--runs", "--max-jitter", "--min-kills",
+            "--max-kills", "--horizon", "--workers", "--transport",
+            "--workers-addr", "--heartbeat-interval", "--connect-timeout",
+            "--no-shrink", "--out-dir", "--verbose", "--telemetry",
+            "--spans", "--coverage", "--coverage-uniform", "--coverage-out",
+            "--cache", "--no-cache", "--cache-dir",
+        ],
+        "compare-protocols": [
+            "--nprocs", "--iters", "--seed", "--detection-latency",
+            "--protocols", "--runs", "--first-seed", "--horizon", "--kills",
+            "--spares", "--workers", "--transport", "--workers-addr",
+            "--heartbeat-interval", "--connect-timeout", "--cache",
+            "--no-cache", "--cache-dir",
+        ],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SWEEP_OPTIONS))
+    def test_sweep_subcommand_options_are_pinned(self, command):
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = [
+            o for a in sub.choices[command]._actions
+            for o in a.option_strings if o not in ("-h", "--help")
+        ]
+        assert options == self.SWEEP_OPTIONS[command]
 
 
 class TestTraceCommand:

@@ -50,6 +50,7 @@ from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
     campaign_fields as _campaign_fields,
+    windowed_campaign,
 )
 from tests.test_parallel import BoomJob, SquareJob
 
@@ -278,10 +279,9 @@ class TestRemoteRunner:
         self, worker_addr
     ):
         materialized = _campaign()
-        streamed = _campaign(
+        streamed = windowed_campaign(
+            SCENARIO, range(6), 8e-6, window=1, invariants=INVARIANTS,
             runner=RemoteRunner(addresses=[worker_addr]),
-            stream=True,
-            stream_window=1,
         )
         assert streamed.format() == materialized.format()
 
@@ -635,12 +635,9 @@ class TestDeadWorkerRecovery:
         )
         remote_rec = SpanRecorder(kind="campaign")
         with recording(remote_rec):
-            remote = _campaign(
-                runner=runner,
-                factory=factory,
-                stream=True,
-                stream_window=2,
-                telemetry=str(log),
+            remote = windowed_campaign(
+                factory, range(6), 8e-6, window=2, invariants=INVARIANTS,
+                runner=runner, telemetry=str(log),
             )
         assert (tmp_path / "poisoned").exists(), "no worker was killed"
         assert serial.format() == remote.format()
@@ -797,16 +794,6 @@ class TestRemoteCli:
         assert re.search(r"^\[remote\] .* chunks=0 jobs=0 .* wire=0B ",
                          warm.err, re.M)
 
-    def test_stream_window_flag(self, worker_addr, capsys):
-        from repro.cli import main
-
-        base = ["campaign", "--nprocs", "4", "--iters", "3",
-                "--runs", "5", "--horizon", "8e-6"]
-        assert main(base) == 0
-        serial_out = capsys.readouterr().out
-        assert main(base + ["--stream", "--stream-window", "1"]) == 0
-        assert capsys.readouterr().out == serial_out
-
     def test_transport_remote_requires_workers_addr(self):
         from repro.cli import main
 
@@ -824,7 +811,7 @@ class TestRemoteCli:
         "argv",
         [
             ["campaign", "--runs", "2", "--workers", "0"],
-            ["campaign", "--runs", "2", "--stream-window", "0"],
+            ["fuzz", "--runs", "2", "--workers", "0"],
             ["campaign", "--runs", "2", "--transport", "remote",
              "--workers-addr", "nonsense"],
         ],

@@ -37,6 +37,7 @@ from repro.parallel import (
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
+    windowed_campaign,
 )
 
 
@@ -225,11 +226,12 @@ class TestTransportIdentity:
         _, materialized = _recorded_campaign(
             runner=RemoteRunner(addresses=[worker_addr], chunk_size=2)
         )
-        _, streamed = _recorded_campaign(
-            runner=RemoteRunner(addresses=[worker_addr], chunk_size=2),
-            stream=True,
-            stream_window=2,
-        )
+        streamed = SpanRecorder(kind="campaign")
+        with recording(streamed):
+            windowed_campaign(
+                SCENARIO, range(6), 8e-6, window=2, invariants=INVARIANTS,
+                runner=RemoteRunner(addresses=[worker_addr], chunk_size=2),
+            )
         assert span_errors(streamed) == []
         assert canonical_spans(streamed) == canonical_spans(materialized)
 
@@ -258,17 +260,24 @@ class TestTransportIdentity:
 NAIVE = RingScenario(4, 3, variant="naive")
 
 
-def _naive_canon(runner=None, seeds=range(12), **kw):
+def _naive_canon(runner=None, seeds=range(12), window=None, **kw):
     recorder = SpanRecorder(kind="campaign")
     with recording(recorder):
-        run_campaign(NAIVE, seeds=seeds, horizon=2e-5, runner=runner, **kw)
+        if window is None:
+            run_campaign(
+                NAIVE, seeds=seeds, horizon=2e-5, runner=runner, **kw
+            )
+        else:
+            windowed_campaign(
+                NAIVE, seeds, 2e-5, window=window, runner=runner, **kw
+            )
     assert span_errors(recorder) == []
     return canonical_spans(recorder)
 
 
 class TestCachedSpans:
     @pytest.mark.parametrize("streaming", [
-        {}, {"stream": True, "stream_window": 5},
+        {}, {"window": 5},
     ], ids=["materialized", "window5"])
     @pytest.mark.parametrize("kind", ["serial", "pool", "remote"])
     def test_cold_halfwarm_and_warm_tell_the_uncached_story(
@@ -298,6 +307,28 @@ class TestCachedSpans:
 
         # Fully warm now: nothing executes, so no job span at all.
         assert _naive_canon(runner(), cache=half, **streaming) == []
+
+
+class TestOutcomeVocabulary:
+    def test_protocol_job_spans_label_the_records_outcome(self):
+        # Partial restart without spares aborts under three kills: the
+        # job spans must say "abort" where the records do.
+        from repro.protocols import run_compare_protocols
+
+        recorder = SpanRecorder(kind="compare-protocols")
+        with recording(recorder):
+            report = run_compare_protocols(
+                nprocs=6, iters=6, seeds=range(3), horizon=4e-5,
+                kills_per_run=3, spares=0, protocols=("partial_restart",),
+            )
+        records = [r.outcome for r in report.records]
+        assert "abort" in records
+        jobs = sorted(
+            (s for s in recorder.spans if s.cat == "job"),
+            key=lambda s: s.attrs["index"],
+        )
+        assert [s.attrs["outcome"] for s in jobs] == records
+        assert span_errors(recorder) == []
 
 
 # ---------------------------------------------------------------------------
