@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from ..obs import registry as _metrics
 from ..obs.spans import active as _spans_active
 from .keys import KEY_FORMAT, job_key
 from .sqlite_store import CORRUPT, SqliteStore
@@ -141,24 +140,16 @@ class RunCache:
         """
         recorder = _spans_active()
         if recorder is None:
+            return [self._classify(e) for e in self.store.read_many(keys)]
+        with recorder.span(
+            "cache.get_many", "cache", attrs={"keys": len(keys)}
+        ) as span:
             classified = [
                 self._classify(e) for e in self.store.read_many(keys)
             ]
-        else:
-            with recorder.span(
-                "cache.get_many", "cache", attrs={"keys": len(keys)}
-            ) as span:
-                classified = [
-                    self._classify(e) for e in self.store.read_many(keys)
-                ]
-                span.attrs["hits"] = sum(
-                    1 for status, _ in classified if status == "hit"
-                )
-        counts: dict[str, int] = {}
-        for status, _ in classified:
-            counts[status] = counts.get(status, 0) + 1
-        for status, count in counts.items():
-            _metrics.CACHE_LOOKUPS.inc(count, result=status)
+            span.attrs["hits"] = sum(
+                1 for status, _ in classified if status == "hit"
+            )
         return classified
 
     @staticmethod
@@ -227,8 +218,6 @@ class RunCache:
             with recorder.span("cache.put_many", "cache") as span:
                 self.store.write_many(_entries())
                 span.attrs["stores"] = count
-        if count:
-            _metrics.CACHE_STORES.inc(count)
 
     # -- maintenance --------------------------------------------------
 

@@ -51,15 +51,11 @@ Subcommands
     rate.  ``--canon`` prints the canonical lines CI diffs between
     serial and pooled runs.
 
-``spans`` / ``metrics`` / ``top``
+``spans``
     Pipeline observability: the sweep subcommands take ``--spans FILE``
     to record orchestration spans (rounds, chunks, wire frames,
     worker-side execution, cache batches) which ``spans`` validates,
-    canonicalizes, or converts to Perfetto tracks; ``metrics serve``
-    exposes Prometheus-style ``/metrics`` + ``/healthz`` over stdlib
-    HTTP; ``top --telemetry FILE --follow`` is the live campaign
-    console (progress, throughput, outcome histogram, per-worker
-    chunks/rtt/bytes columns).
+    canonicalizes, or converts to Perfetto tracks.
 
 ``cache``
     Inspect and maintain the content-addressed run cache
@@ -97,7 +93,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -908,37 +903,6 @@ def cmd_spans(args: argparse.Namespace) -> int:
     return worst
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Serve /metrics + /healthz over stdlib HTTP until interrupted."""
-    from .obs.registry import MetricsServer
-
-    server = MetricsServer(args.bind, telemetry=args.telemetry)
-    host, port = server.address
-    print(
-        f"[metrics] serving on http://{host}:{port}/metrics pid={os.getpid()}",
-        file=sys.stderr, flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live campaign console over a telemetry stream."""
-    from .obs.console import top
-
-    return top(
-        args.telemetry,
-        follow=args.follow,
-        interval=args.interval,
-        top_n=args.top,
-    )
-
-
 def cmd_abft(args: argparse.Namespace) -> int:
     from .apps import AbftConfig, make_abft_main
 
@@ -1255,44 +1219,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="schema-validate the stream (non-zero exit on any "
                          "violation); alone, emits nothing")
     sp.set_defaults(fn=cmd_spans)
-
-    mx = sub.add_parser(
-        "metrics",
-        help="Prometheus-style metrics endpoints over the sweep pipeline",
-    )
-    mxsub = mx.add_subparsers(dest="metrics_cmd", required=True)
-    mxserve = mxsub.add_parser(
-        "serve",
-        help="serve /metrics (text exposition) and /healthz over stdlib "
-             "HTTP until interrupted",
-    )
-    mxserve.add_argument("--bind", type=_bind_addr,
-                         default=("127.0.0.1", 0), metavar="HOST:PORT",
-                         help="listen address; port 0 picks a free port "
-                              "(default: 127.0.0.1:0; the bound port is in "
-                              "the readiness line)")
-    mxserve.add_argument("--telemetry", default=None, metavar="FILE",
-                         help="rebuild the registry from this telemetry "
-                              "JSONL on every scrape (live campaign "
-                              "dashboards); default: this process's own "
-                              "in-process counters")
-    mxserve.set_defaults(fn=cmd_metrics)
-
-    tp = sub.add_parser(
-        "top",
-        help="live campaign console over a --telemetry stream "
-             "(progress, throughput, outcomes, per-worker table)",
-    )
-    tp.add_argument("--telemetry", required=True, metavar="FILE",
-                    help="telemetry JSONL a sweep is writing (or wrote)")
-    tp.add_argument("--follow", action="store_true",
-                    help="repaint every --interval seconds until the "
-                         "declared run count has landed")
-    tp.add_argument("--interval", type=_positive_float, default=2.0,
-                    help="repaint interval in seconds (default: 2)")
-    tp.add_argument("--top", type=_positive_int, default=3,
-                    help="how many slowest jobs to list (default: 3)")
-    tp.set_defaults(fn=cmd_top)
 
     wk = sub.add_parser(
         "worker",

@@ -1,6 +1,7 @@
 """Observability: trace export, metrics timelines, sweep telemetry.
 
-Three layers over the deterministic kernel (see ``docs/observability.md``):
+Four modules over the deterministic kernel and the sweep pipeline (see
+``docs/observability.md``):
 
 * :mod:`repro.obs.export` — Chrome Trace Event (Perfetto) and JSONL
   trace exporters with validators and an exact round-trip loader;
@@ -13,12 +14,13 @@ Three layers over the deterministic kernel (see ``docs/observability.md``):
   offline by ``repro report``;
 * :mod:`repro.obs.spans` — orchestration span tracing over the sweep
   pipeline (rounds, chunks, wire frames, worker-side execution, cache
-  batches), exported as ``repro.spans/1`` JSONL or Perfetto tracks;
-* :mod:`repro.obs.registry` — a stdlib Prometheus-style metrics
-  registry (counters/gauges/histograms) with text exposition and the
-  ``repro metrics serve`` scrape endpoint;
-* :mod:`repro.obs.console` — the ``repro top`` live campaign dashboard
-  over a telemetry stream.
+  batches), exported as ``repro.spans/1`` JSONL or Perfetto tracks.
+
+The pipeline's counters are not here: :data:`repro.perf.CACHE` counts
+cache lookups and stores, ``SweepRunner.worker_stats()`` the chunks,
+jobs, bytes and disconnects per worker slot, and
+``SweepRunner.job_retries`` the retries.  Telemetry records the latter
+two.
 
 Everything here is opt-in: a simulation without ``metrics=True`` and a
 sweep without ``telemetry=`` allocate no obs state at all, and spans
@@ -37,18 +39,7 @@ from .export import (
     write_perfetto,
     write_trace_jsonl,
 )
-from .console import read_telemetry_tail, render_top, top
 from .metrics import KernelMetrics, RankSummary, RunReport, Series, run_report
-from .registry import (
-    EXPOSITION_CONTENT_TYPE,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsServer,
-    REGISTRY,
-    registry_from_telemetry,
-)
 from .scenarios import SCENARIOS, make_scenario
 from .spans import (
     CANONICAL_CATEGORIES,
@@ -84,15 +75,8 @@ from .telemetry import (
 
 __all__ = [
     "CANONICAL_CATEGORIES",
-    "Counter",
-    "EXPOSITION_CONTENT_TYPE",
-    "Gauge",
-    "Histogram",
     "JSONL_FORMAT",
     "KernelMetrics",
-    "MetricsRegistry",
-    "MetricsServer",
-    "REGISTRY",
     "RankSummary",
     "RunReport",
     "SCENARIOS",
@@ -120,10 +104,7 @@ __all__ = [
     "perfetto_errors",
     "read_spans",
     "read_telemetry",
-    "read_telemetry_tail",
     "recording",
-    "registry_from_telemetry",
-    "render_top",
     "run_report",
     "span_errors",
     "spans_to_perfetto",
@@ -131,7 +112,6 @@ __all__ = [
     "summarize",
     "summary_dict",
     "telemetry_errors",
-    "top",
     "trace_to_jsonl",
     "trace_to_perfetto",
     "write_perfetto",

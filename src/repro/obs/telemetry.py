@@ -64,7 +64,7 @@ VOLATILE_KEYS = frozenset(
 
 
 #: The outcome classes of a sweep job, in report-column order: the one
-#: vocabulary of telemetry lines, job spans, the console and metrics.
+#: vocabulary of telemetry lines, job spans and ``repro report``.
 OUTCOMES = ("ok", "hang", "violation", "abort")
 
 
@@ -246,9 +246,12 @@ class TelemetryWriter:
 def read_telemetry(path: str | Path) -> list[dict[str, Any]]:
     """Parse a telemetry JSONL file (header first, then job lines)."""
     records = []
-    for ln in Path(path).read_text().splitlines():
+    for n, ln in enumerate(Path(path).read_text().splitlines(), start=1):
         if ln.strip():
-            records.append(json.loads(ln))
+            rec = json.loads(ln)
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}: line {n}: not a JSON object")
+            records.append(rec)
     if not records:
         raise ValueError(f"{path}: empty telemetry file")
     fmt = records[0].get("format")

@@ -90,7 +90,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
-from ..obs import registry as metrics
 from ..obs.spans import active as spans_active
 from .runner import SweepError, TransportRunner
 from .transport import Chunk, ChunkEvent, Transport, TransportRound, run_chunk
@@ -339,10 +338,9 @@ def serve(bind: tuple[str, int]) -> None:
     """Run a worker until interrupted (the ``repro worker serve`` body).
 
     Prints one readiness line to stderr (``[worker] repro.remote/3
-    listening on HOST:PORT pid=N``) so wrappers — tests, the
-    ``distributed-smoke`` CI job — can scrape the bound port from the
-    first line and wait for availability; the security warning follows
-    on the next line.
+    listening on HOST:PORT pid=N``) so wrappers — tests, scripts —
+    can read the bound port from the first line and wait for
+    availability; the security warning follows on the next line.
     """
     import sys
 
@@ -624,8 +622,6 @@ class RemoteRound(TransportRound):
             conn.sent_at = time.monotonic()
             stats["bytes_out"] += sent
             stats["raw_out"] += raw
-            metrics.REMOTE_FRAMES.inc(direction="out")
-            metrics.REMOTE_BYTES.inc(sent, direction="out")
             if recorder is not None:
                 recorder.event(
                     "frame.send", "net",
@@ -693,15 +689,12 @@ class RemoteRound(TransportRound):
             wire_delta = conn.buffer.wire_in - wire_before
             stats["bytes_in"] += wire_delta
             stats["raw_in"] += conn.buffer.raw_in - raw_before
-            if wire_delta:
-                metrics.REMOTE_BYTES.inc(wire_delta, direction="in")
         return events
 
     def _on_message(self, conn: _WorkerConn, msg: tuple) -> list[ChunkEvent]:
         kind = msg[0]
         stats = self.transport.stats[conn.name]
         recorder = spans_active()
-        metrics.REMOTE_FRAMES.inc(direction="in")
         if recorder is not None:
             recorder.event(
                 "frame.recv", "net",
@@ -732,7 +725,7 @@ class RemoteRound(TransportRound):
     # -- liveness ----------------------------------------------------------
 
     def _probe(self, conn: _WorkerConn) -> bool:
-        """Heartbeat a silent worker, with span + counter accounting."""
+        """Heartbeat a silent worker, with span accounting."""
         recorder = spans_active()
         if recorder is None:
             alive = self.transport.alive(conn.slot)
@@ -742,14 +735,12 @@ class RemoteRound(TransportRound):
             ) as span:
                 alive = self.transport.alive(conn.slot)
                 span.attrs["alive"] = alive
-        metrics.REMOTE_HEARTBEATS.inc(result="alive" if alive else "dead")
         return alive
 
     def _drop(self, conn: _WorkerConn) -> ChunkEvent | None:
         """Declare *conn*'s worker dead; surface its in-flight chunk as
         lost (the runner's retry machinery re-dispatches it)."""
         self.transport.stats[conn.name]["disconnects"] += 1
-        metrics.REMOTE_DISCONNECTS.inc()
         try:
             conn.sock.close()
         except OSError:

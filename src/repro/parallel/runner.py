@@ -63,7 +63,6 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .. import perf
-from ..obs import registry as metrics
 from ..obs.spans import SpanRecorder, active as spans_active
 from .transport import MissJob, Transport, run_jobs_traced
 
@@ -380,8 +379,6 @@ class TransportRunner(SweepRunner):
                     transport, width, pending, results, recorder, indices
                 )
             )
-            if pending:
-                metrics.SWEEP_RETRIES.inc(len(pending))
             for start, part in pending:
                 attempts[start] += 1
                 if attempts[start] > self.retries:
@@ -414,7 +411,6 @@ class TransportRunner(SweepRunner):
     ) -> list[tuple[int, list[SweepJob]]]:
         """Submit *chunks* on a fresh round; fill *results*; return the
         chunks that must be retried (timed out or lost in transit)."""
-        metrics.SWEEP_ROUNDS.inc()
         round_span = None
         if recorder is not None:
             round_span = recorder.begin(
@@ -455,7 +451,6 @@ class TransportRunner(SweepRunner):
                         failed.append((start, part))
                         if recorder is not None:
                             recorder.chunk_end(start, "lost")
-                        metrics.SWEEP_CHUNKS.inc(status="lost")
                     else:
                         for k, value in enumerate(values):
                             results[start + k] = value
@@ -463,8 +458,6 @@ class TransportRunner(SweepRunner):
                             dispatch = recorder.chunk_end(start, "done")
                             if dispatch is not None:
                                 recorder.chunk_merge(dispatch)
-                        metrics.SWEEP_CHUNKS.inc(status="done")
-                        metrics.SWEEP_JOBS.inc(len(values))
                 if round_.broken:
                     # No capacity left; everything unfinished is lost.
                     failed.extend(self._lose(round_.pending(), recorder))
@@ -487,8 +480,6 @@ class TransportRunner(SweepRunner):
         recorder: SpanRecorder | None,
     ) -> list[tuple[int, list[SweepJob]]]:
         """Account chunks abandoned in-flight (timeout/broken round)."""
-        if chunks:
-            metrics.SWEEP_CHUNKS.inc(len(chunks), status="lost")
         if recorder is not None:
             for start, _part in chunks:
                 recorder.chunk_end(start, "lost")

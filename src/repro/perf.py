@@ -11,7 +11,7 @@ traffic.  Harnesses bracket a region with ``snapshot()`` / ``delta()``.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Self
 
 __all__ = [
     "CACHE",
@@ -21,7 +21,40 @@ __all__ = [
 ]
 
 
-class PerfCounters:
+class _Counters:
+    """A bag of numeric counters, one per entry of the subclass's
+    ``__slots__``: folding, copying and subtracting iterate the slots."""
+
+    __slots__ = ()
+
+    def add(self, other: "_Counters") -> None:
+        """Fold *other* into this accumulator."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def as_dict(self) -> dict[str, Any]:
+        """Plain-dict view (JSON reports, assertions)."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def snapshot(self) -> Self:
+        """An independent copy (delta bookkeeping in harnesses)."""
+        out = type(self)()
+        out.add(self)
+        return out
+
+    def delta(self, since: "_Counters") -> dict[str, Any]:
+        """``self - since`` as a dict."""
+        return {
+            name: getattr(self, name) - getattr(since, name)
+            for name in self.__slots__
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
+        return f"{type(self).__name__}({inner})"
+
+
+class PerfCounters(_Counters):
     """Monotone counters over one simulation (or an accumulation of many).
 
     Increments happen on the kernel's hot path, so this is deliberately a
@@ -29,7 +62,7 @@ class PerfCounters:
     single-threaded-at-a-time by construction), no dicts, no properties.
     """
 
-    _NUMERIC = (
+    __slots__ = (
         "handoffs",
         "events_executed",
         "events_cancelled",
@@ -52,8 +85,6 @@ class PerfCounters:
     #: OS thread per rank, :class:`repro.simmpi.fibers.Fiber`): a
     #: constant, not a counter, kept for host fingerprints that read it.
     fibers = "thread"
-
-    __slots__ = _NUMERIC
 
     def __init__(self) -> None:
         #: Fibers picked to run: baton handoffs (≈ simulated MPI calls).
@@ -81,15 +112,6 @@ class PerfCounters:
         #: Host seconds unwinding and releasing the fibers, after it.
         self.teardown_s = 0.0
 
-    def add(self, other: "PerfCounters") -> None:
-        """Fold *other* into this accumulator."""
-        for name in self._NUMERIC:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def as_dict(self) -> dict[str, Any]:
-        """Plain-dict view (JSON reports, assertions)."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
     def format(self) -> str:
         """Human-readable counter report."""
         d = self.as_dict()
@@ -105,23 +127,6 @@ class PerfCounters:
             lines.append(f"{'handoffs_per_s':<{width}}  {rate:,.0f}")
         return "\n".join(lines)
 
-    def snapshot(self) -> "PerfCounters":
-        """An independent copy (delta bookkeeping in harnesses)."""
-        out = PerfCounters()
-        out.add(self)
-        return out
-
-    def delta(self, since: "PerfCounters") -> dict[str, Any]:
-        """``self - since`` as a dict."""
-        return {
-            name: getattr(self, name) - getattr(since, name)
-            for name in self._NUMERIC
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"PerfCounters({inner})"
-
 
 #: Process-wide accumulator: every finished simulation adds its counters
 #: here.  Worker processes of a pooled sweep accumulate into their *own*
@@ -130,7 +135,7 @@ class PerfCounters:
 SESSION = PerfCounters()
 
 
-class CacheCounters:
+class CacheCounters(_Counters):
     """Run-cache accounting (see :mod:`repro.cache`): hits, misses, stale
     entries, and stores, accumulated process-wide like :data:`SESSION`.
 
@@ -159,38 +164,12 @@ class CacheCounters:
         #: Fresh outcomes written back to the store.
         self.stores = 0
 
-    def add(self, other: "CacheCounters") -> None:
-        """Fold *other* into this accumulator."""
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (JSON reports, assertions)."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def snapshot(self) -> "CacheCounters":
-        """An independent copy (delta bookkeeping in harnesses)."""
-        out = CacheCounters()
-        out.add(self)
-        return out
-
-    def delta(self, since: "CacheCounters") -> dict[str, int]:
-        """``self - since`` as a dict."""
-        return {
-            name: getattr(self, name) - getattr(since, name)
-            for name in self.__slots__
-        }
-
     def format(self) -> str:
         """One-line human summary (``repro`` CLI stderr reporting)."""
         return (
             f"hits={self.hits} misses={self.misses} "
             f"stale={self.stale} stores={self.stores}"
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"CacheCounters({inner})"
 
 
 #: Process-wide cache accumulator (lookups/stores happen parent-side, so

@@ -138,6 +138,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ring", "--variant", "bogus"])
 
+    #: The top-level subcommands, sorted: adding or deleting one is a
+    #: visible diff here.
+    SUBCOMMANDS = [
+        "abft", "cache", "campaign", "compare-protocols", "explore",
+        "farm", "fuzz", "heat", "perf", "replay", "report", "ring",
+        "spans", "trace", "worker",
+    ]
+
+    @staticmethod
+    def _subcommands():
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        return sub.choices
+
+    def test_subcommands_are_pinned(self):
+        assert sorted(self._subcommands()) == self.SUBCOMMANDS
+
     #: Every option string of each sweep subcommand, in declaration
     #: order: the shared helpers (runner, transport, telemetry, spans,
     #: cache) must neither add nor drop one.
@@ -179,12 +198,8 @@ class TestParser:
 
     @pytest.mark.parametrize("command", sorted(SWEEP_OPTIONS))
     def test_sweep_subcommand_options_are_pinned(self, command):
-        (sub,) = [
-            a for a in build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        ]
         options = [
-            o for a in sub.choices[command]._actions
+            o for a in self._subcommands()[command]._actions
             for o in a.option_strings if o not in ("-h", "--help")
         ]
         assert options == self.SWEEP_OPTIONS[command]
@@ -286,6 +301,23 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert "INVALID" in err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[1,2]\n", 1),
+            ('{"format":"repro.telemetry/1","kind":"campaign","runs":0}\n7\n', 2),
+        ],
+        ids=["header", "body"],
+    )
+    def test_non_object_line_is_invalid(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        rc = main(["report", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines()[0] == f"== {bad}: INVALID"
+        assert f"line {line}: not a JSON object" in err
 
     def test_json_format_matches_text_aggregates(self, capsys, tmp_path):
         import json

@@ -705,6 +705,8 @@ class TestRemoteTelemetry:
         assert len(workers) == 1
         assert workers[0]["worker"] == f"{worker_addr[0]}:{worker_addr[1]}"
         assert workers[0]["jobs"] == 6
+        assert workers[0]["chunks"] >= 1
+        assert workers[0]["bytes_out"] > 0 and workers[0]["bytes_in"] > 0
         # Canonical form drops transport detail: serial == remote.
         assert canonical_lines(serial_log) == canonical_lines(remote_log)
 
@@ -730,7 +732,10 @@ class TestRemoteTelemetry:
         from repro.cli import main
 
         log = tmp_path / "pool.jsonl"
-        _campaign(runner=ProcessPoolRunner(workers=2), telemetry=str(log))
+        runner = ProcessPoolRunner(workers=2)
+        _campaign(runner=runner, telemetry=str(log))
+        assert sum(w["jobs"] for w in runner.worker_stats()) == 6
+        assert sum(w["chunks"] for w in runner.worker_stats()) >= 1
         assert main(["report", str(log)]) == 0
         out = capsys.readouterr().out
         assert "worker slots: 2" in out
