@@ -19,6 +19,8 @@ from ..ft.rank_info import RankState
 from ..ft.validate import rank_state
 from ..simmpi.communicator import Comm
 
+_OK = RankState.OK  # a module constant: see ``repro.simmpi.fibers``
+
 
 def to_left_of(comm: Comm, n: int) -> int:
     """The nearest alive rank to the *left* of comm rank *n* (Fig. 4).
@@ -29,7 +31,7 @@ def to_left_of(comm: Comm, n: int) -> int:
     size = comm.size
     while True:
         n = size - 1 if n == 0 else n - 1
-        if rank_state(comm, n) is RankState.OK:
+        if rank_state(comm, n) is _OK:
             break
     if n == me:
         comm.proc.abort(-1)
@@ -45,7 +47,7 @@ def to_right_of(comm: Comm, n: int) -> int:
     size = comm.size
     while True:
         n = (n + 1) % size
-        if rank_state(comm, n) is RankState.OK:
+        if rank_state(comm, n) is _OK:
             break
     if n == me:
         comm.proc.abort(-1)
@@ -59,7 +61,7 @@ def get_current_root(comm: Comm) -> int:
     is alive by definition — kept for fidelity with the paper's code).
     """
     for n in range(comm.size):
-        if rank_state(comm, n) is RankState.OK:
+        if rank_state(comm, n) is _OK:
             return n
     comm.proc.abort(-1)
     raise AssertionError("unreachable")  # pragma: no cover

@@ -160,10 +160,7 @@ def ft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
         resend_tag_split=cfg.variant is RingVariant.FT_TAGGED,
     )
 
-    def recv(st: RingState) -> RingMsg:
-        if cfg.variant is RingVariant.NAIVE:
-            return naive_recv_left(st)
-        return ft_recv_left(st)
+    recv = naive_recv_left if cfg.variant is RingVariant.NAIVE else ft_recv_left
 
     for i in range(cfg.max_iter):
         if cfg.work_per_iter:

@@ -20,6 +20,12 @@ from ..simmpi.errors import ErrorClass, InvalidArgumentError
 from ..simmpi.trace import VALIDATE_CLEAR
 from .rank_info import RankInfo, RankState
 
+# Module constants: Enum-class lookups are slow on CPython 3.11 (see
+# ``repro.simmpi.fibers``), and the ring's neighbour walk asks per rank.
+_OK = RankState.OK
+_NULL = RankState.NULL
+_FAILED = RankState.FAILED
+
 
 def rank_state(comm: Comm, rank: int) -> RankState:
     """The state of comm rank *rank* as seen by the calling process."""
@@ -29,10 +35,10 @@ def rank_state(comm: Comm, rank: int) -> RankState:
             error_class=ErrorClass.ERR_RANK,
         )
     if rank in comm.recognized:
-        return RankState.NULL
+        return _NULL
     if comm._known_failed(rank):
-        return RankState.FAILED
-    return RankState.OK
+        return _FAILED
+    return _OK
 
 
 def comm_validate_rank(comm: Comm, rank: int) -> RankInfo:
@@ -47,7 +53,7 @@ def comm_validate(comm: Comm) -> list[RankInfo]:
     out = []
     for rank in range(comm.size):
         state = rank_state(comm, rank)
-        if state is not RankState.OK:
+        if state is not _OK:
             out.append(RankInfo(rank=rank, generation=0, state=state))
     return out
 

@@ -41,6 +41,8 @@ from ..simmpi.process import SimProcess
 from ..simmpi.request import Request, RequestKind, Status
 from .base import ABORT_REPLICAS_EXHAUSTED, ProtocolRingConfig, protocol_report
 
+_GENERIC = RequestKind.GENERIC  # a module constant: see ``repro.simmpi.fibers``
+
 
 class ReplicasExhaustedError(RuntimeError):
     """Both replicas of a logical peer have failed — unmaskable."""
@@ -127,7 +129,7 @@ class ReplicatedRing:
             if not self._live_replicas(src_logical):
                 raise ReplicasExhaustedError(src_logical)
             req = Request(
-                RequestKind.GENERIC, self.proc, comm=None,
+                _GENERIC, self.proc, comm=None,
                 peer=src_logical, label="replicated_recv",
             )
             self._pending = (src_logical, req)

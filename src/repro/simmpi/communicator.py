@@ -58,6 +58,13 @@ CTX_P2P = 0
 CTX_COLL = 1
 CTX_AM = 2  # active-message layer (consensus protocol)
 
+# Enum members the point-to-point path reads, as module constants (see
+# ``repro.simmpi.fibers``).
+_RECV = RequestKind.RECV
+_SEND = RequestKind.SEND
+_ERR_RANK_FAIL_STOP = ErrorClass.ERR_RANK_FAIL_STOP
+_ERRORS_ARE_FATAL = ErrorHandler.ERRORS_ARE_FATAL
+
 
 class Comm:
     """A simulated MPI communicator handle for one process."""
@@ -76,7 +83,7 @@ class Comm:
         self.group = group
         #: Human-readable name for traces (``"world"``, ``"dup1"``...).
         self.name = name or f"comm{cid}"
-        self.errhandler = ErrorHandler.ERRORS_ARE_FATAL
+        self.errhandler = _ERRORS_ARE_FATAL
         #: Comm ranks locally recognized as failed (p2p => PROC_NULL).
         self.recognized: set[int] = set()
         #: Comm ranks collectively recognized (collectives re-enabled).
@@ -315,7 +322,7 @@ class Comm:
             dest != PROC_NULL and not 0 <= dest < len(group)
         ) or not 0 <= tag <= TAG_UB:
             self._check_send_args(dest, tag)
-        req = Request(RequestKind.SEND, proc, self, dest, tag) if sync else None
+        req = Request(_SEND, proc, self, dest, tag) if sync else None
         if dest == PROC_NULL or dest in self.recognized:
             # A recognized failed rank has MPI_PROC_NULL semantics too.
             if req is not None:
@@ -329,7 +336,7 @@ class Comm:
                         f"{op} to failed rank {dest} on {self.name}", peer=dest
                     )
                 )
-            fail = ErrorClass.ERR_RANK_FAIL_STOP
+            fail = _ERR_RANK_FAIL_STOP
             req.complete(proc.now, error=fail, status=Status(dest, tag, fail))
             return req
         if req is not None:
@@ -372,8 +379,8 @@ class Comm:
         # translated back to comm ranks at completion.
         wildcard = source == ANY_SOURCE
         peer_world = source if wildcard or source == PROC_NULL else group[source]
-        req = Request(RequestKind.RECV, proc, self, peer_world, tag)
-        fail = ErrorClass.ERR_RANK_FAIL_STOP
+        req = Request(_RECV, proc, self, peer_world, tag)
+        fail = _ERR_RANK_FAIL_STOP
         if source == PROC_NULL or (not wildcard and source in self.recognized):
             # PROC_NULL semantics: immediate empty completion.
             req.complete(proc.now, status=Status(PROC_NULL, ANY_TAG))

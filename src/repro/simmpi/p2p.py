@@ -74,8 +74,9 @@ def wait(request: Request) -> Status:
     while not request.done:
         request.waited = True  # completion clears it and wakes proc
         proc.block(_WaitOn((request,)))
-    if request.completion_time is not None:
-        proc.now = max(proc.now, request.completion_time)
+    t = request.completion_time
+    if t is not None and t > proc.now:  # max(), without the builtin call
+        proc.now = t
     if request.error is not None:
         _raise_for(request, 0)
     assert request.status is not None
@@ -100,8 +101,9 @@ def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
             if req.done:
                 for r in requests:
                     r.waited = False
-                if req.completion_time is not None:
-                    proc.now = max(proc.now, req.completion_time)
+                t = req.completion_time
+                if t is not None and t > proc.now:  # max(), inline
+                    proc.now = t
                 if req.error is not None:
                     _raise_for(req, i)
                 assert req.status is not None

@@ -24,6 +24,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .communicator import Comm
     from .runtime import Runtime
 
+# The handoff path reads Enum members from module constants (see
+# ``repro.simmpi.fibers``).
+_BLOCKED = FiberState.BLOCKED
+_READY = FiberState.READY
+
 
 class SimProcess:
     """One simulated MPI rank.
@@ -144,7 +149,7 @@ class SimProcess:
         obs = self.runtime.obs
         if obs is not None:
             obs.fiber_blocked(self.rank, self.now)
-        self.fiber.state = FiberState.BLOCKED
+        self.fiber.state = _BLOCKED
         self.fiber.block_reason = reason
         self.fiber.yield_to_scheduler()
 
@@ -152,12 +157,13 @@ class SimProcess:
         """Make this process runnable at virtual *time* (event context)."""
         fiber = self.fiber
         assert fiber is not None
-        self.now = max(self.now, time)
-        if fiber.state is FiberState.BLOCKED:
+        if time > self.now:  # max(), without the builtin call
+            self.now = time
+        if fiber.state is _BLOCKED:
             runtime = self.runtime
             if runtime.obs is not None:
                 runtime.obs.fiber_woken(self.rank, self.now)
-            fiber.state = FiberState.READY
+            fiber.state = _READY
             fiber.block_reason = ""
             runtime._ready.append(self)
 

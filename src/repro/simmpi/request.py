@@ -23,6 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .process import SimProcess
 
 
+#: Read by every completion; an Enum-class lookup is slow on CPython
+#: 3.11 (see ``repro.simmpi.fibers``).
+_SUCCESS = ErrorClass.SUCCESS
+
+
 class Status:
     """Completion information for one operation (``MPI_Status``)."""
 
@@ -140,8 +145,8 @@ class Request:
         if self.done:
             raise RuntimeError(f"request {self.id} completed twice")
         self.done = True
-        self.error = error if error not in (None, ErrorClass.SUCCESS) else None
-        self.status = status or Status(error=self.error or ErrorClass.SUCCESS)
+        self.error = None if error is None or error == _SUCCESS else error
+        self.status = status or Status(error=self.error or _SUCCESS)
         if self.error is not None:
             self.status.error = self.error
         self.data = data

@@ -54,8 +54,12 @@ from .trace import (
 )
 from .util import payload_nbytes
 
+# Per-event paths read Enum members from module constants (see
+# ``repro.simmpi.fibers``).
 _DONE = FiberState.DONE
 _FAILED = FiberState.FAILED
+_BLOCKED = FiberState.BLOCKED
+_SUCCESS = ErrorClass.SUCCESS
 
 
 class SimulationLimitExceeded(Exception):
@@ -231,7 +235,7 @@ class Runtime:
         self._mark_failed(proc, time)
         fiber = proc.fiber
         assert fiber is not None
-        if fiber.state is FiberState.BLOCKED:
+        if fiber.state is _BLOCKED:
             # Unwind the thread now so it never runs application code again.
             fiber.kill_pending = True
             if fiber is not self._driver:
@@ -517,7 +521,8 @@ class Runtime:
         msg = proc.engine.post_recv(req, ctx)
         if msg is not None:
             self.perf.messages_matched += 1
-            self._complete_recv(req, msg, max(proc.now, msg.deliver_time))
+            t = msg.deliver_time  # max(proc.now, t), without the builtin
+            self._complete_recv(req, msg, t if t > proc.now else proc.now)
         if self.obs is not None:
             st = proc.engine.stats()
             self.obs.queue_sample(
@@ -539,7 +544,7 @@ class Runtime:
         req.complete(
             t,
             data=msg.payload,
-            status=Status(source, tag, ErrorClass.SUCCESS, nbytes),
+            status=Status(source, tag, _SUCCESS, nbytes),
         )
         if msg.ssend_req is not None:
             self._complete_ssend(msg, t, dropped=False)
@@ -753,7 +758,7 @@ class Runtime:
             blocked = [
                 p for p in self.procs
                 if p.alive() and p.fiber is not None
-                and p.fiber.state is FiberState.BLOCKED
+                and p.fiber.state is _BLOCKED
             ]
             if blocked:
                 desc = "; ".join(

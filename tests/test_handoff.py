@@ -18,7 +18,10 @@ Nothing here asserts on elapsed time.
 
 from __future__ import annotations
 
+import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import traceback
@@ -390,3 +393,22 @@ def test_fault_free_ring_handoffs_and_messages_are_linear(nprocs, policy):
     perf = sim.run(make_ring_main(cfg)).perf
     assert perf.handoffs == 6 * nprocs
     assert perf.messages_sent == 5 * nprocs
+
+
+def test_4096_rank_ring_through_the_cli_costs_exactly_6n_handoffs_5n_messages():
+    """The 4,096-rank row, through the command line, in its own process:
+    one OS thread per rank, so a per-hop cost that grows with n shows as
+    a slow run, and its ``handoffs_per_s`` line says by how much."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "perf", "ring", "--nprocs", "4096",
+            "--iters", "5", "--termination", "none", "--no-trace",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert "handoffs             24576" in lines, run.stdout
+    assert "messages_sent        20480" in lines, run.stdout
