@@ -21,22 +21,22 @@ from repro.simmpi.rma import win_create
 STEPS = 8
 
 
-def main_rank(mpi):
+async def main_rank(mpi):
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
     win = win_create(comm, size=comm.size)
     snapshots = []
     if comm.rank == 0:
         for _ in range(STEPS):
-            mpi.compute(2e-6)  # poll at half the workers' publish rate
+            await mpi.compute(2e-6)  # poll at half the workers' publish rate
             snapshots.append([int(v) for v in win.local])
         comm_validate_clear(
             comm, sorted(comm.known_failed_comm_ranks() - comm.recognized)
         )
         return snapshots
     for step in range(1, STEPS + 1):
-        mpi.compute(1e-6)
-        wait(win.put([float(step)], target=0, offset=comm.rank))
+        await mpi.compute(1e-6)
+        await wait(win.put([float(step)], target=0, offset=comm.rank))
     return "worker done"
 
 

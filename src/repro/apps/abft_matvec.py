@@ -69,7 +69,7 @@ def reference_result(cfg: AbftConfig, nprocs: int, iteration: int) -> dict[int, 
     }
 
 
-def abft_main(mpi: SimProcess, cfg: AbftConfig) -> dict[str, Any]:
+async def abft_main(mpi: SimProcess, cfg: AbftConfig) -> dict[str, Any]:
     """Per-rank main: iterate matvecs, recover lost blocks via parity."""
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
@@ -87,7 +87,7 @@ def abft_main(mpi: SimProcess, cfg: AbftConfig) -> dict[str, Any]:
 
     for it in range(cfg.iterations):
         if cfg.work_per_iter:
-            mpi.compute(cfg.work_per_iter)
+            await mpi.compute(cfg.work_per_iter)
         mpi.probe_point("iter_top")
         x = _x(it, cfg)
         y_mine = blk @ x
@@ -97,7 +97,7 @@ def abft_main(mpi: SimProcess, cfg: AbftConfig) -> dict[str, Any]:
         # the consensus output, so every rank stays aligned on which
         # allgather call is which (see repro/ft/recovery.py for why the
         # naive try/validate/retry loop deadlocks).
-        gathered = run_recovery_block(
+        gathered = await run_recovery_block(
             comm, lambda: comm.allgather((me, y_mine.tolist()))
         )
 

@@ -128,7 +128,7 @@ class _HaloExchanger:
             pass  # the peer died between resolution and send; next
             # recognize/resolve pass handles it
 
-    def _recv_side(
+    async def _recv_side(
         self, side: str, step: int, sent_to: int | None
     ) -> float | None:
         """Obtain this side's halo for *step*, or ``None`` => insulated."""
@@ -153,7 +153,7 @@ class _HaloExchanger:
         while True:
             try:
                 req = self.comm.irecv(source=peer, tag=TAG_HALO)
-                wait(req)
+                await wait(req)
             except RankFailStopError:
                 # Peer died: recognize, re-resolve, resend to the new
                 # neighbor (it may still need our halo for this step),
@@ -186,7 +186,9 @@ class _HaloExchanger:
     def _edge_value(self, side: str) -> float:
         return self._edge_l if side == "L" else self._edge_r
 
-    def exchange(self, step: int, u: np.ndarray) -> tuple[float | None, float | None]:
+    async def exchange(
+        self, step: int, u: np.ndarray
+    ) -> tuple[float | None, float | None]:
         """Exchange halos for *step*; returns (left, right) or None = edge."""
         self._edge_l = float(u[0])
         self._edge_r = float(u[-1])
@@ -196,8 +198,8 @@ class _HaloExchanger:
         self._send_halo("L", step, self._edge_l)
         self._send_halo("R", step, self._edge_r)
         self.mpi.probe_point("halos_posted")
-        halo_l = self._recv_side("L", step, sent_l)
-        halo_r = self._recv_side("R", step, sent_r)
+        halo_l = await self._recv_side("L", step, sent_l)
+        halo_r = await self._recv_side("R", step, sent_r)
         return halo_l, halo_r
 
     def finish(self) -> None:
@@ -220,7 +222,7 @@ class _HaloExchanger:
                 pass
 
 
-def heat_main(mpi: SimProcess, cfg: HeatConfig) -> dict[str, Any]:
+async def heat_main(mpi: SimProcess, cfg: HeatConfig) -> dict[str, Any]:
     """Per-rank main: run ``cfg.steps`` fault-tolerant Jacobi steps."""
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
@@ -237,9 +239,9 @@ def heat_main(mpi: SimProcess, cfg: HeatConfig) -> dict[str, Any]:
     exchanger = _HaloExchanger(mpi, comm, cfg.steps)
     for step in range(cfg.steps):
         if cfg.work_per_step:
-            mpi.compute(cfg.work_per_step)
+            await mpi.compute(cfg.work_per_step)
         mpi.probe_point("step_top")
-        halo_l, halo_r = exchanger.exchange(step, u)
+        halo_l, halo_r = await exchanger.exchange(step, u)
         # Edges: the true domain boundary gets the Dirichlet value; a gap
         # left by dead ranks (or a briefly out-of-step neighbor) becomes
         # insulated: mirror the edge cell => zero flux into the hole.

@@ -48,7 +48,7 @@ def _task_result(task_id: int) -> int:
     return task_id * task_id + 1
 
 
-def manager_main(mpi: SimProcess, cfg: FarmConfig) -> dict[str, Any]:
+async def manager_main(mpi: SimProcess, cfg: FarmConfig) -> dict[str, Any]:
     """Rank 0: deal tasks, harvest results, survive worker deaths."""
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
@@ -93,7 +93,7 @@ def manager_main(mpi: SimProcess, cfg: FarmConfig) -> dict[str, Any]:
             mpi.abort(-1)  # every worker died: nothing can finish the farm
         req = comm.irecv(source=ANY_SOURCE, tag=TAG_RESULT)
         try:
-            waitany([req])
+            await waitany([req])
         except RankFailStopError:
             handle_death()
             for w in sorted(alive_workers()):
@@ -120,18 +120,18 @@ def manager_main(mpi: SimProcess, cfg: FarmConfig) -> dict[str, Any]:
     }
 
 
-def worker_main(mpi: SimProcess, cfg: FarmConfig) -> dict[str, Any]:
+async def worker_main(mpi: SimProcess, cfg: FarmConfig) -> dict[str, Any]:
     """Ranks 1..n-1: loop on tasks until told to stop."""
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
     done = 0
     while True:
-        kind, task = comm.recv(source=0, tag=TAG_TASK)[0]
+        kind, task = (await comm.recv(source=0, tag=TAG_TASK))[0]
         if kind == "stop":
             break
         mpi.probe_point("task_begin")
         if cfg.work_per_task:
-            mpi.compute(cfg.work_per_task)
+            await mpi.compute(cfg.work_per_task)
         mpi.probe_point("task_computed")
         comm.send((task, _task_result(task), comm.rank), 0, TAG_RESULT)
         mpi.probe_point("task_reported")

@@ -52,7 +52,7 @@ def _contribution(rank: int, length: int) -> np.ndarray:
     return np.full(length, float(rank + 1))
 
 
-def allreduce_main(mpi: SimProcess, cfg: AllreduceConfig) -> dict[str, Any]:
+async def allreduce_main(mpi: SimProcess, cfg: AllreduceConfig) -> dict[str, Any]:
     """Per-rank main: ``cfg.rounds`` fault-tolerant vector allreduces.
 
     The report includes the final reduced vector and the contributor set
@@ -77,7 +77,7 @@ def allreduce_main(mpi: SimProcess, cfg: AllreduceConfig) -> dict[str, Any]:
     # standard dedup rule applies unchanged.
     for rnd in range(cfg.rounds):
         if cfg.work_per_round:
-            mpi.compute(cfg.work_per_round)
+            await mpi.compute(cfg.work_per_round)
         acc_marker = 2 * rnd
         dist_marker = 2 * rnd + 1
         if st.is_root():
@@ -86,7 +86,7 @@ def allreduce_main(mpi: SimProcess, cfg: AllreduceConfig) -> dict[str, Any]:
             payload = {"sum": mine.copy(), "contributors": {me}}
             ft_send_right(st, RingMsg(value=payload, marker=acc_marker))
             mpi.probe_point("root_post_send")
-            msg = ft_recv_left(st)
+            msg = await ft_recv_left(st)
             total = msg.value["sum"]
             contributors = set(msg.value["contributors"])
             # Phase 2: distribute.
@@ -94,11 +94,11 @@ def allreduce_main(mpi: SimProcess, cfg: AllreduceConfig) -> dict[str, Any]:
             out = {"sum": total, "contributors": contributors}
             ft_send_right(st, RingMsg(value=out, marker=dist_marker))
             mpi.probe_point("root_post_send")
-            msg = ft_recv_left(st)
+            msg = await ft_recv_left(st)
             st.stats.root_completions.append((dist_marker, len(contributors)))
         else:
             # Phase 1: add my vector exactly once (contributor-set guard).
-            msg = ft_recv_left(st)
+            msg = await ft_recv_left(st)
             mpi.probe_point("post_recv")
             if me not in msg.value["contributors"]:
                 msg.value["sum"] = msg.value["sum"] + mine
@@ -107,7 +107,7 @@ def allreduce_main(mpi: SimProcess, cfg: AllreduceConfig) -> dict[str, Any]:
             mpi.probe_point("post_send")
             st.cur_marker += 1
             # Phase 2: keep a copy of the final sum as it passes.
-            msg = ft_recv_left(st)
+            msg = await ft_recv_left(st)
             mpi.probe_point("post_recv")
             total = msg.value["sum"]
             contributors = set(msg.value["contributors"])
@@ -123,7 +123,7 @@ def allreduce_main(mpi: SimProcess, cfg: AllreduceConfig) -> dict[str, Any]:
         )
         st.stats.iterations_completed += 1
 
-    ft_termination_validate_all(st)
+    await ft_termination_validate_all(st)
     report = ring_report(st, "root" if st.is_root() else "nonroot")
     report["allreduce"] = results
     return report

@@ -49,7 +49,7 @@ class BecameRoot(Exception):
     """
 
 
-def naive_recv_left(st: RingState) -> RingMsg:
+async def naive_recv_left(st: RingState) -> RingMsg:
     """The flawed first-attempt receive (the design paper Fig. 6 breaks).
 
     Mirrors ``FT_Send_right``: on failure of the left neighbor, pick the
@@ -60,7 +60,7 @@ def naive_recv_left(st: RingState) -> RingMsg:
     comm = st.comm
     while True:
         try:
-            msg, _status = comm.recv(source=st.left, tag=TAG_NORMAL)
+            msg, _status = await comm.recv(source=st.left, tag=TAG_NORMAL)
             return msg
         except RankFailStopError:
             st.left = to_left_of(comm, st.left)
@@ -110,7 +110,7 @@ def handle_right_failure(st: RingState) -> None:
         ft_send_right(st, st.last_sent, resend=True)
 
 
-def ft_recv_left(
+async def ft_recv_left(
     st: RingState, accept_from: int | None = None, root_aware: bool = False
 ) -> RingMsg:
     """Fault-tolerant receive from the left neighbor (paper Fig. 9).
@@ -135,7 +135,7 @@ def ft_recv_left(
         else:
             requests = [req_n]
         try:
-            idx, _status = waitany(requests)
+            idx, _status = await waitany(requests)
         except RankFailStopError as exc:
             if exc.index == IDX_WATCHDOG and len(requests) == 2:
                 handle_right_failure(st)

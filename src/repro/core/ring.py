@@ -108,7 +108,7 @@ def ring_report(st: RingState, role: str) -> dict[str, Any]:
     return out
 
 
-def baseline_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
+async def baseline_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
     """The traditional fault-unaware ring (paper Fig. 2).
 
     Neighbors are fixed arithmetic; the error handler stays at the default
@@ -122,16 +122,16 @@ def baseline_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
     st = RingState(comm, left=left, right=right, root=root)
     for i in range(cfg.max_iter):
         if cfg.work_per_iter:
-            mpi.compute(cfg.work_per_iter)
+            await mpi.compute(cfg.work_per_iter)
         if me == root:
             buffer = RingMsg(value=1, marker=i)
             comm.send(buffer, right, TAG_NORMAL)
             mpi.probe_point("root_post_send")
-            msg, _ = comm.recv(source=left, tag=TAG_NORMAL)
+            msg, _ = await comm.recv(source=left, tag=TAG_NORMAL)
             mpi.probe_point("root_post_recv")
             st.stats.root_completions.append((msg.marker, msg.value))
         else:
-            msg, _ = comm.recv(source=left, tag=TAG_NORMAL)
+            msg, _ = await comm.recv(source=left, tag=TAG_NORMAL)
             mpi.probe_point("post_recv")
             msg.value += 1
             comm.send(msg, right, TAG_NORMAL)
@@ -142,7 +142,7 @@ def baseline_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
     return ring_report(st, "root" if me == root else "nonroot")
 
 
-def ft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
+async def ft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
     """The fault-tolerant ring main loop (paper Fig. 3).
 
     Assumes the root does not fail (paper §III assumption; §III-D's
@@ -164,17 +164,17 @@ def ft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
 
     for i in range(cfg.max_iter):
         if cfg.work_per_iter:
-            mpi.compute(cfg.work_per_iter)
+            await mpi.compute(cfg.work_per_iter)
         if st.is_root():
             st.cur_marker = i
             buffer = RingMsg(value=1, marker=i)
             ft_send_right(st, buffer)
             mpi.probe_point("root_post_send")
-            msg = recv(st)
+            msg = await recv(st)
             mpi.probe_point("root_post_recv")
             st.stats.root_completions.append((msg.marker, msg.value))
         else:
-            msg = recv(st)
+            msg = await recv(st)
             mpi.probe_point("post_recv")
             msg.value += 1
             ft_send_right(st, msg)
@@ -185,11 +185,11 @@ def ft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
     mpi.probe_point("pre_termination")
     termination_path = cfg.termination.value
     if cfg.termination is Termination.ROOT_BCAST:
-        ft_termination_root_bcast(st)
+        await ft_termination_root_bcast(st)
     elif cfg.termination is Termination.VALIDATE_ALL:
-        ft_termination_validate_all(st, mode=cfg.validate_mode)
+        await ft_termination_validate_all(st, mode=cfg.validate_mode)
     elif cfg.termination is Termination.IBARRIER:
-        termination_path = ft_termination_ibarrier(st, mode=cfg.validate_mode)
+        termination_path = await ft_termination_ibarrier(st, mode=cfg.validate_mode)
     report = ring_report(st, "root" if st.is_root() else "nonroot")
     report["termination_path"] = termination_path
     return report

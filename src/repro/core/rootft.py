@@ -48,7 +48,7 @@ from .state import RingState
 from .termination import ft_termination_validate_all
 
 
-def _recover_control(st: RingState, mpi: SimProcess) -> None:
+async def _recover_control(st: RingState, mpi: SimProcess) -> None:
     """Regain control of the iteration after becoming the root (§III-D).
 
     On return, ``st.cur_marker`` is the next iteration this process will
@@ -61,13 +61,13 @@ def _recover_control(st: RingState, mpi: SimProcess) -> None:
     if st.last_discarded is not None and st.last_discarded.marker >= want:
         msg = st.last_discarded
     else:
-        msg = ft_recv_left(st, accept_from=want)
+        msg = await ft_recv_left(st, accept_from=want)
     st.stats.root_completions.append((msg.marker, msg.value))
     st.cur_marker = msg.marker + 1
     mpi.probe_point("root_recovered")
 
 
-def rootft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
+async def rootft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
     """Ring main loop tolerating failures of any rank, root included.
 
     The per-iteration roles are re-evaluated against the local leader
@@ -89,10 +89,10 @@ def rootft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
 
     while st.cur_marker < cfg.max_iter:
         if cfg.work_per_iter:
-            mpi.compute(cfg.work_per_iter)
+            await mpi.compute(cfg.work_per_iter)
         st.root = get_current_root(comm)
         if st.is_root() and not was_root:
-            _recover_control(st, mpi)
+            await _recover_control(st, mpi)
             was_root = True
             continue  # re-check the loop condition after recovery
         if st.is_root():
@@ -100,17 +100,17 @@ def rootft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
             buffer = RingMsg(value=1, marker=i)
             ft_send_right(st, buffer)
             mpi.probe_point("root_post_send")
-            msg = ft_recv_left(st)
+            msg = await ft_recv_left(st)
             mpi.probe_point("root_post_recv")
             st.stats.root_completions.append((msg.marker, msg.value))
             st.cur_marker = msg.marker + 1
             st.stats.iterations_completed += 1
         else:
             try:
-                msg = ft_recv_left(st, root_aware=True)
+                msg = await ft_recv_left(st, root_aware=True)
             except BecameRoot:
                 st.root = get_current_root(comm)
-                _recover_control(st, mpi)
+                await _recover_control(st, mpi)
                 was_root = True
                 continue
             mpi.probe_point("post_recv")
@@ -121,7 +121,7 @@ def rootft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
             st.stats.iterations_completed += 1
 
     mpi.probe_point("pre_termination")
-    ft_termination_validate_all(st, mode=cfg.validate_mode)
+    await ft_termination_validate_all(st, mode=cfg.validate_mode)
     st.root = get_current_root(comm)
     return ring_report(st, "root" if st.is_root() else "nonroot")
 

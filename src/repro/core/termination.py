@@ -31,7 +31,7 @@ from .recv import ensure_watchdog, handle_right_failure
 from .state import RingState
 
 
-def ft_termination_root_bcast(st: RingState) -> None:
+async def ft_termination_root_bcast(st: RingState) -> None:
     """Root-broadcast termination (paper Fig. 11).
 
     Aborts the job if the root fails, exactly as the paper's pseudo code
@@ -55,7 +55,7 @@ def ft_termination_root_bcast(st: RingState) -> None:
         else:
             requests = [req_t]
         try:
-            idx, _status = waitany(requests)
+            idx, _status = await waitany(requests)
         except RankFailStopError as exc:
             if exc.index == IDX_WATCHDOG and len(requests) == 2:
                 handle_right_failure(st)
@@ -69,7 +69,7 @@ def ft_termination_root_bcast(st: RingState) -> None:
         st.watchdog = None
 
 
-def ft_termination_validate_all(st: RingState, mode: str = DEFAULT_MODE) -> int:
+async def ft_termination_validate_all(st: RingState, mode: str = DEFAULT_MODE) -> int:
     """Consensus-based termination (paper Fig. 13).
 
     Runs ``MPI_Icomm_validate_all`` concurrently with the resend watchdog.
@@ -86,7 +86,7 @@ def ft_termination_validate_all(st: RingState, mode: str = DEFAULT_MODE) -> int:
         else:
             requests = [req_v]
         try:
-            idx, status = waitany(requests)
+            idx, status = await waitany(requests)
         except RankFailStopError as exc:
             if exc.index == IDX_WATCHDOG and len(requests) == 2:
                 handle_right_failure(st)
@@ -99,7 +99,7 @@ def ft_termination_validate_all(st: RingState, mode: str = DEFAULT_MODE) -> int:
         st.watchdog = None  # spurious watchdog data: repost and keep waiting
 
 
-def ft_termination_ibarrier(
+async def ft_termination_ibarrier(
     st: RingState, max_retries: int = 3, mode: str = DEFAULT_MODE
 ) -> str:
     """The §III-C alternative the paper *rejects*: ``MPI_Ibarrier`` retry.
@@ -139,14 +139,14 @@ def ft_termination_ibarrier(
         else:
             requests = [req_b]
         try:
-            idx, _status = waitany(requests)
+            idx, _status = await waitany(requests)
         except RankFailStopError as exc:
             if exc.index == IDX_WATCHDOG and len(requests) == 2:
                 handle_right_failure(st)
                 continue
             retries += 1
             if retries > max_retries:
-                ft_termination_validate_all(st, mode=mode)
+                await ft_termination_validate_all(st, mode=mode)
                 return "fallback"
             req_b = ibarrier(comm)
             continue

@@ -7,8 +7,8 @@ are **inconsistent**: a failure can leave some ranks with a successful
 collective and others with ``MPI_ERR_RANK_FAIL_STOP``.  The naive
 
     while True:
-        try: return collective()
-        except RankFailStopError: comm_validate_all(comm)
+        try: return await collective()
+        except RankFailStopError: await comm_validate_all(comm)
 
 deadlocks in exactly that case — the erroring ranks retry (consuming an
 extra collective call) while the succeeding ranks move on, and the ranks
@@ -34,7 +34,7 @@ are pure functions of their inputs over the surviving membership).
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Awaitable, Callable, TypeVar
 
 from ..simmpi.communicator import Comm
 from ..simmpi.errors import RankFailStopError
@@ -54,14 +54,14 @@ class RecoveryBlockError(RuntimeError):
     """
 
 
-def run_recovery_block(
+async def run_recovery_block(
     comm: Comm,
-    block: Callable[[], T],
+    block: Callable[[], Awaitable[T]],
     *,
     mode: str = DEFAULT_MODE,
     max_attempts: int = 16,
 ) -> T:
-    """Run *block* (one or more collectives) with agreed retry on failure.
+    """Await *block()* (one or more collectives) with agreed retry on failure.
 
     Returns the block's value once a round completes with no membership
     change.  All ranks of *comm* must call this the same number of times
@@ -74,12 +74,12 @@ def run_recovery_block(
         err = False
         value: T | None = None
         try:
-            value = block()
+            value = await block()
         except RankFailStopError as exc:
             err = True
             last_error = exc
         before = frozenset(comm.validated)
-        comm_validate_all(comm, mode=mode)
+        await comm_validate_all(comm, mode=mode)
         if frozenset(comm.validated) != before:
             continue  # agreed: membership changed this round -> all retry
         if err:

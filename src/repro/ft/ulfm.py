@@ -75,7 +75,9 @@ def icomm_agree(comm: Comm, value: Any) -> Request:
     return req
 
 
-def comm_agree(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "min") -> Any:
+async def comm_agree(
+    comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "min"
+) -> Any:
     """ULFM ``MPI_Comm_agree``: agreed fold of every member's *value*.
 
     Tolerates members failing at any point (perfect failure detector,
@@ -87,7 +89,7 @@ def comm_agree(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "mi
     """
     fold = _resolve_op(op)
     req = icomm_agree(comm, value)
-    wait(req)
+    await wait(req)
     contributions = sorted(req.data, key=lambda rv: rv[0])
     values = [v for _r, v in contributions]
     result = values[0]
@@ -96,7 +98,7 @@ def comm_agree(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "mi
     return result
 
 
-def comm_shrink(comm: Comm, name: str = "") -> Comm:
+async def comm_shrink(comm: Comm, name: str = "") -> Comm:
     """ULFM ``MPI_Comm_shrink``: agree on the failed set, build survivors.
 
     The survivor group preserves the original rank order (members minus
@@ -110,7 +112,7 @@ def comm_shrink(comm: Comm, name: str = "") -> Comm:
     """
     proc = comm.proc
     proc._mpi_call("comm_shrink")
-    dead: frozenset[int] = comm_agree(
+    dead: frozenset[int] = await comm_agree(
         comm, frozenset(comm.known_failed_comm_ranks()), op="union"
     )
     op_index = next(comm._create_seq)

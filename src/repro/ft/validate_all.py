@@ -45,12 +45,12 @@ def icomm_validate_all(comm: Comm, mode: str = DEFAULT_MODE) -> Request:
     return req
 
 
-def comm_validate_all(comm: Comm, mode: str = DEFAULT_MODE) -> int:
+async def comm_validate_all(comm: Comm, mode: str = DEFAULT_MODE) -> int:
     """``MPI_Comm_validate_all``: blocking collective validate.
 
     Returns the agreed total number of failed ranks in the communicator
     (the ``outcount`` of the paper's interface).
     """
     req = icomm_validate_all(comm, mode=mode)
-    status = wait(req)
+    status = await wait(req)
     return status.count

@@ -58,8 +58,8 @@ class PerfCounters(_Counters):
     """Monotone counters over one simulation (or an accumulation of many).
 
     Increments happen on the kernel's hot path, so this is deliberately a
-    bag of plain ints behind ``__slots__`` — no locks (the kernel is
-    single-threaded-at-a-time by construction), no dicts, no properties.
+    bag of plain ints behind ``__slots__`` — no locks (the kernel runs on
+    one thread), no dicts, no properties.
     """
 
     __slots__ = (
@@ -81,13 +81,14 @@ class PerfCounters(_Counters):
     #: :func:`repro.analysis.digest.perf_dict` drops them.
     HOST_SECONDS = ("wall_s", "setup_s", "teardown_s")
 
-    #: The one fiber implementation every simulation runs on (a pooled
-    #: OS thread per rank, :class:`repro.simmpi.fibers.Fiber`): a
-    #: constant, not a counter, kept for host fingerprints that read it.
-    fibers = "thread"
+    #: The one fiber implementation every simulation runs on (a
+    #: coroutine per rank, stepped by the kernel's loop,
+    #: :class:`repro.simmpi.fibers.Fiber`): a constant, not a counter,
+    #: kept for host fingerprints that read it.
+    fibers = "coroutine"
 
     def __init__(self) -> None:
-        #: Fibers picked to run: baton handoffs (≈ simulated MPI calls).
+        #: Fibers picked to run: handoffs (≈ simulated MPI calls).
         self.handoffs = 0
         #: Events popped and executed by the main loop.
         self.events_executed = 0

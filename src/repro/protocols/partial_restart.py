@@ -85,7 +85,7 @@ def _drop_failed(*reqs: "Request | None") -> "list[Request | None]":
 # ---------------------------------------------------------------------------
 
 
-def _worker_loop(
+async def _worker_loop(
     mpi: SimProcess,
     cfg: ProtocolRingConfig,
     comm: Comm,
@@ -129,7 +129,7 @@ def _worker_loop(
             watchdog = comm.irecv(source=ANY_SOURCE, tag=TAG_WATCHDOG)
         reqs = [r for r in (data, notice, watchdog) if r is not None]
         try:
-            i, status = waitany(reqs)
+            i, status = await waitany(reqs)
             req = reqs[i]
         except (RankFailStopError, MPIError):
             if 0 in _known_dead(mpi):
@@ -185,7 +185,7 @@ def _worker_loop(
             continue
         msg = payload.copy()
         if cfg.work_per_iter:
-            mpi.compute(cfg.work_per_iter)
+            await mpi.compute(cfg.work_per_iter)
         msg.value += 1
         cur_marker = msg.marker + 1
         mpi.probe_point("post_send")
@@ -220,7 +220,7 @@ def _worker_loop(
 # ---------------------------------------------------------------------------
 
 
-def _root_loop(
+async def _root_loop(
     mpi: SimProcess,
     cfg: ProtocolRingConfig,
     comm: Comm,
@@ -290,7 +290,7 @@ def _root_loop(
         if need_inject:
             if completed < cfg.max_iter:
                 if cfg.work_per_iter:
-                    mpi.compute(cfg.work_per_iter)
+                    await mpi.compute(cfg.work_per_iter)
                 mpi.probe_point("root_post_send")
                 msg = RingMsg(1, completed)
                 last_sent = (msg, TAG_RESEND)
@@ -315,7 +315,7 @@ def _root_loop(
         if not reqs:
             continue  # a repair is pending; loop to perform it
         try:
-            i, status = waitany(reqs)
+            i, status = await waitany(reqs)
             req = reqs[i]
         except (RankFailStopError, MPIError):
             data, watchdog = _drop_failed(data, watchdog)
@@ -377,12 +377,12 @@ def _root_loop(
 # ---------------------------------------------------------------------------
 
 
-def _spare_main(
+async def _spare_main(
     mpi: SimProcess, cfg: ProtocolRingConfig
 ) -> dict[str, Any]:
     world = mpi.comm_world
     try:
-        payload, status = world.recv(source=0, tag=ANY_TAG)
+        payload, status = await world.recv(source=0, tag=ANY_TAG)
     except RankFailStopError:
         mpi.abort(ABORT_ROOT_LOST)
     if status.tag == TAG_RETIRE:
@@ -405,7 +405,7 @@ def _spare_main(
     comm = Comm(mpi, _ring_cid(mpi), tuple(group), "ring.pr")
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
     assert comm.rank == slot
-    return _worker_loop(mpi, cfg, comm, recruited=True)
+    return await _worker_loop(mpi, cfg, comm, recruited=True)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +422,16 @@ def make_partial_restart_mains(
     ``logical_n`` start as ring members, the rest park as spares.
     """
 
-    def main(mpi: SimProcess) -> dict[str, Any]:
+    async def main(mpi: SimProcess) -> dict[str, Any]:
         mpi.comm_world.set_errhandler(ErrorHandler.ERRORS_RETURN)
         if mpi.rank >= logical_n:
-            return _spare_main(mpi, cfg)
+            return await _spare_main(mpi, cfg)
         cid = _ring_cid(mpi)
         comm = Comm(mpi, cid, tuple(range(logical_n)), "ring.pr")
         comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
         spare_pool = tuple(range(logical_n, logical_n + spares))
         if mpi.rank == 0:
-            return _root_loop(mpi, cfg, comm, spare_pool)
-        return _worker_loop(mpi, cfg, comm, recruited=False)
+            return await _root_loop(mpi, cfg, comm, spare_pool)
+        return await _worker_loop(mpi, cfg, comm, recruited=False)
 
     return main

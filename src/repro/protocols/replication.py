@@ -113,7 +113,7 @@ class ReplicatedRing:
             )
             self.copies_sent += 1
 
-    def recv(self, src_logical: int) -> tuple[Any, int]:
+    async def recv(self, src_logical: int) -> tuple[Any, int]:
         """Receive the next logical message from *src_logical*.
 
         Raises :class:`ReplicasExhaustedError` if (and only if) both
@@ -134,7 +134,7 @@ class ReplicatedRing:
             )
             self._pending = (src_logical, req)
             try:
-                wait(req)
+                await wait(req)
             except RankFailStopError:
                 raise ReplicasExhaustedError(src_logical) from None
             finally:
@@ -176,7 +176,7 @@ def make_replication_mains(
     role from its world rank.
     """
 
-    def main(mpi: SimProcess) -> dict[str, Any]:
+    async def main(mpi: SimProcess) -> dict[str, Any]:
         shim = ReplicatedRing(mpi, logical_n)
         me = shim.logical
         left = (me - 1) % logical_n
@@ -187,20 +187,20 @@ def make_replication_mains(
             if me == 0:
                 for it in range(cfg.max_iter):
                     if cfg.work_per_iter:
-                        mpi.compute(cfg.work_per_iter)
+                        await mpi.compute(cfg.work_per_iter)
                     mpi.probe_point("root_post_send")
                     shim.send(RingMsg(1, it), right, TAG_NORMAL)
                     mpi.probe_point("root_post_recv")
-                    back, _tag = shim.recv(left)
+                    back, _tag = await shim.recv(left)
                     stats.root_completions.append((back.marker, back.value))
                     stats.iterations_completed += 1
                     cur_marker = it + 1
                 shim.send(RingMsg(None, cfg.max_iter), right, TAG_DONE)
-                shim.recv(left)
+                await shim.recv(left)
             else:
                 while True:
                     mpi.probe_point("post_recv")
-                    msg, tag = shim.recv(left)
+                    msg, tag = await shim.recv(left)
                     if tag == TAG_DONE:
                         shim.send(msg, right, TAG_DONE)
                         break
@@ -208,7 +208,7 @@ def make_replication_mains(
                     # the same payload object by reference.
                     msg = msg.copy()
                     if cfg.work_per_iter:
-                        mpi.compute(cfg.work_per_iter)
+                        await mpi.compute(cfg.work_per_iter)
                     msg.value += 1
                     cur_marker = max(cur_marker, msg.marker + 1)
                     mpi.probe_point("post_send")

@@ -54,7 +54,7 @@ class _RingState:
     cur_marker: int = 0
 
 
-def _epoch(
+async def _epoch(
     mpi: SimProcess,
     comm: Comm,
     cfg: ProtocolRingConfig,
@@ -73,28 +73,28 @@ def _epoch(
     if me == 0:
         while st.completed < cfg.max_iter:
             if cfg.work_per_iter:
-                mpi.compute(cfg.work_per_iter)
+                await mpi.compute(cfg.work_per_iter)
             mpi.probe_point("root_post_send")
             comm.send(RingMsg(1, st.completed), right, TAG_NORMAL)
             mpi.probe_point("root_post_recv")
-            back, _status = comm.recv(source=left, tag=TAG_NORMAL)
+            back, _status = await comm.recv(source=left, tag=TAG_NORMAL)
             stats.root_completions.append((back.marker, back.value))
             stats.iterations_completed += 1
             st.completed += 1
             st.cur_marker = st.completed
         comm.send(RingMsg(None, st.completed), right, TAG_DONE)
-        comm.recv(source=left, tag=TAG_DONE)
+        await comm.recv(source=left, tag=TAG_DONE)
         return
     while True:
         mpi.probe_point("post_recv")
-        msg, status = comm.recv(source=left, tag=ANY_TAG)
+        msg, status = await comm.recv(source=left, tag=ANY_TAG)
         if status.tag == TAG_DONE:
             comm.send(msg, right, TAG_DONE)
             st.completed = max(st.completed, msg.marker)
             st.cur_marker = max(st.cur_marker, msg.marker)
             return
         if cfg.work_per_iter:
-            mpi.compute(cfg.work_per_iter)
+            await mpi.compute(cfg.work_per_iter)
         msg.value += 1
         st.cur_marker = max(st.cur_marker, msg.marker + 1)
         mpi.probe_point("post_send")
@@ -107,7 +107,7 @@ def make_shrink_repair_main(
 ) -> Callable[[SimProcess], dict[str, Any]]:
     """Build the per-rank main for the shrink/repair protocol."""
 
-    def main(mpi: SimProcess) -> dict[str, Any]:
+    async def main(mpi: SimProcess) -> dict[str, Any]:
         comm = mpi.comm_world
         comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
         stats = RingStats()
@@ -118,7 +118,7 @@ def make_shrink_repair_main(
             clean = 1
             err_at = None
             try:
-                _epoch(mpi, comm, cfg, stats, st)
+                await _epoch(mpi, comm, cfg, stats, st)
             except (RankFailStopError, CommRevokedError):
                 err_at = mpi.now
                 clean = 0
@@ -126,10 +126,10 @@ def make_shrink_repair_main(
                     comm.revoke()
                 except MPIError:  # pragma: no cover - revoke never raises
                     pass
-            if comm_agree(comm, clean, op="min"):
+            if await comm_agree(comm, clean, op="min"):
                 break
             t0 = err_at if err_at is not None else mpi.now
-            comm = comm_shrink(comm)
+            comm = await comm_shrink(comm)
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             epochs += 1
             recovery_time += mpi.now - t0

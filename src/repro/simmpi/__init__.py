@@ -3,8 +3,8 @@
 This package is the substrate the paper reproduction runs on: a pure
 Python, single-machine simulator of an MPI job with
 
-* one cooperatively-scheduled thread per rank (deterministic interleaving
-  from a seed),
+* one coroutine per rank, stepped one at a time by the kernel's loop
+  (deterministic interleaving from a seed),
 * virtual time under a pluggable LogGP-style cost model,
 * MPI-1 style point-to-point (blocking and non-blocking, wildcards,
   non-overtaking matching) and collectives built over point-to-point,
@@ -18,12 +18,12 @@ Quick taste::
 
     from repro.simmpi import Simulation
 
-    def main(mpi):
+    async def main(mpi):
         comm = mpi.comm_world
         if comm.rank == 0:
             comm.send("hello", dest=1)
         elif comm.rank == 1:
-            data, status = comm.recv(source=0)
+            data, status = await comm.recv(source=0)
             return data
 
     result = Simulation(nprocs=2).run(main)

@@ -133,7 +133,7 @@ class _CollCtx:
             nbytes=None,
         )
 
-    def recv(self, part_idx: int) -> Any:
+    async def recv(self, part_idx: int) -> Any:
         comm, proc = self.comm, self.comm.proc
         src_cr = self.participants[part_idx]
         self._check_membership()
@@ -147,7 +147,7 @@ class _CollCtx:
         proc.runtime.post_recv(comm, req, context=comm.context(CTX_COLL))
         from .p2p import wait
 
-        wait(req)  # raises via errhandler if src fails mid-collective
+        await wait(req)  # raises via errhandler if src fails mid-collective
         return req.data
 
     def done(self, root: str | None = None) -> None:
@@ -164,7 +164,7 @@ class _CollCtx:
             ))
 
 
-def barrier(comm: Comm) -> None:
+async def barrier(comm: Comm) -> None:
     """Dissemination barrier: ``ceil(log2 m)`` rounds of pairwise signals."""
     ctx = _CollCtx(comm, "barrier")
     if ctx.m == 1:
@@ -173,7 +173,7 @@ def barrier(comm: Comm) -> None:
     k = 1
     while k < ctx.m:
         ctx.send(None, (ctx.me + k) % ctx.m)
-        ctx.recv((ctx.me - k) % ctx.m)
+        await ctx.recv((ctx.me - k) % ctx.m)
         k *= 2
     ctx.done()
 
@@ -204,7 +204,9 @@ def _binomial_children(me: int, root_idx: int, m: int) -> list[int]:
     return children
 
 
-def bcast(comm: Comm, payload: Any, root: int = 0, _tag: int | None = None) -> Any:
+async def bcast(
+    comm: Comm, payload: Any, root: int = 0, _tag: int | None = None
+) -> Any:
     """Binomial-tree broadcast from comm rank *root*.
 
     A validated-failed root has ``PROC_NULL`` semantics: the call returns
@@ -224,15 +226,15 @@ def bcast(comm: Comm, payload: Any, root: int = 0, _tag: int | None = None) -> A
         return payload
     parent = _binomial_parent(ctx.me, root_idx, ctx.m)
     if parent is not None:
-        payload = ctx.recv(parent)
+        payload = await ctx.recv(parent)
     for child in _binomial_children(ctx.me, root_idx, ctx.m):
         ctx.send(payload, child)
     ctx.done()
     return payload
 
 
-def reduce(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum",
-           root: int = 0, _tag: int | None = None) -> Any:
+async def reduce(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum",
+                 root: int = 0, _tag: int | None = None) -> Any:
     """Binomial-tree reduction to *root* (result at root, ``None`` elsewhere).
 
     Combination order is by participant index, so non-commutative custom
@@ -249,7 +251,7 @@ def reduce(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum",
     # (participant_index, partial) pairs and fold sorted at the end.
     acc: list[tuple[int, Any]] = [(ctx.me, value)]
     for child in _binomial_children(ctx.me, root_idx, ctx.m):
-        acc.extend(ctx.recv(child))
+        acc.extend(await ctx.recv(child))
     parent = _binomial_parent(ctx.me, root_idx, ctx.m)
     if parent is not None:
         ctx.send(acc, parent)
@@ -261,7 +263,9 @@ def reduce(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum",
     return result
 
 
-def allreduce(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum") -> Any:
+async def allreduce(
+    comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum"
+) -> Any:
     """Reduce-to-all = reduce to the lowest participant, then bcast.
 
     Both phases share one collective sequence number (see the tag
@@ -274,11 +278,11 @@ def allreduce(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum
             break
     assert root is not None
     base = next(comm._coll_seq) * 8
-    partial = reduce(comm, value, op, root=root, _tag=base)
-    return bcast(comm, partial, root=root, _tag=base + 1)
+    partial = await reduce(comm, value, op, root=root, _tag=base)
+    return await bcast(comm, partial, root=root, _tag=base + 1)
 
 
-def gather(comm: Comm, value: Any, root: int = 0) -> list[Any] | None:
+async def gather(comm: Comm, value: Any, root: int = 0) -> list[Any] | None:
     """Linear gather to *root*: result list indexed by comm rank.
 
     Validated-failed ranks contribute ``None`` (PROC_NULL semantics).
@@ -297,14 +301,14 @@ def gather(comm: Comm, value: Any, root: int = 0) -> list[Any] | None:
     for idx in range(ctx.m):
         if ctx.participants[idx] == root:
             continue
-        cr, v = ctx.recv(idx)
+        cr, v = await ctx.recv(idx)
         out[cr] = v
     ctx.done()
     return out
 
 
-def scatter(comm: Comm, values: Sequence[Any] | None, root: int = 0,
-            _tag: int | None = None) -> Any:
+async def scatter(comm: Comm, values: Sequence[Any] | None, root: int = 0,
+                  _tag: int | None = None) -> Any:
     """Linear scatter from *root*; ``values`` is indexed by comm rank."""
     ctx = _CollCtx(comm, "scatter", tag=_tag)
     if root in comm.validated:
@@ -326,12 +330,12 @@ def scatter(comm: Comm, values: Sequence[Any] | None, root: int = 0,
         ctx.done()
         return values[comm.rank]
     root_idx = ctx.participants.index(root)
-    v = ctx.recv(root_idx)
+    v = await ctx.recv(root_idx)
     ctx.done()
     return v
 
 
-def allgather(comm: Comm, value: Any) -> list[Any]:
+async def allgather(comm: Comm, value: Any) -> list[Any]:
     """Ring allgather: ``m - 1`` steps passing a growing window."""
     ctx = _CollCtx(comm, "allgather")
     out: list[Any] = [None] * comm.size
@@ -341,13 +345,13 @@ def allgather(comm: Comm, value: Any) -> list[Any]:
     carry = (comm.rank, value)
     for _ in range(ctx.m - 1):
         ctx.send(carry, right)
-        carry = ctx.recv(left)
+        carry = await ctx.recv(left)
         out[carry[0]] = carry[1]
     ctx.done()
     return out
 
 
-def alltoall(comm: Comm, values: Sequence[Any]) -> list[Any]:
+async def alltoall(comm: Comm, values: Sequence[Any]) -> list[Any]:
     """Pairwise-exchange personalized all-to-all.
 
     ``values`` is indexed by comm rank; entries for validated-failed ranks
@@ -367,19 +371,21 @@ def alltoall(comm: Comm, values: Sequence[Any]) -> list[Any]:
         dst = (ctx.me + step) % ctx.m
         src = (ctx.me - step) % ctx.m
         ctx.send(values[ctx.participants[dst]], dst)
-        got = ctx.recv(src)
+        got = await ctx.recv(src)
         out[ctx.participants[src]] = got
     ctx.done()
     return out
 
 
-def scan(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum") -> Any:
+async def scan(
+    comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum"
+) -> Any:
     """Inclusive prefix reduction along participant order (linear chain)."""
     ctx = _CollCtx(comm, "scan")
     fn = _resolve_op(op)
     acc = value
     if ctx.me > 0:
-        prev = ctx.recv(ctx.me - 1)
+        prev = await ctx.recv(ctx.me - 1)
         acc = fn(prev, value)
     if ctx.me + 1 < ctx.m:
         ctx.send(acc, ctx.me + 1)
@@ -387,7 +393,7 @@ def scan(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum") ->
     return acc
 
 
-def exscan(
+async def exscan(
     comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum"
 ) -> Any:
     """Exclusive prefix reduction: participant 0 receives ``None``."""
@@ -397,7 +403,7 @@ def exscan(
         prev = None
         acc = value
     else:
-        prev = ctx.recv(ctx.me - 1)
+        prev = await ctx.recv(ctx.me - 1)
         acc = fn(prev, value)
     if ctx.me + 1 < ctx.m:
         ctx.send(acc, ctx.me + 1)
@@ -405,7 +411,7 @@ def exscan(
     return prev
 
 
-def reduce_scatter(
+async def reduce_scatter(
     comm: Comm,
     values: Sequence[Any],
     op: str | Callable[[Any, Any], Any] = "sum",
@@ -427,10 +433,10 @@ def reduce_scatter(
     fn = _resolve_op(op)
     root = ctx.participants[0]
     base = ctx.tag
-    reduced = reduce(comm, list(values),
-                     lambda a, b: _pairwise(a, b, fn), root=root,
-                     _tag=base + 1)
-    return scatter(comm, reduced, root=root, _tag=base + 2)
+    reduced = await reduce(comm, list(values),
+                           lambda a, b: _pairwise(a, b, fn), root=root,
+                           _tag=base + 1)
+    return await scatter(comm, reduced, root=root, _tag=base + 2)
 
 
 def _pairwise(

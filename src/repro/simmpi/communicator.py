@@ -28,7 +28,7 @@ Point-to-point failure semantics (paper §II):
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Awaitable, NoReturn, Sequence
 
 from .constants import (
     ANY_SOURCE,
@@ -284,7 +284,7 @@ class Comm:
         assert req is not None
         return req
 
-    def ssend(
+    async def ssend(
         self, payload: Any, dest: int, tag: int = 0, nbytes: int | None = None
     ) -> None:
         """Blocking synchronous send (returns once matched)."""
@@ -292,7 +292,7 @@ class Comm:
         req = self.issend(payload, dest, tag, nbytes)
         from .p2p import wait
 
-        wait(req)
+        await wait(req)
 
     def _send_common(
         self,
@@ -392,7 +392,7 @@ class Comm:
             runtime.post_recv(self, req, self.cid * CONTEXTS_PER_COMM + CTX_P2P)
         return req
 
-    def recv(
+    async def recv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> tuple[Any, Status]:
         """Blocking receive; returns ``(payload, status)``.
@@ -404,10 +404,10 @@ class Comm:
         req = self._irecv_common(source, tag)
         from .p2p import wait  # local import: avoids a cycle
 
-        status = wait(req)
+        status = await wait(req)
         return req.data, status
 
-    def sendrecv(
+    async def sendrecv(
         self,
         payload: Any,
         dest: int,
@@ -421,24 +421,26 @@ class Comm:
         self._send_common(payload, dest, sendtag, None, op="sendrecv")
         from .p2p import wait
 
-        status = wait(req)
+        status = await wait(req)
         return req.data, status
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
+    async def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         """Blocking probe: wait until a matching message is available."""
         self._proc._mpi_call("probe")
         while True:
             st = self._iprobe_now(source, tag)
             if st is not None:
                 return st
-            self._proc.runtime.arrival_block(self._proc, "probe")
+            await self._proc.runtime.arrival_block(self._proc, "probe")
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
+    async def iprobe(
+        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
+    ) -> Status | None:
         """Non-blocking probe; ``None`` if no matching message arrived yet."""
         self._proc._mpi_call("iprobe")
         st = self._iprobe_now(source, tag)
         if st is None:
-            self._proc.runtime.poll_block(self._proc, "iprobe")
+            await self._proc.runtime.poll_block(self._proc, "iprobe")
             st = self._iprobe_now(source, tag)
         return st
 
@@ -478,7 +480,7 @@ class Comm:
 
         return Group(self.group)
 
-    def create(self, group: "Group", name: str = "") -> "Comm | None":
+    async def create(self, group: "Group", name: str = "") -> "Comm | None":
         """``MPI_Comm_create``: carve a communicator for *group*.
 
         Collective over the *parent*: every member must call with the same
@@ -494,8 +496,8 @@ class Comm:
             key = group.rank_of_world(self._proc.rank)
         except Exception:  # pragma: no cover - defensive
             key = 0
-        return self.split(color=color, key=key if key >= 0 else 0,
-                          name=name or f"{self.name}.create")
+        return await self.split(color=color, key=key if key >= 0 else 0,
+                                name=name or f"{self.name}.create")
 
     def free(self) -> None:
         """``MPI_Comm_free``: mark the handle unusable (local bookkeeping).
@@ -539,7 +541,7 @@ class Comm:
         self.validated.discard(comm_rank)
         self._my_rank = self._ranks[self._proc.rank]
 
-    def split(self, color: int, key: int = 0, name: str = "") -> "Comm | None":
+    async def split(self, color: int, key: int = 0, name: str = "") -> "Comm | None":
         """Collectively split by color (``UNDEFINED`` => no new comm).
 
         Implemented over a real allgather on the parent communicator, so it
@@ -550,7 +552,7 @@ class Comm:
         from .collectives import allgather
 
         op_index = next(self._create_seq)
-        triples = allgather(self, (color, key, self.rank))
+        triples = await allgather(self, (color, key, self.rank))
         members: list[tuple[int, int, int]] = [
             t for t in triples if t is not None and t[0] == color and color != UNDEFINED
         ]
@@ -562,69 +564,75 @@ class Comm:
         return Comm(self._proc, cid, group, name or f"{self.name}.split{op_index}.{color}")
 
     # Collective entry points (implementations live in collectives.py).
+    # Each returns the implementation's coroutine for the caller to await,
+    # so a blocked collective resumes through one coroutine frame fewer.
 
-    def barrier(self) -> None:
+    def barrier(self) -> Awaitable[None]:
         """Collective barrier over the validated membership."""
         from .collectives import barrier
 
-        barrier(self)
+        return barrier(self)
 
-    def bcast(self, payload: Any, root: int = 0) -> Any:
+    def bcast(self, payload: Any, root: int = 0) -> Awaitable[Any]:
         """Broadcast from *root*; returns the payload at every rank."""
         from .collectives import bcast
 
         return bcast(self, payload, root)
 
-    def reduce(self, value: Any, op: str | Any = "sum", root: int = 0) -> Any:
+    def reduce(
+        self, value: Any, op: str | Any = "sum", root: int = 0
+    ) -> Awaitable[Any]:
         """Reduce to *root*; returns the result at root, ``None`` elsewhere."""
         from .collectives import reduce as _reduce
 
         return _reduce(self, value, op, root)
 
-    def allreduce(self, value: Any, op: str | Any = "sum") -> Any:
+    def allreduce(self, value: Any, op: str | Any = "sum") -> Awaitable[Any]:
         """Reduce-to-all."""
         from .collectives import allreduce
 
         return allreduce(self, value, op)
 
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
+    def gather(self, value: Any, root: int = 0) -> Awaitable[list[Any] | None]:
         """Gather to *root* (list indexed by comm rank; failed-validated
         ranks contribute ``None``)."""
         from .collectives import gather
 
         return gather(self, value, root)
 
-    def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:
+    def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Awaitable[Any]:
         """Scatter from *root*."""
         from .collectives import scatter
 
         return scatter(self, values, root)
 
-    def allgather(self, value: Any) -> list[Any]:
+    def allgather(self, value: Any) -> Awaitable[list[Any]]:
         """Gather-to-all (ring algorithm)."""
         from .collectives import allgather
 
         return allgather(self, value)
 
-    def alltoall(self, values: Sequence[Any]) -> list[Any]:
+    def alltoall(self, values: Sequence[Any]) -> Awaitable[list[Any]]:
         """Personalized all-to-all exchange."""
         from .collectives import alltoall
 
         return alltoall(self, values)
 
-    def scan(self, value: Any, op: str | Any = "sum") -> Any:
+    def scan(self, value: Any, op: str | Any = "sum") -> Awaitable[Any]:
         """Inclusive prefix reduction."""
         from .collectives import scan
 
         return scan(self, value, op)
 
-    def exscan(self, value: Any, op: str | Any = "sum") -> Any:
+    def exscan(self, value: Any, op: str | Any = "sum") -> Awaitable[Any]:
         """Exclusive prefix reduction (participant 0 gets ``None``)."""
         from .collectives import exscan
 
         return exscan(self, value, op)
 
-    def reduce_scatter(self, values: Sequence[Any], op: str | Any = "sum") -> Any:
+    def reduce_scatter(
+        self, values: Sequence[Any], op: str | Any = "sum"
+    ) -> Awaitable[Any]:
         """Reduce per-rank slots, scatter slot ``i`` to comm rank ``i``."""
         from .collectives import reduce_scatter
 

@@ -198,4 +198,4 @@ class ProcessKilled(BaseException):
 
 
 class SimShutdown(BaseException):
-    """Internal: unwinds still-blocked process threads at simulation end."""
+    """Internal: unwinds still-blocked ranks at simulation end."""

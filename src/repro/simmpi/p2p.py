@@ -67,13 +67,13 @@ def _raise_for(req: Request, index: int) -> None:
         del exc  # this frame is on its traceback
 
 
-def wait(request: Request) -> Status:
+async def wait(request: Request) -> Status:
     """Block until *request* completes; return its status or raise."""
     proc = request.owner
     proc._mpi_call("wait")
     while not request.done:
         request.waited = True  # completion clears it and wakes proc
-        proc.block(_WaitOn((request,)))
+        await proc.block(_WaitOn((request,)))
     t = request.completion_time
     if t is not None and t > proc.now:  # max(), without the builtin call
         proc.now = t
@@ -83,7 +83,7 @@ def wait(request: Request) -> Status:
     return request.status
 
 
-def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
+async def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
     """Block until any request completes; return ``(index, status)``.
 
     If the completed request carries an error, an exception is raised whose
@@ -110,10 +110,10 @@ def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
                 return i, req.status
         for req in requests:
             req.waited = True
-        proc.block(_WaitOn(requests))
+        await proc.block(_WaitOn(requests))
 
 
-def waitall(requests: Sequence[Request]) -> list[Status]:
+async def waitall(requests: Sequence[Request]) -> list[Status]:
     """Block until every request completes.
 
     If any completed in error, raises for the lowest-index failure after
@@ -125,7 +125,7 @@ def waitall(requests: Sequence[Request]) -> list[Status]:
         for req in requests:
             if not req.done:
                 req.waited = True
-        proc.block(_WaitOn(requests))
+        await proc.block(_WaitOn(requests))
     for req in requests:
         req.waited = False
         if req.completion_time is not None:
@@ -136,7 +136,7 @@ def waitall(requests: Sequence[Request]) -> list[Status]:
     return [r.status for r in requests]  # type: ignore[return-value]
 
 
-def waitsome(requests: Sequence[Request]) -> list[tuple[int, Status]]:
+async def waitsome(requests: Sequence[Request]) -> list[tuple[int, Status]]:
     """Block until at least one completes; return all completed (index, status).
 
     Errors are reported like :func:`waitany`, for the lowest-index failed
@@ -147,7 +147,7 @@ def waitsome(requests: Sequence[Request]) -> list[tuple[int, Status]]:
     while not any(r.done for r in requests):
         for req in requests:
             req.waited = True
-        proc.block(_WaitOn(requests))
+        await proc.block(_WaitOn(requests))
     for req in requests:
         req.waited = False
     done = [(i, r) for i, r in enumerate(requests) if r.done]
@@ -160,7 +160,7 @@ def waitsome(requests: Sequence[Request]) -> list[tuple[int, Status]]:
     return [(i, r.status) for i, r in done]  # type: ignore[misc]
 
 
-def test(request: Request) -> Status | None:
+async def test(request: Request) -> Status | None:
     """Non-blocking completion check.
 
     Returns the status if complete (raising on error), else ``None``.
@@ -170,7 +170,7 @@ def test(request: Request) -> Status | None:
     proc = request.owner
     proc._mpi_call("test")
     if not request.done:
-        proc.runtime.poll_block(proc, "test")
+        await proc.runtime.poll_block(proc, "test")
     if not request.done:
         return None
     if request.completion_time is not None:
@@ -180,12 +180,12 @@ def test(request: Request) -> Status | None:
     return request.status
 
 
-def testany(requests: Sequence[Request]) -> tuple[int, Status] | None:
+async def testany(requests: Sequence[Request]) -> tuple[int, Status] | None:
     """Non-blocking variant of :func:`waitany`; ``None`` if none complete."""
     proc = _owner(requests)
     proc._mpi_call("testany")
     if not any(r.done for r in requests):
-        proc.runtime.poll_block(proc, "testany")
+        await proc.runtime.poll_block(proc, "testany")
     for i, req in enumerate(requests):
         if req.done:
             if req.completion_time is not None:

@@ -13,10 +13,10 @@ derived from it).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, NoReturn
+from typing import TYPE_CHECKING, Any, Awaitable, NoReturn
 
 from .errors import JobAborted
-from .fibers import Fiber, FiberState
+from .fibers import SUSPEND, Fiber, FiberState
 from .matching import MatchingEngine
 from .trace import ABORT, PROBE, TraceKind
 
@@ -73,7 +73,7 @@ class SimProcess:
         """World size (number of ranks the job started with)."""
         return self.runtime.nprocs
 
-    def compute(self, dt: float) -> None:
+    async def compute(self, dt: float) -> None:
         """Model *dt* virtual seconds of local computation.
 
         The process yields to the simulator and resumes once the virtual
@@ -86,12 +86,12 @@ class SimProcess:
         deadline = self.now + dt
         self.runtime.schedule_wake(self, deadline, "compute")
         while self.now < deadline:
-            self.block(f"compute until t={deadline:.9f}")
+            await self.block(f"compute until t={deadline:.9f}")
         self.now = max(self.now, deadline)
 
-    def sleep(self, dt: float) -> None:
+    async def sleep(self, dt: float) -> None:
         """Alias of :meth:`compute` (idle instead of busy; same cost)."""
-        self.compute(dt)
+        await self.compute(dt)
 
     def probe_point(self, name: str) -> None:
         """Mark a named fault-injection window in application code.
@@ -139,11 +139,14 @@ class SimProcess:
         """Ground truth: has this process *not* suffered fail-stop?"""
         return self.failed_at is None
 
-    def block(self, reason: object) -> None:
-        """Yield to the scheduler until woken (called from the fiber thread).
+    def block(self, reason: object) -> Awaitable[None]:
+        """Mark this process blocked; the caller awaits what it returns.
 
-        *reason* is a string or anything whose ``str()`` is the reason:
-        it is only rendered by :meth:`wait_description`.
+        ``await proc.block(reason)`` suspends the rank's coroutine until
+        the scheduler picks it again (or throws the pending kill or
+        shutdown into it).  *reason* is a string or anything whose
+        ``str()`` is the reason: it is only rendered by
+        :meth:`wait_description`.
         """
         assert self.fiber is not None
         obs = self.runtime.obs
@@ -151,7 +154,7 @@ class SimProcess:
             obs.fiber_blocked(self.rank, self.now)
         self.fiber.state = _BLOCKED
         self.fiber.block_reason = reason
-        self.fiber.yield_to_scheduler()
+        return SUSPEND
 
     def wake(self, time: float, why: str) -> None:
         """Make this process runnable at virtual *time* (event context)."""

@@ -241,7 +241,7 @@ class Win:
 
     # -- synchronization ---------------------------------------------------------
 
-    def fence(self) -> None:
+    async def fence(self) -> None:
         """Close the access epoch (collective).
 
         Waits for remote completion of every operation issued since the
@@ -256,8 +256,8 @@ class Win:
 
         reqs, self._epoch_requests = self._epoch_requests, []
         for req in reqs:
-            wait(req)  # raises through the errhandler on target death
-        comm.barrier()
+            await wait(req)  # raises through the errhandler on target death
+        await comm.barrier()
 
     def free(self) -> None:
         """Drop the window's exposed buffer (local operation)."""

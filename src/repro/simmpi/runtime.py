@@ -144,12 +144,6 @@ class Runtime:
         #: :meth:`loop` arms them (an event-only injector such as
         #: ``KillAtTime`` is armed and never polled).
         self.polled_injectors: list[Any] = []
-        #: The blocked fiber whose thread is executing :meth:`_next_fiber`
-        #: (``None`` on the main thread or a finished fiber's thread).
-        self._driver: Fiber | None = None
-        #: Set from the main thread when its wait was interrupted
-        #: (Ctrl-C): the loop ends at the next scheduling decision.
-        self._interrupted = False
         self._poll_dt = max(cost.overhead, 1e-9)
         #: Last message / request id handed out: per-simulation, so equal
         #: seeds give equal traces.  Bumped inline where ids are taken.
@@ -171,21 +165,21 @@ class Runtime:
         """Schedule *proc* to wake at virtual *time*."""
         self.events.schedule(time, partial(proc.wake, time, label))
 
-    def poll_block(self, proc: SimProcess, label: str) -> None:
+    async def poll_block(self, proc: SimProcess, label: str) -> None:
         """Block *proc* for one poll interval (non-blocking-call progress)."""
         deadline = proc.now + self._poll_dt
         self.schedule_wake(proc, deadline, label)
         while proc.now < deadline:
-            proc.block(f"poll:{label}")
+            await proc.block(f"poll:{label}")
 
-    def arrival_block(self, proc: SimProcess, label: str) -> None:
+    async def arrival_block(self, proc: SimProcess, label: str) -> None:
         """Block *proc* until the next message delivery addressed to it.
 
         Used by blocking probe: event-driven, so waiting across a long
         idle gap costs one event instead of millions of polls.
         """
         proc.wants_arrival_wake = True
-        proc.block(f"await-arrival:{label}")
+        await proc.block(f"await-arrival:{label}")
         proc.wants_arrival_wake = False
 
     # ------------------------------------------------------------------
@@ -214,7 +208,7 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def kill_now(self, proc: SimProcess) -> None:
-        """Fail-stop *proc* at its current local time, from its own thread.
+        """Fail-stop *proc* at its current local time, from its own slice.
 
         Used by fault injectors at MPI-call and probe-point windows.
         Raises :class:`ProcessKilled` (never returns normally).
@@ -236,13 +230,9 @@ class Runtime:
         fiber = proc.fiber
         assert fiber is not None
         if fiber.state is _BLOCKED:
-            # Unwind the thread now so it never runs application code again.
+            # Unwind it now so it never runs application code again.
             fiber.kill_pending = True
-            if fiber is not self._driver:
-                fiber.resume_and_wait()
-            # else the victim's own thread is executing this event and
-            # cannot resume itself: _next_fiber hands it its baton back
-            # the moment the event returns.
+            fiber._step()
         elif fiber.state in (FiberState.READY, FiberState.NEW):
             fiber.kill_pending = True  # unwinds when next scheduled
         # RUNNING is impossible: events execute only between fiber slices.
@@ -664,11 +654,9 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def attach_and_start(self, mains: Sequence[Callable[[SimProcess], Any]]) -> None:
-        """Create and launch one fiber per rank around the given mains.
-
-        Each fiber runs on a pooled OS thread with a baton handoff (see
-        :class:`~repro.simmpi.fibers.Fiber`).  Its host seconds are
-        ``perf.setup_s``.
+        """Create one fiber per rank around the given mains and make it
+        runnable (see :class:`~repro.simmpi.fibers.Fiber`).  Its host
+        seconds are ``perf.setup_s``.
         """
         t0 = _time.perf_counter()
         for proc, main in zip(self.procs, mains):
@@ -686,8 +674,8 @@ class Runtime:
         """Run until every process finished, the job aborted, a deadlock is
         proven, or a budget is exhausted.
 
-        The loop body is :meth:`_next_fiber`; the fibers decide which
-        thread executes it (:meth:`repro.simmpi.fibers.Fiber.run_loop`).
+        The loop body is :meth:`_next_fiber` and one step of its pick
+        (:meth:`repro.simmpi.fibers.Fiber.run_loop`), on this thread.
         """
         for inj in self.injectors:
             inj.arm(self)
@@ -696,25 +684,18 @@ class Runtime:
         ]
         t0 = _time.perf_counter()
         try:
-            Fiber.run_loop(self._next_fiber, self._interrupt)
+            Fiber.run_loop(self._next_fiber)
         finally:
             self.perf.wall_s += _time.perf_counter() - t0
 
-    def _interrupt(self) -> None:
-        self._interrupted = True
-
-    def _next_fiber(self, driver: Fiber | None) -> Fiber | None:
+    def _next_fiber(self) -> Fiber | None:
         """The scheduling decision: run events until the policy picks a
         fiber and return it; ``None`` when the loop is over.
 
-        Called by whichever thread is giving up control — the fiber that
-        just blocked (*driver*) or finished, so everything reachable from here (event callbacks, AM
-        handlers, failure listeners, policies) runs on fiber threads and
-        must not depend on thread-local state.  Returning *driver*
-        itself means "carry on": either the policy picked it, or an
-        event killed it and it must unwind before anything else happens.
+        No rank is executing while it runs, so everything reachable from
+        here (event callbacks, AM handlers, failure listeners, policies)
+        may step a fiber itself: a kill unwinds its victim on the spot.
         """
-        self._driver = driver
         perf = self.perf
         # Ask the policy, not the raw queue: a policy may hold runnable
         # fibers in its own ordered structure between picks.
@@ -726,7 +707,7 @@ class Runtime:
         max_events = self.max_events
         max_time = self.max_time
         while True:
-            if self.abort_info is not None or self._interrupted:
+            if self.abort_info is not None:
                 return None
             proc = take(ready)  # type: ignore[arg-type]
             if proc is not None:
@@ -752,8 +733,6 @@ class Runtime:
                 if time > clock._now:
                     clock._now = time
                 fn()
-                if driver is not None and driver.kill_pending:
-                    return driver  # killed by that event: see _kill_event
                 continue
             blocked = [
                 p for p in self.procs
@@ -806,10 +785,9 @@ class Runtime:
             if fiber is None or fiber.finished():
                 continue
             fiber.shutdown_pending = True
-            fiber.resume_and_wait()
+            fiber._step()
         for proc in self.procs:
             if proc.fiber is not None:
-                proc.fiber.join()
                 proc.fiber.release()
         # Leftover events hold bound methods of this runtime; handlers,
         # listeners and engines hold the engines, which hold it back.
@@ -886,7 +864,7 @@ class Simulation:
 
     Typical use::
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             ...
 
@@ -979,7 +957,9 @@ class Simulation:
         ----------
         main:
             One callable (run at every rank) or a sequence of ``nprocs``
-            callables (MPMD).
+            callables (MPMD).  ``main(mpi)`` is an ``async def`` whose
+            coroutine the loop steps, or returns, without blocking, the
+            rank's result.
         on_deadlock:
             ``"raise"`` (default) raises :class:`SimulationDeadlock`;
             ``"return"`` records it on the result — used by the harness

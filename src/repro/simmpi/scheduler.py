@@ -1,24 +1,21 @@
 """Deterministic cooperative scheduling of simulated processes.
 
-Each simulated MPI rank runs ordinary Python code as a *fiber*: it
+Each simulated MPI rank runs an ``async def`` program as a *fiber*: it
 executes until it blocks inside a simulated MPI call (or finishes), at
 which point the scheduling decision runs — events until a fiber is
 runnable, then a deterministic policy picks which.  **Exactly one fiber
 executes at any instant**, so the entire simulation is reproducible
 bit-for-bit from its seed.
 
-There is no scheduler thread.  The decision is one function,
-``Runtime._next_fiber``, and the fiber that just gave up control runs
-it on its own thread and wakes the pick directly.  A policy is
-therefore called from a different thread each time and must not keep
-thread-local state.
+There is no scheduler thread, and no thread per rank.  The decision is
+one function, ``Runtime._next_fiber``; the kernel's loop runs it and
+steps the pick's coroutine, both on the caller's thread.
 
 The scheduling layer is split in two:
 
 * :mod:`repro.simmpi.fibers` — *how* a fiber's call stack suspends and
-  where the loop runs: :class:`~repro.simmpi.fibers.Fiber`, a pooled OS
-  thread with direct baton passing (one context switch per handoff on
-  Linux), plus kill/fail-stop and shutdown unwinding
+  where the loop runs: :class:`~repro.simmpi.fibers.Fiber`, a coroutine
+  stepped by the kernel's loop, plus kill/fail-stop and shutdown unwinding
   (:class:`~repro.simmpi.errors.ProcessKilled` /
   :class:`~repro.simmpi.errors.SimShutdown`).
 * this module — *which* runnable fiber goes next: the

@@ -66,43 +66,43 @@ def kill_at_send(sim: Simulation, budgets: dict[int, int]) -> None:
 # -- the three collectives, each returning (proposal, decision) ------------
 
 
-def validate_main(mpi):
+async def validate_main(mpi):
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-    mpi.compute(2e-7 * comm.rank)
+    await mpi.compute(2e-7 * comm.rank)
     proposal = frozenset(comm.known_failed_comm_ranks())
     req = icomm_validate_all(comm)
-    wait(req)
+    await wait(req)
     assert comm.validated == req.data == comm.recognized
-    mpi.compute(1e-4)  # stay killable while others still need answers
+    await mpi.compute(1e-4)  # stay killable while others still need answers
     return proposal, req.data
 
 
-def _revoked_world(mpi):
+async def _revoked_world(mpi):
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
     if comm.rank == comm.size - 1:
         comm.revoke()
-    mpi.compute(3e-6)  # the revocation has reached everyone
+    await mpi.compute(3e-6)  # the revocation has reached everyone
     assert comm.is_revoked
-    mpi.compute(2e-7 * comm.rank)
+    await mpi.compute(2e-7 * comm.rank)
     return comm
 
 
-def agree_main(mpi):
-    comm = _revoked_world(mpi)
+async def agree_main(mpi):
+    comm = await _revoked_world(mpi)
     proposal = frozenset({(comm.rank, 10 * comm.rank)})
     req = icomm_agree(comm, 10 * comm.rank)
-    wait(req)
-    mpi.compute(1e-4)
+    await wait(req)
+    await mpi.compute(1e-4)
     return proposal, req.data
 
 
-def shrink_main(mpi):
-    comm = _revoked_world(mpi)
+async def shrink_main(mpi):
+    comm = await _revoked_world(mpi)
     proposal = frozenset(comm.known_failed_comm_ranks())
-    shrunk = comm_shrink(comm)
-    mpi.compute(1e-4)
+    shrunk = await comm_shrink(comm)
+    await mpi.compute(1e-4)
     return proposal, frozenset(range(comm.size)) - frozenset(shrunk.group)
 
 
@@ -224,14 +224,14 @@ def test_coordinator_dead_before_the_call_with_uneven_knowledge():
     """Rank 0 died long before; some members know, some still report to it
     and re-report when their detector catches up."""
 
-    def main(mpi):
+    async def main(mpi):
         comm = mpi.comm_world
         comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
         if comm.rank == 0:
-            mpi.compute(1.0)
-        mpi.compute(1e-5)
+            await mpi.compute(1.0)
+        await mpi.compute(1e-5)
         req = icomm_validate_all(comm)
-        wait(req)
+        await wait(req)
         return sorted(req.data)
 
     late = {2: 2e-5, 4: 1.3e-5}  # observer -> delay; the rest know at once
@@ -244,15 +244,15 @@ def test_coordinator_dead_before_the_call_with_uneven_knowledge():
 
 
 def test_next_instance_must_wait_for_the_previous_one():
-    def main(mpi):
+    async def main(mpi):
         comm = mpi.comm_world
         if comm.rank == 0:
-            mpi.compute(1e-5)  # nobody can decide before rank 0 joins
+            await mpi.compute(1e-5)  # nobody can decide before rank 0 joins
         first = icomm_validate_all(comm)
         if comm.rank == 1:
             with pytest.raises(RuntimeError, match="run in order"):
                 icomm_validate_all(comm)
-        wait(first)
+        await wait(first)
         return "ok"
 
     r = Simulation(nprocs=3).run(main)
@@ -281,8 +281,8 @@ def test_comm_agree_among_16_ranks_sends_30():
 
 
 def test_floodset_oracle_keeps_its_cubic_cost():
-    def main(mpi):
-        wait(icomm_validate_all(mpi.comm_world, mode="full"))
+    async def main(mpi):
+        await wait(icomm_validate_all(mpi.comm_world, mode="full"))
 
     r = Simulation(nprocs=8, trace_enabled=False).run(main)
     assert r.perf.messages_sent == 8 * 8 * 7  # n rounds x n(n-1)

@@ -28,15 +28,15 @@ SURVIVORS = [r for r in range(N) if r != VICTIM]
 def _run_collective_scenario(op_builder, kill_time=2.0e-6, rounds=6):
     """Loop agreed recovery blocks at every rank; victim dies mid-run."""
 
-    def main(mpi):
+    async def main(mpi):
         comm = mpi.comm_world
         comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
         # Every rank (the victim included, until it dies) runs the same
         # loop — collective programs must be call-matched at all ranks.
         results = []
         for _ in range(rounds):
-            mpi.compute(1e-6)
-            results.append(run_recovery_block(comm, op_builder(mpi, comm)))
+            await mpi.compute(1e-6)
+            results.append(await run_recovery_block(comm, op_builder(mpi, comm)))
         return results
 
     return run_sim(main, N, kills=[(VICTIM, kill_time)], on_deadlock="return")
@@ -152,14 +152,14 @@ class TestAgreedRecoveryBlocks:
 
     @pytest.mark.parametrize("mode", AGREEMENT_MODES)
     def test_both_consensus_modes(self, mode):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             out = []
             for _ in range(4):
-                mpi.compute(1e-6)
+                await mpi.compute(1e-6)
                 out.append(
-                    run_recovery_block(
+                    await run_recovery_block(
                         comm, lambda: comm.allreduce(1, "sum"), mode=mode
                     )
                 )
@@ -176,18 +176,18 @@ class TestNaivePatternIsBroken:
         # decision.  In the window where the failing allreduce succeeds at
         # some ranks and errors at others, the erroring ranks consume an
         # extra collective call and the job deadlocks.
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             out = []
             for _ in range(6):
-                mpi.compute(1e-6)
+                await mpi.compute(1e-6)
                 while True:
                     try:
-                        out.append(comm.allreduce(1, "sum"))
+                        out.append(await comm.allreduce(1, "sum"))
                         break
                     except RankFailStopError:
-                        comm_validate_all(comm)
+                        await comm_validate_all(comm)
             return out
 
         # Asymmetry needs the detector to lag: ranks whose part of the

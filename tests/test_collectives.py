@@ -45,10 +45,10 @@ class TestBinomialTree:
 class TestBarrier:
     @pytest.mark.parametrize("n", SIZES)
     def test_barrier_synchronizes(self, n):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            mpi.compute(comm.rank * 1e-6)  # staggered arrival
-            comm.barrier()
+            await mpi.compute(comm.rank * 1e-6)  # staggered arrival
+            await comm.barrier()
             return mpi.now
 
         r = run_sim(main, n)
@@ -60,27 +60,27 @@ class TestBarrier:
 class TestBcast:
     @pytest.mark.parametrize("n", SIZES)
     def test_bcast_from_zero(self, n):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            return comm.bcast("payload" if comm.rank == 0 else None, root=0)
+            return await comm.bcast("payload" if comm.rank == 0 else None, root=0)
 
         r = run_sim(main, n)
         assert all(v == "payload" for v in r.values().values())
 
     def test_bcast_from_nonzero_root(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            return comm.bcast(comm.rank if comm.rank == 3 else None, root=3)
+            return await comm.bcast(comm.rank if comm.rank == 3 else None, root=3)
 
         r = run_sim(main, 6)
         assert all(v == 3 for v in r.values().values())
 
     def test_bcast_invalid_root(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             with pytest.raises(InvalidArgumentError):
-                comm.bcast("x", root=77)
+                await comm.bcast("x", root=77)
             return "ok"
 
         assert run_sim(main, 2).value(0) == "ok"
@@ -89,9 +89,9 @@ class TestBcast:
 class TestReduceFamily:
     @pytest.mark.parametrize("n", SIZES)
     def test_reduce_sum(self, n):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            return comm.reduce(comm.rank + 1, "sum", root=0)
+            return await comm.reduce(comm.rank + 1, "sum", root=0)
 
         r = run_sim(main, n)
         assert r.value(0) == n * (n + 1) // 2
@@ -100,33 +100,35 @@ class TestReduceFamily:
 
     @pytest.mark.parametrize("op,expect", [("max", 4), ("min", 0), ("prod", 0)])
     def test_reduce_ops(self, op, expect):
-        def main(mpi):
-            return mpi.comm_world.reduce(mpi.rank, op, root=0)
+        async def main(mpi):
+            return await mpi.comm_world.reduce(mpi.rank, op, root=0)
 
         assert run_sim(main, 5).value(0) == expect
 
     def test_reduce_custom_callable_order(self):
         # Non-commutative op: string concat must respect rank order.
-        def main(mpi):
-            return mpi.comm_world.reduce(str(mpi.rank), lambda a, b: a + b, root=0)
+        async def main(mpi):
+            return await mpi.comm_world.reduce(
+                str(mpi.rank), lambda a, b: a + b, root=0
+            )
 
         assert run_sim(main, 6).value(0) == "012345"
 
     @pytest.mark.parametrize("n", SIZES)
     def test_allreduce(self, n):
-        def main(mpi):
-            return mpi.comm_world.allreduce(mpi.rank, "sum")
+        async def main(mpi):
+            return await mpi.comm_world.allreduce(mpi.rank, "sum")
 
         r = run_sim(main, n)
         expect = n * (n - 1) // 2
         assert all(v == expect for v in r.values().values())
 
     def test_unknown_op_rejected(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             with pytest.raises(InvalidArgumentError):
-                comm.allreduce(1, "bogus")
+                await comm.allreduce(1, "bogus")
             return "ok"
 
         assert run_sim(main, 2).value(0) == "ok"
@@ -142,15 +144,15 @@ class TestReduceFamily:
 class TestGatherScatter:
     @pytest.mark.parametrize("n", SIZES)
     def test_gather(self, n):
-        def main(mpi):
-            return mpi.comm_world.gather(mpi.rank * 2, root=0)
+        async def main(mpi):
+            return await mpi.comm_world.gather(mpi.rank * 2, root=0)
 
         r = run_sim(main, n)
         assert r.value(0) == [2 * i for i in range(n)]
 
     def test_gather_nonzero_root(self):
-        def main(mpi):
-            return mpi.comm_world.gather(mpi.rank, root=2)
+        async def main(mpi):
+            return await mpi.comm_world.gather(mpi.rank, root=2)
 
         r = run_sim(main, 4)
         assert r.value(2) == [0, 1, 2, 3]
@@ -158,21 +160,21 @@ class TestGatherScatter:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_scatter(self, n):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             values = [i * i for i in range(n)] if comm.rank == 0 else None
-            return comm.scatter(values, root=0)
+            return await comm.scatter(values, root=0)
 
         r = run_sim(main, n)
         assert [r.value(i) for i in range(n)] == [i * i for i in range(n)]
 
     def test_scatter_wrong_length(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 0:
                 with pytest.raises(InvalidArgumentError):
-                    comm.scatter([1], root=0)
+                    await comm.scatter([1], root=0)
             return "ok"
 
         r = run_sim(main, 3, on_deadlock="return")
@@ -182,8 +184,8 @@ class TestGatherScatter:
 class TestAllgatherAlltoallScan:
     @pytest.mark.parametrize("n", SIZES)
     def test_allgather(self, n):
-        def main(mpi):
-            return mpi.comm_world.allgather(mpi.rank + 100)
+        async def main(mpi):
+            return await mpi.comm_world.allgather(mpi.rank + 100)
 
         r = run_sim(main, n)
         expect = [100 + i for i in range(n)]
@@ -191,9 +193,9 @@ class TestAllgatherAlltoallScan:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_alltoall(self, n):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            out = comm.alltoall([(comm.rank, j) for j in range(n)])
+            out = await comm.alltoall([(comm.rank, j) for j in range(n)])
             return out
 
         r = run_sim(main, n)
@@ -202,8 +204,8 @@ class TestAllgatherAlltoallScan:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_scan(self, n):
-        def main(mpi):
-            return mpi.comm_world.scan(mpi.rank + 1, "sum")
+        async def main(mpi):
+            return await mpi.comm_world.scan(mpi.rank + 1, "sum")
 
         r = run_sim(main, n)
         for i in range(n):
@@ -212,31 +214,31 @@ class TestAllgatherAlltoallScan:
 
 class TestCollectiveFailureSemantics:
     def test_collective_disabled_after_known_failure(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 3:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             with pytest.raises(RankFailStopError):
-                comm.barrier()
+                await comm.barrier()
             return "disabled"
 
         r = run_sim(main, 4, kills=[(3, 0.5)], on_deadlock="return")
         assert all(r.value(i) == "disabled" for i in range(3))
 
     def test_validate_all_reenables_over_survivors(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 2:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            n = comm_validate_all(comm)
-            total = comm.allreduce(1, "sum")
-            gathered = comm.gather(comm.rank, root=0)
+            await mpi.compute(2.0)
+            n = await comm_validate_all(comm)
+            total = await comm.allreduce(1, "sum")
+            gathered = await comm.gather(comm.rank, root=0)
             return (n, total, gathered)
 
         r = run_sim(main, 5, kills=[(2, 0.5)])
@@ -247,16 +249,16 @@ class TestCollectiveFailureSemantics:
         assert r.value(1)[0:2] == (1, 4)
 
     def test_bcast_from_validated_root_is_proc_null(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            comm_validate_all(comm)
+            await mpi.compute(2.0)
+            await comm_validate_all(comm)
             # Root 0 is dead+validated: bcast is a no-op returning input.
-            return comm.bcast("mine", root=0)
+            return await comm.bcast("mine", root=0)
 
         r = run_sim(main, 3, kills=[(0, 0.5)])
         assert r.value(1) == "mine" and r.value(2) == "mine"
@@ -265,13 +267,13 @@ class TestCollectiveFailureSemantics:
         # Rank dies while inside the barrier: peers that must hear from it
         # error out (possibly not all — inconsistent return codes are
         # legitimate, the paper's §II point).
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 1:
-                mpi.compute(0.5)  # dies inside/near the barrier
+                await mpi.compute(0.5)  # dies inside/near the barrier
             try:
-                comm.barrier()
+                await comm.barrier()
                 return "ok"
             except RankFailStopError:
                 return "err"

@@ -73,10 +73,10 @@ class TestRankIndex:
         assert plain.rank == 2 and plain._ranks is comm._ranks
 
     def test_every_handle_of_a_group_shares_one_map(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             dup = comm.dup()
-            half = comm.split(color=comm.rank % 2)
+            half = await comm.split(color=comm.rank % 2)
             return comm._ranks, dup._ranks, half.group, half._ranks
 
         r = run_sim(main, 6)
@@ -122,15 +122,15 @@ class TestDup:
         assert all(r.value(i)[1] == (0, 1, 2, 3) for i in range(4))
 
     def test_dup_traffic_isolated(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             d = comm.dup()
             if comm.rank == 0:
                 comm.send("world", dest=1, tag=3)
                 d.send("dup", dest=1, tag=3)
             else:
-                on_dup, _ = d.recv(source=0, tag=3)
-                on_world, _ = comm.recv(source=0, tag=3)
+                on_dup, _ = await d.recv(source=0, tag=3)
+                on_world, _ = await comm.recv(source=0, tag=3)
                 return (on_world, on_dup)
 
         assert run_sim(main, 2).value(1) == ("world", "dup")
@@ -146,27 +146,27 @@ class TestDup:
         assert r.value(1) == (a, b)  # agreed across ranks
 
     def test_dup_does_not_inherit_recognition(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 2:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             comm_validate_clear(comm, [2])
             d = comm.dup()
             return (sorted(comm.recognized), sorted(d.recognized))
 
         # dup() is a collective: run it before the failure instead.
-        def main2(mpi):
+        async def main2(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             d = comm.dup()
             d.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 2:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             comm_validate_clear(comm, [2])
             return (sorted(comm.recognized), sorted(d.recognized))
 
@@ -177,9 +177,9 @@ class TestDup:
 
 class TestSplit:
     def test_split_by_parity(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
+            sub = await comm.split(color=comm.rank % 2, key=comm.rank)
             return (sub.rank, sub.size, sub.group)
 
         r = run_sim(main, 6)
@@ -188,9 +188,9 @@ class TestSplit:
         assert r.value(4) == (2, 3, (0, 2, 4))
 
     def test_split_key_reorders(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            sub = comm.split(color=0, key=-comm.rank)
+            sub = await comm.split(color=0, key=-comm.rank)
             return sub.rank
 
         r = run_sim(main, 4)
@@ -198,10 +198,10 @@ class TestSplit:
         assert [r.value(i) for i in range(4)] == [3, 2, 1, 0]
 
     def test_split_undefined_returns_none(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             color = UNDEFINED if comm.rank == 0 else 1
-            sub = comm.split(color=color, key=comm.rank)
+            sub = await comm.split(color=color, key=comm.rank)
             return None if sub is None else sub.group
 
         r = run_sim(main, 3)
@@ -209,23 +209,23 @@ class TestSplit:
         assert r.value(1) == (1, 2)
 
     def test_split_comm_collectives_work(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
-            return sub.allreduce(comm.rank, "sum")
+            sub = await comm.split(color=comm.rank % 2, key=comm.rank)
+            return await sub.allreduce(comm.rank, "sum")
 
         r = run_sim(main, 6)
         assert r.value(0) == 0 + 2 + 4
         assert r.value(1) == 1 + 3 + 5
 
     def test_split_p2p_uses_comm_ranks(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
+            sub = await comm.split(color=comm.rank % 2, key=comm.rank)
             if sub.rank == 0:
                 sub.send(f"from-{comm.rank}", dest=1)
             elif sub.rank == 1:
-                data, status = sub.recv(source=0)
+                data, status = await sub.recv(source=0)
                 return (data, status.source)
 
         r = run_sim(main, 4)
@@ -243,13 +243,13 @@ class TestErrorHandlers:
         assert run_sim(main, 1).value(0) == "ok"
 
     def test_fatal_error_aborts_job(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world  # ERRORS_ARE_FATAL
             if comm.rank == 0:
-                mpi.compute(2.0)
+                await mpi.compute(2.0)
                 comm.send("x", dest=1)  # rank 1 dead & known -> abort
                 return "unreachable"
-            mpi.compute(1.0)
+            await mpi.compute(1.0)
 
         r = run_sim(main, 2, kills=[(1, 0.5)], on_deadlock="return")
         assert r.aborted is not None
@@ -258,16 +258,16 @@ class TestErrorHandlers:
     def test_errors_return_raises_catchable(self):
         from repro.simmpi import RankFailStopError
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 0:
-                mpi.compute(2.0)
+                await mpi.compute(2.0)
                 try:
                     comm.send("x", dest=1)
                 except RankFailStopError as e:
                     return ("caught", e.peer)
-            mpi.compute(1.0)
+            await mpi.compute(1.0)
 
         r = run_sim(main, 2, kills=[(1, 0.5)])
         assert r.value(0) == ("caught", 1)

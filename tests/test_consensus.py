@@ -24,32 +24,32 @@ class TestFailureFree:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
     def test_zero_failures_agreed(self, n, mode):
-        def main(mpi):
-            return comm_validate_all(returning(mpi), mode=mode)
+        async def main(mpi):
+            return await comm_validate_all(returning(mpi), mode=mode)
 
         r = run_sim(main, n)
         assert all(v == 0 for v in r.values().values())
 
     @pytest.mark.parametrize("mode", MODES)
     def test_repeated_validates(self, mode):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
-            return [comm_validate_all(comm, mode=mode) for _ in range(3)]
+            return [await comm_validate_all(comm, mode=mode) for _ in range(3)]
 
         r = run_sim(main, 4)
         assert all(v == [0, 0, 0] for v in r.values().values())
 
     def test_single_rank_trivial(self):
-        def main(mpi):
-            return comm_validate_all(returning(mpi))
+        async def main(mpi):
+            return await comm_validate_all(returning(mpi))
 
         assert run_sim(main, 1).value(0) == 0
 
     def test_invalid_mode_rejected(self):
-        def main(mpi):
+        async def main(mpi):
             for mode in ("psychic", "early"):  # "early" is gone, not aliased
                 with pytest.raises(ValueError):
-                    comm_validate_all(returning(mpi), mode=mode)
+                    await comm_validate_all(returning(mpi), mode=mode)
             return "ok"
 
         assert run_sim(main, 1).value(0) == "ok"
@@ -58,13 +58,13 @@ class TestFailureFree:
 class TestWithPriorFailures:
     @pytest.mark.parametrize("mode", MODES)
     def test_known_failure_counted_and_recognized(self, mode):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 2:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            n = comm_validate_all(comm, mode=mode)
+            await mpi.compute(2.0)
+            n = await comm_validate_all(comm, mode=mode)
             return (n, sorted(comm.validated), sorted(comm.recognized))
 
         r = run_sim(main, 4, kills=[(2, 0.5)])
@@ -73,30 +73,30 @@ class TestWithPriorFailures:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_multiple_prior_failures(self, mode):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank in (1, 3, 4):
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            return comm_validate_all(comm, mode=mode)
+            await mpi.compute(2.0)
+            return await comm_validate_all(comm, mode=mode)
 
         r = run_sim(main, 6, kills=[(1, 0.3), (3, 0.4), (4, 0.5)])
         assert all(r.value(i) == 3 for i in (0, 2, 5))
 
     def test_count_accumulates_across_validates(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
             if comm.rank == 2:
-                mpi.compute(3.0)
+                await mpi.compute(3.0)
                 return
-            mpi.compute(2.0)
-            first = comm_validate_all(comm)
-            mpi.compute(2.5)  # wait past the second failure
-            second = comm_validate_all(comm)
+            await mpi.compute(2.0)
+            first = await comm_validate_all(comm)
+            await mpi.compute(2.5)  # wait past the second failure
+            second = await comm_validate_all(comm)
             return (first, second)
 
         r = run_sim(main, 4, kills=[(1, 0.5), (2, 2.5)])
@@ -109,12 +109,12 @@ class TestFailuresDuringProtocol:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("victim_time", [1e-8, 5e-7, 2e-6, 1e-5])
     def test_death_mid_protocol_agreement(self, mode, victim_time):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            return comm_validate_all(comm, mode=mode)
+            return await comm_validate_all(comm, mode=mode)
 
         r = run_sim(main, 5, kills=[(1, victim_time)], on_deadlock="return")
         assert not r.hung
@@ -123,12 +123,12 @@ class TestFailuresDuringProtocol:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_many_simultaneous_deaths(self, mode):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank in (1, 2, 3, 4):
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            return comm_validate_all(comm, mode=mode)
+            return await comm_validate_all(comm, mode=mode)
 
         kills = [(i, 1e-7) for i in (1, 2, 3, 4)]
         r = run_sim(main, 6, kills=kills, on_deadlock="return")
@@ -137,12 +137,12 @@ class TestFailuresDuringProtocol:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_all_but_one_die(self, mode):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank != 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            return comm_validate_all(comm, mode=mode)
+            return await comm_validate_all(comm, mode=mode)
 
         kills = [(i, 1e-7) for i in range(1, 4)]
         r = run_sim(main, 4, kills=kills, on_deadlock="return")
@@ -151,12 +151,12 @@ class TestFailuresDuringProtocol:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_staggered_deaths_agreement(self, mode):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank in (2, 5):
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            return comm_validate_all(comm, mode=mode)
+            return await comm_validate_all(comm, mode=mode)
 
         r = run_sim(
             main, 7, kills=[(2, 3e-7), (5, 9e-7)], on_deadlock="return",
@@ -169,10 +169,10 @@ class TestFailuresDuringProtocol:
 
 class TestNonBlocking:
     def test_icomm_request_completes(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             req = icomm_validate_all(comm)
-            status = wait(req)
+            status = await wait(req)
             return (status.count, sorted(req.data))
 
         r = run_sim(main, 3)
@@ -182,16 +182,16 @@ class TestNonBlocking:
         # The consensus must complete in the progress engine even while
         # the application thread waits in an unrelated recv — the property
         # paper Fig. 13 relies on.
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             req = icomm_validate_all(comm)
             if comm.rank == 0:
                 # Block on a message that arrives only after the others
                 # have finished their validates.
-                data, _ = comm.recv(source=1, tag=77)
-                wait(req)
+                data, _ = await comm.recv(source=1, tag=77)
+                await wait(req)
                 return (data, req.status.count)
-            wait(req)
+            await wait(req)
             if comm.rank == 1:
                 comm.send("late", dest=0, tag=77)
             return req.status.count
@@ -200,14 +200,14 @@ class TestNonBlocking:
         assert r.value(0) == ("late", 0)
 
     def test_decision_applied_on_completion(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             req = icomm_validate_all(comm)
-            wait(req)
+            await wait(req)
             return (sorted(req.data), sorted(comm.validated))
 
         r = run_sim(main, 3, kills=[(1, 0.5)])
@@ -216,15 +216,15 @@ class TestNonBlocking:
 
 class TestSubcommunicators:
     def test_validate_on_split_comm(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
+            sub = await comm.split(color=comm.rank % 2, key=comm.rank)
             sub.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 2:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            n = comm_validate_all(sub)
+            await mpi.compute(2.0)
+            n = await comm_validate_all(sub)
             return (n, sorted(sub.validated))
 
         r = run_sim(main, 6, kills=[(2, 0.5)])
@@ -235,16 +235,16 @@ class TestSubcommunicators:
         assert r.value(1) == (0, [])
 
     def test_validate_world_and_sub_independent(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
-            sub = comm.split(color=0 if comm.rank < 2 else 1, key=comm.rank)
+            sub = await comm.split(color=0 if comm.rank < 2 else 1, key=comm.rank)
             sub.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 3:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            n_world = comm_validate_all(comm)
-            n_sub = comm_validate_all(sub)
+            await mpi.compute(2.0)
+            n_world = await comm_validate_all(comm)
+            n_sub = await comm_validate_all(sub)
             return (n_world, n_sub)
 
         r = run_sim(main, 4, kills=[(3, 0.5)])

@@ -38,10 +38,10 @@ class TestTraceDeterminism:
     def test_different_random_seeds_may_differ(self):
         # Not guaranteed for every pair, but these two differ; the test
         # pins that seeds are actually plumbed through.
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.send(mpi.rank, dest=(mpi.rank + 1) % mpi.size)
-            comm.recv(source=(mpi.rank - 1) % mpi.size)
+            await comm.recv(source=(mpi.rank - 1) % mpi.size)
 
         traces = set()
         for seed in range(6):
@@ -61,7 +61,7 @@ class TestTraceDeterminism:
         assert results[0].trace.keys() == results[1].trace.keys()
 
     def test_event_and_request_ids_reset_per_simulation(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send("x", dest=1)
@@ -69,7 +69,7 @@ class TestTraceDeterminism:
                 req = comm.irecv(source=0)
                 from repro.simmpi import wait
 
-                wait(req)
+                await wait(req)
                 return req.id
 
         first = Simulation(nprocs=2).run(main).value(1)
@@ -109,9 +109,9 @@ class TestSimulationGuards:
     def test_max_events_guard(self):
         from repro.simmpi import SimulationLimitExceeded
 
-        def main(mpi):
+        async def main(mpi):
             while True:
-                mpi.compute(1e-9)
+                await mpi.compute(1e-9)
 
         sim = Simulation(nprocs=1, max_events=1000)
         with pytest.raises(SimulationLimitExceeded):
@@ -120,9 +120,9 @@ class TestSimulationGuards:
     def test_max_time_guard(self):
         from repro.simmpi import SimulationLimitExceeded
 
-        def main(mpi):
+        async def main(mpi):
             while True:
-                mpi.compute(10.0)
+                await mpi.compute(10.0)
 
         sim = Simulation(nprocs=1, max_time=100.0)
         with pytest.raises(SimulationLimitExceeded):

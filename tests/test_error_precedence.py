@@ -119,12 +119,14 @@ def expected(op, flags, source, dest):
     return _received(PROC_NULL, ANY_TAG)
 
 
-def _call(comm, op, source, dest, tag):
+async def _call(comm, op, source, dest, tag):
     peer = dest if op in ("send", "isend", "issend") else source
     if op == "sendrecv":
-        return comm.sendrecv("x", dest, source, sendtag=tag, recvtag=tag)
-    if op in ("irecv", "recv"):
-        return getattr(comm, op)(source=peer, tag=tag)
+        return await comm.sendrecv("x", dest, source, sendtag=tag, recvtag=tag)
+    if op == "recv":
+        return await comm.recv(source=peer, tag=tag)
+    if op == "irecv":
+        return comm.irecv(source=peer, tag=tag)
     return getattr(comm, op)("x", peer, tag)
 
 
@@ -146,20 +148,20 @@ def run_case(op, flags, source, dest, handler):
     dst = ALIVE_PEER if dest is None else PEERS[dest]
     tag = BAD_TAG if "tag" in flags else GOOD_TAG
 
-    def main(mpi):
+    async def main(mpi):
         comm = mpi.comm_world
         if mpi.rank != 0:
-            mpi.compute(1e-3)  # ranks 2 and 3 die in here; 1 just idles
+            await mpi.compute(1e-3)  # ranks 2 and 3 die in here; 1 just idles
             return None
         comm.set_errhandler(HANDLERS[handler])
-        mpi.compute(1e-6)  # let the detector report both failures
+        await mpi.compute(1e-6)  # let the detector report both failures
         assert comm_validate_clear(comm, [2]) == 1  # 3 stays known only
         if "revoked" in flags:
             comm.revoke()
         if "freed" in flags:
             comm.free()
         try:
-            return _describe(_call(comm, op, src, dst, tag))
+            return _describe(await _call(comm, op, src, dst, tag))
         except MPIError as exc:
             return _raised(type(exc).__name__, exc.error_class, exc.peer,
                            exc.rank, str(exc))

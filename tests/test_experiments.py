@@ -132,13 +132,13 @@ class TestF4:
     N = 12
 
     def _run(self, failed):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank in failed:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return None
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             return (to_right_of(comm, comm.rank), to_left_of(comm, comm.rank))
 
         return run_sim(main, self.N, kills=kill_at_times(failed),
@@ -334,13 +334,13 @@ class TestF12:
     N = 10
 
     def _elect(self, failed):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank in failed:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return None
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             return get_current_root(comm)
 
         return run_sim(main, self.N, kills=kill_at_times(failed),
@@ -480,13 +480,13 @@ class TestSWEEP:
 
 
 def validate_run(n, mode, kills=()):
-    def main(mpi):
+    async def main(mpi):
         comm = mpi.comm_world
         comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
         if comm.rank in {rank for rank, _t in kills}:
-            mpi.compute(1.0)
+            await mpi.compute(1.0)
             return None
-        return comm_validate_all(comm, mode=mode)
+        return await comm_validate_all(comm, mode=mode)
 
     return run_sim(main, n, kills=kills, on_deadlock="return")
 
@@ -523,16 +523,16 @@ class TestVAL:
                 assert (r.hung, counts) == (False, {0}), (nfail, mode)
 
     def test_accumulates(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank in (1, 2):
-                mpi.compute(1.0 if comm.rank == 1 else 3.0)
+                await mpi.compute(1.0 if comm.rank == 1 else 3.0)
                 return None
-            mpi.compute(2.0)
-            first = comm_validate_all(comm)
-            mpi.compute(2.0)
-            return (first, comm_validate_all(comm))
+            await mpi.compute(2.0)
+            first = await comm_validate_all(comm)
+            await mpi.compute(2.0)
+            return (first, await comm_validate_all(comm))
 
         r = run_sim(main, 5, kills=[(1, 0.5), (2, 2.5)], on_deadlock="return")
         assert r.value(0) == (1, 2)

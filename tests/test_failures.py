@@ -24,8 +24,8 @@ def returning(mpi):
 
 class TestFailStop:
     def test_killed_process_reported_failed(self):
-        def main(mpi):
-            mpi.compute(1.0)
+        async def main(mpi):
+            await mpi.compute(1.0)
             return "survived"
 
         r = run_sim(main, 3, kills=[(1, 0.5)])
@@ -41,57 +41,57 @@ class TestFailStop:
         assert r.failed_ranks == set()
 
     def test_send_to_known_failed_raises(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 with pytest.raises(RankFailStopError) as e:
                     comm.send("x", dest=1)
                 assert e.value.peer == 1
                 return "ok"
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
 
         assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) == "ok"
 
     def test_recv_posted_to_peer_that_later_fails(self):
         # The watchdog semantic: pending receives error at detection.
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
                 req = comm.irecv(source=1)
                 with pytest.raises(RankFailStopError):
-                    wait(req)
+                    await wait(req)
                 return mpi.now
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
 
         r = run_sim(main, 2, kills=[(1, 0.5)])
         assert r.value(0) == pytest.approx(0.5)
 
     def test_any_source_recv_with_unrecognized_failure_errors(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 with pytest.raises(RankFailStopError):
-                    comm.recv(source=ANY_SOURCE)
+                    await comm.recv(source=ANY_SOURCE)
                 return "errored"
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
 
         assert run_sim(main, 3, kills=[(1, 0.5)]).value(0) == "errored"
 
     def test_any_source_ok_after_recognition(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 comm_validate_clear(comm, [1])
-                data, status = comm.recv(source=ANY_SOURCE)
+                data, status = await comm.recv(source=ANY_SOURCE)
                 return (data, status.source)
             if comm.rank == 1:
-                mpi.compute(2.0)
+                await mpi.compute(2.0)
                 return
             comm.send("from2", dest=0)
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
 
         r = run_sim(main, 3, kills=[(1, 0.5)])
         assert r.value(0) == ("from2", 2)
@@ -99,13 +99,13 @@ class TestFailStop:
     def test_in_flight_message_from_dead_sender_still_delivered(self):
         # Fail-stop wire semantics: what was sent before death arrives.
         # Detection must lag delivery for the receiver to consume it.
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
                 comm.send("last words", dest=0)
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
             else:
-                data, _ = comm.recv(source=1)
+                data, _ = await comm.recv(source=1)
                 return data
 
         r = run_sim(
@@ -115,12 +115,12 @@ class TestFailStop:
         assert r.value(0) == "last words"
 
     def test_message_to_dead_rank_dropped(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
                 comm.send("into the void", dest=1)
                 return "sent"
-            mpi.compute(1.0)
+            await mpi.compute(1.0)
 
         # Detection latency ensures the send is posted before rank 0
         # learns of the death (so it does not raise).
@@ -134,42 +134,42 @@ class TestFailStop:
 
 class TestRecognition:
     def test_send_to_recognized_failed_is_proc_null(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 comm_validate_clear(comm, [1])
                 comm.send("x", dest=1)  # no error: PROC_NULL semantics
                 return "ok"
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
 
         assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) == "ok"
 
     def test_recv_from_recognized_failed_completes_empty(self):
         from repro.simmpi import PROC_NULL
 
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 comm_validate_clear(comm, [1])
-                data, status = comm.recv(source=1)
+                data, status = await comm.recv(source=1)
                 return (data, status.source)
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
 
         assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) == (None, PROC_NULL)
 
 
 class TestDetectionLatency:
     def test_uniform_latency_delays_knowledge(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
                 req = comm.irecv(source=1)
                 with pytest.raises(RankFailStopError):
-                    wait(req)
+                    await wait(req)
                 return mpi.now
-            mpi.compute(1.0)
+            await mpi.compute(1.0)
 
         r = run_sim(main, 2, kills=[(1, 0.5)], detection_latency=0.25)
         assert r.value(0) == pytest.approx(0.75)
@@ -178,14 +178,14 @@ class TestDetectionLatency:
         def lat(observer: int, failed: int) -> float:
             return 0.1 if observer == 0 else 0.9
 
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 2:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
             req = comm.irecv(source=2)
             with pytest.raises(RankFailStopError):
-                wait(req)
+                await wait(req)
             return mpi.now
 
         r = run_sim(main, 3, kills=[(2, 0.5)], detection_latency=lat)
@@ -193,8 +193,8 @@ class TestDetectionLatency:
         assert r.value(1) == pytest.approx(1.4)
 
     def test_detect_events_traced_per_observer(self):
-        def main(mpi):
-            mpi.compute(1.0)
+        async def main(mpi):
+            await mpi.compute(1.0)
 
         r = run_sim(main, 4, kills=[(2, 0.5)])
         detects = r.trace.filter(kind=TraceKind.DETECT)
@@ -203,26 +203,26 @@ class TestDetectionLatency:
 
 class TestSsendFailure:
     def test_pending_ssend_errors_when_peer_dies(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
                 req = comm.issend("never matched", dest=1)
                 with pytest.raises(RankFailStopError):
-                    wait(req)
+                    await wait(req)
                 return "errored"
-            mpi.compute(1.0)  # never posts the receive
+            await mpi.compute(1.0)  # never posts the receive
 
         assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) == "errored"
 
     def test_issend_to_known_failed_completes_in_error(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 req = comm.issend("x", dest=1)
                 assert req.done and req.failed()
                 return "ok"
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
 
         assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) == "ok"
 
@@ -230,21 +230,21 @@ class TestSsendFailure:
 class TestWatchdogPattern:
     def test_watchdog_irecv_detects_right_neighbor_death(self):
         # The paper's central trick in isolation (Fig. 9 mechanism).
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 0:
                 data_req = comm.irecv(source=1, tag=1)
                 watchdog = comm.irecv(source=2, tag=1)
                 try:
-                    waitany([data_req, watchdog])
+                    await waitany([data_req, watchdog])
                 except RankFailStopError as e:
                     data_req.cancel()
                     return ("watchdog fired", e.index, e.peer)
             elif comm.rank == 1:
-                mpi.compute(5.0)  # silent; never sends
+                await mpi.compute(5.0)  # silent; never sends
                 comm.send("data", dest=0, tag=1)
             else:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
 
         r = run_sim(main, 3, kills=[(2, 0.5)])
         assert r.value(0) == ("watchdog fired", 1, 2)

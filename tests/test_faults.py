@@ -25,10 +25,10 @@ from repro.analysis import no_hang, standard_ring_invariants
 from tests.conftest import RING_INVARIANTS, RING_SCENARIO, run_sim
 
 
-def counting_main(mpi):
+async def counting_main(mpi):
     for i in range(10):
         mpi.probe_point("tick")
-        mpi.compute(1e-7)
+        await mpi.compute(1e-7)
     return mpi.probe_counts.get("tick")
 
 
@@ -60,14 +60,14 @@ class TestInjectors:
         assert r.failed_ranks == {1}
 
     def test_kill_at_call_filters_op(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send(1, dest=1)
                 comm.send(2, dest=1)
                 return "alive"
-            comm.recv(source=0)
-            comm.recv(source=0)
+            await comm.recv(source=0)
+            await comm.recv(source=0)
 
         r = run_sim(main, 2,
                     injectors=[KillAtCall(rank=1, call_no=2, op="recv")],

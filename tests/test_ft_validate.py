@@ -43,23 +43,23 @@ class TestValidateRank:
         assert run_sim(main, 2).value(0) == (1, 0, RankState.OK)
 
     def test_failed_unrecognized_is_failed(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             return comm_validate_rank(comm, 1).state
 
         assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) is RankState.FAILED
 
     def test_recognized_is_null(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             comm_validate_clear(comm, [1])
             return comm_validate_rank(comm, 1).state
 
@@ -77,12 +77,12 @@ class TestValidateRank:
     def test_unknown_failure_still_ok(self):
         # Before detection the observer sees the rank as OK (the detector
         # is accurate and complete, not instantaneous).
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             return comm_validate_rank(comm, 1).state
 
         r = run_sim(main, 2, kills=[(1, 0.5)], detection_latency=100.0)
@@ -97,12 +97,12 @@ class TestValidateList:
         assert run_sim(main, 3).value(0) == []
 
     def test_lists_failed_and_recognized(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank in (1, 2):
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             comm_validate_clear(comm, [1])
             infos = comm_validate(comm)
             return [(i.rank, i.state) for i in infos]
@@ -113,12 +113,12 @@ class TestValidateList:
 
 class TestValidateClear:
     def test_returns_newly_recognized_count(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank in (1, 2):
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             first = comm_validate_clear(comm, [1, 2])
             again = comm_validate_clear(comm, [1, 2])
             return (first, again)
@@ -126,12 +126,12 @@ class TestValidateClear:
         assert run_sim(main, 3, kills=[(1, 0.4), (2, 0.5)]).value(0) == (2, 0)
 
     def test_accepts_rank_infos(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             infos = comm_validate(comm)
             n = comm_validate_clear(comm, infos)
             return (n, rank_state(comm, 1))
@@ -156,14 +156,14 @@ class TestValidateClear:
         assert run_sim(main, 2).value(0) == "ok"
 
     def test_recognition_is_per_communicator(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             dup = comm.dup()
             dup.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             comm_validate_clear(comm, [1])
             return (rank_state(comm, 1), rank_state(dup, 1))
 

@@ -65,14 +65,14 @@ class TestGroupAlgebra:
 
 class TestCommCreate:
     def test_create_subcomm_from_group(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             world = comm.group_obj()
             evens = world.incl([0, 2, 4])
-            sub = comm.create(evens)
+            sub = await comm.create(evens)
             if sub is None:
                 return None
-            return (sub.rank, sub.group, sub.allreduce(1, "sum"))
+            return (sub.rank, sub.group, await sub.allreduce(1, "sum"))
 
         r = run_sim(main, 5)
         assert r.value(0) == (0, (0, 2, 4), 3)
@@ -81,9 +81,9 @@ class TestCommCreate:
         assert r.value(3) is None
 
     def test_group_obj_matches_membership(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
+            sub = await comm.split(color=comm.rank % 2, key=comm.rank)
             return sub.group_obj().ranks
 
         r = run_sim(main, 4)
@@ -95,7 +95,7 @@ class TestCommFree:
     def test_freed_comm_rejects_operations(self):
         from repro.simmpi import ErrorHandler
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             d = comm.dup()
             d.set_errhandler(ErrorHandler.ERRORS_RETURN)
@@ -105,18 +105,18 @@ class TestCommFree:
             with pytest.raises(InvalidArgumentError):
                 d.irecv(source=0)
             with pytest.raises(InvalidArgumentError):
-                d.barrier()
+                await d.barrier()
             return "ok"
 
         r = run_sim(main, 2)
         assert all(v == "ok" for v in r.values().values())
 
     def test_world_still_usable_after_dup_freed(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             d = comm.dup()
             d.free()
-            return comm.allreduce(1, "sum")
+            return await comm.allreduce(1, "sum")
 
         r = run_sim(main, 3)
         assert all(v == 3 for v in r.values().values())

@@ -94,8 +94,8 @@ class TestProcessHelpers:
         assert users[0].detail["message"] == "hello from rank"
 
     def test_sleep_is_compute(self):
-        def main(mpi):
-            mpi.sleep(1.5)
+        async def main(mpi):
+            await mpi.sleep(1.5)
             return mpi.now
 
         assert run_sim(main, 1).value(0) >= 1.5
@@ -114,13 +114,13 @@ class TestHierarchicalCostInSitu:
             byte_cost=0.0, remote_byte_cost=0.0, overhead=0.0,
         )
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send("near", dest=1)   # same node (0,1)
                 comm.send("far", dest=2)    # different node
             elif comm.rank in (1, 2):
-                _, status = comm.recv(source=0)
+                _, status = await comm.recv(source=0)
                 return mpi.now
 
         r = Simulation(nprocs=4, cost=cost).run(main)
@@ -135,12 +135,12 @@ class TestHierarchicalCostInSitu:
             ranks_per_node=1, overhead=0.0,
         )
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send(b"x" * 1000, dest=1)
             else:
-                comm.recv(source=0)
+                await comm.recv(source=0)
                 return mpi.now
 
         r = Simulation(nprocs=2, cost=cost).run(main)
@@ -149,17 +149,17 @@ class TestHierarchicalCostInSitu:
 
 class TestSendrecvUnderFailure:
     def test_sendrecv_raises_when_source_dies(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 0:
                 with pytest.raises(RankFailStopError):
-                    comm.sendrecv("out", dest=2, source=1)
+                    await comm.sendrecv("out", dest=2, source=1)
                 return "caught"
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            comm.recv(source=0)
+            await comm.recv(source=0)
 
         r = run_sim(main, 3, kills=[(1, 0.5)])
         assert r.value(0) == "caught"
@@ -167,28 +167,28 @@ class TestSendrecvUnderFailure:
 
 class TestIprobeFailurePaths:
     def test_iprobe_raises_on_failed_specific_source(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             with pytest.raises(RankFailStopError):
-                comm.iprobe(source=1)
+                await comm.iprobe(source=1)
             return "ok"
 
         assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) == "ok"
 
     def test_probe_unblocked_by_failure_detection(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
             with pytest.raises(RankFailStopError):
-                comm.probe(source=1)
+                await comm.probe(source=1)
             return mpi.now
 
         r = run_sim(main, 2, kills=[(1, 0.5)])
@@ -199,14 +199,14 @@ class TestValidateRankAfterCollectiveValidate:
     def test_state_is_null_everywhere_after_validate_all(self):
         from repro.ft import RankState, comm_validate_all, rank_state
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 2:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            comm_validate_all(comm)
+            await mpi.compute(2.0)
+            await comm_validate_all(comm)
             return rank_state(comm, 2)
 
         r = run_sim(main, 4, kills=[(2, 0.5)])

@@ -25,10 +25,10 @@ def returning(mpi):
 class TestIbarrier:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
     def test_synchronizes(self, n):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
-            mpi.compute(comm.rank * 1e-6)
-            wait(ibarrier(comm))
+            await mpi.compute(comm.rank * 1e-6)
+            await wait(ibarrier(comm))
             return mpi.now
 
         r = run_sim(main, n)
@@ -38,40 +38,40 @@ class TestIbarrier:
     def test_overlaps_p2p(self):
         # The point of the non-blocking form: progress happens in the
         # engine while the application thread does sends/receives.
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             req = ibarrier(comm)
             if comm.rank == 0:
                 comm.send("work", dest=1)
             elif comm.rank == 1:
-                data, _ = comm.recv(source=0)
+                data, _ = await comm.recv(source=0)
                 assert data == "work"
-            wait(req)
+            await wait(req)
             return "ok"
 
         r = run_sim(main, 3)
         assert all(v == "ok" for v in r.values().values())
 
     def test_repeated_barriers(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             for _ in range(4):
-                wait(ibarrier(comm))
+                await wait(ibarrier(comm))
             return "ok"
 
         r = run_sim(main, 4)
         assert all(v == "ok" for v in r.values().values())
 
     def test_entry_error_with_unrecognized_failure(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 2:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             req = ibarrier(comm)
             with pytest.raises(RankFailStopError):
-                wait(req)
+                await wait(req)
             return "errored"
 
         r = run_sim(main, 4, kills=[(2, 0.5)])
@@ -80,28 +80,28 @@ class TestIbarrier:
     def test_runs_over_survivors_after_validate(self):
         from repro.ft import comm_validate_all
 
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            comm_validate_all(comm)
-            wait(ibarrier(comm))
+            await mpi.compute(2.0)
+            await comm_validate_all(comm)
+            await wait(ibarrier(comm))
             return "ok"
 
         r = run_sim(main, 4, kills=[(1, 0.5)])
         assert all(r.value(i) == "ok" for i in (0, 2, 3))
 
     def test_mid_barrier_death_errors_waiting_ranks(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank == 1:
-                mpi.compute(0.5)  # dies inside the barrier window
+                await mpi.compute(0.5)  # dies inside the barrier window
                 return
             req = ibarrier(comm)
             try:
-                wait(req)
+                await wait(req)
                 return "ok"
             except RankFailStopError:
                 return "errored"

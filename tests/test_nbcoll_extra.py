@@ -17,12 +17,12 @@ def returning(mpi):
 
 class TestIbarrierSubcomms:
     def test_ibarrier_on_split_comm(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
-            sub = comm.split(color=comm.rank % 2, key=comm.rank)
+            sub = await comm.split(color=comm.rank % 2, key=comm.rank)
             sub.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            mpi.compute(comm.rank * 1e-6)
-            wait(ibarrier(sub))
+            await mpi.compute(comm.rank * 1e-6)
+            await wait(ibarrier(sub))
             return mpi.now
 
         r = run_sim(main, 6)
@@ -32,13 +32,13 @@ class TestIbarrierSubcomms:
         assert r.value(1) >= 5e-6
 
     def test_world_and_sub_barriers_interleave(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
-            sub = comm.split(color=0 if comm.rank < 2 else 1, key=comm.rank)
+            sub = await comm.split(color=0 if comm.rank < 2 else 1, key=comm.rank)
             sub.set_errhandler(ErrorHandler.ERRORS_RETURN)
             r1 = ibarrier(sub)
             r2 = ibarrier(comm)
-            waitall([r1, r2])
+            await waitall([r1, r2])
             return "ok"
 
         r = run_sim(main, 4)
@@ -47,36 +47,36 @@ class TestIbarrierSubcomms:
 
 class TestIbarrierConcurrency:
     def test_two_outstanding_barriers_same_comm(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             a = ibarrier(comm)
             b = ibarrier(comm)
-            waitall([a, b])
+            await waitall([a, b])
             return "ok"
 
         r = run_sim(main, 5)
         assert all(v == "ok" for v in r.values().values())
 
     def test_many_sequential_barriers(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             for _ in range(10):
-                wait(ibarrier(comm))
+                await wait(ibarrier(comm))
             return "ok"
 
         r = run_sim(main, 8)
         assert all(v == "ok" for v in r.values().values())
 
     def test_barrier_over_survivors_after_validate(self):
-        def main(mpi):
+        async def main(mpi):
             comm = returning(mpi)
             if comm.rank in (1, 4):
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            comm_validate_all(comm)
-            mpi.compute(comm.rank * 1e-6)
-            wait(ibarrier(comm))
+            await mpi.compute(2.0)
+            await comm_validate_all(comm)
+            await mpi.compute(comm.rank * 1e-6)
+            await wait(ibarrier(comm))
             return mpi.now
 
         r = run_sim(main, 6, kills=[(1, 0.4), (4, 0.5)])

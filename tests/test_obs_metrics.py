@@ -40,13 +40,13 @@ def test_metrics_default_off():
 
 
 def test_no_obs_state_with_trace_on_or_off():
-    def ping(mpi) -> None:  # 400 messages between two ranks
+    async def ping(mpi) -> None:  # 400 messages between two ranks
         comm = mpi.comm_world
         for i in range(400):
             if comm.rank == i % 2:
                 comm.send(i, dest=1 - comm.rank)
             else:
-                comm.recv(source=1 - comm.rank)
+                await comm.recv(source=1 - comm.rank)
 
     for trace in (True, False):
         sim = Simulation(nprocs=2, trace_enabled=trace)
@@ -173,10 +173,10 @@ def test_consensus_timings_recorded():
 def test_comm_agree_is_observable_like_validate():
     from repro.ft import comm_agree, comm_shrink
 
-    def main(mpi):
+    async def main(mpi):
         comm = mpi.comm_world
-        comm_agree(comm, comm.rank)
-        comm_shrink(comm)
+        await comm_agree(comm, comm.rank)
+        await comm_shrink(comm)
 
     sim = Simulation(nprocs=4, metrics=True)
     sim.kill(0, at_time=3e-6)  # the coordinator, after its first DECIDEs landed

@@ -20,12 +20,12 @@ from tests.conftest import run_sim
 
 class TestBasicSendRecv:
     def test_blocking_roundtrip(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send({"k": 1}, dest=1, tag=5)
             else:
-                data, status = comm.recv(source=0, tag=5)
+                data, status = await comm.recv(source=0, tag=5)
                 assert status.source == 0
                 assert status.tag == 5
                 return data
@@ -36,61 +36,61 @@ class TestBasicSendRecv:
     def test_payload_not_aliased_is_not_required(self):
         # Payloads are passed by reference (zero-copy, like shared memory);
         # the ring code defends itself by copying.  Document the semantic.
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 obj = [1, 2]
                 comm.send(obj, dest=1)
                 obj.append(3)  # after delivery this may be visible
             else:
-                data, _ = comm.recv(source=0)
+                data, _ = await comm.recv(source=0)
                 return list(data)
 
         r = run_sim(main, 2)
         assert r.value(1)[:2] == [1, 2]
 
     def test_isend_completes_eagerly(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 req = comm.isend("hi", dest=1)
                 assert req.done
-                wait(req)
+                await wait(req)
             else:
-                return comm.recv(source=0)[0]
+                return (await comm.recv(source=0))[0]
 
         assert run_sim(main, 2).value(1) == "hi"
 
     def test_irecv_then_wait(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send(99, dest=1)
             else:
                 req = comm.irecv(source=0)
-                status = wait(req)
+                status = await wait(req)
                 assert status.count > 0
                 return req.data
 
         assert run_sim(main, 2).value(1) == 99
 
     def test_self_send(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             req = comm.irecv(source=comm.rank, tag=3)
             comm.send("loop", comm.rank, tag=3)
-            wait(req)
+            await wait(req)
             return req.data
 
         r = run_sim(main, 2)
         assert r.value(0) == "loop" and r.value(1) == "loop"
 
     def test_sendrecv(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             right = (comm.rank + 1) % comm.size
             left = (comm.rank - 1) % comm.size
-            data, _ = comm.sendrecv(comm.rank, dest=right, source=left)
+            data, _ = await comm.sendrecv(comm.rank, dest=right, source=left)
             return data
 
         r = run_sim(main, 4)
@@ -99,12 +99,12 @@ class TestBasicSendRecv:
 
 class TestWildcards:
     def test_any_source(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 seen = set()
                 for _ in range(comm.size - 1):
-                    data, status = comm.recv(source=ANY_SOURCE, tag=1)
+                    data, status = await comm.recv(source=ANY_SOURCE, tag=1)
                     assert data == status.source
                     seen.add(data)
                 return sorted(seen)
@@ -113,26 +113,26 @@ class TestWildcards:
         assert run_sim(main, 4).value(0) == [1, 2, 3]
 
     def test_any_tag(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send("a", dest=1, tag=17)
             else:
-                data, status = comm.recv(source=0, tag=ANY_TAG)
+                data, status = await comm.recv(source=0, tag=ANY_TAG)
                 assert status.tag == 17
                 return data
 
         assert run_sim(main, 2).value(1) == "a"
 
     def test_tag_selectivity(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send("first", dest=1, tag=1)
                 comm.send("second", dest=1, tag=2)
             else:
-                b, _ = comm.recv(source=0, tag=2)
-                a, _ = comm.recv(source=0, tag=1)
+                b, _ = await comm.recv(source=0, tag=2)
+                a, _ = await comm.recv(source=0, tag=1)
                 return (a, b)
 
         assert run_sim(main, 2).value(1) == ("first", "second")
@@ -140,39 +140,39 @@ class TestWildcards:
 
 class TestOrdering:
     def test_non_overtaking_same_channel(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 for i in range(20):
                     comm.send(i, dest=1, tag=9)
             else:
-                return [comm.recv(source=0, tag=9)[0] for _ in range(20)]
+                return [(await comm.recv(source=0, tag=9))[0] for _ in range(20)]
 
         assert run_sim(main, 2).value(1) == list(range(20))
 
     def test_non_overtaking_with_mixed_sizes(self):
         # A large early message must not be overtaken by a small later one.
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send(b"x" * 100_000, dest=1, tag=9)
                 comm.send(b"y", dest=1, tag=9)
             else:
-                first, _ = comm.recv(source=0, tag=9)
-                second, _ = comm.recv(source=0, tag=9)
+                first, _ = await comm.recv(source=0, tag=9)
+                second, _ = await comm.recv(source=0, tag=9)
                 return (len(first), len(second))
 
         assert run_sim(main, 2).value(1) == (100_000, 1)
 
     def test_unexpected_queue_preserves_order(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 for i in range(5):
                     comm.send(i, dest=1, tag=4)
             else:
-                mpi.compute(1.0)  # let everything land unexpected
-                return [comm.recv(source=0, tag=4)[0] for _ in range(5)]
+                await mpi.compute(1.0)  # let everything land unexpected
+                return [(await comm.recv(source=0, tag=4))[0] for _ in range(5)]
 
         assert run_sim(main, 2).value(1) == list(range(5))
 
@@ -186,8 +186,8 @@ class TestProcNull:
         assert run_sim(main, 1).value(0) == "ok"
 
     def test_recv_from_proc_null_completes_empty(self):
-        def main(mpi):
-            data, status = mpi.comm_world.recv(source=PROC_NULL)
+        async def main(mpi):
+            data, status = await mpi.comm_world.recv(source=PROC_NULL)
             assert data is None
             assert status.source == PROC_NULL
             assert status.count == 0
@@ -198,35 +198,35 @@ class TestProcNull:
 
 class TestSsend:
     def test_ssend_completes_on_match(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
-                comm.ssend("sync", dest=1)
+                await comm.ssend("sync", dest=1)
                 return mpi.now
-            mpi.compute(1.0)
-            comm.recv(source=0)
+            await mpi.compute(1.0)
+            await comm.recv(source=0)
 
         r = run_sim(main, 2)
         # Sender must have waited for the receiver's late recv.
         assert r.value(0) >= 1.0
 
     def test_issend_pending_until_matched(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 req = comm.issend("sync", dest=1)
                 assert not req.done
-                wait(req)
+                await wait(req)
                 return "matched"
-            comm.recv(source=0)
+            await comm.recv(source=0)
 
         assert run_sim(main, 2).value(0) == "matched"
 
     def test_unmatched_ssend_deadlocks(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
-                comm.ssend("never", dest=1)
+                await comm.ssend("never", dest=1)
 
         r = run_sim(main, 2, on_deadlock="return")
         assert r.hung
@@ -234,23 +234,23 @@ class TestSsend:
 
 class TestProbe:
     def test_probe_blocks_until_message(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 comm.send("late", dest=1, tag=6)
             else:
-                status = comm.probe(source=0, tag=6)
+                status = await comm.probe(source=0, tag=6)
                 assert status.tag == 6
-                return comm.recv(source=0, tag=6)[0]
+                return (await comm.recv(source=0, tag=6))[0]
 
         assert run_sim(main, 2).value(1) == "late"
 
     def test_iprobe_none_when_empty(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 1:
-                return comm.iprobe(source=0)
+                return await comm.iprobe(source=0)
 
         assert run_sim(main, 2).value(1) is None
 
@@ -277,11 +277,11 @@ class TestArgumentValidation:
         assert run_sim(main, 2).value(0) == "ok"
 
     def test_bad_source_raises(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             with pytest.raises(InvalidArgumentError):
-                comm.recv(source=42)
+                await comm.recv(source=42)
             return "ok"
 
         assert run_sim(main, 2).value(0) == "ok"
@@ -309,13 +309,13 @@ class TestCancel:
         assert run_sim(main, 2).value(0) == "ok"
 
     def test_cancel_after_completion_is_noop(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send(1, dest=1, tag=8)
             else:
                 req = comm.irecv(source=0, tag=8)
-                wait(req)
+                await wait(req)
                 req.cancel()
                 assert not req.status.cancelled
                 return req.data
@@ -325,40 +325,40 @@ class TestCancel:
 
 class TestTiming:
     def test_virtual_time_advances_with_messages(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send("x", dest=1)
             else:
-                comm.recv(source=0)
+                await comm.recv(source=0)
 
         r = run_sim(main, 2)
         assert r.final_time > 0
 
     def test_compute_advances_local_clock(self):
-        def main(mpi):
-            mpi.compute(2.5)
+        async def main(mpi):
+            await mpi.compute(2.5)
             return mpi.now
 
         assert run_sim(main, 1).value(0) >= 2.5
 
     def test_compute_rejects_negative(self):
-        def main(mpi):
+        async def main(mpi):
             with pytest.raises(ValueError):
-                mpi.compute(-1.0)
+                await mpi.compute(-1.0)
             return "ok"
 
         assert run_sim(main, 1).value(0) == "ok"
 
     def test_waitall_accumulates(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 reqs = [comm.isend(i, dest=1, tag=i) for i in range(4)]
-                waitall(reqs)
+                await waitall(reqs)
             else:
                 reqs = [comm.irecv(source=0, tag=i) for i in range(4)]
-                waitall(reqs)
+                await waitall(reqs)
                 return [r.data for r in reqs]
 
         assert run_sim(main, 2).value(1) == [0, 1, 2, 3]

@@ -128,10 +128,10 @@ class TestJitteredDetector:
                 table[key] = rng.uniform(0.0, 5e-6)
             return table[key]
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            return comm_validate_all(comm)
+            return await comm_validate_all(comm)
 
         sim = Simulation(nprocs=6, detection_latency=lat)
         for i, v in enumerate(sorted(victims)):

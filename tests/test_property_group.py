@@ -94,15 +94,17 @@ class TestCommRankTranslation:
         victim %= n
         probes = range(-1, 10)
 
-        def main(mpi):
+        async def main(mpi):
             world = mpi.comm_world
             world.set_errhandler(ErrorHandler.ERRORS_RETURN)
             comms = [world, world.dup()]
-            comms.append(world.split(color=colors[world.rank], key=keys[world.rank]))
+            comms.append(
+                await world.split(color=colors[world.rank], key=keys[world.rank])
+            )
             if victim:
-                mpi.compute(1e-3)  # the victim dies in here, after the split
+                await mpi.compute(1e-3)  # the victim dies in here, after the split
                 world.revoke()
-                comms.append(comm_shrink(world))
+                comms.append(await comm_shrink(world))
             patched = comms[-1].dup()
             slot, new_world = patch
             slot %= patched.size

@@ -59,13 +59,13 @@ class TestConsensusAgreement:
         and the coordinator protocol decides exactly what the FloodSet
         oracle does whenever nobody dies while either instance runs."""
 
-        def main(mpi, mode):
+        async def main(mpi, mode):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            mpi.compute(delay)
+            await mpi.compute(delay)
             proposal = comm.known_failed_comm_ranks()
             t0 = mpi.now
-            comm_validate_all(comm, mode=mode)
+            await comm_validate_all(comm, mode=mode)
             return proposal, frozenset(comm.validated), t0, mpi.now
 
         decided = {}
@@ -203,11 +203,11 @@ class TestShrinkGroupOrder:
     )
     @settings(**COMMON)
     def test_shrunken_group_is_ordered_subsequence(self, victims, lat):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            mpi.compute(1e-4)  # outlive every kill + detection
-            new = comm_shrink(comm)
+            await mpi.compute(1e-4)  # outlive every kill + detection
+            new = await comm_shrink(comm)
             return tuple(new.group)
 
         sim = Simulation(nprocs=6, detection_latency=lat)

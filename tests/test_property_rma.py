@@ -57,20 +57,20 @@ class TestRMAAgainstModel:
         for op in filtered:
             per_rank[op[0]].append(op)
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             win = win_create(comm, size=WIN)
             for _origin, kind, target, offset, value in per_rank[comm.rank]:
                 if kind == "put":
-                    wait(win.put([value], target=target, offset=offset))
+                    await wait(win.put([value], target=target, offset=offset))
                 elif kind == "acc_sum":
-                    wait(win.accumulate([value], target=target,
-                                        offset=offset, op="sum"))
+                    await wait(win.accumulate([value], target=target,
+                                              offset=offset, op="sum"))
                 else:
-                    wait(win.accumulate([value], target=target,
-                                        offset=offset, op="max"))
-            win.fence()
+                    await wait(win.accumulate([value], target=target,
+                                              offset=offset, op="max"))
+            await win.fence()
             return win.local.tolist()
 
         r = Simulation(nprocs=N).run(main)

@@ -79,13 +79,13 @@ class TestNeighborSelection:
         assert r.value(4) == (3, 0, 0)
 
     def test_skips_failed_ranks(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank in (1, 2):
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             return (to_right_of(comm, comm.rank), to_left_of(comm, comm.rank))
 
         r = run_sim(main, 4, kills=[(1, 0.4), (2, 0.5)])
@@ -93,26 +93,26 @@ class TestNeighborSelection:
         assert r.value(3) == (0, 0)
 
     def test_root_election_skips_failed(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             return get_current_root(comm)
 
         r = run_sim(main, 3, kills=[(0, 0.5)])
         assert r.value(1) == 1 and r.value(2) == 1
 
     def test_alone_aborts(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
+            await mpi.compute(2.0)
             to_right_of(comm, comm.rank)  # only survivor: aborts
 
         r = run_sim(main, 2, kills=[(1, 0.5)], on_deadlock="return")

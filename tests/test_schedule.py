@@ -11,10 +11,10 @@ from repro.simmpi import Simulation
 from tests.conftest import run_sim
 
 
-def busy_main(mpi):
+async def busy_main(mpi):
     for _ in range(10):
         mpi.probe_point("tick")
-        mpi.compute(1e-7)
+        await mpi.compute(1e-7)
     return "done"
 
 
@@ -94,24 +94,24 @@ class TestFailureSchedule:
 
 class TestNewCollectives:
     def test_exscan(self):
-        def main(mpi):
-            return mpi.comm_world.exscan(mpi.rank + 1, "sum")
+        async def main(mpi):
+            return await mpi.comm_world.exscan(mpi.rank + 1, "sum")
 
         r = run_sim(main, 5)
         assert [r.value(i) for i in range(5)] == [None, 1, 3, 6, 10]
 
     def test_exscan_custom_op(self):
-        def main(mpi):
-            return mpi.comm_world.exscan(str(mpi.rank), lambda a, b: a + b)
+        async def main(mpi):
+            return await mpi.comm_world.exscan(str(mpi.rank), lambda a, b: a + b)
 
         r = run_sim(main, 4)
         assert [r.value(i) for i in range(4)] == [None, "0", "01", "012"]
 
     def test_reduce_scatter(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             values = [mpi.rank * 10 + j for j in range(comm.size)]
-            return comm.reduce_scatter(values)
+            return await comm.reduce_scatter(values)
 
         n = 4
         r = run_sim(main, n)
@@ -121,11 +121,11 @@ class TestNewCollectives:
     def test_reduce_scatter_wrong_length(self):
         from repro.simmpi import ErrorHandler, InvalidArgumentError
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             with pytest.raises(InvalidArgumentError):
-                comm.reduce_scatter([1])
+                await comm.reduce_scatter([1])
             return "ok"
 
         r = run_sim(main, 3, on_deadlock="return")
@@ -135,16 +135,16 @@ class TestNewCollectives:
         from repro.ft import comm_validate_all
         from repro.simmpi import ErrorHandler
 
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 return
-            mpi.compute(2.0)
-            comm_validate_all(comm)
+            await mpi.compute(2.0)
+            await comm_validate_all(comm)
             values = [10 + j for j in range(comm.size)]
-            return comm.reduce_scatter(values)
+            return await comm.reduce_scatter(values)
 
         r = run_sim(main, 4, kills=[(1, 0.5)])
         # Three survivors each contribute 10+j to slot j.

@@ -65,17 +65,15 @@ class TestFiberHandoff:
         out = []
         f = Fiber(name="t", index=0, target=lambda: out.append("ran"))
         f.start()
-        f.resume_and_wait()
+        f._step()
         assert out == ["ran"]
         assert f.state is FiberState.DONE
-        f.join()
 
     def test_fiber_result_captured(self):
         f = Fiber(name="t", index=0, target=lambda: 42)
         f.start()
-        f.resume_and_wait()
+        f._step()
         assert f.result == 42
-        f.join()
 
     def test_fiber_error_captured(self):
         def boom():
@@ -83,18 +81,17 @@ class TestFiberHandoff:
 
         f = Fiber(name="t", index=0, target=boom)
         f.start()
-        f.resume_and_wait()
+        f._step()
         assert isinstance(f.error, ValueError)
         assert f.state is FiberState.DONE
-        f.join()
 
     def test_shutdown_unwinds_blocked_fiber(self):
         # Exercised through the Simulation facade: a rank that blocks
         # forever is unwound at shutdown after a deadlock is reported.
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
-                comm.recv(source=1)  # never sent
+                await comm.recv(source=1)  # never sent
             return "done"
 
         r = Simulation(nprocs=2).run(main, on_deadlock="return")
@@ -103,9 +100,9 @@ class TestFiberHandoff:
 
 class TestSchedulingDeterminism:
     def test_policies_change_interleaving_not_results(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
-            total = comm.allreduce(comm.rank, "sum")
+            total = await comm.allreduce(comm.rank, "sum")
             return total
 
         expected = sum(range(5))
@@ -114,12 +111,12 @@ class TestSchedulingDeterminism:
             assert all(v == expected for v in r.values().values())
 
     def test_random_policy_reproducible_end_to_end(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send("x", dest=1)
             elif comm.rank == 1:
-                comm.recv(source=0)
+                await comm.recv(source=0)
 
         t1 = Simulation(nprocs=3, policy="random", seed=5).run(main).trace.keys()
         t2 = Simulation(nprocs=3, policy="random", seed=5).run(main).trace.keys()

@@ -16,6 +16,7 @@ every ``repro`` object that a collection then finds unreachable.
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 from collections import Counter
 from typing import Any, Callable
@@ -101,58 +102,58 @@ def _fresh(main: Any, nprocs: int = 4, **sim_kw: Any) -> Build:
     return lambda: (Simulation(nprocs=nprocs, **sim_kw), main)
 
 
-def _hang_main(mpi):
+async def _hang_main(mpi):
     if mpi.rank == 0:
-        mpi.comm_world.recv(source=1)  # never sent
+        await mpi.comm_world.recv(source=1)  # never sent
     return "done"
 
 
-def _abort_main(mpi):
+async def _abort_main(mpi):
     if mpi.rank == 0:
-        mpi.compute(1e-6)
+        await mpi.compute(1e-6)
         mpi.abort(3)
-    mpi.comm_world.recv(source=0)
+    await mpi.comm_world.recv(source=0)
 
 
-def _error_main(mpi):
+async def _error_main(mpi):
     comm = mpi.comm_world
     if mpi.rank == 1:
         req = comm.irecv(source=0)  # pending when the error strikes
         raise RuntimeError(f"app bug with {req.id} pending")
-    comm.recv(source=1)
+    await comm.recv(source=1)
 
 
-def _barrier_main(mpi):
+async def _barrier_main(mpi):
     for _ in range(100):
-        mpi.comm_world.barrier()
+        await mpi.comm_world.barrier()
 
 
-def _ssend_main(mpi):
+async def _ssend_main(mpi):
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
     if mpi.rank == 0:
         comm.issend("never matched", dest=1)
-        comm.recv(source=1)
+        await comm.recv(source=1)
     else:
-        comm.recv(source=0, tag=7)
+        await comm.recv(source=0, tag=7)
 
 
-def _rma_main(mpi):
+async def _rma_main(mpi):
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
     win = win_create(comm, size=comm.size)
     if comm.rank != 0:
         win.put([float(comm.rank)], target=0, offset=comm.rank)
         win.get(target=0, count=1)
-    win.fence()
+    await win.fence()
     return win.local.tolist()
 
 
-def _nbc_main(mpi):
+async def _nbc_main(mpi):
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-    mpi.compute(comm.rank * 1e-6)
-    wait(ibarrier(comm))
+    await mpi.compute(comm.rank * 1e-6)
+    await wait(ibarrier(comm))
     return mpi.now
 
 
@@ -236,12 +237,20 @@ class _Value:
     pass
 
 
-def test_idle_pool_workers_pin_no_finished_fiber():
-    # A worker back in the pool must not keep its last fiber, whose
-    # result is the application's return value.
+def test_a_run_starts_no_thread_and_pins_no_finished_fiber():
+    """Every rank is a coroutine stepped on the caller's thread: a
+    256-rank run starts no OS thread (a campaign batch neither:
+    ``tests/test_fiber_lifecycle.py``), and nothing keeps a finished
+    rank's return value alive once the run is dropped."""
+    before = threading.enumerate()
+    sim, main = RingScenario(nprocs=256, iters=3)()
+    assert not sim.run(main).hung
+    assert threading.enumerate() == before
+
     values = []
 
-    def main(mpi):
+    async def main(mpi):
+        await mpi.compute(1e-6)  # a value returned after a block
         value = _Value()
         values.append(weakref.ref(value))
         return value

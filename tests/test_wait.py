@@ -21,34 +21,34 @@ from tests.conftest import run_sim
 
 class TestWaitany:
     def test_returns_first_completed_index(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send("b", dest=1, tag=2)
             else:
                 r1 = comm.irecv(source=0, tag=1)
                 r2 = comm.irecv(source=0, tag=2)
-                idx, status = waitany([r1, r2])
+                idx, status = await waitany([r1, r2])
                 return (idx, r2.data)
 
         assert run_sim(main, 2).value(1) == (1, "b")
 
     def test_error_carries_index(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 0:
                 r_data = comm.irecv(source=1, tag=1)
                 r_watch = comm.irecv(source=2, tag=1)
                 try:
-                    waitany([r_data, r_watch])
+                    await waitany([r_data, r_watch])
                 except RankFailStopError as e:
                     return e.index
             elif comm.rank == 1:
-                mpi.compute(2.0)
+                await mpi.compute(2.0)
                 comm.send("late", dest=0, tag=1)
             else:
-                mpi.compute(0.5)  # killed at 0.2
+                await mpi.compute(0.5)  # killed at 0.2
 
         r = run_sim(main, 3, kills=[(2, 0.2)])
         assert r.value(0) == 1
@@ -59,11 +59,11 @@ class TestWaitany:
             return comm.irecv(source=0, tag=1)
 
         # Construct two sims is overkill; check the guard directly:
-        def main2(mpi):
+        async def main2(mpi):
             comm = mpi.comm_world
             r = comm.irecv(source=0, tag=1)
             with pytest.raises(ValueError):
-                waitany([])
+                await waitany([])
             r.cancel()
             return "ok"
 
@@ -72,32 +72,32 @@ class TestWaitany:
 
 class TestWaitall:
     def test_collects_all(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 for t in range(3):
                     comm.send(t * 10, dest=1, tag=t)
             else:
                 reqs = [comm.irecv(source=0, tag=t) for t in range(3)]
-                statuses = waitall(reqs)
+                statuses = await waitall(reqs)
                 assert len(statuses) == 3
                 return [r.data for r in reqs]
 
         assert run_sim(main, 2).value(1) == [0, 10, 20]
 
     def test_raises_lowest_failed_index_after_all_complete(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
             if comm.rank == 0:
                 r1 = comm.irecv(source=1, tag=1)  # will error (1 dies)
                 r2 = comm.irecv(source=2, tag=1)  # will complete
                 try:
-                    waitall([r1, r2])
+                    await waitall([r1, r2])
                 except RankFailStopError as e:
                     return (e.index, r2.done, r2.data)
             elif comm.rank == 1:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
             else:
                 comm.send("ok", dest=0, tag=1)
 
@@ -107,14 +107,14 @@ class TestWaitall:
 
 class TestWaitsome:
     def test_returns_completed_subset(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send(1, dest=1, tag=1)
                 comm.send(2, dest=1, tag=2)
             else:
                 reqs = [comm.irecv(source=0, tag=t) for t in (1, 2, 3)]
-                done = waitsome(reqs)
+                done = await waitsome(reqs)
                 indices = sorted(i for i, _ in done)
                 for _, s in done:
                     assert s.error.name == "SUCCESS"
@@ -127,15 +127,15 @@ class TestWaitsome:
 
 class TestTest:
     def test_test_returns_none_then_status(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
-                mpi.compute(1e-6)
+                await mpi.compute(1e-6)
                 comm.send("x", dest=1)
             else:
                 req = comm.irecv(source=0)
-                first = mpi_test(req)
-                while mpi_test(req) is None:
+                first = await mpi_test(req)
+                while await mpi_test(req) is None:
                     pass
                 return (first, req.data)
 
@@ -143,13 +143,13 @@ class TestTest:
         assert first is None and data == "x"
 
     def test_testany(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
                 comm.send("y", dest=1, tag=7)
             else:
                 reqs = [comm.irecv(source=0, tag=t) for t in (6, 7)]
-                while (hit := mpi_testany(reqs)) is None:
+                while (hit := await mpi_testany(reqs)) is None:
                     pass
                 idx, _status = hit
                 reqs[0].cancel()
@@ -160,15 +160,15 @@ class TestTest:
     def test_test_loop_advances_virtual_time(self):
         # A test() spin across an idle gap must terminate (bounded polls
         # in virtual time), not livelock.
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
-                mpi.compute(1e-4)
+                await mpi.compute(1e-4)
                 comm.send("late", dest=1)
             else:
                 req = comm.irecv(source=0)
                 polls = 0
-                while mpi_test(req) is None:
+                while await mpi_test(req) is None:
                     polls += 1
                 return polls
 
@@ -178,14 +178,14 @@ class TestTest:
 
 class TestWaitTiming:
     def test_wait_advances_to_completion_time(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             if comm.rank == 0:
-                mpi.compute(1.0)
+                await mpi.compute(1.0)
                 comm.send("x", dest=1)
             else:
                 req = comm.irecv(source=0)
-                wait(req)
+                await wait(req)
                 return mpi.now
 
         assert run_sim(main, 2).value(1) >= 1.0
@@ -196,14 +196,14 @@ class TestBlockReason:
     report asks for it — and then as plain text, byte for byte."""
 
     def test_deadlock_report_renders_the_waits_as_strings(self):
-        def main(mpi):
+        async def main(mpi):
             comm = mpi.comm_world
             peer = 1 - comm.rank
             reqs = [comm.irecv(source=peer, tag=1), comm.irecv(source=peer, tag=2)]
             if comm.rank == 0:
-                waitany(reqs)
+                await waitany(reqs)
             else:
-                wait(reqs[1])
+                await wait(reqs[1])
 
         result = run_sim(main, 2, on_deadlock="return")
         expected = [
