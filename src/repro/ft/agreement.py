@@ -66,6 +66,7 @@ from ..simmpi.trace import (
     VALIDATE_DECIDE, VALIDATE_DECIDE_CONTRIBUTORS, VALIDATE_START,
     VALIDATE_START_PROPOSAL,
 )
+from ..simmpi.util import payload_nbytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simmpi.matching import Message
@@ -187,12 +188,14 @@ class UnionAgreement:
         return alive <= inst.inbox.get(n, {}).keys()
 
     def _send_all(self, inst: _Instance, msg: _Msg) -> None:
-        """Send *msg* to every other member not known dead, in rank order."""
+        """Send *msg*, sized once, to every other member not known dead,
+        in rank order."""
         assert inst.comm is not None
         dead = self.runtime.known_by[inst.owner]
+        size = payload_nbytes(msg)
         for wr in inst.comm.group:
             if wr != inst.owner and wr not in dead:
-                self.runtime.send_am(inst.owner, wr, inst.ctx, msg)
+                self.runtime.send_am(inst.owner, wr, inst.ctx, msg, size)
 
     def _note_round(self, inst: _Instance, round_no: int, time: float) -> None:
         inst.round = round_no

@@ -39,6 +39,7 @@ from ..simmpi.errors import ErrorClass, RankFailStopError
 from ..simmpi.p2p import wait
 from ..simmpi.process import SimProcess
 from ..simmpi.request import Request, RequestKind, Status
+from ..simmpi.util import payload_nbytes
 from .base import ABORT_REPLICAS_EXHAUSTED, ProtocolRingConfig, protocol_report
 
 _GENERIC = RequestKind.GENERIC  # a module constant: see ``repro.simmpi.fibers``
@@ -100,16 +101,20 @@ class ReplicatedRing:
     # -- logical operations ------------------------------------------------
 
     def send(self, payload: Any, dst_logical: int, tag: int) -> None:
-        """Send one logical message: a physical copy per live replica."""
+        """Send one logical message: a physical copy per live replica,
+        all carrying one envelope, built and sized once."""
         seq = self._out_seq.get(dst_logical, 0)
         self._out_seq[dst_logical] = seq + 1
+        wire = _RepMsg(src=self.logical, seq=seq, tag=tag, payload=payload)
+        size = payload_nbytes(wire)
         for phys in self._live_replicas(dst_logical):
             self.proc.runtime.post_send(
                 self.proc,
                 dst_world=phys,
                 tag=tag,
                 context=self.ctx,
-                payload=_RepMsg(src=self.logical, seq=seq, tag=tag, payload=payload),
+                payload=wire,
+                nbytes=size,
             )
             self.copies_sent += 1
 

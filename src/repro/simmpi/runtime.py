@@ -567,28 +567,32 @@ class Runtime:
         self._am_handlers[(rank, context)] = fn
 
     def send_am(
-        self, src_rank: int, dst_world: int, context: int, payload: Any
+        self, src_rank: int, dst_world: int, context: int, payload: Any,
+        nbytes: int | None = None,
     ) -> None:
         """Send an active message *on behalf of* ``src_rank``.
 
         Unlike :meth:`post_send` this may be called from event context (the
         AM handler of another delivery); the sender's local clock is not
         advanced — the progress engine, not the application, pays the cost.
+        A fan-out of one payload passes its size as *nbytes*, measured once.
         """
         src = self.procs[src_rank]
         if not src.alive():
             return
-        size = payload_nbytes(payload)
-        t0 = max(src.now, self.clock.now)
+        size = payload_nbytes(payload) if nbytes is None else nbytes
+        t0 = src.now
+        if self.clock.now > t0:
+            t0 = self.clock.now
         deliver = t0 + self.cost.overhead + self.cost.transit_time(src_rank, dst_world, size)
         key = (src_rank, dst_world, context)
-        deliver = max(deliver, self._channel_last.get(key, -1.0))
+        prev = self._channel_last.get(key, -1.0)
+        if prev > deliver:
+            deliver = prev  # per-channel in-order delivery
         self._channel_last[key] = deliver
-        self._msg_seq += 1
+        msg_id = self._msg_seq = self._msg_seq + 1
         msg = Message(
-            src=src_rank, dst=dst_world, tag=0, context=context,
-            payload=payload, nbytes=size, msg_id=self._msg_seq,
-            send_time=t0, deliver_time=deliver,
+            src_rank, dst_world, 0, context, payload, size, msg_id, t0, deliver,
         )
         self.perf.messages_sent += 1
         if self.obs is not None:
@@ -597,7 +601,7 @@ class Runtime:
         if trace.enabled:
             trace.add((
                 t0, SEND_POST_AM, src_rank,
-                dst_world, 0, context, size, msg.msg_id, True,
+                dst_world, 0, context, size, msg_id, True,
             ))
         self.events.schedule(deliver, partial(self._deliver, msg))
 

@@ -1,9 +1,17 @@
-"""Small deterministic helpers shared across the simulator."""
+"""Small deterministic helpers shared across the simulator.
+
+:func:`payload_nbytes` prices a message for the cost model's ``n*G``
+term; :func:`_body_nbytes`, a structural walk, defines the size.  Each
+exact payload type gets one *sizer* on first sight, which returns exactly
+the walk's size for every instance of that type: whatever depends on the
+type alone (the walk's branch, the fields, whether ``nbytes`` can win) is
+decided once, and a send pays only for the instance's values.
+"""
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any
+from typing import Any, Callable
 
 #: Fixed per-message envelope size added to every payload estimate.
 ENVELOPE_BYTES = 32
@@ -19,109 +27,19 @@ _FIXED_SCALAR: dict[type, int] = {
     complex: 16,
 }
 
-#: Shape key -> total wire size.  A *shape* captures exactly the parts of
-#: a payload that determine its estimated size (see :func:`_shape_token`):
-#: the ring re-measures the same ``RingMsg(value=int, marker=int)`` token
-#: on every send, and the agreement protocol re-sends the same couple of
-#: message shapes on every instance, so after the first structural walk
-#: each repeat is one dict hit.  Sizes are always computed
-#: by :func:`_body_nbytes` on a miss, so a cache hit is byte-identical to
-#: the walk by construction.
-_SHAPE_CACHE: dict[Any, int] = {}
-_SHAPE_CACHE_MAX = 1024
-
-#: Dataclass type -> ``attrgetter`` over its fields, for dataclasses of two
-#: or more fields.  The token of a *flat* instance, every field a
-#: fixed-width scalar, is ``(type, *field types)``, which
-#: :func:`payload_nbytes` builds from the getter in C calls alone.  Bounded
-#: like the shape cache (test suites define dataclasses by the hundred).
-_FIELD_GETTERS: dict[type, Any] = {}
+#: Exact payload type -> its sizer (see :func:`_sizer_for`); never holds
+#: a :data:`_FIXED_SCALAR` type.  Bounded by :func:`_remember`, since test
+#: suites define dataclasses by the hundred.
+_SIZERS: dict[type, Callable[[Any], int]] = {}
+_SIZERS_MAX = 1024
 
 #: Container/scalar types that :func:`_body_nbytes` special-cases *before*
 #: its dataclass branch; a dataclass subclassing one of these must keep
-#: taking that earlier branch, so it is ineligible for the shape cache.
+#: taking that earlier branch, so its fields do not decide its size.
 _NON_CACHEABLE_BASES = (
     bool, int, float, complex, str, bytes, bytearray, memoryview,
     list, tuple, set, frozenset, dict,
 )
-
-_SIMPLE_CONTAINERS = (tuple, list, set, frozenset)
-
-
-def _shape_token(v: Any) -> Any:
-    """A hashable key fragment that fully determines ``_body_nbytes(v)``.
-
-    Returns ``None`` when no cheap size-determining key exists (dicts,
-    mixed or nested containers, subclasses, objects) — the caller then
-    falls back to the structural walk.  Tokens:
-
-    * fixed-width scalar -> its exact type (constant size),
-    * ``str`` -> the string itself (size is its UTF-8 length; interned
-      protocol tags like ``"round"``/``"decide"`` repeat endlessly),
-    * ``bytes``/``bytearray`` -> ``(type, len)``,
-    * flat ``tuple``/``list``/``set``/``frozenset`` whose elements are all
-      the *same* fixed-width scalar type -> ``(type, elem_type, len)``,
-    * the same containers whose elements are all plain tuples of one
-      fixed-width scalar shape -> ``(type, (tuple, *elem types), len)``
-      (the agreement's ``frozenset`` of ``(int, int)`` pairs),
-    * a dataclass whose fields all have tokens -> ``(type, *field tokens)``
-      (see :func:`_dataclass_token`), so a wrapper such as the replication
-      envelope around a ring message resolves in one lookup too.
-    """
-    t = type(v)
-    if t in _FIXED_SCALAR:
-        return t
-    if t is str:
-        return v
-    if t is bytes or t is bytearray:
-        return (t, len(v))
-    if t in _SIMPLE_CONTAINERS:
-        et = None
-        for x in v:
-            xt = type(x)
-            if xt is tuple:
-                xt = (tuple, *map(type, x))
-            if et is None:
-                if xt not in _FIXED_SCALAR and not (
-                    type(xt) is tuple and all(e in _FIXED_SCALAR for e in xt[1:])
-                ):
-                    return None
-                et = xt
-            elif xt != et:
-                return None
-        return (t, et, len(v))
-    fields = getattr(t, "__dataclass_fields__", None)
-    if fields is not None:
-        return _dataclass_token(v, t, fields)
-    return None
-
-
-def _dataclass_token(v: Any, t: type, fields: Any) -> Any:
-    """``(type, *field tokens)`` for a dataclass instance, or ``None``.
-
-    ``None`` too when :func:`_body_nbytes` would not reach its dataclass
-    branch: an ``int`` ``nbytes`` attribute wins the walk, and a subclass
-    of a container or scalar type takes that type's earlier branch.
-    """
-    if isinstance(getattr(v, "nbytes", None), int) or isinstance(
-        v, _NON_CACHEABLE_BASES
-    ):
-        return None
-    # Inline _shape_token for the common field kinds: this runs per send
-    # on the kernel's hot path, and fixed scalars and short strings
-    # resolve in one dict/type check.
-    toks = []
-    for f in fields:
-        x = getattr(v, f)
-        xt = type(x)
-        if xt in _FIXED_SCALAR:
-            toks.append(xt)
-            continue
-        tok = x if xt is str else _shape_token(x)
-        if tok is None:
-            return None
-        toks.append(tok)
-    return (t, *toks)
 
 
 def payload_nbytes(payload: Any) -> int:
@@ -129,45 +47,106 @@ def payload_nbytes(payload: Any) -> int:
 
     The estimate feeds the cost model only — correctness never depends on
     it.  It intentionally avoids :mod:`pickle` (slow, version-dependent)
-    in favour of a simple structural walk; repeated *shapes* (same
-    dataclass type, same size-determining field tokens) are memoised
-    because the ring and the consensus protocol re-measure identical
-    tokens on every send.
+    in favour of a simple structural walk, :func:`_body_nbytes`, which
+    the payload type's sizer reproduces exactly.
     """
     t = type(payload)
     size = _FIXED_SCALAR.get(t)
     if size is not None:
         return ENVELOPE_BYTES + size
-    get = _FIELD_GETTERS.get(t)
-    if get is not None:
-        # A flat instance's token, built without a Python frame.  Only
-        # tokens are stored, and a bare type in one is always a fixed-width
-        # scalar, so a hit means the instance is flat; the per-instance
-        # guard of _dataclass_token (an int ``nbytes``) still applies.
-        size = _SHAPE_CACHE.get((t, *map(type, get(payload))))
-        if size is not None and not isinstance(
-            getattr(payload, "nbytes", None), int
-        ):
-            return size
-    fields = getattr(t, "__dataclass_fields__", None)
-    if fields is not None:  # every send of the ring and the agreement
-        if get is None and len(fields) > 1:
-            _remember(_FIELD_GETTERS, t, attrgetter(*fields))
-        key = _dataclass_token(payload, t, fields)
+    sizer = _SIZERS.get(t)
+    if sizer is None:
+        sizer = _sizer_for(t)
+    return ENVELOPE_BYTES + sizer(payload)
+
+
+def _sizer_for(t: type) -> Callable[[Any], int]:
+    """Build and remember the sizer of exact payload type *t*.
+
+    * exact ``str``: its UTF-8 length (:func:`_str_nbytes`);
+    * exact ``list``/``tuple``/``set``/``frozenset``: 8 plus the element
+      sizes (:func:`_elements_nbytes`);
+    * a dataclass whose fields decide its size: 8 plus the field sizes
+      (:func:`_dataclass_sizer`);
+    * anything else — dicts, bytes-likes, arrays, subclasses, objects —
+      is rare on the wire and is sized by the walk itself.
+    """
+    if t is str:
+        sizer = _str_nbytes
+    elif t is tuple or t is list or t is frozenset or t is set:
+        sizer = _elements_nbytes
+    elif _sized_by_fields(t):
+        sizer = _dataclass_sizer(t)
     else:
-        key = _shape_token(payload)
-    if key is None:
-        return ENVELOPE_BYTES + _body_nbytes(payload)
-    size = _SHAPE_CACHE.get(key)
-    if size is None:
-        size = ENVELOPE_BYTES + _body_nbytes(payload)
-        _remember(_SHAPE_CACHE, key, size)
-    return size
+        sizer = _body_nbytes
+    _remember(_SIZERS, t, sizer)
+    return sizer
+
+
+def _sized_by_fields(t: type) -> bool:
+    """Does the walk size every instance of *t* by its dataclass fields?
+
+    Not when an earlier branch takes it (a scalar or container base),
+    when the class itself answers ``nbytes`` (a default, property or
+    slot), or when attribute lookup is overridden so any instance could.
+    """
+    return (
+        getattr(t, "__dataclass_fields__", None) is not None
+        and not issubclass(t, _NON_CACHEABLE_BASES)
+        and not hasattr(t, "nbytes")
+        and not hasattr(t, "__getattr__")
+        and t.__getattribute__ is object.__getattribute__
+    )
+
+
+def _dataclass_sizer(t: type) -> Callable[[Any], int]:
+    """8 plus the size of each field, read through one ``attrgetter``.
+
+    An instance with a ``__dict__`` may still carry its own ``int``
+    ``nbytes``, which wins exactly as in the walk; with no class-level
+    ``nbytes`` (see :func:`_sized_by_fields`) nothing else can.
+    """
+    names = tuple(t.__dataclass_fields__)
+    if len(names) > 1:
+        values = attrgetter(*names)
+    else:  # attrgetter of one name returns the bare value
+        values = lambda p: tuple(getattr(p, f) for f in names)  # noqa: E731
+    fixed, sizers = _FIXED_SCALAR, _SIZERS
+    own_dict = t.__dictoffset__ != 0
+
+    def sizer(p: Any) -> int:
+        if own_dict:
+            own = getattr(p, "nbytes", None)
+            if isinstance(own, int):
+                return own
+        n = 8
+        for x in values(p):  # _elements_nbytes, inlined: one frame per send
+            t = type(x)
+            size = fixed.get(t)
+            n += size if size is not None else (sizers.get(t) or _sizer_for(t))(x)
+        return n
+
+    return sizer
+
+
+def _elements_nbytes(items: Any) -> int:
+    """An exact list, tuple, set or frozenset: 8 plus its elements."""
+    fixed, sizers = _FIXED_SCALAR, _SIZERS
+    n = 8
+    for x in items:
+        t = type(x)
+        size = fixed.get(t)
+        n += size if size is not None else (sizers.get(t) or _sizer_for(t))(x)
+    return n
+
+
+def _str_nbytes(s: str) -> int:
+    return len(s) if s.isascii() else len(s.encode("utf-8", errors="replace"))
 
 
 def _remember(memo: dict[Any, Any], key: Any, value: Any) -> None:
     """Store into a bounded memo: a full one starts over."""
-    if len(memo) >= _SHAPE_CACHE_MAX:
+    if len(memo) >= _SIZERS_MAX:
         memo.clear()
     memo[key] = value
 

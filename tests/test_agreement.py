@@ -49,7 +49,7 @@ def kill_at_send(sim: Simulation, budgets: dict[int, int]) -> None:
     deliver = rt.send_am
     attempts: Counter[int] = Counter()
 
-    def send_am(src, dst, context, payload):
+    def send_am(src, dst, context, payload, nbytes=None):
         proc = rt.procs[src]
         if src in budgets and proc.alive():
             if attempts[src] == budgets[src]:
@@ -58,7 +58,7 @@ def kill_at_send(sim: Simulation, budgets: dict[int, int]) -> None:
                 else:
                     rt._kill_event(src, rt.clock.now)  # from the progress engine
             attempts[src] += 1
-        deliver(src, dst, context, payload)
+        deliver(src, dst, context, payload, nbytes)
 
     rt.send_am = send_am
 

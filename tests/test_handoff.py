@@ -147,7 +147,7 @@ async def _barriers(mpi):
         await mpi.comm_world.barrier()
 
 
-def test_max_events_overrun_on_a_fiber_thread_reaches_the_caller():
+def test_max_events_overrun_in_the_loop_reaches_the_caller():
     sim = Simulation(nprocs=4, max_events=50)
     with pytest.raises(SimulationLimitExceeded, match="max_events=50") as info:
         sim.run(_barriers)
@@ -155,7 +155,7 @@ def test_max_events_overrun_on_a_fiber_thread_reaches_the_caller():
     assert all(p.fiber.finished() for p in sim.runtime.procs)
 
 
-def test_max_time_overrun_on_a_fiber_thread_reaches_the_caller():
+def test_max_time_overrun_in_the_loop_reaches_the_caller():
     sim = Simulation(nprocs=2, max_time=1e-6)
     with pytest.raises(SimulationLimitExceeded, match="max_time=1e-06") as info:
         sim.run(lambda mpi: mpi.compute(1e-3))
@@ -163,7 +163,7 @@ def test_max_time_overrun_on_a_fiber_thread_reaches_the_caller():
     assert all(p.fiber.finished() for p in sim.runtime.procs)
 
 
-def test_failure_listener_exception_on_a_fiber_thread_reaches_the_caller():
+def test_failure_listener_exception_in_the_loop_reaches_the_caller():
     raised: list[tuple[BaseException, int]] = []
 
     def listener(observer, failed, time):

@@ -23,18 +23,19 @@ ring, each one decided by the program rather than by the host:
     chain of small helpers.  It used to take about 81 frames, then 52.5
     while events were objects, waits kept waiter lists and a flat
     message was sized field by field in Python, then 42.8 while every
-    rank was an OS thread.  It measures 40.2 (bound: 43), with the
-    trace on or off: a traced call site appends one row of a declared
-    shape.  A block costs no frame: ``SimProcess.block`` returns one
+    rank was an OS thread, then 40.2.  It measures 41.2 (bound: 43),
+    with the trace on or off: a traced call site appends one row of a
+    declared shape, and a ring message is priced by its type's sizer,
+    one frame.  A block costs no frame: ``SimProcess.block`` returns one
     shared awaitable whose ``__await__`` is a C callable.
   - *coroutine* frame events — each resume of a rank re-enters every
     coroutine on its stack (the ring's main, ``ft_recv_left``,
     ``waitany``, ``compute``): 4.9 per handoff (bound: 8).
 * **C calls** per handoff — builtins, heap pushes and pops, the
-  coroutine ``send`` — counted by the same hook: 28.8 untraced (bound:
-  31; 29.5 while a handoff released and acquired thread locks), 34.7
-  traced (bound: 37), the difference being one ``list.append`` per
-  record.
+  coroutine ``send`` — counted by the same hook: 29.8 untraced (bound:
+  31; 29.5 while a handoff released and acquired thread locks, 28.8
+  before per-type sizers), 35.7 traced (bound: 37), the difference
+  being one ``list.append`` per record.
 
 None of the interpreted counts may grow with the number of ranks: at
 4,096 ranks each is within 0.5 of its 32-rank figure.

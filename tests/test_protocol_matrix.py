@@ -14,14 +14,18 @@ set, no duplicate delivery, no hang) on identical ``(victim, time)``
 schedules, then each protocol's own promise: replication's client sees
 **zero recovery gap**, and partial restart's recruit resumes from the
 **neighbor-held** counter rather than from zero.  The compare-protocols
-study over the same schedules must be byte-identical serial vs pooled.
+study over the same schedules must be byte-identical serial vs pooled,
+and its CLI report the same serial, pooled, cold-cached and warm-cached.
 """
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.analysis import perf_dict, standard_ring_invariants
+from repro.cli import main as cli_main
 from repro.faults import CompositeInjector, KillAtTime
 from repro.fuzz.config import scenario_from_dict, scenario_to_dict
 from repro.parallel import RingScenario
@@ -229,6 +233,22 @@ class TestCompareProtocolsDeterminism:
         }
         schedules = set(map(tuple, by_protocol.values()))
         assert len(schedules) == 1  # every family faced the same kills
+
+
+class TestCompareProtocolsCli:
+    ARGS = ["compare-protocols", "--nprocs", "5", "--runs", "12",
+            "--detection-latency", "2e-6"]
+
+    def test_serial_pooled_cold_and_warm_print_one_report(self, tmp_path, capsys):
+        cached = ["--cache", "--cache-dir", str(tmp_path / "cache")]
+        outs = []
+        for extra in ([], ["--workers", "2"], cached, cached):
+            assert cli_main(self.ARGS + extra) == 0
+            outs.append(capsys.readouterr())
+        serial, pooled, cold, warm = outs
+        assert "protocol comparison: 4 protocols x 12 schedules" in serial.out
+        assert serial.out == pooled.out == cold.out == warm.out
+        assert re.search(r"^\[cache\] hits=[1-9][0-9]* misses=0 ", warm.err, re.M)
 
 
 class TestScenarioPlumbing:

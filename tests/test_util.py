@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, make_dataclass
 from typing import Any
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import RingMsg
+from repro.ft import comm_validate_all
 from repro.ft.agreement import _Msg
+from repro.parallel import RingScenario
 from repro.protocols.replication import _RepMsg
-from repro.simmpi import util
+from repro.simmpi import Simulation, util
 from repro.simmpi.util import ENVELOPE_BYTES, _body_nbytes, payload_nbytes
 
 
@@ -30,6 +34,7 @@ class TestPayloadNbytes:
         assert payload_nbytes(b"abcd") == ENVELOPE_BYTES + 4
         assert payload_nbytes("abcd") == ENVELOPE_BYTES + 4
         assert payload_nbytes("é") == ENVELOPE_BYTES + 2  # utf-8
+        assert payload_nbytes("\ud800") == ENVELOPE_BYTES + 1  # replaced
 
     def test_numpy_uses_nbytes(self):
         arr = np.zeros(100, dtype=np.float64)
@@ -64,71 +69,97 @@ class TestPayloadNbytes:
 
         assert payload_nbytes(Weird()) == ENVELOPE_BYTES + 8
 
-    def test_wrapped_ring_message_is_one_lookup(self):
-        # The replication envelope around a ring message (4,279 of the
-        # 9,368 sends of a protocols comparison): nested, yet its shape is
-        # a key, so every send after the first is one cache hit.
-        util._SHAPE_CACHE.clear()
+    def test_wrapped_ring_message(self):
+        # The replication envelope around a ring message.
         msg = _RepMsg(src=1, seq=2, tag=3, payload=RingMsg(value=5, marker=3))
-        assert util._shape_token(msg) is not None
         assert payload_nbytes(msg) == 88
-        assert len(util._SHAPE_CACHE) == 1
         other = _RepMsg(src=7, seq=9, tag=1, payload=RingMsg(value=0, marker=8))
         assert payload_nbytes(other) == 88
-        assert len(util._SHAPE_CACHE) == 1
 
-    def test_flat_dataclass_hits_its_token_without_a_walk(self):
-        util._SHAPE_CACHE.clear()
+    def test_agreement_message(self):
+        msg = _Msg("decide", 3, 1, 0, frozenset({(1, 2), (4, 7)}), True)
+        assert payload_nbytes(msg) == ENVELOPE_BYTES + 8 + 6 + 3 * 8 + 8 + 2 * 24 + 1
+
+    def test_flat_dataclass_sizes_by_its_values(self):
         assert payload_nbytes(_Flat(1, 2.0)) == ENVELOPE_BYTES + 8 + 16
-        assert _Flat in util._FIELD_GETTERS
-        assert util._SHAPE_CACHE == {(_Flat, int, float): ENVELOPE_BYTES + 24}
         assert payload_nbytes(_Flat(True, None)) == ENVELOPE_BYTES + 8 + 1
-        assert len(util._SHAPE_CACHE) == 2
 
-    def test_instance_nbytes_beats_a_memoised_flat_shape(self):
-        util._SHAPE_CACHE.clear()
+    def test_instance_nbytes_beats_the_fields(self):
         assert payload_nbytes(_Flat(1, 2.0)) == ENVELOPE_BYTES + 24
         sized = _Flat(3, 4.0)
         sized.nbytes = 1000  # set on the instance, not the class
-        assert (_Flat, int, float) in util._SHAPE_CACHE
         assert payload_nbytes(sized) == ENVELOPE_BYTES + 1000
         assert payload_nbytes(_Flat(5, 6.0)) == ENVELOPE_BYTES + 24
 
 
-class TestTupleElementTokens:
-    """Containers of same-shape scalar tuples — the agreement's
-    ``frozenset`` of ``(int, int)`` pairs — have a token."""
+class TestOneSizerPerType:
+    """The table is keyed by exact type, never by a payload's values."""
 
-    def test_pairs_share_a_token(self):
-        token = (frozenset, (tuple, int, int), 2)
-        assert util._shape_token(frozenset({(1, 2), (3, 4)})) == token
-        assert util._shape_token(frozenset({(5, 6), (7, 8)})) == token
-        assert util._shape_token([(True, 1.0)]) == (list, (tuple, bool, float), 1)
-        assert util._shape_token(((), ())) == (tuple, (tuple,), 2)
+    def test_values_add_no_entry(self):
+        util._SIZERS.clear()
+        for i in range(50):
+            payload_nbytes(_Msg(f"kind{i}", i, i, i, frozenset(range(i)), i % 2 == 0))
+        assert set(util._SIZERS) == {_Msg, str, frozenset}
 
-    def test_refused(self):
-        for v in (
-            [(1, 2), (1, 2, 3)],  # mixed arities
-            [(1, 2), (True, 2)],  # bool/int mix
-            [(1, 2), (1, 2.0)],
-            [((1, 2), 3)],  # nested tuple
-            [(1, 2), ((1, 2), 3)],
-            [(1, "a")],  # a string element
-            [(1, 2), 3],  # tuples mixed with scalars
-            [3, (1, 2)],
-            [_Pt((1, 2))],  # a tuple subclass
-        ):
-            assert util._shape_token(v) is None, v
+    def test_scalars_have_no_entry(self):
+        util._SIZERS.clear()
+        for p in (None, True, 1, 2.0, 3j, [1, 2.0, None]):
+            payload_nbytes(p)
+        assert set(util._SIZERS) == {list}
 
-    def test_agreement_message_is_one_lookup(self):
-        util._SHAPE_CACHE.clear()
-        msg = _Msg("decide", 3, 1, 0, frozenset({(1, 2), (4, 7)}), True)
-        walk = ENVELOPE_BYTES + _body_nbytes(msg)
-        assert util._shape_token(msg) is not None
-        assert payload_nbytes(msg) == walk
-        other = _Msg("decide", 9, 2, 5, frozenset({(0, 0), (3, 9)}), False)
-        assert payload_nbytes(other) == walk
-        assert len(util._SHAPE_CACHE) == 1
+    def test_more_types_than_the_bound(self):
+        util._SIZERS.clear()
+        n = util._SIZERS_MAX + 100
+        types = [make_dataclass(f"D{i}", [("a", Any), ("b", Any)]) for i in range(n)]
+        for i, t in enumerate(types):
+            p = t(i, (str(i), t(None, 1.5)))
+            assert payload_nbytes(p) == ENVELOPE_BYTES + _body_nbytes(p)
+            assert len(util._SIZERS) <= util._SIZERS_MAX
+        for t in types[:3]:  # dropped when the table started over
+            p = t("x", [1])
+            assert payload_nbytes(p) == ENVELOPE_BYTES + _body_nbytes(p)
+
+
+def _counted_sizing(monkeypatch) -> list[type]:
+    """Count every ``payload_nbytes`` call a simulation makes, by type."""
+    calls: list[type] = []
+    real = util.payload_nbytes
+
+    def counted(payload):
+        calls.append(type(payload))
+        return real(payload)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(mod, "payload_nbytes", None) is real:
+            monkeypatch.setattr(mod, "payload_nbytes", counted)
+    return calls
+
+
+class TestFanOutIsSizedOnce:
+    """A payload sent to many peers is priced once, not per copy."""
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_fault_free_validate_sizes_n_messages_per_instance(self, monkeypatch, n):
+        calls = _counted_sizing(monkeypatch)
+
+        async def main(mpi):
+            for _ in range(2):
+                await comm_validate_all(mpi.comm_world)
+
+        result = Simulation(nprocs=n).run(main)
+        # n-1 contributions, one each, and one DECIDE fan-out to n-1 peers.
+        assert result.perf.messages_sent == 2 * 2 * (n - 1)
+        assert calls.count(_Msg) == len(calls) == 2 * n
+
+    def test_fault_free_replicated_ring_sizes_each_logical_send_once(self, monkeypatch):
+        calls = _counted_sizing(monkeypatch)
+        scenario = RingScenario(nprocs=5, iters=6, protocol="replication")
+        sim, main = scenario()
+        result = sim.run(main)
+        copies = sum(o.value["copies_sent"] for o in result.outcomes)
+        # 10 physical senders x 7 logical sends x 2 live replicas.
+        assert copies == result.perf.messages_sent == 10 * 7 * 2
+        assert calls.count(_RepMsg) == len(calls) == copies // 2
 
 
 @dataclass
@@ -139,7 +170,7 @@ class _Pair:
 
 @dataclass
 class _Sized:
-    """An ``int`` ``nbytes`` attribute wins the walk: never a shape."""
+    """An ``int`` ``nbytes`` field wins the walk."""
 
     nbytes: int
     extra: Any
@@ -151,8 +182,18 @@ class _Flat:
     b: Any
 
 
+@dataclass
+class _NoFields:
+    pass
+
+
+@dataclass
+class _OneField:
+    a: Any
+
+
 class _Pt(tuple):
-    """A tuple subclass element: the walk sizes it, no token names it."""
+    """A tuple subclass element: the walk sizes it as a tuple."""
 
 
 @dataclass(init=False)
@@ -163,15 +204,92 @@ class _TupleBox(tuple):
     label: str = "box"
 
 
+@dataclass(init=False)
+class _IntBox(int):
+    """An int subclass is 8 bytes, whatever its fields hold."""
+
+    label: str = "box"
+
+
+@dataclass
+class _ClassNbytes:
+    """A class-level ``int`` ``nbytes`` that is not a field."""
+
+    a: Any
+    nbytes = 5
+
+
+@dataclass
+class _PropertyNbytes:
+    a: Any
+
+    @property
+    def nbytes(self):
+        return self.a if isinstance(self.a, int) else "not an int"
+
+
+@dataclass(slots=True)
+class _SlotNbytes:
+    """``nbytes`` is a slot: an ``int`` value wins, any other does not."""
+
+    nbytes: Any
+    a: Any
+
+
+@dataclass(slots=True)
+class _Dynamic:
+    """``__getattr__`` answers ``nbytes``, though no instance has a
+    ``__dict__`` to carry one."""
+
+    a: Any
+
+    def __getattr__(self, name):
+        if name == "nbytes":
+            return 13 if isinstance(self.a, str) else None
+        raise AttributeError(name)
+
+
+@dataclass(slots=True)
+class _Intercepting:
+    """``__getattribute__`` answers ``nbytes``, though no instance has a
+    ``__dict__`` to carry one."""
+
+    a: Any
+
+    def __getattribute__(self, name):
+        if name == "nbytes":
+            return 17
+        return object.__getattribute__(self, name)
+
+
+def _with_own_nbytes(a: Any, own: Any) -> _Pair:
+    """A plain dataclass instance carrying ``nbytes`` in its ``__dict__``."""
+    p = _Pair(a, None)
+    p.nbytes = own
+    return p
+
+
+_STRINGS = st.text(
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+    | st.characters(max_codepoint=0x7F)
+    | st.characters(),
+    max_size=6,
+)
+
 _LEAVES = (
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-    | st.complex_numbers(allow_nan=False) | st.text(max_size=6)
+    | st.complex_numbers(allow_nan=False) | _STRINGS
     | st.binary(max_size=6)
+    | st.binary(max_size=6).map(bytearray)
+    | st.binary(max_size=8).map(memoryview)
+    | st.integers(0, 4).map(np.zeros)
+    | st.integers(-9, 9).map(np.int32) | st.floats(allow_nan=False).map(np.float64)
+    | st.builds(_NoFields)
 )
 
 
-#: Tuple elements of containers: same-shape pairs get a token; mixed
-#: arities, bool/int mixes and nested tuples must not.
+#: Tuple elements of containers: same-shape pairs, mixed arities,
+#: bool/int mixes and nested tuples.
 _ELEMENTS = (
     st.tuples(st.integers(), st.integers())
     | st.tuples(st.booleans(), st.integers())
@@ -186,15 +304,25 @@ def _extend(inner):
         st.lists(inner, max_size=3)
         | st.lists(inner, max_size=3).map(tuple)
         | st.lists(st.integers(), max_size=3).map(frozenset)
+        | st.lists(st.integers(), max_size=3).map(set)
         | st.lists(st.tuples(st.integers(), st.integers()), max_size=3).map(frozenset)
         | st.lists(_ELEMENTS, max_size=3).map(frozenset)
         | st.lists(_ELEMENTS, max_size=3).map(tuple)
+        | st.lists(inner, max_size=3).map(_Pt)
         | st.builds(_Flat, _LEAVES, _LEAVES)
-        | st.dictionaries(st.text(max_size=3), inner, max_size=2)
+        | st.builds(_OneField, inner)
+        | st.dictionaries(_STRINGS, inner, max_size=2)
         | st.builds(_Pair, inner, inner)
         | st.builds(_RepMsg, st.integers(), st.integers(), st.integers(), inner)
         | st.builds(_Sized, st.integers(0, 99), inner)
         | st.lists(st.integers(), max_size=3).map(_TupleBox)
+        | st.integers().map(_IntBox)
+        | st.builds(_ClassNbytes, inner)
+        | st.builds(_PropertyNbytes, st.integers(0, 99) | inner)
+        | st.builds(_SlotNbytes, st.integers(0, 99) | inner, inner)
+        | st.builds(_Dynamic, inner)
+        | st.builds(_Intercepting, inner)
+        | st.builds(_with_own_nbytes, inner, st.integers(0, 99) | inner)
     )
 
 
@@ -202,16 +330,26 @@ _PAYLOADS = st.recursive(_LEAVES, _extend, max_leaves=8)
 
 
 class TestShapeCacheProperty:
-    @settings(max_examples=300, deadline=None)
+    """The per-type sizer table (the cache) never changes a size: a type's
+    first payload builds its sizer (a miss), later ones reuse it (hits)."""
+
+    @settings(max_examples=400, deadline=None)
     @given(st.lists(_PAYLOADS, min_size=1, max_size=6))
     @example([_Sized(1, None), _Sized(2, None)])
     @example([_Pair(_TupleBox(()), 0), _Pair(_TupleBox((1, 2)), 0)])
     @example([[(1, 2)], [(True, 2)], [(1, 2), (True, 2)], [((1,), 2)]])
     @example([frozenset({(1, 2)}), frozenset({(True, 2)}), frozenset({(1,)})])
+    @example([_Flat(1, 2), _with_own_nbytes(1, 40), _with_own_nbytes(1, "x")])
+    @example([_IntBox(3), _Pair(_IntBox(3), _TupleBox((1.0,)))])
+    @example([_ClassNbytes(1), _PropertyNbytes(7), _PropertyNbytes(None)])
+    @example([_SlotNbytes(3, "ab"), _SlotNbytes("ab", 3)])
+    @example([_Dynamic("a"), _Dynamic(1), _Intercepting(None)])
+    @example(["ascii", "é", "\ud800", "日本", _Pair("\udfff", "ok")])
+    @example([b"ab", bytearray(b"abc"), memoryview(b"abcd"), {"k": [1]}])
+    @example([np.zeros(3), np.int32(1), np.float64(2.0), [np.zeros(2)]])
+    @example([_NoFields(), _OneField(_OneField(1)), (_Pt((1, 2)),)])
     def test_memoised_size_is_the_walk_on_miss_and_hit(self, payloads):
-        # Payloads of one shape share a cache entry: the first measures
-        # it (a miss), the rest — and every second call — hit it.
-        util._SHAPE_CACHE.clear()
+        util._SIZERS.clear()
         for p in payloads:
             walk = ENVELOPE_BYTES + _body_nbytes(p)
             assert payload_nbytes(p) == walk
