@@ -65,7 +65,7 @@ from .group import Group
 from .matching import Message
 from .nbcoll import ibarrier
 from .rma import Win, win_create
-from .p2p import test, testany, wait, waitall, waitany, waitsome
+from .p2p import wait, waitall, waitany, waitsome
 from .process import SimProcess
 from .request import Request, RequestKind, Status
 from .runtime import (
@@ -133,8 +133,6 @@ __all__ = [
     "UNDEFINED",
     "VirtualClock",
     "ZERO_COST",
-    "test",
-    "testany",
     "wait",
     "waitall",
     "waitany",

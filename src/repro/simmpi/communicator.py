@@ -424,40 +424,6 @@ class Comm:
         status = await wait(req)
         return req.data, status
 
-    async def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Blocking probe: wait until a matching message is available."""
-        self._proc._mpi_call("probe")
-        while True:
-            st = self._iprobe_now(source, tag)
-            if st is not None:
-                return st
-            await self._proc.runtime.arrival_block(self._proc, "probe")
-
-    async def iprobe(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> Status | None:
-        """Non-blocking probe; ``None`` if no matching message arrived yet."""
-        self._proc._mpi_call("iprobe")
-        st = self._iprobe_now(source, tag)
-        if st is None:
-            await self._proc.runtime.poll_block(self._proc, "iprobe")
-            st = self._iprobe_now(source, tag)
-        return st
-
-    def _iprobe_now(self, source: int, tag: int) -> Status | None:
-        self._check_revoked()
-        if source != ANY_SOURCE and self._known_failed(source) and source not in self.recognized:
-            self._raise(RankFailStopError(f"probe of failed rank {source}", peer=source))
-        if source == ANY_SOURCE and self._has_unrecognized_failure():
-            self._raise(RankFailStopError("probe ANY_SOURCE with unrecognized failure"))
-        src_world = ANY_SOURCE if source == ANY_SOURCE else self.world_rank(source)
-        msg = self._proc.engine.probe(src_world, tag, self.context(CTX_P2P))
-        if msg is None:
-            return None
-        src_cr = self.comm_rank_of_world(msg.src)
-        return Status(source=src_cr if src_cr is not None else msg.src,
-                      tag=msg.tag, count=msg.nbytes)
-
     # ------------------------------------------------------------------
     # Communicator management
     # ------------------------------------------------------------------

@@ -63,16 +63,6 @@ class Message:
     #: message is matched (or completed in error when it is dropped).
     ssend_req: Any = None
 
-    def matches(self, source: int, tag: int, context: int) -> bool:
-        """True if this envelope satisfies a receive's selection criteria."""
-        if context != self.context:
-            return False
-        if source != ANY_SOURCE and source != self.src:
-            return False
-        if tag != ANY_TAG and tag != self.tag:
-            return False
-        return True
-
 
 class MatchingEngine:
     """Posted-receive and unexpected-message queues for one process.
@@ -132,14 +122,6 @@ class MatchingEngine:
         q.append((self._useq, msg))
         self._useq += 1
         return None
-
-    @staticmethod
-    def _recv_accepts(req: "Request", msg: Message) -> bool:
-        if req.peer != ANY_SOURCE and req.peer != msg.src:
-            return False
-        if req.tag != ANY_TAG and req.tag != msg.tag:
-            return False
-        return True
 
     # -- post path --------------------------------------------------------
 
@@ -222,29 +204,6 @@ class MatchingEngine:
     def remove_posted(self, req: "Request") -> None:
         """Drop a posted receive that the runtime completed in error."""
         self.cancel_recv(req)
-
-    def unexpected_from(self, src: int, context: int | None = None) -> list[Message]:
-        """Unexpected messages from *src* (diagnostics; delivered messages
-        from a failed sender remain matchable — fail-stop wire semantics)."""
-        out: list[Message] = []
-        for ctx, buckets in self._unexpected.items():
-            if context is not None and ctx != context:
-                continue
-            entries = [
-                e for key, q in buckets.items() if key[0] == src for e in q
-            ]
-            entries.sort(key=lambda e: e[0])
-            out.extend(m for _seq, m in entries)
-        return out
-
-    def probe(self, source: int, tag: int, context: int) -> Message | None:
-        """Return (without removing) the oldest-arrival matching unexpected
-        message."""
-        hit = self._find_unexpected(context, source, tag)
-        if hit is None:
-            return None
-        buckets, key = hit
-        return buckets[key][0][1]
 
     def stats(self) -> dict[str, int]:
         """Queue depths, for runtime diagnostics and tests."""

@@ -1,4 +1,4 @@
-"""Completion operations: ``wait`` / ``waitany`` / ``waitall`` / ``test``.
+"""Completion operations: ``wait`` / ``waitany`` / ``waitall`` / ``waitsome``.
 
 These are module-level functions (as in MPI, completion is not a
 communicator method).  Error delivery follows the owning communicator's
@@ -158,42 +158,6 @@ async def waitsome(requests: Sequence[Request]) -> list[tuple[int, Status]]:
         if r.error is not None:
             _raise_for(r, i)
     return [(i, r.status) for i, r in done]  # type: ignore[misc]
-
-
-async def test(request: Request) -> Status | None:
-    """Non-blocking completion check.
-
-    Returns the status if complete (raising on error), else ``None``.
-    Each unsuccessful poll advances virtual time by one poll interval so a
-    test loop cannot freeze the simulation.
-    """
-    proc = request.owner
-    proc._mpi_call("test")
-    if not request.done:
-        await proc.runtime.poll_block(proc, "test")
-    if not request.done:
-        return None
-    if request.completion_time is not None:
-        proc.now = max(proc.now, request.completion_time)
-    if request.error is not None:
-        _raise_for(request, 0)
-    return request.status
-
-
-async def testany(requests: Sequence[Request]) -> tuple[int, Status] | None:
-    """Non-blocking variant of :func:`waitany`; ``None`` if none complete."""
-    proc = _owner(requests)
-    proc._mpi_call("testany")
-    if not any(r.done for r in requests):
-        await proc.runtime.poll_block(proc, "testany")
-    for i, req in enumerate(requests):
-        if req.done:
-            if req.completion_time is not None:
-                proc.now = max(proc.now, req.completion_time)
-            if req.error is not None:
-                _raise_for(req, i)
-            return i, req.status  # type: ignore[return-value]
-    return None
 
 
 class _WaitOn:

@@ -55,9 +55,6 @@ class SimProcess:
         self.comm_world: "Comm | None" = None
         #: Failure time if this process failed (ground truth).
         self.failed_at: float | None = None
-        #: Set while the process sleeps awaiting any message arrival
-        #: (blocking probe); the transport wakes it on the next delivery.
-        self.wants_arrival_wake = False
 
     # ------------------------------------------------------------------
     # Application-facing helpers

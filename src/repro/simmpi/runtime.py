@@ -144,7 +144,6 @@ class Runtime:
         #: :meth:`loop` arms them (an event-only injector such as
         #: ``KillAtTime`` is armed and never polled).
         self.polled_injectors: list[Any] = []
-        self._poll_dt = max(cost.overhead, 1e-9)
         #: Last message / request id handed out: per-simulation, so equal
         #: seeds give equal traces.  Bumped inline where ids are taken.
         self._msg_seq = 0
@@ -164,23 +163,6 @@ class Runtime:
     def schedule_wake(self, proc: SimProcess, time: float, label: str) -> None:
         """Schedule *proc* to wake at virtual *time*."""
         self.events.schedule(time, partial(proc.wake, time, label))
-
-    async def poll_block(self, proc: SimProcess, label: str) -> None:
-        """Block *proc* for one poll interval (non-blocking-call progress)."""
-        deadline = proc.now + self._poll_dt
-        self.schedule_wake(proc, deadline, label)
-        while proc.now < deadline:
-            await proc.block(f"poll:{label}")
-
-    async def arrival_block(self, proc: SimProcess, label: str) -> None:
-        """Block *proc* until the next message delivery addressed to it.
-
-        Used by blocking probe: event-driven, so waiting across a long
-        idle gap costs one event instead of millions of polls.
-        """
-        proc.wants_arrival_wake = True
-        await proc.block(f"await-arrival:{label}")
-        proc.wants_arrival_wake = False
 
     # ------------------------------------------------------------------
     # Failure knowledge
@@ -260,11 +242,6 @@ class Runtime:
         self.known_by[observer].add(failed)
         if self.trace.enabled:
             self.trace.add((time, DETECT, observer, failed))
-        if obs.wants_arrival_wake:
-            # A blocking probe must re-check its source against the new
-            # failure knowledge (it may need to raise FAIL_STOP).
-            obs.wants_arrival_wake = False
-            obs.wake(time, "failure detected while probing")
         self._sweep_pending(obs, failed, time)
         for fn in self._failure_listeners.get(observer, []):
             fn(observer, failed, time)
@@ -387,9 +364,6 @@ class Runtime:
                 status=Status(source=req.peer, tag=req.tag,
                               error=ErrorClass.ERR_REVOKED),
             )
-        if proc.wants_arrival_wake:
-            proc.wants_arrival_wake = False
-            proc.wake(time, "communicator revoked while probing")
 
     # ------------------------------------------------------------------
     # Fault injection hooks
@@ -491,9 +465,6 @@ class Runtime:
             self._complete_recv(req, msg, msg.deliver_time)
         else:
             perf.messages_unexpected += 1
-            if dst.wants_arrival_wake:
-                dst.wants_arrival_wake = False
-                dst.wake(msg.deliver_time, "message arrival")
         if obs is not None:
             st = dst.engine.stats()
             obs.queue_sample(
@@ -941,7 +912,6 @@ class Simulation:
             rt.policy.reset()
         if cost is not None:
             rt.cost = cost
-            rt._poll_dt = max(cost.overhead, 1e-9)
         return self
 
     def add_injector(self, injector: Any) -> None:

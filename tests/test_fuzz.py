@@ -297,6 +297,23 @@ class TestFuzzCli:
         assert rc_a == rc_b == 0
         assert out_a == out_b
 
+    def test_smoke_corpus_serial_and_pooled_print_one_report(
+        self, capsys, tmp_path
+    ):
+        """Seed 1, 100 runs, 0-2 kills: the fixed corpus passes, and
+        ``--workers 2`` prints the serial report byte for byte."""
+        from repro.cli import main
+
+        argv = ["fuzz", "--runs", "100", "--seed", "1",
+                "--min-kills", "0", "--max-kills", "2"]
+        outs = []
+        for extra, sub in (([], "serial"), (["--workers", "2"], "pooled")):
+            rc = main(argv + extra + ["--out-dir", str(tmp_path / sub)])
+            outs.append(capsys.readouterr().out)
+            assert rc == 0
+        assert outs[0] == outs[1]
+        assert "100 run(s), 0 failure(s)" in outs[0]
+
     def test_fuzz_command_writes_and_replays_repros(self, capsys, tmp_path):
         from repro.cli import main
 

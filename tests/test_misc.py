@@ -165,36 +165,6 @@ class TestSendrecvUnderFailure:
         assert r.value(0) == "caught"
 
 
-class TestIprobeFailurePaths:
-    def test_iprobe_raises_on_failed_specific_source(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            if comm.rank == 1:
-                await mpi.compute(1.0)
-                return
-            await mpi.compute(2.0)
-            with pytest.raises(RankFailStopError):
-                await comm.iprobe(source=1)
-            return "ok"
-
-        assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) == "ok"
-
-    def test_probe_unblocked_by_failure_detection(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            if comm.rank == 1:
-                await mpi.compute(1.0)
-                return
-            with pytest.raises(RankFailStopError):
-                await comm.probe(source=1)
-            return mpi.now
-
-        r = run_sim(main, 2, kills=[(1, 0.5)])
-        assert r.value(0) == pytest.approx(0.5)
-
-
 class TestValidateRankAfterCollectiveValidate:
     def test_state_is_null_everywhere_after_validate_all(self):
         from repro.ft import RankState, comm_validate_all, rank_state

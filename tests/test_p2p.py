@@ -232,29 +232,6 @@ class TestSsend:
         assert r.hung
 
 
-class TestProbe:
-    def test_probe_blocks_until_message(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                await mpi.compute(1.0)
-                comm.send("late", dest=1, tag=6)
-            else:
-                status = await comm.probe(source=0, tag=6)
-                assert status.tag == 6
-                return (await comm.recv(source=0, tag=6))[0]
-
-        assert run_sim(main, 2).value(1) == "late"
-
-    def test_iprobe_none_when_empty(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 1:
-                return await comm.iprobe(source=0)
-
-        assert run_sim(main, 2).value(1) is None
-
-
 class TestArgumentValidation:
     def test_bad_dest_raises(self):
         def main(mpi):

@@ -1,0 +1,43 @@
+"""The simulated MPI's public surface, pinned literally.
+
+These lists make every addition to or removal from ``repro.simmpi``'s
+exports and ``Comm``'s public methods a visible diff of this file.
+"""
+
+from __future__ import annotations
+
+import repro.simmpi
+from repro.simmpi import Comm
+
+SIMMPI_ALL = [
+    "ANY_SOURCE", "ANY_TAG", "CTX_AM", "CTX_COLL", "CTX_P2P", "Comm",
+    "CommRevokedError", "CostModel", "DEFAULT_COST", "DEFAULT_ROOT",
+    "ErrorClass", "ErrorHandler", "EventQueue", "Fiber", "FiberState",
+    "Group", "HierarchicalCostModel", "InvalidArgumentError",
+    "JitteredCostModel", "JobAborted", "LowestRankFirstPolicy", "MPIError",
+    "Message", "OPS", "PROC_NULL", "RandomPolicy", "RankFailStopError",
+    "RankOutcome", "Request", "RequestKind", "RoundRobinPolicy", "Runtime",
+    "SchedulingPolicy", "SimProcess", "Simulation", "SimulationDeadlock",
+    "SimulationError", "SimulationLimitExceeded", "SimulationResult",
+    "Status", "TAG_UB", "Trace", "TraceEvent", "TraceKind",
+    "TruncationError", "UNDEFINED", "VirtualClock", "Win", "ZERO_COST",
+    "exscan", "ibarrier", "reduce_scatter", "wait", "waitall", "waitany",
+    "waitsome", "win_create",
+]
+
+COMM_PUBLIC = [
+    "allgather", "allreduce", "alltoall", "barrier", "bcast",
+    "comm_rank_of_world", "context", "create", "dup", "exscan", "free",
+    "gather", "group_obj", "irecv", "is_revoked", "isend", "issend",
+    "known_failed_comm_ranks", "proc", "rank", "recv", "reduce",
+    "reduce_scatter", "replace_rank", "revoke", "scan", "scatter", "send",
+    "sendrecv", "set_errhandler", "size", "split", "ssend", "world_rank",
+]
+
+
+def test_simmpi_exports_exactly_the_pinned_names():
+    assert sorted(repro.simmpi.__all__) == SIMMPI_ALL
+
+
+def test_comm_has_exactly_the_pinned_public_attributes():
+    assert sorted(k for k in vars(Comm) if not k.startswith("_")) == COMM_PUBLIC

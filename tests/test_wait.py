@@ -1,4 +1,4 @@
-"""Completion-operation semantics: wait/waitany/waitall/waitsome/test."""
+"""Completion-operation semantics: wait/waitany/waitall/waitsome."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from repro.simmpi import (
     ErrorHandler,
     RankFailStopError,
     Simulation,
-    test as mpi_test,
-    testany as mpi_testany,
     wait,
     waitall,
     waitany,
@@ -123,57 +121,6 @@ class TestWaitsome:
 
         out = run_sim(main, 2).value(1)
         assert out and set(out) <= {0, 1}
-
-
-class TestTest:
-    def test_test_returns_none_then_status(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                await mpi.compute(1e-6)
-                comm.send("x", dest=1)
-            else:
-                req = comm.irecv(source=0)
-                first = await mpi_test(req)
-                while await mpi_test(req) is None:
-                    pass
-                return (first, req.data)
-
-        first, data = run_sim(main, 2).value(1)
-        assert first is None and data == "x"
-
-    def test_testany(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                comm.send("y", dest=1, tag=7)
-            else:
-                reqs = [comm.irecv(source=0, tag=t) for t in (6, 7)]
-                while (hit := await mpi_testany(reqs)) is None:
-                    pass
-                idx, _status = hit
-                reqs[0].cancel()
-                return (idx, reqs[1].data)
-
-        assert run_sim(main, 2).value(1) == (1, "y")
-
-    def test_test_loop_advances_virtual_time(self):
-        # A test() spin across an idle gap must terminate (bounded polls
-        # in virtual time), not livelock.
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                await mpi.compute(1e-4)
-                comm.send("late", dest=1)
-            else:
-                req = comm.irecv(source=0)
-                polls = 0
-                while await mpi_test(req) is None:
-                    polls += 1
-                return polls
-
-        polls = run_sim(main, 2).value(1)
-        assert polls > 0
 
 
 class TestWaitTiming:
