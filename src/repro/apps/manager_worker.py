@@ -31,7 +31,6 @@ from ..simmpi.process import SimProcess
 
 TAG_TASK = 21
 TAG_RESULT = 22
-TAG_STOP = 23
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ Subcommands
 ``report``
     Aggregate a ``--telemetry`` JSONL stream offline: outcome histogram,
     wall-time percentiles, slowest jobs, worker utilization, cache hit
-    rate.  ``--canon`` prints the canonical lines CI diffs between
+    rate.  ``--canon`` prints the canonical lines, identical between
     serial and pooled runs.
 
 ``spans``
@@ -291,7 +291,10 @@ def _spans_scope(args: argparse.Namespace):
     path = getattr(args, "spans", None)
     if not path:
         return nullcontext()
-    from .obs.spans import SpanRecorder, recording, write_spans
+    from pathlib import Path
+
+    from .obs.records import dumps
+    from .obs.spans import SpanRecorder, recording, spans_to_records
 
     @contextmanager
     def scope():
@@ -300,7 +303,7 @@ def _spans_scope(args: argparse.Namespace):
             with recording(recorder):
                 yield recorder
         finally:
-            write_spans(path, recorder)
+            Path(path).write_text(dumps(spans_to_records(recorder)))
             print(f"[spans] wrote {path}", file=sys.stderr)
 
     return scope()
@@ -337,8 +340,8 @@ def _cache_counters_snapshot(args: argparse.Namespace):
 
 def _report_cache(args: argparse.Namespace, before) -> None:
     """One ``[cache] hits=…`` line on **stderr** — stdout carries the
-    report and must stay byte-identical with the cache on or off (CI
-    diffs it)."""
+    report and must stay byte-identical with the cache on or off
+    (``tests/test_cache.py::TestCli`` diffs it)."""
     if before is None:
         return
     from . import perf
@@ -760,10 +763,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run a named scenario and export its trace for offline viewing."""
     from .obs import (
+        TRACE,
         dumps_perfetto,
-        jsonl_errors,
         make_scenario,
         perfetto_errors,
+        records,
         run_report,
         trace_to_jsonl,
         trace_to_perfetto,
@@ -774,31 +778,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     result = sim.run(main, on_deadlock="return", raise_app_errors=False)
 
+    errors, valid = [], None
     if args.format == "spacetime":
         text = render_spacetime(result.trace, nprocs)
     elif args.format == "jsonl":
         text = trace_to_jsonl(result.trace, nprocs)
         if args.validate:
-            errors = jsonl_errors(text)
-            if errors:
-                for e in errors:
-                    print(f"[trace] INVALID: {e}", file=sys.stderr)
-                return 1
-            print("[trace] jsonl export valid", file=sys.stderr)
+            errors, valid = records.errors(text, TRACE), "jsonl export valid"
     else:  # perfetto
         doc = trace_to_perfetto(result.trace, nprocs, metrics=result.metrics)
         text = dumps_perfetto(doc)
         if args.validate:
             errors = perfetto_errors(doc)
-            if errors:
-                for e in errors:
-                    print(f"[trace] INVALID: {e}", file=sys.stderr)
-                return 1
-            print(
-                f"[trace] perfetto export valid "
-                f"({len(doc['traceEvents'])} events)",
-                file=sys.stderr,
-            )
+            valid = f"perfetto export valid ({len(doc['traceEvents'])} events)"
+    for e in errors:
+        print(f"[trace] INVALID: {e}", file=sys.stderr)
+    if errors:
+        return 1
+    if valid:
+        print(f"[trace] {valid}", file=sys.stderr)
 
     if args.output:
         from pathlib import Path
@@ -812,39 +810,38 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stream_valid(path: str, schema) -> bool:
+    """Validate one stream file; print its problems to stderr if any."""
+    from .obs import records
+
+    errors = records.errors(path, schema)
+    if errors:
+        print(f"== {path}: INVALID", file=sys.stderr)
+        for e in errors:
+            print(f"  - {e}", file=sys.stderr)
+    return not errors
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     """Aggregate a sweep telemetry file without re-running anything."""
-    import json
-
-    from .obs import (
-        canonical_lines,
-        read_telemetry,
-        summarize,
-        summary_dict,
-        telemetry_errors,
-    )
+    from .obs import TELEMETRY, records, summarize, summary_dict
 
     worst = 0
     for path in args.files:
-        errors = telemetry_errors(path)
-        if errors:
-            print(f"== {path}: INVALID", file=sys.stderr)
-            for e in errors:
-                print(f"  - {e}", file=sys.stderr)
+        if not _stream_valid(path, TELEMETRY):
             worst = 1
             continue
         if args.canon:
             # Determinism view: volatile fields dropped, lines sorted —
             # byte-diffable between serial and pooled runs of one sweep.
-            for line in canonical_lines(path):
+            for line in records.canon(path, TELEMETRY):
                 print(line)
             continue
-        summary = summarize(read_telemetry(path), top=args.top)
+        summary = summarize(path, top=args.top)
         if args.format == "json":
             # One compact object per file: dashboards and CI consume
             # this instead of scraping the text layout.
-            print(json.dumps(summary_dict(summary), sort_keys=True,
-                             separators=(",", ":")))
+            print(records.line(summary_dict(summary)))
             continue
         if len(args.files) > 1:
             print(f"== {path}")
@@ -857,31 +854,26 @@ def cmd_spans(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .obs import (
-        canonical_spans,
+        SPANS,
         dumps_perfetto,
         perfetto_errors,
-        read_spans,
-        span_errors,
+        records,
         spans_to_perfetto,
     )
 
     worst = 0
     for path in args.files:
-        errors = span_errors(path)
-        if errors:
-            print(f"== {path}: INVALID", file=sys.stderr)
-            for e in errors:
-                print(f"  - {e}", file=sys.stderr)
+        if not _stream_valid(path, SPANS):
             worst = 1
             continue
         if args.validate:
-            records = read_spans(path)
-            print(f"[spans] {path} valid ({len(records) - 1} span(s))",
+            _header, body = records.read(path, SPANS)
+            print(f"[spans] {path} valid ({len(body)} span(s))",
                   file=sys.stderr)
         if args.canon:
             # Placement-independent view: volatile fields (times, ids,
             # tracks) dropped — byte-diffable serial vs pooled vs remote.
-            text = "\n".join(canonical_spans(path)) + "\n"
+            text = "\n".join(records.canon(path, SPANS)) + "\n"
         elif args.format == "perfetto":
             doc = spans_to_perfetto(path)
             errors = perfetto_errors(doc)

@@ -25,14 +25,15 @@ unit).  The document is emitted with sorted keys so identical runs export
 byte-identical files (golden-tested).
 
 **JSONL** (:func:`trace_to_jsonl` / :func:`load_trace_jsonl`) is the
-stable machine-readable form: a header line (format tag, rank count, cap
+stable machine-readable form, in the :mod:`repro.obs.records` envelope
+under :data:`TRACE`: a header line (format tag, rank count, cap
 accounting) followed by one JSON object per event.  Detail values that
 JSON cannot represent natively (tuples, sets, frozensets) are tagged so
 the loader rebuilds them exactly — the round trip preserves
 ``Trace.keys()`` byte-for-byte, which the determinism tests rely on.
 
-Both formats ship a validator (:func:`perfetto_errors` /
-:func:`jsonl_errors`) used by the test suite and the CI smoke job.
+:func:`perfetto_errors` validates a Perfetto document;
+``records.errors(text, TRACE)`` validates a JSONL export.
 """
 
 from __future__ import annotations
@@ -41,16 +42,16 @@ import json
 from typing import Any
 
 from ..simmpi.trace import Trace, TraceEvent, TraceKind
+from . import records
 
 __all__ = [
     "JSONL_FORMAT",
-    "jsonl_errors",
+    "TRACE",
     "load_trace_jsonl",
     "perfetto_errors",
     "trace_to_jsonl",
     "trace_to_perfetto",
     "write_perfetto",
-    "write_trace_jsonl",
 ]
 
 #: JSONL header format tag; bump when the line layout changes.
@@ -385,9 +386,8 @@ def _decode(value: Any) -> Any:
 def trace_to_jsonl(trace: Trace, nprocs: int | None = None) -> str:
     """Serialize *trace* as JSONL: one header line, one line per event.
 
-    Lines are compact JSON with sorted keys; identical traces export
-    byte-identical text (golden-tested).  Floats round-trip exactly
-    (``json`` uses shortest-round-trip repr).
+    Identical traces export byte-identical text (golden-tested).  Floats
+    round-trip exactly (``json`` uses shortest-round-trip repr).
     """
     header = {
         "format": JSONL_FORMAT,
@@ -396,25 +396,15 @@ def trace_to_jsonl(trace: Trace, nprocs: int | None = None) -> str:
         "dropped": trace.dropped,
         "events": len(trace),
     }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for ev in trace:
-        lines.append(json.dumps(
-            {
-                "t": ev.time,
-                "kind": ev.kind.value,
-                "rank": ev.rank,
-                "detail": {k: _encode(v) for k, v in ev.detail.items()},
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def write_trace_jsonl(trace: Trace, path: Any, nprocs: int | None = None) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(trace_to_jsonl(trace, nprocs=nprocs))
+    return records.dumps([header] + [
+        {
+            "t": ev.time,
+            "kind": ev.kind.value,
+            "rank": ev.rank,
+            "detail": {k: _encode(v) for k, v in ev.detail.items()},
+        }
+        for ev in trace
+    ])
 
 
 def load_trace_jsonl(source: Any) -> tuple[Trace, dict[str, Any]]:
@@ -425,28 +415,12 @@ def load_trace_jsonl(source: Any) -> tuple[Trace, dict[str, Any]]:
     ``loaded.keys() == original.keys()`` — the determinism identity the
     test suite pins.
     """
-    from pathlib import Path
-
-    if isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        text = Path(source).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty JSONL trace")
-    header = json.loads(lines[0])
-    if header.get("format") != JSONL_FORMAT:
-        raise ValueError(
-            f"unsupported trace format {header.get('format')!r} "
-            f"(want {JSONL_FORMAT!r})"
-        )
+    header, body = records.read(source, TRACE)
     trace = Trace(enabled=True, cap=header.get("cap"))
-    kinds = {k.value: k for k in TraceKind}
-    for ln in lines[1:]:
-        rec = json.loads(ln)
+    for rec in body:
         trace.record(
             rec["t"],
-            kinds[rec["kind"]],
+            TraceKind(rec["kind"]),
             rec["rank"],
             **{k: _decode(v) for k, v in rec["detail"].items()},
         )
@@ -454,46 +428,20 @@ def load_trace_jsonl(source: Any) -> tuple[Trace, dict[str, Any]]:
     return trace, header
 
 
-def jsonl_errors(source: Any) -> list[str]:
-    """Validate a JSONL trace export line by line (empty list == valid)."""
-    from pathlib import Path
+_KINDS = tuple(k.value for k in TraceKind)
+_EVENT_FIELDS = {"t": records.NUMBER, "rank": int, "detail": dict}
 
-    if isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        text = Path(source).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+
+def _trace_rules(header: dict[str, Any], body: list[dict[str, Any]]) -> list[str]:
     errors: list[str] = []
-    if not lines:
-        return ["empty file"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"header: invalid JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("format") != JSONL_FORMAT:
-        errors.append(f"header: format != {JSONL_FORMAT!r}")
-    kinds = {k.value for k in TraceKind}
-    for i, ln in enumerate(lines[1:], start=2):
-        where = f"line {i}"
-        try:
-            rec = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            errors.append(f"{where}: invalid JSON ({exc})")
-            continue
-        if not isinstance(rec, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        if not isinstance(rec.get("t"), (int, float)):
-            errors.append(f"{where}: t missing or not a number")
-        if rec.get("kind") not in kinds:
-            errors.append(f"{where}: unknown kind {rec.get('kind')!r}")
-        if not isinstance(rec.get("rank"), int):
-            errors.append(f"{where}: rank missing or not an int")
-        if not isinstance(rec.get("detail"), dict):
-            errors.append(f"{where}: detail missing or not an object")
-    declared = header.get("events") if isinstance(header, dict) else None
-    if isinstance(declared, int) and declared != len(lines) - 1:
-        errors.append(
-            f"header declares {declared} events, file has {len(lines) - 1}"
-        )
+    for i, rec in enumerate(body, start=2):
+        errors += records.field_errors(rec, f"line {i}", _EVENT_FIELDS)
+        if rec.get("kind") not in _KINDS:
+            errors.append(f"line {i}: unknown kind {rec.get('kind')!r}")
     return errors
+
+
+#: ``repro.trace/1``: every body line is one event and is counted.
+TRACE = records.Schema(
+    format=JSONL_FORMAT, count_key="events", rules=_trace_rules
+)

@@ -23,14 +23,15 @@ never leaks spans into the parent's recorder.
 
 Two stable export forms:
 
-* ``repro.spans/1`` JSONL (:func:`write_spans` / :func:`read_spans` /
-  :func:`span_errors`): header line + one compact JSON object per span.
-  :func:`canonical_spans` strips the volatile fields (times, ids,
-  tracks) and keeps only the placement-independent ``job`` spans, so a
-  serial, pooled, and remote sweep of the same jobs canonicalize to
-  byte-identical text — the transport-level analogue of telemetry's
-  ``canonical_lines``.  Under a cache, hits execute nothing and get no
-  job span; executed jobs are indistinguishable from an uncached run's.
+* ``repro.spans/1`` JSONL (:func:`spans_to_records`, then the
+  :mod:`repro.obs.records` envelope under :data:`SPANS`): header line +
+  one compact JSON object per span.  Its canonical view
+  (``records.canon(path, SPANS)``) strips the volatile fields (times,
+  ids, tracks) and keeps only the placement-independent ``job`` spans,
+  so a serial, pooled, and remote sweep of the same jobs canonicalize
+  to byte-identical text, as telemetry's does.  Under a cache, hits
+  execute nothing and get no job span; executed jobs are
+  indistinguishable from an uncached run's.
 * Perfetto (:func:`spans_to_perfetto`): the pipeline as a process track
   (``pid=1``, beside the kernel's ``pid=0``) with one thread track per
   execution site (scheduler, each worker) and flow arrows
@@ -40,33 +41,28 @@ Two stable export forms:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from . import records
 from .telemetry import OUTCOMES, TelemetryResult, outcome_class
 
 __all__ = [
     "CANONICAL_CATEGORIES",
+    "SPANS",
     "SPANS_FORMAT",
     "SPAN_CATEGORIES",
     "SPAN_VOLATILE_KEYS",
     "Span",
     "SpanRecorder",
     "active",
-    "canonical_spans",
-    "dumps_spans",
     "outcome_label",
-    "read_spans",
     "recording",
-    "span_errors",
     "spans_to_perfetto",
     "spans_to_records",
-    "write_spans",
 ]
 
 #: Header format tag; bump when the line layout changes.
@@ -85,21 +81,17 @@ SPAN_CATEGORIES = (
     "cache",      # one RunCache get_many/put_many batch
 )
 
-#: Fields dropped by :func:`canonical_spans`: timings, recorder-local
+#: Fields the canonical view drops: timings, recorder-local
 #: ids, and execution placement all legitimately differ across runs and
 #: transports.
 SPAN_VOLATILE_KEYS = frozenset({"t", "dur", "id", "parent", "track"})
 
-#: Categories that survive canonicalization.  Only ``job`` spans are
+#: Categories the canonical view keeps.  Only ``job`` spans are
 #: placement-independent: serial sweeps have no rounds or frames, and
 #: chunk boundaries move with chunk_size/worker count — but every job
 #: that executes does so exactly once, with the same index and outcome
 #: everywhere.
 CANONICAL_CATEGORIES = frozenset({"job"})
-
-_REQUIRED_KEYS = frozenset(
-    {"id", "parent", "name", "cat", "t", "dur", "track", "attrs"}
-)
 
 
 def outcome_label(value: Any) -> str:
@@ -126,6 +118,10 @@ class Span:
     parent: int | None
     track: str
     attrs: dict[str, Any]
+
+
+#: The keys of every ``repro.spans/1`` body line: a span's fields.
+_REQUIRED_KEYS = frozenset(Span.__slots__)
 
 
 class SpanRecorder:
@@ -369,68 +365,16 @@ def spans_to_records(recorder: SpanRecorder) -> list[dict[str, Any]]:
     return [header] + body
 
 
-def _records(source: Any) -> list[dict[str, Any]]:
-    if isinstance(source, SpanRecorder):
-        return spans_to_records(source)
-    if isinstance(source, (str, Path)):
-        return read_spans(source)
-    return list(source)
-
-
-def dumps_spans(source: Any) -> str:
-    """Serialize a recorder (or record list) as ``repro.spans/1`` JSONL:
-    compact sorted-key lines, byte-stable for identical recordings."""
-    return "".join(
-        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-        for r in _records(source)
-    )
-
-
-def write_spans(path: Any, source: Any) -> None:
-    Path(path).write_text(dumps_spans(source))
-
-
-def read_spans(source: Any) -> list[dict[str, Any]]:
-    """Parse a ``repro.spans/1`` file (or JSONL text) into records."""
-    if isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        text = Path(source).read_text()
-    return [json.loads(ln) for ln in text.splitlines() if ln.strip()]
-
-
-def span_errors(source: Any) -> list[str]:
-    """Validate a span stream; returns human-readable problems (empty
-    list == valid).  Mirrors ``telemetry_errors``: header contract,
-    exact per-line schema, id uniqueness, parent resolution, and the
+def _span_rules(header: dict[str, Any], body: list[dict[str, Any]]) -> list[str]:
+    """Exact per-line keys, id uniqueness, parent resolution, and the
     job-span attrs every canonical consumer relies on."""
-    try:
-        records = _records(source)
-    except OSError as exc:
-        return [f"unreadable: {exc}"]
-    except json.JSONDecodeError as exc:
-        return [f"invalid JSON: {exc}"]
-    if not records:
-        return ["empty file (missing header)"]
-    header = records[0]
-    if not isinstance(header, dict) or header.get("format") != SPANS_FORMAT:
-        return [f"header: format must be {SPANS_FORMAT!r}"]
     errors: list[str] = []
-    body = records[1:]
-    declared = header.get("spans")
-    if not isinstance(declared, int) or declared != len(body):
-        errors.append(
-            f"header declares spans={declared!r}, stream has {len(body)}"
-        )
     if not isinstance(header.get("kind"), str) or not header.get("kind"):
         errors.append("header: kind missing or empty")
     ids: set[int] = set()
     parents: list[tuple[str, int]] = []
     for n, sp in enumerate(body, start=2):
         where = f"line {n}"
-        if not isinstance(sp, dict):
-            errors.append(f"{where}: not an object")
-            continue
         missing = _REQUIRED_KEYS - sp.keys()
         extra = sp.keys() - _REQUIRED_KEYS
         if missing:
@@ -483,19 +427,18 @@ def span_errors(source: Any) -> list[str]:
     return errors
 
 
-def canonical_spans(source: Any) -> list[str]:
-    """The transport-independent view: only :data:`CANONICAL_CATEGORIES`
-    spans, volatile fields dropped, compact-JSON lines sorted.  A
-    serial, pooled, and remote sweep of the same jobs canonicalize
-    byte-identically — cached too: the view holds exactly the jobs the
-    store could not answer."""
-    lines = []
-    for sp in _records(source)[1:]:
-        if not isinstance(sp, dict) or sp.get("cat") not in CANONICAL_CATEGORIES:
-            continue
-        kept = {k: v for k, v in sp.items() if k not in SPAN_VOLATILE_KEYS}
-        lines.append(json.dumps(kept, sort_keys=True, separators=(",", ":")))
-    return sorted(lines)
+#: ``repro.spans/1``: every body line is one span and is counted.  The
+#: canonical view is the :data:`CANONICAL_CATEGORIES` spans: a serial,
+#: pooled, and remote sweep of the same jobs canonicalize
+#: byte-identically — cached too: the view holds exactly the jobs the
+#: store could not answer.
+SPANS = records.Schema(
+    format=SPANS_FORMAT,
+    count_key="spans",
+    rules=_span_rules,
+    volatile=SPAN_VOLATILE_KEYS,
+    canonical=lambda sp: sp.get("cat") in CANONICAL_CATEGORIES,
+)
 
 
 # ----------------------------------------------------------------------
@@ -510,14 +453,13 @@ _US = 1e6
 
 
 def spans_to_perfetto(source: Any) -> dict[str, Any]:
-    """Render a span stream as a Chrome Trace Event document: one
+    """Render a span stream (a path, JSONL text or records; see
+    :func:`repro.obs.records.read`) as a Chrome Trace Event document: one
     thread track per execution site (``track`` string, first-appearance
     order), duration slices for every span, and s/t/f flow arrows
     linking each chunk dispatch through its worker exec to the merge.
     Passes :func:`repro.obs.export.perfetto_errors`."""
-    records = _records(source)
-    header = records[0] if records else {}
-    spans = [sp for sp in records[1:] if isinstance(sp, dict)]
+    header, spans = records.read(source, SPANS)
 
     tracks: dict[str, int] = {}
     for sp in spans:

@@ -6,9 +6,11 @@ job (plus a header) as results come back.  The stream answers the
 operational questions a report cannot: which jobs are slow, which worker
 ran them, how often chunks were retried, what the cache answered.
 
-**Determinism contract** (CI-enforced): the *canonical* form of a
-telemetry file — volatile fields dropped, lines sorted — is byte-
-identical between a serial run and any pooled run of the same sweep.
+**Determinism contract**: the *canonical* form of a telemetry file
+(``records.canon(path, TELEMETRY)``: worker lines and volatile fields
+dropped, lines sorted) is byte-identical between a serial run and any
+pooled run of the same sweep
+(``tests/test_obs_telemetry.py::test_campaign_canonical_serial_vs_pooled``).
 Volatile fields are exactly the ones that depend on wall time or
 placement (:data:`VOLATILE_KEYS`: start/end timestamps, wall seconds,
 worker id, retry count, worker count); everything else (job kind, index,
@@ -29,35 +31,34 @@ cache hit rate — no simulation is re-run.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
+from . import records
+
 __all__ = [
     "OUTCOMES",
+    "TELEMETRY",
     "TELEMETRY_FORMAT",
     "TelemetryJob",
     "TelemetryResult",
     "TelemetrySummary",
     "TelemetryWriter",
     "VOLATILE_KEYS",
-    "canonical_lines",
     "outcome_class",
     "outcome_of",
-    "read_telemetry",
     "summarize",
     "summary_dict",
-    "telemetry_errors",
 ]
 
 #: Header format tag; bump when the line layout changes.
 TELEMETRY_FORMAT = "repro.telemetry/1"
 
 #: Fields that legitimately differ between runs of the same sweep
-#: (wall time and placement); dropped by :func:`canonical_lines`.
+#: (wall time and placement); dropped by the canonical view.
 VOLATILE_KEYS = frozenset(
     {"t_start", "t_end", "wall_s", "worker", "retries", "workers"}
 )
@@ -183,24 +184,17 @@ class TelemetryWriter:
         kind: str,
         total: int,
         workers: int | None = None,
-        extra: dict[str, Any] | None = None,
     ) -> None:
-        self.path = Path(path)
-        header: dict[str, Any] = {
+        self._fh = open(path, "w")
+        self._write({
             "format": TELEMETRY_FORMAT,
             "kind": kind,
             "runs": total,
             "workers": workers,
-        }
-        if extra:
-            header.update(extra)
-        self._fh = self.path.open("w")
-        self._write(header)
+        })
 
     def _write(self, record: dict[str, Any]) -> None:
-        self._fh.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        self._fh.write(records.line(record) + "\n")
 
     def record(self, res: TelemetryResult, retries: int) -> None:
         """Write the line of one wrapped result; *retries* is how often
@@ -225,9 +219,9 @@ class TelemetryWriter:
         none): transport-level telemetry — chunks, rtt, bytes shipped
         raw vs on the wire, disconnects — that per-job lines cannot
         carry.  Entirely placement/wall-time
-        dependent, so the whole line is volatile and
-        :func:`canonical_lines` drops it (a serial run of the same
-        sweep has no worker lines to match).
+        dependent, so the whole line is volatile and the canonical
+        view drops it (a serial run of the same sweep has no worker
+        lines to match).
         """
         for s in stats:
             rec = {"kind": "worker"}
@@ -239,101 +233,62 @@ class TelemetryWriter:
 
 
 # ----------------------------------------------------------------------
-# Reading, canonicalization, aggregation
+# The stream's schema, and aggregation
 # ----------------------------------------------------------------------
 
 
-def read_telemetry(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a telemetry JSONL file (header first, then job lines)."""
-    records = []
-    for n, ln in enumerate(Path(path).read_text().splitlines(), start=1):
-        if ln.strip():
-            rec = json.loads(ln)
-            if not isinstance(rec, dict):
-                raise ValueError(f"{path}: line {n}: not a JSON object")
-            records.append(rec)
-    if not records:
-        raise ValueError(f"{path}: empty telemetry file")
-    fmt = records[0].get("format")
-    if fmt != TELEMETRY_FORMAT:
-        raise ValueError(
-            f"{path}: unsupported telemetry format {fmt!r} "
-            f"(want {TELEMETRY_FORMAT!r})"
-        )
-    return records
+_JOB_FIELDS = {
+    "index": int, "t_start": records.NUMBER, "t_end": records.NUMBER,
+    "wall_s": records.NUMBER, "worker": int, "retries": int,
+}
+_WORKER_INTS = {"chunks": int, "jobs": int, "bytes_out": int, "bytes_in": int}
 
 
-def telemetry_errors(path: str | Path) -> list[str]:
-    """Schema-validate a telemetry file (empty list == valid)."""
-    try:
-        records = read_telemetry(path)
-    except (ValueError, json.JSONDecodeError) as exc:
-        return [str(exc)]
+def _is_job(rec: dict[str, Any]) -> bool:
+    return rec.get("kind") == "job"
+
+
+def _telemetry_rules(
+    header: dict[str, Any], body: list[dict[str, Any]]
+) -> list[str]:
     errors: list[str] = []
-    header, body = records[0], records[1:]
-    jobs = [rec for rec in body if rec.get("kind") == "job"]
-    declared = header.get("runs")
-    if not isinstance(declared, int):
-        errors.append("header: runs missing or not an int")
-    elif declared != len(jobs):
-        errors.append(f"header declares {declared} runs, file has {len(jobs)}")
-    line_no = {id(rec): i for i, rec in enumerate(body, start=2)}
-    for rec in body:
-        if rec.get("kind") == "job":
+    seen: set[int] = set()
+    for n, rec in enumerate(body, start=2):
+        where = f"line {n}"
+        if rec.get("kind") == "worker":
+            # Transport telemetry from pooled and distributed sweeps.
+            if not isinstance(rec.get("worker"), str) or not rec.get("worker"):
+                errors.append(f"{where}: worker line missing worker address")
+            errors += records.field_errors(rec, where, _WORKER_INTS)
             continue
-        where = f"line {line_no[id(rec)]}"
-        if rec.get("kind") != "worker":
+        if not _is_job(rec):
             errors.append(f"{where}: kind != 'job'")
             continue
-        # Worker lines: transport telemetry from distributed sweeps.
-        if not isinstance(rec.get("worker"), str) or not rec.get("worker"):
-            errors.append(f"{where}: worker line missing worker address")
-        for field_ in ("chunks", "jobs", "bytes_out", "bytes_in"):
-            if not isinstance(rec.get(field_), int):
-                errors.append(
-                    f"{where}: worker {field_} missing or not an int"
-                )
-    seen: set[int] = set()
-    for rec in jobs:
-        where = f"line {line_no[id(rec)]}"
+        errors += records.field_errors(rec, where, _JOB_FIELDS)
         idx = rec.get("index")
-        if not isinstance(idx, int):
-            errors.append(f"{where}: index missing or not an int")
-        elif idx in seen:
-            errors.append(f"{where}: duplicate index {idx}")
-        else:
+        if isinstance(idx, int):
+            if idx in seen:
+                errors.append(f"{where}: duplicate index {idx}")
             seen.add(idx)
         if rec.get("outcome") not in OUTCOMES:
             errors.append(f"{where}: bad outcome {rec.get('outcome')!r}")
         if rec.get("cache") not in (None, "hit", "miss"):
             errors.append(f"{where}: bad cache {rec.get('cache')!r}")
-        for field in ("t_start", "t_end", "wall_s"):
-            if not isinstance(rec.get(field), (int, float)):
-                errors.append(f"{where}: {field} missing or not a number")
-        if not isinstance(rec.get("worker"), int):
-            errors.append(f"{where}: worker missing or not an int")
-        if not isinstance(rec.get("retries"), int):
-            errors.append(f"{where}: retries missing or not an int")
     return errors
 
 
-def canonical_lines(path: str | Path) -> list[str]:
-    """The determinism view: volatile fields dropped, lines sorted.
-
-    Two runs of the same sweep — serial, pooled, any worker count —
-    produce identical canonical lines (CI diffs them).
-    """
-    lines = []
-    for rec in read_telemetry(path):
-        if rec.get("kind") == "worker":
-            # Transport telemetry is placement-dependent through and
-            # through (addresses, rtt, byte counts): the whole line is
-            # volatile.  A serial run of the same sweep has no worker
-            # lines, so canonical identity requires dropping them.
-            continue
-        kept = {k: v for k, v in rec.items() if k not in VOLATILE_KEYS}
-        lines.append(json.dumps(kept, sort_keys=True, separators=(",", ":")))
-    return sorted(lines)
+#: ``repro.telemetry/1``: the header counts the ``job`` lines under
+#: ``runs``.  Worker lines are placement through and through
+#: (addresses, rtt, byte counts), and a serial run of the same sweep has
+#: none, so the canonical view drops them whole; it keeps the header.
+TELEMETRY = records.Schema(
+    format=TELEMETRY_FORMAT,
+    count_key="runs",
+    count_kind="job",
+    rules=_telemetry_rules,
+    volatile=VOLATILE_KEYS,
+    canonical=lambda rec: rec.get("kind") != "worker",
+)
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -414,12 +369,11 @@ class TelemetrySummary:
         return "\n".join(lines)
 
 
-def summarize(
-    records: list[dict[str, Any]], *, top: int = 5
-) -> TelemetrySummary:
-    """Aggregate parsed telemetry records into a :class:`TelemetrySummary`."""
-    header, body = records[0], records[1:]
-    jobs = [rec for rec in body if rec.get("kind") == "job"]
+def summarize(source: Any, *, top: int = 5) -> TelemetrySummary:
+    """Aggregate a telemetry stream (a path, JSONL text or records; see
+    :func:`repro.obs.records.read`) into a :class:`TelemetrySummary`."""
+    header, body = records.read(source, TELEMETRY)
+    jobs = [rec for rec in body if _is_job(rec)]
     remote = [
         {k: v for k, v in rec.items() if k != "kind"}
         for rec in body

@@ -45,7 +45,6 @@ from .costmodel import (
     DEFAULT_COST,
     ZERO_COST,
     CostModel,
-    HierarchicalCostModel,
     JitteredCostModel,
 )
 from .errors import (
@@ -65,7 +64,7 @@ from .group import Group
 from .matching import Message
 from .nbcoll import ibarrier
 from .rma import Win, win_create
-from .p2p import wait, waitall, waitany, waitsome
+from .p2p import wait, waitany
 from .process import SimProcess
 from .request import Request, RequestKind, Status
 from .runtime import (
@@ -101,7 +100,6 @@ __all__ = [
     "FiberState",
     "Group",
     "Win",
-    "HierarchicalCostModel",
     "JitteredCostModel",
     "InvalidArgumentError",
     "JobAborted",
@@ -134,11 +132,9 @@ __all__ = [
     "VirtualClock",
     "ZERO_COST",
     "wait",
-    "waitall",
     "waitany",
     "exscan",
     "ibarrier",
     "reduce_scatter",
-    "waitsome",
     "win_create",
 ]

@@ -32,18 +32,6 @@ DEFAULT_ROOT: Final[int] = 0
 #: reserved for internal protocols (collectives, consensus).
 TAG_UB: Final[int] = 2**20
 
-#: First tag reserved for the collective implementation.
-_COLL_TAG_BASE: Final[int] = TAG_UB + 1
-
-
-def is_valid_rank(rank: int, size: int) -> bool:
-    """Return ``True`` if *rank* addresses a member of a *size*-rank group.
-
-    Wildcards and :data:`PROC_NULL` are *not* valid member ranks; callers
-    that accept them must test for them explicitly first.
-    """
-    return 0 <= rank < size
-
 
 def is_valid_tag(tag: int) -> bool:
     """Return ``True`` if *tag* may be used by an application send."""

@@ -10,9 +10,7 @@ A message of ``n`` bytes posted at sender-local time ``t`` occupies the
 sender until ``t + o`` and arrives at the receiver at
 ``t + o + L + n * G``.  The model is deliberately simple — the paper's
 content is protocol *behaviour*, not absolute performance — but it is
-pluggable so benchmarks can sweep latency/bandwidth regimes, and a
-non-uniform :class:`HierarchicalCostModel` is provided for
-multi-node-flavoured topologies.
+pluggable so benchmarks can sweep latency/bandwidth regimes.
 
 :class:`JitteredCostModel` perturbs any of the three parameters with a
 **seeded, per-message** multiplicative factor so the schedule-space
@@ -62,36 +60,6 @@ class CostModel:
     def transit_time(self, src: int, dst: int, nbytes: int) -> float:
         """Time from injection completion to arrival at the destination."""
         return self.latency + nbytes * self.byte_cost
-
-
-@dataclass(frozen=True)
-class HierarchicalCostModel(CostModel):
-    """Two-level cost model: cheap intra-node, expensive inter-node links.
-
-    Ranks are laid out block-wise across nodes of ``ranks_per_node`` each.
-    A pair of ranks on the same node communicates with the base-class
-    parameters; a pair on different nodes pays ``remote_latency`` and
-    ``remote_byte_cost`` instead.
-    """
-
-    ranks_per_node: int = 4
-    remote_latency: float = 1e-5
-    remote_byte_cost: float = 1e-8
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.ranks_per_node < 1:
-            raise ValueError("ranks_per_node must be >= 1")
-        if self.remote_latency < 0 or self.remote_byte_cost < 0:
-            raise ValueError("remote cost parameters must be non-negative")
-
-    def _same_node(self, src: int, dst: int) -> bool:
-        return src // self.ranks_per_node == dst // self.ranks_per_node
-
-    def transit_time(self, src: int, dst: int, nbytes: int) -> float:
-        if self._same_node(src, dst):
-            return self.latency + nbytes * self.byte_cost
-        return self.remote_latency + nbytes * self.remote_byte_cost
 
 
 def _unit_hash(seed: int, component: int, src: int, dst: int, occ: int) -> float:

@@ -76,7 +76,7 @@ class MPIError(Exception):
     peer:
         The remote rank involved in the failing operation, when known.
     index:
-        For ``waitany``/``waitall`` style completions, the index of the
+        For ``waitany`` style completions, the index of the
         request that completed in error (mirrors the ``idx`` out-parameter
         the paper's pseudo code inspects).
     """

@@ -1,4 +1,4 @@
-"""Completion operations: ``wait`` / ``waitany`` / ``waitall`` / ``waitsome``.
+"""Completion operations: ``wait`` / ``waitany``.
 
 These are module-level functions (as in MPI, completion is not a
 communicator method).  Error delivery follows the owning communicator's
@@ -111,53 +111,6 @@ async def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
         for req in requests:
             req.waited = True
         await proc.block(_WaitOn(requests))
-
-
-async def waitall(requests: Sequence[Request]) -> list[Status]:
-    """Block until every request completes.
-
-    If any completed in error, raises for the lowest-index failure after
-    all completions (statuses of the others are on their requests).
-    """
-    proc = _owner(requests)
-    proc._mpi_call("waitall")
-    while not all(r.done for r in requests):
-        for req in requests:
-            if not req.done:
-                req.waited = True
-        await proc.block(_WaitOn(requests))
-    for req in requests:
-        req.waited = False
-        if req.completion_time is not None:
-            proc.now = max(proc.now, req.completion_time)
-    for i, req in enumerate(requests):
-        if req.error is not None:
-            _raise_for(req, i)
-    return [r.status for r in requests]  # type: ignore[return-value]
-
-
-async def waitsome(requests: Sequence[Request]) -> list[tuple[int, Status]]:
-    """Block until at least one completes; return all completed (index, status).
-
-    Errors are reported like :func:`waitany`, for the lowest-index failed
-    completion.
-    """
-    proc = _owner(requests)
-    proc._mpi_call("waitsome")
-    while not any(r.done for r in requests):
-        for req in requests:
-            req.waited = True
-        await proc.block(_WaitOn(requests))
-    for req in requests:
-        req.waited = False
-    done = [(i, r) for i, r in enumerate(requests) if r.done]
-    for _, r in done:
-        if r.completion_time is not None:
-            proc.now = max(proc.now, r.completion_time)
-    for i, r in done:
-        if r.error is not None:
-            _raise_for(r, i)
-    return [(i, r.status) for i, r in done]  # type: ignore[misc]
 
 
 class _WaitOn:

@@ -226,9 +226,9 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert rc == 0
         assert "export valid" in err
-        from repro.obs import jsonl_errors, load_trace_jsonl
+        from repro.obs import TRACE, load_trace_jsonl, records
 
-        assert jsonl_errors(out_file) == []
+        assert records.errors(out_file, TRACE) == []
         trace, header = load_trace_jsonl(out_file)
         assert len(trace) == header["events"] > 0
         assert trace.count(TraceKind.FAILURE) == 1
@@ -338,10 +338,10 @@ class TestReportCommand:
         assert {"index", "wall_s", "outcome"} <= doc["slowest"][0].keys()
         assert doc["cache"]["uncached"] == 6
         # Same aggregates the text mode prints, machine-readable.
-        from repro.obs import read_telemetry, summarize, summary_dict
+        from repro.obs import summarize, summary_dict
 
         assert doc == json.loads(json.dumps(
-            summary_dict(summarize(read_telemetry(path), top=5))
+            summary_dict(summarize(path, top=5))
         ))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simmpi import DEFAULT_COST, ZERO_COST, CostModel, HierarchicalCostModel
+from repro.simmpi import DEFAULT_COST, ZERO_COST, CostModel
 
 
 class TestCostModel:
@@ -36,31 +36,3 @@ class TestCostModel:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             DEFAULT_COST.latency = 5.0  # type: ignore[misc]
-
-
-class TestHierarchicalCostModel:
-    def test_intra_node_uses_base_latency(self):
-        m = HierarchicalCostModel(
-            latency=1e-7, remote_latency=1e-5, ranks_per_node=4
-        )
-        assert m.transit_time(0, 3, 0) == pytest.approx(1e-7)
-
-    def test_inter_node_uses_remote_latency(self):
-        m = HierarchicalCostModel(
-            latency=1e-7, remote_latency=1e-5, ranks_per_node=4
-        )
-        assert m.transit_time(0, 4, 0) == pytest.approx(1e-5)
-
-    def test_node_boundary(self):
-        m = HierarchicalCostModel(ranks_per_node=2)
-        assert m._same_node(0, 1)
-        assert not m._same_node(1, 2)
-        assert m._same_node(2, 3)
-
-    def test_invalid_ranks_per_node(self):
-        with pytest.raises(ValueError):
-            HierarchicalCostModel(ranks_per_node=0)
-
-    def test_negative_remote_params_rejected(self):
-        with pytest.raises(ValueError):
-            HierarchicalCostModel(remote_latency=-1.0)

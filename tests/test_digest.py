@@ -287,7 +287,7 @@ _times = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, 1, True, False, math.nan]),
 )
 
-_records = st.tuples(
+_record_tuples = st.tuples(
     _times,
     st.sampled_from(list(TraceKind)),
     st.integers(min_value=-(2**70), max_value=2**70),
@@ -307,7 +307,7 @@ def _jsonl(time, name) -> str:
 
 class TestWriterOracle:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_records, max_size=6),
+    @given(st.lists(_record_tuples, max_size=6),
            st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
     def test_adversarial_records(self, records, cap):
         trace = _traced(records, cap)

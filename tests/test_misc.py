@@ -1,4 +1,4 @@
-"""Odds and ends: error objects, request lifecycle, cost models in situ."""
+"""Odds and ends: error objects, request lifecycle, process helpers."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import pytest
 from repro.simmpi import (
     ErrorClass,
     ErrorHandler,
-    HierarchicalCostModel,
     MPIError,
     RankFailStopError,
-    Simulation,
     Status,
     TraceKind,
     wait,
@@ -105,46 +103,6 @@ class TestProcessHelpers:
             return repr(mpi)
 
         assert "rank=0" in run_sim(main, 1).value(0)
-
-
-class TestHierarchicalCostInSitu:
-    def test_intra_vs_inter_node_latency_observed(self):
-        cost = HierarchicalCostModel(
-            latency=1e-7, remote_latency=1e-4, ranks_per_node=2,
-            byte_cost=0.0, remote_byte_cost=0.0, overhead=0.0,
-        )
-
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                comm.send("near", dest=1)   # same node (0,1)
-                comm.send("far", dest=2)    # different node
-            elif comm.rank in (1, 2):
-                _, status = await comm.recv(source=0)
-                return mpi.now
-
-        r = Simulation(nprocs=4, cost=cost).run(main)
-        near, far = r.value(1), r.value(2)
-        assert far > near
-        assert far >= 1e-4
-
-    def test_message_size_affects_remote_cost(self):
-        cost = HierarchicalCostModel(
-            latency=1e-7, remote_latency=1e-7,
-            byte_cost=0.0, remote_byte_cost=1e-6,
-            ranks_per_node=1, overhead=0.0,
-        )
-
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                comm.send(b"x" * 1000, dest=1)
-            else:
-                await comm.recv(source=0)
-                return mpi.now
-
-        r = Simulation(nprocs=2, cost=cost).run(main)
-        assert r.value(1) >= 1000 * 1e-6
 
 
 class TestSendrecvUnderFailure:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ft import comm_validate_all
-from repro.simmpi import ErrorHandler, Simulation, wait, waitall
+from repro.simmpi import ErrorHandler, Simulation, wait
 from repro.simmpi.nbcoll import ibarrier
 from tests.conftest import run_sim
 
@@ -38,7 +38,8 @@ class TestIbarrierSubcomms:
             sub.set_errhandler(ErrorHandler.ERRORS_RETURN)
             r1 = ibarrier(sub)
             r2 = ibarrier(comm)
-            await waitall([r1, r2])
+            await wait(r1)
+            await wait(r2)
             return "ok"
 
         r = run_sim(main, 4)
@@ -51,7 +52,8 @@ class TestIbarrierConcurrency:
             comm = returning(mpi)
             a = ibarrier(comm)
             b = ibarrier(comm)
-            await waitall([a, b])
+            await wait(a)
+            await wait(b)
             return "ok"
 
         r = run_sim(main, 5)

@@ -26,11 +26,12 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
+    TRACE,
     dumps_perfetto,
-    jsonl_errors,
     load_trace_jsonl,
     make_scenario,
     perfetto_errors,
+    records,
     trace_to_jsonl,
     trace_to_perfetto,
 )
@@ -107,7 +108,7 @@ def test_perfetto_schema_valid(preset):
 @pytest.mark.parametrize("preset", ["fig2", "fig6", "fig7", "fig8", "ring"])
 def test_jsonl_schema_valid(preset):
     result, nprocs = run_preset(preset)
-    assert jsonl_errors(trace_to_jsonl(result.trace, nprocs)) == []
+    assert records.errors(trace_to_jsonl(result.trace, nprocs), TRACE) == []
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +197,9 @@ def test_jsonl_round_trip(preset):
 
 
 def test_jsonl_round_trip_survives_file(tmp_path):
-    from repro.obs import write_trace_jsonl
-
     result, nprocs = run_preset("fig6")
     path = tmp_path / "fig6.jsonl"
-    write_trace_jsonl(result.trace, path, nprocs=nprocs)
+    path.write_text(trace_to_jsonl(result.trace, nprocs=nprocs))
     loaded, _header = load_trace_jsonl(path)
     assert loaded.keys() == result.trace.keys()
 
@@ -209,7 +208,7 @@ def test_jsonl_errors_flag_corruption(fig2):
     result, nprocs = fig2
     lines = trace_to_jsonl(result.trace, nprocs).splitlines()
     # Drop one event: the declared count no longer matches.
-    assert jsonl_errors("\n".join(lines[:-1]) + "\n")
+    assert records.errors("\n".join(lines[:-1]) + "\n", TRACE)
     # Break the header format tag.
     bad = "\n".join(['{"format":"bogus/9"}'] + lines[1:]) + "\n"
-    assert jsonl_errors(bad)
+    assert records.errors(bad, TRACE)

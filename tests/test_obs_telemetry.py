@@ -10,12 +10,11 @@ from repro.cache.keys import job_key
 from repro.faults import explore, run_campaign
 from repro.fuzz import fuzz
 from repro.obs import (
+    TELEMETRY,
     TelemetryJob,
-    canonical_lines,
     outcome_class,
-    read_telemetry,
+    records,
     summarize,
-    telemetry_errors,
 )
 from repro.parallel import RingScenario, StandardRingInvariants
 
@@ -46,7 +45,7 @@ def test_campaign_canonical_serial_vs_pooled(tmp_path):
     serial = campaign_telemetry(tmp_path / "serial.jsonl")
     pooled = campaign_telemetry(tmp_path / "pooled.jsonl",
                                 workers=POOL_WORKERS)
-    assert canonical_lines(serial) == canonical_lines(pooled)
+    assert records.canon(serial, TELEMETRY) == records.canon(pooled, TELEMETRY)
 
 
 def test_explore_canonical_serial_vs_pooled(tmp_path):
@@ -59,7 +58,7 @@ def test_explore_canonical_serial_vs_pooled(tmp_path):
 
     serial = run(tmp_path / "serial.jsonl", None)
     pooled = run(tmp_path / "pooled.jsonl", POOL_WORKERS)
-    assert canonical_lines(serial) == canonical_lines(pooled)
+    assert records.canon(serial, TELEMETRY) == records.canon(pooled, TELEMETRY)
 
 
 def test_fuzz_canonical_serial_vs_pooled(tmp_path):
@@ -74,7 +73,7 @@ def test_fuzz_canonical_serial_vs_pooled(tmp_path):
 
     serial = run(tmp_path / "serial.jsonl", None)
     pooled = run(tmp_path / "pooled.jsonl", POOL_WORKERS)
-    assert canonical_lines(serial) == canonical_lines(pooled)
+    assert records.canon(serial, TELEMETRY) == records.canon(pooled, TELEMETRY)
 
 
 def test_progress_batching_keeps_global_indices(tmp_path):
@@ -84,7 +83,7 @@ def test_progress_batching_keeps_global_indices(tmp_path):
     explore(SCENARIO, invariants=INVARIANTS, telemetry=str(plain))
     explore(SCENARIO, invariants=INVARIANTS, telemetry=str(batched),
             progress=lambda done, total: None)
-    assert canonical_lines(plain) == canonical_lines(batched)
+    assert records.canon(plain, TELEMETRY) == records.canon(batched, TELEMETRY)
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +93,8 @@ def test_progress_batching_keeps_global_indices(tmp_path):
 
 def test_telemetry_schema_valid(tmp_path):
     path = campaign_telemetry(tmp_path / "t.jsonl")
-    assert telemetry_errors(path) == []
-    records = read_telemetry(path)
-    header, jobs = records[0], records[1:]
+    assert records.errors(path, TELEMETRY) == []
+    header, jobs = records.read(path, TELEMETRY)
     assert header["kind"] == "campaign"
     assert header["runs"] == 8 == len(jobs)
     assert sorted(rec["index"] for rec in jobs) == list(range(8))
@@ -112,7 +110,7 @@ def test_telemetry_errors_flag_corruption(tmp_path):
     bad = tmp_path / "bad.jsonl"
     # Duplicate a job line: duplicate index + count mismatch.
     bad.write_text("\n".join(text + [text[-1]]) + "\n")
-    assert telemetry_errors(bad)
+    assert records.errors(bad, TELEMETRY)
 
 
 def test_outcome_class():
@@ -162,8 +160,12 @@ def test_telemetry_records_cache_hits(tmp_path):
 
     run(cold)
     run(warm)
-    cold_recs = [r for r in read_telemetry(cold) if r.get("kind") == "job"]
-    warm_recs = [r for r in read_telemetry(warm) if r.get("kind") == "job"]
+    cold_recs = [
+        r for r in records.read(cold, TELEMETRY)[1] if r.get("kind") == "job"
+    ]
+    warm_recs = [
+        r for r in records.read(warm, TELEMETRY)[1] if r.get("kind") == "job"
+    ]
     assert all(r["cache"] == "miss" for r in cold_recs)
     assert all(r["cache"] == "hit" for r in warm_recs)
     # Outcomes are identical either way; only the cache column differs.
@@ -194,7 +196,7 @@ def test_warm_cache_entries_usable_without_telemetry(tmp_path):
 
 def test_summarize(tmp_path):
     path = campaign_telemetry(tmp_path / "t.jsonl")
-    summary = summarize(read_telemetry(path), top=3)
+    summary = summarize(path, top=3)
     assert summary.kind == "campaign"
     assert summary.runs == 8
     assert sum(summary.outcomes.values()) == 8
@@ -213,6 +215,6 @@ def test_summarize_counts_cache(tmp_path):
         run_campaign(SCENARIO, seeds=range(4), horizon=2e-5,
                      invariants=INVARIANTS, cache=str(cache_dir),
                      telemetry=str(path))
-    summary = summarize(read_telemetry(path))
+    summary = summarize(path)
     assert summary.cache["hit"] == 4
     assert "100% hit rate" in summary.format()

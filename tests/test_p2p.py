@@ -13,7 +13,6 @@ from repro.simmpi import (
     Simulation,
     SimulationError,
     wait,
-    waitall,
 )
 from tests.conftest import run_sim
 
@@ -326,16 +325,3 @@ class TestTiming:
             return "ok"
 
         assert run_sim(main, 1).value(0) == "ok"
-
-    def test_waitall_accumulates(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                reqs = [comm.isend(i, dest=1, tag=i) for i in range(4)]
-                await waitall(reqs)
-            else:
-                reqs = [comm.irecv(source=0, tag=i) for i in range(4)]
-                await waitall(reqs)
-                return [r.data for r in reqs]
-
-        assert run_sim(main, 2).value(1) == [0, 1, 2, 3]

@@ -614,13 +614,14 @@ class TestDeadWorkerRecovery:
         # stream must stay valid with the canonical job spans identical
         # to a serial run — the lost chunk's jobs land exactly once, on
         # the retry.
+        from repro.obs import records
         from repro.obs.spans import (
+            SPANS,
             SpanRecorder,
-            canonical_spans,
             recording,
-            span_errors,
+            spans_to_records,
         )
-        from repro.obs.telemetry import read_telemetry, telemetry_errors
+        from repro.obs.telemetry import TELEMETRY
 
         factory = PoisonFactory(
             scenario=SCENARIO, sentinel=str(tmp_path / "poisoned")
@@ -643,16 +644,20 @@ class TestDeadWorkerRecovery:
         assert serial.format() == remote.format()
         assert sum(runner.job_retries) > 0
         # Telemetry: valid, with per-worker rows carrying the disconnect.
-        assert telemetry_errors(log) == []
+        assert records.errors(log, TELEMETRY) == []
         workers = [
-            r for r in read_telemetry(log) if r.get("kind") == "worker"
+            r for r in records.read(log, TELEMETRY)[1]
+            if r.get("kind") == "worker"
         ]
         assert len(workers) == 2
         assert sum(w["disconnects"] for w in workers) >= 1
         # Spans: valid, and canonically identical to the serial sweep.
-        assert span_errors(remote_rec) == []
-        assert span_errors(serial_rec) == []
-        assert canonical_spans(remote_rec) == canonical_spans(serial_rec)
+        remote_spans = spans_to_records(remote_rec)
+        serial_spans = spans_to_records(serial_rec)
+        assert records.errors(remote_spans, SPANS) == []
+        assert records.errors(serial_spans, SPANS) == []
+        assert (records.canon(remote_spans, SPANS)
+                == records.canon(serial_spans, SPANS))
         # The death is visible in the span stream itself: at least one
         # dispatch closed as lost.
         lost = [
@@ -686,11 +691,8 @@ class TestRemoteTelemetry:
     def test_worker_lines_recorded_and_canonical_form_matches_serial(
         self, worker_addr, tmp_path
     ):
-        from repro.obs.telemetry import (
-            canonical_lines,
-            read_telemetry,
-            telemetry_errors,
-        )
+        from repro.obs import records
+        from repro.obs.telemetry import TELEMETRY
 
         serial_log = tmp_path / "serial.jsonl"
         remote_log = tmp_path / "remote.jsonl"
@@ -699,16 +701,17 @@ class TestRemoteTelemetry:
             runner=RemoteRunner(addresses=[worker_addr]),
             telemetry=str(remote_log),
         )
-        assert telemetry_errors(remote_log) == []
-        records = read_telemetry(remote_log)
-        workers = [r for r in records if r.get("kind") == "worker"]
+        assert records.errors(remote_log, TELEMETRY) == []
+        _header, body = records.read(remote_log, TELEMETRY)
+        workers = [r for r in body if r.get("kind") == "worker"]
         assert len(workers) == 1
         assert workers[0]["worker"] == f"{worker_addr[0]}:{worker_addr[1]}"
         assert workers[0]["jobs"] == 6
         assert workers[0]["chunks"] >= 1
         assert workers[0]["bytes_out"] > 0 and workers[0]["bytes_in"] > 0
         # Canonical form drops transport detail: serial == remote.
-        assert canonical_lines(serial_log) == canonical_lines(remote_log)
+        assert (records.canon(serial_log, TELEMETRY)
+                == records.canon(remote_log, TELEMETRY))
 
     def test_report_command_summarizes_remote_workers(
         self, worker_addr, tmp_path, capsys

@@ -13,21 +13,18 @@ import pytest
 
 from repro.cache import RunCache
 from repro.faults import run_campaign
+from repro.obs import records
 from repro.obs.export import perfetto_errors
 from repro.obs.spans import (
     CANONICAL_CATEGORIES,
+    SPANS,
     SPANS_FORMAT,
     SPAN_VOLATILE_KEYS,
     SpanRecorder,
     active,
-    canonical_spans,
-    dumps_spans,
-    read_spans,
     recording,
-    span_errors,
     spans_to_perfetto,
     spans_to_records,
-    write_spans,
 )
 from repro.parallel import (
     ProcessPoolRunner,
@@ -159,13 +156,13 @@ class TestStreamContract:
         with rec.span("sweep.run", "sweep"):
             pass
         path = tmp_path / "spans.jsonl"
-        write_spans(path, rec)
-        records = read_spans(path)
-        assert records[0] == {
+        path.write_text(records.dumps(spans_to_records(rec)))
+        header, body = records.read(path, SPANS)
+        assert header == {
             "format": SPANS_FORMAT, "kind": "campaign", "spans": 1
         }
-        assert span_errors(path) == []
-        assert dumps_spans(records) == path.read_text()
+        assert records.errors(path, SPANS) == []
+        assert records.dumps([header, *body]) == path.read_text()
 
     @pytest.mark.parametrize(
         "mutate, expect",
@@ -183,15 +180,15 @@ class TestStreamContract:
         ],
     )
     def test_corruptions_detected(self, mutate, expect):
-        records = _valid_records()
-        assert span_errors(records) == []
-        mutate(records)
-        assert any(expect in e for e in span_errors(records)), (
-            expect, span_errors(records)
+        stream = _valid_records()
+        assert records.errors(stream, SPANS) == []
+        mutate(stream)
+        assert any(expect in e for e in records.errors(stream, SPANS)), (
+            expect, records.errors(stream, SPANS)
         )
 
     def test_canonical_keeps_only_job_spans_without_volatiles(self):
-        lines = canonical_spans(_valid_records())
+        lines = records.canon(_valid_records(), SPANS)
         assert lines == [
             '{"attrs":{"index":0,"outcome":"ok"},"cat":"job","name":"job"}'
         ]
@@ -216,11 +213,11 @@ class TestTransportIdentity:
         )
         assert serial.format() == pooled.format() == remote.format()
         for rec in (serial_rec, pooled_rec, remote_rec):
-            assert span_errors(rec) == []
-        canon = canonical_spans(serial_rec)
+            assert records.errors(spans_to_records(rec), SPANS) == []
+        canon = records.canon(spans_to_records(serial_rec), SPANS)
         assert len(canon) == 6  # exactly one job span per run
-        assert canonical_spans(pooled_rec) == canon
-        assert canonical_spans(remote_rec) == canon
+        assert records.canon(spans_to_records(pooled_rec), SPANS) == canon
+        assert records.canon(spans_to_records(remote_rec), SPANS) == canon
 
     def test_streamed_runs_carry_global_indices(self, worker_addr):
         _, materialized = _recorded_campaign(
@@ -232,8 +229,9 @@ class TestTransportIdentity:
                 SCENARIO, range(6), 8e-6, window=2, invariants=INVARIANTS,
                 runner=RemoteRunner(addresses=[worker_addr], chunk_size=2),
             )
-        assert span_errors(streamed) == []
-        assert canonical_spans(streamed) == canonical_spans(materialized)
+        assert records.errors(spans_to_records(streamed), SPANS) == []
+        assert (records.canon(spans_to_records(streamed), SPANS)
+                == records.canon(spans_to_records(materialized), SPANS))
 
     def test_remote_spans_cover_the_whole_pipeline(self, worker_addr):
         _, rec = _recorded_campaign(
@@ -271,8 +269,8 @@ def _naive_canon(runner=None, seeds=range(12), window=None, **kw):
             windowed_campaign(
                 NAIVE, seeds, 2e-5, window=window, runner=runner, **kw
             )
-    assert span_errors(recorder) == []
-    return canonical_spans(recorder)
+    assert records.errors(spans_to_records(recorder), SPANS) == []
+    return records.canon(spans_to_records(recorder), SPANS)
 
 
 class TestCachedSpans:
@@ -321,14 +319,14 @@ class TestOutcomeVocabulary:
                 nprocs=6, iters=6, seeds=range(3), horizon=4e-5,
                 kills_per_run=3, spares=0, protocols=("partial_restart",),
             )
-        records = [r.outcome for r in report.records]
-        assert "abort" in records
+        outcomes = [r.outcome for r in report.records]
+        assert "abort" in outcomes
         jobs = sorted(
             (s for s in recorder.spans if s.cat == "job"),
             key=lambda s: s.attrs["index"],
         )
-        assert [s.attrs["outcome"] for s in jobs] == records
-        assert span_errors(recorder) == []
+        assert [s.attrs["outcome"] for s in jobs] == outcomes
+        assert records.errors(spans_to_records(recorder), SPANS) == []
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +341,7 @@ class TestPerfettoExport:
         _, rec = _recorded_campaign(
             runner=RemoteRunner(addresses=[worker_addr], chunk_size=2)
         )
-        doc = spans_to_perfetto(rec)
+        doc = spans_to_perfetto(spans_to_records(rec))
         assert perfetto_errors(doc) == []
         events = doc["traceEvents"]
         tracks = {
@@ -362,7 +360,7 @@ class TestPerfettoExport:
         rec = SpanRecorder()
         rec.chunk_begin(0, 1)
         rec.chunk_end(0, "lost")
-        doc = spans_to_perfetto(rec)
+        doc = spans_to_perfetto(spans_to_records(rec))
         assert perfetto_errors(doc) == []
         assert not [e for e in doc["traceEvents"] if e["ph"] in "stf"]
 
@@ -408,20 +406,20 @@ class TestNonPerturbation:
         captured = capsys.readouterr()
         assert captured.out == plain_out
         assert f"[spans] wrote {spans_path}" in captured.err
-        assert span_errors(spans_path) == []
-        assert len(canonical_spans(spans_path)) == 5
+        assert records.errors(spans_path, SPANS) == []
+        assert len(records.canon(spans_path, SPANS)) == 5
 
     def test_spans_cli_validate_canon_and_perfetto(self, tmp_path, capsys):
         from repro.cli import main
 
         _, rec = _recorded_campaign()
         path = tmp_path / "spans.jsonl"
-        write_spans(path, rec)
+        path.write_text(records.dumps(spans_to_records(rec)))
         assert main(["spans", str(path), "--validate"]) == 0
         assert "valid" in capsys.readouterr().err
         assert main(["spans", str(path), "--canon"]) == 0
         canon_out = capsys.readouterr().out
-        assert canon_out.splitlines() == canonical_spans(path)
+        assert canon_out.splitlines() == records.canon(path, SPANS)
         out_doc = tmp_path / "spans.perfetto.json"
         assert main(["spans", str(path), "--format", "perfetto",
                      "-o", str(out_doc)]) == 0

@@ -21,7 +21,7 @@ from repro import perf
 from repro.cache import RunCache
 from repro.faults import explore, run_campaign
 from repro.fuzz import fuzz
-from repro.obs import canonical_lines
+from repro.obs import TELEMETRY, records
 from repro.parallel import (
     ProcessPoolRunner,
     RingScenario,
@@ -177,7 +177,7 @@ class TestStreamedSweeps:
         a, b = tmp_path / "mat.jsonl", tmp_path / "str.jsonl"
         _campaign(telemetry=str(a))
         _campaign(stream=True, telemetry=str(b))
-        assert list(canonical_lines(str(a))) == list(canonical_lines(str(b)))
+        assert records.canon(a, TELEMETRY) == records.canon(b, TELEMETRY)
 
     def test_streamed_telemetry_pooled(self, tmp_path):
         a, b = tmp_path / "ser.jsonl", tmp_path / "pool.jsonl"
@@ -187,7 +187,7 @@ class TestStreamedSweeps:
             telemetry=str(b),
             runner=ProcessPoolRunner(workers=2),
         )
-        assert list(canonical_lines(str(a))) == list(canonical_lines(str(b)))
+        assert records.canon(a, TELEMETRY) == records.canon(b, TELEMETRY)
 
     def test_streamed_cache_hits_batched(self, tmp_path):
         cache = RunCache(tmp_path / "c")

@@ -13,7 +13,7 @@ SIMMPI_ALL = [
     "ANY_SOURCE", "ANY_TAG", "CTX_AM", "CTX_COLL", "CTX_P2P", "Comm",
     "CommRevokedError", "CostModel", "DEFAULT_COST", "DEFAULT_ROOT",
     "ErrorClass", "ErrorHandler", "EventQueue", "Fiber", "FiberState",
-    "Group", "HierarchicalCostModel", "InvalidArgumentError",
+    "Group", "InvalidArgumentError",
     "JitteredCostModel", "JobAborted", "LowestRankFirstPolicy", "MPIError",
     "Message", "OPS", "PROC_NULL", "RandomPolicy", "RankFailStopError",
     "RankOutcome", "Request", "RequestKind", "RoundRobinPolicy", "Runtime",
@@ -21,8 +21,7 @@ SIMMPI_ALL = [
     "SimulationError", "SimulationLimitExceeded", "SimulationResult",
     "Status", "TAG_UB", "Trace", "TraceEvent", "TraceKind",
     "TruncationError", "UNDEFINED", "VirtualClock", "Win", "ZERO_COST",
-    "exscan", "ibarrier", "reduce_scatter", "wait", "waitall", "waitany",
-    "waitsome", "win_create",
+    "exscan", "ibarrier", "reduce_scatter", "wait", "waitany", "win_create",
 ]
 
 COMM_PUBLIC = [

@@ -1,4 +1,4 @@
-"""Completion-operation semantics: wait/waitany/waitall/waitsome."""
+"""Completion-operation semantics: wait/waitany."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from repro.simmpi import (
     RankFailStopError,
     Simulation,
     wait,
-    waitall,
     waitany,
-    waitsome,
 )
 from repro.simmpi.trace import TraceKind
 from tests.conftest import run_sim
@@ -66,61 +64,6 @@ class TestWaitany:
             return "ok"
 
         assert run_sim(main2, 1).value(0) == "ok"
-
-
-class TestWaitall:
-    def test_collects_all(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                for t in range(3):
-                    comm.send(t * 10, dest=1, tag=t)
-            else:
-                reqs = [comm.irecv(source=0, tag=t) for t in range(3)]
-                statuses = await waitall(reqs)
-                assert len(statuses) == 3
-                return [r.data for r in reqs]
-
-        assert run_sim(main, 2).value(1) == [0, 10, 20]
-
-    def test_raises_lowest_failed_index_after_all_complete(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            if comm.rank == 0:
-                r1 = comm.irecv(source=1, tag=1)  # will error (1 dies)
-                r2 = comm.irecv(source=2, tag=1)  # will complete
-                try:
-                    await waitall([r1, r2])
-                except RankFailStopError as e:
-                    return (e.index, r2.done, r2.data)
-            elif comm.rank == 1:
-                await mpi.compute(1.0)
-            else:
-                comm.send("ok", dest=0, tag=1)
-
-        r = run_sim(main, 3, kills=[(1, 0.1)])
-        assert r.value(0) == (0, True, "ok")
-
-
-class TestWaitsome:
-    def test_returns_completed_subset(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                comm.send(1, dest=1, tag=1)
-                comm.send(2, dest=1, tag=2)
-            else:
-                reqs = [comm.irecv(source=0, tag=t) for t in (1, 2, 3)]
-                done = await waitsome(reqs)
-                indices = sorted(i for i, _ in done)
-                for _, s in done:
-                    assert s.error.name == "SUCCESS"
-                reqs[2].cancel()
-                return indices
-
-        out = run_sim(main, 2).value(1)
-        assert out and set(out) <= {0, 1}
 
 
 class TestWaitTiming:
