@@ -243,9 +243,9 @@ def _sweep_runner(args: argparse.Namespace):
             raise SystemExit(
                 "--transport remote requires --workers-addr HOST:PORT[,...]"
             )
-        from .parallel.remote import RemoteRunner
+        from .parallel.remote import FleetRunner
 
-        return RemoteRunner(
+        return FleetRunner(
             addresses=addrs,
             heartbeat=getattr(args, "heartbeat_interval", 2.0),
             connect_timeout=getattr(args, "connect_timeout", 5.0),

@@ -71,7 +71,7 @@ SPANS_FORMAT = "repro.spans/1"
 #: The span taxonomy (documented in docs/observability.md §5).
 SPAN_CATEGORIES = (
     "sweep",      # the execution step of one run() (misses only, if cached)
-    "round",      # one TransportRunner scheduling round
+    "round",      # one FleetRunner scheduling round
     "chunk",      # chunk dispatch: submit -> done/lost, parent side
     "exec",       # chunk execution, worker side (absorbed)
     "job",        # one job inside a chunk/serial loop (canonical)

@@ -256,7 +256,7 @@ def _telemetry_rules(
     for n, rec in enumerate(body, start=2):
         where = f"line {n}"
         if rec.get("kind") == "worker":
-            # Transport telemetry from pooled and distributed sweeps.
+            # Worker telemetry from pooled and distributed sweeps.
             if not isinstance(rec.get("worker"), str) or not rec.get("worker"):
                 errors.append(f"{where}: worker line missing worker address")
             errors += records.field_errors(rec, where, _WORKER_INTS)
@@ -312,7 +312,7 @@ class TelemetrySummary:
     workers: dict[int, dict[str, float]]  # pid -> {jobs, busy_s}
     cache: dict[str, int]  # hit/miss/uncached counts
     retries: int
-    #: Transport rows, one per worker slot: a ``--workers-addr`` address,
+    #: Worker rows, one per worker slot: a ``--workers-addr`` address,
     #: or ``local:<slot>`` for a ``--workers N`` sweep; empty for serial
     #: streams.  (The JSON key keeps its historical name.)
     remote: list[dict[str, Any]] = dataclasses.field(default_factory=list)

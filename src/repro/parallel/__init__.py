@@ -11,22 +11,21 @@ Layers:
 
 * :mod:`~repro.parallel.runner` — :class:`SweepRunner` (whose
   ``run()`` puts the run cache, when one is set, in front of every
-  runner, in the submitting process), :class:`SerialRunner`,
-  :class:`ProcessPoolRunner` (forked local workers: chunked scheduling,
-  per-job timeout, bounded retries for wedged workers), :func:`make_runner` /
-  :func:`with_cache`, and :func:`sweep`, the one driver behind
-  ``explore``, ``run_campaign``, ``fuzz`` and ``run_compare_protocols``
-  (one bounded window at a time, with or without telemetry).
-* :mod:`~repro.parallel.transport` — the transport seam: the generic
-  scheduling loop delegates chunk execution to a :class:`Transport`,
-  and ``run_chunk`` / ``run_jobs_traced``, the one place a job executes
-  under a span.
-* :mod:`~repro.parallel.remote` — the one worker substrate: a frame
-  loop over length-prefixed compressed-pickle frames
-  (``repro.remote/3``), run by forked local workers
-  (:class:`ForkTransport`) and by :class:`WorkerServer` (``repro worker
-  serve``) for :class:`RemoteRunner`, with heartbeat liveness for the
-  latter.
+  runner, in the submitting process), :class:`SerialRunner` (the
+  reference loop), :func:`make_runner` / :func:`with_cache`, and
+  :func:`sweep`, the one driver behind ``explore``, ``run_campaign``,
+  ``fuzz`` and ``run_compare_protocols`` (one bounded window at a time,
+  with or without telemetry).
+* :mod:`~repro.parallel.remote` — the one pooled runner,
+  :class:`FleetRunner` (chunked scheduling, per-job timeout, bounded
+  retries for wedged workers), and the worker substrate it drives: a
+  frame loop over length-prefixed compressed-pickle frames
+  (``repro.remote/3``), run by forked local workers (``workers=N``) or
+  by :class:`WorkerServer` (``repro worker serve``, ``addresses=``),
+  with heartbeat liveness for the latter.
+* :mod:`~repro.parallel.transport` — ``run_chunk`` /
+  ``run_jobs_traced``, the one place a job executes under a span, and
+  the cache-miss envelope.
 * :mod:`~repro.parallel.jobs` — the picklable job model
   (:class:`SimJob`, invariant specs) that lets scenario descriptions
   cross a process boundary.
@@ -44,25 +43,16 @@ from .jobs import (
     check_invariants,
     resolve_invariants,
 )
-from .remote import (
-    ForkTransport,
-    RemoteRunner,
-    RemoteTransport,
-    WorkerServer,
-    parse_worker_addrs,
-)
+from .remote import FleetRunner, WorkerServer, parse_worker_addrs
 from .runner import (
-    ProcessPoolRunner,
     SerialRunner,
     SweepError,
     SweepJob,
     SweepRunner,
-    TransportRunner,
     make_runner,
     sweep,
     with_cache,
 )
-from .transport import Transport
 from .scenarios import (
     AppScenario,
     GenericInvariants,
@@ -72,12 +62,9 @@ from .scenarios import (
 
 __all__ = [
     "AppScenario",
-    "ForkTransport",
+    "FleetRunner",
     "GenericInvariants",
     "Invariant",
-    "ProcessPoolRunner",
-    "RemoteRunner",
-    "RemoteTransport",
     "RingScenario",
     "ScenarioFactory",
     "SerialRunner",
@@ -86,8 +73,6 @@ __all__ = [
     "SweepError",
     "SweepJob",
     "SweepRunner",
-    "Transport",
-    "TransportRunner",
     "WorkerServer",
     "check_invariants",
     "make_runner",

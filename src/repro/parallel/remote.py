@@ -1,22 +1,22 @@
-"""Socket workers: the one worker substrate behind the transport seam.
+"""Socket workers: the one worker substrate of a pooled sweep.
 
-A worker is a frame loop (:func:`_serve`) on one socket.  Two
-transports feed it, through the same :class:`RemoteRound`:
+A worker is a frame loop (:func:`_serve`) on one socket.
+:class:`FleetRunner` feeds it chunks, one scheduling round at a time,
+and reaches it one of two ways (:meth:`FleetRunner.connect`):
 
-* :class:`ForkTransport` (``ProcessPoolRunner``, ``--workers N``)
-  forks N local workers per scheduling round, each on one end of a
-  ``socket.socketpair()``.  A local worker binds no address.
-* :class:`RemoteTransport` (:class:`RemoteRunner`, ``--transport
-  remote``) connects to ``repro worker serve --bind HOST:PORT``
-  processes — a :class:`WorkerServer` (stdlib :mod:`socketserver`) runs
-  the same loop per accepted connection.
+* ``workers=N`` (``--workers N``) forks N local workers per round, each
+  on one end of a ``socket.socketpair()``.  A local worker binds no
+  address.
+* ``addresses=`` (``--transport remote``) connects to ``repro worker
+  serve --bind HOST:PORT`` processes — a :class:`WorkerServer` (stdlib
+  :mod:`socketserver`) runs the same loop per accepted connection.
 
-Both reuse the generic :class:`~repro.parallel.runner.TransportRunner`
-scheduling loop — chunking, submission-order merge, the cumulative
-timeout budget and bounded chunk retries — so a pooled or distributed
-sweep's report is byte-identical to a serial one (pinned in
-``tests/test_parallel.py``, ``tests/test_remote.py`` and the
-``distributed-smoke`` CI job).
+Either way the runner's scheduling loop — chunking, submission-order
+merge, the cumulative timeout budget and bounded chunk retries — is the
+same, so a pooled or distributed sweep's report is byte-identical to a
+serial one (pinned in tier-1 by ``tests/test_remote.py``'s
+``TestLoopbackCampaign`` and ``tests/test_spans.py``'s
+``TestTransportIdentity``).
 
 Wire protocol (``repro.remote/3``)
 ----------------------------------
@@ -56,9 +56,10 @@ connection at all.
 Failure semantics
 -----------------
 
-Fail-stop workers under a perfect detector: a connection error or EOF
-marks that worker dead for the round — a forked worker that crashed
-and a served one that died look the same.  Its in-flight chunk is
+Fail-stop workers under a perfect detector: a connection error, EOF or
+a frame the parent cannot decode (an oversized length prefix, a bad
+zlib body) marks that worker dead for the round — a forked worker that
+crashed and a served one that died look the same.  Its in-flight chunk is
 reported *lost* and flows into the runner's retry machinery (the retry
 round forks fresh workers and reconnects to every address, so a
 recovered served worker rejoins automatically).  If no data arrives for
@@ -77,6 +78,7 @@ worker binds nothing, so ``--workers N`` opens no port.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -90,15 +92,19 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
-from ..obs.spans import active as spans_active
-from .runner import SweepError, TransportRunner
-from .transport import Chunk, ChunkEvent, Transport, TransportRound, run_chunk
+from ..obs.spans import SpanRecorder, active as spans_active
+from .runner import (
+    _UNSET,
+    DEFAULT_STREAM_WINDOW,
+    SweepError,
+    SweepJob,
+    SweepRunner,
+)
+from .transport import Chunk, ChunkEvent, run_chunk
 
 __all__ = [
     "REMOTE_FORMAT",
-    "ForkTransport",
-    "RemoteRunner",
-    "RemoteTransport",
+    "FleetRunner",
     "WorkerServer",
     "parse_worker_addrs",
     "ping",
@@ -128,6 +134,20 @@ def _pack(obj: Any) -> tuple[bytes, int]:
     return _LEN.pack(len(wire)) + wire, len(raw)
 
 
+class _CorruptFrame(ConnectionError):
+    """A frame that cannot be a ``repro.remote/3`` frame: its peer is
+    treated as dead.  (A well-formed frame whose pickle fails to load
+    is not this: that is the payload's error, and propagates.)"""
+
+
+def _inflate(wire: bytes) -> bytes:
+    """A frame's decompressed body."""
+    try:
+        return zlib.decompress(wire)
+    except zlib.error as exc:
+        raise _CorruptFrame(f"corrupt frame body: {exc}") from None
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     """Blocking read of exactly *n* bytes; raises ``ConnectionError`` on EOF."""
     buf = bytearray()
@@ -143,8 +163,8 @@ def _recv_frame(sock: socket.socket) -> tuple[Any, int, int]:
     """Blocking frame read; returns ``(obj, wire_len, raw_len)``."""
     (size,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
     if size > _MAX_FRAME:
-        raise ConnectionError(f"oversized frame ({size} bytes)")
-    raw = zlib.decompress(_recv_exact(sock, size))
+        raise _CorruptFrame(f"oversized frame ({size} bytes)")
+    raw = _inflate(_recv_exact(sock, size))
     return pickle.loads(raw), size, len(raw)
 
 
@@ -165,12 +185,12 @@ class _FrameBuffer:
                 return
             (size,) = _LEN.unpack(self._buf[: _LEN.size])
             if size > _MAX_FRAME:
-                raise ConnectionError(f"oversized frame ({size} bytes)")
+                raise _CorruptFrame(f"oversized frame ({size} bytes)")
             if len(self._buf) < _LEN.size + size:
                 return
             wire = bytes(self._buf[_LEN.size : _LEN.size + size])
             del self._buf[: _LEN.size + size]
-            raw = zlib.decompress(wire)
+            raw = _inflate(wire)
             self.wire_in += _LEN.size + size
             self.raw_in += len(raw)
             yield pickle.loads(raw)
@@ -272,8 +292,9 @@ def _serve(
                 # jobs' sweep-global indices) asks for spans back.
                 indices = msg[3] if len(msg) > 3 else None
                 try:
-                    # One chunk at a time per worker process: sims
-                    # assume they own the process-wide fiber pool.
+                    # One chunk at a time per worker process: under
+                    # the GIL a second would only interleave with this
+                    # one, and perf.SESSION folds runs in unlocked.
                     with exec_lock:
                         done = run_chunk(jobs, indices)
                     if indices is None:
@@ -415,74 +436,98 @@ def _new_stats(name: str) -> dict[str, Any]:
     }
 
 
-class FrameTransport(Transport):
-    """Workers speaking ``repro.remote/3`` frames, one per named slot.
+@dataclass
+class FleetRunner(SweepRunner):
+    """Fan jobs out across socket workers speaking ``repro.remote/3``:
+    *workers* local processes or the served fleet at *addresses*, never
+    both.  The two differ only in :meth:`connect`, and in that a silent
+    served worker is probed with a ping.
 
-    Persistent across scheduling rounds: per-worker statistics (chunks,
-    rtt, bytes shipped, compression, disconnects) accumulate here per
-    slot and feed the telemetry stream.  Each round opens a fresh
-    connection to every slot (:meth:`connect`) — a worker that died
-    simply fails to join the retry round.
+    The runner owns the semantics documented in
+    :mod:`repro.parallel.runner` — chunking, the cumulative timeout
+    budget, bounded chunk retries with deterministic attribution,
+    immediate propagation of application errors — and the per-slot
+    statistics (chunks, rtt, bytes shipped, compression, disconnects)
+    that accumulate across rounds and feed the telemetry stream.
+
+    Parameters
+    ----------
+    workers:
+        Number of local worker processes, forked afresh for every round
+        (slots ``local:<slot>``; no port is opened).  ``workers=1``
+        still forks one worker — useful for verifying that jobs survive
+        the process boundary; use
+        :class:`~repro.parallel.runner.SerialRunner` for a true
+        in-process run.
+    addresses:
+        Served worker addresses — a ``"host:port,host:port"`` string or
+        a sequence of ``(host, port)`` tuples (slots ``host:port``; a
+        worker that recovered rejoins at the next round).  One chunk
+        executes per worker at a time (workers serialize execution
+        internally).
+    chunk_size:
+        Jobs per frame.  ``None`` auto-chunks (:meth:`_auto_chunk`).
+    timeout:
+        Per-job wall-clock budget in seconds (``None``: no timeout).
+    retries:
+        How many times a failed/timed-out chunk is re-submitted on
+        fresh workers before :class:`SweepError` is raised.  A chunk
+        lost to a dead worker consumes one retry.
+    connect_timeout / heartbeat:
+        With *addresses* only: the socket budget for connecting and for
+        the hello reply, and how long a busy worker may stay silent
+        before the parent probes it with a ping.  A forked worker has
+        no address to ping: the timeout budget covers a wedged one.
     """
 
-    #: Socket budget for connecting and for the hello reply (``None``:
-    #: block).
-    connect_timeout: float | None = None
-    #: Seconds a busy worker may stay silent before the parent pings it
-    #: (``None``: never — the worker has no address to ping).
-    heartbeat: float | None = None
+    workers: int | None = None
+    addresses: Sequence[tuple[str, int]] | str = ()
+    chunk_size: int | None = None
+    timeout: float | None = None
+    retries: int = 1
+    connect_timeout: float = 5.0
+    heartbeat: float = 2.0
 
-    def __init__(self, names: Sequence[str]) -> None:
-        self.names = tuple(names)
+    def __post_init__(self) -> None:
+        if isinstance(self.addresses, str):
+            self.addresses = parse_worker_addrs(self.addresses)
+        self.addresses = tuple(self.addresses)
+        if self.addresses and self.workers is not None:
+            raise ValueError("give workers or addresses, not both")
+        if not self.addresses and (self.workers is None or self.workers < 1):
+            raise ValueError("workers must be >= 1, or give worker addresses")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        # The dataclass-generated __init__ bypasses SweepRunner.__init__.
+        self.job_retries = []
+        self.names = tuple(map(_addr_str, self.addresses)) or tuple(
+            f"local:{slot}" for slot in range(self.workers)
+        )
+        #: Per-slot telemetry, accumulated across rounds; a slot's
+        #: ``pid`` is its latest worker's.
         self.stats: dict[str, dict[str, Any]] = {
             name: _new_stats(name) for name in self.names
         }
 
-    def parallelism(self) -> int:
-        return len(self.names)
-
-    def open_round(self) -> "RemoteRound":
-        return RemoteRound(self)
-
-    def connect(
-        self, slot: int, inherited: list[socket.socket]
-    ) -> tuple[socket.socket, Any]:  # pragma: no cover
-        """Open a connection to the worker of *slot*; returns the socket
-        and the worker process this round must reap, or ``None``.
-        *inherited* holds the parent's ends of the round's connections
-        opened so far."""
-        raise NotImplementedError
-
-    def worker_stats(self) -> list[dict[str, Any]]:
-        """Per-worker telemetry rows (with derived compression ratio)."""
-        rows = []
-        for name in self.names:
-            s = dict(self.stats[name])
-            wire = s["bytes_out"] + s["bytes_in"]
-            raw = s["raw_out"] + s["raw_in"]
-            s["compression"] = round(raw / wire, 3) if wire else None
-            rows.append(s)
-        return rows
-
-
-class ForkTransport(FrameTransport):
-    """*workers* local workers, forked afresh for every round.
-
-    Each worker is a child process serving one end of a
-    ``socket.socketpair()``; it binds no address.  The ``fork`` start
-    method starts a worker cheaply with the parent's imported modules,
-    environment and monkeypatches already in place.  Slots are named
-    ``local:<slot>``; a slot's ``pid`` is its latest worker's.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        super().__init__([f"local:{slot}" for slot in range(workers)])
-
     def connect(
         self, slot: int, inherited: list[socket.socket]
     ) -> tuple[socket.socket, Any]:
+        """Open a connection to the worker of *slot*; returns the socket
+        and the worker process this round must reap, or ``None``.
+        *inherited* holds the parent's ends of the round's connections
+        opened so far, which a forked worker closes.
+
+        A forked worker starts cheaply with the ``fork`` start method:
+        the parent's imported modules, environment and monkeypatches are
+        already in place.
+        """
+        if self.addresses:
+            sock = socket.create_connection(
+                self.addresses[slot], timeout=self.connect_timeout
+            )
+            return sock, None
         parent, child = socket.socketpair()
         proc = multiprocessing.get_context("fork").Process(
             target=_serve_forked, args=(child, inherited + [parent]), daemon=True
@@ -496,44 +541,195 @@ class ForkTransport(FrameTransport):
             child.close()
         return parent, proc
 
+    def worker_stats(self) -> list[dict[str, Any]]:
+        """Per-worker telemetry rows (with derived compression ratio)."""
+        rows = []
+        for name in self.names:
+            s = dict(self.stats[name])
+            wire = s["bytes_out"] + s["bytes_in"]
+            raw = s["raw_out"] + s["raw_in"]
+            s["compression"] = round(raw / wire, 3) if wire else None
+            rows.append(s)
+        return rows
 
-class RemoteTransport(FrameTransport):
-    """Drive a fleet of :class:`WorkerServer` addresses (slots named
-    ``host:port``); a worker that recovered rejoins at the next round."""
+    def _auto_chunk(self, n_jobs: int, width: int) -> int:
+        """Default chunk size: roughly four chunks per worker, balancing
+        dispatch overhead against load balance, capped at a stream
+        window's share so one frame never ships an unbounded slice of a
+        huge :meth:`run` call."""
+        cap = max(1, math.ceil(DEFAULT_STREAM_WINDOW / (width * 4)))
+        return max(1, min(math.ceil(n_jobs / (width * 4)), cap))
 
-    def __init__(
+    def _stream_window(self) -> int:
+        # Keep every worker busy across a window: explicit chunk sizes
+        # scale the window, auto-chunking gets the shared default.
+        width = len(self.names)
+        if self.chunk_size is not None:
+            return max(DEFAULT_STREAM_WINDOW, self.chunk_size * width * 4)
+        return max(DEFAULT_STREAM_WINDOW, width * 128)
+
+    # -- scheduling --------------------------------------------------------
+
+    def _execute(
+        self, jobs: list[SweepJob], indices: Sequence[int]
+    ) -> list[Any]:
+        if not jobs:
+            self.job_retries = []
+            return []
+        recorder = spans_active()
+        if recorder is None:
+            return self._run(jobs, None, None)
+        with recorder.span("sweep.run", "sweep", attrs={"jobs": len(jobs)}):
+            return self._run(jobs, recorder, indices)
+
+    def _run(
         self,
-        addresses: Sequence[tuple[str, int]],
-        *,
-        connect_timeout: float = 5.0,
-        heartbeat: float = 2.0,
-    ) -> None:
-        if not addresses:
-            raise ValueError("at least one worker address is required")
-        self.addresses = tuple(addresses)
-        self.connect_timeout = connect_timeout
-        self.heartbeat = heartbeat
-        super().__init__([_addr_str(a) for a in self.addresses])
+        jobs: list[SweepJob],
+        recorder: SpanRecorder | None,
+        indices: Sequence[int] | None,
+    ) -> list[Any]:
+        """*indices* (the jobs' sweep-global positions) travels with the
+        chunks exactly when *recorder* is set: it labels the spans."""
+        width = len(self.names)
+        chunk = self.chunk_size or self._auto_chunk(len(jobs), width)
+        #: (start_index, jobs_slice) descriptors; a chunk is the retry unit.
+        chunks = [
+            (i, jobs[i : i + chunk]) for i in range(0, len(jobs), chunk)
+        ]
+        results: list[Any] = [_UNSET] * len(jobs)
+        attempts = {start: 0 for start, _ in chunks}
+        pending = chunks
+        while pending:
+            # Sort by start index: _run_round collects failures in
+            # completion order (effectively arbitrary), and both the
+            # retry submissions and the exhausted-chunk raise below must
+            # not depend on that order for attribution to be
+            # deterministic.
+            pending = sorted(
+                self._run_round(width, pending, results, recorder, indices)
+            )
+            for start, part in pending:
+                attempts[start] += 1
+                if attempts[start] > self.retries:
+                    indices = [
+                        start + k
+                        for k in range(len(part))
+                        if results[start + k] is _UNSET
+                    ]
+                    raise SweepError(
+                        f"{len(indices)} job(s) did not complete after "
+                        f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}; "
+                        f"a deterministic job that exceeds its timeout "
+                        f"will do so on every attempt",
+                        indices=indices,
+                    )
+        self.job_retries = [0] * len(jobs)
+        for start, part in chunks:
+            for k in range(len(part)):
+                self.job_retries[start + k] = attempts[start]
+        return results
 
-    def connect(
-        self, slot: int, inherited: list[socket.socket]
-    ) -> tuple[socket.socket, Any]:
-        sock = socket.create_connection(
-            self.addresses[slot], timeout=self.connect_timeout
-        )
-        return sock, None
-
-    def alive(self, slot: int) -> bool:
+    def _run_round(
+        self,
+        width: int,
+        chunks: list[Chunk],
+        results: list[Any],
+        recorder: SpanRecorder | None = None,
+        indices: Sequence[int] | None = None,
+    ) -> list[Chunk]:
+        """Submit *chunks* on a fresh round; fill *results*; return the
+        chunks that must be retried (timed out or lost in transit)."""
+        round_span = None
+        if recorder is not None:
+            round_span = recorder.begin(
+                "round.run", "round",
+                attrs={"chunks": len(chunks),
+                       "jobs": sum(len(part) for _s, part in chunks)},
+            )
+        round_ = _FleetRound(self)
         try:
-            ping(self.addresses[slot], timeout=min(self.heartbeat, 2.0))
-            return True
-        except OSError:
-            return False
+            for start, part in chunks:
+                if recorder is None:
+                    round_.submit(start, part)
+                else:
+                    where = indices[start : start + len(part)]
+                    recorder.chunk_begin(start, len(part), index=where[0])
+                    round_.submit(start, part, where)
+            deadline_at = None
+            if self.timeout is not None:
+                total = sum(len(part) for _s, part in chunks)
+                # Cumulative budget: jobs run `width` at a time, so the
+                # round as a whole gets ceil(total/width) job-budgets
+                # (plus one for scheduling slack).
+                budget = self.timeout * (math.ceil(total / width) + 1)
+                deadline_at = time.monotonic() + budget
+            failed: list[Chunk] = []
+            while round_.pending():
+                remaining = None
+                if deadline_at is not None:
+                    remaining = deadline_at - time.monotonic()
+                    if remaining <= 0:  # budget exhausted, jobs still running
+                        failed.extend(
+                            self._lose(round_.pending(), recorder)
+                        )
+                        round_.abandon()
+                        return failed
+                for start, part, values in round_.wait(remaining):
+                    if values is None:
+                        failed.append((start, part))
+                        if recorder is not None:
+                            recorder.chunk_end(start, "lost")
+                    else:
+                        for k, value in enumerate(values):
+                            results[start + k] = value
+                        if recorder is not None:
+                            dispatch = recorder.chunk_end(start, "done")
+                            if dispatch is not None:
+                                recorder.chunk_merge(dispatch)
+                if round_.broken:
+                    # No capacity left; everything unfinished is lost.
+                    failed.extend(self._lose(round_.pending(), recorder))
+                    round_.abandon()
+                    return failed
+            round_.close()
+            return failed
+        except BaseException:
+            # Application errors and interrupts alike: terminate wedged
+            # workers instead of awaiting them, then propagate.
+            round_.abandon()
+            raise
+        finally:
+            if round_span is not None:
+                recorder.end(round_span)
+
+    @staticmethod
+    def _lose(
+        chunks: list[Chunk], recorder: SpanRecorder | None
+    ) -> list[Chunk]:
+        """Account chunks abandoned in-flight (timeout/broken round)."""
+        if recorder is not None:
+            for start, _part in chunks:
+                recorder.chunk_end(start, "lost")
+        return chunks
 
 
-class RemoteRound(TransportRound):
-    def __init__(self, transport: FrameTransport) -> None:
-        self.transport = transport
+class _FleetRound:
+    """One scheduling round: a batch of chunks in flight on a fresh
+    connection to every slot of *runner* — a worker that died simply
+    fails to join, and wedged workers from a previous attempt cannot
+    poison the retry.
+
+    Lifecycle: :meth:`submit` every chunk, then loop :meth:`wait` while
+    :meth:`pending` is non-empty, then :meth:`close`.  :meth:`abandon`
+    at any point tears the round down without waiting for wedged
+    workers.
+    """
+
+    def __init__(self, runner: FleetRunner) -> None:
+        self.runner = runner
+        #: Set when the round has lost all execution capacity (every
+        #: worker dead): the caller must treat every still pending
+        #: chunk as lost and abandon the round.
         self.broken = False
         self.conns: list[_WorkerConn] = []
         #: Every worker process this round started: reaped by
@@ -544,11 +740,11 @@ class RemoteRound(TransportRound):
         env = {k: os.environ[k] for k in ENV_KEYS if k in os.environ}
         hello = {"format": REMOTE_FORMAT, "env": env}
         try:
-            for slot, name in enumerate(transport.names):
+            for slot, name in enumerate(runner.names):
                 self._join(slot, name, hello)
             if not self.conns:
                 raise SweepError(
-                    "no reachable workers among " + ", ".join(transport.names)
+                    "no reachable workers among " + ", ".join(runner.names)
                 )
         except BaseException:
             # A rejected hello or an interrupt: close and reap what
@@ -558,18 +754,19 @@ class RemoteRound(TransportRound):
 
     def _join(self, slot: int, name: str, hello: dict[str, Any]) -> None:
         """Connect to *slot* and exchange hellos; a worker that cannot
-        be reached is counted as a disconnect and left out."""
-        transport = self.transport
-        stats = transport.stats[name]
+        be reached is counted as a disconnect and left out.  The hello
+        reply waits as long as :meth:`FleetRunner.connect`'s socket
+        does: ``connect_timeout`` for a served worker, unbounded for a
+        forked one."""
+        stats = self.runner.stats[name]
         try:
-            sock, proc = transport.connect(slot, [c.sock for c in self.conns])
+            sock, proc = self.runner.connect(slot, [c.sock for c in self.conns])
         except OSError:
             stats["disconnects"] += 1
             return
         if proc is not None:
             self.procs.append(proc)
         try:
-            sock.settimeout(transport.connect_timeout)
             frame, raw = _pack(("hello", hello))
             sock.sendall(frame)
             reply, wire_in, raw_in = _recv_frame(sock)
@@ -596,6 +793,9 @@ class RemoteRound(TransportRound):
     def submit(
         self, start: int, jobs: list, indices: Sequence[int] | None = None
     ) -> None:
+        """Queue the chunk at batch offset *start*.  *indices* — the
+        jobs' sweep-global positions — is given exactly when the parent
+        records spans, and asks for the worker's spans back."""
         self.queue.append((start, jobs, indices))
         self._pump()
 
@@ -607,7 +807,7 @@ class RemoteRound(TransportRound):
             if conn.busy is not None:
                 continue
             start, part, indices = self.queue[0]
-            stats = self.transport.stats[conn.name]
+            stats = self.runner.stats[conn.name]
             recorder = spans_active()
             frame_msg: tuple = ("run", start, part)
             if indices is not None:
@@ -629,6 +829,7 @@ class RemoteRound(TransportRound):
                 )
 
     def pending(self) -> list[Chunk]:
+        """Chunks submitted but not yet reported by :meth:`wait`."""
         return [(start, part) for start, part, _indices in self.queue] + [
             c.busy for c in self.conns if c.busy is not None
         ]
@@ -636,8 +837,16 @@ class RemoteRound(TransportRound):
     # -- completion --------------------------------------------------------
 
     def wait(self, timeout: float | None) -> list[ChunkEvent]:
+        """Block up to *timeout* seconds (``None``: forever) for progress.
+
+        Returns the completion events since the last call — possibly
+        empty on timeout.  A job that raised propagates its exception
+        from here: application errors are deterministic and must reach
+        the caller immediately, never the retry path.
+        """
         self._pump()
-        heartbeat = self.transport.heartbeat
+        # Only a served worker has an address to ping.
+        heartbeat = self.runner.heartbeat if self.runner.addresses else None
         events: list[ChunkEvent] = []
         deadline = None if timeout is None else time.monotonic() + timeout
         while not events:
@@ -679,12 +888,17 @@ class RemoteRound(TransportRound):
             return [event] if event is not None else []
         conn.last_seen = time.monotonic()
         conn.buffer.feed(data)
-        stats = self.transport.stats[conn.name]
+        stats = self.runner.stats[conn.name]
         events: list[ChunkEvent] = []
         wire_before, raw_before = conn.buffer.wire_in, conn.buffer.raw_in
         try:
             for msg in conn.buffer.frames():
                 events.extend(self._on_message(conn, msg))
+        except _CorruptFrame:
+            # Framing the parent cannot decode: the worker is dead to it.
+            event = self._drop(conn)
+            if event is not None:
+                events.append(event)
         finally:
             wire_delta = conn.buffer.wire_in - wire_before
             stats["bytes_in"] += wire_delta
@@ -693,7 +907,7 @@ class RemoteRound(TransportRound):
 
     def _on_message(self, conn: _WorkerConn, msg: tuple) -> list[ChunkEvent]:
         kind = msg[0]
-        stats = self.transport.stats[conn.name]
+        stats = self.runner.stats[conn.name]
         recorder = spans_active()
         if recorder is not None:
             recorder.event(
@@ -725,22 +939,30 @@ class RemoteRound(TransportRound):
     # -- liveness ----------------------------------------------------------
 
     def _probe(self, conn: _WorkerConn) -> bool:
-        """Heartbeat a silent worker, with span accounting."""
+        """Heartbeat a silent served worker, with span accounting."""
         recorder = spans_active()
         if recorder is None:
-            alive = self.transport.alive(conn.slot)
-        else:
-            with recorder.span(
-                "heartbeat.probe", "heartbeat", attrs={"worker": conn.name}
-            ) as span:
-                alive = self.transport.alive(conn.slot)
-                span.attrs["alive"] = alive
+            return self._alive(conn.slot)
+        with recorder.span(
+            "heartbeat.probe", "heartbeat", attrs={"worker": conn.name}
+        ) as span:
+            alive = self._alive(conn.slot)
+            span.attrs["alive"] = alive
         return alive
+
+    def _alive(self, slot: int) -> bool:
+        """One ephemeral ping connection; probe failure is a death."""
+        runner = self.runner
+        try:
+            ping(runner.addresses[slot], timeout=min(runner.heartbeat, 2.0))
+            return True
+        except OSError:
+            return False
 
     def _drop(self, conn: _WorkerConn) -> ChunkEvent | None:
         """Declare *conn*'s worker dead; surface its in-flight chunk as
         lost (the runner's retry machinery re-dispatches it)."""
-        self.transport.stats[conn.name]["disconnects"] += 1
+        self.runner.stats[conn.name]["disconnects"] += 1
         try:
             conn.sock.close()
         except OSError:
@@ -776,54 +998,3 @@ class RemoteRound(TransportRound):
         for proc in self.procs:
             proc.join()
         self.procs = []
-
-
-@dataclass
-class RemoteRunner(TransportRunner):
-    """Fan jobs out across a socket worker fleet.
-
-    Parameters
-    ----------
-    addresses:
-        Worker addresses — a ``"host:port,host:port"`` string or a
-        sequence of ``(host, port)`` tuples.  One chunk executes per
-        worker at a time (workers serialize execution internally).
-    chunk_size:
-        Jobs per frame (``None``: auto-chunk, see
-        :meth:`~repro.parallel.runner.TransportRunner._auto_chunk`).
-    timeout / retries:
-        Exactly the pool's contract (see
-        :class:`~repro.parallel.runner.ProcessPoolRunner`): cumulative
-        per-round budget, chunk-level retries, application errors never
-        retried.  A chunk lost to a dead worker consumes one retry.
-    connect_timeout / heartbeat:
-        Socket connect budget, and how long a worker may stay silent
-        before the parent probes it with a ping.
-    """
-
-    addresses: Sequence[tuple[str, int]] | str = ()
-    chunk_size: int | None = None
-    timeout: float | None = None
-    retries: int = 1
-    connect_timeout: float = 5.0
-    heartbeat: float = 2.0
-
-    def __post_init__(self) -> None:
-        if isinstance(self.addresses, str):
-            self.addresses = parse_worker_addrs(self.addresses)
-        self.addresses = tuple(self.addresses)
-        if not self.addresses:
-            raise ValueError("at least one worker address is required")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        self.job_retries = []
-        self._remote = RemoteTransport(
-            self.addresses,
-            connect_timeout=self.connect_timeout,
-            heartbeat=self.heartbeat,
-        )
-
-    def _transport(self) -> RemoteTransport:
-        return self._remote

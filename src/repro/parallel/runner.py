@@ -8,23 +8,17 @@ is a drop-in replacement for a serial loop: because every job is an
 independent deterministic simulation, the merged result list is
 bit-identical to what the serial loop would have produced.
 
-Three implementations share the interface:
+Two implementations share the interface:
 
 * :class:`SerialRunner` — runs the jobs in-process, in order.  Zero
   overhead, no picklability requirement; the reference semantics.
-* :class:`ProcessPoolRunner` — fans the jobs out over local worker
-  processes, forked per round, with chunked scheduling, a per-job
-  wall-clock timeout, and bounded retries for wedged or crashed
-  workers.  Jobs (and their results) must be picklable: module-level
-  functions or dataclass instances, not bare closures.
-* :class:`repro.parallel.remote.RemoteRunner` — the same over a fleet
-  of served socket workers (``repro worker serve``).
-
-The pooled and remote runners share :class:`TransportRunner`, which
-owns the scheduling loop and delegates chunk execution to a
-:class:`repro.parallel.transport.Transport`; both transports are
-workers speaking the same socket frames
-(:mod:`repro.parallel.remote`), forked locally or reached by address.
+* :class:`repro.parallel.remote.FleetRunner` — fans the jobs out over
+  socket workers speaking the same frames (:mod:`repro.parallel.remote`):
+  ``workers=N`` local ones forked per round, or the ``repro worker
+  serve`` fleet at ``addresses=``.  It owns chunked scheduling, a
+  per-job wall-clock timeout, and bounded retries for wedged or
+  crashed workers.  Jobs (and their results) must be picklable:
+  module-level functions or dataclass instances, not bare closures.
 
 The run cache (:mod:`repro.cache`) is a stage of :meth:`SweepRunner.run`
 itself, performed in the submitting process on every runner: keys, one
@@ -36,8 +30,8 @@ cache when its :attr:`~SweepRunner.cache` is set — by
 ``run_campaign``, ``fuzz``, ``run_compare_protocols``) pull results
 through, one bounded window at a time.
 
-Timeout/retry semantics (documented contract, tested in
-``tests/test_parallel.py``):
+:class:`~repro.parallel.remote.FleetRunner`'s timeout/retry semantics
+(documented contract, tested in ``tests/test_parallel.py``):
 
 * ``timeout`` is a per-job budget in wall-clock seconds.  A scheduling
   round is abandoned when its jobs collectively exceed their cumulative
@@ -56,15 +50,13 @@ Timeout/retry semantics (documented contract, tested in
 from __future__ import annotations
 
 import copy
-import math
-import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .. import perf
-from ..obs.spans import SpanRecorder, active as spans_active
-from .transport import MissJob, Transport, run_jobs_traced
+from ..obs.spans import active as spans_active
+from .transport import MissJob, run_jobs_traced
 
 #: A sweep job: picklable, zero-argument, returns a picklable result.
 SweepJob = Callable[[], Any]
@@ -133,9 +125,9 @@ class SweepRunner:
         raise NotImplementedError
 
     def worker_stats(self) -> list[dict[str, Any]]:
-        """Per-worker transport rows: one per worker slot of a pooled or
-        remote runner (see ``FrameTransport.worker_stats``), none for
-        the serial runner."""
+        """Per-worker transport rows: one per worker slot of a
+        :class:`~repro.parallel.remote.FleetRunner`, none for the serial
+        runner."""
         return []
 
     def run(self, jobs: Sequence[SweepJob], *, first: int = 0) -> list[Any]:
@@ -146,9 +138,9 @@ class SweepRunner:
         carry campaign-global indices.
 
         With a :attr:`cache`, all cache traffic happens here, in the
-        submitting process, whatever the transport: one ``get_many``
+        submitting process, whatever the runner: one ``get_many``
         for the batch, hits rebuilt by ``from_cached`` (they execute
-        nothing — no job span, no transport round when every job hit),
+        nothing — no job span, no scheduling round when every job hit),
         the misses executed as :class:`~repro.parallel.transport.MissJob`
         (so ``cache_payload()`` runs where the trace lives), one
         ``put_many``.  That keeps the counters in
@@ -297,241 +289,6 @@ class SerialRunner(SweepRunner):
             return run_jobs_traced(recorder, jobs, indices, root.id)
 
 
-class TransportRunner(SweepRunner):
-    """The generic chunked scheduling loop over a pluggable transport.
-
-    Subclasses provide ``chunk_size`` / ``timeout`` / ``retries``
-    attributes and a :meth:`_transport` accessor returning their
-    persistent transport; this class owns the semantics documented in
-    the module docstring — chunking, the cumulative timeout budget,
-    bounded chunk retries with deterministic attribution, immediate
-    propagation of application errors — so forked local workers and a
-    socket fleet behave identically.
-    """
-
-    chunk_size: int | None
-    timeout: float | None
-    retries: int
-
-    def _transport(self) -> Transport:  # pragma: no cover
-        raise NotImplementedError
-
-    def worker_stats(self) -> list[dict[str, Any]]:
-        """Per-worker transport telemetry accumulated across rounds."""
-        return self._transport().worker_stats()
-
-    def _auto_chunk(self, n_jobs: int, width: int) -> int:
-        """Default chunk size: roughly four chunks per worker, balancing
-        dispatch overhead against load balance, capped at a stream
-        window's share so one frame never ships an unbounded slice of a
-        huge :meth:`run` call."""
-        cap = max(1, math.ceil(DEFAULT_STREAM_WINDOW / (width * 4)))
-        return max(1, min(math.ceil(n_jobs / (width * 4)), cap))
-
-    def _stream_window(self) -> int:
-        # Keep every worker busy across a window: explicit chunk sizes
-        # scale the window, auto-chunking gets the shared default.
-        width = self._transport().parallelism()
-        if self.chunk_size is not None:
-            return max(DEFAULT_STREAM_WINDOW, self.chunk_size * width * 4)
-        return max(DEFAULT_STREAM_WINDOW, width * 128)
-
-    # -- scheduling --------------------------------------------------------
-
-    def _execute(
-        self, jobs: list[SweepJob], indices: Sequence[int]
-    ) -> list[Any]:
-        if not jobs:
-            self.job_retries = []
-            return []
-        recorder = spans_active()
-        if recorder is None:
-            return self._run(jobs, None, None)
-        with recorder.span("sweep.run", "sweep", attrs={"jobs": len(jobs)}):
-            return self._run(jobs, recorder, indices)
-
-    def _run(
-        self,
-        jobs: list[SweepJob],
-        recorder: SpanRecorder | None,
-        indices: Sequence[int] | None,
-    ) -> list[Any]:
-        """*indices* (the jobs' sweep-global positions) travels with the
-        chunks exactly when *recorder* is set: it labels the spans."""
-        transport = self._transport()
-        width = max(1, transport.parallelism())
-        chunk = self.chunk_size or self._auto_chunk(len(jobs), width)
-        #: (start_index, jobs_slice) descriptors; a chunk is the retry unit.
-        chunks = [
-            (i, jobs[i : i + chunk]) for i in range(0, len(jobs), chunk)
-        ]
-        results: list[Any] = [_UNSET] * len(jobs)
-        attempts = {start: 0 for start, _ in chunks}
-        pending = chunks
-        while pending:
-            # Sort by start index: _run_round collects failures in
-            # completion order (effectively arbitrary), and both the
-            # retry submissions and the exhausted-chunk raise below must
-            # not depend on that order for attribution to be
-            # deterministic.
-            pending = sorted(
-                self._run_round(
-                    transport, width, pending, results, recorder, indices
-                )
-            )
-            for start, part in pending:
-                attempts[start] += 1
-                if attempts[start] > self.retries:
-                    indices = [
-                        start + k
-                        for k in range(len(part))
-                        if results[start + k] is _UNSET
-                    ]
-                    raise SweepError(
-                        f"{len(indices)} job(s) did not complete after "
-                        f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}; "
-                        f"a deterministic job that exceeds its timeout "
-                        f"will do so on every attempt",
-                        indices=indices,
-                    )
-        self.job_retries = [0] * len(jobs)
-        for start, part in chunks:
-            for k in range(len(part)):
-                self.job_retries[start + k] = attempts[start]
-        return results
-
-    def _run_round(
-        self,
-        transport: Transport,
-        width: int,
-        chunks: list[tuple[int, list[SweepJob]]],
-        results: list[Any],
-        recorder: SpanRecorder | None = None,
-        indices: Sequence[int] | None = None,
-    ) -> list[tuple[int, list[SweepJob]]]:
-        """Submit *chunks* on a fresh round; fill *results*; return the
-        chunks that must be retried (timed out or lost in transit)."""
-        round_span = None
-        if recorder is not None:
-            round_span = recorder.begin(
-                "round.run", "round",
-                attrs={"chunks": len(chunks),
-                       "jobs": sum(len(part) for _s, part in chunks)},
-            )
-        round_ = transport.open_round()
-        try:
-            for start, part in chunks:
-                if recorder is None:
-                    round_.submit(start, part)
-                else:
-                    where = indices[start : start + len(part)]
-                    recorder.chunk_begin(start, len(part), index=where[0])
-                    round_.submit(start, part, where)
-            deadline_at = None
-            if self.timeout is not None:
-                total = sum(len(part) for _s, part in chunks)
-                # Cumulative budget: jobs run `width` at a time, so the
-                # round as a whole gets ceil(total/width) job-budgets
-                # (plus one for scheduling slack).
-                budget = self.timeout * (math.ceil(total / width) + 1)
-                deadline_at = time.monotonic() + budget
-            failed: list[tuple[int, list[SweepJob]]] = []
-            while round_.pending():
-                remaining = None
-                if deadline_at is not None:
-                    remaining = deadline_at - time.monotonic()
-                    if remaining <= 0:  # budget exhausted, jobs still running
-                        failed.extend(
-                            self._lose(round_.pending(), recorder)
-                        )
-                        round_.abandon()
-                        return failed
-                for start, part, values in round_.wait(remaining):
-                    if values is None:
-                        failed.append((start, part))
-                        if recorder is not None:
-                            recorder.chunk_end(start, "lost")
-                    else:
-                        for k, value in enumerate(values):
-                            results[start + k] = value
-                        if recorder is not None:
-                            dispatch = recorder.chunk_end(start, "done")
-                            if dispatch is not None:
-                                recorder.chunk_merge(dispatch)
-                if round_.broken:
-                    # No capacity left; everything unfinished is lost.
-                    failed.extend(self._lose(round_.pending(), recorder))
-                    round_.abandon()
-                    return failed
-            round_.close()
-            return failed
-        except BaseException:
-            # Application errors and interrupts alike: terminate wedged
-            # workers instead of awaiting them, then propagate.
-            round_.abandon()
-            raise
-        finally:
-            if round_span is not None:
-                recorder.end(round_span)
-
-    @staticmethod
-    def _lose(
-        chunks: list[tuple[int, list[SweepJob]]],
-        recorder: SpanRecorder | None,
-    ) -> list[tuple[int, list[SweepJob]]]:
-        """Account chunks abandoned in-flight (timeout/broken round)."""
-        if recorder is not None:
-            for start, _part in chunks:
-                recorder.chunk_end(start, "lost")
-        return chunks
-
-
-@dataclass
-class ProcessPoolRunner(TransportRunner):
-    """Fan jobs out across local worker processes.
-
-    Every scheduling round forks *workers* fresh workers
-    (:class:`~repro.parallel.remote.ForkTransport`) that speak the same
-    socket frames as a remote fleet, over socket pairs: no port is
-    opened.
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes.  ``workers=1`` still forks one
-        worker — useful for verifying that jobs survive the process
-        boundary; use :class:`SerialRunner` for a true in-process run.
-    chunk_size:
-        Jobs per frame.  ``None`` auto-chunks (:meth:`_auto_chunk`).
-    timeout:
-        Per-job wall-clock budget in seconds (``None``: no timeout).
-    retries:
-        How many times a failed/timed-out chunk is re-submitted on
-        fresh workers before :class:`SweepError` is raised.
-    """
-
-    workers: int
-    chunk_size: int | None = None
-    timeout: float | None = None
-    retries: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        # The dataclass-generated __init__ bypasses SweepRunner.__init__.
-        self.job_retries = []
-        from .remote import ForkTransport  # remote imports this module
-
-        self._local = ForkTransport(self.workers)
-
-    def _transport(self) -> Transport:
-        return self._local
-
-
 def make_runner(
     workers: int | None = None,
     *,
@@ -544,12 +301,13 @@ def make_runner(
     """Build the right runner for a worker count.
 
     ``workers`` of ``None``, ``0`` or ``1`` gives the in-process
-    :class:`SerialRunner`; anything larger gives a
-    :class:`ProcessPoolRunner`.  (Construct :class:`ProcessPoolRunner`
-    directly to force a single-worker pool.)  ``addresses`` (a
-    ``"host:port,..."`` string or ``(host, port)`` tuples) selects the
-    distributed :class:`~repro.parallel.remote.RemoteRunner` instead —
-    ``workers`` is ignored; parallelism is the fleet size.
+    :class:`SerialRunner`; anything larger gives a forking
+    :class:`~repro.parallel.remote.FleetRunner`.  (Construct
+    ``FleetRunner(workers=1)`` directly to force a single-worker pool.)
+    ``addresses`` (a ``"host:port,..."`` string or ``(host, port)``
+    tuples) gives a :class:`~repro.parallel.remote.FleetRunner` over
+    that served fleet instead — ``workers`` is ignored; parallelism is
+    the fleet size.
 
     ``cache`` (``True`` for the default directory, a path, or a
     ``repro.cache.RunCache``) sets the runner's :attr:`~SweepRunner.cache`
@@ -561,20 +319,14 @@ def make_runner(
     sweep's report is byte-identical to an uncached one.
     """
     runner: SweepRunner
-    if addresses:
-        from .remote import RemoteRunner
-
-        runner = RemoteRunner(
-            addresses=addresses,
-            chunk_size=chunk_size,
-            timeout=timeout,
-            retries=retries,
-        )
-    elif workers is None or workers <= 1:
+    if not addresses and (workers is None or workers <= 1):
         runner = SerialRunner()
     else:
-        runner = ProcessPoolRunner(
-            workers=workers,
+        from .remote import FleetRunner  # remote imports this module
+
+        runner = FleetRunner(
+            workers=None if addresses else workers,
+            addresses=addresses or (),
             chunk_size=chunk_size,
             timeout=timeout,
             retries=retries,
@@ -591,8 +343,8 @@ def with_cache(runner: SweepRunner, cache: Any) -> SweepRunner:
     returns *runner* itself.  Otherwise the result is a shallow copy
     with :attr:`~SweepRunner.cache` set: the caller's runner is never
     changed (a later uncached sweep through it stays uncached), while a
-    pooled or remote runner's copy shares its transport, so
-    ``worker_stats()`` reads the same on both.
+    :class:`~repro.parallel.remote.FleetRunner`'s copy shares its
+    per-slot stats, so ``worker_stats()`` reads the same on both.
     """
     if cache is None or cache is False:
         return runner

@@ -38,7 +38,7 @@ from repro.fuzz import fuzz
 from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.driver import FuzzJob
 from repro.parallel import (
-    ProcessPoolRunner,
+    FleetRunner,
     RingScenario,
     SerialRunner,
     StandardRingInvariants,
@@ -138,7 +138,7 @@ class TestTransparency:
             RING_SCENARIO,
             invariants=RING_INVARIANTS,
             cache=cache_dir,
-            runner=ProcessPoolRunner(workers=2),
+            runner=FleetRunner(workers=2),
         )
         d = _delta(before)
         assert d["hits"] == len(pooled.outcomes) and d["misses"] == 0
@@ -150,7 +150,7 @@ class TestTransparency:
             RING_SCENARIO,
             invariants=RING_INVARIANTS,
             cache=cache_dir,
-            runner=ProcessPoolRunner(workers=2),
+            runner=FleetRunner(workers=2),
         )
         d = _delta(before)
         # Lookups and stores happen parent-side, so even a pooled cold
@@ -389,7 +389,7 @@ class TestSweepContract:
         serial = _campaign(cache=cache)
         pooled = _campaign(
             cache=cache,
-            runner=with_cache(ProcessPoolRunner(workers=2), cache),
+            runner=with_cache(FleetRunner(workers=2), cache),
         )
         assert serial.format() == pooled.format()
 
@@ -741,7 +741,7 @@ class TestCachedRunner:  # a cached runner, i.e. with_cache / make_runner
         # lost job by its place in the sweep, as the uncached twin in
         # tests/test_parallel.py does — not by its place among the misses.
         runner = with_cache(
-            ProcessPoolRunner(workers=1, chunk_size=1, retries=0), cache
+            FleetRunner(workers=1, chunk_size=1, retries=0), cache
         )
         assert runner.run([_CachedSquare(x) for x in (1, 2, 3)]) == [1, 4, 9]
         with pytest.raises(SweepError) as exc_info:

@@ -28,7 +28,7 @@ from repro.fuzz import (
 from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.coverage import SHAPE_PREFIX, _bin
 from repro.cli import main
-from repro.parallel import ProcessPoolRunner, RingScenario
+from repro.parallel import FleetRunner, RingScenario
 
 SCENARIO = RingScenario(nprocs=4, iters=3)
 NAIVE = RingScenario(nprocs=4, iters=3, variant="naive")
@@ -162,7 +162,7 @@ class TestCoverageFuzz:
     def test_serial_equals_pooled(self):
         a = coverage_fuzz(NAIVE, budget=32, seed=3)
         b = coverage_fuzz(
-            NAIVE, budget=32, seed=3, runner=ProcessPoolRunner(workers=2)
+            NAIVE, budget=32, seed=3, runner=FleetRunner(workers=2)
         )
         assert a.to_dict() == b.to_dict()
 

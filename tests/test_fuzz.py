@@ -25,7 +25,7 @@ from repro.fuzz import (
     shrink,
     write_repro,
 )
-from repro.parallel import AppScenario, ProcessPoolRunner, RingScenario
+from repro.parallel import AppScenario, FleetRunner, RingScenario
 from repro.simmpi import DEFAULT_COST, JitteredCostModel
 from tests.conftest import RING_SCENARIO
 
@@ -136,7 +136,7 @@ class TestFuzzDeterminism:
         serial = fuzz(RING_SCENARIO, runs=10, seed=5, min_kills=1, max_kills=2)
         pooled = fuzz(
             RING_SCENARIO, runs=10, seed=5, min_kills=1, max_kills=2,
-            runner=ProcessPoolRunner(workers=2),
+            runner=FleetRunner(workers=2),
         )
         assert serial.format(verbose=True) == pooled.format(verbose=True)
         assert [o.digest for o in serial.outcomes] == [

@@ -18,7 +18,7 @@ import pytest
 
 from repro.faults import explore, run_campaign
 from repro.parallel import (
-    ProcessPoolRunner,
+    FleetRunner,
     RingScenario,
     SerialRunner,
     SimJob,
@@ -130,45 +130,45 @@ class TestRunners:
 
     def test_pool_results_in_submission_order(self):
         jobs = [SquareJob(x) for x in range(10)]
-        got = ProcessPoolRunner(workers=2, chunk_size=2).run(jobs)
+        got = FleetRunner(workers=2, chunk_size=2).run(jobs)
         assert got == [x * x for x in range(10)]
 
     def test_pool_actually_crosses_process_boundary(self):
-        pids = ProcessPoolRunner(workers=1).run([PidJob(), PidJob()])
+        pids = FleetRunner(workers=1).run([PidJob(), PidJob()])
         assert all(pid != os.getpid() for pid in pids)
 
     def test_empty_batch(self):
         assert SerialRunner().run([]) == []
-        assert ProcessPoolRunner(workers=2).run([]) == []
+        assert FleetRunner(workers=2).run([]) == []
 
     def test_map_helper(self):
         assert SerialRunner().map(_double, [1, 2, 3]) == [2, 4, 6]
-        assert ProcessPoolRunner(workers=2).map(_double, [1, 2, 3]) == [2, 4, 6]
+        assert FleetRunner(workers=2).map(_double, [1, 2, 3]) == [2, 4, 6]
 
     def test_make_runner_dispatch(self):
         assert isinstance(make_runner(None), SerialRunner)
         assert isinstance(make_runner(1), SerialRunner)
         pooled = make_runner(3, timeout=1.0, retries=2)
-        assert isinstance(pooled, ProcessPoolRunner)
+        assert isinstance(pooled, FleetRunner)
         assert pooled.workers == 3
         assert pooled.timeout == 1.0
         assert pooled.retries == 2
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            ProcessPoolRunner(workers=0)
+            FleetRunner(workers=0)
         with pytest.raises(ValueError):
-            ProcessPoolRunner(workers=2, chunk_size=0)
+            FleetRunner(workers=2, chunk_size=0)
         with pytest.raises(ValueError):
-            ProcessPoolRunner(workers=2, retries=-1)
+            FleetRunner(workers=2, retries=-1)
 
     def test_application_error_propagates_and_is_not_retried(self):
         jobs = [SquareJob(1), BoomJob()]
         with pytest.raises(ValueError, match="boom"):
-            ProcessPoolRunner(workers=2, chunk_size=1, retries=3).run(jobs)
+            FleetRunner(workers=2, chunk_size=1, retries=3).run(jobs)
 
     def test_wedged_worker_times_out_with_sweep_error(self):
-        runner = ProcessPoolRunner(
+        runner = FleetRunner(
             workers=2, chunk_size=1, timeout=0.5, retries=0
         )
         with pytest.raises(SweepError) as exc_info:
@@ -176,13 +176,13 @@ class TestRunners:
         assert exc_info.value.indices == [1]
 
     def test_crashed_worker_is_retried_then_reported(self):
-        runner = ProcessPoolRunner(workers=1, chunk_size=1, retries=1)
+        runner = FleetRunner(workers=1, chunk_size=1, retries=1)
         with pytest.raises(SweepError):
             runner.run([DieJob()])
 
     def test_crashed_worker_does_not_poison_other_jobs(self):
         # The good jobs lost to the broken pool are retried and complete.
-        runner = ProcessPoolRunner(workers=1, chunk_size=1, retries=1)
+        runner = FleetRunner(workers=1, chunk_size=1, retries=1)
         with pytest.raises(SweepError) as exc_info:
             runner.run([SquareJob(5), DieJob(), SquareJob(7)])
         assert exc_info.value.indices == [1]
@@ -197,13 +197,13 @@ class TestRunners:
         jobs = [SquareJob(i) for i in range(5)]
         chunks = [[0, 1], [2, 3], [4]]
         _fail_kth_send(monkeypatch, k)
-        runner = ProcessPoolRunner(workers=1, chunk_size=2, retries=1)
+        runner = FleetRunner(workers=1, chunk_size=2, retries=1)
         assert runner.run(jobs) == [i * i for i in range(5)]
         assert runner.job_retries == [
             int(c >= k - 1) for c, part in enumerate(chunks) for _ in part
         ]
         _fail_kth_send(monkeypatch, k)
-        runner = ProcessPoolRunner(workers=1, chunk_size=2, retries=0)
+        runner = FleetRunner(workers=1, chunk_size=2, retries=0)
         with pytest.raises(SweepError) as exc_info:
             runner.run(jobs)
         assert exc_info.value.indices == chunks[k - 1]
@@ -214,10 +214,10 @@ class TestRunners:
         # ends.  waitpid (never -1: fixtures own other children) runs
         # before active_children(), which would reap a leftover itself.
         if case == "clean":
-            runner = ProcessPoolRunner(workers=2, chunk_size=1)
+            runner = FleetRunner(workers=2, chunk_size=1)
             assert runner.run([SquareJob(x) for x in range(4)]) == [0, 1, 4, 9]
         else:
-            runner = ProcessPoolRunner(
+            runner = FleetRunner(
                 workers=2, chunk_size=1, timeout=0.5, retries=0
             )
             job = WedgeJob() if case == "timed_out" else DieJob()
@@ -234,13 +234,13 @@ class TestRunners:
         # Regression: job_retries used to be a mutable *class* attribute,
         # so every runner aliased one list and a run on one instance
         # clobbered another's telemetry counts.
-        for make in (SerialRunner, lambda: ProcessPoolRunner(workers=1)):
+        for make in (SerialRunner, lambda: FleetRunner(workers=1)):
             a, b = make(), make()
             assert a.job_retries is not b.job_retries
             a.run([SquareJob(2)])
             assert a.job_retries == [0]
             assert b.job_retries == []
-        assert SerialRunner().job_retries is not ProcessPoolRunner(
+        assert SerialRunner().job_retries is not FleetRunner(
             workers=1
         ).job_retries
 
@@ -260,7 +260,7 @@ class TestJobModel:
         t = job()
         assert t > 0.0
         # The same job crosses a process boundary intact.
-        assert ProcessPoolRunner(workers=1).run([job]) == [t]
+        assert FleetRunner(workers=1).run([job]) == [t]
 
     def test_invariant_factory_resolves(self):
         invs = resolve_invariants(INVARIANTS)
@@ -295,8 +295,8 @@ def _no_op_invariant(result):
 class TestEquivalence:
     def test_campaign_identical_across_runners(self):
         serial = _campaign()
-        pooled_1 = _campaign(runner=ProcessPoolRunner(workers=1))
-        pooled_4 = _campaign(runner=ProcessPoolRunner(workers=4))
+        pooled_1 = _campaign(runner=FleetRunner(workers=1))
+        pooled_4 = _campaign(runner=FleetRunner(workers=4))
         assert _campaign_fields(serial) == _campaign_fields(pooled_1)
         assert _campaign_fields(serial) == _campaign_fields(pooled_4)
         assert serial.summary() == pooled_1.summary() == pooled_4.summary()
@@ -304,8 +304,8 @@ class TestEquivalence:
 
     def test_explorer_identical_across_runners(self):
         serial = _explore()
-        pooled_1 = _explore(runner=ProcessPoolRunner(workers=1))
-        pooled_4 = _explore(runner=ProcessPoolRunner(workers=4))
+        pooled_1 = _explore(runner=FleetRunner(workers=1))
+        pooled_4 = _explore(runner=FleetRunner(workers=4))
         assert serial.reference_windows == pooled_1.reference_windows
         assert serial.reference_windows == pooled_4.reference_windows
         assert _outcome_fields(serial) == _outcome_fields(pooled_1)

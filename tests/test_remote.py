@@ -28,8 +28,7 @@ from repro.cache import RunCache
 from repro.faults import run_campaign
 from repro.obs.spans import SpanRecorder, recording
 from repro.parallel import (
-    ProcessPoolRunner,
-    RemoteRunner,
+    FleetRunner,
     SerialRunner,
     SweepError,
     make_runner,
@@ -38,7 +37,6 @@ from repro.parallel import (
 )
 from repro.parallel.remote import (
     REMOTE_FORMAT,
-    RemoteTransport,
     _FrameBuffer,
     _pack,
     _recv_frame,
@@ -205,24 +203,24 @@ class TestFraming:
 
 
 # ---------------------------------------------------------------------------
-# RemoteRunner semantics (in-process worker)
+# FleetRunner over served workers (in-process worker)
 # ---------------------------------------------------------------------------
 
 
 class TestRemoteRunner:
     def test_results_in_submission_order(self, worker_addr):
-        runner = RemoteRunner(addresses=[worker_addr], chunk_size=2)
+        runner = FleetRunner(addresses=[worker_addr], chunk_size=2)
         assert runner.run([SquareJob(x) for x in range(10)]) == [
             x * x for x in range(10)
         ]
 
     def test_empty_batch(self, worker_addr):
-        assert RemoteRunner(addresses=[worker_addr]).run([]) == []
+        assert FleetRunner(addresses=[worker_addr]).run([]) == []
 
     def test_application_error_propagates_and_is_not_retried(
         self, worker_addr
     ):
-        runner = RemoteRunner(
+        runner = FleetRunner(
             addresses=[worker_addr], chunk_size=1, retries=3
         )
         with pytest.raises(ValueError, match="boom"):
@@ -233,22 +231,24 @@ class TestRemoteRunner:
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             dead = s.getsockname()
-        runner = RemoteRunner(addresses=[dead], connect_timeout=0.5)
+        runner = FleetRunner(addresses=[dead], connect_timeout=0.5)
         with pytest.raises(SweepError, match="no reachable workers"):
             runner.run([SquareJob(1)])
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            RemoteRunner(addresses=())
+            FleetRunner(addresses=())
         with pytest.raises(ValueError):
-            RemoteRunner(addresses="not-an-address")
+            FleetRunner(addresses="not-an-address")
         with pytest.raises(ValueError):
-            RemoteRunner(addresses=[("h", 1)], chunk_size=0)
+            FleetRunner(addresses=[("h", 1)], chunk_size=0)
         with pytest.raises(ValueError):
-            RemoteRunner(addresses=[("h", 1)], retries=-1)
+            FleetRunner(addresses=[("h", 1)], retries=-1)
+        with pytest.raises(ValueError):
+            FleetRunner(workers=2, addresses=[("h", 1)])
 
     def test_addresses_accept_spec_string(self, worker_addr):
-        runner = RemoteRunner(addresses=f"{worker_addr[0]}:{worker_addr[1]}")
+        runner = FleetRunner(addresses=f"{worker_addr[0]}:{worker_addr[1]}")
         assert runner.run([SquareJob(3)]) == [9]
 
     def test_ping(self, worker_addr):
@@ -258,8 +258,8 @@ class TestRemoteRunner:
 
     def test_campaign_identical_across_all_runners(self, worker_addr):
         serial = _campaign()
-        pooled = _campaign(runner=ProcessPoolRunner(workers=2))
-        remote = _campaign(runner=RemoteRunner(addresses=[worker_addr]))
+        pooled = _campaign(runner=FleetRunner(workers=2))
+        remote = _campaign(runner=FleetRunner(addresses=[worker_addr]))
         assert _campaign_fields(serial) == _campaign_fields(remote)
         assert serial.summary() == pooled.summary() == remote.summary()
         assert serial.format() == pooled.format() == remote.format()
@@ -269,9 +269,9 @@ class TestRemoteRunner:
         # serialized in-flight) must yield submission-order results.
         jobs = [SquareJob(x) for x in range(9)]
         expected = [x * x for x in range(9)]
-        remote = RemoteRunner(addresses=[worker_addr], chunk_size=2)
+        remote = FleetRunner(addresses=[worker_addr], chunk_size=2)
         assert list(remote.run_stream(iter(jobs), window=1)) == expected
-        pool = ProcessPoolRunner(workers=2, chunk_size=2)
+        pool = FleetRunner(workers=2, chunk_size=2)
         assert list(pool.run_stream(iter(jobs), window=1)) == expected
         assert list(SerialRunner().run_stream(iter(jobs), window=1)) == expected
 
@@ -281,29 +281,29 @@ class TestRemoteRunner:
         materialized = _campaign()
         streamed = windowed_campaign(
             SCENARIO, range(6), 8e-6, window=1, invariants=INVARIANTS,
-            runner=RemoteRunner(addresses=[worker_addr]),
+            runner=FleetRunner(addresses=[worker_addr]),
         )
         assert streamed.format() == materialized.format()
 
 
 class TestLoopbackCampaign:  # 80 runs, one worker either way
     def test_one_worker_pool_counts_every_run(self):
-        pooled = _campaign(runner=ProcessPoolRunner(workers=1), runs=80)
+        pooled = _campaign(runner=FleetRunner(workers=1), runs=80)
         assert pooled.summary() == {
             "runs": 80, "ok": 80, "hangs": 0, "violations": 0, "aborts": 0
         }
 
     def test_remote_matches_one_worker_pool(self, worker_addr):
-        runner = RemoteRunner(addresses=[worker_addr])
+        runner = FleetRunner(addresses=[worker_addr])
         remote = _campaign(runner=runner, runs=80)
-        pooled = _campaign(runner=ProcessPoolRunner(workers=1), runs=80)
+        pooled = _campaign(runner=FleetRunner(workers=1), runs=80)
         assert remote.format() == pooled.format()
         assert runner.worker_stats()[0]["jobs"] == 80
 
     def test_one_job_span_per_run(self, worker_addr):
         recorder = SpanRecorder(kind="campaign")
         with recording(recorder):
-            _campaign(runner=RemoteRunner(addresses=[worker_addr]), runs=80)
+            _campaign(runner=FleetRunner(addresses=[worker_addr]), runs=80)
         assert sum(s.cat == "job" for s in recorder.spans) == 80
 
 
@@ -339,7 +339,7 @@ class TestHandshake:
 
             thread = threading.Thread(target=refuse, daemon=True)
             thread.start()
-            runner = RemoteRunner(addresses=[listener.getsockname()])
+            runner = FleetRunner(addresses=[listener.getsockname()])
             with pytest.raises(SweepError) as exc_info:
                 runner.run([SquareJob(1)])
             thread.join(timeout=5)
@@ -352,14 +352,14 @@ class TestHandshake:
         # The good worker's connection is open when the second peer
         # rejects the hello: the round must close it before raising.
         opened = []
-        connect = RemoteTransport.connect
+        connect = FleetRunner.connect
 
         def spy(self, slot, inherited):
             sock, proc = connect(self, slot, inherited)
             opened.append(sock)
             return sock, proc
 
-        monkeypatch.setattr(RemoteTransport, "connect", spy)
+        monkeypatch.setattr(FleetRunner, "connect", spy)
         with socket.socket() as listener:
             listener.bind(("127.0.0.1", 0))
             listener.listen(1)
@@ -372,7 +372,7 @@ class TestHandshake:
 
             thread = threading.Thread(target=refuse, daemon=True)
             thread.start()
-            runner = RemoteRunner(
+            runner = FleetRunner(
                 addresses=[worker_addr, listener.getsockname()]
             )
             with pytest.raises(SweepError, match="not today"):
@@ -380,6 +380,46 @@ class TestHandshake:
             thread.join(timeout=5)
         assert len(opened) == 2
         assert [sock.fileno() for sock in opened] == [-1, -1]
+
+    def test_undecodable_reply_is_a_dead_worker_and_its_chunk_is_retried(self):
+        # A peer that completes the hello, then answers `run` with a
+        # frame the parent cannot decode: the worker is dropped and its
+        # chunk lost, on the first round and on the retry, so the sweep
+        # ends naming the job instead of escaping a decode error.
+        import struct
+
+        def garble(listener, bad):
+            for _round in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    _recv_frame(conn)
+                    hello = {"format": REMOTE_FORMAT, "pid": 0}
+                    conn.sendall(_pack(("hello", hello))[0])
+                    _recv_frame(conn)
+                    conn.sendall(bad)
+                    while conn.recv(1 << 16):  # until the parent hangs up
+                        pass
+
+        for bad in (
+            struct.pack(">Q", 1 << 40),  # oversized length prefix
+            struct.pack(">Q", 4) + b"\0\1\2\3",  # not a zlib body
+        ):
+            with socket.socket() as listener:
+                listener.bind(("127.0.0.1", 0))
+                listener.listen(1)
+                thread = threading.Thread(
+                    target=garble, args=(listener, bad), daemon=True
+                )
+                thread.start()
+                runner = FleetRunner(
+                    addresses=[listener.getsockname()], retries=1
+                )
+                with pytest.raises(SweepError) as exc_info:
+                    runner.run([SquareJob(1)])
+                thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert exc_info.value.indices == [0]
+            assert runner.worker_stats()[0]["disconnects"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +464,7 @@ class TestCutFrames:
     ):
         serial = _campaign()
         _cut_done_reply(monkeypatch, tmp_path / "cut", cut)
-        runner = ProcessPoolRunner(workers=2, chunk_size=2, retries=1)
+        runner = FleetRunner(workers=2, chunk_size=2, retries=1)
         pooled = _campaign(runner=runner)
         assert (tmp_path / "cut").exists(), "no reply was cut"
         assert pooled.format() == serial.format()
@@ -438,14 +478,9 @@ class TestCutFrames:
 # ---------------------------------------------------------------------------
 
 
-class _NoRoundTransport:
-    """Spy: a transport no scheduling round may be opened on."""
-
-    def parallelism(self):
-        return 1
-
-    def open_round(self):
-        raise AssertionError("a fully warm replay opened a transport round")
+def _no_round(runner):
+    """Spy standing in for the round class: no round may be constructed."""
+    raise AssertionError("a fully warm replay opened a scheduling round")
 
 
 class TestRemoteCache:
@@ -462,7 +497,7 @@ class TestRemoteCache:
         assert cold_delta["hits"] == 0
 
         before = perf.CACHE.snapshot()
-        warm_runner = RemoteRunner(addresses=[worker_addr])
+        warm_runner = FleetRunner(addresses=[worker_addr])
         warm = _campaign(runner=warm_runner, cache=cache)
         warm_delta = perf.CACHE.delta(before)
         assert warm_delta["hits"] == 6
@@ -477,11 +512,13 @@ class TestRemoteCache:
         assert stats["bytes_out"] + stats["bytes_in"] == 0
         assert stats["pid"] is None
 
-    def test_fully_warm_replay_opens_no_round(self, worker_addr, tmp_path):
+    def test_fully_warm_replay_opens_no_round(
+        self, worker_addr, tmp_path, monkeypatch
+    ):
         cache = RunCache(tmp_path / "cache")
-        cold = _campaign(runner=RemoteRunner(addresses=[worker_addr]), cache=cache)
-        runner = RemoteRunner(addresses=[worker_addr])
-        runner._remote = _NoRoundTransport()
+        cold = _campaign(runner=FleetRunner(addresses=[worker_addr]), cache=cache)
+        runner = FleetRunner(addresses=[worker_addr])
+        monkeypatch.setattr("repro.parallel.remote._FleetRound", _no_round)
         warm = _campaign(runner=runner, cache=cache)
         assert warm.format() == cold.format()
 
@@ -503,7 +540,7 @@ class TestRemoteCache:
         direct = MissJob(job)()
         assert isinstance(direct, Executed)
         assert direct == Executed(*job.cache_payload())
-        (shipped,) = RemoteRunner(addresses=[worker_addr]).run([MissJob(job)])
+        (shipped,) = FleetRunner(addresses=[worker_addr]).run([MissJob(job)])
         assert isinstance(shipped, Executed)
         assert shipped == direct == pickle.loads(pickle.dumps(direct))
 
@@ -511,7 +548,7 @@ class TestRemoteCache:
 class TestWithCache:
     def test_callers_runner_is_never_changed(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
-        runner = ProcessPoolRunner(workers=2)
+        runner = FleetRunner(workers=2)
         cached = _campaign(runner=runner, cache=cache)
         assert runner.cache is None
         before = perf.CACHE.snapshot()
@@ -524,7 +561,7 @@ class TestWithCache:
         assert with_cache(runner, False) is runner
 
     def test_remote_copy_shares_worker_stats(self, worker_addr, tmp_path):
-        runner = RemoteRunner(addresses=[worker_addr])
+        runner = FleetRunner(addresses=[worker_addr])
         cached = with_cache(runner, tmp_path / "cache")
         assert cached is not runner and runner.cache is None
         _campaign(runner=cached)
@@ -549,7 +586,7 @@ class TestWithCache:
         warm = [job for i, job in enumerate(jobs) if i % 2 == 0]
         with_cache(SerialRunner(), cache).run(warm)
         runner = with_cache(
-            ProcessPoolRunner(workers=1, chunk_size=1, retries=2), cache
+            FleetRunner(workers=1, chunk_size=1, retries=2), cache
         )
         results = runner.run(jobs)
         assert [r.seed for r in results] == list(range(6))
@@ -595,7 +632,7 @@ class TestDeadWorkerRecovery:
             scenario=SCENARIO, sentinel=str(tmp_path / "poisoned")
         )
         serial = _campaign(factory=factory)
-        runner = RemoteRunner(
+        runner = FleetRunner(
             addresses=subprocess_workers, chunk_size=1, retries=2
         )
         remote = _campaign(runner=runner, factory=factory)
@@ -631,7 +668,7 @@ class TestDeadWorkerRecovery:
             serial = _campaign(factory=factory)
 
         log = tmp_path / "remote.jsonl"
-        runner = RemoteRunner(
+        runner = FleetRunner(
             addresses=subprocess_workers, chunk_size=1, retries=2
         )
         remote_rec = SpanRecorder(kind="campaign")
@@ -672,7 +709,7 @@ class TestDeadWorkerRecovery:
         import signal
 
         serial = _campaign()
-        runner = RemoteRunner(addresses=subprocess_workers)
+        runner = FleetRunner(addresses=subprocess_workers)
         pid = ping(subprocess_workers[0])["pid"]
         os.kill(pid, signal.SIGKILL)
         remote = _campaign(runner=runner)
@@ -698,7 +735,7 @@ class TestRemoteTelemetry:
         remote_log = tmp_path / "remote.jsonl"
         _campaign(telemetry=str(serial_log))
         _campaign(
-            runner=RemoteRunner(addresses=[worker_addr]),
+            runner=FleetRunner(addresses=[worker_addr]),
             telemetry=str(remote_log),
         )
         assert records.errors(remote_log, TELEMETRY) == []
@@ -720,7 +757,7 @@ class TestRemoteTelemetry:
 
         log = tmp_path / "remote.jsonl"
         _campaign(
-            runner=RemoteRunner(addresses=[worker_addr]),
+            runner=FleetRunner(addresses=[worker_addr]),
             telemetry=str(log),
         )
         assert main(["report", str(log)]) == 0
@@ -735,7 +772,7 @@ class TestRemoteTelemetry:
         from repro.cli import main
 
         log = tmp_path / "pool.jsonl"
-        runner = ProcessPoolRunner(workers=2)
+        runner = FleetRunner(workers=2)
         _campaign(runner=runner, telemetry=str(log))
         assert sum(w["jobs"] for w in runner.worker_stats()) == 6
         assert sum(w["chunks"] for w in runner.worker_stats()) >= 1

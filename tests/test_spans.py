@@ -26,11 +26,7 @@ from repro.obs.spans import (
     spans_to_perfetto,
     spans_to_records,
 )
-from repro.parallel import (
-    ProcessPoolRunner,
-    RemoteRunner,
-    RingScenario,
-)
+from repro.parallel import FleetRunner, RingScenario
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
     RING_SCENARIO as SCENARIO,
@@ -206,10 +202,10 @@ class TestTransportIdentity:
     def test_serial_pooled_remote_canonicalize_identically(self, worker_addr):
         serial, serial_rec = _recorded_campaign()
         pooled, pooled_rec = _recorded_campaign(
-            runner=ProcessPoolRunner(workers=2)
+            runner=FleetRunner(workers=2)
         )
         remote, remote_rec = _recorded_campaign(
-            runner=RemoteRunner(addresses=[worker_addr])
+            runner=FleetRunner(addresses=[worker_addr])
         )
         assert serial.format() == pooled.format() == remote.format()
         for rec in (serial_rec, pooled_rec, remote_rec):
@@ -221,13 +217,13 @@ class TestTransportIdentity:
 
     def test_streamed_runs_carry_global_indices(self, worker_addr):
         _, materialized = _recorded_campaign(
-            runner=RemoteRunner(addresses=[worker_addr], chunk_size=2)
+            runner=FleetRunner(addresses=[worker_addr], chunk_size=2)
         )
         streamed = SpanRecorder(kind="campaign")
         with recording(streamed):
             windowed_campaign(
                 SCENARIO, range(6), 8e-6, window=2, invariants=INVARIANTS,
-                runner=RemoteRunner(addresses=[worker_addr], chunk_size=2),
+                runner=FleetRunner(addresses=[worker_addr], chunk_size=2),
             )
         assert records.errors(spans_to_records(streamed), SPANS) == []
         assert (records.canon(spans_to_records(streamed), SPANS)
@@ -235,7 +231,7 @@ class TestTransportIdentity:
 
     def test_remote_spans_cover_the_whole_pipeline(self, worker_addr):
         _, rec = _recorded_campaign(
-            runner=RemoteRunner(addresses=[worker_addr], chunk_size=2)
+            runner=FleetRunner(addresses=[worker_addr], chunk_size=2)
         )
         cats = {s.cat for s in rec.spans}
         assert {"sweep", "round", "chunk", "exec", "job", "merge",
@@ -283,9 +279,9 @@ class TestCachedSpans:
     ):
         def runner():
             if kind == "pool":
-                return ProcessPoolRunner(workers=2)
+                return FleetRunner(workers=2)
             if kind == "remote":
-                return RemoteRunner(addresses=[worker_addr])
+                return FleetRunner(addresses=[worker_addr])
             return None
 
         uncached = _naive_canon()
@@ -339,7 +335,7 @@ class TestPerfettoExport:
         self, worker_addr
     ):
         _, rec = _recorded_campaign(
-            runner=RemoteRunner(addresses=[worker_addr], chunk_size=2)
+            runner=FleetRunner(addresses=[worker_addr], chunk_size=2)
         )
         doc = spans_to_perfetto(spans_to_records(rec))
         assert perfetto_errors(doc) == []

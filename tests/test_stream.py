@@ -23,7 +23,7 @@ from repro.faults import explore, run_campaign
 from repro.fuzz import fuzz
 from repro.obs import TELEMETRY, records
 from repro.parallel import (
-    ProcessPoolRunner,
+    FleetRunner,
     RingScenario,
     SerialRunner,
     with_cache,
@@ -68,13 +68,13 @@ class TestRunStream:
         assert list(SerialRunner().run_stream(iter(jobs))) == [9, 1, 4]
 
     def test_pooled_matches_run_in_submission_order(self):
-        runner = ProcessPoolRunner(workers=2, chunk_size=2)
+        runner = FleetRunner(workers=2, chunk_size=2)
         got = list(runner.run_stream(SquareJob(x) for x in range(40)))
         assert got == [x * x for x in range(40)]
 
     def test_windowed_stream_is_bounded(self, tmp_path):
         for runner in (
-            ProcessPoolRunner(workers=2),
+            FleetRunner(workers=2),
             SerialRunner(),
             # A cached serial runner batches its lookups per window too.
             with_cache(SerialRunner(), tmp_path / "c"),
@@ -85,12 +85,12 @@ class TestRunStream:
             assert factory.built == 8  # one window, not the whole sweep
 
     def test_default_pool_window_floor(self):
-        assert ProcessPoolRunner(workers=2)._stream_window() >= (
+        assert FleetRunner(workers=2)._stream_window() >= (
             DEFAULT_STREAM_WINDOW
         )
 
     def test_job_retries_accumulate_across_windows(self):
-        runner = ProcessPoolRunner(workers=2)
+        runner = FleetRunner(workers=2)
         results = list(
             runner.run_stream((SquareJob(x) for x in range(20)), window=6)
         )
@@ -99,7 +99,7 @@ class TestRunStream:
 
     def test_empty_stream(self):
         assert list(SerialRunner().run_stream(iter(()))) == []
-        assert list(ProcessPoolRunner(workers=2).run_stream(iter(()))) == []
+        assert list(FleetRunner(workers=2).run_stream(iter(()))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ class TestStreamedSweeps:
 
     def test_campaign_streamed_serial_equals_pooled(self):
         serial = _campaign(stream=True)
-        pooled = _campaign(stream=True, runner=ProcessPoolRunner(workers=2))
+        pooled = _campaign(stream=True, runner=FleetRunner(workers=2))
         assert serial.format() == pooled.format()
 
     def test_explore_pairs_streamed_total(self):
@@ -185,7 +185,7 @@ class TestStreamedSweeps:
         _campaign(
             stream=True,
             telemetry=str(b),
-            runner=ProcessPoolRunner(workers=2),
+            runner=FleetRunner(workers=2),
         )
         assert records.canon(a, TELEMETRY) == records.canon(b, TELEMETRY)
 

@@ -1,11 +1,14 @@
-"""The simulated MPI's public surface, pinned literally.
+"""The simulated MPI's and the sweep engine's public surfaces, pinned
+literally.
 
 These lists make every addition to or removal from ``repro.simmpi``'s
-exports and ``Comm``'s public methods a visible diff of this file.
+and ``repro.parallel``'s exports and ``Comm``'s public methods a
+visible diff of this file.
 """
 
 from __future__ import annotations
 
+import repro.parallel
 import repro.simmpi
 from repro.simmpi import Comm
 
@@ -33,6 +36,14 @@ COMM_PUBLIC = [
     "sendrecv", "set_errhandler", "size", "split", "ssend", "world_rank",
 ]
 
+PARALLEL_ALL = [
+    "AppScenario", "FleetRunner", "GenericInvariants", "Invariant",
+    "RingScenario", "ScenarioFactory", "SerialRunner", "SimJob",
+    "StandardRingInvariants", "SweepError", "SweepJob", "SweepRunner",
+    "WorkerServer", "check_invariants", "make_runner",
+    "parse_worker_addrs", "resolve_invariants", "sweep", "with_cache",
+]
+
 
 def test_simmpi_exports_exactly_the_pinned_names():
     assert sorted(repro.simmpi.__all__) == SIMMPI_ALL
@@ -40,3 +51,7 @@ def test_simmpi_exports_exactly_the_pinned_names():
 
 def test_comm_has_exactly_the_pinned_public_attributes():
     assert sorted(k for k in vars(Comm) if not k.startswith("_")) == COMM_PUBLIC
+
+
+def test_parallel_exports_exactly_the_pinned_names():
+    assert sorted(repro.parallel.__all__) == PARALLEL_ALL

@@ -29,9 +29,8 @@ from repro.faults.campaign import CampaignJob
 from repro.faults.explorer import Window, WindowJob, enumerate_windows
 from repro.faults.injector import CompositeInjector, KillAtTime
 from repro.parallel import (
+    FleetRunner,
     GenericInvariants,
-    ProcessPoolRunner,
-    RemoteRunner,
     RingScenario,
     StandardRingInvariants,
     scenarios,
@@ -350,8 +349,8 @@ def _force_trace(monkeypatch) -> None:
 
 RUNNERS = {
     "serial": lambda addr: None,
-    "pool": lambda addr: ProcessPoolRunner(workers=2),
-    "remote": lambda addr: RemoteRunner(addresses=[addr]),
+    "pool": lambda addr: FleetRunner(workers=2),
+    "remote": lambda addr: FleetRunner(addresses=[addr]),
 }
 
 
