@@ -67,11 +67,6 @@ async def naive_recv_left(st: RingState) -> RingMsg:
             st.stats.left_retargets += 1
 
 
-def _data_tag(st: RingState) -> int:
-    """Receive selector: the split-tag variant must accept resends too."""
-    return ANY_TAG if st.resend_tag_split else TAG_NORMAL
-
-
 def ensure_watchdog(st: RingState) -> None:
     """(Re)post the failure-watchdog ``Irecv`` to the current ``P_R``.
 
@@ -85,8 +80,9 @@ def ensure_watchdog(st: RingState) -> None:
             wd.cancel()
         st.watchdog = None
         return
-    wd_peer_world = comm.world_rank(st.right)
-    if wd is not None and not wd.done and wd.peer == wd_peer_world:
+    # ``st.right`` is always a member's comm rank, so the group is
+    # indexed directly rather than through ``Comm.world_rank``'s check.
+    if wd is not None and not wd.done and wd.peer == comm.group[st.right]:
         return
     if wd is not None and not wd.done:
         wd.cancel()
@@ -127,7 +123,9 @@ async def ft_recv_left(
     """
     comm = st.comm
     threshold = st.cur_marker if accept_from is None else accept_from
-    req_n = comm.irecv(source=st.left, tag=_data_tag(st))
+    # The split-tag variant must accept resends too.
+    data_tag = ANY_TAG if st.resend_tag_split else TAG_NORMAL
+    req_n = comm.irecv(source=st.left, tag=data_tag)
     while True:
         ensure_watchdog(st)
         if st.watchdog is not None:
@@ -150,7 +148,7 @@ async def ft_recv_left(
                     # before reposting so the recovery receive (not a
                     # leaked request) gets the predecessor's resend.
                     raise BecameRoot() from None
-                req_n = comm.irecv(source=st.left, tag=_data_tag(st))
+                req_n = comm.irecv(source=st.left, tag=data_tag)
             continue
         if idx == IDX_WATCHDOG:
             # The right neighbor sent backwards: impossible in a ring of
@@ -175,6 +173,6 @@ async def ft_recv_left(
                 or msg.marker > st.last_discarded.marker
             ):
                 st.last_discarded = msg.copy()
-            req_n = comm.irecv(source=st.left, tag=_data_tag(st))
+            req_n = comm.irecv(source=st.left, tag=data_tag)
             continue
         return msg

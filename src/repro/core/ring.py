@@ -165,7 +165,9 @@ async def ft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
     for i in range(cfg.max_iter):
         if cfg.work_per_iter:
             await mpi.compute(cfg.work_per_iter)
-        if st.is_root():
+        # ``st.is_root()``, without its two property calls: this driver
+        # never changes ``st.root`` or the caller's rank.
+        if st.root == me:
             st.cur_marker = i
             buffer = RingMsg(value=1, marker=i)
             ft_send_right(st, buffer)

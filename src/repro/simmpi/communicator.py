@@ -259,7 +259,11 @@ class Comm:
         unrecognized — the semantic ``FT_Send_right`` (paper Fig. 5)
         depends on.
         """
-        self._proc._mpi_call("send")
+        proc = self._proc
+        if proc.failed_at is None and not proc.runtime.polled_injectors:
+            proc.call_count += 1  # SimProcess._mpi_call's common case
+        else:
+            proc._mpi_call("send")
         self._send_common(payload, dest, tag, nbytes, op="send")
 
     def isend(
@@ -357,7 +361,11 @@ class Comm:
         detector reports the selected source failed.  That error path is
         the watchdog mechanism of paper Fig. 9.
         """
-        self._proc._mpi_call("irecv")
+        proc = self._proc
+        if proc.failed_at is None and not proc.runtime.polled_injectors:
+            proc.call_count += 1  # SimProcess._mpi_call's common case
+        else:
+            proc._mpi_call("irecv")
         return self._irecv_common(source, tag)
 
     def _irecv_common(self, source: int, tag: int) -> Request:

@@ -26,6 +26,17 @@ entries match the same criteria, so the head of its FIFO deque is always
 the only candidate; per-channel in-order delivery makes that head the
 lowest ``msg_id`` too, which is what non-overtaking requires.
 
+While a process has **no wildcard receive posted**, an arrival can only
+match its exact ``(source, tag)`` bucket, so :meth:`MatchingEngine.deliver`
+takes that bucket directly instead of comparing four.  The engine keeps
+the count of posted receives whose source or tag is a wildcard: every
+path by which a receive enters the posted queue (:meth:`post_recv`) or
+leaves it (a match in :meth:`deliver`, :meth:`cancel_recv` — which the
+runtime's cancel, detector sweep and revocation all go through) updates
+it.  A count that ran low would let an exact match overtake an older
+wildcard receive; ``tests/test_property_matching.py`` checks every
+match against a linear scan and the count against the queue.
+
 The engine is purely mechanical — failure semantics (erroring pending
 receives whose peer died) live in the runtime, which owns the failure
 knowledge.
@@ -73,7 +84,7 @@ class MatchingEngine:
     (see the module docstring for the candidate-selection rule).
     """
 
-    __slots__ = ("rank", "_unexpected", "_posted", "_useq", "_pseq")
+    __slots__ = ("rank", "_unexpected", "_posted", "_useq", "_pseq", "_wild")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -83,6 +94,7 @@ class MatchingEngine:
         self._posted: dict[int, dict[tuple[int, int], deque]] = {}
         self._useq = 0  # arrival order of unexpected messages
         self._pseq = 0  # post order of receives
+        self._wild = 0  # posted receives with a wildcard source or tag
 
     # -- arrival path -----------------------------------------------------
 
@@ -96,24 +108,29 @@ class MatchingEngine:
         buckets = self._posted.get(msg.context)
         if buckets:
             src, tag = msg.src, msg.tag
-            best_key = None
-            best_seq = -1
-            for key in (
-                (src, tag),
-                (src, ANY_TAG),
-                (ANY_SOURCE, tag),
-                (ANY_SOURCE, ANY_TAG),
-            ):
-                q = buckets.get(key)
-                if q:
-                    seq = q[0][0]
-                    if best_key is None or seq < best_seq:
-                        best_key, best_seq = key, seq
-            if best_key is not None:
-                q = buckets[best_key]
+            if self._wild:
+                key = None
+                best_seq = -1
+                for k in (
+                    (src, tag),
+                    (src, ANY_TAG),
+                    (ANY_SOURCE, tag),
+                    (ANY_SOURCE, ANY_TAG),
+                ):
+                    q = buckets.get(k)
+                    if q:
+                        seq = q[0][0]
+                        if key is None or seq < best_seq:
+                            key, best_seq = k, seq
+                if key is not None and (key[0] == ANY_SOURCE or key[1] == ANY_TAG):
+                    self._wild -= 1
+            else:
+                key = (src, tag)
+            q = buckets.get(key)
+            if q:
                 req = q.popleft()[1]
                 if not q:
-                    del buckets[best_key]
+                    del buckets[key]
                 return req
         ubuckets = self._unexpected.setdefault(msg.context, {})
         q = ubuckets.get((msg.src, msg.tag))
@@ -125,20 +142,12 @@ class MatchingEngine:
 
     # -- post path --------------------------------------------------------
 
-    def _find_unexpected(
-        self, context: int, source: int, tag: int
-    ) -> tuple[dict, tuple[int, int]] | None:
-        """Locate the bucket holding the oldest-arrival matching message.
-
-        Returns ``(buckets, key)`` — the candidate is the head of
-        ``buckets[key]`` — or ``None`` when nothing matches.
-        """
-        buckets = self._unexpected.get(context)
-        if not buckets:
-            return None
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            key = (source, tag)
-            return (buckets, key) if buckets.get(key) else None
+    @staticmethod
+    def _oldest_unexpected(
+        buckets: dict[tuple[int, int], deque], source: int, tag: int
+    ) -> tuple[int, int] | None:
+        """The key of the bucket whose head is the oldest arrival a
+        wildcard receive for ``(source, tag)`` accepts, or ``None``."""
         best_key = None
         best_seq = -1
         for key, q in buckets.items():
@@ -151,7 +160,7 @@ class MatchingEngine:
             seq = q[0][0]
             if best_key is None or seq < best_seq:
                 best_key, best_seq = key, seq
-        return (buckets, best_key) if best_key is not None else None
+        return best_key
 
     def post_recv(self, req: "Request", context: int) -> Message | None:
         """Post a receive; return an already-arrived matching message if any.
@@ -160,21 +169,29 @@ class MatchingEngine:
         completes it immediately.  Otherwise the request joins the posted
         queue to await future arrivals.
         """
-        hit = self._find_unexpected(context, req.peer, req.tag)
-        if hit is not None:
-            buckets, key = hit
-            q = buckets[key]
-            msg = q.popleft()[1]
-            if not q:
-                del buckets[key]
-            return msg
+        source, tag = req.peer, req.tag
+        wild = source == ANY_SOURCE or tag == ANY_TAG
+        buckets = self._unexpected.get(context)
+        if buckets:
+            key = (
+                self._oldest_unexpected(buckets, source, tag)
+                if wild else (source, tag)
+            )
+            q = buckets.get(key)
+            if q:
+                msg = q.popleft()[1]
+                if not q:
+                    del buckets[key]
+                return msg
         pbuckets = self._posted.setdefault(context, {})
-        pkey = (req.peer, req.tag)
+        pkey = (source, tag)
         q = pbuckets.get(pkey)
         if q is None:
             q = pbuckets[pkey] = deque()
         q.append((self._pseq, req))
         self._pseq += 1
+        if wild:
+            self._wild += 1
         return None
 
     def cancel_recv(self, req: "Request") -> bool:
@@ -186,6 +203,8 @@ class MatchingEngine:
                         del q[i]
                         if not q:
                             del buckets[key]
+                        if key[0] == ANY_SOURCE or key[1] == ANY_TAG:
+                            self._wild -= 1
                         return True
         return False
 
@@ -200,10 +219,6 @@ class MatchingEngine:
             entries.sort(key=lambda e: e[0])
             out.extend(r for _seq, r in entries)
         return out
-
-    def remove_posted(self, req: "Request") -> None:
-        """Drop a posted receive that the runtime completed in error."""
-        self.cancel_recv(req)
 
     def stats(self) -> dict[str, int]:
         """Queue depths, for runtime diagnostics and tests."""

@@ -73,7 +73,7 @@ async def wait(request: Request) -> Status:
     proc._mpi_call("wait")
     while not request.done:
         request.waited = True  # completion clears it and wakes proc
-        await proc.block(_WaitOn((request,)))
+        await proc.block((request,))
     t = request.completion_time
     if t is not None and t > proc.now:  # max(), without the builtin call
         proc.now = t
@@ -95,7 +95,10 @@ async def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
         proc = requests[0].owner
     else:
         proc = _owner(requests)
-    proc._mpi_call("waitany")
+    if proc.failed_at is None and not proc.runtime.polled_injectors:
+        proc.call_count += 1  # SimProcess._mpi_call's common case
+    else:
+        proc._mpi_call("waitany")
     while True:
         for i, req in enumerate(requests):
             if req.done:
@@ -110,20 +113,5 @@ async def waitany(requests: Sequence[Request]) -> tuple[int, Status]:
                 return i, req.status
         for req in requests:
             req.waited = True
-        await proc.block(_WaitOn(requests))
+        await proc.block(requests)
 
-
-class _WaitOn:
-    """Block reason of a ``wait*``: rendered only if a deadlock report
-    asks (:meth:`SimProcess.wait_description`), not once per block."""
-
-    __slots__ = ("requests",)
-
-    def __init__(self, requests: Sequence[Request]) -> None:
-        self.requests = requests
-
-    def __str__(self) -> str:
-        parts = []
-        for r in self.requests:
-            parts.append(f"{r.kind.value}(peer={r.peer}, tag={r.tag}, id={r.id})")
-        return "wait on [" + ", ".join(parts) + "]"

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simmpi import DEFAULT_COST, ZERO_COST, CostModel
+from repro.core import RingConfig, Termination, make_ring_main
+from repro.simmpi import (
+    DEFAULT_COST,
+    ZERO_COST,
+    CostModel,
+    JitteredCostModel,
+    Simulation,
+)
 
 
 class TestCostModel:
@@ -36,3 +43,65 @@ class TestCostModel:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             DEFAULT_COST.latency = 5.0  # type: ignore[misc]
+
+
+class TestTheKernelReadsOnlyAPlainModelInline:
+    """The hop reads ``o``, ``L`` and ``G`` off a model whose type is
+    exactly :class:`CostModel`, decided when the run starts; any other
+    model's methods are called."""
+
+    @pytest.mark.parametrize("installed", ["constructor", "configure"])
+    def test_an_overridden_transit_time_still_sets_the_virtual_time(
+        self, installed
+    ):
+        class SlowWire(CostModel):
+            def transit_time(self, src: int, dst: int, nbytes: int) -> float:
+                return 1e-3
+
+        async def main(mpi):
+            comm = mpi.comm_world
+            if mpi.rank == 0:
+                comm.send(1, 1)
+            else:
+                await comm.recv(source=0)
+            return mpi.now
+
+        if installed == "constructor":
+            sim = Simulation(nprocs=2, cost=SlowWire())
+        else:
+            sim = Simulation(nprocs=2).configure(cost=SlowWire())
+        result = sim.run(main)
+        o = SlowWire().overhead
+        assert result.final_time == pytest.approx(o + 1e-3)
+        assert result.value(1) == pytest.approx(o + 1e-3 + o)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.5])
+    def test_a_jittered_model_installed_by_configure_is_called(self, amplitude):
+        """``Simulation.configure`` swaps the model in after the kernel
+        is built (the fuzzer's path).  With zero amplitude the trace is
+        the plain model's, byte for byte; with jitter it is the trace of
+        the same model passed to the constructor."""
+        spec = dict(latency=3e-6, byte_cost=2e-9, overhead=5e-7)
+        main = make_ring_main(
+            RingConfig(max_iter=4, termination=Termination.ROOT_BCAST)
+        )
+
+        def trace(cost: CostModel, configured: bool):
+            if configured:
+                sim = Simulation(nprocs=6).configure(cost=cost)
+            else:
+                sim = Simulation(nprocs=6, cost=cost)
+            sim.kill(3, 2e-5)
+            return sim.run(main, on_deadlock="return").trace.keys()
+
+        def jittered() -> JitteredCostModel:
+            return JitteredCostModel(
+                **spec, jitter_seed=7, overhead_jitter=amplitude,
+                latency_jitter=amplitude, byte_cost_jitter=amplitude,
+            )
+
+        configured = trace(jittered(), configured=True)
+        assert configured == trace(jittered(), configured=False)
+        assert (configured == trace(CostModel(**spec), False)) is (
+            amplitude == 0.0
+        )

@@ -18,27 +18,31 @@ ring, each one decided by the program rather than by the host:
   ``sys.setprofile`` hook on the loop's thread, whose ``call`` events
   split in two by ``co_flags & CO_COROUTINE``:
 
-  - *plain* frames — the point-to-point hop (send, deliver, match,
-    complete, wake) tests its arguments inline instead of through a
-    chain of small helpers.  It used to take about 81 frames, then 52.5
-    while events were objects, waits kept waiter lists and a flat
-    message was sized field by field in Python, then 42.8 while every
-    rank was an OS thread, then 40.2.  It measures 41.2 (bound: 43),
-    with the trace on or off: a traced call site appends one row of a
-    declared shape, and a ring message is priced by its type's sizer,
-    one frame.  A block costs no frame: ``SimProcess.block`` returns one
+  - *plain* frames — the point-to-point hop takes one frame per layer:
+    ``Comm.send`` → ``Runtime.post_send`` (which sizes the payload,
+    prices it and pushes the delivery event itself) → the delivery
+    event, ``Runtime._deliver`` → ``MatchingEngine.deliver`` →
+    ``Runtime._complete_recv`` (which completes the request and wakes
+    its owner itself), and ``Comm.irecv`` → ``Runtime.post_recv`` →
+    ``MatchingEngine.post_recv`` on the other side.  Each MPI entry
+    point runs the per-call guard in its own frame, a plain
+    ``CostModel`` is read rather than called, and a wait blocks on its
+    request tuple.  It measures 24.5 (bound: 30), with the trace on or
+    off: a traced call site appends one row of a declared shape.  A
+    block costs one frame, ``SimProcess.block``, which returns one
     shared awaitable whose ``__await__`` is a C callable.
   - *coroutine* frame events — each resume of a rank re-enters every
     coroutine on its stack (the ring's main, ``ft_recv_left``,
     ``waitany``, ``compute``): 4.9 per handoff (bound: 8).
 * **C calls** per handoff — builtins, heap pushes and pops, the
-  coroutine ``send`` — counted by the same hook: 29.8 untraced (bound:
-  31; 29.5 while a handoff released and acquired thread locks, 28.8
-  before per-type sizers), 35.7 traced (bound: 37), the difference
-  being one ``list.append`` per record.
+  coroutine ``send`` — counted by the same hook: 25.9 untraced (bound:
+  27), 31.8 traced (bound: 33), the difference being one
+  ``list.append`` per record.
 
 None of the interpreted counts may grow with the number of ranks: at
-4,096 ranks each is within 0.5 of its 32-rank figure.
+4,096 ranks each is within 0.5 of its 32-rank figure.  A frame bound
+that fails prints the ten functions with the most frames per handoff,
+so the failure names the layer that grew.
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ from __future__ import annotations
 import enum
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -158,18 +164,28 @@ def test_no_enum_lookup_per_ring_iteration(monkeypatch):
     )
 
 
-def _hop_cost(
-    trace: bool, nprocs: int = NPROCS, iters: int = ITERS
-) -> tuple[float, float, float]:
+class HopCost(NamedTuple):
     """Per handoff: plain ``repro`` frames, ``repro`` coroutine-frame
-    events and C calls, counted by one profile hook around the run."""
+    events and C calls, and the ten ``repro`` functions with the most
+    frames, one per line."""
+
+    plain: float
+    coro: float
+    c_calls: float
+    top: str
+
+
+def _hop_cost(trace: bool, nprocs: int = NPROCS, iters: int = ITERS) -> HopCost:
+    """Count the ring's host work with one profile hook around the run."""
     plain = coro = c_calls = 0
+    frames: Counter[str] = Counter()
 
     def count(frame, event, arg):
         nonlocal plain, coro, c_calls
         if event == "call":
             code = frame.f_code
             if code.co_filename.startswith(PACKAGE):
+                frames[code.co_qualname] += 1
                 if code.co_flags & inspect.CO_COROUTINE:
                     coro += 1
                 else:
@@ -184,31 +200,39 @@ def _hop_cost(
         perf = sim.run(main).perf
     finally:
         sys.setprofile(None)
+    h = perf.handoffs
+    top = "\n".join(
+        f"{n / h:8.2f}  {name}" for name, n in frames.most_common(10)
+    )
+    return HopCost(plain / h, coro / h, c_calls / h, top)
+
+
+def _frames_message(cost: HopCost) -> str:
     return (
-        plain / perf.handoffs, coro / perf.handoffs, c_calls / perf.handoffs
+        f"{cost.plain:.2f} plain repro frames and {cost.coro:.2f} "
+        f"coroutine-frame events per handoff; most frames per handoff:\n"
+        f"{cost.top}"
     )
 
 
 def test_frames_per_handoff():
-    plain, coro, _ = _hop_cost(trace=False)
-    assert plain <= 43, f"{plain:.2f} plain repro frames per handoff"
-    assert coro <= 8, f"{coro:.2f} coroutine-frame events per handoff"
+    cost = _hop_cost(trace=False)
+    assert cost.plain <= 30 and cost.coro <= 8, _frames_message(cost)
 
 
 def test_frames_per_handoff_traced():
-    plain, coro, _ = _hop_cost(trace=True)
-    assert plain <= 43, f"{plain:.2f} plain repro frames per handoff"
-    assert coro <= 8, f"{coro:.2f} coroutine-frame events per handoff"
+    cost = _hop_cost(trace=True)
+    assert cost.plain <= 30 and cost.coro <= 8, _frames_message(cost)
 
 
 def test_c_calls_per_handoff():
-    *_, c_calls = _hop_cost(trace=False)
-    assert c_calls <= 31, f"{c_calls:.2f} C calls per handoff"
+    cost = _hop_cost(trace=False)
+    assert cost.c_calls <= 27, f"{cost.c_calls:.2f} C calls per handoff"
 
 
 def test_c_calls_per_handoff_traced():
-    *_, c_calls = _hop_cost(trace=True)
-    assert c_calls <= 37, f"{c_calls:.2f} C calls per handoff"
+    cost = _hop_cost(trace=True)
+    assert cost.c_calls <= 33, f"{cost.c_calls:.2f} C calls per handoff"
 
 
 def test_hop_cost_is_flat_in_the_number_of_ranks():
@@ -218,10 +242,11 @@ def test_hop_cost_is_flat_in_the_number_of_ranks():
     large = _hop_cost(False, nprocs=128 * NPROCS, iters=5)
     for name, s, n in zip(
         ("plain repro frames", "coroutine-frame events", "C calls"),
-        small,
-        large,
+        small[:3],
+        large[:3],
     ):
         assert n <= s + 0.5, (
             f"{name} per handoff: {s:.2f} at {NPROCS} ranks, "
-            f"{n:.2f} at {128 * NPROCS}"
+            f"{n:.2f} at {128 * NPROCS}; most frames per handoff at "
+            f"{128 * NPROCS} ranks:\n{large.top}"
         )
