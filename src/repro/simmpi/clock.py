@@ -23,8 +23,10 @@ from typing import Callable
 class EventQueue:
     """Deterministic priority queue of ``(time, seq, fn)`` tuples.
 
-    ``Runtime._next_fiber`` pops :attr:`_heap` directly; :meth:`pop` is
-    the same operation for everyone else.
+    ``Runtime._next_fiber`` pops :attr:`_heap` directly, and
+    ``Runtime.post_send`` pushes onto it as :meth:`schedule` does, NaN
+    guard included; :meth:`pop` and :meth:`schedule` are the same
+    operations for everyone else.
     """
 
     __slots__ = ("_heap", "_seq")
