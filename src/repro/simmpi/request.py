@@ -141,6 +141,8 @@ class Request:
         """Mark the request complete and wake the owner if it waits.
 
         Completing an already-complete request is a runtime bug and raises.
+        ``Runtime._complete_recv`` does the same, inline, for a matched
+        receive: keep the two in step.
         """
         if self.done:
             raise RuntimeError(f"request {self.id} completed twice")
