@@ -49,6 +49,10 @@ def payload_nbytes(payload: Any) -> int:
     it.  It intentionally avoids :mod:`pickle` (slow, version-dependent)
     in favour of a simple structural walk, :func:`_body_nbytes`, which
     the payload type's sizer reproduces exactly.
+
+    ``Runtime.post_send`` repeats these lines in its own frame (the hop's
+    sizing); keep the two in step.  ``tests/test_util.py``'s property
+    test checks both against the walk.
     """
     t = type(payload)
     size = _FIXED_SCALAR.get(t)

@@ -16,6 +16,8 @@ from repro.ft.agreement import _Msg
 from repro.parallel import RingScenario
 from repro.protocols.replication import _RepMsg
 from repro.simmpi import Simulation, util
+from repro.simmpi.runtime import Runtime
+from repro.simmpi.trace import SEND_POST
 from repro.simmpi.util import ENVELOPE_BYTES, _body_nbytes, payload_nbytes
 
 
@@ -354,3 +356,14 @@ class TestShapeCacheProperty:
             walk = ENVELOPE_BYTES + _body_nbytes(p)
             assert payload_nbytes(p) == walk
             assert payload_nbytes(p) == walk
+        # ``Runtime.post_send`` sizes in its own frame: the size its
+        # SEND_POST row records is the walk too, on a miss and a hit.
+        util._SIZERS.clear()
+        rt = Runtime(2)
+        rows = rt.trace.rows
+        for p in payloads:
+            walk = ENVELOPE_BYTES + _body_nbytes(p)
+            for _ in range(2):
+                rt.post_send(rt.procs[0], 1, 0, 0, p)
+                assert rows[-1][1] == SEND_POST
+                assert rows[-1][6] == walk
