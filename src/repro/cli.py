@@ -124,6 +124,14 @@ def _add_kill_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_ring_args(p: argparse.ArgumentParser) -> None:
+    """The ring scenario's ``--variant`` and ``--termination``."""
+    p.add_argument("--variant", default="ft_marker",
+                   choices=[v.value for v in RingVariant])
+    p.add_argument("--termination", default="validate_all",
+                   choices=[t.value for t in Termination])
+
+
 def _schedule_from(args: argparse.Namespace) -> FailureSchedule:
     sched = FailureSchedule()
     for spec in args.kill_time:
@@ -935,10 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
     ring.add_argument("--iters", type=int, default=6)
     ring.add_argument("--work", type=float, default=0.0,
                       help="virtual compute seconds per iteration")
-    ring.add_argument("--variant", default="ft_marker",
-                      choices=[v.value for v in RingVariant])
-    ring.add_argument("--termination", default="validate_all",
-                      choices=[t.value for t in Termination])
+    _add_ring_args(ring)
     ring.add_argument("--rootft", action="store_true",
                       help="use the §III-D root-failure-tolerant driver")
     _add_trace_args(ring)
@@ -947,10 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("explore", help="exhaustive failure-window sweep")
     common(ex, 4)
     ex.add_argument("--iters", type=int, default=3)
-    ex.add_argument("--variant", default="ft_marker",
-                    choices=[v.value for v in RingVariant])
-    ex.add_argument("--termination", default="validate_all",
-                    choices=[t.value for t in Termination])
+    _add_ring_args(ex)
     ex.add_argument("--rootft", action="store_true")
     ex.add_argument("--pairs", action="store_true",
                     help="also sweep every pair of windows")
@@ -972,10 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(camp, 8)
     camp.add_argument("--iters", type=int, default=6)
-    camp.add_argument("--variant", default="ft_marker",
-                      choices=[v.value for v in RingVariant])
-    camp.add_argument("--termination", default="validate_all",
-                      choices=[t.value for t in Termination])
+    _add_ring_args(camp)
     camp.add_argument("--rootft", action="store_true",
                       help="use the §III-D driver and let the root die too")
     camp.add_argument("--runs", type=int, default=100,
@@ -1052,10 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="which bundled scenario to run")
     common(perf, 8)
     perf.add_argument("--iters", type=int, default=6)
-    perf.add_argument("--variant", default="ft_marker",
-                      choices=[v.value for v in RingVariant])
-    perf.add_argument("--termination", default="validate_all",
-                      choices=[t.value for t in Termination])
+    _add_ring_args(perf)
     perf.add_argument("--rootft", action="store_true")
     perf.add_argument("--trace", action=argparse.BooleanOptionalAction,
                       default=True,
@@ -1080,10 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="workload to fuzz (default: the paper's ring)")
     fz.add_argument("--iters", type=int, default=3,
                     help="ring iterations (ring scenario only)")
-    fz.add_argument("--variant", default="ft_marker",
-                    choices=[v.value for v in RingVariant])
-    fz.add_argument("--termination", default="validate_all",
-                    choices=[t.value for t in Termination])
+    _add_ring_args(fz)
     fz.add_argument("--rootft", action="store_true")
     fz.add_argument("--size", type=int, default=8,
                     help="app size knob (cells/vector/rows/tasks)")

@@ -74,6 +74,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Context offset of the agree/shrink active messages (offsets 0-2 are
 #: p2p / collectives / validate; revocation spares both AM contexts).
+#: ibarrier's ``CTX_NBC`` is offset 3 as well, so one communicator cannot
+#: run both: the second engine to bind the context raises.
 CTX_AGREE = 3
 
 MODES = ("coordinator", "full")
@@ -165,7 +167,6 @@ class UnionAgreement:
         """Register AM handlers + failure listeners for every member."""
         if ctx in self._wired:
             return
-        self._wired.add(ctx)
         for wr in comm.group:
             self.runtime.register_am_handler(
                 wr, ctx, lambda msg, t, r=wr: self._on_message(r, msg, t)
@@ -173,6 +174,9 @@ class UnionAgreement:
             if wr not in self._live:
                 self._live[wr] = []
                 self.runtime.add_failure_listener(wr, self._on_failure)
+        # Marked only once every member is bound: a registration that
+        # raises leaves the context unwired, so the next caller raises too.
+        self._wired.add(ctx)
 
     def _inst(self, owner: int, ctx: int, instance: int) -> _Instance:
         key = (owner, ctx, instance)

@@ -60,10 +60,8 @@ from .errors import (
     TruncationError,
 )
 from .fibers import Fiber, FiberState
-from .group import Group
 from .matching import Message
 from .nbcoll import ibarrier
-from .rma import Win, win_create
 from .p2p import wait, waitany
 from .process import SimProcess
 from .request import Request, RequestKind, Status
@@ -98,8 +96,6 @@ __all__ = [
     "EventQueue",
     "Fiber",
     "FiberState",
-    "Group",
-    "Win",
     "JitteredCostModel",
     "InvalidArgumentError",
     "JobAborted",
@@ -136,5 +132,4 @@ __all__ = [
     "exscan",
     "ibarrier",
     "reduce_scatter",
-    "win_create",
 ]

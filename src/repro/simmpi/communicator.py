@@ -448,31 +448,6 @@ class Comm:
         cid = self._proc.runtime.cid_for(self.cid, op_index)
         return Comm(self._proc, cid, self.group, name or f"{self.name}.dup{op_index}")
 
-    def group_obj(self) -> "Group":
-        """The communicator's membership as a :class:`Group`."""
-        from .group import Group
-
-        return Group(self.group)
-
-    async def create(self, group: "Group", name: str = "") -> "Comm | None":
-        """``MPI_Comm_create``: carve a communicator for *group*.
-
-        Collective over the *parent*: every member must call with the same
-        group.  Members outside *group* receive ``None``.  Implemented as
-        a color split, so it inherits the parent's collective failure
-        semantics.
-        """
-        self._proc._mpi_call("comm_create")
-        from .constants import UNDEFINED as _UNDEF
-
-        color = 0 if self._proc.rank in group else _UNDEF
-        try:
-            key = group.rank_of_world(self._proc.rank)
-        except Exception:  # pragma: no cover - defensive
-            key = 0
-        return await self.split(color=color, key=key if key >= 0 else 0,
-                                name=name or f"{self.name}.create")
-
     def free(self) -> None:
         """``MPI_Comm_free``: mark the handle unusable (local bookkeeping).
 

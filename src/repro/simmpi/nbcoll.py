@@ -39,7 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import Runtime
 
 #: Context offset used by non-blocking collectives (distinct from the
-#: consensus engine's CTX_AM).
+#: consensus engine's CTX_AM, but equal to agree's ``CTX_AGREE``: one
+#: communicator cannot run both, the second engine to bind it raises).
 CTX_NBC = 3
 
 
@@ -83,10 +84,10 @@ class IBarrierEngine:
         ctx = comm.context(CTX_NBC)
         for wr in comm.group:
             if (wr, ctx) not in self._handling:
-                self._handling.add((wr, ctx))
                 self.runtime.register_am_handler(
                     wr, ctx, lambda msg, t, r=wr: self._on_message(r, msg, t)
                 )
+                self._handling.add((wr, ctx))
             if wr not in self._listening:
                 self._listening.add(wr)
                 self.runtime.add_failure_listener(

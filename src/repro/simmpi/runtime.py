@@ -128,9 +128,8 @@ class Runtime:
         self.known_by: dict[int, set[int]] = {r: set() for r in range(nprocs)}
         self._failure_listeners: dict[int, list[FailureListener]] = {}
         self._am_handlers: dict[tuple[int, int], AMHandler] = {}
-        #: Progress engines of the layers above (agreement, ibarrier,
-        #: RMA) by name, each created on first use by its module's
-        #: ``engine_for``.
+        #: Progress engines of the layers above (agreement, ibarrier) by
+        #: name, each created on first use by its module's ``engine_for``.
         self.engines: dict[str, Any] = {}
         self._channel_last: dict[tuple[int, int, int], float] = {}
         #: Pending synchronous-send requests, keyed by owner rank, so the
@@ -379,8 +378,8 @@ class Runtime:
     def track_peer_request(self, owner_rank: int, req: Request) -> None:
         """Register a request that must error if its ``peer`` rank dies.
 
-        Used by synchronous sends and RMA operations: their completion
-        depends on the remote side, so the detector sweep fails them with
+        Used by synchronous sends: their completion depends on the
+        remote side, so the detector sweep fails them with
         ``MPI_ERR_RANK_FAIL_STOP`` when the peer is reported dead.
         """
         pending = self._pending_ssends.setdefault(owner_rank, [])
@@ -590,8 +589,17 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def register_am_handler(self, rank: int, context: int, fn: AMHandler) -> None:
-        """Route deliveries on (rank, context) to *fn* instead of matching."""
-        self._am_handlers[(rank, context)] = fn
+        """Route deliveries on (rank, context) to *fn* instead of matching.
+
+        A (rank, context) pair has one handler: binding it again would
+        hand one layer's messages to another's, so it raises.
+        """
+        key = (rank, context)
+        if key in self._am_handlers:
+            raise RuntimeError(
+                f"AM context {context} on rank {rank} is already bound"
+            )
+        self._am_handlers[key] = fn
 
     def send_am(
         self, src_rank: int, dst_world: int, context: int, payload: Any,

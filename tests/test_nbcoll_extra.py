@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ft import comm_validate_all
-from repro.simmpi import ErrorHandler, Simulation, wait
+from repro.ft import comm_agree, comm_validate_all
+from repro.simmpi import ErrorHandler, Simulation, SimulationError, wait
 from repro.simmpi.nbcoll import ibarrier
 from tests.conftest import run_sim
 
@@ -85,6 +85,26 @@ class TestIbarrierConcurrency:
         times = [r.value(i) for i in (0, 2, 3, 5)]
         # All survivors leave after the last survivor's arrival.
         assert min(times) >= 2.0 + 5 * 1e-6 - 1e-9
+
+
+class TestAmContextClash:
+    """ibarrier's ``CTX_NBC`` and agree's ``CTX_AGREE`` are the same
+    offset: on one communicator the second engine to bind the context
+    must fail with an error naming it, not run the other's handler."""
+
+    @pytest.mark.parametrize("order", ["ibarrier_agree", "agree_ibarrier_agree"])
+    def test_second_engine_on_a_context_raises(self, order):
+        async def main(mpi):
+            comm = returning(mpi)
+            if order == "agree_ibarrier_agree":
+                await comm_agree(comm, comm.rank)
+            await wait(ibarrier(comm))
+            await comm_agree(comm, comm.rank)
+
+        with pytest.raises(SimulationError) as info:
+            run_sim(main, 4)
+        assert isinstance(info.value.original, RuntimeError)
+        assert "AM context 3 on rank 0 is already bound" in str(info.value)
 
 
 class TestRingTaggedProperty:

@@ -1,79 +1,16 @@
-"""Property-based tests: group set-algebra laws and translation."""
+"""Property-based tests: a communicator's group and its rank maps.
+
+A communicator's membership is its ``group`` tuple of world ranks; these
+check the maps built from it against scans of that tuple, across ``dup``,
+``split``, ``comm_shrink`` and ``replace_rank``.
+"""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
 from repro.ft import comm_shrink
-from repro.simmpi import UNDEFINED, Comm, ErrorHandler, Runtime, Simulation
-from repro.simmpi.group import Group
-
-ranks_lists = st.lists(st.integers(0, 15), unique=True, max_size=10)
-
-
-class TestGroupAlgebraLaws:
-    @given(a=ranks_lists, b=ranks_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_union_members(self, a, b):
-        g = Group(a).union(Group(b))
-        assert set(g.ranks) == set(a) | set(b)
-        # Self's order first, then other's extras in other's order.
-        assert list(g.ranks[: len(a)]) == a
-
-    @given(a=ranks_lists, b=ranks_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_intersection_members_and_order(self, a, b):
-        g = Group(a).intersection(Group(b))
-        assert set(g.ranks) == set(a) & set(b)
-        assert list(g.ranks) == [r for r in a if r in set(b)]
-
-    @given(a=ranks_lists, b=ranks_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_difference_members_and_order(self, a, b):
-        g = Group(a).difference(Group(b))
-        assert set(g.ranks) == set(a) - set(b)
-        assert list(g.ranks) == [r for r in a if r not in set(b)]
-
-    @given(a=ranks_lists, b=ranks_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_partition_identity(self, a, b):
-        ga, gb = Group(a), Group(b)
-        inter = ga.intersection(gb)
-        diff = ga.difference(gb)
-        # a = (a & b) + (a - b), as sets and in total size.
-        assert set(inter.ranks) | set(diff.ranks) == set(a)
-        assert inter.size + diff.size == ga.size
-
-    @given(a=ranks_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_incl_excl_inverse(self, a):
-        g = Group(a)
-        idx = list(range(0, len(a), 2))
-        sub = g.incl(idx)
-        rest = g.excl(idx)
-        assert set(sub.ranks) | set(rest.ranks) == set(a)
-        assert set(sub.ranks) & set(rest.ranks) == set()
-
-    @given(a=ranks_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_translation_roundtrip(self, a):
-        g = Group(a)
-        for gr, wr in enumerate(a):
-            assert g.world_rank(gr) == wr
-            assert g.rank_of_world(wr) == gr
-        assert g.rank_of_world(99) == UNDEFINED
-
-    @given(a=ranks_lists, b=ranks_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_translate_ranks_consistent(self, a, b):
-        ga, gb = Group(a), Group(b)
-        out = ga.translate_ranks(list(range(ga.size)), gb)
-        for gr, tr in enumerate(out):
-            wr = ga.world_rank(gr)
-            if wr in gb:
-                assert gb.world_rank(tr) == wr
-            else:
-                assert tr == UNDEFINED
+from repro.simmpi import Comm, ErrorHandler, Runtime, Simulation
 
 
 class TestCommRankTranslation:

@@ -16,21 +16,20 @@ SIMMPI_ALL = [
     "ANY_SOURCE", "ANY_TAG", "CTX_AM", "CTX_COLL", "CTX_P2P", "Comm",
     "CommRevokedError", "CostModel", "DEFAULT_COST", "DEFAULT_ROOT",
     "ErrorClass", "ErrorHandler", "EventQueue", "Fiber", "FiberState",
-    "Group", "InvalidArgumentError",
-    "JitteredCostModel", "JobAborted", "LowestRankFirstPolicy", "MPIError",
-    "Message", "OPS", "PROC_NULL", "RandomPolicy", "RankFailStopError",
+    "InvalidArgumentError", "JitteredCostModel", "JobAborted",
+    "LowestRankFirstPolicy", "MPIError", "Message", "OPS", "PROC_NULL", "RandomPolicy", "RankFailStopError",
     "RankOutcome", "Request", "RequestKind", "RoundRobinPolicy", "Runtime",
     "SchedulingPolicy", "SimProcess", "Simulation", "SimulationDeadlock",
     "SimulationError", "SimulationLimitExceeded", "SimulationResult",
     "Status", "TAG_UB", "Trace", "TraceEvent", "TraceKind",
-    "TruncationError", "UNDEFINED", "VirtualClock", "Win", "ZERO_COST",
-    "exscan", "ibarrier", "reduce_scatter", "wait", "waitany", "win_create",
+    "TruncationError", "UNDEFINED", "VirtualClock", "ZERO_COST",
+    "exscan", "ibarrier", "reduce_scatter", "wait", "waitany",
 ]
 
 COMM_PUBLIC = [
     "allgather", "allreduce", "alltoall", "barrier", "bcast",
-    "comm_rank_of_world", "context", "create", "dup", "exscan", "free",
-    "gather", "group_obj", "irecv", "is_revoked", "isend", "issend",
+    "comm_rank_of_world", "context", "dup", "exscan", "free",
+    "gather", "irecv", "is_revoked", "isend", "issend",
     "known_failed_comm_ranks", "proc", "rank", "recv", "reduce",
     "reduce_scatter", "replace_rank", "revoke", "scan", "scatter", "send",
     "sendrecv", "set_errhandler", "size", "split", "ssend", "world_rank",

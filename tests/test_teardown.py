@@ -34,7 +34,6 @@ from repro.simmpi import (
     wait,
 )
 from repro.simmpi.nbcoll import ibarrier
-from repro.simmpi.rma import win_create
 from repro.simmpi.runtime import SimulationLimitExceeded
 
 #: ``build() -> (Simulation, main)``.
@@ -138,17 +137,6 @@ async def _ssend_main(mpi):
         await comm.recv(source=0, tag=7)
 
 
-async def _rma_main(mpi):
-    comm = mpi.comm_world
-    comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-    win = win_create(comm, size=comm.size)
-    if comm.rank != 0:
-        win.put([float(comm.rank)], target=0, offset=comm.rank)
-        win.get(target=0, count=1)
-    await win.fence()
-    return win.local.tolist()
-
-
 async def _nbc_main(mpi):
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
@@ -190,7 +178,6 @@ SCENARIOS: dict[str, tuple[Build, type[BaseException] | None]] = {
         f"app_{a}": (AppScenario(app=a, nprocs=4, size=4, steps=2), None)
         for a in ("heat1d", "ring_allreduce", "abft_matvec", "manager_worker")
     },
-    "rma": (_fresh(_rma_main, 4), None),
     "nbcoll": (_fresh(_nbc_main, 5), None),
     "metrics": (_fresh(_RING, 4, metrics=True), None),
     "trace_cap": (_fresh(_RING, 4, trace_cap=10), None),
