@@ -44,7 +44,6 @@ from .export import (
     perfetto_errors,
     trace_to_jsonl,
     trace_to_perfetto,
-    write_perfetto,
 )
 from .metrics import KernelMetrics, RankSummary, RunReport, Series, run_report
 from .scenarios import SCENARIOS, make_scenario
@@ -111,5 +110,4 @@ __all__ = [
     "summary_dict",
     "trace_to_jsonl",
     "trace_to_perfetto",
-    "write_perfetto",
 ]

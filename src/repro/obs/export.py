@@ -51,7 +51,6 @@ __all__ = [
     "perfetto_errors",
     "trace_to_jsonl",
     "trace_to_perfetto",
-    "write_perfetto",
 ]
 
 #: JSONL header format tag; bump when the line layout changes.
@@ -253,16 +252,6 @@ def trace_to_perfetto(
         },
         "traceEvents": events,
     }
-
-
-def write_perfetto(
-    trace: Trace, nprocs: int, path: Any, metrics: Any = None
-) -> None:
-    """Serialize :func:`trace_to_perfetto` to *path* (deterministic bytes)."""
-    doc = trace_to_perfetto(trace, nprocs, metrics=metrics)
-    from pathlib import Path
-
-    Path(path).write_text(dumps_perfetto(doc))
 
 
 def dumps_perfetto(doc: dict[str, Any]) -> str:

@@ -32,7 +32,7 @@ Quick taste::
 
 from .clock import EventQueue, VirtualClock
 from .communicator import CTX_AM, CTX_COLL, CTX_P2P, Comm
-from .collectives import OPS, exscan, reduce_scatter
+from .collectives import OPS
 from .constants import (
     ANY_SOURCE,
     ANY_TAG,
@@ -129,7 +129,5 @@ __all__ = [
     "ZERO_COST",
     "wait",
     "waitany",
-    "exscan",
     "ibarrier",
-    "reduce_scatter",
 ]

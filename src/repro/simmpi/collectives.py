@@ -16,17 +16,17 @@ drop out of the *participant list* (they behave as ``MPI_PROC_NULL``) and
 the algorithms run over the survivors.
 
 Algorithms: dissemination barrier, binomial-tree bcast/reduce,
-reduce+bcast allreduce, linear gather/scatter, ring allgather, pairwise
-alltoall, linear scan.  Each collective call consumes one tag from the
-per-communicator collective sequence — MPI requires identical collective
-call order at every rank, which keeps the sequences aligned.
+reduce+bcast allreduce, ring allgather.  Each collective call consumes
+one tag from the per-communicator collective sequence — MPI requires
+identical collective call order at every rank, which keeps the sequences
+aligned.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import reduce as _freduce
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .communicator import CTX_COLL, Comm
 from .errors import ErrorClass, InvalidArgumentError, RankFailStopError
@@ -61,9 +61,9 @@ class _CollCtx:
     """Per-call context: participant list, my index, tag, raw p2p helpers.
 
     Tag discipline: every *user-level* collective call consumes exactly one
-    value of the per-communicator sequence, with composite collectives
-    (allreduce, reduce_scatter) deriving their phases' tags from a single
-    base (``base * 8 + phase``).  This keeps ranks tag-aligned even when a
+    value of the per-communicator sequence, with a composite collective
+    (allreduce) deriving its phases' tags from a single base
+    (``base * 8 + phase``).  This keeps ranks tag-aligned even when a
     failure aborts a composite mid-way — with naive one-tag-per-phase
     allocation, ranks erroring in different phases would consume different
     numbers of tags and all later collectives would mis-match (a bug found
@@ -245,6 +245,10 @@ async def reduce(comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "
     if root in comm.validated:
         ctx.done(root="proc_null")
         return None
+    if not 0 <= root < comm.size:
+        comm._raise(
+            InvalidArgumentError(f"invalid root {root}", error_class=ErrorClass.ERR_ROOT)
+        )
     root_idx = ctx.participants.index(root)
     # Gather up the mirrored binomial tree: children send partial results
     # to parents.  To keep combination order deterministic we accumulate
@@ -282,59 +286,6 @@ async def allreduce(
     return await bcast(comm, partial, root=root, _tag=base + 1)
 
 
-async def gather(comm: Comm, value: Any, root: int = 0) -> list[Any] | None:
-    """Linear gather to *root*: result list indexed by comm rank.
-
-    Validated-failed ranks contribute ``None`` (PROC_NULL semantics).
-    """
-    ctx = _CollCtx(comm, "gather")
-    if root in comm.validated:
-        ctx.done(root="proc_null")
-        return None
-    if comm.rank != root:
-        root_idx = ctx.participants.index(root)
-        ctx.send((comm.rank, value), root_idx)
-        ctx.done()
-        return None
-    out: list[Any] = [None] * comm.size
-    out[comm.rank] = value
-    for idx in range(ctx.m):
-        if ctx.participants[idx] == root:
-            continue
-        cr, v = await ctx.recv(idx)
-        out[cr] = v
-    ctx.done()
-    return out
-
-
-async def scatter(comm: Comm, values: Sequence[Any] | None, root: int = 0,
-                  _tag: int | None = None) -> Any:
-    """Linear scatter from *root*; ``values`` is indexed by comm rank."""
-    ctx = _CollCtx(comm, "scatter", tag=_tag)
-    if root in comm.validated:
-        ctx.done(root="proc_null")
-        return None
-    if comm.rank == root:
-        if values is None or len(values) != comm.size:
-            comm._raise(
-                InvalidArgumentError(
-                    "scatter root needs one value per comm rank",
-                    error_class=ErrorClass.ERR_COUNT,
-                )
-            )
-        for idx in range(ctx.m):
-            cr = ctx.participants[idx]
-            if cr == root:
-                continue
-            ctx.send(values[cr], idx)
-        ctx.done()
-        return values[comm.rank]
-    root_idx = ctx.participants.index(root)
-    v = await ctx.recv(root_idx)
-    ctx.done()
-    return v
-
-
 async def allgather(comm: Comm, value: Any) -> list[Any]:
     """Ring allgather: ``m - 1`` steps passing a growing window."""
     ctx = _CollCtx(comm, "allgather")
@@ -348,107 +299,4 @@ async def allgather(comm: Comm, value: Any) -> list[Any]:
         carry = await ctx.recv(left)
         out[carry[0]] = carry[1]
     ctx.done()
-    return out
-
-
-async def alltoall(comm: Comm, values: Sequence[Any]) -> list[Any]:
-    """Pairwise-exchange personalized all-to-all.
-
-    ``values`` is indexed by comm rank; entries for validated-failed ranks
-    are ignored, and their slots in the result stay ``None``.
-    """
-    ctx = _CollCtx(comm, "alltoall")
-    if len(values) != comm.size:
-        comm._raise(
-            InvalidArgumentError(
-                "alltoall needs one value per comm rank",
-                error_class=ErrorClass.ERR_COUNT,
-            )
-        )
-    out: list[Any] = [None] * comm.size
-    out[comm.rank] = values[comm.rank]
-    for step in range(1, ctx.m):
-        dst = (ctx.me + step) % ctx.m
-        src = (ctx.me - step) % ctx.m
-        ctx.send(values[ctx.participants[dst]], dst)
-        got = await ctx.recv(src)
-        out[ctx.participants[src]] = got
-    ctx.done()
-    return out
-
-
-async def scan(
-    comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum"
-) -> Any:
-    """Inclusive prefix reduction along participant order (linear chain)."""
-    ctx = _CollCtx(comm, "scan")
-    fn = _resolve_op(op)
-    acc = value
-    if ctx.me > 0:
-        prev = await ctx.recv(ctx.me - 1)
-        acc = fn(prev, value)
-    if ctx.me + 1 < ctx.m:
-        ctx.send(acc, ctx.me + 1)
-    ctx.done()
-    return acc
-
-
-async def exscan(
-    comm: Comm, value: Any, op: str | Callable[[Any, Any], Any] = "sum"
-) -> Any:
-    """Exclusive prefix reduction: participant 0 receives ``None``."""
-    ctx = _CollCtx(comm, "exscan")
-    fn = _resolve_op(op)
-    if ctx.me == 0:
-        prev = None
-        acc = value
-    else:
-        prev = await ctx.recv(ctx.me - 1)
-        acc = fn(prev, value)
-    if ctx.me + 1 < ctx.m:
-        ctx.send(acc, ctx.me + 1)
-    ctx.done()
-    return prev
-
-
-async def reduce_scatter(
-    comm: Comm,
-    values: Sequence[Any],
-    op: str | Callable[[Any, Any], Any] = "sum",
-) -> Any:
-    """Reduce one value per comm rank, scatter slot ``i`` to comm rank ``i``.
-
-    ``values`` is indexed by comm rank; slots addressed to validated-failed
-    ranks are ignored.  Implemented as reduce-to-lowest + scatter, which
-    keeps the failure semantics identical to the other collectives.
-    """
-    ctx = _CollCtx(comm, "reduce_scatter")
-    if len(values) != comm.size:
-        comm._raise(
-            InvalidArgumentError(
-                "reduce_scatter needs one value per comm rank",
-                error_class=ErrorClass.ERR_COUNT,
-            )
-        )
-    fn = _resolve_op(op)
-    root = ctx.participants[0]
-    base = ctx.tag
-    reduced = await reduce(comm, list(values),
-                           lambda a, b: _pairwise(a, b, fn), root=root,
-                           _tag=base + 1)
-    return await scatter(comm, reduced, root=root, _tag=base + 2)
-
-
-def _pairwise(
-    a: Sequence[Any], b: Sequence[Any], fn: Callable[[Any, Any], Any]
-) -> list[Any]:
-    """Element-wise combine of two per-rank value lists (None passes through)."""
-    out = []
-    for x, y in zip(a, b):
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(fn(x, y))
     return out

@@ -28,7 +28,7 @@ Point-to-point failure semantics (paper §II):
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Awaitable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Awaitable, NoReturn
 
 from .constants import (
     ANY_SOURCE,
@@ -542,50 +542,11 @@ class Comm:
 
         return allreduce(self, value, op)
 
-    def gather(self, value: Any, root: int = 0) -> Awaitable[list[Any] | None]:
-        """Gather to *root* (list indexed by comm rank; failed-validated
-        ranks contribute ``None``)."""
-        from .collectives import gather
-
-        return gather(self, value, root)
-
-    def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Awaitable[Any]:
-        """Scatter from *root*."""
-        from .collectives import scatter
-
-        return scatter(self, values, root)
-
     def allgather(self, value: Any) -> Awaitable[list[Any]]:
         """Gather-to-all (ring algorithm)."""
         from .collectives import allgather
 
         return allgather(self, value)
-
-    def alltoall(self, values: Sequence[Any]) -> Awaitable[list[Any]]:
-        """Personalized all-to-all exchange."""
-        from .collectives import alltoall
-
-        return alltoall(self, values)
-
-    def scan(self, value: Any, op: str | Any = "sum") -> Awaitable[Any]:
-        """Inclusive prefix reduction."""
-        from .collectives import scan
-
-        return scan(self, value, op)
-
-    def exscan(self, value: Any, op: str | Any = "sum") -> Awaitable[Any]:
-        """Exclusive prefix reduction (participant 0 gets ``None``)."""
-        from .collectives import exscan
-
-        return exscan(self, value, op)
-
-    def reduce_scatter(
-        self, values: Sequence[Any], op: str | Any = "sum"
-    ) -> Awaitable[Any]:
-        """Reduce per-rank slots, scatter slot ``i`` to comm rank ``i``."""
-        from .collectives import reduce_scatter
-
-        return reduce_scatter(self, values, op)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,4 +1,4 @@
-"""Serializable failure schedules and new-collective coverage."""
+"""Serializable failure schedules."""
 
 from __future__ import annotations
 
@@ -90,63 +90,3 @@ class TestFailureSchedule:
     def test_from_specs(self):
         specs = [KillSpec(trigger="time", rank=0, time=1.0)]
         assert FailureSchedule.from_specs(specs).kills == specs
-
-
-class TestNewCollectives:
-    def test_exscan(self):
-        async def main(mpi):
-            return await mpi.comm_world.exscan(mpi.rank + 1, "sum")
-
-        r = run_sim(main, 5)
-        assert [r.value(i) for i in range(5)] == [None, 1, 3, 6, 10]
-
-    def test_exscan_custom_op(self):
-        async def main(mpi):
-            return await mpi.comm_world.exscan(str(mpi.rank), lambda a, b: a + b)
-
-        r = run_sim(main, 4)
-        assert [r.value(i) for i in range(4)] == [None, "0", "01", "012"]
-
-    def test_reduce_scatter(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            values = [mpi.rank * 10 + j for j in range(comm.size)]
-            return await comm.reduce_scatter(values)
-
-        n = 4
-        r = run_sim(main, n)
-        for j in range(n):
-            assert r.value(j) == sum(i * 10 + j for i in range(n))
-
-    def test_reduce_scatter_wrong_length(self):
-        from repro.simmpi import ErrorHandler, InvalidArgumentError
-
-        async def main(mpi):
-            comm = mpi.comm_world
-            comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            with pytest.raises(InvalidArgumentError):
-                await comm.reduce_scatter([1])
-            return "ok"
-
-        r = run_sim(main, 3, on_deadlock="return")
-        assert r.outcomes[0].value == "ok"
-
-    def test_reduce_scatter_over_survivors(self):
-        from repro.ft import comm_validate_all
-        from repro.simmpi import ErrorHandler
-
-        async def main(mpi):
-            comm = mpi.comm_world
-            comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-            if comm.rank == 1:
-                await mpi.compute(1.0)
-                return
-            await mpi.compute(2.0)
-            await comm_validate_all(comm)
-            values = [10 + j for j in range(comm.size)]
-            return await comm.reduce_scatter(values)
-
-        r = run_sim(main, 4, kills=[(1, 0.5)])
-        # Three survivors each contribute 10+j to slot j.
-        assert r.value(0) == 3 * 10
-        assert r.value(2) == 3 * 12

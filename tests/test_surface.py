@@ -2,15 +2,18 @@
 literally.
 
 These lists make every addition to or removal from ``repro.simmpi``'s
-and ``repro.parallel``'s exports and ``Comm``'s public methods a
-visible diff of this file.
+and ``repro.parallel``'s exports, ``Comm``'s public methods and the
+collective operations of ``repro.simmpi.collectives`` a visible diff of
+this file.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import repro.parallel
 import repro.simmpi
-from repro.simmpi import Comm
+from repro.simmpi import Comm, collectives
 
 SIMMPI_ALL = [
     "ANY_SOURCE", "ANY_TAG", "CTX_AM", "CTX_COLL", "CTX_P2P", "Comm",
@@ -23,17 +26,19 @@ SIMMPI_ALL = [
     "SimulationError", "SimulationLimitExceeded", "SimulationResult",
     "Status", "TAG_UB", "Trace", "TraceEvent", "TraceKind",
     "TruncationError", "UNDEFINED", "VirtualClock", "ZERO_COST",
-    "exscan", "ibarrier", "reduce_scatter", "wait", "waitany",
+    "ibarrier", "wait", "waitany",
 ]
 
 COMM_PUBLIC = [
-    "allgather", "allreduce", "alltoall", "barrier", "bcast",
-    "comm_rank_of_world", "context", "dup", "exscan", "free",
-    "gather", "irecv", "is_revoked", "isend", "issend",
+    "allgather", "allreduce", "barrier", "bcast",
+    "comm_rank_of_world", "context", "dup", "free",
+    "irecv", "is_revoked", "isend", "issend",
     "known_failed_comm_ranks", "proc", "rank", "recv", "reduce",
-    "reduce_scatter", "replace_rank", "revoke", "scan", "scatter", "send",
+    "replace_rank", "revoke", "send",
     "sendrecv", "set_errhandler", "size", "split", "ssend", "world_rank",
 ]
+
+COLLECTIVES = ["allgather", "allreduce", "barrier", "bcast", "reduce"]
 
 PARALLEL_ALL = [
     "AppScenario", "FleetRunner", "GenericInvariants", "Invariant",
@@ -50,6 +55,14 @@ def test_simmpi_exports_exactly_the_pinned_names():
 
 def test_comm_has_exactly_the_pinned_public_attributes():
     assert sorted(k for k in vars(Comm) if not k.startswith("_")) == COMM_PUBLIC
+
+
+def test_collectives_module_defines_exactly_the_pinned_functions():
+    assert sorted(
+        k for k, v in vars(collectives).items()
+        if inspect.isfunction(v) and v.__module__ == collectives.__name__
+        and not k.startswith("_")
+    ) == COLLECTIVES
 
 
 def test_parallel_exports_exactly_the_pinned_names():
