@@ -36,6 +36,11 @@ from repro.simmpi.util import ENVELOPE_BYTES
 RING_BYTES = ENVELOPE_BYTES + 8 + 2 * 8
 #: Wire size of a ``T_D`` message, whose payload is ``None``.
 DONE_BYTES = ENVELOPE_BYTES
+#: Wire sizes of an agreement report and announcement, ``_Msg`` of
+#: ``repro.ft.agreement``: a dataclass holding its kind's name, three
+#: ints, an empty frozenset and a bool.
+REPORT_BYTES = ENVELOPE_BYTES + 8 + len("contrib") + 3 * 8 + 8 + 1
+ANNOUNCE_BYTES = ENVELOPE_BYTES + 8 + len("decide") + 3 * 8 + 8 + 1
 
 SIZES = [2, 3, 4, 8, 64, 512, 4096]
 ITERS = 3
@@ -46,32 +51,50 @@ COSTS = {
 
 
 def law(term: Termination, n: int, iters: int, cost: CostModel):
-    """``(messages, events, handoffs, end time)`` of a fault-free ring."""
+    """``(messages, events, handoffs, matches, end time)`` of a fault-free
+    ring."""
     o, L, G = cost.overhead, cost.latency, cost.byte_cost
     hops = n * iters
     messages = hops
     handoffs = n * (iters + 1)
     end = hops * (2 * o + L + RING_BYTES * G) - o
+    matched = messages
     if term is Termination.ROOT_BCAST:
         messages += n - 1
+        matched += n - 1
         handoffs += n - 1
         end += n * o + L + DONE_BYTES * G
-    return messages, messages, handoffs, end
+    elif term is Termination.VALIDATE_ALL:
+        messages += 2 * (n - 1)
+        handoffs += n
+        end += 2 * o + L + (REPORT_BYTES - RING_BYTES + ANNOUNCE_BYTES) * G
+    return messages, messages, handoffs, matched, end
+
+
+def test_validate_all_adds_the_flat_term_of_experiments_md():
+    """EXP-OV's reading: ``validate_all`` adds 1.503 us under the
+    default model, whatever the ring's size."""
+    *_, plain = law(Termination.NONE, 8, ITERS, DEFAULT_COST)
+    *_, validated = law(Termination.VALIDATE_ALL, 8, ITERS, DEFAULT_COST)
+    assert validated - plain == pytest.approx(1.503e-6, rel=1e-12)
 
 
 @pytest.mark.parametrize("cost", COSTS.values(), ids=COSTS.keys())
-@pytest.mark.parametrize("term", [Termination.NONE, Termination.ROOT_BCAST],
-                         ids=lambda t: t.value)
+@pytest.mark.parametrize(
+    "term",
+    [Termination.NONE, Termination.ROOT_BCAST, Termination.VALIDATE_ALL],
+    ids=lambda t: t.value,
+)
 @pytest.mark.parametrize("n", SIZES)
 def test_fault_free_ring_follows_its_cost_law(n, term, cost):
     main = make_ring_main(RingConfig(max_iter=ITERS, termination=term))
     result = Simulation(nprocs=n, cost=cost, trace_enabled=False).run(main)
     perf = result.perf
-    messages, events, handoffs, end = law(term, n, ITERS, cost)
+    messages, events, handoffs, matched, end = law(term, n, ITERS, cost)
     assert (perf.messages_sent, perf.events_executed, perf.handoffs) == (
         messages, events, handoffs
     )
-    assert perf.messages_matched == messages
+    assert perf.messages_matched == matched
     # The simulator sums the same terms one hop at a time, so the two
     # differ only by float rounding: a missing or extra term is off by
     # at least one overhead, many orders of magnitude more.
