@@ -105,3 +105,48 @@ class TestTheKernelReadsOnlyAPlainModelInline:
         assert (configured == trace(CostModel(**spec), False)) is (
             amplitude == 0.0
         )
+
+
+
+class NaNWire(CostModel):
+    """A model whose every message would arrive at a NaN time."""
+
+    def transit_time(self, src: int, dst: int, nbytes: int) -> float:
+        return float("nan")
+
+
+class TestANaNDeliveryTimeChangesNothing:
+    """A send whose delivery time is NaN is refused before it touches
+    any state: no counter, trace row, channel clamp, message id, event
+    or sender clock moves, so the refused message leaves no phantom."""
+
+    @staticmethod
+    def _state(mpi):
+        rt = mpi.runtime
+        return (
+            rt.perf.messages_sent,
+            rt.trace.keys(),
+            dict(rt._channel_last),
+            rt._msg_seq,
+            len(rt.events),
+            mpi.now,
+        )
+
+    @pytest.mark.parametrize("path", ["send", "send_am"])
+    def test_the_refused_send_leaves_no_trace(self, path):
+        async def main(mpi):
+            if mpi.rank == 1:
+                return None
+            comm = mpi.comm_world
+            await mpi.compute(1e-6)  # a clock that is not zero
+            before = self._state(mpi)
+            with pytest.raises(ValueError, match="NaN"):
+                if path == "send":
+                    comm.send(1, 1, 0)
+                else:
+                    mpi.runtime.send_am(0, 1, comm.context(), 1)
+            return before, self._state(mpi)
+
+        sim = Simulation(nprocs=2, cost=NaNWire(), trace_enabled=True)
+        before, after = sim.run(main).value(0)
+        assert after == before
