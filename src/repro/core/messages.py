@@ -30,7 +30,7 @@ _IMMUTABLE_SCALARS: Final = frozenset(
 )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RingMsg:
     """One circulating ring buffer: ``{value; int marker}``.
 
@@ -38,19 +38,21 @@ class RingMsg:
     reusing the ring machinery (e.g. the fault-tolerant ring allreduce in
     :mod:`repro.apps`) may carry any payload in ``value`` — the FT
     machinery only ever touches ``marker``.
+
+    A message is a value: its fields cannot be assigned, so a rank that
+    forwards one builds ``RingMsg(msg.value + 1, msg.marker)``.
     """
 
     value: Any
     marker: int
 
     def copy(self) -> "RingMsg":
-        """A deep defensive copy; resends must not alias the live buffer.
+        """A defensive copy; resends must not alias the live buffer.
 
-        ``deepcopy`` hands back the very same object for an immutable
-        scalar, so for those (the paper's ``int`` value) the call is
-        skipped — twice per hop in ``ft_send_right``.
+        A message whose value is an immutable scalar (the paper's
+        ``int``) cannot change at all, so it is its own copy.  Any other
+        value — a dict, a list, an array — is deep-copied.
         """
-        value = self.value
-        if type(value) not in _IMMUTABLE_SCALARS:
-            value = _copy.deepcopy(value)
-        return RingMsg(value, self.marker)
+        if type(self.value) in _IMMUTABLE_SCALARS:
+            return self
+        return RingMsg(_copy.deepcopy(self.value), self.marker)

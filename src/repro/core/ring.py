@@ -133,7 +133,7 @@ async def baseline_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]
         else:
             msg, _ = await comm.recv(source=left, tag=TAG_NORMAL)
             mpi.probe_point("post_recv")
-            msg.value += 1
+            msg = RingMsg(msg.value + 1, msg.marker)
             comm.send(msg, right, TAG_NORMAL)
             mpi.probe_point("post_send")
             st.stats.forwards += 1
@@ -178,8 +178,7 @@ async def ft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
         else:
             msg = await recv(st)
             mpi.probe_point("post_recv")
-            msg.value += 1
-            ft_send_right(st, msg)
+            ft_send_right(st, RingMsg(msg.value + 1, msg.marker))
             mpi.probe_point("post_send")
             st.cur_marker += 1
         st.stats.iterations_completed += 1

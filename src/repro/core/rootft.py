@@ -114,8 +114,7 @@ async def rootft_ring_main(mpi: SimProcess, cfg: RingConfig) -> dict[str, Any]:
                 was_root = True
                 continue
             mpi.probe_point("post_recv")
-            msg.value += 1
-            ft_send_right(st, msg)
+            ft_send_right(st, RingMsg(msg.value + 1, msg.marker))
             mpi.probe_point("post_send")
             st.cur_marker += 1
             st.stats.iterations_completed += 1

@@ -26,14 +26,17 @@ def ft_send_right(st: RingState, buffer: RingMsg, *, resend: bool = False) -> No
     """
     comm = st.comm
     tag = TAG_RESEND if (resend and st.resend_tag_split) else TAG_NORMAL
+    sent = buffer.copy()
     while True:
         try:
-            comm.send(buffer.copy(), st.right, tag)
+            comm.send(sent, st.right, tag)
             break
         except RankFailStopError:
             st.right = to_right_of(comm, st.right)
             st.stats.right_retargets += 1
-    st.last_sent = buffer.copy()
+    # A message that is its own copy (``RingMsg.copy``) can be kept as
+    # is; any other must not alias what the receiver was handed.
+    st.last_sent = buffer if sent is buffer else buffer.copy()
     if resend:
         st.stats.resends += 1
     else:

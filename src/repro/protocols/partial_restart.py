@@ -183,10 +183,9 @@ async def _worker_loop(
         if payload.marker < cur_marker:
             stats.duplicates_discarded += 1
             continue
-        msg = payload.copy()
         if cfg.work_per_iter:
             await mpi.compute(cfg.work_per_iter)
-        msg.value += 1
+        msg = RingMsg(payload.value + 1, payload.marker)
         cur_marker = msg.marker + 1
         mpi.probe_point("post_send")
         last_sent = (msg, TAG_RESEND)

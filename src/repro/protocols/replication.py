@@ -133,10 +133,7 @@ class ReplicatedRing:
                 return wire.payload, wire.tag
             if not self._live_replicas(src_logical):
                 raise ReplicasExhaustedError(src_logical)
-            req = Request(
-                _GENERIC, self.proc, comm=None,
-                peer=src_logical, label="replicated_recv",
-            )
+            req = Request(_GENERIC, self.proc, comm=None, peer=src_logical)
             self._pending = (src_logical, req)
             try:
                 await wait(req)
@@ -209,12 +206,9 @@ def make_replication_mains(
                     if tag == TAG_DONE:
                         shim.send(msg, right, TAG_DONE)
                         break
-                    # Copy before mutating: both dst replicas were handed
-                    # the same payload object by reference.
-                    msg = msg.copy()
                     if cfg.work_per_iter:
                         await mpi.compute(cfg.work_per_iter)
-                    msg.value += 1
+                    msg = RingMsg(msg.value + 1, msg.marker)
                     cur_marker = max(cur_marker, msg.marker + 1)
                     mpi.probe_point("post_send")
                     shim.send(msg, right, TAG_NORMAL)

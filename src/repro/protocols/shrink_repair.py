@@ -95,7 +95,7 @@ async def _epoch(
             return
         if cfg.work_per_iter:
             await mpi.compute(cfg.work_per_iter)
-        msg.value += 1
+        msg = RingMsg(msg.value + 1, msg.marker)
         st.cur_marker = max(st.cur_marker, msg.marker + 1)
         mpi.probe_point("post_send")
         comm.send(msg, right, TAG_NORMAL)

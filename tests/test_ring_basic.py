@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,8 @@ ALL_FT_VARIANTS = [
 
 
 class TestRingMsgCopy:
-    """``copy`` must not alias a mutable value; for an immutable scalar
-    ``deepcopy`` would return the same object, so it is skipped."""
+    """``copy`` must not alias a mutable value; a message whose value is
+    an immutable scalar cannot change at all, so it is its own copy."""
 
     @pytest.mark.parametrize(
         "value", [7, 2.5, True, 1 + 2j, "token", b"token", None]
@@ -36,8 +38,15 @@ class TestRingMsgCopy:
     def test_scalar_value_gives_an_equal_message(self, value):
         msg = RingMsg(value, marker=3)
         dup = msg.copy()
-        assert dup == msg and dup is not msg
+        assert dup == msg and dup is msg
         assert dup.value is value and type(dup.value) is type(value)
+
+    @pytest.mark.parametrize("field", ["value", "marker"])
+    def test_a_message_is_a_value(self, field):
+        msg = RingMsg([1], marker=3)
+        with pytest.raises(FrozenInstanceError):
+            setattr(msg, field, 4)
+        assert msg == RingMsg([1], marker=3)
 
     def test_list_value_is_still_copied_deeply(self):
         msg = RingMsg([1, [2, 3]], marker=1)
