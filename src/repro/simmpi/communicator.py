@@ -79,6 +79,8 @@ class Comm:
         self._proc = proc
         #: Context id; identical at every member rank.
         self.cid = cid
+        #: The point-to-point channel's context, ``context(CTX_P2P)``.
+        self._p2p_context = cid * CONTEXTS_PER_COMM + CTX_P2P
         #: World ranks of the members, indexed by comm rank.
         self.group = group
         #: Human-readable name for traces (``"world"``, ``"dup1"``...).
@@ -251,20 +253,72 @@ class Comm:
             )
 
     def send(
-        self, payload: Any, dest: int, tag: int = 0, nbytes: int | None = None
-    ) -> None:
+        self,
+        payload: Any,
+        dest: int,
+        tag: int = 0,
+        nbytes: int | None = None,
+        *,
+        _op: str | None = None,
+        _sync: bool = False,
+    ) -> Request | None:
         """Standard (eager/buffered) send.
 
         Raises :class:`RankFailStopError` when *dest* is known-failed and
         unrecognized — the semantic ``FT_Send_right`` (paper Fig. 5)
         depends on.
+
+        Every send of every hop runs this body, and so do the other send
+        entry points: they make their own MPI call, then pass its name as
+        ``_op`` (it names the call in errors).  The checks are tested
+        inline and a ``_check_*`` / ``_raise`` helper is called only to
+        build the error of a failing one.  A synchronous send (``_sync``)
+        returns its request, which then carries the outcome a plain send
+        returns early on (``PROC_NULL``) or raises (a known failure).
         """
         proc = self._proc
-        if proc.failed_at is None and not proc.runtime.polled_injectors:
-            proc.call_count += 1  # SimProcess._mpi_call's common case
-        else:
-            proc._mpi_call("send")
-        self._send_common(payload, dest, tag, nbytes, op="send")
+        runtime = proc.runtime
+        if _op is None:
+            if proc.failed_at is None and not runtime.polled_injectors:
+                proc.call_count += 1  # SimProcess._mpi_call's common case
+            else:
+                proc._mpi_call("send")
+        if self._freed:
+            self._check_not_freed()
+        revoked = runtime._revoked
+        if revoked and (proc.rank, self.cid) in revoked:
+            self._check_revoked()
+        group = self.group
+        if (
+            not 0 <= dest < len(group) and dest != PROC_NULL
+        ) or not 0 <= tag <= TAG_UB:
+            self._check_send_args(dest, tag)
+        req = Request(_SEND, proc, self, dest, tag) if _sync else None
+        if dest == PROC_NULL or dest in self.recognized:
+            # A recognized failed rank has MPI_PROC_NULL semantics too.
+            if req is not None:
+                req.complete(proc.now, status=Status(dest, tag))
+            return req
+        dst_world = group[dest]
+        if dst_world in runtime.known_by[proc.rank]:
+            if req is None:
+                self._raise(
+                    RankFailStopError(
+                        f"{_op or 'send'} to failed rank {dest} on {self.name}",
+                        peer=dest,
+                    )
+                )
+            fail = _ERR_RANK_FAIL_STOP
+            req.complete(proc.now, error=fail, status=Status(dest, tag, fail))
+            return req
+        if req is not None:
+            # Like receives, a pending synchronous send carries the *world*
+            # rank in ``peer``, for the detector sweep to match failures.
+            req.peer = dst_world
+        runtime.post_send(
+            proc, dst_world, tag, self._p2p_context, payload, nbytes, req
+        )
+        return req
 
     def isend(
         self, payload: Any, dest: int, tag: int = 0, nbytes: int | None = None
@@ -272,7 +326,7 @@ class Comm:
         """Non-blocking send; the returned request is already complete
         (standard sends buffer eagerly in this simulator)."""
         self._proc._mpi_call("isend")
-        self._send_common(payload, dest, tag, nbytes, op="isend")
+        self.send(payload, dest, tag, nbytes, _op="isend")
         req = Request(RequestKind.SEND, self._proc, self, peer=dest, tag=tag)
         req.complete(self._proc.now, status=Status(source=dest, tag=tag))
         return req
@@ -284,7 +338,7 @@ class Comm:
         message is *matched* by a receive (or in error if the destination
         dies first)."""
         self._proc._mpi_call("issend")
-        req = self._send_common(payload, dest, tag, nbytes, "issend", sync=True)
+        req = self.send(payload, dest, tag, nbytes, _op="issend", _sync=True)
         assert req is not None
         return req
 
@@ -298,106 +352,59 @@ class Comm:
 
         await wait(req)
 
-    def _send_common(
+    def irecv(
         self,
-        payload: Any,
-        dest: int,
-        tag: int,
-        nbytes: int | None,
-        op: str,
-        sync: bool = False,
-    ) -> Request | None:
-        """Post one send after the checks every send shares, in one order.
-
-        Every send of every hop runs this, so the checks are tested inline
-        and a ``_check_*`` / ``_raise`` helper is called only to build the
-        error of a failing one.  A synchronous send (*sync*) returns its
-        request, which then carries the outcome a plain send returns
-        early on (``PROC_NULL``) or raises (a known failure).
-        """
-        proc = self._proc
-        runtime = proc.runtime
-        if self._freed:
-            self._check_not_freed()
-        if (proc.rank, self.cid) in runtime._revoked:
-            self._check_revoked()
-        group = self.group
-        if (
-            dest != PROC_NULL and not 0 <= dest < len(group)
-        ) or not 0 <= tag <= TAG_UB:
-            self._check_send_args(dest, tag)
-        req = Request(_SEND, proc, self, dest, tag) if sync else None
-        if dest == PROC_NULL or dest in self.recognized:
-            # A recognized failed rank has MPI_PROC_NULL semantics too.
-            if req is not None:
-                req.complete(proc.now, status=Status(dest, tag))
-            return req
-        dst_world = group[dest]
-        if dst_world in runtime.known_by[proc.rank]:
-            if req is None:
-                self._raise(
-                    RankFailStopError(
-                        f"{op} to failed rank {dest} on {self.name}", peer=dest
-                    )
-                )
-            fail = _ERR_RANK_FAIL_STOP
-            req.complete(proc.now, error=fail, status=Status(dest, tag, fail))
-            return req
-        if req is not None:
-            # Like receives, a pending synchronous send carries the *world*
-            # rank in ``peer``, for the detector sweep to match failures.
-            req.peer = dst_world
-        runtime.post_send(
-            proc, dst_world, tag, self.cid * CONTEXTS_PER_COMM + CTX_P2P,
-            payload, nbytes, req,
-        )
-        return req
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        *,
+        _op: str | None = None,
+    ) -> Request:
         """Non-blocking receive.
 
         The returned request completes when a matching message arrives —
         or *in error* (``MPI_ERR_RANK_FAIL_STOP``) when the failure
         detector reports the selected source failed.  That error path is
         the watchdog mechanism of paper Fig. 9.
+
+        ``recv`` and ``sendrecv`` run this body too, after their own MPI
+        call, whose name they pass as ``_op``; the checks are inline, as
+        in :meth:`send`.
         """
         proc = self._proc
-        if proc.failed_at is None and not proc.runtime.polled_injectors:
-            proc.call_count += 1  # SimProcess._mpi_call's common case
-        else:
-            proc._mpi_call("irecv")
-        return self._irecv_common(source, tag)
-
-    def _irecv_common(self, source: int, tag: int) -> Request:
-        # Checks inline and helpers only on failure, as in _send_common.
-        proc = self._proc
         runtime = proc.runtime
+        if _op is None:
+            if proc.failed_at is None and not runtime.polled_injectors:
+                proc.call_count += 1  # SimProcess._mpi_call's common case
+            else:
+                proc._mpi_call("irecv")
         if self._freed:
             self._check_not_freed()
-        if (proc.rank, self.cid) in runtime._revoked:
+        revoked = runtime._revoked
+        if revoked and (proc.rank, self.cid) in revoked:
             self._check_revoked()
         group = self.group
         if (
-            source != PROC_NULL and source != ANY_SOURCE
-            and not 0 <= source < len(group)
-        ) or (tag != ANY_TAG and not 0 <= tag <= TAG_UB):
+            not 0 <= source < len(group)
+            and source != ANY_SOURCE and source != PROC_NULL
+        ) or (not 0 <= tag <= TAG_UB and tag != ANY_TAG):
             self._check_recv_args(source, tag)
         # Requests carry *world* ranks in ``peer`` so the matching engine
         # and the failure sweep compare like with like; statuses are
-        # translated back to comm ranks at completion.
-        wildcard = source == ANY_SOURCE
-        peer_world = source if wildcard or source == PROC_NULL else group[source]
+        # translated back to comm ranks at completion.  The two sentinels
+        # are negative, and no set of ranks holds a negative number.
+        peer_world = group[source] if source >= 0 else source
         req = Request(_RECV, proc, self, peer_world, tag)
-        fail = _ERR_RANK_FAIL_STOP
-        if source == PROC_NULL or (not wildcard and source in self.recognized):
+        if source == PROC_NULL or source in self.recognized:
             # PROC_NULL semantics: immediate empty completion.
             req.complete(proc.now, status=Status(PROC_NULL, ANY_TAG))
-        elif not wildcard and peer_world in runtime.known_by[proc.rank]:
+        elif peer_world in runtime.known_by[proc.rank]:
+            fail = _ERR_RANK_FAIL_STOP
             req.complete(proc.now, error=fail, status=Status(source, tag, fail))
-        elif wildcard and self._has_unrecognized_failure():
+        elif source == ANY_SOURCE and self._has_unrecognized_failure():
+            fail = _ERR_RANK_FAIL_STOP
             req.complete(proc.now, error=fail, status=Status(ANY_SOURCE, tag, fail))
         else:
-            runtime.post_recv(self, req, self.cid * CONTEXTS_PER_COMM + CTX_P2P)
+            runtime.post_recv(self, req, self._p2p_context)
         return req
 
     async def recv(
@@ -409,7 +416,7 @@ class Comm:
         before a message arrives.
         """
         self._proc._mpi_call("recv")
-        req = self._irecv_common(source, tag)
+        req = self.irecv(source, tag, _op="recv")
         from .p2p import wait  # local import: avoids a cycle
 
         status = await wait(req)
@@ -425,8 +432,8 @@ class Comm:
     ) -> tuple[Any, Status]:
         """Combined send+receive (deadlock-free, as in MPI)."""
         self._proc._mpi_call("sendrecv")
-        req = self._irecv_common(source, recvtag)
-        self._send_common(payload, dest, sendtag, None, op="sendrecv")
+        req = self.irecv(source, recvtag, _op="sendrecv")
+        self.send(payload, dest, sendtag, _op="sendrecv")
         from .p2p import wait
 
         status = await wait(req)
