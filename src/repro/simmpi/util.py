@@ -10,7 +10,7 @@ decided once, and a send pays only for the instance's values.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from keyword import iskeyword
 from typing import Any, Callable
 
 #: Fixed per-message envelope size added to every payload estimate.
@@ -104,33 +104,46 @@ def _sized_by_fields(t: type) -> bool:
 
 
 def _dataclass_sizer(t: type) -> Callable[[Any], int]:
-    """8 plus the size of each field, read through one ``attrgetter``.
+    """8 plus the size of each field, in a function generated for *t*.
 
-    An instance with a ``__dict__`` may still carry its own ``int``
+    The function reads each field by name and prices it inline — a
+    :data:`_FIXED_SCALAR` lookup by exact type, else the type's own
+    sizer — so a send pays for no tuple and no loop.  Field names are
+    identifiers (a dataclass's always are; a class whose names are not
+    is sized by the walk), so only names reach the compiler.  An
+    instance with a ``__dict__`` may still carry its own ``int``
     ``nbytes``, which wins exactly as in the walk; with no class-level
     ``nbytes`` (see :func:`_sized_by_fields`) nothing else can.
     """
     names = tuple(t.__dataclass_fields__)
-    if len(names) > 1:
-        values = attrgetter(*names)
-    else:  # attrgetter of one name returns the bare value
-        values = lambda p: tuple(getattr(p, f) for f in names)  # noqa: E731
-    fixed, sizers = _FIXED_SCALAR, _SIZERS
-    own_dict = t.__dictoffset__ != 0
+    if not all(n.isidentifier() and not iskeyword(n) for n in names):
+        return _body_nbytes
+    lines = ["def sizer(p):"]
+    if t.__dictoffset__ != 0:
+        lines += [
+            "    own = getattr(p, 'nbytes', None)",
+            "    if isinstance(own, int):",
+            "        return own",
+        ]
+    for i, name in enumerate(names):
+        lines += [
+            f"    v{i} = p.{name}",
+            f"    s{i} = get(type(v{i}))",
+            f"    if s{i} is None:",
+            f"        s{i} = size(v{i})",
+        ]
+    terms = ["8", *(f"s{i}" for i in range(len(names)))]
+    lines.append("    return " + " + ".join(terms))
+    code = compile("\n".join(lines), f"<sizer of {t.__qualname__}>", "exec")
+    namespace = {"get": _FIXED_SCALAR.get, "size": _item_nbytes}
+    exec(code, namespace)  # noqa: S102 - built from field names alone
+    return namespace["sizer"]
 
-    def sizer(p: Any) -> int:
-        if own_dict:
-            own = getattr(p, "nbytes", None)
-            if isinstance(own, int):
-                return own
-        n = 8
-        for x in values(p):  # _elements_nbytes, inlined: one frame per send
-            t = type(x)
-            size = fixed.get(t)
-            n += size if size is not None else (sizers.get(t) or _sizer_for(t))(x)
-        return n
 
-    return sizer
+def _item_nbytes(x: Any) -> int:
+    """A field or element whose type has no fixed size: its sizer's."""
+    t = type(x)
+    return (_SIZERS.get(t) or _sizer_for(t))(x)
 
 
 def _elements_nbytes(items: Any) -> int:

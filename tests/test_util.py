@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, make_dataclass
 from typing import Any
@@ -92,6 +93,30 @@ class TestPayloadNbytes:
         sized.nbytes = 1000  # set on the instance, not the class
         assert payload_nbytes(sized) == ENVELOPE_BYTES + 1000
         assert payload_nbytes(_Flat(5, 6.0)) == ENVELOPE_BYTES + 24
+
+
+class TestGeneratedSizers:
+    """A dataclass whose fields decide its size gets a function of its
+    own, which reads every field by name."""
+
+    def test_one_function_per_type(self):
+        util._SIZERS.clear()
+        t = _dataclass_type(("value", "marker"), True)
+        assert payload_nbytes(t(1, 2)) == ENVELOPE_BYTES + 8 + 16
+        assert payload_nbytes(t("ab", None)) == ENVELOPE_BYTES + 8 + 2
+        sizer = util._SIZERS[t]
+        assert sizer.__code__.co_filename == f"<sizer of {t.__qualname__}>"
+        assert payload_nbytes(t([1], 2)) == ENVELOPE_BYTES + 8 + 16 + 8
+        assert util._SIZERS[t] is sizer
+
+    def test_a_field_name_that_is_no_identifier_is_sized_by_the_walk(self):
+        util._SIZERS.clear()
+        odd = make_dataclass("Odd", [("a", Any)])
+        odd.__dataclass_fields__ = {**odd.__dataclass_fields__, "a b": None}
+        p = odd(1)
+        setattr(p, "a b", "xyz")
+        assert payload_nbytes(p) == ENVELOPE_BYTES + _body_nbytes(p) == 32 + 19
+        assert util._SIZERS[odd] is _body_nbytes
 
 
 class TestOneSizerPerType:
@@ -264,6 +289,42 @@ class _Intercepting:
         return object.__getattribute__(self, name)
 
 
+#: Field names of the generated dataclasses: plain ones, and ones that
+#: spell the generated sizer's own names (its argument, locals and
+#: globals), which a field must never shadow.
+_FIELD_NAMES = (
+    "a", "value", "marker", "p", "get", "size", "own", "type", "v0", "s1",
+    "isinstance", "getattr",
+)
+
+
+@functools.cache
+def _dataclass_type(names: tuple[str, ...], slots: bool) -> type:
+    return make_dataclass(
+        f"Gen{len(names)}{'S' if slots else 'D'}", [(n, Any) for n in names],
+        slots=slots,
+    )
+
+
+def _dataclass_payloads(inner):
+    """Instances of dataclasses with 0 to 8 fields, with slots or with a
+    ``__dict__`` (which may carry its own ``nbytes``), holding *inner*
+    values: each type gets a generated sizer."""
+
+    @st.composite
+    def build(draw):
+        names = tuple(draw(st.lists(
+            st.sampled_from(_FIELD_NAMES), unique=True, max_size=8
+        )))
+        slots = draw(st.booleans())
+        p = _dataclass_type(names, slots)(*(draw(inner) for _ in names))
+        if not slots and draw(st.booleans()):
+            p.nbytes = draw(st.integers(0, 99) | inner)
+        return p
+
+    return build()
+
+
 def _with_own_nbytes(a: Any, own: Any) -> _Pair:
     """A plain dataclass instance carrying ``nbytes`` in its ``__dict__``."""
     p = _Pair(a, None)
@@ -325,6 +386,7 @@ def _extend(inner):
         | st.builds(_Dynamic, inner)
         | st.builds(_Intercepting, inner)
         | st.builds(_with_own_nbytes, inner, st.integers(0, 99) | inner)
+        | _dataclass_payloads(inner)
     )
 
 
@@ -350,6 +412,11 @@ class TestShapeCacheProperty:
     @example([b"ab", bytearray(b"abc"), memoryview(b"abcd"), {"k": [1]}])
     @example([np.zeros(3), np.int32(1), np.float64(2.0), [np.zeros(2)]])
     @example([_NoFields(), _OneField(_OneField(1)), (_Pt((1, 2)),)])
+    @example([
+        _dataclass_type((), True)(),
+        _dataclass_type(_FIELD_NAMES[:8], True)(*range(7), [1.0, "x"]),
+        _dataclass_type(_FIELD_NAMES[4:], False)(*"abcdefg", None),
+    ])
     def test_memoised_size_is_the_walk_on_miss_and_hit(self, payloads):
         util._SIZERS.clear()
         for p in payloads:
