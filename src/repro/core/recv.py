@@ -129,9 +129,9 @@ async def ft_recv_left(
     while True:
         ensure_watchdog(st)
         if st.watchdog is not None:
-            requests: list[Request] = [req_n, st.watchdog]
+            requests: tuple[Request, ...] = (req_n, st.watchdog)
         else:
-            requests = [req_n]
+            requests = (req_n,)
         try:
             idx, _status = await waitany(requests)
         except RankFailStopError as exc:

@@ -70,7 +70,7 @@ def icomm_agree(comm: Comm, value: Any) -> Request:
     proc = comm.proc
     proc._mpi_call("icomm_agree")
     instance = next(comm._agree_seq)
-    req = Request(RequestKind.GENERIC, proc, comm=None, label="comm_agree")
+    req = Request(RequestKind.GENERIC, proc, comm=None)
     engine_for(proc.runtime).start(comm, instance, {(comm.rank, value)}, req, AGREE)
     return req
 

@@ -38,7 +38,7 @@ def icomm_validate_all(comm: Comm, mode: str = DEFAULT_MODE) -> Request:
     proc = comm.proc
     proc._mpi_call("icomm_validate_all")
     instance = next(comm._validate_seq)
-    req = Request(RequestKind.VALIDATE, proc, comm, label=f"validate_all#{instance}")
+    req = Request(RequestKind.VALIDATE, proc, comm)
     engine_for(proc.runtime).start(
         comm, instance, comm.known_failed_comm_ranks(), req, VALIDATE, mode
     )

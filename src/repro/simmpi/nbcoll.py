@@ -217,7 +217,7 @@ def ibarrier(comm: Comm) -> Request:
     proc = comm.proc
     proc._mpi_call("ibarrier")
     instance = next(_instance_counter(comm))
-    req = Request(RequestKind.GENERIC, proc, comm, label=f"ibarrier#{instance}")
+    req = Request(RequestKind.GENERIC, proc, comm)
     engine_for(proc.runtime).start(comm, instance, req)
     return req
 

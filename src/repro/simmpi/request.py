@@ -29,7 +29,11 @@ _SUCCESS = ErrorClass.SUCCESS
 
 
 class Status:
-    """Completion information for one operation (``MPI_Status``)."""
+    """Completion information for one operation (``MPI_Status``).
+
+    ``Runtime._complete_recv`` builds a matched receive's status inline,
+    without this ``__init__``: keep the two in step.
+    """
 
     __slots__ = ("source", "tag", "error", "count", "cancelled")
 
@@ -86,10 +90,8 @@ class Request:
         "status",
         "data",
         "completion_time",
-        "cancelled",
         "waited",
         "_on_complete",
-        "user_label",
         "context",
     )
 
@@ -100,7 +102,6 @@ class Request:
         comm: "Comm | None" = None,
         peer: int = ANY_SOURCE,
         tag: int = ANY_TAG,
-        label: str = "",
     ) -> None:
         # Per-simulation id so identical seeds yield identical traces.
         runtime = owner.runtime
@@ -117,12 +118,10 @@ class Request:
         #: For receives: the delivered payload.  For validates: the decision.
         self.data: Any = None
         self.completion_time: float | None = None
-        self.cancelled = False
         #: The owner is blocked in a ``wait*`` on this request.
         self.waited = False
         #: Completion callbacks, allocated by the first :meth:`on_complete`.
         self._on_complete: list[Callable[[Request], None]] | None = None
-        self.user_label = label
         #: Message context the request was posted under (set by the
         #: runtime at post time; the failure sweep uses it to identify
         #: collective-context receives).
@@ -179,7 +178,6 @@ class Request:
         """
         if self.done:
             return
-        self.cancelled = True
         self.owner.runtime.cancel_request(self)
 
     def failed(self) -> bool:
