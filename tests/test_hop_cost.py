@@ -14,35 +14,47 @@ ring, each one decided by the program rather than by the host:
   (110–160 ns, against ~30 ns for a plain class attribute), so the hop
   reads members from module constants.  Set-up (per rank, per run) may
   still spell ``SomeEnum.MEMBER``.
+* **interpreted instructions** per handoff, counted by ``sys.settrace``
+  opcode events in every Python frame of the run, generated code
+  included (dataclass ``__init__`` methods, the payload sizers of
+  ``repro.simmpi.util``): 1,412 untraced (bound: 1,427) and 1,502
+  traced (bound: 1,518), on CPython 3.11, each bound the measured value
+  plus 1 %.  This is the count that moves with every line the hop runs.
 * **interpreted frames** in ``repro`` per handoff, counted by one
   ``sys.setprofile`` hook on the loop's thread, whose ``call`` events
   split in two by ``co_flags & CO_COROUTINE``:
 
   - *plain* frames — the point-to-point hop takes one frame per layer:
-    ``Comm.send`` → ``Runtime.post_send`` (which sizes the payload,
-    prices it and pushes the delivery event itself) → the delivery
-    event, ``Runtime._deliver`` → ``MatchingEngine.deliver`` →
-    ``Runtime._complete_recv`` (which completes the request and wakes
-    its owner itself), and ``Comm.irecv`` → ``Runtime.post_recv`` →
-    ``MatchingEngine.post_recv`` on the other side.  Each MPI entry
+    ``Comm.send`` (which runs every send check itself) →
+    ``Runtime.post_send`` (which sizes the payload, prices it and pushes
+    the delivery event itself) → the delivery event,
+    ``Runtime._deliver`` → ``MatchingEngine.deliver`` →
+    ``Runtime._complete_recv`` (which completes the request, fills its
+    status and wakes its owner itself), and ``Comm.irecv`` →
+    ``Runtime.post_recv`` → ``MatchingEngine.post_recv`` on the other
+    side.  A ring message is a value, so ``RingMsg.copy`` hands back a
+    message of an immutable scalar, once per forward.  Each MPI entry
     point runs the per-call guard in its own frame, a plain
     ``CostModel`` is read rather than called, and a wait blocks on its
-    request tuple.  It measures 24.5 (bound: 30), with the trace on or
-    off: a traced call site appends one row of a declared shape.  A
+    request tuple.  It measures 19.5 (bound: 20.5), with the trace on
+    or off: a traced call site appends one row of a declared shape.  A
     block costs one frame, ``SimProcess.block``, which returns one
-    shared awaitable whose ``__await__`` is a C callable.
+    shared awaitable whose ``__await__`` is a C callable.  Generated
+    code has no ``repro`` file, so it shows in the instruction count
+    only.
   - *coroutine* frame events — each resume of a rank re-enters every
     coroutine on its stack (the ring's main, ``ft_recv_left``,
-    ``waitany``, ``compute``): 4.9 per handoff (bound: 8).
+    ``waitany``, ``compute``): 4.9 per handoff (bound: 5.9).
 * **C calls** per handoff — builtins, heap pushes and pops, the
-  coroutine ``send`` — counted by the same hook: 25.9 untraced (bound:
-  27), 31.8 traced (bound: 33), the difference being one
+  coroutine ``send`` — counted by the same hook: 24.9 untraced (bound:
+  25.9), 30.8 traced (bound: 31.8), the difference being one
   ``list.append`` per record.
 
 None of the interpreted counts may grow with the number of ranks: at
-4,096 ranks each is within 0.5 of its 32-rank figure.  A frame bound
-that fails prints the ten functions with the most frames per handoff,
-so the failure names the layer that grew.
+4,096 ranks each is within 0.5 of its 32-rank figure.  A frame or
+instruction bound that fails prints the ten functions with the most
+frames or instructions per handoff, so the failure names the layer that
+grew.
 """
 
 from __future__ import annotations
@@ -217,22 +229,62 @@ def _frames_message(cost: HopCost) -> str:
 
 def test_frames_per_handoff():
     cost = _hop_cost(trace=False)
-    assert cost.plain <= 30 and cost.coro <= 8, _frames_message(cost)
+    assert cost.plain <= 20.5 and cost.coro <= 5.9, _frames_message(cost)
 
 
 def test_frames_per_handoff_traced():
     cost = _hop_cost(trace=True)
-    assert cost.plain <= 30 and cost.coro <= 8, _frames_message(cost)
+    assert cost.plain <= 20.5 and cost.coro <= 5.9, _frames_message(cost)
 
 
 def test_c_calls_per_handoff():
     cost = _hop_cost(trace=False)
-    assert cost.c_calls <= 27, f"{cost.c_calls:.2f} C calls per handoff"
+    assert cost.c_calls <= 25.9, f"{cost.c_calls:.2f} C calls per handoff"
 
 
 def test_c_calls_per_handoff_traced():
     cost = _hop_cost(trace=True)
-    assert cost.c_calls <= 33, f"{cost.c_calls:.2f} C calls per handoff"
+    assert cost.c_calls <= 31.8, f"{cost.c_calls:.2f} C calls per handoff"
+
+
+def _instructions(trace: bool) -> tuple[float, str]:
+    """Interpreted instructions per handoff over a whole 20-iteration
+    run, and the ten functions with the most of them, one per line."""
+    ops: Counter[str] = Counter()
+
+    def opcode(frame, event, arg):
+        if event == "opcode":
+            ops[frame.f_code.co_qualname] += 1
+        return opcode
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return opcode
+
+    main = make_ring_main(RingConfig(max_iter=20, termination=Termination.NONE))
+    sim = Simulation(nprocs=NPROCS, trace_enabled=trace)
+    sys.settrace(call)
+    try:
+        perf = sim.run(main).perf
+    finally:
+        sys.settrace(None)
+    h = perf.handoffs
+    top = "\n".join(f"{n / h:8.1f}  {name}" for name, n in ops.most_common(10))
+    return sum(ops.values()) / h, top
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="bytecode counts are CPython 3.11's"
+)
+@pytest.mark.parametrize("trace, bound", [(False, 1427), (True, 1518)],
+                         ids=["untraced", "traced"])
+def test_instructions_per_handoff(trace, bound):
+    _ring()  # warm every lazily built cache (the payload sizers)
+    per_handoff, top = _instructions(trace)
+    assert per_handoff <= bound, (
+        f"{per_handoff:.1f} interpreted instructions per handoff; most "
+        f"per handoff:\n{top}"
+    )
 
 
 def test_hop_cost_is_flat_in_the_number_of_ranks():
