@@ -25,12 +25,13 @@ object keys, the grammar tabulated in ``docs/caching.md`` — straight to
 text.  Keys are the largest term of a warm replay, and the jobs of one
 sweep hold the same scenario, invariant and window objects, so
 :func:`job_keys` encodes each distinct non-scalar object once per batch
-(a memo that lives for that one call), a dataclass type's field list is
-planned once per process (:func:`_plan`), and the salts are hashed once
-per batch.  :func:`job_key` and :func:`canonical_token` are the
-one-object forms.  None of this may move a byte of any token:
-``tests/test_cache_keys.py`` holds literal keys and the previous
-tree-then-``json.dumps`` canonicalizer as the oracle.
+(a memo that lives for that one call), each dataclass type gets one
+generated encoder per process (:func:`_encoder_for`, reading the field
+plan of :func:`_plan`), and the salts are hashed once per batch.
+:func:`job_key` and :func:`canonical_token` are the one-object forms.
+None of this may move a byte of any token: ``tests/test_cache_keys.py``
+holds literal keys, the previous tree-then-``json.dumps`` canonicalizer
+and the field-plan loop the generated encoders replaced as oracles.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import hashlib
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .. import __version__
 from ..mutation import active_set
@@ -82,7 +83,6 @@ def _qualname(cls: type) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
-@functools.cache
 def _plan(cls: type) -> tuple[str, tuple[tuple[str, str], ...]]:
     """The field plan of dataclass *cls*: the text that opens its token,
     and ``(name, text up to the value)`` per keyed field in sorted name
@@ -103,6 +103,52 @@ def _plan(cls: type) -> tuple[str, tuple[tuple[str, str], ...]]:
     )
 
 
+#: Dataclass type -> its generated encoder (see :func:`_encoder_for`).
+#: Only types that reach the dataclass branch of :func:`_compound_text`
+#: are entered, so looking one up first changes no branch.
+_ENCODERS: dict[type, Callable[[Any, _Memo], str]] = {}
+
+
+def _encoder_for(cls: type) -> Callable[[Any, _Memo], str]:
+    """Generate and remember the encoder of dataclass *cls*.
+
+    The function reads each field of :func:`_plan` in order, prices an
+    exact ``int`` or ``str`` inline and sends any other value to
+    :func:`_text`, then joins the plan's texts and the values' in one
+    call.  Field names and plan texts enter the source only as
+    ``repr()`` string literals (names read through ``getattr``), so no
+    name can inject code and every dataclass gets an encoder.
+    """
+    head, plan = _plan(cls)
+    lines = ["def encode(o, memo):"]
+    parts = [repr(head)]
+    for i, (name, prefix) in enumerate(plan):
+        lines += [
+            f"    v{i} = getattr(o, {name!r})",
+            f"    t{i} = type(v{i})",
+            f"    if t{i} is str:",
+            f"        s{i} = quote(v{i})",
+            f"    elif t{i} is int:",
+            f"        s{i} = int_text(v{i})",
+            "    else:",
+            f"        s{i} = text(v{i}, memo)",
+        ]
+        parts += [repr(prefix), f"s{i}"]
+    parts.append(repr("}}"))
+    lines.append("    return ''.join((" + ", ".join(parts) + "))")
+    code = compile(
+        "\n".join(lines), f"<cache-key encoder of {cls.__qualname__}>", "exec"
+    )
+    namespace = {
+        "getattr": getattr, "type": type, "str": str, "int": int,
+        "quote": _quote, "int_text": _int_text, "text": _text,
+    }
+    exec(code, namespace)  # noqa: S102 - names enter as repr() literals
+    encode = namespace["encode"]
+    _ENCODERS[cls] = encode
+    return encode
+
+
 def _text(obj: Any, memo: _Memo) -> str:
     """The canonical JSON text that pins *obj*'s identity exactly."""
     cls = type(obj)
@@ -121,7 +167,10 @@ def _text(obj: Any, memo: _Memo) -> str:
     known = memo.get(id(obj))
     if known is not None:
         return known[1]
-    text = _compound_text(obj, memo)
+    encode = _ENCODERS.get(cls)
+    text = (
+        encode(obj, memo) if encode is not None else _compound_text(obj, memo)
+    )
     memo[id(obj)] = (obj, text)
     return text
 
@@ -151,13 +200,7 @@ def _compound_text(obj: Any, memo: _Memo) -> str:
             + ',"value":' + _text(obj.value, memo) + "}"
         )
     if is_dataclass(obj) and not isinstance(obj, type):
-        head, plan = _plan(type(obj))
-        parts = [head]
-        for name, prefix in plan:
-            parts.append(prefix)
-            parts.append(_text(getattr(obj, name), memo))
-        parts.append("}}")
-        return "".join(parts)
+        return _encoder_for(type(obj))(obj, memo)
     if isinstance(obj, functools.partial):
         return (
             '{"__partial__":[' + _text(obj.func, memo) + ","

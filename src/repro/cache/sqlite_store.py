@@ -2,13 +2,21 @@
 
 One file (``root/cache.sqlite``), one table keyed by job key.  Each row
 holds the entry dict from :meth:`RunCache._make_entry` as JSON in
-``data``, with ``format``, ``stored_at`` and ``payload`` copied into
-their own columns so the hot paths never parse the full entry:
+``data``, with ``format`` and ``stored_at`` copied into their own
+columns so the hot paths never parse the full entry.  The ``payload``
+column holds what a warm hit replays: the part of the entry's payload
+that the job's ``from_cached`` reads.  A job type names those keys in a
+class attribute ``replay_keys`` (see ``repro/parallel/jobs.py``); one
+that declares none, and any row written before the column was trimmed,
+holds the whole payload there, which replays the same.  ``data`` always
+holds the whole entry, so ``verify``, ``gc`` and :meth:`read` see every
+field.
 
 * **Batched lookups** — ``read_many`` is chunked ``SELECT … WHERE key
-  IN (…)`` statements over the ``format``/``payload`` columns, which is
-  what makes 10^4–10^6 warm lookups per campaign practical (measured by
-  perfbench's ``cache_warm`` workload).
+  IN (…)`` statements over the ``format``/``payload`` columns, parsed
+  with one ``json.loads`` per call, which is what makes 10^4–10^6 warm
+  lookups per campaign practical (measured by perfbench's
+  ``cache_warm`` workload).
 * **Batched stores** — ``write_many`` is a single transaction around
   ``executemany``, amortizing the fsync.
 * **Concurrent writers** — WAL mode lets the serial runner, pool
@@ -77,10 +85,11 @@ def _close(conn: sqlite3.Connection, pid: int, thread: int) -> None:
 class SqliteStore:
     """Run-cache entries in a single WAL-mode SQLite database.
 
-    An *entry* is the JSON-able dict built by :meth:`RunCache.put`
-    (``format``/``key``/``stored_at``/``job_type``/``job_pickle``/
-    ``payload``); the store moves entries in and out without
-    interpreting them.
+    An *entry* is the JSON-able dict built by
+    :meth:`RunCache._make_entry` (``format``/``key``/``stored_at``/
+    ``job_type``/``job_pickle``/``payload``); the store moves entries in
+    and out without interpreting them.  Writes name the replay payload
+    of the ``payload`` column beside the entry.
     """
 
     def __init__(self, root: Path) -> None:
@@ -158,9 +167,9 @@ class SqliteStore:
         return entry if isinstance(entry, dict) else CORRUPT
 
     def write(self, key: str, entry: dict[str, Any]) -> None:
-        conn = self._conn()
-        with conn:
-            conn.execute(_INSERT, self._row(key, entry))
+        """Store one raw *entry*, its whole payload in the ``payload``
+        column (the layout a job without ``replay_keys`` gets)."""
+        self.write_many([(key, entry, entry.get("payload"))])
 
     def keys(self) -> Iterator[str]:
         """Every stored key, in sorted order."""
@@ -201,29 +210,29 @@ class SqliteStore:
         ``format`` and ``payload`` *columns* instead of parsing the full
         entry JSON (whose base64 job pickle dominates parse time but is
         only needed by ``verify``; use :meth:`read` for complete
-        entries).  One result per key, in order.
+        entries).  ``payload`` is the replay payload the row was written
+        with.  One result per key, in order.
         """
         if not keys:
             return []
         conn = self._conn()
-        found: dict[str, tuple[str, str]] = {}
+        rows: list[tuple[str, str, str]] = []
         for start in range(0, len(keys), _SELECT_CHUNK):
             chunk = keys[start : start + _SELECT_CHUNK]
             marks = ",".join("?" * len(chunk))
-            for key, fmt, payload in conn.execute(
+            rows += conn.execute(
                 f"SELECT key, format, payload FROM entries"
                 f" WHERE key IN ({marks})",
-                tuple(chunk),
-            ):
-                found[key] = (fmt, payload)
-        payloads = self._parse_payloads([v[1] for v in found.values()])
-        parsed = {
-            key: {"format": fmt, "key": key, "payload": value}
-            if isinstance(value, dict)
+                chunk,
+            ).fetchall()
+        payloads = self._parse_payloads([row[2] for row in rows])
+        entries = {
+            key: {"format": fmt, "key": key, "payload": payload}
+            if isinstance(payload, dict)
             else CORRUPT
-            for (key, (fmt, _)), value in zip(found.items(), payloads)
+            for (key, fmt, _), payload in zip(rows, payloads)
         }
-        return [parsed.get(k) for k in keys]
+        return [entries.get(key) for key in keys]
 
     @staticmethod
     def _parse_payloads(texts: list[str]) -> list[Any]:
@@ -246,11 +255,18 @@ class SqliteStore:
                     out.append(CORRUPT)
             return out
 
-    def write_many(self, items: Iterable[tuple[str, dict[str, Any]]]) -> None:
+    def write_many(
+        self, items: Iterable[tuple[str, dict[str, Any], Any]]
+    ) -> None:
+        """Store ``(key, entry, replay payload)`` items in one
+        transaction: the entry goes to ``data``, the replay payload to
+        the ``payload`` column."""
         conn = self._conn()
         with conn:
             conn.executemany(
-                _INSERT, (self._row(key, entry) for key, entry in items)
+                _INSERT,
+                (self._row(key, entry, replay)
+                 for key, entry, replay in items),
             )
 
     def delete_many(self, keys: Sequence[str]) -> None:
@@ -264,13 +280,13 @@ class SqliteStore:
 
     @staticmethod
     def _row(
-        key: str, entry: dict[str, Any]
+        key: str, entry: dict[str, Any], replay: Any
     ) -> tuple[str, str, float, str, str]:
         stored = entry.get("stored_at")
         return (
             key,
             str(entry.get("format", "")),
             float(stored) if isinstance(stored, (int, float)) else 0.0,
-            json.dumps(entry.get("payload"), sort_keys=True),
+            json.dumps(replay, sort_keys=True),
             json.dumps(entry, sort_keys=True),
         )

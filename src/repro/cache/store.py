@@ -136,7 +136,9 @@ class RunCache:
         """Batched :meth:`fetch`: one ``(status, payload)`` per key, in
         order.  One store round-trip per call (chunked ``SELECT … IN``
         queries), which is what the streaming sweep pipeline issues per
-        chunk instead of one read per job.
+        chunk instead of one read per job.  A hit's payload is the
+        replay payload :meth:`put_many` stored (every key the job's
+        ``from_cached`` reads), not necessarily the whole of it.
         """
         recorder = _spans_active()
         if recorder is None:
@@ -195,28 +197,38 @@ class RunCache:
         }
 
     def put(self, key: str, payload: dict[str, Any], job: Any) -> None:
-        """Store *payload* under *key* (one transaction)."""
-        self.store.write(key, self._make_entry(key, payload, job))
+        """Store *payload* under *key*: :meth:`put_many` of one item."""
+        self.put_many([(key, payload, job)])
 
     def put_many(
         self, items: Iterable[tuple[str, dict[str, Any], Any]]
     ) -> None:
-        """Batched :meth:`put`: one transaction for the whole batch
-        (``items`` are ``(key, payload, job)``)."""
+        """Store ``(key, payload, job)`` items in one transaction.
+
+        The entry keeps the whole payload.  The store's ``payload``
+        column gets what a warm hit replays: the keys the job's type
+        names in ``replay_keys``, or the whole payload when it names
+        none (the cache contract in ``repro/parallel/jobs.py``).
+        """
         count = 0
 
-        def _entries() -> Iterator[tuple[str, dict[str, Any]]]:
+        def _rows() -> Iterator[tuple[str, dict[str, Any], dict[str, Any]]]:
             nonlocal count
             for key, payload, job in items:
                 count += 1
-                yield key, self._make_entry(key, payload, job)
+                keep = getattr(job, "replay_keys", None)
+                replay = (
+                    payload if keep is None
+                    else {name: payload[name] for name in keep}
+                )
+                yield key, self._make_entry(key, payload, job), replay
 
         recorder = _spans_active()
         if recorder is None:
-            self.store.write_many(_entries())
+            self.store.write_many(_rows())
         else:
             with recorder.span("cache.put_many", "cache") as span:
-                self.store.write_many(_entries())
+                self.store.write_many(_rows())
                 span.attrs["stores"] = count
 
     # -- maintenance --------------------------------------------------

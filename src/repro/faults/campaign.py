@@ -162,6 +162,9 @@ class CampaignJob:
 
     # -- cache contract (see repro/parallel/jobs.py) -------------------
 
+    #: The payload keys :meth:`from_cached` reads.
+    replay_keys = ("kills", "hung", "aborted", "violations")
+
     @property
     def cacheable(self) -> bool:
         """A job that must return the full ``SimulationResult`` cannot be
@@ -187,7 +190,7 @@ class CampaignJob:
     def from_cached(self, payload: dict[str, Any]) -> CampaignRun:
         return CampaignRun(
             seed=self.seed,
-            kills=tuple((rank, time) for rank, time in payload["kills"]),
+            kills=tuple([(rank, time) for rank, time in payload["kills"]]),
             hung=bool(payload["hung"]),
             aborted=bool(payload["aborted"]),
             violations=list(payload["violations"]),

@@ -205,6 +205,9 @@ class WindowJob:
 
     # -- cache contract (see repro/parallel/jobs.py) -------------------
 
+    #: The payload keys :meth:`from_cached` reads.
+    replay_keys = ("hung", "aborted", "violations")
+
     @property
     def cacheable(self) -> bool:
         """A job that must return the full ``SimulationResult`` cannot be

@@ -134,6 +134,11 @@ class TelemetryJob:
         return self.job
 
     @property
+    def replay_keys(self) -> tuple[str, ...] | None:
+        """The wrapped job's replay subset (``None``: the whole payload)."""
+        return getattr(self.job, "replay_keys", None)
+
+    @property
     def cacheable(self) -> bool:
         return bool(
             hasattr(self.job, "cache_payload")

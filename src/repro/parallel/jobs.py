@@ -50,7 +50,15 @@ classified outcome can be reused across sweeps additionally provides
   particular instance (e.g. ``keep_results=True``, where the caller
   needs the full trace-bearing result that the cache never stores);
 * optionally ``_cache_key_exclude`` (class attr) — field names left out
-  of the cache key (display-only fields like a submission index).
+  of the cache key (display-only fields like a submission index);
+* optionally ``replay_keys`` (class attr, a tuple of payload keys) —
+  every key ``from_cached`` reads.  A warm hit then parses only those:
+  the store's ``payload`` column holds that subset, while the stored
+  entry keeps the whole payload for ``repro cache verify``.  A job
+  without it (e.g. :class:`~repro.fuzz.driver.FuzzJob`, whose
+  ``from_cached`` reads every key) replays the whole payload, and a
+  wrapper forwards its inner job's (``TelemetryJob``).  Name a key
+  here whenever ``from_cached`` starts to read it.
 
 The key itself is derived in :mod:`repro.cache.keys` from the job's
 dataclass fields plus version and mutation salts; jobs without the

@@ -155,6 +155,12 @@ class ProtocolCompareJob:
 
     # -- cache contract (see repro/parallel/jobs.py) -------------------
 
+    #: The payload keys :meth:`from_cached` reads: all but the digest.
+    replay_keys = (
+        "kills", "outcome", "abort_code", "violations", "final_time",
+        "messages_sent",
+    )
+
     def cache_payload(self) -> tuple[ProtocolRunRecord, dict[str, Any]]:
         from ..analysis.digest import result_digest
 
@@ -174,7 +180,7 @@ class ProtocolCompareJob:
             protocol=self.protocol,
             seed=self.seed,
             baseline=self.baseline,
-            kills=tuple((rank, time) for rank, time in payload["kills"]),
+            kills=tuple([(rank, time) for rank, time in payload["kills"]]),
             outcome=str(payload["outcome"]),
             abort_code=payload["abort_code"],
             violations=tuple(payload["violations"]),

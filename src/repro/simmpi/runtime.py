@@ -130,6 +130,9 @@ class Runtime:
         self.known_by: dict[int, set[int]] = {r: set() for r in range(nprocs)}
         self._failure_listeners: dict[int, list[FailureListener]] = {}
         self._am_handlers: dict[tuple[int, int], AMHandler] = {}
+        #: The contexts some rank has bound a handler on: a delivery on
+        #: any other context (every point-to-point one) skips the lookup.
+        self._am_contexts: set[int] = set()
         #: Progress engines of the layers above (agreement, ibarrier) by
         #: name, each created on first use by its module's ``engine_for``.
         self.engines: dict[str, Any] = {}
@@ -329,12 +332,22 @@ class Runtime:
         """
         if (proc.rank, comm.cid) in self._revoked:
             return
-        self._revoke_event(proc.rank, comm.cid, proc.now)
+        # Every notice is priced before any state changes, so a NaN
+        # delivery time is refused with nothing revoked, counted or paid.
+        known = self.known_by[proc.rank]
+        now = proc.now
+        notices: list[tuple[int, float]] = []
         for world_rank in comm.group:
-            if world_rank == proc.rank or world_rank in self.known_by[proc.rank]:
+            if world_rank == proc.rank or world_rank in known:
                 continue
-            proc.now += self.cost.overhead
-            deliver = proc.now + self.cost.transit_time(proc.rank, world_rank, 1)
+            now += self.cost.overhead
+            deliver = now + self.cost.transit_time(proc.rank, world_rank, 1)
+            if deliver != deliver:
+                raise ValueError("event time must not be NaN")
+            notices.append((world_rank, deliver))
+        self._revoke_event(proc.rank, comm.cid, proc.now)
+        proc.now = now
+        for world_rank, deliver in notices:
             self.perf.messages_sent += 1
             self.events.schedule(
                 deliver, partial(self._revoke_event, world_rank, comm.cid, deliver)
@@ -486,10 +499,11 @@ class Runtime:
                 msg.deliver_time, DELIVER, msg.dst,
                 msg.src, msg.tag, msg.context, msg.msg_id,
             ))
-        handler = self._am_handlers.get((msg.dst, msg.context))
-        if handler is not None:
-            handler(msg, msg.deliver_time)
-            return
+        if msg.context in self._am_contexts:
+            handler = self._am_handlers.get((msg.dst, msg.context))
+            if handler is not None:
+                handler(msg, msg.deliver_time)
+                return
         req = dst.engine.deliver(msg)
         if req is not None:
             perf.messages_matched += 1
@@ -611,6 +625,7 @@ class Runtime:
                 f"AM context {context} on rank {rank} is already bound"
             )
         self._am_handlers[key] = fn
+        self._am_contexts.add(context)
 
     def send_am(
         self, src_rank: int, dst_world: int, context: int, payload: Any,
@@ -846,6 +861,7 @@ class Runtime:
         # listeners and engines hold the engines, which hold it back.
         self.events._heap.clear()
         self._am_handlers.clear()
+        self._am_contexts.clear()
         self._failure_listeners.clear()
         self.engines.clear()
         for pending in self._pending_ssends.values():

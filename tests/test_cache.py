@@ -24,19 +24,23 @@ import re
 import sqlite3
 import threading
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import pytest
 
 import repro
 from repro import mutation, perf
-from repro.cache import RunCache, job_key
+from repro.cache import RunCache, job_key, job_keys, keys, sqlite_store
 from repro.cache.store import CORRUPT, KEY_FORMAT
 from repro.cli import main
 from repro.faults import explore, run_campaign
+from repro.faults.campaign import CampaignJob
 from repro.faults.explorer import Window, WindowJob
+from repro.faults.schedule import KillSpec
 from repro.fuzz import fuzz
 from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.driver import FuzzJob
+from repro.obs.telemetry import TelemetryJob
 from repro.parallel import (
     FleetRunner,
     RingScenario,
@@ -46,6 +50,7 @@ from repro.parallel import (
     make_runner,
     with_cache,
 )
+from repro.protocols import ProtocolCompareJob, run_compare_protocols
 from tests.conftest import (
     RING_INVARIANTS,
     RING_SCENARIO,
@@ -941,3 +946,227 @@ def test_job_key_still_covers_pickled_jobs(cache):
         entry = cache.entry(key)
         job = pickle.loads(base64.b64decode(entry["job_pickle"]))
         assert job_key(job) == key
+
+
+# ---------------------------------------------------------------------------
+# The replay subset: the payload column holds what from_cached reads,
+# the entry keeps the whole payload
+# ---------------------------------------------------------------------------
+
+
+def _sweep_texts(cache):
+    """The reports of the three cached sweep kinds, run over *cache*."""
+    return (
+        _campaign(cache=cache, runs=6).format(),
+        explore(
+            RING_SCENARIO, invariants=RING_INVARIANTS, cache=cache
+        ).format(),
+        run_compare_protocols(
+            nprocs=4, iters=3, seeds=range(2), horizon=2e-5, cache=cache
+        ).format(),
+    )
+
+
+def _columns(cache):
+    """``{key: (payload column, data column)}`` read with raw SQL."""
+    conn = sqlite3.connect(cache.store.path)
+    rows = conn.execute("SELECT key, payload, data FROM entries").fetchall()
+    conn.close()
+    return {key: (payload, data) for key, payload, data in rows}
+
+
+_REPLAY_CAMPAIGN = CampaignJob(
+    factory=RING_SCENARIO, seed=3, horizon=2e-5, kills_per_run=2,
+    invariants=RING_INVARIANTS,
+)
+
+#: One real job of every cacheable kind.
+REPLAY_JOBS = {
+    "campaign": _REPLAY_CAMPAIGN,
+    "window": _window_job(),
+    "compare": ProtocolCompareJob(
+        protocol="rts", nprocs=5, iters=4, seed=1, horizon=2e-5
+    ),
+    "fuzz": FuzzJob(
+        config=FuzzConfig(
+            scenario=RING_SCENARIO,
+            policy="random",
+            policy_seed=9,
+            faults=(KillSpec("time", 2, time=1.5e-05),),
+        ),
+        invariants=RING_INVARIANTS,
+    ),
+    "telemetry": TelemetryJob(job=_REPLAY_CAMPAIGN, index=4),
+}
+
+
+class TestReplaySubset:
+    def test_rows_in_the_old_layout_replay_as_hits(self, cache):
+        off = _sweep_texts(None)
+        cold = _sweep_texts(cache)
+        assert cold == off
+        # Put the whole payload back in every payload column, as code
+        # that did not trim it wrote the row.
+        columns = _columns(cache)
+        conn = sqlite3.connect(cache.store.path)
+        with conn:
+            conn.executemany(
+                "UPDATE entries SET payload = ? WHERE key = ?",
+                [
+                    (json.dumps(json.loads(data)["payload"]), key)
+                    for key, (_, data) in columns.items()
+                ],
+            )
+        conn.close()
+        widened = _columns(cache)
+        assert all(
+            len(widened[key][0]) > len(payload)
+            for key, (payload, _) in columns.items()
+        )
+        before = perf.CACHE.snapshot()
+        warm = _sweep_texts(cache)
+        d = _delta(before)
+        assert d["hits"] == len(columns) and d["misses"] == d["stale"] == 0
+        assert warm == cold
+
+    def test_entry_keeps_the_whole_payload_and_verifies(self, cache):
+        _sweep_texts(cache)
+        columns = _columns(cache)
+        for key, (payload, _) in columns.items():
+            entry = cache.entry(key)
+            job = pickle.loads(base64.b64decode(entry["job_pickle"]))
+            whole = entry["payload"]
+            assert "digest" in whole and "final_time" in whole
+            assert "digest" not in job.replay_keys
+            subset = {k: whole[k] for k in job.replay_keys}
+            assert json.loads(payload) == subset
+        results = cache.verify()
+        assert len(results) == len(columns)
+        assert all(r.ok for r in results), [r.format() for r in results]
+
+    @pytest.mark.parametrize("kind", sorted(REPLAY_JOBS))
+    def test_from_cached_gives_the_same_outcome_from_the_subset(
+        self, cache, kind
+    ):
+        job = REPLAY_JOBS[kind]
+        _, payload = job.cache_payload()
+        (key,) = job_keys([job])
+        cache.put_many([(key, payload, job)])
+        ((status, replayed),) = cache.get_many([key])
+        whole = cache.entry(key)["payload"]
+        assert status == "hit"
+        assert whole == json.loads(json.dumps(payload))
+        keep = getattr(job, "replay_keys", None)
+        if kind == "fuzz":
+            assert keep is None and replayed == whole
+        else:
+            assert "digest" not in replayed
+            assert replayed == {k: whole[k] for k in keep}
+        subset, full = job.from_cached(replayed), job.from_cached(whole)
+        if kind == "telemetry":
+            subset, full = subset.value, full.value
+        assert subset == full
+
+    def test_put_is_put_many_of_one_item(self, cache):
+        job = REPLAY_JOBS["campaign"]
+        _, payload = job.cache_payload()
+        cache.put("ab" * 32, payload, job)
+        cache.put_many([("cd" * 32, payload, job)])
+        one, batch = (_columns(cache)[k][0] for k in ("ab" * 32, "cd" * 32))
+        assert one == batch
+        assert json.loads(one) == {k: payload[k] for k in job.replay_keys}
+
+
+#: The 100-seed kill campaign the benchmark's cache workloads sweep.
+SWEEP_SCENARIO = RingScenario(
+    nprocs=8, iters=6, variant="ft_marker", termination="validate_all"
+)
+SWEEP_SEEDS = range(100_000, 100_100)
+
+
+def _sweep(cache):
+    return run_campaign(
+        SWEEP_SCENARIO,
+        seeds=SWEEP_SEEDS,
+        horizon=8e-5,
+        kills_per_run=2,
+        invariants=StandardRingInvariants(6, 8),
+        cache=cache,
+    )
+
+
+def _sweep_jobs():
+    invariants = StandardRingInvariants(6, 8)
+    return [
+        CampaignJob(
+            factory=SWEEP_SCENARIO, seed=seed, horizon=8e-5,
+            kills_per_run=2, invariants=invariants,
+        )
+        for seed in SWEEP_SEEDS
+    ]
+
+
+@pytest.fixture(scope="module")
+def sweep_cache(tmp_path_factory):
+    cache = RunCache(tmp_path_factory.mktemp("sweep") / "cache")
+    _sweep(cache)
+    return cache
+
+
+class TestWarmPathGates:
+    """Exact, machine-independent bounds on what a warm hit reads."""
+
+    def test_payload_column_holds_the_replay_subset(self, sweep_cache):
+        conn = sqlite3.connect(sweep_cache.store.path)
+        count, mean = conn.execute(
+            "SELECT COUNT(*), AVG(LENGTH(payload)) FROM entries"
+        ).fetchone()
+        conn.close()
+        # 385.5 bytes with the whole payload in the column.
+        assert count == 100 and mean <= 130
+
+    def test_one_json_parse_per_read(self, sweep_cache, monkeypatch):
+        parses = []
+        reads = []
+        read_many = sweep_cache.store.read_many
+
+        def loads(text):
+            parses.append(len(text))
+            return json.loads(text)
+
+        def counted_read_many(batch):
+            reads.append(len(batch))
+            return read_many(batch)
+
+        counted = SimpleNamespace(loads=loads, dumps=json.dumps)
+        monkeypatch.setattr(sqlite_store, "json", counted)
+        monkeypatch.setattr(sweep_cache.store, "read_many", counted_read_many)
+        keys_ = job_keys(_sweep_jobs())
+        got = sweep_cache.get_many(keys_ * 6)  # 600 keys: two SELECTs
+        assert [s for s, _ in got] == ["hit"] * 600
+        assert len(parses) == len(reads) == 1
+        before = perf.CACHE.snapshot()
+        _sweep(sweep_cache)
+        assert _delta(before)["hits"] == 100
+        assert len(reads) >= 2 and len(parses) == len(reads)
+
+    def test_one_encoder_per_dataclass_type(self, sweep_cache, monkeypatch):
+        compiled = []
+        encoder_for = keys._encoder_for
+
+        def counted_encoder_for(cls):
+            compiled.append(cls)
+            return encoder_for(cls)
+
+        monkeypatch.setattr(keys, "_ENCODERS", {})
+        monkeypatch.setattr(keys, "_encoder_for", counted_encoder_for)
+        jobs = _sweep_jobs()
+        first = job_keys(jobs)
+        assert sorted(cls.__name__ for cls in compiled) == [
+            "CampaignJob", "RingScenario", "StandardRingInvariants"
+        ]
+        assert job_keys(jobs) == first
+        before = perf.CACHE.snapshot()
+        _sweep(sweep_cache)
+        assert _delta(before)["hits"] == 100
+        assert len(compiled) == 3

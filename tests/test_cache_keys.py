@@ -1,8 +1,8 @@
 """Cache keys are pinned byte for byte (:mod:`repro.cache.keys`).
 
 A key that moves silently turns every existing store into misses; a key
-that stops moving serves a wrong result.  Three pins, none of which
-looks at how the encoder works:
+that stops moving serves a wrong result.  Three pins that do not look
+at how the encoder works, and one that does:
 
 * literal key vectors, one job of every cacheable type, recorded at the
   commit before the encoder was rewritten to emit text directly;
@@ -11,7 +11,10 @@ looks at how the encoder works:
   random nestings of everything the grammar knows;
 * the semantics of the per-batch memo of :func:`job_keys`: sharing a
   sub-object changes no key, nothing is remembered across calls, and a
-  shared sub-object is read once per call.
+  shared sub-object is read once per call;
+* the generated encoder of each dataclass type against the field-plan
+  loop it replaced, kept below as a second oracle, over drawn
+  dataclasses whose field names spell the generated code's own names.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, make_dataclass
 from enum import Enum, IntEnum
 from typing import Any
 
@@ -541,3 +544,83 @@ class TestMemo:
         jobs = [_Keyed(shared, n) for n in range(4)] + [_Keyed(Leaf(), 9)]
         batch = job_keys(jobs)
         assert batch[:4] == [None] * 4 and batch[4] is not None
+
+
+# ---------------------------------------------------------------------------
+# (d) Generated dataclass encoders against the plan loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def _plan_loop_text(obj):
+    """The dataclass branch as it was: walk the field plan, encode each
+    value, join.  Nested dataclasses and tuples recurse here, so no
+    generated encoder takes part; everything else is a leaf."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        head, plan = keys._plan(type(obj))
+        parts = [head]
+        for name, prefix in plan:
+            parts.append(prefix)
+            parts.append(_plan_loop_text(getattr(obj, name)))
+        parts.append("}}")
+        return "".join(parts)
+    if type(obj) is tuple:
+        return "[" + ",".join([_plan_loop_text(x) for x in obj]) + "]"
+    return keys._text(obj, {})
+
+
+#: Field names that spell the generated code's parameters, locals and
+#: globals, a non-ASCII one, and one the plan leaves out of the key.
+_ENCODER_NAMES = [
+    "o", "memo", "v0", "s0", "t0", "v1", "s1", "t7", "encode", "text",
+    "quote", "int_text", "getattr", "type", "str", "int", "é", "a",
+    "_hidden",
+]
+
+
+@st.composite
+def _drawn_dataclass(draw, values):
+    """An instance of a fresh dataclass of 0–8 drawn fields, some of
+    them named in ``_cache_key_exclude``, holding drawn values."""
+    names = draw(
+        st.lists(st.sampled_from(_ENCODER_NAMES), max_size=8, unique=True)
+    )
+    excluded = (
+        draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    )
+    cls = make_dataclass(
+        "Drawn",
+        [(name, Any) for name in names],
+        namespace={"_cache_key_exclude": tuple(excluded)},
+        frozen=draw(st.booleans()),
+    )
+    return cls(*[draw(values) for _ in names])
+
+
+_encoder_leaves = st.one_of(
+    st.integers(),
+    st.sampled_from([10**30, -(2**64), True, False]),
+    st.text(max_size=6),
+    st.sampled_from(_STRINGS),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.sampled_from([*Color, *Level, *Mode]),
+)
+_encoder_values = st.recursive(
+    _encoder_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3).map(tuple),
+        _drawn_dataclass(children),
+    ),
+    max_leaves=8,
+)
+
+
+class TestGeneratedEncoders:
+    @settings(max_examples=100, deadline=None)
+    @given(_drawn_dataclass(_encoder_values))
+    def test_same_text_as_the_plan_loop(self, obj):
+        token = canonical_token(obj)
+        assert token == _plan_loop_text(obj)
+        assert token == oracle_token(obj)
+        assert type(obj) in keys._ENCODERS

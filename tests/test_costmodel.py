@@ -150,3 +150,21 @@ class TestANaNDeliveryTimeChangesNothing:
         sim = Simulation(nprocs=2, cost=NaNWire(), trace_enabled=True)
         before, after = sim.run(main).value(0)
         assert after == before
+
+    def test_the_refused_revoke_leaves_no_trace(self):
+        # Nothing revoked, counted or paid: not even the revoker's own
+        # (rank, cid) entry, which takes effect before any notice leaves.
+        async def main(mpi):
+            if mpi.rank != 0:
+                return None
+            comm = mpi.comm_world
+            await mpi.compute(1e-6)
+            revoked = mpi.runtime._revoked
+            before = (self._state(mpi), set(revoked))
+            with pytest.raises(ValueError, match="NaN"):
+                comm.revoke()
+            return before, (self._state(mpi), set(revoked))
+
+        sim = Simulation(nprocs=3, cost=NaNWire(), trace_enabled=True)
+        before, after = sim.run(main).value(0)
+        assert after == before

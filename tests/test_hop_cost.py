@@ -17,8 +17,8 @@ ring, each one decided by the program rather than by the host:
 * **interpreted instructions** per handoff, counted by ``sys.settrace``
   opcode events in every Python frame of the run, generated code
   included (dataclass ``__init__`` methods, the payload sizers of
-  ``repro.simmpi.util``): 1,412 untraced (bound: 1,427) and 1,502
-  traced (bound: 1,518), on CPython 3.11, each bound the measured value
+  ``repro.simmpi.util``): 1,405.4 untraced (bound: 1,420) and 1,495.4
+  traced (bound: 1,511), on CPython 3.11, each bound the measured value
   plus 1 %.  This is the count that moves with every line the hop runs.
 * **interpreted frames** in ``repro`` per handoff, counted by one
   ``sys.setprofile`` hook on the loop's thread, whose ``call`` events
@@ -46,8 +46,8 @@ ring, each one decided by the program rather than by the host:
     coroutine on its stack (the ring's main, ``ft_recv_left``,
     ``waitany``, ``compute``): 4.9 per handoff (bound: 5.9).
 * **C calls** per handoff — builtins, heap pushes and pops, the
-  coroutine ``send`` — counted by the same hook: 24.9 untraced (bound:
-  25.9), 30.8 traced (bound: 31.8), the difference being one
+  coroutine ``send`` — counted by the same hook: 23.9 untraced (bound:
+  24.9), 29.8 traced (bound: 30.8), the difference being one
   ``list.append`` per record.
 
 None of the interpreted counts may grow with the number of ranks: at
@@ -239,12 +239,12 @@ def test_frames_per_handoff_traced():
 
 def test_c_calls_per_handoff():
     cost = _hop_cost(trace=False)
-    assert cost.c_calls <= 25.9, f"{cost.c_calls:.2f} C calls per handoff"
+    assert cost.c_calls <= 24.9, f"{cost.c_calls:.2f} C calls per handoff"
 
 
 def test_c_calls_per_handoff_traced():
     cost = _hop_cost(trace=True)
-    assert cost.c_calls <= 31.8, f"{cost.c_calls:.2f} C calls per handoff"
+    assert cost.c_calls <= 30.8, f"{cost.c_calls:.2f} C calls per handoff"
 
 
 def _instructions(trace: bool) -> tuple[float, str]:
@@ -276,7 +276,7 @@ def _instructions(trace: bool) -> tuple[float, str]:
 @pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="bytecode counts are CPython 3.11's"
 )
-@pytest.mark.parametrize("trace, bound", [(False, 1427), (True, 1518)],
+@pytest.mark.parametrize("trace, bound", [(False, 1420), (True, 1511)],
                          ids=["untraced", "traced"])
 def test_instructions_per_handoff(trace, bound):
     _ring()  # warm every lazily built cache (the payload sizers)
