@@ -1,40 +1,25 @@
-"""``repro.analysis`` — invariants, statistics, digests, and tables."""
+"""``repro.analysis`` — invariants, statistics, digests, and tables.
 
-from .digest import perf_dict, result_digest
-from .invariants import (
-    Invariant,
-    completions_in_order,
-    make_min_completions,
-    make_value_bounds,
-    no_abort,
-    no_duplicate_completions,
-    no_hang,
-    standard_ring_invariants,
-    survivors_done,
-)
-from .spacetime import SpacetimeOptions, failure_story, render_spacetime
-from .stats import MessageStats, message_stats, ring_summary
-from .tables import ascii_table, dict_table, format_cell
+The names below load on first use (:mod:`repro._lazy`): a sweep that
+only checks invariants never imports the space-time renderer.
+"""
 
-__all__ = [
-    "Invariant",
-    "MessageStats",
-    "SpacetimeOptions",
-    "ascii_table",
-    "completions_in_order",
-    "dict_table",
-    "failure_story",
-    "format_cell",
-    "make_min_completions",
-    "make_value_bounds",
-    "message_stats",
-    "no_abort",
-    "no_duplicate_completions",
-    "no_hang",
-    "perf_dict",
-    "render_spacetime",
-    "result_digest",
-    "ring_summary",
-    "standard_ring_invariants",
-    "survivors_done",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "digest": ("perf_dict", "result_digest"),
+    "invariants": (
+        "Invariant",
+        "completions_in_order",
+        "make_min_completions",
+        "make_value_bounds",
+        "no_abort",
+        "no_duplicate_completions",
+        "no_hang",
+        "standard_ring_invariants",
+        "survivors_done",
+    ),
+    "spacetime": ("SpacetimeOptions", "failure_story", "render_spacetime"),
+    "stats": ("MessageStats", "message_stats", "ring_summary"),
+    "tables": ("ascii_table", "dict_table", "format_cell"),
+})

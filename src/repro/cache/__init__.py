@@ -22,19 +22,13 @@ cache)`` (or an entry point's ``cache=`` argument) switch it on.
 Hit/miss/stale/store accounting lives in :data:`repro.perf.CACHE`.
 Correctness contract: a cached sweep's report is byte-identical to the
 uncached one — the cache changes wall-clock time and nothing else.
+The names below load on first use (:mod:`repro._lazy`), and SQLite only
+when a :class:`RunCache` opens its store.
 """
 
-from .keys import KEY_FORMAT, Uncacheable, canonical_token, job_key, job_keys
-from .store import RunCache, VerifyResult, default_cache_dir, diff_payload
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KEY_FORMAT",
-    "RunCache",
-    "Uncacheable",
-    "VerifyResult",
-    "canonical_token",
-    "default_cache_dir",
-    "diff_payload",
-    "job_key",
-    "job_keys",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "keys": ("KEY_FORMAT", "Uncacheable", "canonical_token", "job_key", "job_keys"),
+    "store": ("RunCache", "VerifyResult", "default_cache_dir", "diff_payload"),
+})

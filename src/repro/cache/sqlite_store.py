@@ -39,13 +39,9 @@ import weakref
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-__all__ = ["CORRUPT", "DB_FILENAME", "SqliteStore"]
+from .store import CORRUPT
 
-#: Sentinel returned by :meth:`SqliteStore.read` for an entry that exists
-#: but cannot be parsed — distinct from ``None`` (no entry at all) so
-#: ``fetch`` can report ``"stale"`` (re-execute and overwrite) rather
-#: than ``"miss"``.
-CORRUPT: Any = object()
+__all__ = ["CORRUPT", "DB_FILENAME", "SqliteStore"]
 
 #: Database filename under the cache root.
 DB_FILENAME = "cache.sqlite"

@@ -34,7 +34,6 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from ..obs.spans import active as _spans_active
 from .keys import KEY_FORMAT, job_key
-from .sqlite_store import CORRUPT, SqliteStore
 
 __all__ = [
     "CORRUPT",
@@ -44,9 +43,16 @@ __all__ = [
     "diff_payload",
 ]
 
+#: Sentinel the store's ``read`` returns for an entry that exists but
+#: cannot be parsed — distinct from ``None`` (no entry at all) so
+#: ``fetch`` can report ``"stale"`` (re-execute and overwrite) rather
+#: than ``"miss"``.
+CORRUPT: Any = object()
+
 
 def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro/runs``."""
+    """``$REPRO_CACHE_DIR`` if set, else ``$XDG_CACHE_HOME/repro/runs``
+    if that is set, else ``~/.cache/repro/runs``."""
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
         return Path(env)
@@ -106,6 +112,10 @@ class RunCache:
             raise ValueError(
                 f"unknown cache backend {backend!r} (the store is sqlite)"
             )
+        # Imported here: a process that never opens a store never loads
+        # sqlite3.
+        from .sqlite_store import SqliteStore
+
         self.root = Path(root)
         self.store = SqliteStore(self.root)
 

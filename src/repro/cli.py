@@ -96,21 +96,10 @@ import argparse
 import sys
 from typing import Sequence
 
-from .analysis import (
-    dict_table,
-    render_spacetime,
-    ring_summary,
-)
-from .core import (
-    RingConfig,
-    RingVariant,
-    Termination,
-    make_ring_main,
-    make_rootft_main,
-)
-from .faults import FailureSchedule, explore, run_campaign
-from .parallel import RingScenario, StandardRingInvariants
-from .simmpi import Simulation
+# Each command imports what it runs, so `repro --help` and `repro
+# worker serve` load no sweep, cache or protocol code; the parser needs
+# only these two enums for its choices.
+from .core import RingVariant, Termination
 
 
 def _add_kill_args(p: argparse.ArgumentParser) -> None:
@@ -133,6 +122,8 @@ def _add_ring_args(p: argparse.ArgumentParser) -> None:
 
 
 def _schedule_from(args: argparse.Namespace) -> FailureSchedule:
+    from .faults import FailureSchedule
+
     sched = FailureSchedule()
     for spec in args.kill_time:
         rank, time = spec.split(":")
@@ -326,7 +317,7 @@ def _add_cache_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="cache directory (default: $REPRO_CACHE_DIR, else "
-             "~/.cache/repro/runs)",
+             "$XDG_CACHE_HOME/repro/runs, else ~/.cache/repro/runs)",
     )
 
 
@@ -384,6 +375,8 @@ def _run_sweep(args: argparse.Namespace, entry, render=None, **kwargs):
 
 
 def _common_sim(args: argparse.Namespace, nprocs: int) -> Simulation:
+    from .simmpi import Simulation
+
     sim = Simulation(
         nprocs=nprocs,
         seed=args.seed,
@@ -416,6 +409,8 @@ def _print_trace_views(
 ) -> None:
     """Render the views requested via :func:`_add_trace_args`."""
     if getattr(args, "spacetime", False):
+        from .analysis import render_spacetime
+
         print()
         print(render_spacetime(result.trace, nprocs))
     if getattr(args, "failure_story", False):
@@ -426,6 +421,9 @@ def _print_trace_views(
 
 
 def cmd_ring(args: argparse.Namespace) -> int:
+    from .analysis import dict_table, ring_summary
+    from .core import RingConfig, make_ring_main, make_rootft_main
+
     cfg = RingConfig(
         max_iter=args.iters,
         variant=RingVariant(args.variant),
@@ -460,6 +458,8 @@ def cmd_ring(args: argparse.Namespace) -> int:
 
 def _ring_scenario(args: argparse.Namespace) -> RingScenario:
     """Picklable ring factory from CLI arguments (crosses pool boundaries)."""
+    from .parallel import RingScenario
+
     return RingScenario(
         nprocs=args.nprocs,
         iters=args.iters,
@@ -472,6 +472,9 @@ def _ring_scenario(args: argparse.Namespace) -> RingScenario:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    from .faults import explore
+    from .parallel import StandardRingInvariants
+
     ranks = None if args.rootft else list(range(1, args.nprocs))
     progress = None
     if args.progress:
@@ -496,6 +499,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from .faults import run_campaign
+    from .parallel import StandardRingInvariants
+
     eligible = None
     if args.rootft:
         eligible = list(range(args.nprocs))  # the root may die too
@@ -587,6 +593,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
     if not args.trace:
         sim.runtime.trace.enabled = False
     if args.scenario == "ring":
+        from .core import RingConfig, make_ring_main, make_rootft_main
+
         cfg = RingConfig(
             max_iter=args.iters,
             variant=RingVariant(args.variant),
@@ -621,6 +629,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
 def _fuzz_scenario(args: argparse.Namespace):
     """Build the picklable scenario spec the fuzz subcommand targets."""
     if args.scenario == "ring":
+        from .parallel import RingScenario
+
         return RingScenario(
             nprocs=args.nprocs,
             iters=args.iters,
@@ -788,6 +798,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     errors, valid = [], None
     if args.format == "spacetime":
+        from .analysis import render_spacetime
+
         text = render_spacetime(result.trace, nprocs)
     elif args.format == "jsonl":
         text = trace_to_jsonl(result.trace, nprocs)
@@ -1120,6 +1132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ca.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="cache directory (default: $REPRO_CACHE_DIR, "
+                         "else $XDG_CACHE_HOME/repro/runs, "
                          "else ~/.cache/repro/runs)")
     casub = ca.add_subparsers(dest="cache_cmd", required=True)
     cast = casub.add_parser("stats", help="entry count and disk footprint")

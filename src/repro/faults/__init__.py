@@ -9,43 +9,30 @@ Three layers, in increasing thoroughness (paper §III-E):
 * :mod:`~repro.faults.explorer` — exhaustive enumeration of every
   reachable failure window (single and paired), with invariant checking:
   the "have I covered *all* scenarios?" tool the paper calls for.
+
+The names below load on first use (:mod:`repro._lazy`): a campaign never
+imports the explorer.
 """
 
-from .campaign import CampaignReport, CampaignRun, run_campaign
-from .explorer import (
-    ExplorationReport,
-    ScenarioOutcome,
-    Window,
-    enumerate_windows,
-    explore,
-    run_window,
-)
-from .schedule import FailureSchedule, KillSpec
-from .injector import (
-    CompositeInjector,
-    FaultInjector,
-    KillAtCall,
-    KillAtProbe,
-    KillAtTime,
-    KillRandomly,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignReport",
-    "CampaignRun",
-    "CompositeInjector",
-    "ExplorationReport",
-    "FailureSchedule",
-    "FaultInjector",
-    "KillAtCall",
-    "KillAtProbe",
-    "KillAtTime",
-    "KillRandomly",
-    "KillSpec",
-    "ScenarioOutcome",
-    "Window",
-    "enumerate_windows",
-    "explore",
-    "run_campaign",
-    "run_window",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "campaign": ("CampaignReport", "CampaignRun", "run_campaign"),
+    "explorer": (
+        "ExplorationReport",
+        "ScenarioOutcome",
+        "Window",
+        "enumerate_windows",
+        "explore",
+        "run_window",
+    ),
+    "schedule": ("FailureSchedule", "KillSpec"),
+    "injector": (
+        "CompositeInjector",
+        "FaultInjector",
+        "KillAtCall",
+        "KillAtProbe",
+        "KillAtTime",
+        "KillRandomly",
+    ),
+})

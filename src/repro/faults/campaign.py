@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from ..analysis.digest import perf_dict, result_digest
 from ..parallel.jobs import (
     InvariantSpec,
     ScenarioFactory,
@@ -172,8 +173,6 @@ class CampaignJob:
         return not self.keep_results
 
     def cache_payload(self) -> tuple[CampaignRun, dict[str, Any]]:
-        from ..analysis.digest import perf_dict, result_digest
-
         run, result = self._execute(digest=True)
         return run, {
             # JSON turns the (rank, time) pairs into 2-lists; floats

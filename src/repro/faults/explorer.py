@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from ..analysis.digest import perf_dict, result_digest
 from ..parallel.jobs import (
     Invariant,
     InvariantSpec,
@@ -215,8 +216,6 @@ class WindowJob:
         return not self.keep_results
 
     def cache_payload(self) -> tuple[ScenarioOutcome, dict[str, Any]]:
-        from ..analysis.digest import perf_dict, result_digest
-
         outcome, result = self._execute(digest=True)
         return outcome, {
             "violations": list(outcome.violations),

@@ -1,6 +1,6 @@
 """Observability: trace export, metrics timelines, sweep telemetry.
 
-Five modules over the deterministic kernel and the sweep pipeline (see
+Six modules over the deterministic kernel and the sweep pipeline (see
 ``docs/observability.md``):
 
 * :mod:`repro.obs.records` — the one JSONL envelope of the three record
@@ -21,7 +21,10 @@ Five modules over the deterministic kernel and the sweep pipeline (see
   serial==pooled, aggregated offline by ``repro report``;
 * :mod:`repro.obs.spans` — orchestration span tracing over the sweep
   pipeline (rounds, chunks, wire frames, worker-side execution, cache
-  batches), exported as ``repro.spans/1`` JSONL or Perfetto tracks.
+  batches), exported as ``repro.spans/1`` JSONL or Perfetto tracks;
+* :mod:`repro.obs.scenarios` — the named presets of ``repro trace``
+  (:data:`SCENARIOS`, :func:`make_scenario`): the paper's figures and
+  the bundled workloads, rebuilt with kernel metrics on.
 
 The pipeline's counters are not here: :data:`repro.perf.CACHE` counts
 cache lookups and stores, ``SweepRunner.worker_stats()`` the chunks,
@@ -32,82 +35,48 @@ two.
 Everything here is opt-in: a simulation without ``metrics=True`` and a
 sweep without ``telemetry=`` allocate no obs state at all, and spans
 cost one thread-local read per instrumentation site when no recorder
-is installed.
+is installed.  The names below load on first use (:mod:`repro._lazy`):
+importing the package imports none of its modules.
 """
 
-from . import records
-from .export import (
-    JSONL_FORMAT,
-    TRACE,
-    dumps_perfetto,
-    load_trace_jsonl,
-    perfetto_errors,
-    trace_to_jsonl,
-    trace_to_perfetto,
-)
-from .metrics import KernelMetrics, RankSummary, RunReport, Series, run_report
-from .scenarios import SCENARIOS, make_scenario
-from .spans import (
-    CANONICAL_CATEGORIES,
-    SPANS,
-    SPANS_FORMAT,
-    SPAN_CATEGORIES,
-    SPAN_VOLATILE_KEYS,
-    Span,
-    SpanRecorder,
-    active,
-    recording,
-    spans_to_perfetto,
-    spans_to_records,
-)
-from .telemetry import (
-    TELEMETRY,
-    TELEMETRY_FORMAT,
-    TelemetryJob,
-    TelemetryResult,
-    TelemetrySummary,
-    TelemetryWriter,
-    VOLATILE_KEYS,
-    outcome_class,
-    summarize,
-    summary_dict,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CANONICAL_CATEGORIES",
-    "JSONL_FORMAT",
-    "KernelMetrics",
-    "RankSummary",
-    "RunReport",
-    "SCENARIOS",
-    "SPANS",
-    "SPANS_FORMAT",
-    "SPAN_CATEGORIES",
-    "SPAN_VOLATILE_KEYS",
-    "Series",
-    "Span",
-    "SpanRecorder",
-    "TELEMETRY",
-    "TELEMETRY_FORMAT",
-    "TRACE",
-    "TelemetryJob",
-    "TelemetryResult",
-    "TelemetrySummary",
-    "TelemetryWriter",
-    "VOLATILE_KEYS",
-    "active",
-    "dumps_perfetto",
-    "load_trace_jsonl",
-    "make_scenario",
-    "outcome_class",
-    "perfetto_errors",
-    "records",
-    "recording",
-    "run_report",
-    "spans_to_perfetto",
-    "spans_to_records",
-    "summarize",
-    "summary_dict",
-    "trace_to_jsonl",
-    "trace_to_perfetto",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "records": ("records",),
+    "export": (
+        "JSONL_FORMAT",
+        "TRACE",
+        "dumps_perfetto",
+        "load_trace_jsonl",
+        "perfetto_errors",
+        "trace_to_jsonl",
+        "trace_to_perfetto",
+    ),
+    "metrics": ("KernelMetrics", "RankSummary", "RunReport", "Series", "run_report"),
+    "scenarios": ("SCENARIOS", "make_scenario"),
+    "spans": (
+        "CANONICAL_CATEGORIES",
+        "SPANS",
+        "SPANS_FORMAT",
+        "SPAN_CATEGORIES",
+        "SPAN_VOLATILE_KEYS",
+        "Span",
+        "SpanRecorder",
+        "active",
+        "recording",
+        "spans_to_perfetto",
+        "spans_to_records",
+    ),
+    "telemetry": (
+        "TELEMETRY",
+        "TELEMETRY_FORMAT",
+        "TelemetryJob",
+        "TelemetryResult",
+        "TelemetrySummary",
+        "TelemetryWriter",
+        "VOLATILE_KEYS",
+        "outcome_class",
+        "summarize",
+        "summary_dict",
+    ),
+})

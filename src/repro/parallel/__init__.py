@@ -34,50 +34,34 @@ Layers:
   :class:`StandardRingInvariants`).
 
 See ``docs/parallel.md`` for the determinism and timeout/retry contract.
+The names below load on first use (:mod:`repro._lazy`): a serial sweep
+never imports :mod:`~repro.parallel.remote` and its sockets.
 """
 
-from .jobs import (
-    Invariant,
-    ScenarioFactory,
-    SimJob,
-    check_invariants,
-    resolve_invariants,
-)
-from .remote import FleetRunner, WorkerServer, parse_worker_addrs
-from .runner import (
-    SerialRunner,
-    SweepError,
-    SweepJob,
-    SweepRunner,
-    make_runner,
-    sweep,
-    with_cache,
-)
-from .scenarios import (
-    AppScenario,
-    GenericInvariants,
-    RingScenario,
-    StandardRingInvariants,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AppScenario",
-    "FleetRunner",
-    "GenericInvariants",
-    "Invariant",
-    "RingScenario",
-    "ScenarioFactory",
-    "SerialRunner",
-    "SimJob",
-    "StandardRingInvariants",
-    "SweepError",
-    "SweepJob",
-    "SweepRunner",
-    "WorkerServer",
-    "check_invariants",
-    "make_runner",
-    "parse_worker_addrs",
-    "resolve_invariants",
-    "sweep",
-    "with_cache",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "jobs": (
+        "Invariant",
+        "ScenarioFactory",
+        "SimJob",
+        "check_invariants",
+        "resolve_invariants",
+    ),
+    "remote": ("FleetRunner", "WorkerServer", "parse_worker_addrs"),
+    "runner": (
+        "SerialRunner",
+        "SweepError",
+        "SweepJob",
+        "SweepRunner",
+        "make_runner",
+        "sweep",
+        "with_cache",
+    ),
+    "scenarios": (
+        "AppScenario",
+        "GenericInvariants",
+        "RingScenario",
+        "StandardRingInvariants",
+    ),
+})

@@ -204,7 +204,9 @@ def parse_worker_addrs(spec: str) -> tuple[tuple[str, int], ...]:
 
     Raises :class:`ValueError` with a usable message on malformed input
     (the CLI uses this as an argparse ``type=`` so errors surface at
-    parse time, not as a traceback from a socket call).
+    parse time, not as a traceback from a socket call): a port that is
+    not plain ASCII digits, or an address given twice (two slots would
+    share one stats row and every job would count twice).
     """
     addrs: list[tuple[str, int]] = []
     for part in spec.split(","):
@@ -217,16 +219,17 @@ def parse_worker_addrs(spec: str) -> tuple[tuple[str, int], ...]:
                 f"worker address {part!r} is not HOST:PORT "
                 "(expected e.g. 127.0.0.1:7777)"
             )
-        try:
-            port = int(port_s)
-        except ValueError:
+        if not (port_s.isascii() and port_s.isdigit()):
             raise ValueError(
                 f"worker address {part!r} has a non-numeric port"
-            ) from None
+            )
+        port = int(port_s)
         if not 1 <= port <= 65535:
             raise ValueError(
                 f"worker address {part!r} has an out-of-range port"
             )
+        if (host, port) in addrs:
+            raise ValueError(f"worker address {part!r} is given twice")
         addrs.append((host, port))
     if not addrs:
         raise ValueError("no worker addresses given")
@@ -505,6 +508,9 @@ class FleetRunner(SweepRunner):
         self.names = tuple(map(_addr_str, self.addresses)) or tuple(
             f"local:{slot}" for slot in range(self.workers)
         )
+        for slot, name in enumerate(self.names):
+            if name in self.names[:slot]:
+                raise ValueError(f"worker address {name!r} is given twice")
         #: Per-slot telemetry, accumulated across rounds; a slot's
         #: ``pid`` is its latest worker's.
         self.stats: dict[str, dict[str, Any]] = {

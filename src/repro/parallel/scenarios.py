@@ -7,6 +7,11 @@ main)`` out, built fresh inside whichever process runs the job.
 
 Enum-valued knobs are stored as their string values so a pickled spec
 stays readable and stable across refactors of the enum classes.
+
+What a spec runs is imported where the spec is built — the invariant
+batteries with this module, a protocol family or the apps by the
+scenario that selects them — so a forked worker that runs it imports
+nothing itself.
 """
 
 from __future__ import annotations
@@ -14,6 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..analysis.invariants import (
+    no_hang,
+    standard_ring_invariants,
+    survivors_done,
+)
 from ..core import (
     RingConfig,
     RingVariant,
@@ -55,12 +65,9 @@ class RingScenario:
     spares: int = 2
 
     def __post_init__(self) -> None:
-        from ..protocols import PROTOCOLS
+        from ..protocols.base import load_family
 
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {self.protocol!r} (known: {PROTOCOLS})"
-            )
+        load_family(self.protocol)
         if self.rootft and self.protocol != "rts":
             raise ValueError("rootft applies to the rts protocol only")
 
@@ -150,6 +157,9 @@ class AppScenario:
                 f"{self.protocol!r}; the alternative families in "
                 "repro.protocols are ring strategies"
             )
+        # The apps (and numpy) load where the spec is built, so a forked
+        # worker that runs it imports nothing itself.
+        from .. import apps  # noqa: F401
 
     def __call__(self) -> tuple[Simulation, Any]:
         sim = Simulation(
@@ -206,8 +216,6 @@ class StandardRingInvariants:
     reads_trace = False
 
     def __call__(self) -> list[Invariant]:
-        from ..analysis import standard_ring_invariants
-
         return standard_ring_invariants(
             self.max_iter, self.nprocs, allow_root_loss=self.allow_root_loss
         )
@@ -226,6 +234,4 @@ class GenericInvariants:
     reads_trace = False
 
     def __call__(self) -> list[Invariant]:
-        from ..analysis import no_hang, survivors_done
-
         return [no_hang, survivors_done]

@@ -30,40 +30,29 @@ so they can be compared head-to-head on identical fault schedules
 
 Selection is by the ``protocol=`` knob on
 :class:`repro.parallel.RingScenario`; the cross-protocol study lives in
-:mod:`repro.protocols.compare` (``repro compare-protocols``).
+:mod:`repro.protocols.compare` (``repro compare-protocols``).  The names
+below load on first use (:mod:`repro._lazy`): a family's module is
+imported only by a run that selects it.
 """
 
-from .base import (
-    PROTOCOLS,
-    ABORT_REPLICAS_EXHAUSTED,
-    ABORT_RING_ALONE,
-    ABORT_ROOT_LOST,
-    ABORT_SPARES_EXHAUSTED,
-    ProtocolRingConfig,
-    ring_mains,
-)
-from .compare import (
-    CompareProtocolsReport,
-    ProtocolCompareJob,
-    run_compare_protocols,
-)
-from .partial_restart import make_partial_restart_mains
-from .replication import ReplicatedRing, make_replication_mains
-from .shrink_repair import make_shrink_repair_main
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PROTOCOLS",
-    "ABORT_REPLICAS_EXHAUSTED",
-    "ABORT_RING_ALONE",
-    "ABORT_ROOT_LOST",
-    "ABORT_SPARES_EXHAUSTED",
-    "CompareProtocolsReport",
-    "ProtocolCompareJob",
-    "ProtocolRingConfig",
-    "ReplicatedRing",
-    "make_partial_restart_mains",
-    "make_replication_mains",
-    "make_shrink_repair_main",
-    "ring_mains",
-    "run_compare_protocols",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": (
+        "PROTOCOLS",
+        "ABORT_REPLICAS_EXHAUSTED",
+        "ABORT_RING_ALONE",
+        "ABORT_ROOT_LOST",
+        "ABORT_SPARES_EXHAUSTED",
+        "ProtocolRingConfig",
+        "ring_mains",
+    ),
+    "compare": (
+        "CompareProtocolsReport",
+        "ProtocolCompareJob",
+        "run_compare_protocols",
+    ),
+    "partial_restart": ("make_partial_restart_mains",),
+    "replication": ("ReplicatedRing", "make_replication_mains"),
+    "shrink_repair": ("make_shrink_repair_main",),
+})

@@ -11,6 +11,7 @@ purely the *recovery strategy*, which is the point of the comparison.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -73,6 +74,22 @@ def protocol_report(
     out.update(stats.as_dict())
     out.update(extra)
     return out
+
+
+def load_family(protocol: str) -> None:
+    """Check *protocol* and import its family's module.
+
+    Called where a run is set up (:class:`repro.parallel.RingScenario`,
+    :func:`repro.protocols.run_compare_protocols`), so the process that
+    forks the workers has the family loaded and no worker compiles it
+    again in every round.  ``rts`` lives in :mod:`repro.core`.
+    """
+    if protocol not in PROTOCOLS:
+        raise ValueError(
+            f"unknown protocol {protocol!r} (known: {PROTOCOLS})"
+        )
+    if protocol != "rts":
+        importlib.import_module(f"{__package__}.{protocol}")
 
 
 def ring_mains(

@@ -36,13 +36,14 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from ..analysis.digest import perf_dict, result_digest
 from ..faults.injector import CompositeInjector, KillAtTime
 from ..obs.telemetry import outcome_of
 from ..parallel.jobs import check_invariants, trace_needed
 from ..parallel.runner import SweepRunner, sweep
 from ..parallel.scenarios import RingScenario, StandardRingInvariants
 from ..simmpi.runtime import SimulationResult
-from .base import PROTOCOLS
+from .base import PROTOCOLS, load_family
 
 
 def _percentile(values: Sequence[float], q: float) -> float:
@@ -110,8 +111,6 @@ class ProtocolCompareJob:
     def _execute(
         self, digest: bool = False
     ) -> tuple[ProtocolRunRecord, SimulationResult]:
-        from ..analysis.digest import perf_dict
-
         scenario = RingScenario(
             nprocs=self.nprocs,
             iters=self.iters,
@@ -162,8 +161,6 @@ class ProtocolCompareJob:
     )
 
     def cache_payload(self) -> tuple[ProtocolRunRecord, dict[str, Any]]:
-        from ..analysis.digest import result_digest
-
         record, result = self._execute(digest=True)
         return record, {
             "kills": [[rank, time] for rank, time in record.kills],
@@ -303,6 +300,7 @@ def run_compare_protocols(
     """
     jobs: list[ProtocolCompareJob] = []
     for protocol in protocols:
+        load_family(protocol)
         for baseline, seed in [(True, 0)] + [(False, s) for s in seeds]:
             jobs.append(
                 ProtocolCompareJob(

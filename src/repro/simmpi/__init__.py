@@ -28,11 +28,14 @@ Quick taste::
 
     result = Simulation(nprocs=2).run(main)
     assert result.value(1) == "hello"
+
+Everything below is imported with the package except :data:`OPS` and
+:func:`ibarrier`, which load on first use (:mod:`repro._lazy`), as
+``Comm.bcast`` and the other collectives load their module.
 """
 
 from .clock import EventQueue, VirtualClock
 from .communicator import CTX_AM, CTX_COLL, CTX_P2P, Comm
-from .collectives import OPS
 from .constants import (
     ANY_SOURCE,
     ANY_TAG,
@@ -61,7 +64,6 @@ from .errors import (
 )
 from .fibers import Fiber, FiberState
 from .matching import Message
-from .nbcoll import ibarrier
 from .p2p import wait, waitany
 from .process import SimProcess
 from .request import Request, RequestKind, Status
@@ -79,6 +81,12 @@ from .scheduler import (
     SchedulingPolicy,
 )
 from .trace import Trace, TraceEvent, TraceKind
+from .._lazy import lazy_exports
+
+_deferred, __getattr__, __dir__ = lazy_exports(__name__, {
+    "collectives": ("OPS",),
+    "nbcoll": ("ibarrier",),
+})
 
 __all__ = [
     "ANY_SOURCE",
@@ -102,7 +110,6 @@ __all__ = [
     "LowestRankFirstPolicy",
     "MPIError",
     "Message",
-    "OPS",
     "PROC_NULL",
     "RandomPolicy",
     "RankFailStopError",
@@ -129,5 +136,5 @@ __all__ = [
     "ZERO_COST",
     "wait",
     "waitany",
-    "ibarrier",
+    *_deferred,
 ]

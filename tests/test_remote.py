@@ -157,11 +157,23 @@ class TestAddresses:
 
     @pytest.mark.parametrize(
         "spec", ["", "nonsense", ":7777", "host:", "host:abc", "host:0",
-                 "host:65536"]
+                 "host:65536",
+                 # int() takes these, but they are no plain port number
+                 "h:7_777", "h:+7777", "h: 7777", "h:\u0667\u0667\u0667",
+                 # one worker listed twice would share one stats slot
+                 "127.0.0.1:7777,127.0.0.1:7777", "h:7777,h:07777"]
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             parse_worker_addrs(spec)
+
+    @pytest.mark.parametrize("addresses", [
+        "127.0.0.1:7777,127.0.0.1:7777",
+        [("127.0.0.1", 7777), ("127.0.0.1", 7777)],
+    ], ids=["spec", "tuples"])
+    def test_fleet_refuses_a_repeated_address(self, addresses):
+        with pytest.raises(ValueError, match="127.0.0.1:7777"):
+            FleetRunner(addresses=addresses)
 
 
 class TestFraming:
