@@ -61,7 +61,6 @@ CTX_AM = 2  # active-message layer (consensus protocol)
 # Enum members the point-to-point path reads, as module constants (see
 # ``repro.simmpi.fibers``).
 _RECV = RequestKind.RECV
-_SEND = RequestKind.SEND
 _ERR_RANK_FAIL_STOP = ErrorClass.ERR_RANK_FAIL_STOP
 _ERRORS_ARE_FATAL = ErrorHandler.ERRORS_ARE_FATAL
 
@@ -260,8 +259,7 @@ class Comm:
         nbytes: int | None = None,
         *,
         _op: str | None = None,
-        _sync: bool = False,
-    ) -> Request | None:
+    ) -> None:
         """Standard (eager/buffered) send.
 
         Raises :class:`RankFailStopError` when *dest* is known-failed and
@@ -272,9 +270,7 @@ class Comm:
         entry points: they make their own MPI call, then pass its name as
         ``_op`` (it names the call in errors).  The checks are tested
         inline and a ``_check_*`` / ``_raise`` helper is called only to
-        build the error of a failing one.  A synchronous send (``_sync``)
-        returns its request, which then carries the outcome a plain send
-        returns early on (``PROC_NULL``) or raises (a known failure).
+        build the error of a failing one.
         """
         proc = self._proc
         runtime = proc.runtime
@@ -293,32 +289,18 @@ class Comm:
             not 0 <= dest < len(group) and dest != PROC_NULL
         ) or not 0 <= tag <= TAG_UB:
             self._check_send_args(dest, tag)
-        req = Request(_SEND, proc, self, dest, tag) if _sync else None
         if dest == PROC_NULL or dest in self.recognized:
             # A recognized failed rank has MPI_PROC_NULL semantics too.
-            if req is not None:
-                req.complete(proc.now, status=Status(dest, tag))
-            return req
+            return
         dst_world = group[dest]
         if dst_world in runtime.known_by[proc.rank]:
-            if req is None:
-                self._raise(
-                    RankFailStopError(
-                        f"{_op or 'send'} to failed rank {dest} on {self.name}",
-                        peer=dest,
-                    )
+            self._raise(
+                RankFailStopError(
+                    f"{_op or 'send'} to failed rank {dest} on {self.name}",
+                    peer=dest,
                 )
-            fail = _ERR_RANK_FAIL_STOP
-            req.complete(proc.now, error=fail, status=Status(dest, tag, fail))
-            return req
-        if req is not None:
-            # Like receives, a pending synchronous send carries the *world*
-            # rank in ``peer``, for the detector sweep to match failures.
-            req.peer = dst_world
-        runtime.post_send(
-            proc, dst_world, tag, self._p2p_context, payload, nbytes, req
-        )
-        return req
+            )
+        runtime.post_send(proc, dst_world, tag, self._p2p_context, payload, nbytes)
 
     def isend(
         self, payload: Any, dest: int, tag: int = 0, nbytes: int | None = None
@@ -330,27 +312,6 @@ class Comm:
         req = Request(RequestKind.SEND, self._proc, self, peer=dest, tag=tag)
         req.complete(self._proc.now, status=Status(source=dest, tag=tag))
         return req
-
-    def issend(
-        self, payload: Any, dest: int, tag: int = 0, nbytes: int | None = None
-    ) -> Request:
-        """Non-blocking synchronous send: the request completes when the
-        message is *matched* by a receive (or in error if the destination
-        dies first)."""
-        self._proc._mpi_call("issend")
-        req = self.send(payload, dest, tag, nbytes, _op="issend", _sync=True)
-        assert req is not None
-        return req
-
-    async def ssend(
-        self, payload: Any, dest: int, tag: int = 0, nbytes: int | None = None
-    ) -> None:
-        """Blocking synchronous send (returns once matched)."""
-        self._proc._mpi_call("ssend")
-        req = self.issend(payload, dest, tag, nbytes)
-        from .p2p import wait
-
-        await wait(req)
 
     def irecv(
         self,

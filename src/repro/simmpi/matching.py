@@ -73,9 +73,6 @@ class Message:
     send_time: float = 0.0
     #: Virtual time the message reaches the destination's queues.
     deliver_time: float = 0.0
-    #: Synchronous-send request riding on this message, completed when the
-    #: message is matched (or completed in error when it is dropped).
-    ssend_req: Any = None
 
 
 class MatchingEngine:

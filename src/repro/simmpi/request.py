@@ -13,7 +13,7 @@ pending receive posted to a rank that subsequently fails completes with
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from .constants import ANY_SOURCE, ANY_TAG
 from .errors import ErrorClass
@@ -91,7 +91,6 @@ class Request:
         "data",
         "completion_time",
         "waited",
-        "_on_complete",
         "context",
     )
 
@@ -120,8 +119,6 @@ class Request:
         self.completion_time: float | None = None
         #: The owner is blocked in a ``wait*`` on this request.
         self.waited = False
-        #: Completion callbacks, allocated by the first :meth:`on_complete`.
-        self._on_complete: list[Callable[[Request], None]] | None = None
         #: Message context the request was posted under (set by the
         #: runtime at post time; the failure sweep uses it to identify
         #: collective-context receives).
@@ -155,20 +152,6 @@ class Request:
         if self.waited:
             self.waited = False
             self.owner.wake(time, "request complete")
-        callbacks = self._on_complete
-        if callbacks is not None:
-            self._on_complete = None
-            for cb in callbacks:
-                cb(self)
-
-    def on_complete(self, cb: Callable[["Request"], None]) -> None:
-        """Register a runtime callback fired at completion (AM layer glue)."""
-        if self.done:
-            cb(self)
-        elif self._on_complete is None:
-            self._on_complete = [cb]
-        else:
-            self._on_complete.append(cb)
 
     def cancel(self) -> None:
         """Cancel a pending receive (best-effort, as in MPI).

@@ -137,9 +137,6 @@ class Runtime:
         #: name, each created on first use by its module's ``engine_for``.
         self.engines: dict[str, Any] = {}
         self._channel_last: dict[tuple[int, int, int], float] = {}
-        #: Pending synchronous-send requests, keyed by owner rank, so the
-        #: detector sweep can fail them when their destination dies.
-        self._pending_ssends: dict[int, list[Request]] = {}
         self._cid_registry: dict[tuple[int, int, Any], int] = {}
         self._next_cid = 1  # cid 0 is COMM_WORLD
         #: Per-observer revocation knowledge: (observer rank, cid) present
@@ -265,18 +262,6 @@ class Runtime:
         ``MPI_ERR_RANK_FAIL_STOP``" — the watchdog-Irecv mechanism.
         """
         trace = self.trace
-        for req in list(self._pending_ssends.get(obs.rank, [])):
-            if req.peer == failed and not req.done:
-                if trace.enabled:
-                    trace.add(
-                        (time, REQ_ERROR_PEER, obs.rank, req.id, failed, "ssend")
-                    )
-                req.complete(
-                    time,
-                    error=ErrorClass.ERR_RANK_FAIL_STOP,
-                    status=Status(source=failed, tag=req.tag,
-                                  error=ErrorClass.ERR_RANK_FAIL_STOP),
-                )
         for req in list(obs.engine.pending_recvs()):
             hit = False
             if req.peer == failed:
@@ -300,6 +285,8 @@ class Runtime:
             if hit:
                 obs.engine.cancel_recv(req)
                 src = req.peer if req.peer != ANY_SOURCE else failed
+                # ``peer`` is a world rank; the status reports a comm rank.
+                src = req.comm._ranks.get(src, src)
                 if trace.enabled:
                     trace.add((
                         time, REQ_ERROR_PEER, obs.rank,
@@ -379,29 +366,18 @@ class Runtime:
                 trace.add(
                     (time, REQ_ERROR_CID, rank, req.id, cid, req.kind.value)
                 )
+            # ``peer`` is a world rank or ANY_SOURCE; report a comm rank.
+            src = req.comm._ranks.get(req.peer, req.peer)
             req.complete(
                 time,
                 error=ErrorClass.ERR_REVOKED,
-                status=Status(source=req.peer, tag=req.tag,
+                status=Status(source=src, tag=req.tag,
                               error=ErrorClass.ERR_REVOKED),
             )
 
     # ------------------------------------------------------------------
     # Fault injection hooks
     # ------------------------------------------------------------------
-
-    def track_peer_request(self, owner_rank: int, req: Request) -> None:
-        """Register a request that must error if its ``peer`` rank dies.
-
-        Used by synchronous sends: their completion depends on the
-        remote side, so the detector sweep fails them with
-        ``MPI_ERR_RANK_FAIL_STOP`` when the peer is reported dead.
-        """
-        pending = self._pending_ssends.setdefault(owner_rank, [])
-        pending.append(req)
-        req.on_complete(
-            lambda r, lst=pending: lst.remove(r) if r in lst else None
-        )
 
     def check_injection(
         self, proc: SimProcess, op: str | None = None, probe: str | None = None
@@ -425,7 +401,6 @@ class Runtime:
         context: int,
         payload: Any,
         nbytes: int | None = None,
-        ssend_req: Request | None = None,
     ) -> None:
         """Inject one message into the network from *proc* (eager send).
 
@@ -462,10 +437,7 @@ class Runtime:
         msg_id = self._msg_seq = self._msg_seq + 1
         msg = Message(
             src, dst_world, tag, context, payload, size, msg_id, now, deliver,
-            ssend_req,
         )
-        if ssend_req is not None:
-            self.track_peer_request(src, ssend_req)
         self.perf.messages_sent += 1
         if self.obs is not None:
             self.obs.message_posted(now)
@@ -491,7 +463,6 @@ class Runtime:
                     msg.deliver_time, SEND_DROP, msg.src,
                     msg.dst, msg.tag, msg.msg_id,
                 ))
-            self._complete_ssend(msg, msg.deliver_time, dropped=True)
             return
         perf.deliveries += 1
         if trace.enabled:
@@ -582,25 +553,6 @@ class Runtime:
                 fiber.state = _READY
                 fiber.block_reason = ""
                 self._ready.append(owner)
-        callbacks = req._on_complete
-        if callbacks is not None:
-            req._on_complete = None
-            for cb in callbacks:
-                cb(req)
-        if msg.ssend_req is not None:
-            self._complete_ssend(msg, t, dropped=False)
-
-    def _complete_ssend(self, msg: Message, time: float, dropped: bool) -> None:
-        sreq: Request | None = msg.ssend_req
-        if sreq is None or sreq.done:
-            return
-        if dropped:
-            sreq.complete(time, error=ErrorClass.ERR_RANK_FAIL_STOP,
-                          status=Status(source=msg.dst, tag=msg.tag,
-                                        error=ErrorClass.ERR_RANK_FAIL_STOP))
-        else:
-            sreq.complete(time, status=Status(source=msg.dst, tag=msg.tag,
-                                              count=msg.nbytes))
 
     def cancel_request(self, req: Request) -> None:
         """Cancel a pending posted receive (MPI_Cancel semantics)."""
@@ -843,9 +795,9 @@ class Runtime:
         runtime's trace, counters and ground truth (``failed``,
         ``known_by``, ``abort_info``, ``deadlock``).  Gone are what only
         a running simulation uses: pending events, active-message
-        handlers, failure listeners, the layers' engines, pending
-        requests, and each rank's ``runtime``, ``comm_world`` and
-        matching queues (all ``None``).
+        handlers, failure listeners, the layers' engines, and each
+        rank's ``runtime``, ``comm_world`` and matching queues, with the
+        pending requests in them (all ``None``).
         """
         t0 = _time.perf_counter()
         for proc in self.procs:
@@ -864,8 +816,6 @@ class Runtime:
         self._am_contexts.clear()
         self._failure_listeners.clear()
         self.engines.clear()
-        for pending in self._pending_ssends.values():
-            pending.clear()  # each request's completion callback holds it
         for proc in self.procs:
             # The back-pointers, and the queues whose requests point back.
             proc.runtime = proc.comm_world = proc.engine = None

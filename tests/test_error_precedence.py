@@ -10,8 +10,8 @@ in one fixed order and the first that applies decides the outcome:
 ``sendrecv`` posts its receive before its send, so every receive-side
 check on ``source`` comes before any send-side check on ``dest``.
 
-The table below runs ``send``, ``isend``, ``issend``, ``irecv``, ``recv``
-and ``sendrecv`` under every condition alone and every compatible pair
+The table below runs ``send``, ``isend``, ``irecv``, ``recv`` and
+``sendrecv`` under every condition alone and every compatible pair
 (a call has one peer, so two peer conditions only pair up in
 ``sendrecv``, as its source and its destination), under both error
 handlers, and compares what happened — exception class, ``error_class``,
@@ -36,7 +36,7 @@ from repro.simmpi import (
     Simulation,
 )
 
-OPS = ("send", "isend", "issend", "irecv", "recv", "sendrecv")
+OPS = ("send", "isend", "irecv", "recv", "sendrecv")
 
 #: Conditions on the handle or the call, and the peer each peer condition
 #: addresses (ranks 2 and 3 are dead and known dead; 2 is recognized).
@@ -76,7 +76,7 @@ def expected(op, flags, source, dest):
     """What *op* does with *flags* set and the given peer conditions
     (``None``: the alive peer).  Spells out the precedence order."""
     recv_side = op in ("irecv", "recv", "sendrecv")
-    send_side = op in ("send", "isend", "issend", "sendrecv")
+    send_side = op in ("send", "isend", "sendrecv")
     if "freed" in flags:
         return _raised("InvalidArgumentError", ErrorClass.ERR_COMM, None, 0,
                        "world has been freed")
@@ -97,15 +97,12 @@ def expected(op, flags, source, dest):
     if send_side and dest == "rank":
         return _raised("InvalidArgumentError", ErrorClass.ERR_RANK, 9, 0,
                        "invalid destination rank 9")
-    if send_side and dest == "known" and op != "issend":
+    if send_side and dest == "known":
         return _raised("RankFailStopError", ErrorClass.ERR_RANK_FAIL_STOP, 3, 0,
                        f"{op} to failed rank 3 on world")
     if op == "send":
         return ("returned", None)
-    if op in ("isend", "issend"):
-        if dest == "known":  # issend: the request fails, the call does not
-            fail = ErrorClass.ERR_RANK_FAIL_STOP
-            return _request(3, GOOD_TAG, fail)
+    if op == "isend":
         return _request(PEERS[dest], GOOD_TAG)
     if source == "known":
         if op == "irecv":
@@ -120,7 +117,7 @@ def expected(op, flags, source, dest):
 
 
 async def _call(comm, op, source, dest, tag):
-    peer = dest if op in ("send", "isend", "issend") else source
+    peer = dest if op in ("send", "isend") else source
     if op == "sendrecv":
         return await comm.sendrecv("x", dest, source, sendtag=tag, recvtag=tag)
     if op == "recv":
@@ -220,8 +217,8 @@ def test_the_model_reads_as_the_order_says():
     assert expected("sendrecv", f(), "known", "rank")[5] == (
         "invalid destination rank 9"
     )
-    assert expected("issend", f(), "known", "known") == (
-        "request", 3, GOOD_TAG, ErrorClass.ERR_RANK_FAIL_STOP, 0
+    assert expected("isend", f(), "known", "known")[5] == (
+        "isend to failed rank 3 on world"
     )
     assert expected("recv", f(), "recognized", "recognized") == (
         "received", None, PROC_NULL, ANY_TAG, 0

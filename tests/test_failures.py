@@ -6,6 +6,8 @@ import pytest
 
 from repro.simmpi import (
     ANY_SOURCE,
+    UNDEFINED,
+    ErrorClass,
     ErrorHandler,
     RankFailStopError,
     Simulation,
@@ -201,30 +203,43 @@ class TestDetectionLatency:
         assert {e.rank for e in detects} == {0, 1, 3}
 
 
-class TestSsendFailure:
-    def test_pending_ssend_errors_when_peer_dies(self):
-        async def main(mpi):
-            comm = returning(mpi)
-            if comm.rank == 0:
-                req = comm.issend("never matched", dest=1)
-                with pytest.raises(RankFailStopError):
-                    await wait(req)
-                return "errored"
-            await mpi.compute(1.0)  # never posts the receive
+async def _reversed_sub(mpi):
+    """World ranks 1-3 in reverse order: comm rank 2 is world rank 1,
+    and world rank 2 keeps comm rank 1."""
+    rank = mpi.rank
+    return await mpi.comm_world.split(UNDEFINED if rank == 0 else 1, key=-rank)
 
-        assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) == "errored"
 
-    def test_issend_to_known_failed_completes_in_error(self):
+class TestErroredStatusSource:
+    """An errored receive reports its source as a rank of its own
+    communicator, as a matched one does."""
+
+    def test_detector_sweep_reports_a_comm_rank(self):
         async def main(mpi):
-            comm = returning(mpi)
-            if comm.rank == 0:
+            sub = await _reversed_sub(mpi)
+            if mpi.rank == 3:
+                req = sub.irecv(source=2)  # world rank 1, killed below
                 await mpi.compute(1.0)
-                req = comm.issend("x", dest=1)
-                assert req.done and req.failed()
-                return "ok"
-            await mpi.compute(2.0)
+                assert req.error is ErrorClass.ERR_RANK_FAIL_STOP
+                again = sub.irecv(source=2)  # the known-failed path
+                return req.status.source, again.status.source
+            await mpi.compute(1.0)
 
-        assert run_sim(main, 2, kills=[(1, 0.5)]).value(0) == "ok"
+        assert run_sim(main, 4, kills=[(1, 0.5)]).value(3) == (2, 2)
+
+    def test_revocation_reports_a_comm_rank(self):
+        async def main(mpi):
+            sub = await _reversed_sub(mpi)
+            if mpi.rank == 3:
+                req = sub.irecv(source=2)  # world rank 1, which never sends
+                await mpi.compute(1.0)
+                assert req.error is ErrorClass.ERR_REVOKED
+                return req.status.source
+            if mpi.rank == 2:
+                await mpi.compute(0.5)
+                sub.revoke()
+
+        assert run_sim(main, 4).value(3) == 2
 
 
 class TestWatchdogPattern:

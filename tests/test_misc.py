@@ -49,16 +49,6 @@ class TestRequestLifecycle:
 
         assert run_sim(main, 1).value(0) == "ok"
 
-    def test_on_complete_fires_immediately_when_done(self):
-        def main(mpi):
-            req = Request(RequestKind.GENERIC, mpi)
-            req.complete(0.0, data=42)
-            seen = []
-            req.on_complete(lambda r: seen.append(r.data))
-            return seen
-
-        assert run_sim(main, 1).value(0) == [42]
-
     def test_failed_helper_and_repr(self):
         def main(mpi):
             req = Request(RequestKind.RECV, mpi, mpi.comm_world, peer=1, tag=9)

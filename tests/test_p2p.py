@@ -195,42 +195,6 @@ class TestProcNull:
         assert run_sim(main, 1).value(0) == "ok"
 
 
-class TestSsend:
-    def test_ssend_completes_on_match(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                await comm.ssend("sync", dest=1)
-                return mpi.now
-            await mpi.compute(1.0)
-            await comm.recv(source=0)
-
-        r = run_sim(main, 2)
-        # Sender must have waited for the receiver's late recv.
-        assert r.value(0) >= 1.0
-
-    def test_issend_pending_until_matched(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                req = comm.issend("sync", dest=1)
-                assert not req.done
-                await wait(req)
-                return "matched"
-            await comm.recv(source=0)
-
-        assert run_sim(main, 2).value(0) == "matched"
-
-    def test_unmatched_ssend_deadlocks(self):
-        async def main(mpi):
-            comm = mpi.comm_world
-            if comm.rank == 0:
-                await comm.ssend("never", dest=1)
-
-        r = run_sim(main, 2, on_deadlock="return")
-        assert r.hung
-
-
 class TestArgumentValidation:
     def test_bad_dest_raises(self):
         def main(mpi):

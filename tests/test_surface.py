@@ -32,10 +32,10 @@ SIMMPI_ALL = [
 COMM_PUBLIC = [
     "allgather", "allreduce", "barrier", "bcast",
     "comm_rank_of_world", "context", "dup", "free",
-    "irecv", "is_revoked", "isend", "issend",
+    "irecv", "is_revoked", "isend",
     "known_failed_comm_ranks", "proc", "rank", "recv", "reduce",
     "replace_rank", "revoke", "send",
-    "sendrecv", "set_errhandler", "size", "split", "ssend", "world_rank",
+    "sendrecv", "set_errhandler", "size", "split", "world_rank",
 ]
 
 COLLECTIVES = ["allgather", "allreduce", "barrier", "bcast", "reduce"]

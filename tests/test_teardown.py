@@ -127,16 +127,6 @@ async def _barrier_main(mpi):
         await mpi.comm_world.barrier()
 
 
-async def _ssend_main(mpi):
-    comm = mpi.comm_world
-    comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
-    if mpi.rank == 0:
-        comm.issend("never matched", dest=1)
-        await comm.recv(source=1)
-    else:
-        await comm.recv(source=0, tag=7)
-
-
 async def _nbc_main(mpi):
     comm = mpi.comm_world
     comm.set_errhandler(ErrorHandler.ERRORS_RETURN)
@@ -164,7 +154,6 @@ SCENARIOS: dict[str, tuple[Build, type[BaseException] | None]] = {
     "budget_overrun": (
         _fresh(_barrier_main, 4, max_events=50), SimulationLimitExceeded
     ),
-    "pending_ssend": (_fresh(_ssend_main, 2), None),
     **{
         f"protocol_{p}": (
             _with(
