@@ -791,9 +791,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         trace_to_perfetto,
     )
 
-    sim, main, nprocs = make_scenario(
-        args.preset, metrics=True, trace_cap=args.trace_cap
-    )
+    sim, main, nprocs = make_scenario(args.preset, trace_cap=args.trace_cap)
     result = sim.run(main, on_deadlock="return", raise_app_errors=False)
 
     errors, valid = [], None
@@ -806,7 +804,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if args.validate:
             errors, valid = records.errors(text, TRACE), "jsonl export valid"
     else:  # perfetto
-        doc = trace_to_perfetto(result.trace, nprocs, metrics=result.metrics)
+        doc = trace_to_perfetto(result.trace, nprocs)
         text = dumps_perfetto(doc)
         if args.validate:
             errors = perfetto_errors(doc)

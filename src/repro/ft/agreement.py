@@ -201,14 +201,6 @@ class UnionAgreement:
             if wr != inst.owner and wr not in dead:
                 self.runtime.send_am(inst.owner, wr, inst.ctx, msg, size)
 
-    def _note_round(self, inst: _Instance, round_no: int, time: float) -> None:
-        inst.round = round_no
-        obs = self.runtime.obs
-        if obs is not None:
-            obs.consensus_round(
-                inst.owner, (inst.ctx, inst.instance), round_no, time
-            )
-
     def _close(self, inst: _Instance) -> None:
         inst.closed = True
         inst.inbox.clear()
@@ -256,7 +248,7 @@ class UnionAgreement:
                     (proc.now, VALIDATE_START, proc.rank, op, comm.name, instance)
                 )
         if mode == "full":
-            self._enter_round(inst, 1, proc.now)
+            self._enter_round(inst, 1)
             self._check_round(inst, proc.now)
         else:
             self._report(inst, proc.now)
@@ -301,7 +293,7 @@ class UnionAgreement:
         assert comm is not None and request is not None, "decide before start"
         inst.decision = decision
         if inst.mode != "full":
-            self._note_round(inst, inst.round + 1, time)
+            inst.round += 1
         if inst.flavor.recognise:
             # Collective recognition: the agreed failures become PROC_NULL
             # for both point-to-point and collectives, re-enabling the latter.
@@ -318,11 +310,6 @@ class UnionAgreement:
                 time, shape, inst.owner, f"{inst.flavor.op}_decide",
                 comm.name, inst.instance, how, inst.round, outcome,
             ))
-        obs = self.runtime.obs
-        if obs is not None:
-            obs.consensus_decided(
-                inst.owner, (inst.ctx, inst.instance), time, how, inst.round
-            )
         # Every live member contributed to this instance, so each has
         # finished the previous one: it owes nobody an answer any more.
         prev = self._instances.get((inst.owner, inst.ctx, inst.instance - 1))
@@ -340,7 +327,7 @@ class UnionAgreement:
         inst.term = next(i for i, wr in enumerate(group) if wr not in dead)
         coordinator = group[inst.term]
         if inst.decision is None:
-            self._note_round(inst, inst.round + 1 + (inst.round > 0), time)
+            inst.round += 1 + (inst.round > 0)
             msg = _Msg("contrib", inst.instance, inst.term, inst.owner,
                        frozenset(inst.items))
         else:
@@ -373,8 +360,8 @@ class UnionAgreement:
 
     # -- FloodSet (differential oracle) ------------------------------------
 
-    def _enter_round(self, inst: _Instance, r: int, time: float) -> None:
-        self._note_round(inst, r, time)
+    def _enter_round(self, inst: _Instance, r: int) -> None:
+        inst.round = r
         msg = _Msg("round", inst.instance, r, inst.owner, frozenset(inst.items))
         inst.inbox.setdefault(r, {})[inst.owner] = msg
         self._send_all(inst, msg)
@@ -392,7 +379,7 @@ class UnionAgreement:
                 self._decide(inst, frozenset(inst.items), time, how="floodset")
                 self._close(inst)  # all survivors decide in this same round
                 return
-            self._enter_round(inst, r + 1, time)
+            self._enter_round(inst, r + 1)
 
 
 def engine_for(runtime: "Runtime") -> UnionAgreement:

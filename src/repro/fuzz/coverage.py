@@ -11,9 +11,9 @@ seeded sampler:
   timing-free *shape digest* (per-rank event-kind sequences — jitter
   moves timestamps around without necessarily changing the shape, so
   unlike ``result_digest`` the shape does not change on every seed),
-  and log-binned kernel metrics from the PR-5 observability layer
-  (consensus rounds, blocked intervals, messages sent).  Two runs in
-  the same cell exercised the protocol the same way.
+  and log-binned counts of the run (agreement decisions, blocked
+  intervals, messages sent).  Two runs in the same cell exercised the
+  protocol the same way.
 * **Corpus** — configs that hit a *novel* cell are kept; subsequent
   batches mutate corpus members (fault-schedule and jitter-spec
   mutators on top of the existing draw) instead of sampling blind.
@@ -34,9 +34,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from ..obs.metrics import KernelMetrics
 from ..parallel.runner import SerialRunner, SweepRunner
 from ..simmpi.runtime import SimulationResult
+from ..simmpi.trace import TraceKind
 from .config import FuzzConfig, default_eligible_ranks
 from .driver import (
     _JITTER_LEVELS,
@@ -93,32 +93,28 @@ def _bin(n: int) -> int:
 
 
 def coverage_cell(
-    outcome: FuzzOutcome,
-    result: SimulationResult,
-    metrics: KernelMetrics | None,
+    outcome: FuzzOutcome, result: SimulationResult
 ) -> tuple[Any, ...]:
     """Reduce one finished run to its coverage cell.
 
-    Components: outcome class, shape-digest prefix, binned consensus
-    round count, binned blocked-interval count, binned messages sent.
-    The metric components come from the PR-5 kernel metrics; a run
-    without metrics contributes ``0`` bins (still a valid cell).
+    Components: outcome class, shape-digest prefix, binned agreement
+    decisions (``*_decide`` rows), binned blocked intervals, binned
+    messages sent.  A rank blocks once before each handoff but its
+    first, so the run has ``handoffs - nprocs`` blocked intervals.
     """
     from ..obs.telemetry import outcome_class
 
-    rounds = len(metrics.consensus_rounds) if metrics is not None else 0
-    blocked = (
-        sum(len(iv) for iv in metrics.blocked_intervals)
-        if metrics is not None
-        else 0
-    )
-    sent = 0
-    if result.perf is not None:
-        sent = int(getattr(result.perf, "messages_sent", 0))
+    decides = result.trace.columns(TraceKind.VALIDATE, "how")
+    decisions = sum(1 for row in result.trace.rows if row[1] in decides)
+    perf = result.perf
+    blocked = sent = 0
+    if perf is not None:
+        blocked = perf.handoffs - len(result.outcomes)
+        sent = perf.messages_sent
     return (
         outcome_class(outcome),
         shape_digest(result)[:SHAPE_PREFIX],
-        _bin(rounds),
+        _bin(decisions),
         _bin(blocked),
         _bin(sent),
     )
@@ -175,10 +171,8 @@ class CoverageJob:
     """Picklable unit of coverage-fuzz work.
 
     Runs the config exactly like a :class:`~repro.fuzz.driver.FuzzJob`
-    but with :class:`~repro.obs.metrics.KernelMetrics` attached (hooks
-    are non-perturbing — PR 5's golden tests pin that), so the cell's
-    metric components exist.  The metrics object is reduced to bin
-    counts *in the worker*; only the small cell crosses the pool.
+    and reduces the result to its cell *in the worker*; only the small
+    cell crosses the pool.
 
     Deliberately outside the run-cache contract: the coverage loop
     explores freshly mutated configs, so hits would be rare, and the
@@ -191,15 +185,12 @@ class CoverageJob:
     invariants: Any = None
 
     def __call__(self) -> CoverageOutcome:
-        sim, main = self.config.build()
-        sim.runtime.obs = KernelMetrics(sim.nprocs)
-        result = sim.run(main, on_deadlock="return")
+        result = self.config.run()
         outcome = classify(
             self.config, result, self.invariants, index=self.index
         )
         return CoverageOutcome(
-            outcome=outcome,
-            cell=coverage_cell(outcome, result, sim.runtime.obs),
+            outcome=outcome, cell=coverage_cell(outcome, result)
         )
 
 
@@ -383,8 +374,8 @@ def coverage_fuzz(
 
     Each batch draws configs either by mutating a random corpus member
     (probability *mutate_ratio*, once a corpus exists) or by fresh
-    uniform sampling; runs them with kernel metrics attached; and admits
-    every config that hit a novel coverage cell into the corpus.
+    uniform sampling; runs them; and admits every config that hit a novel
+    coverage cell into the corpus.
     ``guided=False`` disables the feedback loop (every draw is fresh
     uniform sampling with the *same* rng discipline) — the baseline the
     seeded guided-vs-uniform test compares against at equal budget.

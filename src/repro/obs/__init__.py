@@ -1,4 +1,4 @@
-"""Observability: trace export, metrics timelines, sweep telemetry.
+"""Observability: trace export, run reports, sweep telemetry.
 
 Six modules over the deterministic kernel and the sweep pipeline (see
 ``docs/observability.md``):
@@ -12,10 +12,9 @@ Six modules over the deterministic kernel and the sweep pipeline (see
 * :mod:`repro.obs.export` — Chrome Trace Event (Perfetto) and
   ``repro.trace/1`` JSONL trace exporters, a Perfetto validator and an
   exact round-trip loader;
-* :mod:`repro.obs.metrics` — :class:`KernelMetrics` (per-rank time
-  series sampled by kernel hooks behind ``if obs is not None:`` guards)
-  and :func:`run_report` (per-rank busy/blocked/failed accounting,
-  detection and validate latencies);
+* :mod:`repro.obs.metrics` — :func:`run_report`, one fold over a run's
+  trace rows: per-rank busy/blocked/failed accounting, detection and
+  validate latencies, agreement instances;
 * :mod:`repro.obs.telemetry` — ``repro.telemetry/1``, per-job JSONL
   telemetry for sweeps (explore/campaign/fuzz), canonically
   serial==pooled, aggregated offline by ``repro report``;
@@ -24,7 +23,7 @@ Six modules over the deterministic kernel and the sweep pipeline (see
   batches), exported as ``repro.spans/1`` JSONL or Perfetto tracks;
 * :mod:`repro.obs.scenarios` — the named presets of ``repro trace``
   (:data:`SCENARIOS`, :func:`make_scenario`): the paper's figures and
-  the bundled workloads, rebuilt with kernel metrics on.
+  the bundled workloads, rebuilt traced.
 
 The pipeline's counters are not here: :data:`repro.perf.CACHE` counts
 cache lookups and stores, ``SweepRunner.worker_stats()`` the chunks,
@@ -32,8 +31,9 @@ jobs, bytes and disconnects per worker slot, and
 ``SweepRunner.job_retries`` the retries.  Telemetry records the latter
 two.
 
-Everything here is opt-in: a simulation without ``metrics=True`` and a
-sweep without ``telemetry=`` allocate no obs state at all, and spans
+Every view of one run (the report, the Perfetto slices and counter
+tracks) is a fold over its trace: the kernel has no other recorder.
+A sweep without ``telemetry=`` allocates no obs state at all, and spans
 cost one thread-local read per instrumentation site when no recorder
 is installed.  The names below load on first use (:mod:`repro._lazy`):
 importing the package imports none of its modules.
@@ -52,7 +52,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "trace_to_jsonl",
         "trace_to_perfetto",
     ),
-    "metrics": ("KernelMetrics", "RankSummary", "RunReport", "Series", "run_report"),
+    "metrics": ("RankSummary", "RunReport", "run_report"),
     "scenarios": ("SCENARIOS", "make_scenario"),
     "spans": (
         "CANONICAL_CATEGORIES",

@@ -8,17 +8,17 @@ https://ui.perfetto.dev (or ``chrome://tracing``) opens directly:
   metadata events);
 * duration slices (``ph="X"``) for every receive wait
   (``RECV_POST`` -> ``RECV_COMPLETE``/``REQ_ERROR`` matched by request
-  id), every collective validate (``all_start`` -> ``all_decide`` per
-  rank+instance), and — when kernel metrics are available — every
-  blocked-fiber interval;
+  id) and every collective validate (``all_start`` -> ``all_decide`` per
+  rank+instance);
 * flow arrows (``ph="s"/"t"/"f"``, one flow id per message id) linking
   each ``SEND_POST`` through its ``DELIVER`` to the matching
   ``RECV_COMPLETE``;
 * instant events (``ph="i"``) for ``FAILURE``/``DETECT``/``ABORT``/
   ``DEADLOCK``/``SEND_DROP``/``COLLECTIVE``/``PROBE``/``USER``;
-* counter tracks (``ph="C"``) from :class:`~repro.obs.metrics.KernelMetrics`
-  series (event-queue depth, in-flight messages, blocked fibers,
-  per-rank queue depths).
+* counter tracks (``ph="C"``) folded from the rows (:func:`_counters`):
+  messages in flight, and each rank's posted-receive and
+  unexpected-message queue depths.  A capped trace has none: a fold
+  over a ring buffer starts from an unknown baseline.
 
 Timestamps are virtual seconds scaled to microseconds (the trace-event
 unit).  The document is emitted with sorted keys so identical runs export
@@ -89,16 +89,9 @@ def _args(detail: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-def trace_to_perfetto(
-    trace: Trace,
-    nprocs: int,
-    metrics: Any = None,
-) -> dict[str, Any]:
-    """Convert *trace* into a Chrome Trace Event document (a dict).
-
-    ``metrics`` (a :class:`~repro.obs.metrics.KernelMetrics` or ``None``)
-    adds counter tracks and blocked-interval slices when available.
-    """
+def trace_to_perfetto(trace: Trace, nprocs: int) -> dict[str, Any]:
+    """Convert *trace* into a Chrome Trace Event document (a dict),
+    with counter tracks unless the trace dropped records."""
     events: list[dict[str, Any]] = []
     events.append({
         "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
@@ -233,15 +226,8 @@ def trace_to_perfetto(
                 "args": _args(ev.detail),
             })
 
-    # Counter tracks from kernel metrics (optional).
-    if metrics is not None:
-        for series in metrics.counter_series():
-            for t, v in zip(series.times, series.values):
-                events.append({
-                    "name": series.name, "cat": "metrics", "ph": "C",
-                    "pid": 0, "tid": 0, "ts": t * _US,
-                    "args": {"value": v},
-                })
+    if not trace.dropped:
+        events += _counters(trace, nprocs)
 
     return {
         "displayTimeUnit": "ns",
@@ -252,6 +238,82 @@ def trace_to_perfetto(
         },
         "traceEvents": events,
     }
+
+
+def _counters(trace: Trace, nprocs: int) -> list[dict[str, Any]]:
+    """Counter events, one pass over the rows: ``in_flight`` (a
+    ``SEND_POST`` less its ``DELIVER`` or ``SEND_DROP``), then each rank's
+    ``posted_r*``, then its ``unexpected_r*``.
+
+    A rank's queue depths are sampled after each of its ``RECV_POST``
+    rows and each ``DELIVER`` of a plain send (an active message goes to
+    its handler).  A ``RECV_COMPLETE`` of the same request or message in
+    the next row is a match: the post took an unexpected message, the
+    delivery a posted receive.  A ``REQ_ERROR`` takes a posted receive
+    away.  An active-message handler bound to a plain-send context (the
+    replication protocol's) is not in the trace, so its deliveries count
+    as unexpected.
+    """
+    sends = trace.columns(TraceKind.SEND_POST, "msg")
+    am = trace.columns(TraceKind.SEND_POST, "msg", "am")
+    delivers = trace.columns(TraceKind.DELIVER, "msg")
+    drops = trace.columns(TraceKind.SEND_DROP)
+    posts = trace.columns(TraceKind.RECV_POST, "req")
+    completes = trace.columns(TraceKind.RECV_COMPLETE, "req", "msg")
+    errors = trace.columns(TraceKind.REQ_ERROR)
+    rows = trace.rows
+
+    def matched(i: int, rank: int, which: int, value: Any) -> bool:
+        nxt = rows[i + 1] if i + 1 < len(rows) else None
+        cols = completes.get(nxt[1]) if nxt is not None else None
+        return cols is not None and nxt[2] == rank and nxt[cols[which]] == value
+
+    in_flight: list[tuple[float, int]] = []
+    n = 0
+    am_msgs: set[Any] = set()
+    posted = [0] * nprocs
+    unexpected = [0] * nprocs
+    samples: list[list[tuple[float, int, int]]] = [[] for _ in range(nprocs)]
+    for i, row in enumerate(rows):
+        sid, time, rank = row[1], row[0], row[2]
+        if sid in sends:
+            n += 1
+            in_flight.append((time, n))
+            if sid in am:
+                am_msgs.add(row[am[sid][0]])
+        elif sid in delivers or sid in drops:
+            n -= 1
+            in_flight.append((time, n))
+            cols = delivers.get(sid)
+            if cols is None or row[cols[0]] in am_msgs:
+                continue
+            if matched(i, rank, 1, row[cols[0]]):
+                posted[rank] -= 1
+            else:
+                unexpected[rank] += 1
+            samples[rank].append((time, posted[rank], unexpected[rank]))
+        elif sid in posts:
+            if matched(i, rank, 0, row[posts[sid][0]]):
+                unexpected[rank] -= 1
+            else:
+                posted[rank] += 1
+            samples[rank].append((time, posted[rank], unexpected[rank]))
+        elif sid in errors:
+            posted[rank] -= 1
+
+    def track(name: str, points: Any) -> list[dict[str, Any]]:
+        return [
+            {"name": name, "cat": "metrics", "ph": "C", "pid": 0, "tid": 0,
+             "ts": t * _US, "args": {"value": v}}
+            for t, v in points
+        ]
+
+    out = track("in_flight", in_flight)
+    for r in range(nprocs):
+        out += track(f"posted_r{r}", ((t, p) for t, p, _u in samples[r]))
+    for r in range(nprocs):
+        out += track(f"unexpected_r{r}", ((t, u) for t, _p, u in samples[r]))
+    return out
 
 
 def dumps_perfetto(doc: dict[str, Any]) -> str:

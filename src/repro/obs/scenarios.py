@@ -1,8 +1,8 @@
 """Named scenario presets for ``repro trace``.
 
 The paper's message-sequence figures each correspond to one small,
-deterministic run; these presets rebuild them with kernel metrics
-enabled so the exporters have both a trace and counter timelines:
+deterministic run; these presets rebuild them, traced, for the
+exporters:
 
 =========  ==========================================================
 ``fig2``   clean baseline ring (4 ranks, 3 iterations, no failures)
@@ -58,7 +58,6 @@ _PROTOCOL_PRESETS = {
 def make_scenario(
     name: str,
     *,
-    metrics: bool = True,
     trace_cap: int | None = None,
 ) -> tuple[Simulation, Any, int]:
     """Build the named preset; returns ``(sim, main, nprocs)``."""
@@ -71,9 +70,7 @@ def make_scenario(
     from ..faults import FailureSchedule
 
     def sim_for(nprocs: int, **kw: Any) -> Simulation:
-        return Simulation(
-            nprocs=nprocs, metrics=metrics, trace_cap=trace_cap, **kw
-        )
+        return Simulation(nprocs=nprocs, trace_cap=trace_cap, **kw)
 
     if name == "fig2":
         cfg = RingConfig(max_iter=3, variant=RingVariant.BASELINE)

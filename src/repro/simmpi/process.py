@@ -146,9 +146,6 @@ class SimProcess:
         :meth:`wait_description`.
         """
         assert self.fiber is not None
-        obs = self.runtime.obs
-        if obs is not None:
-            obs.fiber_blocked(self.rank, self.now)
         self.fiber.state = _BLOCKED
         self.fiber.block_reason = reason
         return SUSPEND
@@ -164,12 +161,9 @@ class SimProcess:
         if time > self.now:  # max(), without the builtin call
             self.now = time
         if fiber.state is _BLOCKED:
-            runtime = self.runtime
-            if runtime.obs is not None:
-                runtime.obs.fiber_woken(self.rank, self.now)
             fiber.state = _READY
             fiber.block_reason = ""
-            runtime._ready.append(self)
+            self.runtime._ready.append(self)
 
     def _mpi_call(self, opname: str) -> None:
         """Per-call hook: bump the call counter, consult fault injection.

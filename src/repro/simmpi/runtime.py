@@ -89,7 +89,6 @@ class Runtime:
         detection_latency: float | Callable[[int, int], float] = 0.0,
         trace_enabled: bool = True,
         trace_cap: int | None = None,
-        metrics: bool = False,
         max_events: int = 20_000_000,
         max_time: float = float("inf"),
     ) -> None:
@@ -110,15 +109,6 @@ class Runtime:
         self.events = EventQueue()
         self.trace = Trace(enabled=trace_enabled, cap=trace_cap)
         self.perf = PerfCounters()
-        #: Kernel metrics accumulator (``repro.obs``), or ``None``.  Every
-        #: hot-path hook is guarded with ``if obs is not None:`` so a run
-        #: without ``metrics=True`` allocates no obs state and pays one
-        #: attribute read per guard — the trace's zero-cost discipline.
-        self.obs: Any = None
-        if metrics:
-            from ..obs.metrics import KernelMetrics  # lazy: avoids a cycle
-
-            self.obs = KernelMetrics(nprocs)
         self.max_events = max_events
         self.max_time = max_time
         self._detection_latency = detection_latency
@@ -439,8 +429,6 @@ class Runtime:
             src, dst_world, tag, context, payload, size, msg_id, now, deliver,
         )
         self.perf.messages_sent += 1
-        if self.obs is not None:
-            self.obs.message_posted(now)
         trace = self.trace
         if trace.enabled:
             trace.add((now, SEND_POST, src, dst_world, tag, context, size, msg_id))
@@ -452,9 +440,6 @@ class Runtime:
     def _deliver(self, msg: Message) -> None:
         dst = self.procs[msg.dst]
         perf = self.perf
-        obs = self.obs
-        if obs is not None:
-            obs.message_done(msg.deliver_time)
         trace = self.trace
         if dst.failed_at is not None:
             perf.messages_dropped += 1
@@ -481,11 +466,6 @@ class Runtime:
             self._complete_recv(req, msg, msg.deliver_time)
         else:
             perf.messages_unexpected += 1
-        if obs is not None:
-            st = dst.engine.stats()
-            obs.queue_sample(
-                msg.dst, msg.deliver_time, st["posted"], st["unexpected"]
-            )
 
     def post_recv(self, comm: Comm, req: Request, context: int | None = None) -> None:
         """Post a receive request on *comm* (or an explicit context)."""
@@ -500,11 +480,6 @@ class Runtime:
             self.perf.messages_matched += 1
             t = msg.deliver_time  # max(proc.now, t), without the builtin
             self._complete_recv(req, msg, t if t > proc.now else proc.now)
-        if self.obs is not None:
-            st = proc.engine.stats()
-            self.obs.queue_sample(
-                proc.rank, proc.now, st["posted"], st["unexpected"]
-            )
 
     def _complete_recv(self, req: Request, msg: Message, time: float) -> None:
         """Complete a matched receive and wake its owner if it waits.
@@ -548,8 +523,6 @@ class Runtime:
                 owner.now = t
             fiber = owner.fiber
             if fiber.state is _BLOCKED:
-                if self.obs is not None:
-                    self.obs.fiber_woken(owner.rank, owner.now)
                 fiber.state = _READY
                 fiber.block_reason = ""
                 self._ready.append(owner)
@@ -610,8 +583,6 @@ class Runtime:
             src_rank, dst_world, 0, context, payload, size, msg_id, t0, deliver,
         )
         self.perf.messages_sent += 1
-        if self.obs is not None:
-            self.obs.message_posted(t0)
         trace = self.trace
         if trace.enabled:
             trace.add((
@@ -723,7 +694,6 @@ class Runtime:
         ready = self._ready
         heap = self.events._heap
         clock = self.clock
-        obs = self.obs
         max_events = self.max_events
         max_time = self.max_time
         while True:
@@ -740,8 +710,6 @@ class Runtime:
             if heap:
                 time, _, fn = heappop(heap)
                 executed = perf.events_executed = perf.events_executed + 1
-                if obs is not None:
-                    obs.event_executed(time, len(heap))
                 if executed > max_events:
                     raise SimulationLimitExceeded(
                         f"exceeded max_events={max_events}"
@@ -853,9 +821,6 @@ class SimulationResult:
     #: matches, wall seconds); see
     #: :class:`repro.perf.PerfCounters`.
     perf: PerfCounters | None = None
-    #: Kernel metric timelines (:class:`repro.obs.metrics.KernelMetrics`)
-    #: when the simulation was built with ``metrics=True``; else ``None``.
-    metrics: Any = None
 
     def value(self, rank: int) -> Any:
         """Return value of *rank*'s main (raises if it did not complete)."""
@@ -892,6 +857,10 @@ class Simulation:
         result = sim.run(main)
 
     ``run`` may be given a single main (SPMD) or one main per rank.
+    ``metrics=True`` is an alias of ``trace_enabled=True``, and wins over
+    ``trace_enabled=False``: every view of a run
+    (:func:`repro.obs.run_report`, the Perfetto counter tracks) is a fold
+    over its trace.
     """
 
     def __init__(
@@ -914,9 +883,8 @@ class Simulation:
             policy=policy,
             seed=seed,
             detection_latency=detection_latency,
-            trace_enabled=trace_enabled,
+            trace_enabled=trace_enabled or metrics,
             trace_cap=trace_cap,
-            metrics=metrics,
             max_events=max_events,
             max_time=max_time,
         )
@@ -1051,7 +1019,6 @@ class Simulation:
             events_executed=rt.perf.events_executed,
             failed_ranks=frozenset(rt.failed),
             perf=rt.perf,
-            metrics=rt.obs,
         )
         if raise_app_errors:
             for out in outcomes:

@@ -255,6 +255,20 @@ class Trace:
     def _shape_ids(self, kinds: "Collection[TraceKind]") -> set[int]:
         return {sid for sid, (k, _) in enumerate(self.shapes) if k in kinds}
 
+    def columns(self, kind: TraceKind, *names: str) -> dict[int, tuple[int, ...]]:
+        """Shape id -> the row positions of *names*, for every shape of
+        *kind* in this trace's table that has all of them.
+
+        A fold over :attr:`rows` reads values as ``row[i]`` through this
+        map: a kernel shape holds its names in declaration order, a
+        shape a loaded trace interned in the order of its file.
+        """
+        return {
+            sid: tuple(3 + have.index(n) for n in names)
+            for sid, (k, have) in enumerate(self.shapes)
+            if k is kind and all(n in have for n in names)
+        }
+
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -1,7 +1,7 @@
 """Coverage-guided fuzzing (:mod:`repro.fuzz.coverage`).
 
 Three layers pinned here: the *cell* primitives (the timing-free shape
-digest and log-binned metric components that make two runs comparable),
+digest and log-binned counts that make two runs comparable),
 the :class:`~repro.fuzz.CoverageMap`/corpus mechanics (novel-cell
 admission, dedup), and the campaign driver — deterministic serial ==
 pooled, and the PR's headline property: at equal budget the guided loop
@@ -29,6 +29,7 @@ from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.coverage import SHAPE_PREFIX, _bin
 from repro.cli import main
 from repro.parallel import FleetRunner, RingScenario
+from repro.simmpi.trace import TraceKind
 
 SCENARIO = RingScenario(nprocs=4, iters=3)
 NAIVE = RingScenario(nprocs=4, iters=3, variant="naive")
@@ -91,11 +92,20 @@ class TestBinning:
         assert len(shape) == SHAPE_PREFIX
         assert all(isinstance(b, int) and b >= 0 for b in bins)
 
-    def test_cell_without_metrics_still_valid(self):
+    def test_cell_bins_decide_rows_and_handoffs(self):
+        """The job runs its config as a plain fuzz run does; the cell
+        bins the run's ``*_decide`` rows and its ``handoffs - nprocs``
+        blocked intervals."""
         result = _config().run()
-        job = CoverageJob(config=_config(), index=0)
-        cell = coverage_cell(job().outcome, result, None)
-        assert cell[2] == cell[3] == 0  # metric bins collapse to zero
+        out = CoverageJob(config=_config(), index=0)()
+        assert coverage_cell(out.outcome, result) == out.cell
+        decides = [
+            ev for ev in result.trace.filter(kind=TraceKind.VALIDATE)
+            if ev.detail["op"].endswith("_decide")
+        ]
+        assert decides
+        assert out.cell[2] == _bin(len(decides))
+        assert out.cell[3] == _bin(result.perf.handoffs - SCENARIO.nprocs)
 
 
 # ---------------------------------------------------------------------------

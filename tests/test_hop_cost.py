@@ -17,8 +17,8 @@ ring, each one decided by the program rather than by the host:
 * **interpreted instructions** per handoff, counted by ``sys.settrace``
   opcode events in every Python frame of the run, generated code
   included (dataclass ``__init__`` methods, the payload sizers of
-  ``repro.simmpi.util``): 1,382.3 untraced (bound: 1,397) and 1,472.4
-  traced (bound: 1,488), on CPython 3.11, each bound the measured value
+  ``repro.simmpi.util``): 1,355.4 untraced (bound: 1,369) and 1,445.4
+  traced (bound: 1,460), on CPython 3.11, each bound the measured value
   plus 1 %.  This is the count that moves with every line the hop runs.
 * **interpreted frames** in ``repro`` per handoff, counted by one
   ``sys.setprofile`` hook on the loop's thread, whose ``call`` events
@@ -276,7 +276,7 @@ def _instructions(trace: bool) -> tuple[float, str]:
 @pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="bytecode counts are CPython 3.11's"
 )
-@pytest.mark.parametrize("trace, bound", [(False, 1397), (True, 1488)],
+@pytest.mark.parametrize("trace, bound", [(False, 1369), (True, 1460)],
                          ids=["untraced", "traced"])
 def test_instructions_per_handoff(trace, bound):
     _ring()  # warm every lazily built cache (the payload sizers)

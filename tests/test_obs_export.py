@@ -9,9 +9,9 @@ Regenerate deliberately after an intended format change::
     from repro.obs import (dumps_perfetto, make_scenario, trace_to_jsonl,
                            trace_to_perfetto)
     for name in ('fig2', 'fig6'):
-        sim, main, nprocs = make_scenario(name, metrics=True)
+        sim, main, nprocs = make_scenario(name)
         r = sim.run(main, on_deadlock='return', raise_app_errors=False)
-        doc = trace_to_perfetto(r.trace, nprocs, metrics=r.metrics)
+        doc = trace_to_perfetto(r.trace, nprocs)
         Path(f'tests/golden/{name}_perfetto.json').write_text(
             dumps_perfetto(doc))
         Path(f'tests/golden/{name}_trace.jsonl').write_text(
@@ -21,6 +21,7 @@ Regenerate deliberately after an intended format change::
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from repro.obs import (
     make_scenario,
     perfetto_errors,
     records,
+    run_report,
     trace_to_jsonl,
     trace_to_perfetto,
 )
@@ -48,12 +50,12 @@ def run_preset(name: str, **kwargs):
 
 @pytest.fixture(scope="module")
 def fig2():
-    return run_preset("fig2", metrics=True)
+    return run_preset("fig2")
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return run_preset("fig6", metrics=True)
+    return run_preset("fig6")
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +65,13 @@ def fig6():
 
 def test_fig2_perfetto_golden(fig2):
     result, nprocs = fig2
-    doc = trace_to_perfetto(result.trace, nprocs, metrics=result.metrics)
+    doc = trace_to_perfetto(result.trace, nprocs)
     assert dumps_perfetto(doc) == (GOLDEN / "fig2_perfetto.json").read_text()
 
 
 def test_fig6_perfetto_golden(fig6):
     result, nprocs = fig6
-    doc = trace_to_perfetto(result.trace, nprocs, metrics=result.metrics)
+    doc = trace_to_perfetto(result.trace, nprocs)
     assert dumps_perfetto(doc) == (GOLDEN / "fig6_perfetto.json").read_text()
 
 
@@ -100,8 +102,8 @@ def test_fig6_jsonl_golden(fig6):
     "preset", ["fig2", "fig6", "fig7", "fig8", "ring", "farm"]
 )
 def test_perfetto_schema_valid(preset):
-    result, nprocs = run_preset(preset, metrics=True)
-    doc = trace_to_perfetto(result.trace, nprocs, metrics=result.metrics)
+    result, nprocs = run_preset(preset)
+    doc = trace_to_perfetto(result.trace, nprocs)
     assert perfetto_errors(doc) == []
 
 
@@ -172,13 +174,20 @@ def test_one_track_per_rank(fig2):
     assert names == {f"rank {r}": r for r in range(nprocs)}
 
 
-def test_counters_only_with_metrics(fig2):
+def test_counters_unless_trace_dropped(fig2):
+    """Counter tracks are folds from the first row: a capped trace,
+    which lost its first rows, gets none."""
     result, nprocs = fig2
-    with_counters = trace_to_perfetto(result.trace, nprocs,
-                                      metrics=result.metrics)
-    without = trace_to_perfetto(result.trace, nprocs)
-    assert _events(with_counters, "C")
-    assert not _events(without, "C")
+    doc = trace_to_perfetto(result.trace, nprocs)
+    names = {e["name"] for e in _events(doc, "C")}
+    assert names == {"in_flight"} | {
+        f"{q}_r{r}" for q in ("posted", "unexpected") for r in range(nprocs)
+    }
+    capped, nprocs = run_preset("fig2", trace_cap=10)
+    assert capped.trace.dropped
+    doc = trace_to_perfetto(capped.trace, nprocs)
+    assert not _events(doc, "C")
+    assert doc["otherData"]["trace_dropped"] == capped.trace.dropped
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +211,21 @@ def test_jsonl_round_trip_survives_file(tmp_path):
     path.write_text(trace_to_jsonl(result.trace, nprocs=nprocs))
     loaded, _header = load_trace_jsonl(path)
     assert loaded.keys() == result.trace.keys()
+
+
+def test_folds_read_a_loaded_trace_by_name():
+    """A loaded trace interns shapes of its own (its file holds detail
+    names sorted); the counter tracks and the run report find their
+    columns through the trace's shape table, so they read it alike."""
+    result, nprocs = run_preset("abft")
+    loaded, _header = load_trace_jsonl(trace_to_jsonl(result.trace, nprocs))
+    assert loaded.shapes != result.trace.shapes
+    assert trace_to_perfetto(loaded, nprocs) == trace_to_perfetto(
+        result.trace, nprocs
+    )
+    report = run_report(result, nprocs)
+    assert report.consensus
+    assert run_report(replace(result, trace=loaded), nprocs) == report
 
 
 def test_jsonl_errors_flag_corruption(fig2):

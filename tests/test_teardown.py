@@ -168,7 +168,6 @@ SCENARIOS: dict[str, tuple[Build, type[BaseException] | None]] = {
         for a in ("heat1d", "ring_allreduce", "abft_matvec", "manager_worker")
     },
     "nbcoll": (_fresh(_nbc_main, 5), None),
-    "metrics": (_fresh(_RING, 4, metrics=True), None),
     "trace_cap": (_fresh(_RING, 4, trace_cap=10), None),
 }
 
