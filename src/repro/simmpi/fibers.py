@@ -89,7 +89,7 @@ SUSPEND = _Suspend()
 class Fiber:
     """One simulated rank: a coroutine stepped by the kernel's loop.
 
-    Everything the runtime observes — :attr:`state`,
+    Everything the kernel reads of a rank — :attr:`state`,
     :attr:`block_reason`, the kill/shutdown-pending flags,
     :attr:`error`/:attr:`result` capture — lives on the fiber.
     """
