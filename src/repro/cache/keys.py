@@ -41,6 +41,7 @@ import hashlib
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
+from keyword import iskeyword
 from typing import Any, Callable, Iterable
 
 from .. import __version__
@@ -112,38 +113,55 @@ _ENCODERS: dict[type, Callable[[Any, _Memo], str]] = {}
 def _encoder_for(cls: type) -> Callable[[Any, _Memo], str]:
     """Generate and remember the encoder of dataclass *cls*.
 
-    The function reads each field of :func:`_plan` in order, prices an
-    exact ``int`` or ``str`` inline and sends any other value to
-    :func:`_text`, then joins the plan's texts and the values' in one
-    call.  Field names and plan texts enter the source only as
-    ``repr()`` string literals (names read through ``getattr``), so no
-    name can inject code and every dataclass gets an encoder.
+    The function reads each field of :func:`_plan` in order and prices
+    the exact types ``str``, ``int``, ``float``, ``bool`` and ``None``
+    inline, as :func:`_text` would, then an object already in the memo;
+    only a value outside all of those goes to :func:`_text`.  It then
+    joins the plan's texts and the values' in one call.  Plan texts
+    enter the source only as ``repr()`` string literals, and a field
+    name only as an attribute when it is a plain identifier (else as a
+    literal read through ``getattr``), so no name can inject code and
+    every dataclass gets an encoder.
     """
     head, plan = _plan(cls)
     lines = ["def encode(o, memo):"]
     parts = [repr(head)]
     for i, (name, prefix) in enumerate(plan):
+        v, t, s = f"v{i}", f"t{i}", f"s{i}"
+        read = (
+            f"o.{name}" if name.isidentifier() and not iskeyword(name)
+            else f"getattr(o, {name!r})"
+        )
         lines += [
-            f"    v{i} = getattr(o, {name!r})",
-            f"    t{i} = type(v{i})",
-            f"    if t{i} is str:",
-            f"        s{i} = quote(v{i})",
-            f"    elif t{i} is int:",
-            f"        s{i} = int_text(v{i})",
+            f"    {v} = {read}",
+            f"    {t} = type({v})",
+            f"    if {t} is str:",
+            f"        {s} = quote({v})",
+            f"    elif {t} is int:",
+            f"        {s} = repr({v})",
+            f"    elif {t} is float:",
+            f"        {s} = non_finite.get({s} := repr({v}), {s})",
+            f"    elif {v} is None:",
+            f"        {s} = 'null'",
+            f"    elif {t} is bool:",
+            f"        {s} = 'true' if {v} else 'false'",
+            f"    elif ({s} := memo.get(id({v}))) is not None:",
+            f"        {s} = {s}[1]",
             "    else:",
-            f"        s{i} = text(v{i}, memo)",
+            f"        {s} = text({v}, memo)",
         ]
-        parts += [repr(prefix), f"s{i}"]
+        parts += [repr(prefix), s]
     parts.append(repr("}}"))
     lines.append("    return ''.join((" + ", ".join(parts) + "))")
     code = compile(
         "\n".join(lines), f"<cache-key encoder of {cls.__qualname__}>", "exec"
     )
     namespace = {
-        "getattr": getattr, "type": type, "str": str, "int": int,
-        "quote": _quote, "int_text": _int_text, "text": _text,
+        "getattr": getattr, "type": type, "id": id, "repr": repr,
+        "str": str, "int": int, "float": float, "bool": bool,
+        "quote": _quote, "non_finite": _NON_FINITE, "text": _text,
     }
-    exec(code, namespace)  # noqa: S102 - names enter as repr() literals
+    exec(code, namespace)  # noqa: S102 - no name enters as code
     encode = namespace["encode"]
     _ENCODERS[cls] = encode
     return encode
@@ -259,8 +277,12 @@ def job_keys(jobs: Iterable[Any]) -> list[str | None]:
             # adds bookkeeping, not behaviour, so wrapped and bare runs
             # share cache entries.
             target = getattr(job, "cache_key_delegate", job)
+            encode = _ENCODERS.get(type(target))
             try:
-                token = _text(target, memo)
+                token = (
+                    encode(target, memo) if encode is not None
+                    else _text(target, memo)
+                )
             except Uncacheable:
                 pass
             else:

@@ -12,11 +12,18 @@ holds the whole payload there, which replays the same.  ``data`` always
 holds the whole entry, so ``verify``, ``gc`` and :meth:`read` see every
 field.
 
-* **Batched lookups** — ``read_many`` is chunked ``SELECT … WHERE key
-  IN (…)`` statements over the ``format``/``payload`` columns, parsed
-  with one ``json.loads`` per call, which is what makes 10^4–10^6 warm
-  lookups per campaign practical (measured by perfbench's
-  ``cache_warm`` workload).
+* **Covering reads** — ``read_many`` is one statement per batch: the
+  keys go in as one JSON array, ``json_each`` walks it in order and a
+  ``LEFT JOIN`` probes the ``entries_replay`` index, which holds
+  ``key``, ``format`` and ``payload`` and nothing else: a probe of the
+  table itself walks leaf cells that also hold the ~1.2 kB ``data``
+  column, which costs about twice as much.  SQLite keeps the index in
+  step with every write, and a store written before it existed gets it
+  when first opened.  The rows come back one per key, in order, as
+  ``(format, payload text)``; the caller parses the texts with one
+  ``json.loads`` (:meth:`SqliteStore.parse_payloads`), which is what
+  makes 10^4–10^6 warm lookups per campaign practical (measured by
+  perfbench's ``cache_warm`` workload).
 * **Batched stores** — ``write_many`` is a single transaction around
   ``executemany``, amortizing the fsync.
 * **Concurrent writers** — WAL mode lets the serial runner, pool
@@ -50,10 +57,6 @@ DB_FILENAME = "cache.sqlite"
 #: (``connect(timeout=)``, ``busy_timeout`` and the first-open retry).
 _BUSY_TIMEOUT_S = 30.0
 
-#: Max keys per ``IN (…)`` clause — comfortably under SQLite's default
-#: 32766 bound-parameter limit while keeping statements cacheable.
-_SELECT_CHUNK = 500
-
 _SCHEMA = """\
 CREATE TABLE IF NOT EXISTS entries (
     key       TEXT PRIMARY KEY,
@@ -61,8 +64,21 @@ CREATE TABLE IF NOT EXISTS entries (
     stored_at REAL NOT NULL,
     payload   TEXT NOT NULL,
     data      TEXT NOT NULL
-) WITHOUT ROWID
+) WITHOUT ROWID;
+CREATE INDEX IF NOT EXISTS entries_replay ON entries (key, format, payload);
 """
+
+#: The warm read: one row per key of a JSON array, in array order
+#: (``json_each``'s ``key`` is the element's index).  ``INDEXED BY``
+#: because the planner would otherwise probe the primary key; a key
+#: with no row reads ``(NULL, 'null')``, so every text parses.
+_READ_MANY = (
+    "SELECT e.format, coalesce(e.payload, 'null')"
+    " FROM json_each(?) AS wanted"
+    " LEFT JOIN entries AS e INDEXED BY entries_replay"
+    " ON e.key = wanted.value"
+    " ORDER BY wanted.key"
+)
 
 _INSERT = (
     "INSERT OR REPLACE INTO entries"
@@ -107,8 +123,7 @@ class SqliteStore:
         self._enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
-        with conn:
-            conn.execute(_SCHEMA)
+        conn.executescript(_SCHEMA)
         self._local.conn = conn
         self._local.pid = os.getpid()
         # A connection is in a reference cycle with its own statement
@@ -176,6 +191,16 @@ class SqliteStore:
         ).fetchall()
         return iter([r[0] for r in rows])
 
+    def items(self) -> Iterator[tuple[str, dict[str, Any]]]:
+        """Every ``(key, entry)`` in key order, from one statement; an
+        entry that does not parse is :data:`CORRUPT`."""
+        if not self.path.exists():
+            return
+        for key, data in self._conn().execute(
+            "SELECT key, data FROM entries ORDER BY key"
+        ):
+            yield key, self._parse(data)
+
     def summary(self) -> tuple[int, float | None, float | None]:
         """``(entries, oldest stored_at, newest stored_at)`` straight
         from the columns — no entry is parsed."""
@@ -198,40 +223,21 @@ class SqliteStore:
 
     # -- batched operations ---------------------------------------------
 
-    def read_many(self, keys: Sequence[str]) -> list[dict[str, Any] | None]:
-        """Batched read, trimmed to the fetch-classification fields.
+    def read_many(self, keys: Sequence[str]) -> list[tuple[str | None, str]]:
+        """Batched read of what a warm hit needs, in one statement.
 
-        Returns entries of the shape ``{"format", "key", "payload"}`` —
-        what :meth:`RunCache._classify` consumes — by reading the
-        ``format`` and ``payload`` *columns* instead of parsing the full
-        entry JSON (whose base64 job pickle dominates parse time but is
-        only needed by ``verify``; use :meth:`read` for complete
-        entries).  ``payload`` is the replay payload the row was written
-        with.  One result per key, in order.
+        One ``(format, payload text)`` per key, in order, straight from
+        the covering index: ``payload`` is the replay payload the row
+        was written with, unparsed (:meth:`parse_payloads` parses a
+        batch of them at once).  A key with no row reads ``(None,
+        "null")``.  Use :meth:`read` for a complete entry.
         """
         if not keys:
             return []
-        conn = self._conn()
-        rows: list[tuple[str, str, str]] = []
-        for start in range(0, len(keys), _SELECT_CHUNK):
-            chunk = keys[start : start + _SELECT_CHUNK]
-            marks = ",".join("?" * len(chunk))
-            rows += conn.execute(
-                f"SELECT key, format, payload FROM entries"
-                f" WHERE key IN ({marks})",
-                chunk,
-            ).fetchall()
-        payloads = self._parse_payloads([row[2] for row in rows])
-        entries = {
-            key: {"format": fmt, "key": key, "payload": payload}
-            if isinstance(payload, dict)
-            else CORRUPT
-            for (key, fmt, _), payload in zip(rows, payloads)
-        }
-        return [entries.get(key) for key in keys]
+        return self._conn().execute(_READ_MANY, (json.dumps(keys),)).fetchall()
 
     @staticmethod
-    def _parse_payloads(texts: list[str]) -> list[Any]:
+    def parse_payloads(texts: list[str]) -> list[Any]:
         """Parse many payload JSON strings with **one** ``json.loads``.
 
         Joining into a single array and parsing once stays in the C

@@ -132,50 +132,51 @@ class RunCache:
     # -- read side ----------------------------------------------------
 
     def fetch(self, key: str) -> tuple[str, dict[str, Any] | None]:
-        """Look up *key*; returns ``(status, payload)``.
+        """Look up *key*: :meth:`get_many` of one key.
 
         *status* is ``"hit"`` (payload usable), ``"miss"`` (no entry),
         or ``"stale"`` (an entry exists but is corrupt or from another
         key-format version — callers re-execute and overwrite it).
         """
-        return self._classify(self.store.read(key))
+        return self.get_many([key])[0]
 
     def get_many(
         self, keys: Sequence[str]
     ) -> list[tuple[str, dict[str, Any] | None]]:
         """Batched :meth:`fetch`: one ``(status, payload)`` per key, in
-        order.  One store round-trip per call (chunked ``SELECT … IN``
-        queries), which is what the streaming sweep pipeline issues per
-        chunk instead of one read per job.  A hit's payload is the
-        replay payload :meth:`put_many` stored (every key the job's
-        ``from_cached`` reads), not necessarily the whole of it.
+        order.  One store statement per call — the covering read of
+        :meth:`SqliteStore.read_many` — and one ``json.loads`` over all
+        the payload texts it returns, then each row is classified in the
+        same pass: no format is a miss, a foreign format or a payload
+        that is not an object is stale.  This is what the streaming
+        sweep pipeline issues per chunk instead of one read per job.  A
+        hit's payload is the replay payload :meth:`put_many` stored
+        (every key the job's ``from_cached`` reads), not necessarily
+        the whole of it.
         """
         recorder = _spans_active()
         if recorder is None:
-            return [self._classify(e) for e in self.store.read_many(keys)]
+            return self._get_many(keys)
         with recorder.span(
             "cache.get_many", "cache", attrs={"keys": len(keys)}
         ) as span:
-            classified = [
-                self._classify(e) for e in self.store.read_many(keys)
-            ]
+            classified = self._get_many(keys)
             span.attrs["hits"] = sum(
                 1 for status, _ in classified if status == "hit"
             )
         return classified
 
-    @staticmethod
-    def _classify(
-        entry: dict[str, Any] | None,
-    ) -> tuple[str, dict[str, Any] | None]:
-        if entry is None:
-            return "miss", None
-        if entry is CORRUPT or entry.get("format") != KEY_FORMAT:
-            return "stale", None
-        payload = entry.get("payload")
-        if not isinstance(payload, dict):
-            return "stale", None
-        return "hit", payload
+    def _get_many(
+        self, keys: Sequence[str]
+    ) -> list[tuple[str, dict[str, Any] | None]]:
+        rows = self.store.read_many(keys)
+        payloads = self.store.parse_payloads([text for _, text in rows])
+        return [
+            ("hit", payload)
+            if fmt == KEY_FORMAT and type(payload) is dict
+            else ("miss", None) if fmt is None else ("stale", None)
+            for (fmt, _), payload in zip(rows, payloads)
+        ]
 
     def keys(self) -> Iterator[str]:
         """Every key currently stored, sorted."""
@@ -262,15 +263,10 @@ class RunCache:
         removed_old = 0
         now = time.time()
         doomed: list[str] = []
-        for key in self.keys():
-            # The full entry, not the columns: a row whose ``data`` no
-            # longer parses must keep being found and dropped.
-            entry = self.store.read(key)
-            if (
-                entry is None
-                or entry is CORRUPT
-                or entry.get("format") != KEY_FORMAT
-            ):
+        # The full entries, not the columns: a row whose ``data`` no
+        # longer parses must keep being found and dropped.
+        for key, entry in self.store.items():
+            if entry is CORRUPT or entry.get("format") != KEY_FORMAT:
                 doomed.append(key)
                 removed_stale += 1
                 continue

@@ -12,6 +12,10 @@ the trace's shape table gives (:meth:`~repro.simmpi.trace.Trace.columns`):
 * an agreement instance (``validate_all`` or ``comm_agree``) is its
   ``*_start`` row paired with its ``*_decide`` row, keyed by rank, flavor,
   communicator and instance.
+
+A capped trace (``trace_cap``) that dropped its oldest rows cannot say
+how long a rank waited or when it failed, so its per-rank times read
+unknown (``None``) and the report states how many rows were dropped.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ __all__ = ["RankSummary", "RunReport", "run_report"]
 
 @dataclass(frozen=True)
 class RankSummary:
-    """Busy/blocked/failed accounting for one rank."""
+    """Busy/blocked/failed accounting for one rank; the times are
+    ``None`` when the trace dropped rows."""
 
     rank: int
     state: str
-    busy_s: float
-    blocked_s: float
-    failed_s: float
+    busy_s: float | None
+    blocked_s: float | None
+    failed_s: float | None
 
 
 @dataclass
@@ -61,6 +66,9 @@ class RunReport:
     consensus: list[tuple[int, float, float, int, str]] = field(
         default_factory=list
     )
+    #: Trace rows a capped trace dropped; the rank times are unknown
+    #: when this is not 0.
+    dropped: int = 0
 
     def format(self) -> str:
         lines = [
@@ -72,9 +80,18 @@ class RunReport:
             f"{'blocked(us)':>12} {'failed(us)':>11}"
         )
         for r in self.ranks:
+            busy, blocked, failed = (
+                "?" if t is None else f"{t * 1e6:.3f}"
+                for t in (r.busy_s, r.blocked_s, r.failed_s)
+            )
             lines.append(
-                f"{r.rank:>4}  {r.state:<8} {r.busy_s * 1e6:>10.3f} "
-                f"{r.blocked_s * 1e6:>12.3f} {r.failed_s * 1e6:>11.3f}"
+                f"{r.rank:>4}  {r.state:<8} {busy:>10} "
+                f"{blocked:>12} {failed:>11}"
+            )
+        if self.dropped:
+            lines.append(
+                f"trace capped: {self.dropped} older row(s) dropped, so "
+                "the busy, blocked and failed times are unknown (?)"
             )
         if self.detection_latencies:
             worst = max(lat for _o, _f, lat in self.detection_latencies)
@@ -167,6 +184,9 @@ def run_report(result: Any, nprocs: int | None = None) -> RunReport:
     ranks = []
     for out in result.outcomes[:nprocs]:
         r = out.rank
+        if trace.dropped:
+            ranks.append(RankSummary(r, out.state, None, None, None))
+            continue
         end = failure_at.get(r, final)
         blocked = sum(min(e, end) - s for s, e in waits[r] if s < end)
         blocked += sum(end - t for t in still_open[r] if t < end)
@@ -191,4 +211,5 @@ def run_report(result: Any, nprocs: int | None = None) -> RunReport:
         ],
         validate_latencies=validates,
         consensus=consensus,
+        dropped=trace.dropped,
     )

@@ -515,6 +515,77 @@ class TestStorePrimitives:
         assert "0 legacy file(s)" in capsys.readouterr().out
 
 
+def _pinned_store(root, rows):
+    """A ``cache.sqlite`` as an earlier version wrote it: the pinned
+    table, no index, holding *rows*."""
+    root.mkdir(parents=True)
+    conn = sqlite3.connect(root / "cache.sqlite")
+    with conn:
+        conn.execute(_SCHEMA_PIN)
+        conn.executemany("INSERT INTO entries VALUES (?, ?, ?, ?, ?)", rows)
+    conn.close()
+
+
+class TestCoveringRead:
+    """``read_many`` probes the ``entries_replay`` index, on a fresh
+    store and on one an earlier version wrote, which gets the index when
+    first opened; the table and the rest of the store behave as before."""
+
+    @pytest.fixture(params=["fresh", "pinned"])
+    def store(self, request, tmp_path):
+        fresh = RunCache(tmp_path / "fresh")
+        _campaign(cache=fresh, runs=4)
+        if request.param == "fresh":
+            return fresh
+        src = sqlite3.connect(fresh.store.path)
+        rows = src.execute(
+            "SELECT key, format, stored_at, payload, data FROM entries"
+        ).fetchall()
+        src.close()
+        _pinned_store(tmp_path / "pinned", rows)
+        return RunCache(tmp_path / "pinned")
+
+    def test_the_read_names_the_covering_index(self, store):
+        keys = list(store.keys())
+        assert [s for s, _ in store.get_many(keys)] == ["hit"] * 4
+        conn = store.store._conn()
+        plan = " | ".join(
+            row[-1] for row in conn.execute(
+                "EXPLAIN QUERY PLAN " + sqlite_store._READ_MANY,
+                (json.dumps(keys),),
+            )
+        )
+        assert "USING COVERING INDEX entries_replay" in plan, plan
+        (table,) = conn.execute(
+            "SELECT sql FROM sqlite_master WHERE name = 'entries'"
+        ).fetchone()
+        assert table.strip() == _SCHEMA_PIN.strip()
+
+    def test_maintenance_and_stale_rows_behave_as_before(self, store):
+        keys = list(store.keys())
+        assert store.stats()["entries"] == len(keys) == 4
+        assert all(r.ok for r in store.verify(sample=2, seed=0))
+        stale, corrupt = keys[0], keys[1]
+        old_format = {**store.entry(stale), "format": "repro.cache/0"}
+        _rewrite_row(store, stale, old_format)
+        _rewrite_row(store, corrupt, "{not json")
+        # The raw-SQL rewrites reached the index the read probes.
+        assert store.store._conn().execute(
+            "PRAGMA integrity_check"
+        ).fetchall() == [("ok",)]
+        probe = [stale, "ff" * 20, corrupt, keys[2]]
+        assert store.get_many(probe) == [
+            ("stale", None), ("miss", None), ("stale", None),
+            store.get_many([keys[2]])[0],
+        ]
+        assert store.fetch(stale) == store.fetch(corrupt) == ("stale", None)
+        assert store.gc() == {"removed_stale": 2, "removed_old": 0}
+        assert store.stats()["entries"] == 2
+        assert [s for s, _ in store.get_many(keys)] == [
+            "miss", "miss", "hit", "hit"
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Maintenance: gc and verify
 # ---------------------------------------------------------------------------
@@ -1142,7 +1213,7 @@ class TestWarmPathGates:
         monkeypatch.setattr(sqlite_store, "json", counted)
         monkeypatch.setattr(sweep_cache.store, "read_many", counted_read_many)
         keys_ = job_keys(_sweep_jobs())
-        got = sweep_cache.get_many(keys_ * 6)  # 600 keys: two SELECTs
+        got = sweep_cache.get_many(keys_ * 6)  # 600 keys, one SELECT
         assert [s for s, _ in got] == ["hit"] * 600
         assert len(parses) == len(reads) == 1
         before = perf.CACHE.snapshot()

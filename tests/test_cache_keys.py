@@ -572,15 +572,17 @@ def _plan_loop_text(obj):
 #: globals, a non-ASCII one, and one the plan leaves out of the key.
 _ENCODER_NAMES = [
     "o", "memo", "v0", "s0", "t0", "v1", "s1", "t7", "encode", "text",
-    "quote", "int_text", "getattr", "type", "str", "int", "é", "a",
-    "_hidden",
+    "quote", "getattr", "type", "id", "repr", "str", "int", "float",
+    "bool", "non_finite", "é", "a", "_hidden",
 ]
 
 
 @st.composite
 def _drawn_dataclass(draw, values):
     """An instance of a fresh dataclass of 0–8 drawn fields, some of
-    them named in ``_cache_key_exclude``, holding drawn values."""
+    them named in ``_cache_key_exclude``, holding drawn values; now and
+    then two fields hold the same object, so the second is a memo hit
+    when that object is not a scalar."""
     names = draw(
         st.lists(st.sampled_from(_ENCODER_NAMES), max_size=8, unique=True)
     )
@@ -593,7 +595,11 @@ def _drawn_dataclass(draw, values):
         namespace={"_cache_key_exclude": tuple(excluded)},
         frozen=draw(st.booleans()),
     )
-    return cls(*[draw(values) for _ in names])
+    held = [draw(values) for _ in names]
+    if len(held) >= 2 and draw(st.booleans()):
+        first, second = draw(st.permutations(range(len(held))))[:2]
+        held[second] = held[first]
+    return cls(*held)
 
 
 _encoder_leaves = st.one_of(
@@ -603,7 +609,10 @@ _encoder_leaves = st.one_of(
     st.sampled_from(_STRINGS),
     st.booleans(),
     st.floats(),
+    # nan, ±inf and -0.0 in every run, not only when drawn by chance
+    st.sampled_from(_FLOATS),
     st.none(),
+    # IntEnum and str-mixin members, which must not take an exact path
     st.sampled_from([*Color, *Level, *Mode]),
 )
 _encoder_values = st.recursive(
@@ -624,3 +633,68 @@ class TestGeneratedEncoders:
         assert token == _plan_loop_text(obj)
         assert token == oracle_token(obj)
         assert type(obj) in keys._ENCODERS
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_drawn_dataclass(_encoder_values), min_size=1, max_size=3))
+    def test_one_memo_over_drawn_dataclasses(self, objs):
+        # Each object twice in one batch: the second holder's fields are
+        # memo hits inside the generated encoders.
+        jobs = [_Keyed(obj) for obj in objs] * 2
+        assert job_keys(jobs) == [oracle_key(job) for job in jobs]
+
+    def test_scalar_edges_inline(self):
+        held = [
+            float("nan"), float("inf"), float("-inf"), -0.0, 0.0, None,
+            True, False, Level.HIGH, 7, Mode.FAST, "fast",
+        ]
+        names = [f"f{i:02d}" for i in range(len(held))]
+        cls = make_dataclass("Edges", [(name, Any) for name in names])
+        obj = cls(*held)
+        token = canonical_token(obj)
+        assert token == oracle_token(obj) == _plan_loop_text(obj)
+        assert '"f00":NaN,"f01":Infinity,"f02":-Infinity,"f03":-0.0,' in token
+        assert '"f05":null,"f06":true,"f07":false,' in token
+        # An IntEnum member is not an exact int, nor a str-mixin member
+        # an exact str: they go round through _text, which prints them
+        # as json.dumps does.  repr() would spell the member.
+        assert '"f08":7,"f09":7,"f10":"fast","f11":"fast"}}' in token
+        assert repr(Level.HIGH) != "7"
+
+    def test_names_that_are_not_identifiers_are_read_by_getattr(self):
+        odd = dataclass(init=False, repr=False, eq=False)(
+            type("Odd", (), {
+                "__annotations__": {"a-b": Any, "for": Any, "c": Any},
+            })
+        )
+        obj = odd()
+        for name, value in (("a-b", 1.5), ("for", None), ("c", "x")):
+            setattr(obj, name, value)
+        token = canonical_token(obj)
+        assert token == oracle_token(obj) == _plan_loop_text(obj)
+        assert token.endswith('"fields":{"a-b":1.5,"c":"x","for":null}}')
+
+    def test_a_campaign_job_calls_the_encoder_once(self, monkeypatch):
+        """Every field of a campaign job is an exact scalar or the
+        batch's shared scenario and invariants: past the first job,
+        keying one reaches :func:`keys._text` not at all."""
+        calls = []
+        text = keys._text
+
+        def counted(obj, memo):
+            calls.append(type(obj).__name__)
+            return text(obj, memo)
+
+        monkeypatch.setattr(keys, "_ENCODERS", {})
+        monkeypatch.setattr(keys, "_text", counted)
+        jobs = [
+            CampaignJob(
+                factory=RING_SCENARIO, seed=seed, horizon=2e-5,
+                kills_per_run=2, invariants=RING_INVARIANTS,
+                keep_results=False,
+            )
+            for seed in range(4)
+        ]
+        job_keys(jobs[:1])  # generates the three encoders
+        calls.clear()
+        assert job_keys(jobs) == [oracle_key(job) for job in jobs]
+        assert calls == ["RingScenario", "StandardRingInvariants"]

@@ -150,3 +150,36 @@ def test_metrics_alias_runs_traced():
     assert {how for *_x, how in rep.consensus} <= {
         f"coordinator:{r}" for r in range(6)
     }
+
+
+def test_a_capped_trace_reads_unknown_times():
+    """A trace that dropped its oldest rows no longer holds rank 2's
+    ``FAILURE`` row or the receives that were waited on: the report
+    says the times are unknown instead of reading the rows kept."""
+    sim, main, nprocs = make_scenario("fig7", trace_cap=10)
+    result = sim.run(main, on_deadlock="return")
+    assert result.trace.dropped > 0
+    rep = run_report(result, nprocs)
+    assert rep.dropped == result.trace.dropped
+    assert [r.state for r in rep.ranks] == ["done", "done", "failed", "done"]
+    for r in rep.ranks:
+        assert r.busy_s is None and r.blocked_s is None and r.failed_s is None
+    lines = rep.format().splitlines()
+    assert lines[4].split() == ["2", "failed", "?", "?", "?"]
+    assert lines[6] == (
+        f"trace capped: {rep.dropped} older row(s) dropped, so the busy, "
+        "blocked and failed times are unknown (?)"
+    )
+    sim, main, nprocs = make_scenario("fig7")
+    whole = run_report(sim.run(main, on_deadlock="return"), nprocs)
+    assert whole.dropped == 0 and whole.ranks[2].failed_s > 0.0
+    assert "trace capped" not in whole.format()
+
+
+def test_capped_summary_through_the_cli(capsys):
+    from repro.cli import main
+
+    assert main(["trace", "fig7", "--trace-cap", "10", "--summary"]) == 0
+    err = capsys.readouterr().err
+    assert "   2  failed            ?            ?           ?" in err
+    assert "older row(s) dropped" in err
