@@ -71,12 +71,13 @@ class CampaignReport:
     aborts: int = 0
 
     def add(self, run: CampaignRun) -> None:
+        ok = run.ok
         self.total += 1
-        self.ok += run.ok
+        self.ok += ok
         self.hangs += run.hung
         self.violations += bool(run.violations)
         self.aborts += run.aborted
-        if not run.ok:
+        if not ok:
             self.failures.append(run)
         if not self.stream:
             self.runs.append(run)

@@ -5,8 +5,8 @@ Two tiers of tests exist (``docs/testing.md``):
 * **tier1** — the fast default set, run on every commit (``pytest``);
   every test not marked ``slow`` lands here automatically via
   :func:`pytest_collection_modifyitems`.
-* **slow** — long fuzz campaigns and the campaign-scale RSS check,
-  deselected by default (``addopts`` carries ``-m 'not slow'``); select
+* **slow** — long fuzz campaigns, the campaign-scale RSS check and the
+  10,000-job sweep-cost flatness check, deselected by default (``addopts`` carries ``-m 'not slow'``); select
   them with ``pytest -m slow``.
 
 The module-level helpers below are the single home of the small

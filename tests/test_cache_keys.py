@@ -1,8 +1,9 @@
 """Cache keys are pinned byte for byte (:mod:`repro.cache.keys`).
 
 A key that moves silently turns every existing store into misses; a key
-that stops moving serves a wrong result.  Three pins that do not look
-at how the encoder works, and one that does:
+that stops moving serves a wrong result.  Four pins that do not look
+at how the encoder works (the first three and the last), and one that
+does:
 
 * literal key vectors, one job of every cacheable type, recorded at the
   commit before the encoder was rewritten to emit text directly;
@@ -14,11 +15,14 @@ at how the encoder works, and one that does:
   shared sub-object is read once per call;
 * the generated encoder of each dataclass type against the field-plan
   loop it replaced, kept below as a second oracle, over drawn
-  dataclasses whose field names spell the generated code's own names.
+  dataclasses whose field names spell the generated code's own names;
+* the reuse of a field's text from the previous job of a batch: every
+  key of a drawn batch equals the job's key derived alone.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -573,7 +577,8 @@ def _plan_loop_text(obj):
 _ENCODER_NAMES = [
     "o", "memo", "v0", "s0", "t0", "v1", "s1", "t7", "encode", "text",
     "quote", "getattr", "type", "id", "repr", "str", "int", "float",
-    "bool", "non_finite", "é", "a", "_hidden",
+    "bool", "non_finite", "é", "a", "_hidden", "p0", "q0", "p1", "rest",
+    "salt", "h", "unseen", "batch", "key_of",
 ]
 
 
@@ -698,3 +703,167 @@ class TestGeneratedEncoders:
         calls.clear()
         assert job_keys(jobs) == [oracle_key(job) for job in jobs]
         assert calls == ["RingScenario", "StandardRingInvariants"]
+
+
+# ---------------------------------------------------------------------------
+# (e) Field texts reused from the previous job of the same type
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Triple:
+    """A job of three keyed fields, so a field that refuses can come
+    after one that changed since the previous job."""
+
+    a: Any
+    b: Any
+    c: Any
+
+    def __call__(self):
+        return None
+
+    def cache_payload(self):
+        return None, {}
+
+    def from_cached(self, payload):
+        return None
+
+
+@dataclass
+class _Plain:
+    """A job outside the cache contract: never keyed."""
+
+    a: Any
+
+
+@dataclass
+class _Delegating:
+    """A job keyed as the object it holds, as a telemetry wrapper is."""
+
+    target: Any
+
+    @property
+    def cache_key_delegate(self):
+        return self.target
+
+    def __call__(self):
+        return None
+
+    def cache_payload(self):
+        return None, {}
+
+    def from_cached(self, payload):
+        return None
+
+
+#: Values equal as numbers but not as keys, and floats whose text is
+#: not their ``repr``; each is one object in every draw.
+_TYPE_CHANGES = [
+    1, True, 1.0, 0, False, 0.0, -0.0, float("nan"), float("inf"), None,
+    "1", Level.HIGH,
+]
+_batch_scalars = st.one_of(
+    st.sampled_from(_TYPE_CHANGES),
+    st.integers(-2, 2),
+    st.floats(),  # a fresh nan now and then: equal text, other object
+)
+_batch_objects = st.one_of(
+    _batch_scalars,
+    st.lists(_batch_scalars, max_size=2),
+    st.builds(Leaf, _batch_scalars, _batch_scalars),
+    st.sampled_from(_UNCACHEABLE[:3]),
+)
+
+
+@st.composite
+def _drawn_batch(draw):
+    """A batch of campaign-like jobs: their fields hold objects from one
+    small pool (shared with other jobs), copies of them (equal, not
+    shared) or fresh draws; job types mix, a telemetry wrapper keys as
+    the job it wraps, and a job outside the contract gets no key."""
+    pool = draw(st.lists(_batch_objects, min_size=1, max_size=4))
+    value = st.one_of(
+        st.sampled_from(pool),
+        st.sampled_from(pool).map(copy.copy),
+        _batch_objects,
+    )
+    job = st.one_of(
+        st.builds(_Keyed, value, value),
+        st.builds(_Triple, value, value, value),
+    )
+    return draw(
+        st.lists(
+            st.one_of(
+                job,
+                st.builds(TelemetryJob, job, st.integers(0, 3)),
+                st.builds(_Plain, value),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+
+
+@st.composite
+def _drawn_siblings(draw):
+    """Instances of one drawn dataclass: each field holds the first
+    instance's object or a fresh draw."""
+    first = draw(_drawn_dataclass(_encoder_values))
+    held = [getattr(first, f.name) for f in fields(first)]
+    siblings = [first]
+    for _ in range(draw(st.integers(1, 4))):
+        values = [draw(st.one_of(st.just(v), _encoder_values)) for v in held]
+        siblings.append(type(first)(*values))
+    return siblings
+
+
+class TestFieldReuse:
+    @settings(max_examples=200, deadline=None)
+    @given(_drawn_batch())
+    def test_every_key_of_a_batch_is_the_job_s_own(self, jobs):
+        assert job_keys(jobs) == [job_key(job) for job in jobs]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_drawn_siblings())
+    def test_drawn_dataclasses_key_as_the_oracle_says(self, siblings):
+        # The batch form of each drawn type keys them, field names that
+        # spell its own locals included.
+        jobs = [_Delegating(obj) for obj in siblings]
+        assert job_keys(jobs) == [oracle_key(obj) for obj in siblings]
+
+    def test_type_changes_between_jobs(self):
+        jobs = [_Keyed(Leaf(), n) for n in _TYPE_CHANGES * 2]
+        batch = job_keys(jobs)
+        assert batch == [job_key(job) for job in jobs]
+        assert batch == [oracle_key(job) for job in jobs]
+        assert len(set(batch)) == len(_TYPE_CHANGES)
+
+    def test_a_refusal_after_a_changed_field_leaves_no_half_state(self):
+        """The second job changes ``a`` and then refuses at ``c``: the
+        third, whose ``a`` is the first job's again, must not read the
+        text the refused job computed for its ``a``."""
+        shared = Leaf(a=(1, 2), b="x")
+        jobs = [
+            _Triple(a=1, b=shared, c=2),
+            _Triple(a=3, b=shared, c=lambda: 0),
+            _Triple(a=1, b=shared, c=2),
+            _Triple(a=3, b=shared, c=2),
+        ]
+        batch = job_keys(jobs)
+        assert batch == [job_key(job) for job in jobs]
+        assert batch[1] is None and batch[0] == batch[2] != batch[3]
+
+    def test_a_lazy_batch_is_keyed_as_it_runs(self):
+        """A generator that grows a shared list between yields: every
+        job runs with the list's last state, so it is keyed with it."""
+        grown = [1, 0]
+
+        def batch():
+            for n in range(3):
+                if n:
+                    grown.append(n)
+                yield _Keyed(grown, n)
+
+        assert job_keys(batch()) == [
+            job_key(_Keyed([1, 0, 1, 2], n)) for n in range(3)
+        ]
