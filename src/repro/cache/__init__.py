@@ -22,13 +22,21 @@ cache)`` (or an entry point's ``cache=`` argument) switch it on.
 Hit/miss/stale/store accounting lives in :data:`repro.perf.CACHE`.
 Correctness contract: a cached sweep's report is byte-identical to the
 uncached one — the cache changes wall-clock time and nothing else.
-The names below load on first use (:mod:`repro._lazy`), and SQLite only
-when a :class:`RunCache` opens its store.
+:data:`KEY_FORMAT`, which both layers stamp, is defined here; the other
+names load on first use (:mod:`repro._lazy`), SQLite only when a
+:class:`RunCache` opens its store, and :mod:`~repro.cache.keys` when a
+runner gets a cache (:func:`repro.parallel.with_cache`).
 """
 
 from .._lazy import lazy_exports
 
-__all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "keys": ("KEY_FORMAT", "Uncacheable", "canonical_token", "job_key", "job_keys"),
+#: Entry/key layout version; bump when the payload shape or the key
+#: composition changes (old entries then read as stale, never as hits).
+KEY_FORMAT = "repro.cache/1"
+
+_lazy, __getattr__, __dir__ = lazy_exports(__name__, {
+    "keys": ("Uncacheable", "canonical_token", "job_key", "job_keys"),
     "store": ("RunCache", "VerifyResult", "default_cache_dir", "diff_payload"),
 })
+
+__all__ = ["KEY_FORMAT", *_lazy]

@@ -28,9 +28,10 @@ sweep hold the same scenario, invariant and window objects, so
 (a memo that lives for that one call), each dataclass type gets one
 generated encoder per process (:func:`_encoder_for`, reading the field
 plan of :func:`_plan`), a job reuses the text of every field whose value
-is the previous job's object, the salts are hashed once per batch, and
-while only a job's last field changes, only that field's text is
-hashed.
+is the previous job's object (the batch form of :func:`_batch_for`,
+generated for the types jobs are keyed as), the salts are hashed once
+per batch, and while only a job's last field changes, only that field's
+text is hashed.
 :func:`job_key` and :func:`canonical_token` are the one-object forms.
 None of this may move a byte of any token: ``tests/test_cache_keys.py``
 holds literal keys, the previous tree-then-``json.dumps`` canonicalizer
@@ -50,6 +51,7 @@ from typing import Any, Callable, Iterable
 
 from .. import __version__
 from ..mutation import active_set
+from . import KEY_FORMAT
 
 __all__ = [
     "KEY_FORMAT",
@@ -58,11 +60,6 @@ __all__ = [
     "job_key",
     "job_keys",
 ]
-
-#: Entry/key layout version; bump when the payload shape or the key
-#: composition changes (old entries then read as stale, never as hits).
-KEY_FORMAT = "repro.cache/1"
-
 
 class Uncacheable(TypeError):
     """The object cannot be canonically serialized into a cache key."""
@@ -110,41 +107,29 @@ def _plan(cls: type) -> tuple[str, tuple[tuple[str, str], ...]]:
 
 _Encoder = Callable[[Any, _Memo], str]
 
-#: Dataclass type -> its generated encoder, and the factory that binds
-#: its batch form to one call's salted hash state (see
-#: :func:`_encoder_for`).  Only types that reach the dataclass branch of
-#: :func:`_compound_text` are entered, so looking one up first changes
-#: no branch.
-_ENCODERS: dict[type, tuple[_Encoder, Callable[[Any], _Encoder]]] = {}
+#: Dataclass type -> ``[encoder, batch form]``: its generated encoder
+#: (see :func:`_encoder_for`), and the factory that binds its batch form
+#: to one call's salted hash state, or ``None`` until a batch first keys
+#: an object of the type (see :func:`_batch_for`).  Only types that
+#: reach the dataclass branch of :func:`_compound_text` are entered, so
+#: looking one up first changes no branch.
+_ENCODERS: dict[type, list] = {}
 
 #: What a batch form remembers of a field before its first object: no
 #: field value ``is`` it.
 _UNSEEN = object()
 
 
-def _encoder_for(cls: type) -> _Encoder:
-    """Generate and remember the encoders of dataclass *cls*.
+def _fields_source(
+    cls: type,
+) -> tuple[list[str], list[tuple[str, list[str]]]]:
+    """The generated source both encoder forms of dataclass *cls* share.
 
-    ``encode(obj, memo)`` reads each field of :func:`_plan` in order and
-    prices the exact types ``str``, ``int``, ``float``, ``bool`` and
-    ``None`` inline, as :func:`_text` would, then an object already in
-    the memo; only a value outside all of those goes to :func:`_text`.
-    It then joins the plan's texts and the values' in one call.
-
-    ``batch(salt)`` returns a fresh ``key_of(obj, memo)``: the key of
-    each object of one batch in turn, the digest of *salt* (a hash state
-    of the salts) fed the token and a NUL, as :func:`job_keys` defines
-    it.  It remembers the previous object's field values and their texts
-    (``p<i>``, ``q<i>``), and a field whose value ``is`` the remembered
-    one reuses its text.  It remembers the new values only once every
-    field is priced, so a field that raises :class:`Uncacheable` leaves
-    the memory as it was.  Holding the values keeps their ids from being
-    reused, as the memo's entries do.  It also keeps ``rest``, *salt*'s
-    state after the token text up to the last field's value, for the
-    remembered values: a job that changes only its last field (a
-    campaign's ``seed``) hashes only that field's text, and a change to
-    any other field drops ``rest`` before it is priced, so ``rest`` is
-    never older than the memory.
+    First the token's parts in order: the ``repr()`` of each text of
+    :func:`_plan` (its head, then each field's text up to the value)
+    and, after each field's, the name ``s<i>`` of its value's text.
+    Then per field, in plan order, the expression that reads it from
+    ``o`` and the lines that price its value ``v<i>`` into ``s<i>``.
 
     Plan texts enter the source only as ``repr()`` string literals, and
     a field name only as an attribute when it is a plain identifier
@@ -152,28 +137,16 @@ def _encoder_for(cls: type) -> _Encoder:
     code and every dataclass gets an encoder.
     """
     head, plan = _plan(cls)
-    width = len(plan)
-    held = [f"p{i}" for i in range(width)] + [f"q{i}" for i in range(width)]
-    one = ["def encode(o, memo):"]
-    batch = ["def batch(salt):"]
-    if width:
-        batch += [
-            "    " + " = ".join([*held[:width], "unseen"]),
-            "    " + " = ".join([*held[width:], "None"]),
-        ]
-    batch += [
-        "    rest = None",
-        "    def key_of(o, memo):",
-        "        nonlocal " + ", ".join([*held, "rest"]),
-    ]
     parts = [repr(head)]
+    fields_ = []
     for i, (name, prefix) in enumerate(plan):
         v, t, s = f"v{i}", f"t{i}", f"s{i}"
         read = (
             f"o.{name}" if name.isidentifier() and not iskeyword(name)
             else f"getattr(o, {name!r})"
         )
-        price = [
+        parts += [repr(prefix), s]
+        fields_.append((read, [
             f"{t} = type({v})",
             f"if {t} is str:",
             f"    {s} = quote({v})",
@@ -189,24 +162,95 @@ def _encoder_for(cls: type) -> _Encoder:
             f"    {s} = {s}[1]",
             "else:",
             f"    {s} = text({v}, memo)",
+        ]))
+    return parts, fields_
+
+
+def _compiled(cls: type, lines: list[str], what: str, name: str) -> Any:
+    """Compile generated *lines* for *cls* and return the function
+    *name* they define."""
+    code = compile(
+        "\n".join(lines), f"<cache-key {what} of {cls.__qualname__}>", "exec"
+    )
+    namespace = {
+        "getattr": getattr, "type": type, "id": id, "repr": repr,
+        "str": str, "int": int, "float": float, "bool": bool,
+        "quote": _quote, "non_finite": _NON_FINITE, "text": _text,
+        "unseen": _UNSEEN,
+    }
+    exec(code, namespace)  # noqa: S102 - no name enters as code
+    return namespace[name]
+
+
+def _encoder_for(cls: type) -> _Encoder:
+    """Generate and remember the encoder of dataclass *cls*.
+
+    ``encode(obj, memo)`` reads each field of :func:`_plan` in order and
+    prices the exact types ``str``, ``int``, ``float``, ``bool`` and
+    ``None`` inline, as :func:`_text` would, then an object already in
+    the memo; only a value outside all of those goes to :func:`_text`.
+    It then joins the plan's texts and the values' in one call.
+    """
+    parts, fields_ = _fields_source(cls)
+    lines = ["def encode(o, memo):"]
+    for i, (read, price) in enumerate(fields_):
+        lines += [f"    v{i} = {read}", *("    " + line for line in price)]
+    lines.append("    return ''.join((" + ", ".join([*parts, repr("}}")]) + "))")
+    encode = _compiled(cls, lines, "encoder", "encode")
+    _ENCODERS[cls] = [encode, None]
+    return encode
+
+
+def _batch_for(cls: type) -> Callable[[Any], _Encoder]:
+    """Generate and remember the batch form of the encoder of dataclass
+    *cls*, which :func:`_encoder_for` generated: compiled the first time
+    a batch keys an object of *cls*, so a type only ever nested inside a
+    job has none.
+
+    ``batch(salt)`` returns a fresh ``key_of(obj, memo)``: the key of
+    each object of one batch in turn, the digest of *salt* (a hash state
+    of the salts) fed the token and a NUL, as :func:`job_keys` defines
+    it.  It remembers the previous object's field values and their texts
+    (``p<i>``, ``q<i>``), and a field whose value ``is`` the remembered
+    one reuses its text.  It remembers the new values only once every
+    field is priced, so a field that raises :class:`Uncacheable` leaves
+    the memory as it was.  Holding the values keeps their ids from being
+    reused, as the memo's entries do.  It also keeps ``rest``, *salt*'s
+    state after the token text up to the last field's value, for the
+    remembered values: a job that changes only its last field (a
+    campaign's ``seed``) hashes only that field's text, and a change to
+    any other field drops ``rest`` before it is priced, so ``rest`` is
+    never older than the memory.
+    """
+    parts, fields_ = _fields_source(cls)
+    width = len(fields_)
+    held = [f"p{i}" for i in range(width)] + [f"q{i}" for i in range(width)]
+    lines = ["def batch(salt):"]
+    if width:
+        lines += [
+            "    " + " = ".join([*held[:width], "unseen"]),
+            "    " + " = ".join([*held[width:], "None"]),
         ]
-        one += [f"    {v} = {read}", *("    " + line for line in price)]
-        batch += [
-            f"        {v} = {read}",
-            f"        if {v} is p{i}:",
-            f"            {s} = q{i}",
+    lines += [
+        "    rest = None",
+        "    def key_of(o, memo):",
+        "        nonlocal " + ", ".join([*held, "rest"]),
+    ]
+    for i, (read, price) in enumerate(fields_):
+        lines += [
+            f"        v{i} = {read}",
+            f"        if v{i} is p{i}:",
+            f"            s{i} = q{i}",
             "        else:",
             *(["            rest = None"] if i < width - 1 else []),
             *("            " + line for line in price),
         ]
-        parts += [repr(prefix), s]
     # What the batch form hashes once into ``rest`` (the text before the
     # last field's value), then per object (that value, "}}" and a NUL).
     lead = parts[:-1] if width else parts[:]
     end = repr("}}\0")
     tail = f"({parts[-1]} + {end})" if width else end
-    parts.append(repr("}}"))
-    batch += [
+    lines += [
         *(f"        p{i} = v{i}; q{i} = s{i}" for i in range(width)),
         "        if rest is None:",
         "            rest = salt.copy()",
@@ -216,23 +260,8 @@ def _encoder_for(cls: type) -> _Encoder:
         "        return h.hexdigest()",
         "    return key_of",
     ]
-    code = compile(
-        "\n".join([
-            *one, "    return ''.join((" + ", ".join(parts) + "))", *batch
-        ]),
-        f"<cache-key encoder of {cls.__qualname__}>",
-        "exec",
-    )
-    namespace = {
-        "getattr": getattr, "type": type, "id": id, "repr": repr,
-        "str": str, "int": int, "float": float, "bool": bool,
-        "quote": _quote, "non_finite": _NON_FINITE, "text": _text,
-        "unseen": _UNSEEN,
-    }
-    exec(code, namespace)  # noqa: S102 - no name enters as code
-    encode = namespace["encode"]
-    _ENCODERS[cls] = (encode, namespace["batch"])
-    return encode
+    batch = _ENCODERS[cls][1] = _compiled(cls, lines, "batch form", "batch")
+    return batch
 
 
 def _text(obj: Any, memo: _Memo) -> str:
@@ -349,7 +378,7 @@ def job_keys(jobs: Iterable[Any]) -> list[str | None]:
     #: Job type -> whether it implements the cache contract.
     contract: dict[type, bool] = {}
     #: Key target type -> its batch form, bound to this call's salt
-    #: (see :func:`_encoder_for`).
+    #: (see :func:`_batch_for`).
     batches: dict[type, Callable[[Any, _Memo], str]] = {}
     keys: list[str | None] = []
     for job in jobs:
@@ -372,7 +401,8 @@ def job_keys(jobs: Iterable[Any]) -> list[str | None]:
                 if key_of is not None:
                     key = key_of(target, memo)
                 elif (generated := _ENCODERS.get(tcls)) is not None:
-                    key_of = batches[tcls] = generated[1](salt)
+                    batch = generated[1] or _batch_for(tcls)
+                    key_of = batches[tcls] = batch(salt)
                     key = key_of(target, memo)
                 else:
                     h = salt.copy()

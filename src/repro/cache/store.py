@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from ..obs.spans import active as _spans_active
-from .keys import KEY_FORMAT, job_key
+from ..obs.slot import active as _spans_active
+from . import KEY_FORMAT
 
 __all__ = [
     "CORRUPT",
@@ -330,6 +330,10 @@ class RunCache:
             job = pickle.loads(base64.b64decode(entry["job_pickle"]))
         except Exception as exc:  # noqa: BLE001 - any unpickle failure
             return VerifyResult(key, label, False, error=f"unpicklable job: {exc}")
+        # The keys load where a runner gets a cache (``with_cache``);
+        # ``repro cache verify`` opens a store with no runner.
+        from .keys import job_key
+
         recomputed = job_key(job)
         if recomputed != key:
             return VerifyResult(

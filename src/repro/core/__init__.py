@@ -11,63 +11,39 @@ Public surface:
   (Figs. 4, 12), :func:`ft_send_right` (Fig. 5), :func:`ft_recv_left` /
   :func:`naive_recv_left` (Figs. 6–10), and the two termination schemes
   (Figs. 11, 13).
+
+The names below load on first use (:mod:`repro._lazy`): a ring built by
+:func:`make_ring_main` never loads the root-failure driver.
 """
 
-from .messages import (
-    IDX_NORMAL,
-    IDX_WATCHDOG,
-    TAG_DONE,
-    TAG_NORMAL,
-    TAG_RESEND,
-    RingMsg,
-)
-from .neighbors import get_current_root, to_left_of, to_right_of
-from .recv import BecameRoot, ensure_watchdog, ft_recv_left, naive_recv_left
-from .ring import (
-    RingConfig,
-    RingVariant,
-    Termination,
-    baseline_ring_main,
-    ft_ring_main,
-    make_ring_main,
-    ring_report,
-)
-from .rootft import make_rootft_main, rootft_ring_main
-from .send import ft_send_right
-from .state import RingState, RingStats
-from .termination import (
-    ft_termination_ibarrier,
-    ft_termination_root_bcast,
-    ft_termination_validate_all,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BecameRoot",
-    "IDX_NORMAL",
-    "IDX_WATCHDOG",
-    "RingConfig",
-    "RingMsg",
-    "RingState",
-    "RingStats",
-    "RingVariant",
-    "TAG_DONE",
-    "TAG_NORMAL",
-    "TAG_RESEND",
-    "Termination",
-    "baseline_ring_main",
-    "ensure_watchdog",
-    "ft_recv_left",
-    "ft_ring_main",
-    "ft_send_right",
-    "ft_termination_ibarrier",
-    "ft_termination_root_bcast",
-    "ft_termination_validate_all",
-    "get_current_root",
-    "make_ring_main",
-    "make_rootft_main",
-    "naive_recv_left",
-    "ring_report",
-    "rootft_ring_main",
-    "to_left_of",
-    "to_right_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "messages": (
+        "IDX_NORMAL",
+        "IDX_WATCHDOG",
+        "TAG_DONE",
+        "TAG_NORMAL",
+        "TAG_RESEND",
+        "RingMsg",
+    ),
+    "neighbors": ("get_current_root", "to_left_of", "to_right_of"),
+    "recv": ("BecameRoot", "ensure_watchdog", "ft_recv_left", "naive_recv_left"),
+    "ring": (
+        "RingConfig",
+        "RingVariant",
+        "Termination",
+        "baseline_ring_main",
+        "ft_ring_main",
+        "make_ring_main",
+        "ring_report",
+    ),
+    "rootft": ("make_rootft_main", "rootft_ring_main"),
+    "send": ("ft_send_right",),
+    "state": ("RingState", "RingStats"),
+    "termination": (
+        "ft_termination_ibarrier",
+        "ft_termination_root_bcast",
+        "ft_termination_validate_all",
+    ),
+})

@@ -20,10 +20,10 @@ Two schemes, as in the paper:
 
 from __future__ import annotations
 
+from .. import simmpi
 from ..ft.agreement import DEFAULT_MODE
 from ..ft.validate_all import icomm_validate_all
 from ..simmpi.errors import RankFailStopError
-from ..simmpi.nbcoll import ibarrier
 from ..simmpi.p2p import waitany
 from ..simmpi.request import Request
 from .messages import IDX_WATCHDOG, TAG_DONE
@@ -131,7 +131,8 @@ async def ft_termination_ibarrier(
     """
     comm = st.comm
     retries = 0
-    req_b = ibarrier(comm)
+    # Through the package: the nonblocking collectives load on first use.
+    req_b = simmpi.ibarrier(comm)
     while True:
         ensure_watchdog(st)
         if st.watchdog is not None:
@@ -148,7 +149,7 @@ async def ft_termination_ibarrier(
             if retries > max_retries:
                 await ft_termination_validate_all(st, mode=mode)
                 return "fallback"
-            req_b = ibarrier(comm)
+            req_b = simmpi.ibarrier(comm)
             continue
         if idx == 0:
             return "ibarrier"

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ..analysis.digest import perf_dict, result_digest
+from .. import analysis
 from ..parallel.jobs import (
     InvariantSpec,
     ScenarioFactory,
@@ -182,9 +182,9 @@ class CampaignJob:
             "violations": list(run.violations),
             "hung": run.hung,
             "aborted": run.aborted,
-            "digest": result_digest(result),
+            "digest": analysis.result_digest(result),
             "final_time": result.final_time,
-            "perf": perf_dict(result),
+            "perf": analysis.perf_dict(result),
         }
 
     def from_cached(self, payload: dict[str, Any]) -> CampaignRun:

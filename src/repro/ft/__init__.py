@@ -25,29 +25,24 @@ Beyond RTS, :mod:`repro.ft.ulfm` adds the ULFM-style primitives
 ``Comm.revoke``) that the shrink/repair and partial-restart protocol
 families in :mod:`repro.protocols` are built on; they are instances of
 the same engine on an AM context that revocation spares.
+
+The names below load on first use (:mod:`repro._lazy`): the ring runs
+the validate family and never loads :mod:`~repro.ft.ulfm` or
+:mod:`~repro.ft.recovery`.
 """
 
-from .agreement import UnionAgreement, engine_for
-from .rank_info import RankInfo, RankState
-from .recovery import RecoveryBlockError, run_recovery_block
-from .ulfm import comm_agree, comm_shrink, icomm_agree
-from .validate import comm_validate, comm_validate_clear, comm_validate_rank, rank_state
-from .validate_all import comm_validate_all, icomm_validate_all
+from .._lazy import lazy_exports
 
-__all__ = [
-    "UnionAgreement",
-    "comm_agree",
-    "comm_shrink",
-    "icomm_agree",
-    "RankInfo",
-    "RankState",
-    "comm_validate",
-    "comm_validate_all",
-    "comm_validate_clear",
-    "comm_validate_rank",
-    "RecoveryBlockError",
-    "run_recovery_block",
-    "engine_for",
-    "icomm_validate_all",
-    "rank_state",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "agreement": ("UnionAgreement", "engine_for"),
+    "rank_info": ("RankInfo", "RankState"),
+    "recovery": ("RecoveryBlockError", "run_recovery_block"),
+    "ulfm": ("comm_agree", "comm_shrink", "icomm_agree"),
+    "validate": (
+        "comm_validate",
+        "comm_validate_clear",
+        "comm_validate_rank",
+        "rank_state",
+    ),
+    "validate_all": ("comm_validate_all", "icomm_validate_all"),
+})

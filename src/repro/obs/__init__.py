@@ -1,6 +1,6 @@
 """Observability: trace export, run reports, sweep telemetry.
 
-Six modules over the deterministic kernel and the sweep pipeline (see
+Seven modules over the deterministic kernel and the sweep pipeline (see
 ``docs/observability.md``):
 
 * :mod:`repro.obs.records` — the one JSONL envelope of the three record
@@ -21,6 +21,8 @@ Six modules over the deterministic kernel and the sweep pipeline (see
 * :mod:`repro.obs.spans` — orchestration span tracing over the sweep
   pipeline (rounds, chunks, wire frames, worker-side execution, cache
   batches), exported as ``repro.spans/1`` JSONL or Perfetto tracks;
+* :mod:`repro.obs.slot` — the thread-local slot a recorder is installed
+  in, all the sweep pipeline imports to find one;
 * :mod:`repro.obs.scenarios` — the named presets of ``repro trace``
   (:data:`SCENARIOS`, :func:`make_scenario`): the paper's figures and
   the bundled workloads, rebuilt traced.
@@ -54,6 +56,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "metrics": ("RankSummary", "RunReport", "run_report"),
     "scenarios": ("SCENARIOS", "make_scenario"),
+    "slot": ("active",),
     "spans": (
         "CANONICAL_CATEGORIES",
         "SPANS",
@@ -62,7 +65,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "SPAN_VOLATILE_KEYS",
         "Span",
         "SpanRecorder",
-        "active",
         "recording",
         "spans_to_perfetto",
         "spans_to_records",

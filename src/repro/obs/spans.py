@@ -16,10 +16,12 @@ executes the job.
 Recording is strictly opt-in and zero-cost when off: every
 instrumentation site does one thread-local read (:func:`active`) and a
 ``None`` check, the exact pattern the kernel's zero-cost-disabled
-tracing uses (``tests/test_spans.py::TestNonPerturbation``).
-The recorder is installed per *thread* (:func:`recording`) so an
-in-process worker server — which executes chunks on its own thread —
-never leaks spans into the parent's recorder.
+tracing uses (``tests/test_spans.py::TestNonPerturbation``).  The slot
+it reads is :mod:`repro.obs.slot`, so a sweep that records nothing
+never imports this module.  The recorder is installed per *thread*
+(:func:`recording`) so an in-process worker server — which executes
+chunks on its own thread — never leaks spans into the parent's
+recorder.
 
 Two stable export forms:
 
@@ -41,13 +43,13 @@ Two stable export forms:
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, ContextManager, Iterable, Iterator
 
 from . import records
+from .slot import active, installed
 from .telemetry import OUTCOMES, TelemetryResult, outcome_class
 
 __all__ = [
@@ -311,30 +313,16 @@ class SpanRecorder:
 
 
 # ----------------------------------------------------------------------
-# The active recorder: one thread-local slot
+# The active recorder: one thread-local slot (repro.obs.slot)
 # ----------------------------------------------------------------------
 
-_STATE = threading.local()
 
-
-def active() -> SpanRecorder | None:
-    """The recorder installed on this thread, or ``None``.  This is the
-    whole disabled-path cost: one thread-local read."""
-    return getattr(_STATE, "recorder", None)
-
-
-@contextmanager
-def recording(recorder: SpanRecorder | None = None) -> Iterator[SpanRecorder]:
+def recording(
+    recorder: SpanRecorder | None = None,
+) -> ContextManager[SpanRecorder]:
     """Install *recorder* (or a fresh one) as this thread's active
     recorder for the duration of the block."""
-    if recorder is None:
-        recorder = SpanRecorder()
-    previous = getattr(_STATE, "recorder", None)
-    _STATE.recorder = recorder
-    try:
-        yield recorder
-    finally:
-        _STATE.recorder = previous
+    return installed(SpanRecorder() if recorder is None else recorder)
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..parallel.jobs import outcome_of
 from . import records
 
 __all__ = [
@@ -67,18 +68,6 @@ VOLATILE_KEYS = frozenset(
 #: The outcome classes of a sweep job, in report-column order: the one
 #: vocabulary of telemetry lines, job spans and ``repro report``.
 OUTCOMES = ("ok", "hang", "violation", "abort")
-
-
-def outcome_of(hung: bool, violations: Any, aborted: bool) -> str:
-    """The one classification rule: a hang outranks an invariant
-    violation, which outranks an abort."""
-    if hung:
-        return "hang"
-    if violations:
-        return "violation"
-    if aborted:
-        return "abort"
-    return "ok"
 
 
 def outcome_class(value: Any) -> str:

@@ -69,16 +69,17 @@ callable) simply always execute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
-from ..simmpi.runtime import Simulation, SimulationResult
+if TYPE_CHECKING:
+    from ..simmpi.runtime import Simulation, SimulationResult
 
 #: Builds a fresh, un-run Simulation plus its per-rank main(s).
 #: (Must be picklable to cross a process boundary.)
 ScenarioFactory = Callable[[], "tuple[Simulation, Any]"]
 
 #: An invariant inspects a result and returns a violation message or None.
-Invariant = Callable[[SimulationResult], "str | None"]
+Invariant = Callable[["SimulationResult"], "str | None"]
 
 #: Invariants, given directly or via a worker-side factory.
 InvariantSpec = Union[Sequence[Invariant], Callable[[], Sequence[Invariant]]]
@@ -123,6 +124,19 @@ def check_invariants(
     return [
         v for inv in resolve_invariants(spec) if (v := inv(result)) is not None
     ]
+
+
+def outcome_of(hung: bool, violations: Any, aborted: bool) -> str:
+    """The one classification rule of a sweep job's run: a hang
+    outranks an invariant violation, which outranks an abort.  The
+    classes are :data:`repro.obs.telemetry.OUTCOMES`."""
+    if hung:
+        return "hang"
+    if violations:
+        return "violation"
+    if aborted:
+        return "abort"
+    return "ok"
 
 
 @dataclass

@@ -90,9 +90,9 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from ..obs.spans import SpanRecorder, active as spans_active
+from ..obs.slot import active as spans_active
 from .runner import (
     _UNSET,
     DEFAULT_STREAM_WINDOW,
@@ -101,6 +101,9 @@ from .runner import (
     SweepRunner,
 )
 from .transport import Chunk, ChunkEvent, run_chunk
+
+if TYPE_CHECKING:
+    from ..obs.spans import SpanRecorder
 
 __all__ = [
     "REMOTE_FORMAT",

@@ -55,7 +55,7 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .. import perf
-from ..obs.spans import active as spans_active
+from ..obs.slot import active as spans_active
 from .transport import MissJob, run_jobs_traced
 
 #: A sweep job: picklable, zero-argument, returns a picklable result.
@@ -348,8 +348,12 @@ def with_cache(runner: SweepRunner, cache: Any) -> SweepRunner:
     """
     if cache is None or cache is False:
         return runner
-    # Imported lazily: most commands never open a store.
-    from ..cache import RunCache
+    # Imported here, not with this module: most commands never open a
+    # store.  What every cached sweep runs loads here too, before any
+    # worker forks: the keys, and the trace digest each miss's
+    # ``cache_payload`` stores.
+    from ..analysis import digest  # noqa: F401
+    from ..cache import RunCache, keys  # noqa: F401
 
     cached = copy.copy(runner)
     cached.cache = RunCache.at(cache)

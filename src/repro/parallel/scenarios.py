@@ -9,9 +9,9 @@ Enum-valued knobs are stored as their string values so a pickled spec
 stays readable and stable across refactors of the enum classes.
 
 What a spec runs is imported where the spec is built — the invariant
-batteries with this module, a protocol family or the apps by the
-scenario that selects them — so a forked worker that runs it imports
-nothing itself.
+batteries with this module, a protocol family, the root-failure driver
+or the apps by the scenario that selects them — so a forked worker that
+runs it imports nothing itself.
 """
 
 from __future__ import annotations
@@ -24,13 +24,8 @@ from ..analysis.invariants import (
     standard_ring_invariants,
     survivors_done,
 )
-from ..core import (
-    RingConfig,
-    RingVariant,
-    Termination,
-    make_ring_main,
-    make_rootft_main,
-)
+from .. import core
+from ..core import RingConfig, RingVariant, Termination, make_ring_main
 from ..simmpi import Simulation
 from .jobs import Invariant
 
@@ -68,8 +63,11 @@ class RingScenario:
         from ..protocols.base import load_family
 
         load_family(self.protocol)
-        if self.rootft and self.protocol != "rts":
-            raise ValueError("rootft applies to the rts protocol only")
+        if self.rootft:
+            if self.protocol != "rts":
+                raise ValueError("rootft applies to the rts protocol only")
+            # The driver loads where the spec is built, as the apps do.
+            from ..core import rootft  # noqa: F401
 
     def __call__(self) -> tuple[Simulation, Any]:
         if self.protocol != "rts":
@@ -95,7 +93,7 @@ class RingScenario:
             termination=Termination(self.termination),
             work_per_iter=self.work_per_iter,
         )
-        main = make_rootft_main(cfg) if self.rootft else make_ring_main(cfg)
+        main = core.make_rootft_main(cfg) if self.rootft else make_ring_main(cfg)
         sim = Simulation(
             nprocs=self.nprocs,
             seed=self.seed,

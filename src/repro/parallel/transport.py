@@ -17,14 +17,20 @@ infrastructure failure — worker process died, socket closed), or
 raises the job's own exception (an application error, which the runner
 never retries).  :data:`Chunk` and :data:`ChunkEvent` are those two
 shapes.
+
+Only the traced paths use the span exporter, :mod:`repro.obs.spans`,
+and they import it when they run: a process that records spans has it
+loaded already (a forked worker inherits it from its parent, a served
+one loads it with its first traced chunk).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
-from ..obs.spans import SpanRecorder, outcome_label, recording
+if TYPE_CHECKING:
+    from ..obs.spans import SpanRecorder
 
 #: A chunk descriptor: ``(start_index, jobs_slice)``.
 Chunk = tuple[int, list]
@@ -72,6 +78,8 @@ def run_jobs_traced(
     class of what the job returned, looking through a miss's
     :class:`Executed` envelope.
     """
+    from ..obs.spans import outcome_label
+
     values = []
     for index, job in zip(indices, jobs):
         with recorder.span(
@@ -98,6 +106,8 @@ def run_chunk(
     """
     if indices is None:
         return [job() for job in jobs]
+    from ..obs.spans import SpanRecorder, recording
+
     recorder = SpanRecorder(kind="chunk")
     with recording(recorder):
         with recorder.span(

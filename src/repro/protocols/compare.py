@@ -36,10 +36,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..analysis.digest import perf_dict, result_digest
+from .. import analysis
 from ..faults.injector import CompositeInjector, KillAtTime
-from ..obs.telemetry import outcome_of
-from ..parallel.jobs import check_invariants, trace_needed
+from ..parallel.jobs import check_invariants, outcome_of, trace_needed
 from ..parallel.runner import SweepRunner, sweep
 from ..parallel.scenarios import RingScenario, StandardRingInvariants
 from ..simmpi.runtime import SimulationResult
@@ -145,7 +144,9 @@ class ProtocolCompareJob:
             ),
             violations=tuple(violations),
             final_time=result.final_time,
-            messages_sent=int(perf_dict(result).get("messages_sent", 0)),
+            messages_sent=(
+                0 if result.perf is None else result.perf.messages_sent
+            ),
         )
         return record, result
 
@@ -169,7 +170,7 @@ class ProtocolCompareJob:
             "violations": list(record.violations),
             "final_time": record.final_time,
             "messages_sent": record.messages_sent,
-            "digest": result_digest(result),
+            "digest": analysis.result_digest(result),
         }
 
     def from_cached(self, payload: dict[str, Any]) -> ProtocolRunRecord:

@@ -867,3 +867,26 @@ class TestFieldReuse:
         assert job_keys(batch()) == [
             job_key(_Keyed([1, 0, 1, 2], n)) for n in range(3)
         ]
+
+    def test_only_a_key_target_gets_a_batch_form(self, monkeypatch):
+        """A campaign batch generates the batch form of the job type it
+        keys; the scenario and invariant specs nested in every job are
+        encoded by their plain encoders and get none."""
+        monkeypatch.setattr(keys, "_ENCODERS", {})
+        jobs = [
+            CampaignJob(
+                factory=RING_SCENARIO, seed=seed, horizon=2e-5,
+                kills_per_run=2, invariants=RING_INVARIANTS,
+                keep_results=False,
+            )
+            for seed in range(4)
+        ]
+        assert job_keys(jobs) == [oracle_key(job) for job in jobs]
+        assert {
+            cls.__name__: batch is not None
+            for cls, (_encode, batch) in keys._ENCODERS.items()
+        } == {
+            "CampaignJob": True,
+            "RingScenario": False,
+            "StandardRingInvariants": False,
+        }
