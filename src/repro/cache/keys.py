@@ -377,7 +377,7 @@ def job_keys(jobs: Iterable[Any]) -> list[str | None]:
         salt.update(part.encode() + b"\x00")
     #: Job type -> whether it implements the cache contract.
     contract: dict[type, bool] = {}
-    #: Key target type -> its batch form, bound to this call's salt
+    #: Job type -> its batch form, bound to this call's salt
     #: (see :func:`_batch_for`).
     batches: dict[type, Callable[[Any, _Memo], str]] = {}
     keys: list[str | None] = []
@@ -390,23 +390,17 @@ def job_keys(jobs: Iterable[Any]) -> list[str | None]:
             )
         key = None
         if inside and getattr(job, "cacheable", True):
-            # A wrapper job (e.g. repro.obs.telemetry.TelemetryJob) may
-            # nominate the job it wraps as its key identity: the wrapper
-            # adds bookkeeping, not behaviour, so wrapped and bare runs
-            # share cache entries.
-            target = getattr(job, "cache_key_delegate", job)
-            tcls = type(target)
-            key_of = batches.get(tcls)
+            key_of = batches.get(cls)
             try:
                 if key_of is not None:
-                    key = key_of(target, memo)
-                elif (generated := _ENCODERS.get(tcls)) is not None:
-                    batch = generated[1] or _batch_for(tcls)
-                    key_of = batches[tcls] = batch(salt)
-                    key = key_of(target, memo)
+                    key = key_of(job, memo)
+                elif (generated := _ENCODERS.get(cls)) is not None:
+                    batch = generated[1] or _batch_for(cls)
+                    key_of = batches[cls] = batch(salt)
+                    key = key_of(job, memo)
                 else:
                     h = salt.copy()
-                    h.update(_text(target, memo).encode() + b"\x00")
+                    h.update(_text(job, memo).encode() + b"\x00")
                     key = h.hexdigest()
             except Uncacheable:
                 pass

@@ -97,8 +97,9 @@ import sys
 from typing import Sequence
 
 # Each command imports what it runs, so `repro --help` and `repro
-# worker serve` load no sweep, cache or protocol code; the parser needs
-# only these two enums for its choices.
+# worker serve` load no kernel, sweep, cache or protocol code; the
+# parser needs only these two enums for its choices, which
+# repro.core.messages defines without importing the kernel.
 from .core import RingVariant, Termination
 
 

@@ -26,13 +26,13 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "TAG_NORMAL",
         "TAG_RESEND",
         "RingMsg",
+        "RingVariant",
+        "Termination",
     ),
     "neighbors": ("get_current_root", "to_left_of", "to_right_of"),
     "recv": ("BecameRoot", "ensure_watchdog", "ft_recv_left", "naive_recv_left"),
     "ring": (
         "RingConfig",
-        "RingVariant",
-        "Termination",
         "baseline_ring_main",
         "ft_ring_main",
         "make_ring_main",

@@ -30,14 +30,13 @@ post-recv window" is ``KillAtProbe(rank=2, probe="post_recv", hit=2)``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any
 
 from ..ft.agreement import DEFAULT_MODE
 from ..simmpi.errors import ErrorHandler
 from ..simmpi.process import SimProcess
-from .messages import TAG_NORMAL, RingMsg
+from .messages import TAG_NORMAL, RingMsg, RingVariant, Termination
 from .neighbors import get_current_root, to_left_of, to_right_of
 from .recv import ft_recv_left, naive_recv_left
 from .send import ft_send_right
@@ -47,36 +46,6 @@ from .termination import (
     ft_termination_root_bcast,
     ft_termination_validate_all,
 )
-
-
-class RingVariant(enum.Enum):
-    """Which stage of the paper's design progression to run."""
-
-    #: Paper Fig. 2: fault-unaware, ``MPI_ERRORS_ARE_FATAL``.
-    BASELINE = "baseline"
-    #: The flawed first-attempt receive (hangs in the Fig. 6 scenario).
-    NAIVE = "naive"
-    #: Fig. 9 without the marker check (duplicates in the Fig. 8 scenario).
-    FT_NO_MARKER = "ft_no_marker"
-    #: The full fault-tolerant design (Figs. 9 + 10).
-    FT_MARKER = "ft_marker"
-    #: §III-B alternative: resends travel on a separate tag.
-    FT_TAGGED = "ft_tagged"
-
-
-class Termination(enum.Enum):
-    """Termination-detection scheme (paper §III-C/D)."""
-
-    #: No termination protocol: ranks simply leave the loop.  Kept to
-    #: demonstrate *why* termination detection is needed.
-    NONE = "none"
-    #: Fig. 11: root broadcasts ``T_D``; root failure aborts.
-    ROOT_BCAST = "root_bcast"
-    #: Fig. 13: non-blocking collective validate as the rendezvous.
-    VALIDATE_ALL = "validate_all"
-    #: §III-C's rejected alternative: ibarrier retry (falls back to the
-    #: consensus validate when a failure makes collectives unusable).
-    IBARRIER = "ibarrier"
 
 
 @dataclass(frozen=True)

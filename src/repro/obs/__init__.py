@@ -16,7 +16,8 @@ Seven modules over the deterministic kernel and the sweep pipeline (see
   trace rows: per-rank busy/blocked/failed accounting, detection and
   validate latencies, agreement instances;
 * :mod:`repro.obs.telemetry` — ``repro.telemetry/1``, per-job JSONL
-  telemetry for sweeps (explore/campaign/fuzz), canonically
+  telemetry for sweeps (explore/campaign/fuzz), a view of the sweep's
+  ``job`` spans plus the runner's cache and retry columns, canonically
   serial==pooled, aggregated offline by ``repro report``;
 * :mod:`repro.obs.spans` — orchestration span tracing over the sweep
   pipeline (rounds, chunks, wire frames, worker-side execution, cache
@@ -29,9 +30,9 @@ Seven modules over the deterministic kernel and the sweep pipeline (see
 
 The pipeline's counters are not here: :data:`repro.perf.CACHE` counts
 cache lookups and stores, ``SweepRunner.worker_stats()`` the chunks,
-jobs, bytes and disconnects per worker slot, and
-``SweepRunner.job_retries`` the retries.  Telemetry records the latter
-two.
+jobs, bytes and disconnects per worker slot,
+``SweepRunner.job_retries`` the retries and ``SweepRunner.job_cache``
+each job's cache disposition.  Telemetry records the latter three.
 
 Every view of one run (the report, the Perfetto slices and counter
 tracks) is a fold over its trace: the kernel has no other recorder.
@@ -72,8 +73,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "telemetry": (
         "TELEMETRY",
         "TELEMETRY_FORMAT",
-        "TelemetryJob",
-        "TelemetryResult",
         "TelemetrySummary",
         "TelemetryWriter",
         "VOLATILE_KEYS",

@@ -11,7 +11,8 @@ and ship them back inside the ``done`` frame, where the parent absorbs
 them under the dispatching chunk span (one track per worker).  Every
 ``job`` span is opened by one function,
 :func:`repro.parallel.transport.run_jobs_traced`, whichever runner
-executes the job.
+executes the job, and a sweep's telemetry lines
+(:mod:`repro.obs.telemetry`) are read off those spans.
 
 Recording is strictly opt-in and zero-cost when off: every
 instrumentation site does one thread-local read (:func:`active`) and a
@@ -50,7 +51,7 @@ from typing import Any, ContextManager, Iterable, Iterator
 
 from . import records
 from .slot import active, installed
-from .telemetry import OUTCOMES, TelemetryResult, outcome_class
+from ..parallel.jobs import OUTCOMES
 
 __all__ = [
     "CANONICAL_CATEGORIES",
@@ -61,7 +62,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "active",
-    "outcome_label",
     "recording",
     "spans_to_perfetto",
     "spans_to_records",
@@ -94,15 +94,6 @@ SPAN_VOLATILE_KEYS = frozenset({"t", "dur", "id", "parent", "track"})
 #: that executes does so exactly once, with the same index and outcome
 #: everywhere.
 CANONICAL_CATEGORIES = frozenset({"job"})
-
-
-def outcome_label(value: Any) -> str:
-    """The telemetry outcome class of a job's return value, unwrapping
-    the :class:`~repro.obs.telemetry.TelemetryResult` envelope so spans
-    and telemetry classify a run identically."""
-    if isinstance(value, TelemetryResult):
-        value = value.value
-    return outcome_class(value)
 
 
 @dataclass

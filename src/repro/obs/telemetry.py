@@ -1,10 +1,22 @@
 """Sweep telemetry: a structured JSONL stream per explore/campaign/fuzz.
 
-Every job of a sweep is wrapped in a :class:`TelemetryJob` that times its
-execution and records where it ran; the parent writes one JSONL line per
-job (plus a header) as results come back.  The stream answers the
-operational questions a report cannot: which jobs are slow, which worker
-ran them, how often chunks were retried, what the cache answered.
+The parent writes one JSONL line per job (plus a header) as results
+come back.  The stream answers the operational questions a report
+cannot: which jobs are slow, which worker ran them, how often chunks
+were retried, what the cache answered.
+
+**A view of the job spans**: a job line is not timed on its own.  Every
+executed job runs under a ``job`` span
+(:func:`repro.parallel.transport.run_jobs_traced`, whichever runner
+executes it), and :func:`repro.parallel.runner.sweep` hands each
+window's spans to :class:`TelemetryWriter`: the line's ``outcome``,
+``t_start`` / ``t_end`` (the span's ``t`` and ``t + dur``) and
+``worker`` (the pid on the worker's ``chunk.exec`` span, or the
+parent's) come from there; its ``cache`` and ``retries`` from the
+runner (``SweepRunner.job_cache`` / ``job_retries``).  A cache hit
+executes nothing and has no span: its line reads the outcome off the
+returned value, the parent's pid, and ``wall_s`` 0.0.  Telemetry runs
+and bare runs key their jobs identically, so they share cache entries.
 
 **Determinism contract**: the *canonical* form of a telemetry file
 (``records.canon(path, TELEMETRY)``: worker lines and volatile fields
@@ -16,13 +28,6 @@ placement (:data:`VOLATILE_KEYS`: start/end timestamps, wall seconds,
 worker id, retry count, worker count); everything else (job kind, index,
 outcome class, cache disposition) is a pure function of the sweep spec.
 
-**Cache integration**: :class:`TelemetryJob` implements the
-``repro.cache`` contract *by delegation* and exposes the wrapped job as
-its ``cache_key_delegate``, so a telemetry-wrapped job has the **same
-cache key** as the bare job — warm outcomes recorded without telemetry
-are served to telemetry runs and vice versa.  The wrapper marks each
-line ``cache: "hit" | "miss" | null`` accordingly.
-
 :func:`summarize` / ``repro report`` aggregate a stream offline: outcome
 histogram, wall-time percentiles, slowest jobs, per-worker utilization,
 cache hit rate — no simulation is re-run.
@@ -32,20 +37,20 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from ..parallel.jobs import outcome_of
+from ..parallel.jobs import OUTCOMES, outcome_class, outcome_of
 from . import records
+
+if TYPE_CHECKING:
+    from .spans import Span
 
 __all__ = [
     "OUTCOMES",
     "TELEMETRY",
     "TELEMETRY_FORMAT",
-    "TelemetryJob",
-    "TelemetryResult",
     "TelemetrySummary",
     "TelemetryWriter",
     "VOLATILE_KEYS",
@@ -65,109 +70,12 @@ VOLATILE_KEYS = frozenset(
 )
 
 
-#: The outcome classes of a sweep job, in report-column order: the one
-#: vocabulary of telemetry lines, job spans and ``repro report``.
-OUTCOMES = ("ok", "hang", "violation", "abort")
-
-
-def outcome_class(value: Any) -> str:
-    """Classify a sweep result: its ``outcome`` string when it carries
-    one (``ProtocolRunRecord``), else :func:`outcome_of` over the fields
-    the other job shapes share (``ScenarioOutcome``, ``CampaignRun``,
-    ``FuzzOutcome``)."""
-    outcome = getattr(value, "outcome", None)
-    if isinstance(outcome, str):
-        return outcome
-    return outcome_of(
-        getattr(value, "hung", False),
-        getattr(value, "violations", ()),
-        getattr(value, "aborted", False),
-    )
-
-
-@dataclass(frozen=True)
-class TelemetryResult:
-    """What a :class:`TelemetryJob` ships back across the pool."""
-
-    index: int
-    value: Any
-    t_start: float
-    t_end: float
-    worker: int
-    #: ``"hit"`` / ``"miss"`` when the cache answered/stored the job,
-    #: ``None`` for an uncached execution.
-    cached: str | None = None
-
-    @property
-    def wall_s(self) -> float:
-        return self.t_end - self.t_start
-
-
-@dataclass(frozen=True)
-class TelemetryJob:
-    """Picklable wrapper timing one sweep job.
-
-    Delegates the :mod:`repro.cache` contract to the wrapped job and
-    keys as the wrapped job (via :attr:`cache_key_delegate`), so
-    wrapping never splits the cache namespace.  ``index`` is the global
-    submission index within the sweep (display/aggregation bookkeeping).
-    """
-
-    job: Any
-    index: int
-
-    #: repro.cache.keys.job_key hashes this object instead of the
-    #: wrapper, making the telemetry run share the bare job's entries.
-    @property
-    def cache_key_delegate(self) -> Any:
-        return self.job
-
-    @property
-    def replay_keys(self) -> tuple[str, ...] | None:
-        """The wrapped job's replay subset (``None``: the whole payload)."""
-        return getattr(self.job, "replay_keys", None)
-
-    @property
-    def cacheable(self) -> bool:
-        return bool(
-            hasattr(self.job, "cache_payload")
-            and hasattr(self.job, "from_cached")
-            and getattr(self.job, "cacheable", True)
-        )
-
-    def __call__(self) -> TelemetryResult:
-        t0 = time.monotonic()
-        value = self.job()
-        return TelemetryResult(
-            index=self.index, value=value, t_start=t0,
-            t_end=time.monotonic(), worker=os.getpid(), cached=None,
-        )
-
-    # -- cache contract, by delegation ---------------------------------
-
-    def cache_payload(self) -> tuple[TelemetryResult, dict[str, Any]]:
-        t0 = time.monotonic()
-        value, payload = self.job.cache_payload()
-        wrapped = TelemetryResult(
-            index=self.index, value=value, t_start=t0,
-            t_end=time.monotonic(), worker=os.getpid(), cached="miss",
-        )
-        return wrapped, payload
-
-    def from_cached(self, payload: dict[str, Any]) -> TelemetryResult:
-        t0 = time.monotonic()
-        value = self.job.from_cached(payload)
-        return TelemetryResult(
-            index=self.index, value=value, t_start=t0,
-            t_end=time.monotonic(), worker=os.getpid(), cached="hit",
-        )
-
-
 class TelemetryWriter:
     """Streams one sweep's telemetry to a JSONL file: a header, one
-    line per job as its result arrives (:meth:`record`), the per-worker
-    transport rows at the end (:meth:`record_workers`).  Driven by
-    :func:`repro.parallel.runner.sweep`; lines append in completion
+    line per job as its result arrives (:meth:`window`, then
+    :meth:`record`), the per-worker transport rows at the end
+    (:meth:`record_workers`).  Driven by
+    :func:`repro.parallel.runner.sweep`; lines append in submission
     order (canonicalization sorts them anyway).
     """
 
@@ -180,6 +88,12 @@ class TelemetryWriter:
         workers: int | None = None,
     ) -> None:
         self._fh = open(path, "w")
+        self._pid = os.getpid()
+        #: The current window's job spans by index, and the worker pid
+        #: of each ``chunk.exec`` span by id.
+        self._jobs: dict[int, Span] = {}
+        self._pids: dict[int, int] = {}
+        self._t = 0.0
         self._write({
             "format": TELEMETRY_FORMAT,
             "kind": kind,
@@ -190,18 +104,40 @@ class TelemetryWriter:
     def _write(self, record: dict[str, Any]) -> None:
         self._fh.write(records.line(record) + "\n")
 
-    def record(self, res: TelemetryResult, retries: int) -> None:
-        """Write the line of one wrapped result; *retries* is how often
-        the chunk that carried the job was re-submitted."""
+    def window(self, spans: Iterable[Span], t: float) -> None:
+        """Take the spans one window of the sweep recorded; *t* is the
+        recorder's time now, the timestamp of the window's hits."""
+        self._jobs, self._pids, self._t = {}, {}, t
+        for span in spans:
+            if span.cat == "job":
+                self._jobs[span.attrs["index"]] = span
+            elif span.cat == "exec":
+                self._pids[span.id] = span.attrs["pid"]
+
+    def record(
+        self, index: int, value: Any, *, cache: str | None, retries: int
+    ) -> None:
+        """Write the line of job *index*, which returned *value*;
+        *cache* is the runner's disposition of it, *retries* how often
+        the chunk that carried it was re-submitted."""
+        span = self._jobs.pop(index, None)
+        if span is None:  # a cache hit: nothing ran
+            t_start = t_end = self._t
+            worker = self._pid
+            outcome = outcome_class(value)
+        else:
+            t_start, t_end = span.t, span.t + span.dur
+            worker = self._pids.get(span.parent, self._pid)
+            outcome = span.attrs["outcome"]
         self._write({
             "kind": "job",
-            "index": res.index,
-            "outcome": outcome_class(res.value),
-            "cache": res.cached,
-            "t_start": res.t_start,
-            "t_end": res.t_end,
-            "wall_s": res.wall_s,
-            "worker": res.worker,
+            "index": index,
+            "outcome": outcome,
+            "cache": cache,
+            "t_start": t_start,
+            "t_end": t_end,
+            "wall_s": t_end - t_start,
+            "worker": worker,
             "retries": retries,
         })
 

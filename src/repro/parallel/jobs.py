@@ -56,9 +56,8 @@ classified outcome can be reused across sweeps additionally provides
   the store's ``payload`` column holds that subset, while the stored
   entry keeps the whole payload for ``repro cache verify``.  A job
   without it (e.g. :class:`~repro.fuzz.driver.FuzzJob`, whose
-  ``from_cached`` reads every key) replays the whole payload, and a
-  wrapper forwards its inner job's (``TelemetryJob``).  Name a key
-  here whenever ``from_cached`` starts to read it.
+  ``from_cached`` reads every key) replays the whole payload.  Name a
+  key here whenever ``from_cached`` starts to read it.
 
 The key itself is derived in :mod:`repro.cache.keys` from the job's
 dataclass fields plus version and mutation salts; jobs without the
@@ -126,10 +125,15 @@ def check_invariants(
     ]
 
 
+#: The outcome classes of a sweep job, in report-column order: the one
+#: vocabulary of telemetry lines, job spans and ``repro report``.
+OUTCOMES = ("ok", "hang", "violation", "abort")
+
+
 def outcome_of(hung: bool, violations: Any, aborted: bool) -> str:
     """The one classification rule of a sweep job's run: a hang
     outranks an invariant violation, which outranks an abort.  The
-    classes are :data:`repro.obs.telemetry.OUTCOMES`."""
+    classes are :data:`OUTCOMES`."""
     if hung:
         return "hang"
     if violations:
@@ -137,6 +141,21 @@ def outcome_of(hung: bool, violations: Any, aborted: bool) -> str:
     if aborted:
         return "abort"
     return "ok"
+
+
+def outcome_class(value: Any) -> str:
+    """Classify a sweep result: its ``outcome`` string when it carries
+    one (``ProtocolRunRecord``), else :func:`outcome_of` over the fields
+    the other job shapes share (``ScenarioOutcome``, ``CampaignRun``,
+    ``FuzzOutcome``)."""
+    outcome = getattr(value, "outcome", None)
+    if isinstance(outcome, str):
+        return outcome
+    return outcome_of(
+        getattr(value, "hung", False),
+        getattr(value, "violations", ()),
+        getattr(value, "aborted", False),
+    )
 
 
 @dataclass

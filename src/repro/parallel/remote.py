@@ -507,7 +507,7 @@ class FleetRunner(SweepRunner):
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         # The dataclass-generated __init__ bypasses SweepRunner.__init__.
-        self.job_retries = []
+        self.job_retries, self.job_cache = [], []
         self.names = tuple(map(_addr_str, self.addresses)) or tuple(
             f"local:{slot}" for slot in range(self.workers)
         )

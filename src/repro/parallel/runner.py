@@ -101,10 +101,13 @@ class SweepRunner:
     After :meth:`run` returns, :attr:`job_retries` holds one int per job
     (submission order): how many times the chunk carrying that job was
     re-submitted.  Always zero for serial runs and for cache hits; the
-    telemetry layer (:mod:`repro.obs.telemetry`) reads it to attribute
-    infrastructure retries to jobs.  It is a per-*instance* list — two
-    runners never alias each other's retry accounting
-    (regression-tested).
+    telemetry lines of :func:`sweep` carry it, so infrastructure retries
+    are attributed to jobs.  It is a per-*instance* list — two runners
+    never alias each other's retry accounting (regression-tested).
+    :attr:`job_cache` is its twin for the cache stage: per job of the
+    most recent :meth:`run` (one window of :meth:`run_stream`),
+    ``"hit"``, ``"miss"``, or ``None`` when the job ran outside the
+    cache.
     """
 
     #: The :class:`repro.cache.RunCache` consulted by :meth:`run`, or
@@ -114,6 +117,8 @@ class SweepRunner:
     def __init__(self) -> None:
         #: Per-job retry counts of the most recent :meth:`run` (see above).
         self.job_retries: list[int] = []
+        #: Per-job cache dispositions of the most recent :meth:`run`.
+        self.job_cache: list[str | None] = []
 
     def _execute(
         self, jobs: list[SweepJob], indices: Sequence[int]
@@ -150,6 +155,7 @@ class SweepRunner:
         """
         jobs = list(jobs)
         if self.cache is None:
+            self.job_cache = [None] * len(jobs)
             return self._execute(jobs, range(first, first + len(jobs)))
         from ..cache.keys import job_keys
 
@@ -189,6 +195,8 @@ class SweepRunner:
                 perf.CACHE.misses += 1
             todo.append((i, key, MissJob(job)))
         retries = [0] * len(jobs)
+        # Set once for the batch: the hit loop above pays nothing for it.
+        disposition: list[str | None] = ["hit"] * len(jobs)
         if todo:
             try:
                 executed = self._execute(
@@ -207,14 +215,17 @@ class SweepRunner:
                 retries[i] = count
                 if key is None:
                     results[i] = value
+                    disposition[i] = None
                 else:
                     results[i] = value.outcome
+                    disposition[i] = "miss"
                     stores.append((key, value.payload, job.job))
             if stores:
                 # One transaction for the batch.
                 self.cache.put_many(stores)
                 perf.CACHE.stores += len(stores)
         self.job_retries = retries
+        self.job_cache = disposition
         return results
 
     def run_stream(
@@ -233,7 +244,8 @@ class SweepRunner:
         :attr:`job_retries` grows as results are yielded (one entry per
         job yielded so far) and is complete when the iterator is
         exhausted, so streamed telemetry sees the same counts as a
-        materialized run.
+        materialized run.  :attr:`job_cache` holds the current window's
+        dispositions only.
         """
         window = int(window) if window is not None else self._stream_window()
         if window < 1:
@@ -384,11 +396,15 @@ def sweep(
     them is its own choice.
 
     ``telemetry`` names a JSONL file (:mod:`repro.obs.telemetry`,
-    header ``kind`` / *total* / ``workers``): every job is wrapped in a
-    ``TelemetryJob`` carrying its submission index, its line is written
-    as its result arrives — with the retry count the runner's
-    cumulative ``job_retries`` holds for that index — and the per-worker
-    transport rows follow at the end.
+    header ``kind`` / *total* / ``workers``): its job lines are a view
+    of the ``job`` spans the runner records
+    (:func:`~repro.parallel.transport.run_jobs_traced`), joined with the
+    runner's :attr:`~SweepRunner.job_cache` and
+    :attr:`~SweepRunner.job_retries`, and written as the results arrive;
+    the per-worker transport rows follow at the end.  The spans go to
+    the active recorder (``--spans``), which keeps them all; without one
+    the sweep installs its own for each pull and drops a window's spans
+    once their lines are written, so memory stays O(window).
     """
     if runner is None:
         runner = make_runner(workers)
@@ -396,18 +412,42 @@ def sweep(
     if not telemetry:
         yield from runner.run_stream(jobs, window=window)
         return
-    from ..obs.telemetry import TelemetryJob, TelemetryWriter
+    from ..obs.slot import installed
+    from ..obs.spans import SpanRecorder
+    from ..obs.telemetry import TelemetryWriter
 
+    recorder = spans_active()
+    own = recorder is None
+    if own:
+        recorder = SpanRecorder(kind=kind)
+    results = runner.run_stream(jobs, window=window)
     writer = TelemetryWriter(
         telemetry, kind=kind, total=total, workers=workers
     )
     try:
-        wrapped = (
-            TelemetryJob(job=job, index=i) for i, job in enumerate(jobs)
-        )
-        for res in runner.run_stream(wrapped, window=window):
-            writer.record(res, retries=runner.job_retries[res.index])
-            yield res.value
+        #: The current window's first job and the jobs joined so far;
+        #: the recorder's spans already read.
+        first = joined = seen = index = 0
+        while True:
+            with installed(recorder):  # a no-op for the caller's
+                value = next(results, _UNSET)
+            if value is _UNSET:
+                break
+            if index == joined:
+                # run_stream ran this whole window before yielding its
+                # first result: its spans and dispositions are all in.
+                first, joined = index, len(runner.job_retries)
+                writer.window(recorder.spans[seen:], recorder.now())
+                if own:
+                    recorder.spans.clear()
+                seen = len(recorder.spans)
+            writer.record(
+                index, value,
+                cache=runner.job_cache[index - first],
+                retries=runner.job_retries[index],
+            )
+            yield value
+            index += 1
         writer.record_workers(runner.worker_stats())
     finally:
         writer.close()

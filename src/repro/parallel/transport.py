@@ -26,8 +26,11 @@ one loads it with its first traced chunk).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+
+from .jobs import outcome_class
 
 if TYPE_CHECKING:
     from ..obs.spans import SpanRecorder
@@ -76,17 +79,16 @@ def run_jobs_traced(
     sweep-global position (given explicitly: under a cache only the
     misses execute, and a miss keeps its own position), ``outcome`` the
     class of what the job returned, looking through a miss's
-    :class:`Executed` envelope.
+    :class:`Executed` envelope.  A sweep's telemetry lines are read off
+    these spans.
     """
-    from ..obs.spans import outcome_label
-
     values = []
     for index, job in zip(indices, jobs):
         with recorder.span(
             "job", "job", parent=parent, attrs={"index": index}
         ) as span:
             value = job()
-            span.attrs["outcome"] = outcome_label(
+            span.attrs["outcome"] = outcome_class(
                 value.outcome if isinstance(value, Executed) else value
             )
         values.append(value)
@@ -103,6 +105,8 @@ def run_chunk(
     recorder (never one a fork may have inherited) and returns
     ``(values, exported_spans)``: one ``job`` span per job under a
     ``chunk.exec`` root the parent re-anchors onto this worker's track.
+    The root carries this process's ``pid``: the ``worker`` of the
+    jobs' telemetry lines.
     """
     if indices is None:
         return [job() for job in jobs]
@@ -111,7 +115,7 @@ def run_chunk(
     recorder = SpanRecorder(kind="chunk")
     with recording(recorder):
         with recorder.span(
-            "chunk.exec", "exec", attrs={"jobs": len(jobs)}
+            "chunk.exec", "exec", attrs={"jobs": len(jobs), "pid": os.getpid()}
         ) as root:
             values = run_jobs_traced(recorder, jobs, indices, root.id)
     return values, recorder.export_raw()

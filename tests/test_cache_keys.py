@@ -41,7 +41,6 @@ from repro.faults.explorer import Window, WindowJob
 from repro.faults.schedule import KillSpec
 from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.driver import FuzzJob
-from repro.obs.telemetry import TelemetryJob
 from repro.parallel import SerialRunner, SimJob, with_cache
 from repro.protocols import ProtocolCompareJob
 from tests.conftest import RING_INVARIANTS, RING_SCENARIO, factory_for
@@ -118,11 +117,6 @@ KEY_VECTORS = {
     "compare_partial_restart": (
         _compare_job("partial_restart"),
         "b940b209ab82e9c0591a3bcf46dc7d8839fc55d4",
-    ),
-    # Keys as the job it wraps (``cache_key_delegate``).
-    "telemetry": (
-        TelemetryJob(job=_CAMPAIGN_JOB, index=3),
-        "32340b8bf58881ce14af3b78cf160082888708a6",
     ),
 }
 
@@ -533,15 +527,12 @@ class TestMemo:
             SimJob(factory=RING_SCENARIO),  # no cache contract
             WindowJob(factory=closure, windows=_WINDOWS[:1]),
             _CAMPAIGN_JOB,
-            TelemetryJob(job=_CAMPAIGN_JOB, index=5),
-            TelemetryJob(job=WindowJob(factory=closure, **window), index=6),
         ]
         batch = job_keys(jobs)
         assert batch == [job_key(job) for job in jobs]
         assert [key is None for key in batch] == [
-            False, True, True, True, True, False, False, True
+            False, True, True, True, True, False
         ]
-        assert batch[5] == batch[6]
 
     def test_refusal_inside_a_shared_sub_object_refuses_every_holder(self):
         shared = Leaf(a=(1, 2), b=lambda: 0)
@@ -736,26 +727,6 @@ class _Plain:
     a: Any
 
 
-@dataclass
-class _Delegating:
-    """A job keyed as the object it holds, as a telemetry wrapper is."""
-
-    target: Any
-
-    @property
-    def cache_key_delegate(self):
-        return self.target
-
-    def __call__(self):
-        return None
-
-    def cache_payload(self):
-        return None, {}
-
-    def from_cached(self, payload):
-        return None
-
-
 #: Values equal as numbers but not as keys, and floats whose text is
 #: not their ``repr``; each is one object in every draw.
 _TYPE_CHANGES = [
@@ -779,8 +750,8 @@ _batch_objects = st.one_of(
 def _drawn_batch(draw):
     """A batch of campaign-like jobs: their fields hold objects from one
     small pool (shared with other jobs), copies of them (equal, not
-    shared) or fresh draws; job types mix, a telemetry wrapper keys as
-    the job it wraps, and a job outside the contract gets no key."""
+    shared) or fresh draws; job types mix, and a job outside the
+    contract gets no key."""
     pool = draw(st.lists(_batch_objects, min_size=1, max_size=4))
     value = st.one_of(
         st.sampled_from(pool),
@@ -795,7 +766,6 @@ def _drawn_batch(draw):
         st.lists(
             st.one_of(
                 job,
-                st.builds(TelemetryJob, job, st.integers(0, 3)),
                 st.builds(_Plain, value),
             ),
             min_size=1,
@@ -826,10 +796,13 @@ class TestFieldReuse:
     @settings(max_examples=100, deadline=None)
     @given(_drawn_siblings())
     def test_drawn_dataclasses_key_as_the_oracle_says(self, siblings):
-        # The batch form of each drawn type keys them, field names that
-        # spell its own locals included.
-        jobs = [_Delegating(obj) for obj in siblings]
-        assert job_keys(jobs) == [oracle_key(obj) for obj in siblings]
+        # The drawn type enters the cache contract, so its batch form
+        # keys the siblings, field names that spell its own locals
+        # included.
+        drawn = type(siblings[0])
+        drawn.cache_payload = _Triple.cache_payload
+        drawn.from_cached = _Triple.from_cached
+        assert job_keys(siblings) == [oracle_key(obj) for obj in siblings]
 
     def test_type_changes_between_jobs(self):
         jobs = [_Keyed(Leaf(), n) for n in _TYPE_CHANGES * 2]

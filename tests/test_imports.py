@@ -16,14 +16,17 @@ interpreter, so nothing the test session imported leaks in:
   root-failure driver);
 * a ring under ``Termination.IBARRIER`` still loads the nonblocking
   collectives through :mod:`repro.simmpi`'s lazy export, and completes;
-* ``import repro.cli`` loads no command code;
+* ``import repro.cli`` loads no command code and no kernel: exactly
+  :data:`CLI_MODULES` ``repro`` modules;
 * every lazy package resolves each name of ``__all__`` to the object
   its submodule defines, lists them in ``dir()``, binds them all on
   ``from pkg import *`` and names itself in an unknown name's error;
 * the forked workers of a pooled sweep — plain, cached with every job
-  a miss, and recording spans — import nothing the parent did not
-  already have: what they run is imported where the sweep is set up,
-  not compiled again in every round.
+  a miss, recording spans, and writing telemetry — import nothing the
+  parent did not already have: what they run is imported where the
+  sweep is set up, not compiled again in every round;
+* a span-recording pooled sweep loads no telemetry writer, in the
+  parent or the workers.
 """
 
 from __future__ import annotations
@@ -163,6 +166,13 @@ def test_an_ibarrier_ring_loads_the_nonblocking_collectives_on_use():
     assert sorted(set(NOT_FOR_A_RING) & set(loaded)) == ["repro.simmpi.nbcoll"]
 
 
+#: The ``repro`` modules ``import repro.cli`` loads (33 while the
+#: parser's two enums came from :mod:`repro.core.ring`): the package,
+#: the lazy-export helper, the CLI, and ``repro.core`` with the module
+#: that defines ``RingVariant`` and ``Termination``.
+CLI_MODULES = 5
+
+
 def test_importing_the_cli_loads_no_command_code():
     loaded = fresh("import repro.cli\n" + REPORT)
     assert sorted(set(loaded) & {
@@ -173,7 +183,12 @@ def test_importing_the_cli_loads_no_command_code():
         "repro.protocols.shrink_repair",
         "repro.protocols.replication",
         "repro.protocols.partial_restart",
+        "repro.core.ring",
+        "repro.simmpi.runtime",
+        "repro.ft.agreement",
     }) == []
+    mine = [m for m in loaded if m == "repro" or m.startswith("repro.")]
+    assert len(mine) == CLI_MODULES, mine
 
 
 CHECK_PACKAGE = """
@@ -281,9 +296,14 @@ from repro.obs.spans import SpanRecorder, recording
 with recording(SpanRecorder()) as recorder:  # the workers record spans
     assert campaign().total == 4
 assert sum(span.cat == "job" for span in recorder.spans) == 4
-print(json.dumps(sorted(IMPORTED)))
+# Spans alone load no telemetry writer, here or (IMPORTED) in a worker.
+SPANS_LOADED_TELEMETRY = "repro.obs.telemetry" in sys.modules
+
+with tempfile.TemporaryDirectory() as tmp:  # the sweep's own recorder
+    assert campaign(telemetry=os.path.join(tmp, "t.jsonl")).total == 4
+print(json.dumps([sorted(IMPORTED), SPANS_LOADED_TELEMETRY]))
 """
 
 
 def test_forked_workers_import_nothing_the_parent_lacks():
-    assert fresh(POOLED) == []
+    assert fresh(POOLED) == [[], False]

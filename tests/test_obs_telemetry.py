@@ -1,22 +1,30 @@
-"""Sweep telemetry: serial==pooled canonical identity, cache delegation,
-schema validation, and offline aggregation.
+"""Sweep telemetry: serial==pooled canonical identity, cache
+dispositions, schema validation, the job lines as a view of the job
+spans, and offline aggregation.
 """
 
 from __future__ import annotations
 
+import os
+from collections import Counter
+
 import pytest
 
-from repro.cache.keys import job_key
 from repro.faults import explore, run_campaign
+from repro.faults.campaign import CampaignJob
 from repro.fuzz import fuzz
 from repro.obs import (
+    SPANS,
     TELEMETRY,
-    TelemetryJob,
+    SpanRecorder,
     outcome_class,
     records,
+    recording,
+    spans_to_records,
     summarize,
 )
-from repro.parallel import RingScenario, StandardRingInvariants
+from repro.parallel import RingScenario, StandardRingInvariants, make_runner
+from repro.parallel.runner import sweep
 
 POOL_WORKERS = 2
 
@@ -134,19 +142,6 @@ def test_outcome_class():
 # ---------------------------------------------------------------------------
 
 
-def test_telemetry_job_shares_cache_key():
-    """A wrapped job must key identically to the bare job, so telemetry
-    and plain sweeps share cache entries (cache_key_delegate)."""
-    from repro.faults.campaign import CampaignJob
-
-    job = CampaignJob(factory=SCENARIO, seed=7, horizon=2e-5,
-                      invariants=INVARIANTS)
-    bare = job_key(job)
-    assert bare is not None
-    assert job_key(TelemetryJob(job=job, index=3)) == bare
-    assert job_key(TelemetryJob(job=job, index=99)) == bare
-
-
 def test_telemetry_records_cache_hits(tmp_path):
     cache_dir = tmp_path / "cache"
     cold = tmp_path / "cold.jsonl"
@@ -175,7 +170,7 @@ def test_telemetry_records_cache_hits(tmp_path):
 
 def test_warm_cache_entries_usable_without_telemetry(tmp_path):
     """Entries stored by a telemetry run answer a bare run (and vice
-    versa): the wrapper never splits the cache namespace."""
+    versa): telemetry never splits the cache namespace."""
     from repro import perf
 
     cache_dir = tmp_path / "cache"
@@ -187,6 +182,126 @@ def test_warm_cache_entries_usable_without_telemetry(tmp_path):
                  invariants=INVARIANTS, cache=str(cache_dir))
     delta = perf.CACHE.delta(before)
     assert delta["hits"] == 4 and delta["misses"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Job lines are a view of the job spans
+# ---------------------------------------------------------------------------
+
+#: A campaign whose six runs take all four outcome classes.
+MIXED = RingScenario(nprocs=4, iters=3, variant="ft_no_marker",
+                     termination="root_bcast")
+
+#: ``records.canon`` of :func:`mixed_campaign`, recorded when each job
+#: was still timed by a wrapper of its own; ``CACHE`` stands for the
+#: disposition: ``null`` uncached, ``"miss"`` cold, ``"hit"`` warm.
+PINNED_CANON = [
+    '{"cache":CACHE,"index":0,"kind":"job","outcome":"violation"}',
+    '{"cache":CACHE,"index":1,"kind":"job","outcome":"ok"}',
+    '{"cache":CACHE,"index":2,"kind":"job","outcome":"abort"}',
+    '{"cache":CACHE,"index":3,"kind":"job","outcome":"hang"}',
+    '{"cache":CACHE,"index":4,"kind":"job","outcome":"ok"}',
+    '{"cache":CACHE,"index":5,"kind":"job","outcome":"ok"}',
+    '{"format":"repro.telemetry/1","kind":"campaign","runs":6}',
+]
+
+
+def mixed_campaign(path, workers=None, cache=None):
+    run_campaign(
+        MIXED, seeds=range(12, 18), horizon=2e-5, kills_per_run=2,
+        eligible_ranks=range(4), invariants=INVARIANTS, workers=workers,
+        cache=cache, telemetry=str(path),
+    )
+    return records.canon(path, TELEMETRY)
+
+
+@pytest.mark.parametrize("workers", [None, POOL_WORKERS])
+def test_canon_of_a_fixed_campaign_is_pinned(tmp_path, workers):
+    store = str(tmp_path / "cache")
+    for name, cache, disposition in (
+        ("uncached", None, "null"),
+        ("cold", store, '"miss"'),
+        ("warm", store, '"hit"'),
+    ):
+        assert mixed_campaign(tmp_path / f"{name}.jsonl", workers, cache) == [
+            line.replace("CACHE", disposition) for line in PINNED_CANON
+        ], name
+
+
+def test_a_callers_recorder_keeps_every_span_it_would_without_telemetry(
+    tmp_path,
+):
+    """``--telemetry --spans``: the sweep reads its job lines off the
+    caller's recorder and takes nothing out of it."""
+
+    def recorded(telemetry):
+        with recording(SpanRecorder(kind="campaign")) as recorder:
+            run_campaign(
+                SCENARIO, seeds=range(8), horizon=2e-5,
+                invariants=INVARIANTS, workers=POOL_WORKERS,
+                telemetry=telemetry,
+            )
+        path = tmp_path / "spans.jsonl"
+        path.write_text(records.dumps(spans_to_records(recorder)))
+        counts = Counter(
+            span.cat for span in recorder.spans if span.cat in ("chunk", "net")
+        )
+        return records.canon(path, SPANS), counts
+
+    canon, counts = recorded(str(tmp_path / "t.jsonl"))
+    assert (canon, counts) == recorded(None)
+    assert len(canon) == 8 and counts["chunk"] > 0 and counts["net"] > 0
+    _, jobs = records.read(tmp_path / "t.jsonl", TELEMETRY)
+    assert len([rec for rec in jobs if rec["kind"] == "job"]) == 8
+
+
+def test_a_telemetry_only_stream_holds_one_window_of_spans(
+    tmp_path, monkeypatch,
+):
+    """Without a caller's recorder the sweep records into its own and
+    drops each window's spans once their lines are written; the lines of
+    pooled jobs name the worker that ran them."""
+    #: Spans a recorder holds after each recording call, and the spans
+    #: those calls added.
+    held: list[int] = []
+    added: list[int] = []
+
+    def counting(method):
+        def counted(self, *args, **kwargs):
+            before = len(self.spans)
+            out = method(self, *args, **kwargs)
+            held.append(len(self.spans))
+            added.append(len(self.spans) - before)
+            return out
+        return counted
+
+    monkeypatch.setattr(SpanRecorder, "begin", counting(SpanRecorder.begin))
+    monkeypatch.setattr(
+        SpanRecorder, "chunk_absorb", counting(SpanRecorder.chunk_absorb)
+    )
+
+    def streamed(runs, path):
+        held.clear()
+        added.clear()
+        jobs = (
+            CampaignJob(factory=SCENARIO, seed=seed, horizon=2e-5,
+                        invariants=INVARIANTS)
+            for seed in range(runs)
+        )
+        for _ in sweep(jobs, total=runs, kind="campaign",
+                       runner=make_runner(POOL_WORKERS), telemetry=str(path),
+                       window=8):
+            pass
+        return max(held), sum(added)
+
+    one_window, _ = streamed(8, tmp_path / "one.jsonl")
+    most, recorded = streamed(40, tmp_path / "t.jsonl")
+    assert most <= one_window and recorded >= 5 * one_window
+    assert records.errors(tmp_path / "t.jsonl", TELEMETRY) == []
+    _, body = records.read(tmp_path / "t.jsonl", TELEMETRY)
+    workers = {rec["worker"] for rec in body if rec["kind"] == "job"}
+    assert len([rec for rec in body if rec["kind"] == "job"]) == 40
+    assert os.getpid() not in workers and len(workers) >= 2
 
 
 # ---------------------------------------------------------------------------
