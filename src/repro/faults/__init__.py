@@ -24,7 +24,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "Window",
         "enumerate_windows",
         "explore",
-        "run_window",
     ),
     "schedule": ("FailureSchedule", "KillSpec"),
     "injector": (

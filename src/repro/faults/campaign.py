@@ -13,6 +13,10 @@ picklable :class:`CampaignJob` per seed and hands the batch to a
 regardless of completion order, making the :class:`CampaignReport`
 bit-identical between serial and pooled execution (see
 ``docs/parallel.md``).
+
+:class:`ClassifiedJob`, the run and cache contract every sweep job kind
+shares, and :func:`draw_kills`, the seeded kill draw campaigns and
+protocol comparisons share, live here too.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from ..parallel.jobs import (
 )
 from ..parallel.runner import SweepRunner, sweep
 from ..simmpi.runtime import SimulationResult
-from .injector import CompositeInjector, KillAtTime
+from .injector import CompositeInjector, FaultInjector, KillAtTime
 
 
 @dataclass
@@ -106,8 +110,100 @@ class CampaignReport:
         return "\n".join(lines)
 
 
+def draw_kills(
+    seed: int, ranks: Sequence[int], k: int, horizon: float
+) -> tuple[tuple[int, float], ...]:
+    """The seeded kill draw: *k* distinct victims from *ranks*, each at a
+    uniform virtual time in ``[0, horizon)``, as sorted ``(rank, time)``
+    pairs.  A campaign and a protocol comparison draw with this one
+    function, so the same ``(seed, ranks, k, horizon)`` places the same
+    kills in both."""
+    if k > len(ranks):
+        raise ValueError("kills_per_run exceeds eligible ranks")
+    rng = random.Random(seed)
+    victims = rng.sample(ranks, k)
+    return tuple(sorted((v, rng.uniform(0.0, horizon)) for v in victims))
+
+
+class ClassifiedJob:
+    """One simulation, run and classified: the execution path and the
+    cache contract (see :mod:`repro.parallel.jobs`) of every sweep job
+    kind — :class:`CampaignJob`, :class:`~repro.faults.explorer.WindowJob`,
+    :class:`~repro.protocols.compare.ProtocolCompareJob` and
+    :class:`~repro.fuzz.driver.FuzzJob`.
+
+    The class holds no fields, so a kind's dataclass fields alone make
+    its cache key.  A kind says how its simulation is built
+    (:meth:`_simulation`), where its kills land (:meth:`_faults`), which
+    invariants judge it (:meth:`_invariants`), what record a run gives
+    (:meth:`_record`) and what the cache stores of it (:meth:`_payload`,
+    read back by the kind's own ``from_cached``).
+    """
+
+    #: Whether the record hands back the whole ``SimulationResult``; a
+    #: kind with a ``keep_results`` field overrides this default.
+    keep_results = False
+    #: Whether the record itself reads the trace (a fuzz outcome carries
+    #: its digest), so that no run goes untraced.
+    traced = False
+
+    def __call__(self) -> Any:
+        return self._execute()[0]
+
+    def _execute(self, digest: bool = False) -> tuple[Any, SimulationResult]:
+        sim, main = self._simulation()
+        faults = self._faults(sim)
+        if faults:
+            sim.add_injector(CompositeInjector(faults))
+        invariants = self._invariants()
+        if not trace_needed(
+            invariants,
+            keep_results=self.keep_results,
+            digest=digest or self.traced,
+        ):
+            sim.runtime.trace.enabled = False
+        result = sim.run(main, on_deadlock="return")
+        violations = check_invariants(invariants, result)
+        return self._record(result, violations, faults), result
+
+    def _simulation(self) -> tuple[Any, Any]:
+        return self.factory()
+
+    def _faults(self, sim: Any) -> Sequence[FaultInjector]:
+        """The injectors of this run's kills, given the built simulation."""
+        return ()
+
+    def _invariants(self) -> InvariantSpec:
+        return self.invariants
+
+    def _record(self, result, violations, faults) -> Any:
+        """The kind's compact record of a finished run."""
+        raise NotImplementedError
+
+    def _payload(self, record: Any, result: SimulationResult) -> dict[str, Any]:
+        """The JSON-able classification the cache stores for *record*."""
+        return {
+            "violations": list(record.violations),
+            "hung": record.hung,
+            "aborted": record.aborted,
+            "digest": analysis.result_digest(result),
+            "final_time": result.final_time,
+            "perf": analysis.perf_dict(result),
+        }
+
+    @property
+    def cacheable(self) -> bool:
+        """A job that must return the full ``SimulationResult`` cannot be
+        served from the cache (traces are never stored)."""
+        return not self.keep_results
+
+    def cache_payload(self) -> tuple[Any, dict[str, Any]]:
+        record, result = self._execute(digest=True)
+        return record, self._payload(record, result)
+
+
 @dataclass
-class CampaignJob:
+class CampaignJob(ClassifiedJob):
     """Picklable unit of campaign work: one seed's sampled run.
 
     The failure placement is derived from ``seed`` alone (the scenario's
@@ -124,68 +220,33 @@ class CampaignJob:
     invariants: InvariantSpec = ()
     keep_results: bool = False
 
-    def __call__(self) -> CampaignRun:
-        return self._execute()[0]
+    #: The payload keys :meth:`from_cached` reads.
+    replay_keys = ("kills", "hung", "aborted", "violations")
 
-    def _execute(
-        self, digest: bool = False
-    ) -> tuple[CampaignRun, SimulationResult]:
-        rng = random.Random(self.seed)
-        sim, main = self.factory()
+    def _faults(self, sim: Any) -> list[KillAtTime]:
         ranks = (
-            list(self.eligible_ranks)
-            if self.eligible_ranks is not None
-            else list(range(1, sim.nprocs))
+            range(1, sim.nprocs)
+            if self.eligible_ranks is None
+            else self.eligible_ranks
         )
-        if self.kills_per_run > len(ranks):
-            raise ValueError("kills_per_run exceeds eligible ranks")
-        victims = rng.sample(ranks, self.kills_per_run)
-        kills = tuple(
-            sorted((v, rng.uniform(0.0, self.horizon)) for v in victims)
-        )
-        sim.add_injector(
-            CompositeInjector(KillAtTime(rank=v, time=t) for v, t in kills)
-        )
-        if not trace_needed(
-            self.invariants, keep_results=self.keep_results, digest=digest
-        ):
-            sim.runtime.trace.enabled = False
-        result = sim.run(main, on_deadlock="return")
-        violations = check_invariants(self.invariants, result)
-        run = CampaignRun(
+        kills = draw_kills(self.seed, ranks, self.kills_per_run, self.horizon)
+        return [KillAtTime(rank=v, time=t) for v, t in kills]
+
+    def _record(self, result, violations, faults) -> CampaignRun:
+        return CampaignRun(
             seed=self.seed,
-            kills=kills,
+            kills=tuple([(k.rank, k.time) for k in faults]),
             hung=result.hung,
             aborted=result.aborted is not None,
             violations=violations,
             result=result if self.keep_results else None,
         )
-        return run, result
 
-    # -- cache contract (see repro/parallel/jobs.py) -------------------
-
-    #: The payload keys :meth:`from_cached` reads.
-    replay_keys = ("kills", "hung", "aborted", "violations")
-
-    @property
-    def cacheable(self) -> bool:
-        """A job that must return the full ``SimulationResult`` cannot be
-        served from the cache (traces are never stored)."""
-        return not self.keep_results
-
-    def cache_payload(self) -> tuple[CampaignRun, dict[str, Any]]:
-        run, result = self._execute(digest=True)
-        return run, {
-            # JSON turns the (rank, time) pairs into 2-lists; floats
-            # round-trip exactly (repr is shortest-round-trip).
-            "kills": [[rank, time] for rank, time in run.kills],
-            "violations": list(run.violations),
-            "hung": run.hung,
-            "aborted": run.aborted,
-            "digest": analysis.result_digest(result),
-            "final_time": result.final_time,
-            "perf": analysis.perf_dict(result),
-        }
+    def _payload(self, record, result) -> dict[str, Any]:
+        # JSON turns the (rank, time) pairs into 2-lists; floats
+        # round-trip exactly (repr is shortest-round-trip).
+        kills = [[rank, time] for rank, time in record.kills]
+        return {"kills": kills, **super()._payload(record, result)}
 
     def from_cached(self, payload: dict[str, Any]) -> CampaignRun:
         return CampaignRun(

@@ -28,20 +28,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-from ..analysis.digest import perf_dict, result_digest
-from ..parallel.jobs import (
+from ..parallel.jobs import (  # noqa: F401 - re-exported beside the job it governs
     Invariant,
     InvariantSpec,
     ScenarioFactory,
-    check_invariants,
     trace_needed,
 )
 from ..parallel.runner import SweepRunner, sweep
 from ..simmpi.runtime import SimulationResult
 from ..simmpi.trace import TraceKind
-from .injector import CompositeInjector, FaultInjector, KillAtProbe
+from .campaign import ClassifiedJob
+from .injector import FaultInjector, KillAtProbe
 
 __all__ = [
     "ExplorationReport",
@@ -52,7 +51,6 @@ __all__ = [
     "WindowJob",
     "enumerate_windows",
     "explore",
-    "run_window",
 ]
 
 
@@ -171,7 +169,7 @@ def enumerate_windows(
 
 
 @dataclass
-class WindowJob:
+class WindowJob(ClassifiedJob):
     """Picklable unit of exploration work: one fault-injected re-run."""
 
     factory: ScenarioFactory
@@ -179,52 +177,20 @@ class WindowJob:
     invariants: InvariantSpec = ()
     keep_results: bool = False
 
-    def __call__(self) -> ScenarioOutcome:
-        return self._execute()[0]
+    #: The payload keys :meth:`from_cached` reads.
+    replay_keys = ("hung", "aborted", "violations")
 
-    def _execute(
-        self, digest: bool = False
-    ) -> tuple[ScenarioOutcome, SimulationResult]:
-        sim, main = self.factory()
-        sim.add_injector(
-            CompositeInjector(w.injector() for w in self.windows)
-        )
-        if not trace_needed(
-            self.invariants, keep_results=self.keep_results, digest=digest
-        ):
-            sim.runtime.trace.enabled = False
-        result = sim.run(main, on_deadlock="return")
-        violations = check_invariants(self.invariants, result)
-        outcome = ScenarioOutcome(
+    def _faults(self, sim: Any) -> list[FaultInjector]:
+        return [w.injector() for w in self.windows]
+
+    def _record(self, result, violations, faults) -> ScenarioOutcome:
+        return ScenarioOutcome(
             windows=self.windows,
             hung=result.hung,
             aborted=result.aborted is not None,
             violations=violations,
             result=result if self.keep_results else None,
         )
-        return outcome, result
-
-    # -- cache contract (see repro/parallel/jobs.py) -------------------
-
-    #: The payload keys :meth:`from_cached` reads.
-    replay_keys = ("hung", "aborted", "violations")
-
-    @property
-    def cacheable(self) -> bool:
-        """A job that must return the full ``SimulationResult`` cannot be
-        served from the cache (traces are never stored)."""
-        return not self.keep_results
-
-    def cache_payload(self) -> tuple[ScenarioOutcome, dict[str, Any]]:
-        outcome, result = self._execute(digest=True)
-        return outcome, {
-            "violations": list(outcome.violations),
-            "hung": outcome.hung,
-            "aborted": outcome.aborted,
-            "digest": result_digest(result),
-            "final_time": result.final_time,
-            "perf": perf_dict(result),
-        }
 
     def from_cached(self, payload: dict[str, Any]) -> ScenarioOutcome:
         return ScenarioOutcome(
@@ -234,23 +200,6 @@ class WindowJob:
             violations=list(payload["violations"]),
             result=None,
         )
-
-
-def run_window(
-    factory: ScenarioFactory,
-    windows: Window | Iterable[Window],
-    invariants: InvariantSpec = (),
-    keep_results: bool = False,
-) -> ScenarioOutcome:
-    """Re-run the scenario with fail-stop injected at the given window(s)."""
-    if isinstance(windows, Window):
-        windows = (windows,)
-    return WindowJob(
-        factory=factory,
-        windows=tuple(windows),
-        invariants=invariants,
-        keep_results=keep_results,
-    )()
 
 
 def explore(

@@ -47,7 +47,6 @@ from .driver import (
     FuzzOutcome,
     FuzzReport,
     ReplayResult,
-    classify,
     fuzz,
     iter_sample_configs,
     load_repro,
@@ -71,7 +70,6 @@ __all__ = [
     "JitterSpec",
     "ReplayResult",
     "ShrinkResult",
-    "classify",
     "coverage_cell",
     "coverage_fuzz",
     "perf_dict",

@@ -41,10 +41,10 @@ from .config import FuzzConfig, default_eligible_ranks
 from .driver import (
     _JITTER_LEVELS,
     _POLICY_CHOICES,
+    FuzzJob,
     FuzzOutcome,
     _draw_config,
     _draw_kill,
-    classify,
 )
 
 __all__ = [
@@ -185,10 +185,9 @@ class CoverageJob:
     invariants: Any = None
 
     def __call__(self) -> CoverageOutcome:
-        result = self.config.run()
-        outcome = classify(
-            self.config, result, self.invariants, index=self.index
-        )
+        outcome, result = FuzzJob(
+            self.config, self.index, self.invariants
+        )._execute()
         return CoverageOutcome(
             outcome=outcome, cell=coverage_cell(outcome, result)
         )

@@ -25,10 +25,9 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from ..analysis.digest import perf_dict, result_digest
+from ..faults.campaign import ClassifiedJob
 from ..faults.schedule import KillSpec
-from ..parallel.jobs import check_invariants
 from ..parallel.runner import SweepRunner, sweep
-from ..simmpi.runtime import SimulationResult
 from .config import (
     FORMAT,
     FuzzConfig,
@@ -46,7 +45,6 @@ __all__ = [
     "FuzzOutcome",
     "FuzzReport",
     "ReplayResult",
-    "classify",
     "fuzz",
     "iter_sample_configs",
     "load_repro",
@@ -88,40 +86,15 @@ class FuzzOutcome:
         return line
 
 
-def classify(
-    config: FuzzConfig,
-    result: SimulationResult,
-    invariants: Any = None,
-    *,
-    index: int = 0,
-) -> FuzzOutcome:
-    """Reduce a finished run to its :class:`FuzzOutcome`.
-
-    ``invariants=None`` derives the scenario's default battery (the same
-    rule :func:`replay` applies, so classifications agree everywhere).
-    """
-    if invariants is None:
-        invariants = default_invariants(config.scenario)
-    return FuzzOutcome(
-        index=index,
-        config=config,
-        violations=tuple(check_invariants(invariants, result)),
-        hung=result.hung,
-        aborted=result.aborted is not None,
-        digest=result_digest(result),
-        final_time=result.final_time,
-        perf=perf_dict(result),
-    )
-
-
 @dataclass(frozen=True)
-class FuzzJob:
+class FuzzJob(ClassifiedJob):
     """Picklable unit of fuzz work: run one config, return its outcome.
 
     ``invariants`` must itself be picklable (a spec dataclass such as
     :class:`~repro.parallel.scenarios.StandardRingInvariants`, not a list
     of closures); ``None`` resolves the scenario's default battery inside
-    the worker.
+    the worker.  The config builds the simulation with its kill specs
+    attached (:meth:`~repro.fuzz.config.FuzzConfig.build`).
 
     The job implements the :mod:`repro.cache` contract (see
     ``parallel/jobs.py``): its key covers the full
@@ -138,24 +111,37 @@ class FuzzJob:
     #: Fields excluded from the cache key (see repro.cache.keys).
     _cache_key_exclude = ("index",)
 
-    def __call__(self) -> FuzzOutcome:
-        result = self.config.run()
-        return classify(
-            self.config, result, self.invariants, index=self.index
+    #: The outcome carries the trace digest.
+    traced = True
+
+    def _simulation(self) -> tuple[Any, Any]:
+        return self.config.build()
+
+    def _invariants(self) -> Any:
+        if self.invariants is None:
+            return default_invariants(self.config.scenario)
+        return self.invariants
+
+    def _record(self, result, violations, faults) -> FuzzOutcome:
+        return FuzzOutcome(
+            index=self.index,
+            config=self.config,
+            violations=tuple(violations),
+            hung=result.hung,
+            aborted=result.aborted is not None,
+            digest=result_digest(result),
+            final_time=result.final_time,
+            perf=perf_dict(result),
         )
 
-    # -- cache contract (repro.cache) -----------------------------------
-
-    def cache_payload(self) -> tuple[FuzzOutcome, dict[str, Any]]:
-        """Run and also return the JSON-able cached form of the outcome."""
-        outcome = self()
-        return outcome, {
-            "violations": list(outcome.violations),
-            "hung": outcome.hung,
-            "aborted": outcome.aborted,
-            "digest": outcome.digest,
-            "final_time": outcome.final_time,
-            "perf": dict(outcome.perf),
+    def _payload(self, record, result) -> dict[str, Any]:
+        return {
+            "violations": list(record.violations),
+            "hung": record.hung,
+            "aborted": record.aborted,
+            "digest": record.digest,
+            "final_time": record.final_time,
+            "perf": dict(record.perf),
         }
 
     def from_cached(self, payload: dict[str, Any]) -> FuzzOutcome:
@@ -470,8 +456,7 @@ def write_repro(
     whose minimized config has a different digest than the originally
     sampled failure.
     """
-    result = config.run()
-    outcome = classify(config, result, invariants)
+    outcome = FuzzJob(config, invariants=invariants)()
     doc = config.to_dict()
     doc["expect"] = {
         "violations": list(outcome.violations),
@@ -538,8 +523,7 @@ def replay(
         config, expect = source, {}
     else:
         config, expect = load_repro(source)
-    result = config.run()
-    outcome = classify(config, result, invariants)
+    outcome = FuzzJob(config, invariants=invariants)()
     mismatches: list[str] = []
     if "violations" in expect:
         want = list(expect["violations"])

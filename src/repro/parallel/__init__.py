@@ -26,9 +26,9 @@ Layers:
 * :mod:`~repro.parallel.transport` — ``run_chunk`` /
   ``run_jobs_traced``, the one place a job executes under a span, and
   the cache-miss envelope.
-* :mod:`~repro.parallel.jobs` — the picklable job model
-  (:class:`SimJob`, invariant specs) that lets scenario descriptions
-  cross a process boundary.
+* :mod:`~repro.parallel.jobs` — the picklable job model (scenario
+  factories, invariant specs, the tracing and classification rules)
+  that lets scenario descriptions cross a process boundary.
 * :mod:`~repro.parallel.scenarios` — picklable scenario/invariant specs
   for the bundled workloads (:class:`RingScenario`,
   :class:`StandardRingInvariants`).
@@ -44,7 +44,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "jobs": (
         "Invariant",
         "ScenarioFactory",
-        "SimJob",
         "check_invariants",
         "resolve_invariants",
     ),

@@ -1,8 +1,14 @@
 """The sweep job model: picklable descriptions of one simulation each.
 
 Fan-out across a process pool forces a real serialization layer: a job
-cannot be a bare closure, because closures do not pickle.  The contract
-here is:
+cannot be a bare closure, because closures do not pickle.  A sweep job
+is any picklable zero-argument callable returning a picklable value.
+The four bundled kinds (campaign, window, protocol comparison and fuzz
+jobs) are dataclasses that share one run-and-classify path,
+:class:`~repro.faults.campaign.ClassifiedJob`: build the simulation,
+attach the kind's kills, run, apply the invariants, and reduce the
+result to the kind's compact record inside the worker, so no trace
+ships home.  The contract for what a job holds:
 
 * a **scenario factory** is a picklable zero-argument callable returning
   ``(Simulation, main)`` — a module-level function, a
@@ -16,27 +22,22 @@ here is:
   closure-built batteries like
   :func:`repro.analysis.standard_ring_invariants` ride along (wrap them
   in :class:`repro.parallel.scenarios.StandardRingInvariants`).
-* the job's **result** must pickle too; jobs therefore reduce a
-  :class:`~repro.simmpi.runtime.SimulationResult` to a compact record
-  inside the worker instead of shipping whole traces home (pass a
-  ``reduce`` function to :class:`SimJob`, or use the campaign/explorer
-  jobs which return :class:`~repro.faults.campaign.CampaignRun` /
-  :class:`~repro.faults.explorer.ScenarioOutcome` records).
 * whether a run **records a trace** is worked out from who will read it,
   never set by hand: :func:`trace_needed` is the one rule, and the
-  campaign / explorer / compare-protocols jobs switch the simulation's
-  trace off before ``sim.run`` exactly when it says no.  A trace has
-  three possible readers — the caller (``keep_results=True`` hands the
-  whole result back), the run cache (``cache_payload()`` stores a digest
-  that fingerprints the trace), and the invariants.  An invariant spec
-  that never touches ``result.trace`` says so with a plain class
-  attribute ``reads_trace = False`` (the two bundled batteries in
-  :mod:`repro.parallel.scenarios` do; ``tests/test_trace_need.py`` runs
-  them against a trace that raises on any read); any other callable or
-  non-empty sequence is assumed to read it and gets the full trace.
+  shared run switches the simulation's trace off before ``sim.run``
+  exactly when it says no.  A trace has four possible readers — the
+  caller (``keep_results=True`` hands the whole result back), the run
+  cache (``cache_payload()`` stores a digest that fingerprints the
+  trace), the record itself (a fuzz outcome carries the digest), and
+  the invariants.  An invariant spec that never touches
+  ``result.trace`` says so with a plain class attribute ``reads_trace =
+  False`` (the two bundled batteries in :mod:`repro.parallel.scenarios`
+  do; ``tests/test_trace_need.py`` runs them against a trace that
+  raises on any read); any other callable or non-empty sequence is
+  assumed to read it and gets the full trace.
 
-**Cache contract** (opt-in, consumed by :mod:`repro.cache`): a job whose
-classified outcome can be reused across sweeps additionally provides
+**Cache contract** (consumed by :mod:`repro.cache`): a job whose
+classified outcome can be reused across sweeps provides
 
 * ``cache_payload() -> (outcome, payload)`` — execute the job once and
   return both its normal result and a JSON-able dict capturing the
@@ -59,15 +60,15 @@ classified outcome can be reused across sweeps additionally provides
   ``from_cached`` reads every key) replays the whole payload.  Name a
   key here whenever ``from_cached`` starts to read it.
 
-The key itself is derived in :mod:`repro.cache.keys` from the job's
-dataclass fields plus version and mutation salts; jobs without the
-contract (e.g. :class:`SimJob`, whose ``reduce`` is an arbitrary
-callable) simply always execute.
+:class:`~repro.faults.campaign.ClassifiedJob` implements
+``cache_payload`` and ``cacheable`` once; each kind adds its
+``from_cached``.  The key itself is derived in :mod:`repro.cache.keys`
+from the job's dataclass fields plus version and mutation salts; a job
+without the contract simply always executes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 if TYPE_CHECKING:
@@ -156,27 +157,3 @@ def outcome_class(value: Any) -> str:
         getattr(value, "violations", ()),
         getattr(value, "aborted", False),
     )
-
-
-@dataclass
-class SimJob:
-    """One independent simulation: build, inject, run, reduce.
-
-    ``injectors`` are attached to the fresh simulation before the run
-    (the standard :mod:`repro.faults.injector` classes are all picklable
-    dataclasses).  ``reduce``, when given, is applied to the
-    :class:`~repro.simmpi.runtime.SimulationResult` *inside the worker*
-    so only its (small, picklable) return value crosses back.
-    """
-
-    factory: ScenarioFactory
-    injectors: tuple = ()
-    reduce: Callable[[SimulationResult], Any] | None = None
-    on_deadlock: str = "return"
-
-    def __call__(self) -> Any:
-        sim, main = self.factory()
-        for inj in self.injectors:
-            sim.add_injector(inj)
-        result = sim.run(main, on_deadlock=self.on_deadlock)
-        return self.reduce(result) if self.reduce is not None else result

@@ -98,11 +98,12 @@ class SweepRunner:
     Subclasses implement :meth:`_execute`; :meth:`run` puts the run
     cache in front of it when :attr:`cache` is set.
 
-    After :meth:`run` returns, :attr:`job_retries` holds one int per job
-    (submission order): how many times the chunk carrying that job was
-    re-submitted.  Always zero for serial runs and for cache hits; the
-    telemetry lines of :func:`sweep` carry it, so infrastructure retries
-    are attributed to jobs.  It is a per-*instance* list — two runners
+    After :meth:`run` returns (one window of :meth:`run_stream`),
+    :attr:`job_retries` holds one int per job of it, in submission
+    order: how many times the chunk carrying that job was re-submitted.
+    Always zero for serial runs and for cache hits; the telemetry lines
+    of :func:`sweep` carry it, so infrastructure retries are attributed
+    to jobs.  It is a per-*instance* list — two runners
     never alias each other's retry accounting (regression-tested).
     :attr:`job_cache` is its twin for the cache stage: per job of the
     most recent :meth:`run` (one window of :meth:`run_stream`),
@@ -241,27 +242,21 @@ class SweepRunner:
         materialized beyond one window, so a 10^6-config campaign runs
         in O(window) memory.
 
-        :attr:`job_retries` grows as results are yielded (one entry per
-        job yielded so far) and is complete when the iterator is
-        exhausted, so streamed telemetry sees the same counts as a
-        materialized run.  :attr:`job_cache` holds the current window's
-        dispositions only.
+        :attr:`job_retries` and :attr:`job_cache` hold the current
+        window's counts and dispositions only, set before its first
+        result is yielded.
         """
         window = int(window) if window is not None else self._stream_window()
         if window < 1:
             raise ValueError("window must be >= 1")
         it = iter(jobs)
-        retries: list[int] = []
-        self.job_retries = retries
+        first = 0
         while True:
             batch = list(islice(it, window))
             if not batch:
                 return
-            results = self.run(batch, first=len(retries))
-            # run() replaced job_retries with this batch's counts; fold
-            # them into the cumulative stream-wide list.
-            retries.extend(self.job_retries)
-            self.job_retries = retries
+            results = self.run(batch, first=first)
+            first += len(batch)
             yield from results
 
     def _stream_window(self) -> int:
@@ -436,7 +431,7 @@ def sweep(
             if index == joined:
                 # run_stream ran this whole window before yielding its
                 # first result: its spans and dispositions are all in.
-                first, joined = index, len(runner.job_retries)
+                first, joined = index, index + len(runner.job_retries)
                 writer.window(recorder.spans[seen:], recorder.now())
                 if own:
                     recorder.spans.clear()
@@ -444,7 +439,7 @@ def sweep(
             writer.record(
                 index, value,
                 cache=runner.job_cache[index - first],
-                retries=runner.job_retries[index],
+                retries=runner.job_retries[index - first],
             )
             yield value
             index += 1

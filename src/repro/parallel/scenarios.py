@@ -36,8 +36,7 @@ class RingScenario:
 
     Calling the instance returns a fresh ``(Simulation, main)`` pair —
     the :data:`~repro.parallel.jobs.ScenarioFactory` contract used by
-    :func:`repro.faults.run_campaign`, :func:`repro.faults.explore`, and
-    :class:`repro.parallel.SimJob`.
+    :func:`repro.faults.run_campaign` and :func:`repro.faults.explore`.
     """
 
     nprocs: int = 8

@@ -32,16 +32,18 @@ byte-identical reports.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .. import analysis
-from ..faults.injector import CompositeInjector, KillAtTime
-from ..parallel.jobs import check_invariants, outcome_of, trace_needed
+from ..faults.campaign import ClassifiedJob, draw_kills
+from ..faults.injector import KillAtTime
+from ..parallel.jobs import (  # noqa: F401 - re-exported beside the job it governs
+    outcome_of,
+    trace_needed,
+)
 from ..parallel.runner import SweepRunner, sweep
 from ..parallel.scenarios import RingScenario, StandardRingInvariants
-from ..simmpi.runtime import SimulationResult
 from .base import PROTOCOLS, load_family
 
 
@@ -70,14 +72,15 @@ class ProtocolRunRecord:
 
 
 @dataclass(frozen=True)
-class ProtocolCompareJob:
+class ProtocolCompareJob(ClassifiedJob):
     """Picklable unit of comparison work: one protocol x one schedule.
 
-    The kill schedule is derived from ``seed`` over the *logical* rank
-    range ``1..nprocs-1`` — independent of the protocol, so jobs that
-    share a seed face the identical schedule (replication's physical
-    rank ``v`` is replica 0 of logical rank ``v``; partial restart's
-    spares are never scheduled victims).  ``baseline=True`` runs the
+    The kill schedule is the campaign's draw
+    (:func:`~repro.faults.campaign.draw_kills`) from ``seed`` over the
+    *logical* rank range ``1..nprocs-1`` — independent of the protocol,
+    so jobs that share a seed face the identical schedule (replication's
+    physical rank ``v`` is replica 0 of logical rank ``v``; partial
+    restart's spares are never scheduled victims).  ``baseline=True`` runs the
     failure-free reference instead.
 
     All determinants are plain-data fields, so the job canonicalizes
@@ -101,16 +104,12 @@ class ProtocolCompareJob:
     def _kills(self) -> tuple[tuple[int, float], ...]:
         if self.baseline:
             return ()
-        rng = random.Random(self.seed)
-        victims = rng.sample(range(1, self.nprocs), self.kills_per_run)
-        return tuple(
-            sorted((v, rng.uniform(0.0, self.horizon)) for v in victims)
+        return draw_kills(
+            self.seed, range(1, self.nprocs), self.kills_per_run, self.horizon
         )
 
-    def _execute(
-        self, digest: bool = False
-    ) -> tuple[ProtocolRunRecord, SimulationResult]:
-        scenario = RingScenario(
+    def _simulation(self) -> tuple[Any, Any]:
+        return RingScenario(
             nprocs=self.nprocs,
             iters=self.iters,
             seed=self.sim_seed,
@@ -118,27 +117,23 @@ class ProtocolCompareJob:
             work_per_iter=self.work_per_iter,
             protocol=self.protocol,
             spares=self.spares,
-        )
-        sim, main = scenario()
-        kills = self._kills()
-        if kills:
-            sim.add_injector(
-                CompositeInjector(KillAtTime(rank=v, time=t) for v, t in kills)
-            )
-        invariants = StandardRingInvariants(self.iters, self.nprocs)
-        if not trace_needed(invariants, keep_results=False, digest=digest):
-            sim.runtime.trace.enabled = False
-        result = sim.run(main, on_deadlock="return")
-        violations = check_invariants(invariants, result)
-        outcome = outcome_of(
-            result.hung, violations, result.aborted is not None
-        )
-        record = ProtocolRunRecord(
+        )()
+
+    def _faults(self, sim: Any) -> list[KillAtTime]:
+        return [KillAtTime(rank=v, time=t) for v, t in self._kills()]
+
+    def _invariants(self) -> StandardRingInvariants:
+        return StandardRingInvariants(self.iters, self.nprocs)
+
+    def _record(self, result, violations, faults) -> ProtocolRunRecord:
+        return ProtocolRunRecord(
             protocol=self.protocol,
             seed=self.seed,
             baseline=self.baseline,
-            kills=kills,
-            outcome=outcome,
+            kills=tuple([(k.rank, k.time) for k in faults]),
+            outcome=outcome_of(
+                result.hung, violations, result.aborted is not None
+            ),
             abort_code=(
                 result.aborted.code if result.aborted is not None else None
             ),
@@ -148,12 +143,6 @@ class ProtocolCompareJob:
                 0 if result.perf is None else result.perf.messages_sent
             ),
         )
-        return record, result
-
-    def __call__(self) -> ProtocolRunRecord:
-        return self._execute()[0]
-
-    # -- cache contract (see repro/parallel/jobs.py) -------------------
 
     #: The payload keys :meth:`from_cached` reads: all but the digest.
     replay_keys = (
@@ -161,9 +150,8 @@ class ProtocolCompareJob:
         "messages_sent",
     )
 
-    def cache_payload(self) -> tuple[ProtocolRunRecord, dict[str, Any]]:
-        record, result = self._execute(digest=True)
-        return record, {
+    def _payload(self, record, result) -> dict[str, Any]:
+        return {
             "kills": [[rank, time] for rank, time in record.kills],
             "outcome": record.outcome,
             "abort_code": record.abort_code,

@@ -41,7 +41,7 @@ from repro.faults.explorer import Window, WindowJob
 from repro.faults.schedule import KillSpec
 from repro.fuzz.config import FuzzConfig, JitterSpec
 from repro.fuzz.driver import FuzzJob
-from repro.parallel import SerialRunner, SimJob, with_cache
+from repro.parallel import SerialRunner, with_cache
 from repro.protocols import ProtocolCompareJob
 from tests.conftest import RING_INVARIANTS, RING_SCENARIO, factory_for
 
@@ -524,7 +524,7 @@ class TestMemo:
             WindowJob(factory=RING_SCENARIO, **window),
             WindowJob(factory=closure, **window),  # not addressable
             WindowJob(factory=RING_SCENARIO, keep_results=True, **window),
-            SimJob(factory=RING_SCENARIO),  # no cache contract
+            _Plain(a=RING_SCENARIO),  # no cache contract
             WindowJob(factory=closure, windows=_WINDOWS[:1]),
             _CAMPAIGN_JOB,
         ]

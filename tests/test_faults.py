@@ -15,11 +15,12 @@ from repro.faults import (
     enumerate_windows,
     explore,
     run_campaign,
-    run_window,
 )
-from repro.faults.campaign import CampaignJob
+from repro.faults.campaign import CampaignJob, draw_kills
+from repro.faults.explorer import WindowJob
 from repro.faults.injector import FaultInjector
 from repro.parallel import RingScenario
+from repro.protocols import PROTOCOLS, ProtocolCompareJob
 from repro.simmpi import Simulation
 from repro.analysis import no_hang, standard_ring_invariants
 from tests.conftest import RING_INVARIANTS, RING_SCENARIO, run_sim
@@ -186,11 +187,11 @@ class TestExplorer:
         assert len(wins) == 3
 
     def test_run_window_outcome(self):
-        out = run_window(
+        out = WindowJob(
             ring_factory,
-            Window(rank=2, probe="post_recv", hit=2),
+            (Window(rank=2, probe="post_recv", hit=2),),
             invariants=[no_hang],
-        )
+        )()
         assert out.ok
         assert not out.hung
 
@@ -256,3 +257,41 @@ class TestCampaign:
         r1 = run_campaign(factory, seeds=[42], horizon=5e-6)
         r2 = run_campaign(factory, seeds=[42], horizon=5e-6)
         assert r1.runs[0].kills == r2.runs[0].kills
+
+
+class TestSharedDraw:
+    """A campaign and a protocol comparison draw their kills with one
+    function: the same seed, ring size, horizon and kill count place
+    the same ``(rank, time)`` kills in both."""
+
+    @pytest.mark.parametrize("nprocs, k, seed", [(4, 1, 0), (6, 2, 7), (8, 3, 11)])
+    def test_campaign_and_comparison_face_one_kill_list(self, nprocs, k, seed):
+        horizon = 2e-5
+        run = CampaignJob(
+            factory=RingScenario(nprocs=nprocs, iters=3),
+            seed=seed, horizon=horizon, kills_per_run=k,
+        )()
+        kills = draw_kills(seed, range(1, nprocs), k, horizon)
+        assert len(kills) == k and run.kills == kills
+        for protocol in PROTOCOLS:
+            record = ProtocolCompareJob(
+                protocol=protocol, nprocs=nprocs, iters=3, seed=seed,
+                horizon=horizon, kills_per_run=k,
+            )()
+            assert record.kills == kills, protocol
+
+    def test_more_kills_than_eligible_ranks_raise(self):
+        with pytest.raises(ValueError, match="exceeds eligible ranks"):
+            CampaignJob(
+                factory=RingScenario(nprocs=3, iters=2), seed=0,
+                horizon=1e-5, kills_per_run=3,
+            )()
+        with pytest.raises(ValueError, match="exceeds eligible ranks"):
+            CampaignJob(
+                factory=RingScenario(nprocs=5, iters=2), seed=0,
+                horizon=1e-5, kills_per_run=3, eligible_ranks=(1, 2),
+            )()
+        with pytest.raises(ValueError, match="exceeds eligible ranks"):
+            ProtocolCompareJob(
+                protocol="rts", nprocs=3, iters=2, kills_per_run=3
+            )()

@@ -21,12 +21,12 @@ from repro.parallel import (
     FleetRunner,
     RingScenario,
     SerialRunner,
-    SimJob,
     StandardRingInvariants,
     SweepError,
     make_runner,
     resolve_invariants,
 )
+from repro.faults.campaign import CampaignJob
 from repro.parallel.remote import _WorkerConn
 from tests.conftest import (
     RING_INVARIANTS as INVARIANTS,
@@ -256,11 +256,13 @@ def _double(x: int) -> int:
 
 class TestJobModel:
     def test_sim_job_runs_and_reduces(self):
-        job = SimJob(factory=SCENARIO, reduce=_final_time)
-        t = job()
-        assert t > 0.0
+        job = CampaignJob(
+            factory=SCENARIO, seed=1, horizon=8e-6, invariants=INVARIANTS
+        )
+        run = job()
+        assert run.result is None and len(run.kills) == 1
         # The same job crosses a process boundary intact.
-        assert FleetRunner(workers=1).run([job]) == [t]
+        assert FleetRunner(workers=1).run([job]) == [run]
 
     def test_invariant_factory_resolves(self):
         invs = resolve_invariants(INVARIANTS)
@@ -277,10 +279,6 @@ class TestJobModel:
         ra = sim_a.run(main_a, on_deadlock="return")
         rb = sim_b.run(main_b, on_deadlock="return")
         assert ra.trace.keys() == rb.trace.keys()
-
-
-def _final_time(result) -> float:
-    return result.final_time
 
 
 def _no_op_invariant(result):

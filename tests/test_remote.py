@@ -691,13 +691,12 @@ class TestDeadWorkerRecovery:
             )
         assert (tmp_path / "poisoned").exists(), "no worker was killed"
         assert serial.format() == remote.format()
-        assert sum(runner.job_retries) > 0
-        # Telemetry: valid, with per-worker rows carrying the disconnect.
+        # Telemetry: valid, with the retries on the job lines and
+        # per-worker rows carrying the disconnect.
         assert records.errors(log, TELEMETRY) == []
-        workers = [
-            r for r in records.read(log, TELEMETRY)[1]
-            if r.get("kind") == "worker"
-        ]
+        lines = records.read(log, TELEMETRY)[1]
+        assert sum(r["retries"] for r in lines if r.get("kind") == "job") > 0
+        workers = [r for r in lines if r.get("kind") == "worker"]
         assert len(workers) == 2
         assert sum(w["disconnects"] for w in workers) >= 1
         # Spans: valid, and canonically identical to the serial sweep.

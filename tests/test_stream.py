@@ -89,13 +89,13 @@ class TestRunStream:
             DEFAULT_STREAM_WINDOW
         )
 
-    def test_job_retries_accumulate_across_windows(self):
+    def test_job_retries_hold_the_current_window(self):
         runner = FleetRunner(workers=2)
-        results = list(
-            runner.run_stream((SquareJob(x) for x in range(20)), window=6)
-        )
-        assert len(results) == 20
-        assert runner.job_retries == [0] * 20
+        stream = runner.run_stream((SquareJob(x) for x in range(20)), window=6)
+        assert next(stream) == 0
+        assert runner.job_retries == [0] * 6
+        assert len(list(stream)) == 19
+        assert runner.job_retries == [0] * 2  # the last window: 18, 19
 
     def test_empty_stream(self):
         assert list(SerialRunner().run_stream(iter(()))) == []

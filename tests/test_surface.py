@@ -42,7 +42,7 @@ COLLECTIVES = ["allgather", "allreduce", "barrier", "bcast", "reduce"]
 
 PARALLEL_ALL = [
     "AppScenario", "FleetRunner", "GenericInvariants", "Invariant",
-    "RingScenario", "ScenarioFactory", "SerialRunner", "SimJob",
+    "RingScenario", "ScenarioFactory", "SerialRunner",
     "StandardRingInvariants", "SweepError", "SweepJob", "SweepRunner",
     "WorkerServer", "check_invariants", "make_runner",
     "parse_worker_addrs", "resolve_invariants", "sweep", "with_cache",
