@@ -30,11 +30,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..parallel.jobs import (  # noqa: F401 - re-exported beside the job it governs
+from ..parallel.jobs import (
     Invariant,
     InvariantSpec,
     ScenarioFactory,
-    trace_needed,
 )
 from ..parallel.runner import SweepRunner, sweep
 from ..simmpi.runtime import SimulationResult

@@ -16,7 +16,7 @@ Spec format (``to_dict``/``from_dict``)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from .injector import (
     CompositeInjector,
@@ -109,13 +109,6 @@ class FailureSchedule:
         )
         return self
 
-    def at_call(self, rank: int, call_no: int, op: str | None = None) -> "FailureSchedule":
-        """Append an MPI-call-count kill (chainable)."""
-        self.kills.append(
-            KillSpec(trigger="call", rank=rank, call_no=call_no, op=op)
-        )
-        return self
-
     # -- use --------------------------------------------------------------------
 
     def injector(self) -> FaultInjector:
@@ -137,7 +130,3 @@ class FailureSchedule:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "FailureSchedule":
         return cls(kills=[KillSpec.from_dict(k) for k in d.get("kills", [])])
-
-    @classmethod
-    def from_specs(cls, specs: Iterable[KillSpec]) -> "FailureSchedule":
-        return cls(kills=list(specs))

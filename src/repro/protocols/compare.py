@@ -38,10 +38,7 @@ from typing import Any, Sequence
 from .. import analysis
 from ..faults.campaign import ClassifiedJob, draw_kills
 from ..faults.injector import KillAtTime
-from ..parallel.jobs import (  # noqa: F401 - re-exported beside the job it governs
-    outcome_of,
-    trace_needed,
-)
+from ..parallel.jobs import outcome_of
 from ..parallel.runner import SweepRunner, sweep
 from ..parallel.scenarios import RingScenario, StandardRingInvariants
 from .base import PROTOCOLS, load_family

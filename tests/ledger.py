@@ -16,8 +16,13 @@ fault-free and faulted runs, and rings of 2 to 64 ranks.  Each line of
 
 ``tests/test_ledger.py`` recomputes every row.  A row that moves means a
 job now keys, runs or stores differently, and a store filled before the
-change would no longer replay as hits.  Rewrite the file only for a
-deliberate change of that kind::
+change would no longer replay as hits.  To list every row that moved,
+and which of its fields (exit status 1 if any ``final_time`` moved: a
+job then runs differently, not just keys or stores differently)::
+
+    PYTHONPATH=src python -m tests.ledger --moved
+
+Rewrite the file only for a deliberate change of that kind::
 
     PYTHONPATH=src python -m tests.ledger
 """
@@ -27,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -45,6 +51,9 @@ from repro.parallel import (
 from repro.protocols import ProtocolCompareJob
 
 LEDGER = Path(__file__).with_name("ledger.jsonl")
+
+#: The fields of a row, in the order a moved row names them.
+FIELDS = ("token", "key", "payload", "final_time")
 
 #: The version salt of ``tests/test_cache_keys.py``'s ``recorded_salts``.
 RECORDED_VERSION = "1.1.0"
@@ -251,12 +260,62 @@ class PayloadOf:
         return self.job.cache_payload()[1]
 
 
-def write(path: Path = LEDGER) -> int:
+def compute() -> list[dict[str, Any]]:
+    """Every row, recomputed serially in this process."""
     batch = jobs()
-    lines = rows(batch, [PayloadOf(job)() for job in batch])
+    return rows(batch, [PayloadOf(job)() for job in batch])
+
+
+def load(path: Path = LEDGER) -> list[dict[str, Any]]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def moved_fields(old: dict[str, Any], new: dict[str, Any]) -> list[str]:
+    """The fields of *new* that differ from *old*, in :data:`FIELDS` order."""
+    return [name for name in FIELDS if old[name] != new[name]]
+
+
+def moved(
+    recorded: list[dict[str, Any]], now: list[dict[str, Any]]
+) -> tuple[list[str], bool]:
+    """One line per row of *now* that differs from *recorded*, naming
+    the fields that moved and ending with a count per field; and whether
+    any ``final_time`` moved."""
+    lines = []
+    counts = dict.fromkeys(FIELDS, 0)
+    for i, (old, new) in enumerate(zip(recorded, now)):
+        fields_ = moved_fields(old, new)
+        for name in fields_:
+            counts[name] += 1
+        if fields_:
+            lines.append(f"row {i} (line {i + 1}): {', '.join(fields_)}")
+    if len(recorded) != len(now):
+        lines.append(f"{len(recorded)} rows recorded, {len(now)} jobs now")
+    total = sum(1 for old, new in zip(recorded, now) if moved_fields(old, new))
+    lines.append(
+        f"{total} of {len(now)} rows moved ("
+        + ", ".join(f"{name} {counts[name]}" for name in FIELDS) + ")"
+    )
+    return lines, counts["final_time"] > 0
+
+
+def write(path: Path = LEDGER) -> int:
+    lines = compute()
     path.write_text("".join(json.dumps(row) + "\n" for row in lines))
     return len(lines)
 
 
-if __name__ == "__main__":
+def main(argv: list[str]) -> int:
+    if argv == ["--moved"]:
+        lines, times_moved = moved(load(), compute())
+        print("\n".join(lines))
+        return 1 if times_moved else 0
+    if argv:
+        print("usage: python -m tests.ledger [--moved]", file=sys.stderr)
+        return 2
     print(f"{write()} rows written to {LEDGER}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

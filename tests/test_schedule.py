@@ -52,12 +52,8 @@ class TestKillSpec:
 
 class TestFailureSchedule:
     def test_chainable_builders(self):
-        sched = (
-            FailureSchedule()
-            .at_time(1, 2.0)
-            .at_probe(2, "tick", hit=3)
-            .at_call(3, 5)
-        )
+        sched = FailureSchedule().at_time(1, 2.0).at_probe(2, "tick", hit=3)
+        sched.kills.append(KillSpec(trigger="call", rank=3, call_no=5))
         assert len(sched) == 3
         assert sched.victims() == {1, 2, 3}
 
@@ -86,7 +82,3 @@ class TestFailureSchedule:
 
         a, b = run_once(), run_once()
         assert a.trace.keys() == b.trace.keys()
-
-    def test_from_specs(self):
-        specs = [KillSpec(trigger="time", rank=0, time=1.0)]
-        assert FailureSchedule.from_specs(specs).kills == specs

@@ -28,6 +28,9 @@ from repro.faults import explore, run_campaign
 from repro.faults.campaign import CampaignJob
 from repro.faults.explorer import Window, WindowJob, enumerate_windows
 from repro.faults.injector import CompositeInjector, KillAtTime
+from repro.faults.schedule import KillSpec
+from repro.fuzz.config import FuzzConfig
+from repro.fuzz.driver import FuzzJob
 from repro.parallel import (
     FleetRunner,
     GenericInvariants,
@@ -338,14 +341,35 @@ def _reports(runner=None) -> list[str]:
     return reports
 
 
-def _force_trace(monkeypatch) -> None:
-    """Every job traces, as before the rule existed.  Pool workers are
-    forked from, and the loopback worker is a thread of, this process."""
-    for module in ("faults.campaign", "faults.explorer", "protocols.compare"):
-        monkeypatch.setattr(
-            f"repro.{module}.trace_needed", lambda *a, **kw: True
-        )
+def _force_trace(monkeypatch, traced: bool = True) -> None:
+    """Every job traces (or, with ``traced=False``, none does), as
+    before the rule existed: the one name the shared run reads is
+    patched.  Pool workers are forked from, and the loopback worker is
+    a thread of, this process."""
+    monkeypatch.setattr(
+        "repro.faults.campaign.trace_needed", lambda *a, **kw: traced
+    )
 
+
+#: One job of each sweep kind, for the forcing check.
+FORCED_KINDS = {
+    "campaign": lambda: CampaignJob(
+        factory=RING_SCENARIO, seed=1, horizon=8e-6,
+        invariants=RING_INVARIANTS,
+    ),
+    "window": lambda: WindowJob(
+        factory=RING_SCENARIO, windows=_WINDOW, invariants=RING_INVARIANTS
+    ),
+    "compare": lambda: ProtocolCompareJob(
+        protocol="rts", nprocs=4, iters=3, seed=1, horizon=8e-6
+    ),
+    "fuzz": lambda: FuzzJob(
+        config=FuzzConfig(
+            scenario=RING_SCENARIO,
+            faults=(KillSpec("time", 2, time=5e-6),),
+        ),
+    ),
+}
 
 RUNNERS = {
     "serial": lambda addr: None,
@@ -359,12 +383,14 @@ class TestReportsDoNotDependOnIt:
     def derived_serial(self):
         return _reports()
 
-    def test_forcing_works(self, monkeypatch):
-        job = CampaignJob(factory=RING_SCENARIO, seed=1, horizon=8e-6,
-                          invariants=TraceLengthSpec())
-        assert job().violations == ["trace_len=0"]
-        _force_trace(monkeypatch)
-        assert job().violations != ["trace_len=0"]
+    @pytest.mark.parametrize("make_job", FORCED_KINDS.values(),
+                             ids=FORCED_KINDS.keys())
+    def test_forcing_works(self, make_job, monkeypatch):
+        job = make_job()
+        for traced in (False, True):
+            _force_trace(monkeypatch, traced)
+            _record, result = job._execute()
+            assert (len(result.trace) > 0) is traced
 
     @pytest.mark.parametrize("runner, forced", [
         pytest.param(runner, forced, id=f"{mode}-{runner}")
